@@ -203,10 +203,10 @@ def _value_rows(names, game) -> dict:
     return rows
 
 
-def cmd_analyze(scenario: Scenario) -> dict:
+def cmd_analyze(scenario: Scenario, violation) -> dict:
+    """violation is check_superadditive's result for scenario.game."""
     game = scenario.game
     names = scenario.agents
-    violation = check_superadditive(game)
     shapley = net_shapley(from_isn_game(game))
     core = core_nonempty(game)
     report = {
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         if args.command == "analyze":
-            report = cmd_analyze(scenario)
+            report = cmd_analyze(scenario, violation)
         elif args.command == "shapley":
             report = cmd_shapley(scenario)
         elif args.command == "core":

@@ -10,6 +10,7 @@ from itertools import permutations, product
 
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import ISNGame
+from symbio.lp import LPResult
 
 
 def perm_shapley(n_agents, value_fn):
@@ -154,3 +155,157 @@ def random_scenario(rng, n, resources=("r", "s"), max_qty=10):
     return ExchangeScenario(
         n_agents=n, streams=tuple(streams), transport=transport, transaction=transaction
     )
+
+
+def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResult:
+    """Optimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
+
+    Oracle for symbio.lp.solve_lp: the same two-phase Bland-rule simplex,
+    run on a tableau of Fractions. Minimizes unless maximize=True. All
+    inputs are coerced to Fraction; right-hand sides may be negative.
+    """
+    c = [Fraction(v) for v in c]
+    if maximize:
+        c = [-v for v in c]
+    n = len(c)
+
+    rows = []  # (coeffs, rhs, needs_slack)
+    for coeffs, rhs in zip(a_ub, b_ub, strict=True):
+        coeffs = [Fraction(v) for v in coeffs]
+        if len(coeffs) != n:
+            raise ValueError("constraint width does not match objective")
+        rows.append((coeffs, Fraction(rhs), True))
+    for coeffs, rhs in zip(a_eq, b_eq, strict=True):
+        coeffs = [Fraction(v) for v in coeffs]
+        if len(coeffs) != n:
+            raise ValueError("constraint width does not match objective")
+        rows.append((coeffs, Fraction(rhs), False))
+
+    m = len(rows)
+    n_slack = sum(1 for _, _, s in rows if s)
+
+    # Column layout: structural | slack | artificial | rhs.
+    tableau = []
+    basis = []
+    artificial_rows = []
+    slack_at = 0
+    for coeffs, rhs, needs_slack in rows:
+        row = coeffs + [Fraction(0)] * n_slack + [rhs]
+        if needs_slack:
+            row[n + slack_at] = Fraction(1)
+            slack_col = n + slack_at
+            slack_at += 1
+        else:
+            slack_col = None
+        if row[-1] < 0:
+            row = [-v for v in row]
+        if needs_slack and row[n + slack_at - 1] == 1:
+            basis.append(slack_col)
+        else:
+            basis.append(None)  # placeholder, gets an artificial below
+            artificial_rows.append(len(tableau))
+        tableau.append(row)
+
+    n_art = len(artificial_rows)
+    width = n + n_slack + n_art
+    for row in tableau:
+        rhs = row.pop()
+        row.extend([Fraction(0)] * n_art)
+        row.append(rhs)
+    for k, i in enumerate(artificial_rows):
+        tableau[i][n + n_slack + k] = Fraction(1)
+        basis[i] = n + n_slack + k
+
+    if n_art:
+        cost1 = [Fraction(0)] * (width + 1)
+        for k in range(n_art):
+            cost1[n + n_slack + k] = Fraction(1)
+        obj = _reduced_row(cost1, tableau, basis)
+        _pivot_until_optimal(tableau, basis, obj, width)
+        if -obj[-1] != 0:  # leftover artificial infeasibility
+            return LPResult("infeasible")
+        _drive_out_artificials(tableau, basis, n + n_slack)
+        width = n + n_slack
+        tableau = [row[:width] + [row[-1]] for row in tableau]
+
+    cost2 = c + [Fraction(0)] * (width - n) + [Fraction(0)]
+    obj = _reduced_row(cost2, tableau, basis)
+    if not _pivot_until_optimal(tableau, basis, obj, width):
+        return LPResult("unbounded")
+
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b is not None and b < n:
+            x[b] = tableau[i][-1]
+    value = -obj[-1]
+    if maximize:
+        value = -value
+    return LPResult("optimal", tuple(x), value)
+
+
+def _reduced_row(cost, tableau, basis):
+    """Cost row with basic columns zeroed; last cell holds -objective."""
+    obj = list(cost)
+    for i, b in enumerate(basis):
+        if b is None or obj[b] == 0:
+            continue
+        factor = obj[b]
+        row = tableau[i]
+        for j in range(len(obj)):
+            obj[j] -= factor * row[j]
+    return obj
+
+
+def _pivot_until_optimal(tableau, basis, obj, width) -> bool:
+    """Run Bland-rule pivots in place; False means unbounded."""
+    while True:
+        col = next((j for j in range(width) if obj[j] < 0), None)
+        if col is None:
+            return True
+        row = None
+        best = None
+        for i, trow in enumerate(tableau):
+            a = trow[col]
+            if a <= 0:
+                continue
+            ratio = trow[-1] / a
+            if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                best, row = ratio, i
+        if row is None:
+            return False
+        _pivot(tableau, basis, obj, row, col)
+
+
+def _pivot(tableau, basis, obj, row, col):
+    prow = tableau[row]
+    inv = 1 / prow[col]
+    tableau[row] = prow = [v * inv for v in prow]
+    basis[row] = col
+    for target in tableau:
+        if target is prow:
+            continue
+        factor = target[col]
+        if factor == 0:
+            continue
+        for j in range(len(target)):
+            target[j] -= factor * prow[j]
+    factor = obj[col]
+    if factor != 0:
+        for j in range(len(obj)):
+            obj[j] -= factor * prow[j]
+
+
+def _drive_out_artificials(tableau, basis, real_width):
+    """Pivot zero-level artificials onto real columns; drop redundant rows."""
+    i = 0
+    while i < len(tableau):
+        if basis[i] < real_width:
+            i += 1
+            continue
+        col = next((j for j in range(real_width) if tableau[i][j] != 0), None)
+        if col is None:
+            del tableau[i]
+            del basis[i]
+            continue
+        _pivot(tableau, basis, [Fraction(0)] * (len(tableau[i])), i, col)
+        i += 1

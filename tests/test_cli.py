@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from symbio import cli
 from symbio.cli import cmd_analyze, load_scenario, main
 from symbio.errors import ParseError, ValidationError
-from symbio.games import ISNGame
+from symbio.games import ISNGame, check_superadditive
 from symbio.mcnets import from_isn_game, net_shapley
 from symbio.solutions import in_core
 
@@ -177,16 +178,19 @@ def test_epsilon_flag(capsys, tmp_path):
     assert report["group_verdicts"][0]["coordinated_value"] == "-1/2"
 
 
+#: Merging {A,B} with {C} loses value.
+NONSUPERADDITIVE = {
+    "agents": ["A", "B", "C"],
+    "tables": {
+        "T": {"A,B": 5, "A,C": 0, "B,C": 0, "A,B,C": 3},
+        "O": {"A,B": 0, "A,C": 0, "B,C": 0, "A,B,C": 0},
+    },
+}
+
+
 def test_analyze_reports_superadditivity_violation(capsys, tmp_path):
-    doc = {
-        "agents": ["A", "B", "C"],
-        "tables": {
-            "T": {"A,B": 5, "A,C": 0, "B,C": 0, "A,B,C": 3},
-            "O": {"A,B": 0, "A,C": 0, "B,C": 0, "A,B,C": 0},
-        },
-    }
     path = tmp_path / "nonsuper.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(NONSUPERADDITIVE))
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 0  # a warning, not an error
     assert "superadditive: no" in out
@@ -199,10 +203,34 @@ def test_analyze_reports_superadditivity_violation(capsys, tmp_path):
     assert report["superadditive_counterexample"] == ["A,B", "C"]
 
 
+def test_analyze_scans_superadditivity_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counting(game):
+        calls.append(game)
+        return check_superadditive(game)
+
+    monkeypatch.setattr(cli, "check_superadditive", counting)
+    path = tmp_path / "nonsuper.json"
+    path.write_text(json.dumps(NONSUPERADDITIVE))
+    for argv in (
+        ["analyze", str(DATA / "g3.json")],
+        ["analyze", str(path)],
+        ["analyze", str(path), "--format", "json"],
+    ):
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
+    assert err == "warning: game is not superadditive: merging {A,B} and {C} loses value\n"
+
+
 def test_report_dict_pipeline_known_values():
-    report = cmd_analyze(load_scenario(str(DATA / "g3.json")))
+    scenario = load_scenario(str(DATA / "g3.json"))
+    report = cmd_analyze(scenario, check_superadditive(scenario.game))
     assert report["shapley"] == {"A": "13/3", "B": "16/3", "C": "7/3"}
     assert report["implementable"] is False
-    report_w = cmd_analyze(load_scenario(str(DATA / "w.json")))
+    scenario_w = load_scenario(str(DATA / "w.json"))
+    report_w = cmd_analyze(scenario_w, check_superadditive(scenario_w.game))
     assert report_w["shapley"] == {"F0": "31", "F1": "31"}
     assert report_w["implementable"] is True

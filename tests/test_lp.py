@@ -1,6 +1,15 @@
+import random
+from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
+from math import gcd
 
-from symbio.lp import solve_lp
+import pytest
+
+from symbio import lp
+from symbio.lp import LPResult, solve_lp
+
+from helpers import fraction_solve_lp
 
 
 def test_basic_maximization():
@@ -74,3 +83,120 @@ def test_minimize_matches_negated_maximize():
     hi = solve_lp([1, 2], a_ub=a_ub, b_ub=b_ub, maximize=True)
     assert lo.objective == -hi.objective
     assert lo.x == hi.x
+
+
+# ---------------------------------------------------------------- edge cases
+
+
+def test_drive_out_pivot_on_negative_entry(monkeypatch):
+    # Phase one leaves an artificial basic at level zero whose row's first
+    # nonzero real entry is negative: the drive-out pivots on it and must
+    # negate the row to keep its basic entry positive.
+    drive_out_elements = []
+    pivot = lp._pivot
+
+    def spy(tableau, basis, obj, row, col):
+        if obj is None:
+            drive_out_elements.append(tableau[row][col])
+        pivot(tableau, basis, obj, row, col)
+        assert all(trow[b] > 0 for trow, b in zip(tableau, basis))
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    args = ([-1, 1], (), (), [[2, 2], [0, -1]], [1, 0])
+    r = solve_lp(*args)
+    assert drive_out_elements and drive_out_elements[0] < 0
+    assert r == LPResult("optimal", (Fraction(1, 2), Fraction(0)), Fraction(-1, 2))
+    assert r == fraction_solve_lp(*args)
+
+
+@pytest.mark.parametrize(
+    "c, maximize, expected",
+    [
+        ([], False, LPResult("optimal", (), Fraction(0))),
+        ([1, 2], False, LPResult("optimal", (Fraction(0), Fraction(0)), Fraction(0))),
+        ([0, -1], False, LPResult("unbounded")),
+        ([Fraction(1, 3)], True, LPResult("unbounded")),
+        ([-1, 0], True, LPResult("optimal", (Fraction(0), Fraction(0)), Fraction(0))),
+    ],
+)
+def test_no_constraints(c, maximize, expected):
+    assert solve_lp(c, maximize=maximize) == expected
+    assert fraction_solve_lp(c, maximize=maximize) == expected
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (([3, 2], [[1, 1], [1, 0]], [4, 2]), {"maximize": True}),
+        (([0, 0], (), (), [[1, 1], [1, -1]], [3, 1]), {}),
+        (([2, 4], [[-2, -4]], [-6]), {}),
+        (([1, 1], [[-3, 0], [0, -6]], [-2, -3]), {}),
+        (([6, 0], [[-3, 0]], [-2]), {}),
+        (([1], [[1]], [0]), {"maximize": True}),
+    ],
+)
+def test_results_are_fractions_in_lowest_terms(args, kwargs):
+    r = solve_lp(*args, **kwargs)
+    assert r.status == "optimal"
+    for v in (*r.x, r.objective):
+        assert type(v) is Fraction
+        assert gcd(v.numerator, v.denominator) == 1
+    assert r == fraction_solve_lp(*args, **kwargs)
+
+
+# ------------------------------------------------------- differential oracle
+
+
+def _rational(rng, lo=-6, hi=6):
+    return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 7]))
+
+
+def _random_lp(rng):
+    """A small LP; most are feasible by construction around a point x0 >= 0.
+
+    Coefficients have mixed signs and small denominators, so right-hand
+    sides come out negative about half the time. Some instances repeat an
+    equality row (scaled, consistently or not) or get random right-hand
+    sides; some cap every variable so the optimum is bounded.
+    """
+    n = rng.randint(1, 5)
+    x0 = [_rational(rng, 0, 4) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+
+    def row():
+        return [_rational(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
+
+    def at_x0(coeffs):
+        return sum(a * x for a, x in zip(coeffs, x0))
+
+    a_ub = [row() for _ in range(rng.randint(0, 5))]
+    a_eq = [row() for _ in range(rng.randint(0, 3))]
+    b_ub = [at_x0(r) + rng.choice([0, 0, _rational(rng, 0, 3)]) for r in a_ub]
+    b_eq = [at_x0(r) for r in a_eq]
+    if a_eq and rng.random() < 0.3:
+        k = _rational(rng, 1, 3)
+        a_eq.append([k * a for a in a_eq[0]])
+        b_eq.append(k * b_eq[0] + rng.choice([0, 0, 1]))  # redundant or contradictory
+    if rng.random() < 0.2:
+        b_ub = [_rational(rng) for _ in b_ub]
+        b_eq = [_rational(rng) for _ in b_eq]
+    if rng.random() < 0.5:
+        for j in range(n):
+            a_ub.append([int(i == j) for i in range(n)])
+            b_ub.append(_rational(rng, 0, 8))
+    c = [_rational(rng) for _ in range(n)]
+    return (c, a_ub, b_ub, a_eq, b_eq), {"maximize": rng.random() < 0.5}
+
+
+def test_matches_fraction_tableau_on_random_lps():
+    rng = random.Random(20180419)
+    seen = Counter()
+    for _ in range(1500):
+        args, kwargs = _random_lp(rng)
+        r = solve_lp(*args, **kwargs)
+        expected = fraction_solve_lp(*args, **kwargs)
+        assert (r.status, r.x, r.objective) == astuple(expected), (args, kwargs)
+        seen[r.status, kwargs["maximize"]] += 1
+    # every verdict is exercised in both senses
+    statuses = ("optimal", "infeasible", "unbounded")
+    assert set(seen) == {(s, m) for s in statuses for m in (False, True)}
+    assert min(seen.values()) >= 50, seen

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbio import lp
 from symbio.errors import BoundExceeded, LengthMismatch
 from symbio.exchange import scenario_to_game
-from symbio.games import ISNGame, coalitions, make_isn_game
+from symbio.games import ISNGame, check_superadditive, coalitions, make_isn_game, members_of
 from symbio.solutions import (
     core_nonempty,
     core_nonempty_by_enumeration,
@@ -16,7 +17,7 @@ from symbio.solutions import (
     shapley_bruteforce,
 )
 
-from helpers import core_constraints_hold, random_game, random_scenario
+from helpers import core_constraints_hold, fraction_solve_lp, random_game, random_scenario
 
 
 def test_shapley_on_g3(g3):
@@ -119,6 +120,47 @@ def test_core_decision_matches_vertex_enumeration(seed, n):
     if lp.nonempty:
         assert core_constraints_hold(game, lp.witness)
         assert core_constraints_hold(game, enum.witness)
+
+
+def _near_convex_game(rng, n):
+    """v(S) = |S|^2 plus noise of up to |S|, over small denominators.
+
+    Convex before the noise, so the core is often nonempty; the noise makes
+    many of these games non-superadditive.
+    """
+    values = {}
+    for mask in range(1 << n):
+        k = mask.bit_count()
+        if k >= 2:
+            values[members_of(mask)] = Fraction(k * k + rng.randint(-k, k), rng.choice([1, 2, 3]))
+    return ISNGame.from_values(n, values)
+
+
+def test_core_witness_matches_fraction_tableau(monkeypatch):
+    oracle_calls = []
+
+    def oracle(*args, **kwargs):
+        oracle_calls.append(args)
+        return fraction_solve_lp(*args, **kwargs)
+
+    rng = random.Random(7)
+    verdicts = set()
+    non_superadditive = 0
+    for n in range(2, 7):
+        for make in (random_game, _near_convex_game):
+            for _ in range(2 if n == 6 else 6):
+                game = make(rng, n)
+                result = core_nonempty(game)
+                oracle_calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(lp, "solve_lp", oracle)
+                    assert core_nonempty(game) == result
+                if oracle_calls:
+                    verdicts.add((n, result.nonempty))
+                non_superadditive += check_superadditive(game) is not None
+    # from n = 3 on, both verdicts come out of the LP at every size
+    assert {(n, v) for n in range(3, 7) for v in (False, True)} <= verdicts
+    assert non_superadditive >= 20
 
 
 def test_implementability(g3, g3_prime):
