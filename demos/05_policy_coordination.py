@@ -11,14 +11,14 @@ minimal: shave off a thousandth and implementability breaks.
 from fractions import Fraction
 
 from symbio import (
+    CoordinatedGame,
     ISNGame,
     MCNet,
     MCNetRule,
     Policy,
-    coordinate,
     enforce_policy,
     is_implementable,
-    net_shapley,
+    shapley,
     subgame,
     synthesize_promotion,
 )
@@ -28,13 +28,13 @@ game = ISNGame.from_values(3, {(0, 1): 10, (0, 2): 4, (1, 2): 6, (0, 1, 2): 12})
 rule, subsidy = synthesize_promotion(game, {0, 1, 2})
 print("minimal subsidy for the grand coalition:", subsidy)
 
-coordinated = coordinate(game, MCNet(3, (rule,)))
+coordinated = CoordinatedGame(game, MCNet(3, (rule,)))
 print("coordinated worth of {0,1,2}:", coordinated.value({0, 1, 2}))
-print("coordinated fair split:", net_shapley(coordinated.as_mcnet()))
+print("coordinated fair split:", shapley(coordinated))
 print("now implementable:", is_implementable(subgame(coordinated, {0, 1, 2})))
 
 shaved = MCNetRule(rule.positive, rule.negative, subsidy * Fraction(999, 1000))
-nearly = coordinate(game, MCNet(3, (shaved,)))
+nearly = CoordinatedGame(game, MCNet(3, (shaved,)))
 print("with 999/1000 of the subsidy:", is_implementable(subgame(nearly, {0, 1, 2})))
 
 print()
@@ -44,7 +44,7 @@ print("rules enforcing promote {0,1,2} / prohibit {0,1}:")
 for r in net.rules:
     kind = "subsidy" if r.value > 0 else "tax"
     print(f"  {kind} {sorted(r.positive)} -> {r.value}")
-both = coordinate(game, net)
+both = CoordinatedGame(game, net)
 print("prohibited pair now worth:", both.value({0, 1}), "(splitting up pays 0, so it dissolves)")
 print("promoted group implementable:", is_implementable(subgame(both, {0, 1, 2})))
 # No subsidy appears: taxing {0,1} removed the very outside option that made

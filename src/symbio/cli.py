@@ -4,8 +4,9 @@ Subcommands: analyze, enforce, shapley, core, mcnet. Scenario files are
 JSON documents with an `agents` name list, exactly one of `tables` (T/O
 cost tables keyed by comma-joined agent names) or `exchange` (streams,
 transport, transaction), and an optional `policy` section. All numbers are
-read exactly: integers, "a/b" strings, decimal strings, or raw JSON
-decimals (parsed from their source text, never through binary floats).
+read exactly by games.as_money: integers, "a/b" strings, decimal strings,
+or raw JSON decimals (parsed from their source text, never through binary
+floats), within its digit and exponent caps.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms. Exit codes:
@@ -20,12 +21,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coordination import Policy, PolicyLabel, coordinate, enforce_policy, validate_policy
+from .coordination import CoordinatedGame, Policy, PolicyLabel, enforce_policy, validate_policy
 from .errors import BoundExceeded, ParseError, SymbioError, ValidationError
 from .exchange import ExchangeScenario, ResourceStream, scenario_to_game
-from .games import ISNGame, check_superadditive, coalition, make_isn_game, members_of, subgame
-from .mcnets import from_isn_game, net_shapley
-from .solutions import core_nonempty, in_core
+from .games import (
+    ISNGame, as_money, check_superadditive, coalition, make_isn_game, members_of, subgame
+)
+from .mcnets import from_isn_game
+from .solutions import core_nonempty, in_core, shapley
 
 
 @dataclass(frozen=True)
@@ -36,31 +39,25 @@ class Scenario:
     source: str  # "tables" | "exchange"
 
 
-def parse_amount(x) -> Fraction:
-    """Exact numbers only: int, Fraction, or "a/b"/decimal strings."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise ParseError(f"expected a number, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"cannot parse number {x!r}: {e}") from None
-    raise ParseError(f"expected a number, got {x!r}")
+def _amount(raw, where: str) -> Fraction:
+    """as_money, with its errors reported as a ParseError naming the field."""
+    try:
+        return as_money(raw)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"{where}: {e}") from None
 
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file into a game plus optional policy."""
     try:
         with open(path) as fp:
-            doc = json.load(fp, parse_float=Fraction)
+            doc = json.load(fp, parse_float=as_money)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # oversized number, nesting too deep
+        raise ParseError(f"{path}: {e}") from None
 
     if not isinstance(doc, dict):
         raise ParseError("scenario file must be a JSON object")
@@ -94,8 +91,10 @@ def load_scenario(path: str) -> Scenario:
             tables = doc["tables"]
             if not isinstance(tables, dict) or set(tables) != {"T", "O"}:
                 raise ParseError("'tables' must hold exactly the keys 'T' and 'O'")
-            t = {group(k, "tables.T"): parse_amount(v) for k, v in tables["T"].items()}
-            o = {group(k, "tables.O"): parse_amount(v) for k, v in tables["O"].items()}
+            t, o = (
+                {group(k, w): _amount(v, f"{w}[{k!r}]") for k, v in tables[x].items()}
+                for x, w in (("T", "tables.T"), ("O", "tables.O"))
+            )
             exchange = None
         else:
             source = "exchange"
@@ -132,6 +131,13 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(names, game, policy, source)
 
 
+#: The cost fields a stream of each kind carries.
+_STREAM_COSTS = {
+    "offer": ("unit_discharge_cost",),
+    "demand": ("unit_purchase_cost", "unit_treatment_cost"),
+}
+
+
 def _parse_exchange(section, ids) -> ExchangeScenario:
     def firm(raw, where):
         if raw not in ids:
@@ -141,39 +147,23 @@ def _parse_exchange(section, ids) -> ExchangeScenario:
     streams = []
     for k, raw in enumerate(section.get("streams", [])):
         where = f"streams[{k}]"
+        firm_id = firm(raw.get("firm"), where)
         kind = raw.get("kind")
-        common = dict(
-            firm=firm(raw.get("firm"), where),
-            resource=raw.get("resource"),
-            kind=kind,
-            quantity=parse_amount(raw.get("quantity")),
-        )
-        if kind == "offer":
-            streams.append(
-                ResourceStream(
-                    **common, unit_discharge_cost=parse_amount(raw.get("unit_discharge_cost"))
-                )
-            )
-        elif kind == "demand":
-            streams.append(
-                ResourceStream(
-                    **common,
-                    unit_purchase_cost=parse_amount(raw.get("unit_purchase_cost")),
-                    unit_treatment_cost=parse_amount(raw.get("unit_treatment_cost")),
-                )
-            )
-        else:
+        quantity = _amount(raw.get("quantity"), f"{where}.quantity")
+        if kind not in ("offer", "demand"):
             raise ParseError(f"{where}: kind must be 'offer' or 'demand'")
+        costs = {f: _amount(raw.get(f), f"{where}.{f}") for f in _STREAM_COSTS[kind]}
+        streams.append(ResourceStream(firm_id, raw.get("resource"), kind, quantity, **costs))
     transport = {}
     for k, raw in enumerate(section.get("transport", [])):
         where = f"transport[{k}]"
         key = (firm(raw.get("from"), where), firm(raw.get("to"), where), raw.get("resource"))
-        transport[key] = parse_amount(raw.get("cost"))
+        transport[key] = _amount(raw.get("cost"), f"{where}.cost")
     transaction = {}
     for k, raw in enumerate(section.get("transaction", [])):
         where = f"transaction[{k}]"
         key = (firm(raw.get("from"), where), firm(raw.get("to"), where))
-        transaction[key] = parse_amount(raw.get("cost"))
+        transaction[key] = _amount(raw.get("cost"), f"{where}.cost")
     return ExchangeScenario(
         n_agents=len(ids), streams=tuple(streams), transport=transport, transaction=transaction
     )
@@ -182,16 +172,12 @@ def _parse_exchange(section, ids) -> ExchangeScenario:
 # ---------------------------------------------------------------- reports
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)
-
-
 def _coalition_key(names, s) -> str:
     return ",".join(names[i] for i in sorted(s))
 
 
 def _allocation(names, x) -> dict:
-    return {names[i]: _fmt(v) for i, v in enumerate(x)}
+    return {names[i]: str(v) for i, v in enumerate(x)}
 
 
 def _value_rows(names, game) -> dict:
@@ -199,7 +185,7 @@ def _value_rows(names, game) -> dict:
     for mask in range(1 << game.n_agents):
         if mask.bit_count() < 2:
             continue
-        rows[_coalition_key(names, members_of(mask))] = _fmt(game.value_of_mask(mask))
+        rows[_coalition_key(names, members_of(mask))] = str(game.table[mask])
     return rows
 
 
@@ -207,9 +193,9 @@ def cmd_analyze(scenario: Scenario, violation) -> dict:
     """violation is check_superadditive's result for scenario.game."""
     game = scenario.game
     names = scenario.agents
-    shapley = net_shapley(from_isn_game(game))
+    phi = shapley(game)
     core = core_nonempty(game)
-    report = {
+    return {
         "command": "analyze",
         "agents": list(names),
         "source": scenario.source,
@@ -218,23 +204,22 @@ def cmd_analyze(scenario: Scenario, violation) -> dict:
         "superadditive_counterexample": None
         if violation is None
         else [_coalition_key(names, violation[0]), _coalition_key(names, violation[1])],
-        "shapley": _allocation(names, shapley),
+        "shapley": _allocation(names, phi),
         "core": {
             "nonempty": core.nonempty,
             "witness": None if core.witness is None else _allocation(names, core.witness),
         },
-        "implementable": in_core(game, shapley),
+        "implementable": in_core(game, phi),
     }
-    return report
 
 
 def cmd_shapley(scenario: Scenario) -> dict:
-    shapley = net_shapley(from_isn_game(scenario.game))
+    phi = shapley(scenario.game)
     return {
         "command": "shapley",
         "agents": list(scenario.agents),
-        "shapley": _allocation(scenario.agents, shapley),
-        "total": _fmt(sum(shapley, Fraction(0))),
+        "shapley": _allocation(scenario.agents, phi),
+        "total": str(sum(phi, Fraction(0))),
     }
 
 
@@ -252,7 +237,7 @@ def _rule_entry(names, rule) -> dict:
     return {
         "positive": [names[i] for i in sorted(rule.positive)],
         "negative": [names[i] for i in sorted(rule.negative)],
-        "value": _fmt(rule.value),
+        "value": str(rule.value),
     }
 
 
@@ -271,7 +256,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     game = scenario.game
     names = scenario.agents
     net = enforce_policy(game, scenario.policy, epsilon)
-    coordinated = coordinate(game, net)
+    coordinated = CoordinatedGame(game, net)
     subsidy_of = {rule.positive: rule.value for rule in net.rules if rule.value > 0}
 
     verdicts = []
@@ -280,11 +265,11 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
             entry = {"group": _coalition_key(names, grp), "label": label.value}
             if label is PolicyLabel.PROMOTED:
                 sub = subgame(coordinated, grp)
-                entry["subsidy"] = _fmt(subsidy_of.get(grp, Fraction(0)))
-                entry["implementable"] = in_core(sub, net_shapley(from_isn_game(sub)))
+                entry["subsidy"] = str(subsidy_of.get(grp, Fraction(0)))
+                entry["implementable"] = in_core(sub, shapley(sub))
             else:
                 cv = coordinated.value(grp)
-                entry["coordinated_value"] = _fmt(cv)
+                entry["coordinated_value"] = str(cv)
                 entry["blocked"] = cv < 0
             verdicts.append(entry)
 
@@ -292,7 +277,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         "command": "enforce",
         "agents": list(names),
         "source": scenario.source,
-        "epsilon": _fmt(epsilon),
+        "epsilon": str(epsilon),
         "policy": {
             "promoted": [
                 _coalition_key(names, g) for g in scenario.policy.groups(PolicyLabel.PROMOTED)
@@ -304,7 +289,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         "incentive_rules": [_rule_entry(names, r) for r in net.rules],
         "coordinated_values": _value_rows(names, coordinated),
         "group_verdicts": verdicts,
-        "coordinated_shapley": _allocation(names, net_shapley(coordinated.as_mcnet())),
+        "coordinated_shapley": _allocation(names, shapley(coordinated)),
     }
 
 
@@ -427,7 +412,7 @@ def main(argv=None) -> int:
         elif args.command == "mcnet":
             report = cmd_mcnet(scenario)
         else:
-            report = cmd_enforce(scenario, parse_amount(args.epsilon))
+            report = cmd_enforce(scenario, _amount(args.epsilon, "--epsilon"))
     except BoundExceeded as e:
         print(f"error: bound exceeded: {e}", file=sys.stderr)
         return 3

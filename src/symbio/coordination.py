@@ -11,7 +11,7 @@ exact-group pattern (S, roster minus S), so they touch no other coalition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -22,8 +22,9 @@ from .errors import (
     TargetTooSmall,
     UnknownAgent,
 )
-from .games import ISNGame, Money, as_money, coalition, mask_of, members_of, subgame
-from .mcnets import MCNet, MCNetRule, compose, evaluate, from_isn_game, net_shapley
+from .games import ISNGame, as_money, coalition, mask_of, subgame
+from .mcnets import MCNet, MCNetRule, compose, from_isn_game
+from .solutions import shapley
 
 #: Incentive regulations are plain MC-nets; positive values are subsidies,
 #: negative values are taxes.
@@ -88,40 +89,43 @@ def validate_policy(policy: Policy):
     return None
 
 
-def incentive_value(net: IncentiveNet, s: Iterable[int]) -> Money:
-    """Total subsidy minus tax the rules grant to coalition s."""
-    return evaluate(net, s)
-
-
 @dataclass(frozen=True)
 class CoordinatedGame:
-    """Market game plus incentives: worth is v(S) + incentive(S)."""
+    """Market game plus incentives: worth is v(S) + incentive(S).
+
+    The worths are tabulated once, into a mask-indexed `table` like
+    ISNGame's; rules may make the empty set and singletons nonzero.
+    """
 
     base: ISNGame
     incentives: IncentiveNet
+    table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.base.n_agents != self.incentives.n_agents:
-            raise RosterMismatch(
-                f"game has {self.base.n_agents} agents, incentives {self.incentives.n_agents}"
-            )
+        n = self.base.n_agents
+        if n != self.incentives.n_agents:
+            raise RosterMismatch(f"game has {n} agents, incentives {self.incentives.n_agents}")
+        table = list(self.base.table)
+        for rule in self.incentives.rules:
+            # the rule applies to positive | t for every t outside both patterns
+            positive = mask_of(rule.positive)
+            free = ((1 << n) - 1) & ~(positive | mask_of(rule.negative))
+            t = free
+            while True:
+                table[positive | t] += rule.value
+                if not t:
+                    break
+                t = (t - 1) & free
+        object.__setattr__(self, "table", tuple(table))
 
     @property
     def n_agents(self) -> int:
         return self.base.n_agents
 
-    def value(self, s: Iterable[int]) -> Money:
-        return self.base.value(s) + evaluate(self.incentives, s)
-
-    def value_of_mask(self, mask: int) -> Money:
-        return self.value(members_of(mask))
+    value = ISNGame.value
 
     def as_mcnet(self) -> MCNet:
         return compose(from_isn_game(self.base), self.incentives)
-
-
-def coordinate(game: ISNGame, incentives: IncentiveNet) -> CoordinatedGame:
-    return CoordinatedGame(game, incentives)
 
 
 def synthesize_promotion(game, target: Iterable[int]):
@@ -137,13 +141,13 @@ def synthesize_promotion(game, target: Iterable[int]):
     if len(target) < 2:
         raise TargetTooSmall("promotion targets need at least two members")
     sub = subgame(game, target)
-    phi = net_shapley(from_isn_game(sub))
+    phi = shapley(sub)
     k = sub.n_agents
     needed = Fraction(0)
     for mask in range(1, (1 << k) - 1):
         size = mask.bit_count()
         share = sum(phi[i] for i in range(k) if mask >> i & 1)
-        gap = (sub.value_of_mask(mask) - share) * Fraction(k, size)
+        gap = (sub.table[mask] - share) * Fraction(k, size)
         if gap > needed:
             needed = gap
     if needed == 0:

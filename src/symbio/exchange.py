@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import BoundExceeded, ScenarioError, UnknownAgent
-from .games import ENUMERATION_BOUND, ISNGame, Money, as_money, coalition
+from .errors import ScenarioError
+from .games import ISNGame, Money, as_money, check_roster, coalition, members_of, zero_table
 from .lp import solve_lp
 
 OFFER = "offer"
@@ -159,7 +159,7 @@ class ExchangeScenario:
 def t_value(scenario: ExchangeScenario, s: Iterable[int]) -> Money:
     """Baseline cost of a coalition: discharge every offer, buy every demand."""
     members = coalition(s)
-    _check_members(scenario, members)
+    check_roster(members, scenario.n_agents)
     total = Fraction(0)
     for stream in scenario.streams:
         if stream.firm not in members:
@@ -181,7 +181,7 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
     list wins, which keeps outputs deterministic.
     """
     members = coalition(s)
-    _check_members(scenario, members)
+    check_roster(members, scenario.n_agents)
     baseline = t_value(scenario, s)
 
     # Stream pairs eligible inside this coalition, with per-unit saving.
@@ -252,26 +252,18 @@ def _best_shipments(scenario, variables):
     return result.objective, ExchangePlan(shipments)
 
 
-def scenario_to_game(scenario: ExchangeScenario, max_agents: int = ENUMERATION_BOUND) -> ISNGame:
+def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
     """Game with every coalition worth its baseline-minus-optimal saving.
 
     Values are nonnegative (the empty plan is feasible) and the game is
     superadditive: disjoint coalitions can always merge their plans.
     """
     n = scenario.n_agents
-    if n > max_agents:
-        raise BoundExceeded(f"scenario has {n} firms, enumeration bound is {max_agents}")
-    values = {}
+    table = zero_table(n)
     for mask in range(1 << n):
         if mask.bit_count() < 2:
             continue
-        members = frozenset(i for i in range(n) if mask >> i & 1)
+        members = members_of(mask)
         _, cost = optimal_exchange_plan(scenario, members)
-        values[members] = t_value(scenario, members) - cost
-    return ISNGame.from_values(n, values)
-
-
-def _check_members(scenario, members):
-    for i in members:
-        if i >= scenario.n_agents:
-            raise UnknownAgent(f"firm {i} not on a roster of {scenario.n_agents}")
+        table[mask] = t_value(scenario, members) - cost
+    return ISNGame(n, tuple(table))

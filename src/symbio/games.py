@@ -1,13 +1,16 @@
 """Transferable-utility games over a finite roster of firms.
 
-Agents are dense integer ids 0..n-1. Coalitions are frozensets of ids and
-are stored internally as bitmasks into a dense value table, which is why
-construction is capped at ENUMERATION_BOUND agents. All money amounts are
-exact rationals (fractions.Fraction); nothing in this package ever rounds.
+Agents are dense integer ids 0..n-1. Coalitions are frozensets of ids. A
+game stores its worths in `table`, a tuple indexed by coalition bitmask
+(table[mask] is v(members of mask), empty set and singletons included);
+every kernel reads games through it, which is why construction is capped at
+ENUMERATION_BOUND agents. All money amounts are exact rationals
+(fractions.Fraction); nothing in this package ever rounds.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -27,12 +30,22 @@ Coalition = frozenset
 #: Dense coalition tables become unreasonable past 2^16 entries.
 ENUMERATION_BOUND = 16
 
+#: Most digits, and largest decimal exponent in absolute value, that
+#: as_money reads from text. "1e999999999" would otherwise expand to a
+#: billion-digit integer before any check could run.
+MAX_DIGITS = 1000
+MAX_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 def as_money(x) -> Money:
     """Coerce ints, strings ("3", "1/2", "0.25") and Decimals to Fraction.
 
-    Binary floats are rejected: converting them would silently import
-    rounding error into computations that must stay exact.
+    Binary floats are rejected (TypeError): converting them would silently
+    import rounding error into computations that must stay exact. Text with
+    more than MAX_DIGITS digits or an exponent beyond +-MAX_EXPONENT is
+    rejected (ValueError) before it is expanded.
     """
     if isinstance(x, Fraction):
         return x
@@ -40,7 +53,14 @@ def as_money(x) -> Money:
         raise TypeError("bool is not a money amount")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, (str, Decimal)):
+    if isinstance(x, Decimal):
+        x = str(x)
+    if isinstance(x, str):
+        if sum(c.isdigit() for c in x) > MAX_DIGITS:
+            raise ValueError(f"number has more than {MAX_DIGITS} digits")
+        exponent = _EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError(f"number {x!r} has an exponent beyond {MAX_EXPONENT}")
         return Fraction(x)
     raise TypeError(f"cannot represent {x!r} exactly; use int, Fraction or string")
 
@@ -72,6 +92,21 @@ def coalitions(n_agents: int, min_size: int = 0) -> Iterator[Coalition]:
             yield members_of(mask)
 
 
+def _check_agent_count(n_agents: int) -> None:
+    if n_agents < 1:
+        raise AgentCountMismatch("a game needs at least one agent")
+    if n_agents > ENUMERATION_BOUND:
+        raise BoundExceeded(
+            f"dense coalition table supports at most {ENUMERATION_BOUND} agents"
+        )
+
+
+def zero_table(n_agents: int) -> "list[Money]":
+    """All-zero value table for n agents, checked against the bound first."""
+    _check_agent_count(n_agents)
+    return [Fraction(0)] * (1 << n_agents)
+
+
 @dataclass(frozen=True)
 class ISNGame:
     """Normalized TU game: v(S)=0 for |S|<=1, stored values for |S|>=2.
@@ -84,14 +119,11 @@ class ISNGame:
     table: tuple
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise AgentCountMismatch("a game needs at least one agent")
-        if self.n_agents > ENUMERATION_BOUND:
-            raise BoundExceeded(
-                f"dense coalition table supports at most {ENUMERATION_BOUND} agents"
-            )
+        _check_agent_count(self.n_agents)
         if len(self.table) != 1 << self.n_agents:
             raise ValueError("value table must have one entry per subset")
+        if any(self.table[1 << i] for i in range(self.n_agents)) or self.table[0]:
+            raise ValueError("normalized games are worth 0 on the empty set and singletons")
 
     @classmethod
     def from_values(cls, n_agents: int, values: Mapping) -> "ISNGame":
@@ -100,33 +132,23 @@ class ISNGame:
         Unlisted coalitions of size >= 2 default to 0; singleton or empty
         keys are rejected because normalization fixes those values.
         """
-        table = [Fraction(0)] * (1 << n_agents)
+        table = zero_table(n_agents)
         for raw, val in values.items():
             s = coalition(raw)
-            _check_roster(s, n_agents)
+            check_roster(s, n_agents)
             if len(s) < 2:
                 raise ValueError(f"coalition {sorted(s)} has fewer than two members")
             table[mask_of(s)] = as_money(val)
         return cls(n_agents, tuple(table))
 
     def value(self, s: Iterable[int]) -> Money:
-        """v(S); zero for the empty set and singletons by definition."""
+        """v(S), read from the table."""
         s = coalition(s)
-        _check_roster(s, self.n_agents)
-        if len(s) <= 1:
-            return Fraction(0)
+        check_roster(s, self.n_agents)
         return self.table[mask_of(s)]
 
-    def value_of_mask(self, mask: int) -> Money:
-        if mask.bit_count() <= 1:
-            return Fraction(0)
-        return self.table[mask]
 
-    def grand_coalition(self) -> Coalition:
-        return frozenset(range(self.n_agents))
-
-
-def _check_roster(s: Coalition, n_agents: int) -> None:
+def check_roster(s: Coalition, n_agents: int) -> None:
     for i in s:
         if i >= n_agents:
             raise UnknownAgent(f"agent {i} not on a roster of {n_agents}")
@@ -139,12 +161,7 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
     members. Construction succeeds even if the result is not superadditive;
     run check_superadditive separately to validate that claim.
     """
-    if n_agents < 1:
-        raise AgentCountMismatch("a game needs at least one agent")
-    if n_agents > ENUMERATION_BOUND:
-        raise BoundExceeded(
-            f"dense coalition table supports at most {ENUMERATION_BOUND} agents"
-        )
+    values = zero_table(n_agents)
 
     def normalize(table: Mapping, name: str) -> dict:
         out = {}
@@ -164,7 +181,6 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
 
     t = normalize(t_table, "T")
     o = normalize(o_table, "O")
-    values = [Fraction(0)] * (1 << n_agents)
     for mask in range(1 << n_agents):
         if mask.bit_count() < 2:
             continue
@@ -181,48 +197,37 @@ def check_superadditive(game) -> "tuple[Coalition, Coalition] | None":
     """Return None if v(S u T) >= v(S) + v(T) for all disjoint nonempty S, T.
 
     Otherwise return one violating pair, deterministically chosen and
-    normalized so the smaller bitmask comes first. Works on any object
-    exposing n_agents and value_of_mask/value.
+    normalized so the smaller bitmask comes first. Works on any game with
+    n_agents and a mask-indexed value table.
     """
     n = game.n_agents
-    val = _mask_value_fn(game)
+    val = game.table
     for a in range(1, 1 << n):
         rest = ((1 << n) - 1) & ~a
         b = rest
         # iterate nonzero submasks of the complement, descending
         while b:
-            if val(a | b) < val(a) + val(b):
+            if val[a | b] < val[a] + val[b]:
                 lo, hi = min(a, b), max(a, b)
                 return (members_of(lo), members_of(hi))
             b = (b - 1) & rest
     return None
 
 
-def _mask_value_fn(game):
-    if hasattr(game, "value_of_mask"):
-        return game.value_of_mask
-    return lambda mask: game.value(members_of(mask))
-
-
 def subgame(game, members: Iterable[int]) -> ISNGame:
     """Restrict a game to `members`, re-indexing them densely by ascending id.
 
     The restriction must itself be normalized (zero singleton values);
-    coordinated games whose incentive rules target groups always are.
+    coordinated games whose incentive rules target groups always are. The
+    parent's worth of the empty set is not carried over.
     """
     members = coalition(members)
-    _check_roster(members, game.n_agents)
-    order = sorted(members)
-    k = len(order)
-    if k < 1:
+    check_roster(members, game.n_agents)
+    if not members:
         raise ValueError("subgame needs at least one member")
-    for i in order:
-        if game.value(frozenset([i])) != 0:
+    original = [0]  # original[mask] = parent mask of the subgame's coalition mask
+    for i in sorted(members):
+        if game.table[1 << i] != 0:
             raise ValueError("subgame would have a nonzero singleton value")
-    values = {}
-    for mask in range(1 << k):
-        if mask.bit_count() < 2:
-            continue
-        original = frozenset(order[i] for i in range(k) if mask >> i & 1)
-        values[members_of(mask)] = game.value(original)
-    return ISNGame.from_values(k, values)
+        original += [m | 1 << i for m in original]
+    return ISNGame(len(members), (Fraction(0),) + tuple(game.table[m] for m in original[1:]))

@@ -14,7 +14,7 @@ from math import factorial
 from typing import Iterable
 
 from .errors import RosterMismatch, UnknownAgent
-from .games import ISNGame, Money, as_money, coalition, members_of
+from .games import ISNGame, Money, as_money, check_roster, coalition, members_of
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,7 @@ def applicable(rule: MCNetRule, s: Iterable[int]) -> bool:
 def evaluate(net: MCNet, s: Iterable[int]) -> Money:
     """Sum of the values of the rules applicable to s."""
     s = coalition(s)
-    for i in s:
-        if i >= net.n_agents:
-            raise UnknownAgent(f"agent {i} not on a roster of {net.n_agents}")
+    check_roster(s, net.n_agents)
     return sum(
         (rule.value for rule in net.rules if rule.positive <= s and not (rule.negative & s)),
         Fraction(0),
@@ -93,7 +91,7 @@ def from_isn_game(game: ISNGame) -> MCNet:
     for mask in range(1 << n):
         if mask.bit_count() < 2:
             continue
-        v = game.value_of_mask(mask)
+        v = game.table[mask]
         if v == 0:
             continue
         rules.append(MCNetRule(members_of(mask), members_of(full_mask & ~mask), v))

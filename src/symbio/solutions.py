@@ -1,13 +1,14 @@
 """Fairness and stability solution concepts.
 
-The Shapley allocation here is the factorial-enumeration oracle (the fast
-path is mcnets.net_shapley); core decisions run as exact LP feasibility
-with a constructive witness, cross-checkable against an independent vertex
-enumeration. A game is implementable when its Shapley allocation sits in
-its core: fair and stable at once.
+`shapley` is the Shapley allocation by the subset formula, O(n 2^n);
+`shapley_bruteforce` averages over all n! orderings as its cross-check
+oracle. Core decisions run as exact LP feasibility with a constructive
+witness, cross-checkable against an independent vertex enumeration. A
+game is implementable when its Shapley allocation sits in its core: fair
+and stable at once.
 
-Functions accept any game object exposing n_agents and value(coalition);
-ISNGame and CoordinatedGame both qualify.
+Functions read a game's n_agents and mask-indexed value `table`, empty
+set and singletons included; ISNGame and CoordinatedGame both qualify.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from .errors import BoundExceeded, LengthMismatch
-from .games import ENUMERATION_BOUND, as_money, members_of
+from .games import as_money
 
 #: n! orderings stop being desk scale beyond this.
 FACTORIAL_BOUND = 9
@@ -31,10 +33,19 @@ class CoreResult:
     witness: "tuple[Fraction, ...] | None" = None
 
 
-def _value_table(game):
-    """Dense mask-indexed values; tolerates nonzero empty-set worth."""
+def shapley(game) -> "tuple[Fraction, ...]":
+    """phi_i = sum over S without i of |S|!(n-|S|-1)!/n! (v(S+i) - v(S))."""
     n = game.n_agents
-    return [game.value(members_of(mask)) for mask in range(1 << n)]
+    vals = game.table
+    # gains[i][k]: total marginal contribution of i to the coalitions of size k
+    gains = [[Fraction(0)] * n for _ in range(n)]
+    for mask in range(1 << n):
+        k = mask.bit_count()
+        for i in range(n):
+            if not mask >> i & 1:
+                gains[i][k] += vals[mask | 1 << i] - vals[mask]
+    weights = [Fraction(factorial(k) * factorial(n - k - 1), factorial(n)) for k in range(n)]
+    return tuple(sum((w * g for w, g in zip(weights, row)), Fraction(0)) for row in gains)
 
 
 def shapley_bruteforce(game) -> "tuple[Fraction, ...]":
@@ -42,7 +53,7 @@ def shapley_bruteforce(game) -> "tuple[Fraction, ...]":
     n = game.n_agents
     if n > FACTORIAL_BOUND:
         raise BoundExceeded(f"factorial Shapley is capped at {FACTORIAL_BOUND} agents")
-    vals = _value_table(game)
+    vals = game.table
     totals = [Fraction(0)] * n
     count = 0
     for order in permutations(range(n)):
@@ -64,7 +75,7 @@ def in_core(game, x) -> bool:
     x = tuple(as_money(v) for v in x)
     if len(x) != n:
         raise LengthMismatch(f"allocation has {len(x)} entries, game has {n} agents")
-    vals = _value_table(game)
+    vals = game.table
     full = (1 << n) - 1
     if sum(x) != vals[full]:
         return False
@@ -85,9 +96,7 @@ def core_nonempty(game) -> CoreResult:
     from .lp import solve_lp
 
     n = game.n_agents
-    if n > ENUMERATION_BOUND:
-        raise BoundExceeded(f"core enumeration is capped at {ENUMERATION_BOUND} agents")
-    vals = _value_table(game)
+    vals = game.table
     full = (1 << n) - 1
     singles = [vals[1 << i] for i in range(n)]
     budget = vals[full] - sum(singles)
@@ -121,7 +130,7 @@ def core_nonempty_by_enumeration(game) -> CoreResult:
     all constraints. Exponential; meant as a cross-check oracle for small n.
     """
     n = game.n_agents
-    vals = _value_table(game)
+    vals = game.table
     full = (1 << n) - 1
     proper = [mask for mask in range(1, full)]
     eff_row = ([Fraction(1)] * n, vals[full])
@@ -163,4 +172,4 @@ def _solve_square(a, b):
 
 def is_implementable(game) -> bool:
     """Fair and stable at once: the Shapley allocation lies in the core."""
-    return in_core(game, shapley_bruteforce(game))
+    return in_core(game, shapley(game))

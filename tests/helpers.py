@@ -11,6 +11,7 @@ from itertools import permutations, product
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import ISNGame
 from symbio.lp import LPResult
+from symbio.mcnets import MCNet, MCNetRule
 
 
 def perm_shapley(n_agents, value_fn):
@@ -127,6 +128,23 @@ def random_game(rng, n, lo=-8, hi=20):
         den = rng.choice([1, 1, 2, 3, 4])
         values[members] = Fraction(rng.randint(lo * den, hi * den), den)
     return ISNGame.from_values(n, values)
+
+
+def random_net(rng, n):
+    """Up to four rules with random patterns, empty ones included, so rules
+    may apply to the empty set and to singletons."""
+    rules = []
+    for _ in range(rng.randint(0, 4)):
+        pos = set(rng.sample(range(n), rng.randint(0, n)))
+        rest = [i for i in range(n) if i not in pos]
+        neg = set(rng.sample(rest, rng.randint(0, len(rest))))
+        if not (pos | neg) or neg == set(range(n)):
+            continue
+        value = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3]))
+        if value == 0:
+            continue
+        rules.append(MCNetRule(pos, neg, value))
+    return MCNet(n, tuple(rules))
 
 
 def random_scenario(rng, n, resources=("r", "s"), max_qty=10):

@@ -10,7 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from symbio.cli import main
-from symbio.coordination import MCNet, Policy, coordinate, enforce_policy, synthesize_promotion
+from symbio.coordination import (
+    CoordinatedGame,
+    MCNet,
+    Policy,
+    enforce_policy,
+    synthesize_promotion,
+)
 from symbio.errors import PolicyInvalid
 from symbio.exchange import scenario_to_game
 from symbio.games import coalitions, subgame
@@ -19,6 +25,7 @@ from symbio.solutions import (
     core_nonempty,
     core_nonempty_by_enumeration,
     is_implementable,
+    shapley,
     shapley_bruteforce,
 )
 
@@ -54,11 +61,10 @@ def test_criterion_02_and_03_shapley_agreement_and_efficiency():
     for _ in range(100):
         n = rng.randint(2, 7)
         game = random_game(rng, n)
-        fast = net_shapley(from_isn_game(game))
         slow = shapley_bruteforce(game)
-        agree = agree and fast == slow
+        agree = agree and net_shapley(from_isn_game(game)) == slow and shapley(game) == slow
         efficient = efficient and sum(slow) == game.value(frozenset(range(n)))
-    _report(2, "rule-wise Shapley equals permutation brute force", agree,
+    _report(2, "rule-wise and subset-formula Shapley equal permutation brute force", agree,
             " (100 games, n 2..7, exact)")
     _report(3, "Shapley efficiency: payoffs sum to v(N)", efficient, " (same games)")
 
@@ -101,12 +107,12 @@ def test_criterion_06_incentive_synthesis_sound_and_minimal():
         target = frozenset(rng.sample(range(n), rng.randint(2, n)))
         rule, amount = synthesize_promotion(game, target)
         net = MCNet(n, ()) if rule is None else MCNet(n, (rule,))
-        coordinated = coordinate(game, net)
+        coordinated = CoordinatedGame(game, net)
         sound = sound and is_implementable(subgame(coordinated, target))
         if amount > 0:
             positive_subsidies += 1
             shaved = MCNetRule(rule.positive, rule.negative, amount * Fraction(999, 1000))
-            nearly = coordinate(game, MCNet(n, (shaved,)))
+            nearly = CoordinatedGame(game, MCNet(n, (shaved,)))
             minimal = minimal and not is_implementable(subgame(nearly, target))
     _report(6, "synthesized subsidy makes the target implementable and is minimal",
             sound and minimal and positive_subsidies > 0,
@@ -115,12 +121,13 @@ def test_criterion_06_incentive_synthesis_sound_and_minimal():
 
 def test_criterion_07_worked_constant(g3):
     rule, amount = synthesize_promotion(g3, {0, 1, 2})
-    coordinated = coordinate(g3, MCNet(3, (rule,)))
-    shapley = shapley_bruteforce(coordinated)
+    coordinated = CoordinatedGame(g3, MCNet(3, (rule,)))
+    phi = shapley_bruteforce(coordinated)
     ok = (
         amount == Fraction(1, 2)
-        and shapley == (Fraction(9, 2), Fraction(11, 2), Fraction(5, 2))
-        and net_shapley(coordinated.as_mcnet()) == shapley
+        and phi == (Fraction(9, 2), Fraction(11, 2), Fraction(5, 2))
+        and net_shapley(coordinated.as_mcnet()) == phi
+        and shapley(coordinated) == phi
     )
     _report(7, "running example: subsidy exactly 1/2, coordinated Shapley (9/2, 11/2, 5/2)", ok)
 
@@ -135,7 +142,7 @@ def test_criterion_08_mutual_exclusivity():
         rng.shuffle(ids)
         cut = rng.randint(2, n - 2)
         a, b = frozenset(ids[:cut]), frozenset(ids[cut:])
-        coordinated = coordinate(
+        coordinated = CoordinatedGame(
             game, enforce_policy(game, Policy.from_groups(promoted=[a, b]))
         )
         ok = ok and is_implementable(subgame(coordinated, a))
@@ -167,7 +174,7 @@ def test_criterion_09_prohibition_contract():
             promoted = [frozenset(members[2:])]
             labeled.add(promoted[0])
         policy = Policy.from_groups(promoted=promoted, prohibited=[banned])
-        coordinated = coordinate(game, enforce_policy(game, policy, epsilon))
+        coordinated = CoordinatedGame(game, enforce_policy(game, policy, epsilon))
         ok = ok and coordinated.value(banned) == -epsilon
         for group in coalitions(n):
             if group not in labeled:

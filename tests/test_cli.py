@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import symbio
 from symbio import cli
 from symbio.cli import cmd_analyze, load_scenario, main
 from symbio.errors import ParseError, ValidationError
@@ -223,6 +226,96 @@ def test_analyze_scans_superadditivity_once(capsys, monkeypatch, tmp_path):
         assert code == 0
         assert len(calls) == 1
     assert err == "warning: game is not superadditive: merging {A,B} and {C} loses value\n"
+
+
+def test_analyze_and_enforce_skip_the_mcnet_detour(capsys, monkeypatch):
+    calls = []
+    for name in ("from_isn_game", "net_shapley"):
+        original = getattr(symbio.mcnets, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in (symbio, symbio.mcnets, symbio.cli, symbio.coordination):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    for argv in (["analyze", "g3.json"], ["enforce", "g3.json"], ["analyze", "w.json"],
+                 ["enforce", "w.json"], ["shapley", "g3.json"]):
+        code, _, _ = run(capsys, argv[0], str(DATA / argv[1]))
+        assert code == 0
+    assert calls == []
+    run(capsys, "mcnet", str(DATA / "g3.json"))
+    assert calls == ["from_isn_game"]  # the spies are in place
+
+
+#: Runs cli.main in a child process and prints its own duration, so that a
+#: hang inside a C-level big-number operation ends in a timeout, not a stuck
+#: test run.
+TIMED_MAIN = """
+import sys, time
+from symbio.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+HUGE_EXPONENT = "1e999999999"
+
+
+@pytest.mark.parametrize(
+    "table_value,extra",
+    [
+        (f'"{HUGE_EXPONENT}"', []),  # quoted
+        (HUGE_EXPONENT, []),  # raw JSON number, read by parse_float
+        ("1" + "0" * 4999, []),  # JSON integer past Python's digit limit
+        ("10", ["--epsilon", HUGE_EXPONENT]),
+    ],
+    ids=["quoted", "raw", "long-int", "epsilon"],
+)
+def test_oversized_numbers_exit_2_quickly(tmp_path, table_value, extra):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"agents": ["A", "B"], "tables": {"T": {"A,B": %s}, "O": {"A,B": 0}},'
+        ' "policy": {"prohibited": [["A", "B"]]}}' % table_value
+    )
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, "enforce", str(path), *extra],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert float(done.stdout) < 1
+
+
+@pytest.mark.parametrize(
+    "value,field",
+    [('"abc"', "tables.T['A,B']"), ('"1/0"', "tables.T['A,B']"), ("true", "tables.T['A,B']"),
+     ("null", "tables.T['A,B']"), ("[1]", "tables.T['A,B']")],
+)
+def test_bad_numbers_name_their_field(capsys, tmp_path, value, field):
+    path = tmp_path / "bad.json"
+    path.write_text('{"agents": ["A", "B"], "tables": {"T": {"A,B": %s}, "O": {"A,B": 0}}}' % value)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: ")
+
+
+def test_deeply_nested_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "recursion" in err
+
+
+def test_bad_epsilon_exits_2(capsys):
+    code, out, err = run(capsys, "enforce", str(DATA / "g3.json"), "--epsilon", "half")
+    assert code == 2
+    assert err.startswith("error: --epsilon: ")
 
 
 def test_report_dict_pipeline_known_values():

@@ -8,19 +8,17 @@ from symbio.coordination import (
     Policy,
     PolicyLabel,
     classify,
-    coordinate,
     enforce_policy,
-    incentive_value,
     synthesize_prohibition,
     synthesize_promotion,
     validate_policy,
 )
 from symbio.errors import NonpositiveEpsilon, PolicyInvalid, RosterMismatch, TargetTooSmall
 from symbio.games import ISNGame, coalitions, subgame
-from symbio.mcnets import MCNet, MCNetRule, empty_net, net_shapley, from_isn_game
+from symbio.mcnets import MCNet, MCNetRule, empty_net, evaluate, net_shapley, from_isn_game
 from symbio.solutions import is_implementable
 
-from helpers import random_game
+from helpers import random_game, random_net
 
 
 def test_classify_defaults_to_permitted():
@@ -46,11 +44,14 @@ def test_validate_policy_mutual_exclusivity():
     assert validate_policy(Policy.from_groups()) is None
 
 
-def test_incentive_value_is_mcnet_evaluation():
+def test_incentive_value_is_mcnet_evaluation(g3):
     net = MCNet(3, (MCNetRule({0, 1, 2}, set(), Fraction(1, 2)),))
-    assert incentive_value(net, {0, 1, 2}) == Fraction(1, 2)
-    assert incentive_value(net, {0, 1}) == 0
-    assert incentive_value(empty_net(3), {0, 1}) == 0
+    assert evaluate(net, {0, 1, 2}) == Fraction(1, 2)
+    assert evaluate(net, {0, 1}) == 0
+    assert evaluate(empty_net(3), {0, 1}) == 0
+    coordinated = CoordinatedGame(g3, net)
+    for members in coalitions(3):
+        assert coordinated.value(members) - g3.value(members) == evaluate(net, members)
 
 
 def test_promotion_on_g3_grand_coalition(g3):
@@ -61,7 +62,7 @@ def test_promotion_on_g3_grand_coalition(g3):
         frozenset(),
         Fraction(1, 2),
     )
-    coordinated = coordinate(g3, MCNet(3, (rule,)))
+    coordinated = CoordinatedGame(g3, MCNet(3, (rule,)))
     assert is_implementable(subgame(coordinated, {0, 1, 2}))
 
 
@@ -72,7 +73,7 @@ def test_promotion_of_two_agent_group_needs_nothing(g3):
 def test_promotion_on_symmetric_game(g3_prime):
     rule, amount = synthesize_promotion(g3_prime, {0, 1, 2})
     assert amount == 3  # Shapley is (4,4,4); each pair needs (10-8)*3/2
-    coordinated = coordinate(g3_prime, MCNet(3, (rule,)))
+    coordinated = CoordinatedGame(g3_prime, MCNet(3, (rule,)))
     assert is_implementable(subgame(coordinated, {0, 1, 2}))
 
 
@@ -84,7 +85,7 @@ def test_promotion_target_too_small(g3):
 def test_prohibition_rule(g3):
     rule = synthesize_prohibition(g3, {0, 1}, 1)
     assert rule.value == -11
-    coordinated = coordinate(g3, MCNet(3, (rule,)))
+    coordinated = CoordinatedGame(g3, MCNet(3, (rule,)))
     assert coordinated.value({0, 1}) == -1
     flat = ISNGame.from_values(3, {})
     assert synthesize_prohibition(flat, {0, 1}, 1).value == -1
@@ -104,12 +105,12 @@ def test_prohibition_degenerate_zero_tax():
 
 def test_coordinate_additivity(g3):
     bump = MCNet(3, (MCNetRule({0, 1, 2}, set(), Fraction(1, 2)),))
-    coordinated = coordinate(g3, bump)
+    coordinated = CoordinatedGame(g3, bump)
     assert coordinated.value({0, 1, 2}) == Fraction(25, 2)
     for members in coalitions(3):
         if members != frozenset({0, 1, 2}):
             assert coordinated.value(members) == g3.value(members)
-    identity = coordinate(g3, empty_net(3))
+    identity = CoordinatedGame(g3, empty_net(3))
     for members in coalitions(3):
         assert identity.value(members) == g3.value(members)
 
@@ -119,17 +120,15 @@ def test_coordinate_matches_mcnet_composition(g3):
     rules = tuple(
         MCNetRule({0, 1}, {2}, rng.randint(1, 5)) for _ in range(2)
     ) + (MCNetRule({1, 2}, set(), Fraction(-3, 2)),)
-    coordinated = coordinate(g3, MCNet(3, rules))
+    coordinated = CoordinatedGame(g3, MCNet(3, rules))
     net = coordinated.as_mcnet()
-    from symbio.mcnets import evaluate
-
     for members in coalitions(3):
         assert evaluate(net, members) == coordinated.value(members)
 
 
 def test_coordinate_roster_mismatch(g3):
     with pytest.raises(RosterMismatch):
-        coordinate(g3, empty_net(4))
+        CoordinatedGame(g3, empty_net(4))
 
 
 def test_coordination_additivity_for_arbitrary_nets():
@@ -137,23 +136,28 @@ def test_coordination_additivity_for_arbitrary_nets():
     for _ in range(15):
         n = rng.randint(2, 6)
         game = random_game(rng, n)
-        rules = []
-        for _ in range(rng.randint(0, 4)):
-            pos = set(rng.sample(range(n), rng.randint(0, n)))
-            rest = [i for i in range(n) if i not in pos]
-            neg = set(rng.sample(rest, rng.randint(0, len(rest))))
-            if not (pos | neg) or neg == set(range(n)):
-                continue
-            value = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3]))
-            if value == 0:
-                continue
-            rules.append(MCNetRule(pos, neg, value))
-        net = MCNet(n, tuple(rules))
-        coordinated = coordinate(game, net)
+        net = random_net(rng, n)
+        coordinated = CoordinatedGame(game, net)
         for members in coalitions(n):
-            assert coordinated.value(members) == game.value(members) + incentive_value(
-                net, members
-            )
+            assert coordinated.value(members) == game.value(members) + evaluate(net, members)
+
+
+def test_coordinated_table_covers_empty_set_and_singletons(g3):
+    # (empty, {0}) reaches the empty set and {1}, {2}; the other two rules
+    # cancel it on those singletons again
+    rules = (
+        MCNetRule(set(), {0}, 3),
+        MCNetRule({1}, {0}, -3),
+        MCNetRule({2}, {0}, -3),
+    )
+    coordinated = CoordinatedGame(g3, MCNet(3, rules))
+    assert coordinated.table == (3, 0, 0, 10, 0, 4, 3, 12)
+    for members in coalitions(3):
+        assert coordinated.value(members) == evaluate(coordinated.as_mcnet(), members)
+    # the subgame is normalized: the parent's worth of the empty set stays behind
+    assert subgame(coordinated, {1, 2}) == ISNGame.from_values(2, {(0, 1): 3})
+    with pytest.raises(ValueError):
+        subgame(CoordinatedGame(g3, MCNet(3, rules[:1])), {1, 2})
 
 
 def test_incentive_rules_target_exactly_one_coalition(g3):
@@ -164,7 +168,7 @@ def test_incentive_rules_target_exactly_one_coalition(g3):
         size = rng.randint(2, n)
         target = frozenset(rng.sample(range(n), size))
         rule = MCNetRule(target, frozenset(range(n)) - target, rng.randint(1, 7))
-        coordinated = coordinate(game, MCNet(n, (rule,)))
+        coordinated = CoordinatedGame(game, MCNet(n, (rule,)))
         for members in coalitions(n):
             expected = game.value(members) + (rule.value if members == target else 0)
             assert coordinated.value(members) == expected
@@ -172,7 +176,7 @@ def test_incentive_rules_target_exactly_one_coalition(g3):
 
 def test_promotion_additivity_of_shapley_shift(g3):
     rule, amount = synthesize_promotion(g3, {0, 1, 2})
-    coordinated = coordinate(g3, MCNet(3, (rule,)))
+    coordinated = CoordinatedGame(g3, MCNet(3, (rule,)))
     shifted = net_shapley(coordinated.as_mcnet())
     base = net_shapley(from_isn_game(g3))
     assert shifted == tuple(b + amount / 3 for b in base)
@@ -202,7 +206,7 @@ def test_enforce_policy_prices_in_nested_prohibition():
     game = random_game(rng, 4, lo=0, hi=12)
     policy = Policy.from_groups(promoted=[{0, 1, 2}], prohibited=[{0, 1}])
     net = enforce_policy(game, policy, epsilon=2)
-    coordinated = coordinate(game, net)
+    coordinated = CoordinatedGame(game, net)
     assert coordinated.value({0, 1}) == -2
     assert is_implementable(subgame(coordinated, {0, 1, 2}))
 
@@ -212,7 +216,7 @@ def test_enforce_policy_non_interference():
     for _ in range(10):
         game = random_game(rng, 4)
         policy = Policy.from_groups(promoted=[{0, 1}], prohibited=[{2, 3}])
-        coordinated = coordinate(game, enforce_policy(game, policy))
+        coordinated = CoordinatedGame(game, enforce_policy(game, policy))
         labeled = {frozenset({0, 1}), frozenset({2, 3})}
         for members in coalitions(4):
             if members not in labeled:
@@ -223,7 +227,7 @@ def test_promotion_minimality_at_one_permille(g3_prime):
     rule, amount = synthesize_promotion(g3_prime, {0, 1, 2})
     assert amount > 0
     shaved = MCNetRule(rule.positive, rule.negative, amount * Fraction(999, 1000))
-    coordinated = coordinate(g3_prime, MCNet(3, (shaved,)))
+    coordinated = CoordinatedGame(g3_prime, MCNet(3, (shaved,)))
     assert not is_implementable(subgame(coordinated, {0, 1, 2}))
 
 
@@ -232,7 +236,7 @@ def test_disjoint_promotions_are_simultaneously_implementable():
     for _ in range(10):
         game = random_game(rng, 5)
         policy = Policy.from_groups(promoted=[{0, 1}, {2, 3, 4}])
-        coordinated = coordinate(game, enforce_policy(game, policy))
+        coordinated = CoordinatedGame(game, enforce_policy(game, policy))
         assert is_implementable(subgame(coordinated, {0, 1}))
         assert is_implementable(subgame(coordinated, {2, 3, 4}))
 

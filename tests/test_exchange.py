@@ -171,6 +171,6 @@ def test_missing_transport_entry_rejected():
 
 
 def test_bound_exceeded():
-    empty = ExchangeScenario(n_agents=4, streams=(), transport={}, transaction={})
+    empty = ExchangeScenario(n_agents=17, streams=(), transport={}, transaction={})
     with pytest.raises(BoundExceeded):
-        scenario_to_game(empty, max_agents=3)
+        scenario_to_game(empty)

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,27 @@ def test_enumeration_bound():
         make_isn_game(17, {}, {})
 
 
+def test_bound_is_checked_before_the_table_is_built():
+    with pytest.raises(BoundExceeded):
+        ISNGame.from_values(100, {})
+    with pytest.raises(BoundExceeded):
+        make_isn_game(100, {}, {})
+    with pytest.raises(AgentCountMismatch):
+        ISNGame.from_values(0, {})
+
+
+def test_game_table_is_normalized():
+    zeros = (Fraction(0),) * 4
+    assert ISNGame(2, zeros).value({0, 1}) == 0
+    for mask in (0, 1, 2):
+        table = list(zeros)
+        table[mask] = Fraction(1)
+        with pytest.raises(ValueError):
+            ISNGame(2, tuple(table))
+    with pytest.raises(ValueError):
+        ISNGame(2, zeros[:3])
+
+
 def test_exact_rational_values():
     game = make_isn_game(2, {(0, 1): as_money("1/3")}, {(0, 1): as_money("0.25")})
     assert game.value({0, 1}) == Fraction(1, 12)
@@ -66,6 +88,18 @@ def test_exact_rational_values():
 def test_as_money_rejects_floats():
     with pytest.raises(TypeError):
         as_money(0.1)
+
+
+def test_as_money_caps_digits_and_exponent():
+    assert as_money("1e1000") == 10**1000
+    assert as_money("-2.5E-1000") == Fraction(-25, 10**1001)
+    assert as_money("7" * 1000) == int("7" * 1000)
+    assert as_money(Decimal("0.25")) == Fraction(1, 4)
+    for text in ("1e1001", "1e999999999", "1E-999999999", " 1e+5_000 ", "7" * 1001):
+        with pytest.raises(ValueError):
+            as_money(text)
+    with pytest.raises(ValueError):
+        as_money(Decimal("1e999999999"))
 
 
 def test_superadditive_holds_on_g3(g3):

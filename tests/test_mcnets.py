@@ -18,7 +18,7 @@ from symbio.mcnets import (
     net_shapley,
     rule_shapley,
 )
-from symbio.solutions import shapley_bruteforce
+from symbio.solutions import shapley, shapley_bruteforce
 
 from helpers import perm_shapley, random_game, rule_indicator_value
 
@@ -157,7 +157,9 @@ def test_net_shapley_on_g3(g3):
 @settings(max_examples=20, deadline=None)
 def test_net_shapley_agrees_with_bruteforce(seed, n):
     game = random_game(random.Random(seed), n)
-    assert net_shapley(from_isn_game(game)) == shapley_bruteforce(game)
+    slow = shapley_bruteforce(game)
+    assert net_shapley(from_isn_game(game)) == slow
+    assert shapley(game) == slow
 
 
 def test_compose(g3):

@@ -6,18 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbio import lp
+from symbio.coordination import CoordinatedGame
 from symbio.errors import BoundExceeded, LengthMismatch
 from symbio.exchange import scenario_to_game
 from symbio.games import ISNGame, check_superadditive, coalitions, make_isn_game, members_of
+from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley
 from symbio.solutions import (
     core_nonempty,
     core_nonempty_by_enumeration,
     in_core,
     is_implementable,
+    shapley,
     shapley_bruteforce,
 )
 
-from helpers import core_constraints_hold, fraction_solve_lp, random_game, random_scenario
+from helpers import (
+    core_constraints_hold,
+    fraction_solve_lp,
+    perm_shapley,
+    random_game,
+    random_net,
+    random_scenario,
+)
 
 
 def test_shapley_on_g3(g3):
@@ -31,6 +41,29 @@ def test_shapley_symmetric_two_agent_game():
 
 def test_shapley_zero_game():
     assert shapley_bruteforce(ISNGame.from_values(3, {})) == (0, 0, 0)
+
+
+def test_subset_formula_shapley_on_g3(g3):
+    assert shapley(g3) == (Fraction(13, 3), Fraction(16, 3), Fraction(7, 3))
+    assert shapley(ISNGame.from_values(1, {})) == (0,)
+    assert shapley(ISNGame.from_values(3, {})) == (0, 0, 0)
+
+
+def test_subset_formula_shapley_on_coordinated_games():
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        game = random_game(rng, n)
+        net = random_net(rng, n)
+        # a negative-only pattern: worth on the empty set and on singletons
+        outsider = rng.randrange(n)
+        net = MCNet(n, net.rules + (MCNetRule(set(), {outsider}, rng.randint(1, 9)),))
+        coordinated = CoordinatedGame(game, net)
+        expected = perm_shapley(n, lambda s: game.value(s) + evaluate(net, s))
+        assert coordinated.table[0] != 0
+        assert shapley(coordinated) == expected
+        assert shapley_bruteforce(coordinated) == expected
+        assert net_shapley(coordinated.as_mcnet()) == expected
 
 
 def test_shapley_bound():
@@ -167,6 +200,19 @@ def test_implementability(g3, g3_prime):
     assert not is_implementable(g3)  # Shapley violates the {0,1} constraint
     assert not is_implementable(g3_prime)  # empty core
     assert is_implementable(ISNGame.from_values(2, {(0, 1): 20}))
+
+
+def test_implementability_beyond_the_factorial_bound():
+    n = 10
+    convex = ISNGame.from_values(
+        n, {s: len(s) ** 2 - len(s) for s in coalitions(n, min_size=2)}
+    )
+    assert shapley(convex) == (n - 1,) * n
+    assert is_implementable(convex)
+    pairs_overdemand = ISNGame.from_values(
+        n, {s: 10 if len(s) == 2 else 12 if len(s) == n else 0 for s in coalitions(n, min_size=2)}
+    )
+    assert not is_implementable(pairs_overdemand)
 
 
 def test_two_person_exchange_games_always_implementable():
