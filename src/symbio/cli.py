@@ -3,7 +3,8 @@
 Subcommands: analyze, enforce, shapley, core, mcnet. Scenario files are
 JSON documents with an `agents` name list, exactly one of `tables` (T/O
 cost tables keyed by comma-joined agent names) or `exchange` (streams,
-transport, transaction), and an optional `policy` section. All numbers are
+transport, transaction), and an optional `policy` section; any other key,
+and any key or coalition given twice, is an error. All numbers are
 read exactly by games.as_money: integers, "a/b" strings, decimal strings,
 or raw JSON decimals (parsed from their source text, never through binary
 floats), within its digit and exponent caps.
@@ -18,14 +19,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coordination import CoordinatedGame, Policy, PolicyLabel, enforce_policy, validate_policy
 from .errors import BoundExceeded, ParseError, SymbioError, ValidationError
-from .exchange import ExchangeScenario, ResourceStream, scenario_to_game
+from .exchange import (
+    DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
+)
 from .games import (
-    ISNGame, as_money, check_superadditive, coalition, make_isn_game, members_of, subgame
+    ISNGame, as_money, check_superadditive, make_isn_game, members_of, subgame
 )
 from .mcnets import from_isn_game
 from .solutions import core_nonempty, in_core, shapley
@@ -47,11 +51,52 @@ def _amount(raw, where: str) -> Fraction:
         raise ParseError(f"{where}: {e}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    """json object_pairs_hook: one JSON object, rejected if a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ParseError(f"key {key!r} given twice in one object")
+    return obj
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(raw, kind: type, where: str, keys=None):
+    """raw, checked to be a JSON value of `kind`; an object may hold only `keys`, if given."""
+    if not isinstance(raw, kind):
+        raise ParseError(f"{where}: must be {_JSON_TYPES[kind]}")
+    if keys is not None and not raw.keys() <= set(keys):
+        raise ParseError(f"{where}: unknown key {min(raw.keys() - set(keys))!r}")
+    return raw
+
+
+def _agent(raw, where: str, ids) -> int:
+    if isinstance(raw, str) and raw in ids:
+        return ids[raw]
+    raise ParseError(f"{where}: unknown agent {raw!r}")
+
+
+def _group(raw, where: str, ids) -> "tuple[int, ...]":
+    """Agent ids of a name list or an 'A,B' string, in written order."""
+    if isinstance(raw, str):
+        raw = raw.split(",")
+    elif not isinstance(raw, list):
+        raise ParseError(f"{where}: coalition must be a name list or 'A,B' string")
+    return tuple(_agent(name, where, ids) for name in raw)
+
+
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file into a game plus optional policy."""
+    """Parse and validate a scenario file into a game plus optional policy.
+
+    Shape errors (a wrong JSON type, an unknown or repeated key, an unknown
+    agent, an unreadable number) raise ParseError naming the field; data the
+    library rejects raises ValidationError.
+    """
     try:
         with open(path) as fp:
-            doc = json.load(fp, parse_float=as_money)
+            doc = json.load(fp, parse_float=as_money, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
@@ -59,114 +104,76 @@ def load_scenario(path: str) -> Scenario:
     except (ValueError, RecursionError) as e:  # oversized number, nesting too deep
         raise ParseError(f"{path}: {e}") from None
 
-    if not isinstance(doc, dict):
-        raise ParseError("scenario file must be a JSON object")
+    _expect(doc, dict, "scenario file", ("agents", "tables", "exchange", "policy"))
     names = doc.get("agents")
     if not isinstance(names, list) or not names or not all(isinstance(a, str) for a in names):
-        raise ParseError("field 'agents' must be a non-empty list of names")
+        raise ParseError("agents: must be a non-empty list of names")
     if len(set(names)) != len(names):
-        raise ParseError("agent names must be unique")
+        raise ParseError("agents: names must be unique")
     names = tuple(names)
     ids = {name: i for i, name in enumerate(names)}
-
-    n_sources = ("tables" in doc) + ("exchange" in doc)
-    if n_sources != 1:
+    if ("tables" in doc) == ("exchange" in doc):
         raise ParseError("scenario needs exactly one of 'tables' or 'exchange'")
 
-    def group(raw, where):
-        if isinstance(raw, str):
-            parts = [p.strip() for p in raw.split(",")]
-        elif isinstance(raw, list):
-            parts = raw
-        else:
-            raise ParseError(f"{where}: coalition must be a name list or 'A,B' string")
-        try:
-            return coalition(ids[p] for p in parts)
-        except KeyError as e:
-            raise ParseError(f"{where}: unknown agent {e.args[0]!r}") from None
-
     try:
+        policy = None
+        if "policy" in doc:
+            section = _expect(doc["policy"], dict, "policy", ("promoted", "prohibited"))
+            policy = Policy.from_groups(**{
+                label: [_group(g, f"policy.{label}[{k}]", ids)
+                        for k, g in enumerate(_expect(groups, list, f"policy.{label}"))]
+                for label, groups in section.items()
+            })
         if "tables" in doc:
-            source = "tables"
-            tables = doc["tables"]
-            if not isinstance(tables, dict) or set(tables) != {"T", "O"}:
-                raise ParseError("'tables' must hold exactly the keys 'T' and 'O'")
-            t, o = (
-                {group(k, w): _amount(v, f"{w}[{k!r}]") for k, v in tables[x].items()}
-                for x, w in (("T", "tables.T"), ("O", "tables.O"))
-            )
-            exchange = None
+            tables = _expect(doc["tables"], dict, "tables", ("T", "O"))
+            t, o = {}, {}
+            for x, table in ("T", t), ("O", o):
+                for k, v in _expect(tables.get(x), dict, f"tables.{x}").items():
+                    where = f"tables.{x}[{k!r}]"
+                    table[_group(k, where, ids)] = _amount(v, where)
+            game = make_isn_game(len(names), t, o)
         else:
-            source = "exchange"
-            exchange = _parse_exchange(doc["exchange"], ids)
-    except ParseError:
-        raise
-    except SymbioError as e:
-        raise ValidationError(str(e)) from None
-    except (ValueError, TypeError, AttributeError, KeyError) as e:
-        raise ParseError(f"malformed scenario: {e}") from None
-
-    try:
-        game = make_isn_game(len(names), t, o) if exchange is None else scenario_to_game(exchange)
-    except BoundExceeded:
+            game = scenario_to_game(_parse_exchange(doc["exchange"], ids))
+    except (ParseError, BoundExceeded):
         raise
     except (SymbioError, ValueError) as e:
         raise ValidationError(str(e)) from None
 
-    policy = None
-    if "policy" in doc:
-        section = doc["policy"]
-        if not isinstance(section, dict):
-            raise ParseError("'policy' must be an object")
-        promoted = [group(g, "policy.promoted") for g in section.get("promoted", [])]
-        prohibited = [group(g, "policy.prohibited") for g in section.get("prohibited", [])]
-        try:
-            policy = Policy.from_groups(promoted=promoted, prohibited=prohibited)
-        except ValueError as e:
-            raise ValidationError(str(e)) from None
-        clash = validate_policy(policy)
-        if clash is not None:
-            a, b = (_coalition_key(names, g) for g in clash)
-            raise ValidationError(f"promoted groups overlap: {{{a}}} and {{{b}}}")
-    return Scenario(names, game, policy, source)
+    clash = None if policy is None else validate_policy(policy)
+    if clash is not None:
+        a, b = (_coalition_key(names, g) for g in clash)
+        raise ValidationError(f"promoted groups overlap: {{{a}}} and {{{b}}}")
+    return Scenario(names, game, policy, "tables" if "tables" in doc else "exchange")
 
 
-#: The cost fields a stream of each kind carries.
-_STREAM_COSTS = {
-    "offer": ("unit_discharge_cost",),
-    "demand": ("unit_purchase_cost", "unit_treatment_cost"),
-}
-
-
-def _parse_exchange(section, ids) -> ExchangeScenario:
-    def firm(raw, where):
-        if raw not in ids:
-            raise ParseError(f"{where}: unknown agent {raw!r}")
-        return ids[raw]
-
+def _parse_exchange(raw, ids) -> ExchangeScenario:
+    section = _expect(raw, dict, "exchange", ("streams", "transport", "transaction"))
     streams = []
-    for k, raw in enumerate(section.get("streams", [])):
-        where = f"streams[{k}]"
-        firm_id = firm(raw.get("firm"), where)
-        kind = raw.get("kind")
-        quantity = _amount(raw.get("quantity"), f"{where}.quantity")
-        if kind not in ("offer", "demand"):
-            raise ParseError(f"{where}: kind must be 'offer' or 'demand'")
-        costs = {f: _amount(raw.get(f), f"{where}.{f}") for f in _STREAM_COSTS[kind]}
-        streams.append(ResourceStream(firm_id, raw.get("resource"), kind, quantity, **costs))
-    transport = {}
-    for k, raw in enumerate(section.get("transport", [])):
-        where = f"transport[{k}]"
-        key = (firm(raw.get("from"), where), firm(raw.get("to"), where), raw.get("resource"))
-        transport[key] = _amount(raw.get("cost"), f"{where}.cost")
-    transaction = {}
-    for k, raw in enumerate(section.get("transaction", [])):
-        where = f"transaction[{k}]"
-        key = (firm(raw.get("from"), where), firm(raw.get("to"), where))
-        transaction[key] = _amount(raw.get("cost"), f"{where}.cost")
-    return ExchangeScenario(
-        n_agents=len(ids), streams=tuple(streams), transport=transport, transaction=transaction
-    )
+    for k, entry in enumerate(_expect(section.get("streams", []), list, "exchange.streams")):
+        where = f"exchange.streams[{k}]"
+        kind = _expect(entry, dict, where).get("kind")
+        if kind not in (OFFER, DEMAND):
+            raise ParseError(f"{where}.kind: must be 'offer' or 'demand'")
+        _expect(entry, dict, where, ("firm", "kind", "resource", "quantity") + STREAM_COSTS[kind])
+        streams.append(ResourceStream(
+            _agent(entry.get("firm"), f"{where}.firm", ids),
+            _expect(entry.get("resource"), str, f"{where}.resource"),
+            kind,
+            _amount(entry.get("quantity"), f"{where}.quantity"),
+            **{f: _amount(entry.get(f), f"{where}.{f}") for f in STREAM_COSTS[kind]},
+        ))
+    costs = {}
+    for name, extra in ("transport", ("resource",)), ("transaction", ()):
+        table = costs[name] = {}
+        for k, entry in enumerate(_expect(section.get(name, []), list, f"exchange.{name}")):
+            where = f"exchange.{name}[{k}]"
+            _expect(entry, dict, where, ("from", "to", "cost") + extra)
+            key = tuple(_agent(entry.get(f), f"{where}.{f}", ids) for f in ("from", "to"))
+            key += tuple(_expect(entry.get(f), str, f"{where}.{f}") for f in extra)
+            if key in table:
+                raise ParseError(f"{where}: repeats the route of an earlier {name} entry")
+            table[key] = _amount(entry.get("cost"), f"{where}.cost")
+    return ExchangeScenario(len(ids), tuple(streams), costs["transport"], costs["transaction"])
 
 
 # ---------------------------------------------------------------- reports

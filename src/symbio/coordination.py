@@ -59,13 +59,12 @@ class Policy:
     @classmethod
     def from_groups(cls, promoted=(), prohibited=()) -> "Policy":
         labels = {}
-        for g in promoted:
-            labels[coalition(g)] = PolicyLabel.PROMOTED
-        for g in prohibited:
-            group = coalition(g)
-            if group in labels:
-                raise ValueError(f"group {sorted(group)} labeled twice")
-            labels[group] = PolicyLabel.PROHIBITED
+        for label, groups in (PolicyLabel.PROMOTED, promoted), (PolicyLabel.PROHIBITED, prohibited):
+            for g in groups:
+                group = coalition(g)
+                if group in labels:
+                    raise ValueError(f"group {sorted(group)} labeled twice")
+                labels[group] = label
         return cls(labels)
 
     def groups(self, label: PolicyLabel):

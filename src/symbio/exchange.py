@@ -26,6 +26,12 @@ from .lp import solve_lp
 OFFER = "offer"
 DEMAND = "demand"
 
+#: The cost fields a stream of each kind carries.
+STREAM_COSTS = {
+    OFFER: ("unit_discharge_cost",),
+    DEMAND: ("unit_purchase_cost", "unit_treatment_cost"),
+}
+
 
 @dataclass(frozen=True)
 class ResourceStream:
@@ -34,7 +40,8 @@ class ResourceStream:
     Offers carry the per-unit discharge cost avoided when the waste is
     shipped instead of dumped. Demands carry the per-unit purchase cost of
     the virgin input they would otherwise buy plus the per-unit treatment
-    cost of making received waste usable.
+    cost of making received waste usable. Amounts are coerced by as_money,
+    so a binary float raises TypeError.
     """
 
     firm: int
@@ -48,27 +55,19 @@ class ResourceStream:
     def __post_init__(self):
         if self.kind not in (OFFER, DEMAND):
             raise ScenarioError(f"stream kind must be offer or demand, got {self.kind!r}")
-        if self.quantity < 0:
-            raise ScenarioError("stream quantity must be >= 0")
-        offer_fields = (self.unit_discharge_cost,)
-        demand_fields = (self.unit_purchase_cost, self.unit_treatment_cost)
-        if self.kind == OFFER:
-            if any(f is None for f in offer_fields) or any(f is not None for f in demand_fields):
-                raise ScenarioError("offers carry exactly unit_discharge_cost")
-        else:
-            if any(f is None for f in demand_fields) or any(f is not None for f in offer_fields):
-                raise ScenarioError(
-                    "demands carry exactly unit_purchase_cost and unit_treatment_cost"
-                )
-        for f in offer_fields + demand_fields:
-            if f is not None and f < 0:
-                raise ScenarioError("unit costs must be >= 0")
+        carried = STREAM_COSTS[self.kind]
+        for name in STREAM_COSTS[OFFER] + STREAM_COSTS[DEMAND]:
+            if (getattr(self, name) is None) == (name in carried):
+                raise ScenarioError(f"{self.kind}s carry exactly {' and '.join(carried)}")
+        for name in ("quantity",) + carried:
+            amount = as_money(getattr(self, name))
+            object.__setattr__(self, name, amount)
+            if amount < 0:
+                raise ScenarioError(f"stream {name} must be >= 0")
 
 
 def waste_offer(firm: int, resource: str, quantity, unit_discharge_cost) -> ResourceStream:
-    return ResourceStream(
-        firm, resource, OFFER, as_money(quantity), unit_discharge_cost=as_money(unit_discharge_cost)
-    )
+    return ResourceStream(firm, resource, OFFER, quantity, unit_discharge_cost=unit_discharge_cost)
 
 
 def input_demand(
@@ -78,9 +77,9 @@ def input_demand(
         firm,
         resource,
         DEMAND,
-        as_money(quantity),
-        unit_purchase_cost=as_money(unit_purchase_cost),
-        unit_treatment_cost=as_money(unit_treatment_cost),
+        quantity,
+        unit_purchase_cost=unit_purchase_cost,
+        unit_treatment_cost=unit_treatment_cost,
     )
 
 
@@ -139,7 +138,8 @@ class ExchangeScenario:
         for cost in list(self.transport.values()) + list(self.transaction.values()):
             if cost < 0:
                 raise ScenarioError("transport and transaction costs must be >= 0")
-        for o, d in self._compatible_pairs():
+        for oi, di in self._compatible_pairs():
+            o, d = self.streams[oi], self.streams[di]
             route = (o.firm, d.firm, o.resource)
             if route not in self.transport:
                 raise ScenarioError(f"missing transport cost for {route}")
@@ -147,13 +147,13 @@ class ExchangeScenario:
                 raise ScenarioError(f"missing transaction cost for {(o.firm, d.firm)}")
 
     def _compatible_pairs(self):
-        """Offer/demand stream pairs that could ever ship (distinct firms)."""
-        for o in self.streams:
+        """Stream index pairs (offer, demand) that could ever ship, ascending."""
+        for oi, o in enumerate(self.streams):
             if o.kind != OFFER:
                 continue
-            for d in self.streams:
+            for di, d in enumerate(self.streams):
                 if d.kind == DEMAND and d.resource == o.resource and d.firm != o.firm:
-                    yield o, d
+                    yield oi, di
 
 
 def t_value(scenario: ExchangeScenario, s: Iterable[int]) -> Money:
@@ -181,23 +181,18 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
     list wins, which keeps outputs deterministic.
     """
     members = coalition(s)
-    check_roster(members, scenario.n_agents)
-    baseline = t_value(scenario, s)
+    baseline = t_value(scenario, members)  # checks the roster
 
     # Stream pairs eligible inside this coalition, with per-unit saving.
     pair_vars = []  # (offer_idx, demand_idx, gain)
-    for oi, o in enumerate(scenario.streams):
-        if o.kind != OFFER or o.firm not in members:
+    for oi, di in scenario._compatible_pairs():
+        o, d = scenario.streams[oi], scenario.streams[di]
+        if o.firm not in members or d.firm not in members:
             continue
-        for di, d in enumerate(scenario.streams):
-            if d.kind != DEMAND or d.firm not in members:
-                continue
-            if d.resource != o.resource or d.firm == o.firm:
-                continue
-            haul = scenario.transport[(o.firm, d.firm, o.resource)]
-            gain = o.unit_discharge_cost + d.unit_purchase_cost - d.unit_treatment_cost - haul
-            if gain > 0:
-                pair_vars.append((oi, di, gain))
+        haul = scenario.transport[(o.firm, d.firm, o.resource)]
+        gain = o.unit_discharge_cost + d.unit_purchase_cost - d.unit_treatment_cost - haul
+        if gain > 0:
+            pair_vars.append((oi, di, gain))
 
     # Candidate firm pairs: only those whose best-case saving can beat the
     # fixed transaction cost are ever worth activating.

@@ -130,15 +130,12 @@ class ISNGame:
         """Build a game from a {coalition: money} mapping over |S|>=2.
 
         Unlisted coalitions of size >= 2 default to 0; singleton or empty
-        keys are rejected because normalization fixes those values.
+        keys are rejected because normalization fixes those values, and so
+        is a coalition listed twice, such as (0, 1) next to (1, 0).
         """
         table = zero_table(n_agents)
-        for raw, val in values.items():
-            s = coalition(raw)
-            check_roster(s, n_agents)
-            if len(s) < 2:
-                raise ValueError(f"coalition {sorted(s)} has fewer than two members")
-            table[mask_of(s)] = as_money(val)
+        for mask, val in _read_table(n_agents, values, "value").items():
+            table[mask] = val
         return cls(n_agents, tuple(table))
 
     def value(self, s: Iterable[int]) -> Money:
@@ -154,6 +151,24 @@ def check_roster(s: Coalition, n_agents: int) -> None:
             raise UnknownAgent(f"agent {i} not on a roster of {n_agents}")
 
 
+def _read_table(n_agents: int, values: Mapping, name: str) -> "dict[int, Money]":
+    """{mask: money} from a {coalition: money} mapping: keys of two or more
+    agents on the roster, no coalition twice however its members are ordered."""
+    out = {}
+    for raw, val in values.items():
+        s = coalition(raw)
+        for i in s:
+            if i >= n_agents:
+                raise AgentCountMismatch(f"{name} table mentions agent {i}, roster has {n_agents}")
+        if len(s) < 2:
+            raise ValueError(f"{name} table keys need two or more members, got {sorted(s)}")
+        mask = mask_of(s)
+        if mask in out:
+            raise ValueError(f"{name} table lists coalition {sorted(s)} twice")
+        out[mask] = as_money(val)
+    return out
+
+
 def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
     """Build the game v(S) = T(S) - O(S) from total cost tables.
 
@@ -162,33 +177,14 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
     run check_superadditive separately to validate that claim.
     """
     values = zero_table(n_agents)
-
-    def normalize(table: Mapping, name: str) -> dict:
-        out = {}
-        for raw, val in table.items():
-            s = coalition(raw)
-            for i in s:
-                if i >= n_agents:
-                    raise AgentCountMismatch(
-                        f"{name} table mentions agent {i}, roster has {n_agents}"
-                    )
-            if len(s) < 2:
-                raise ValueError(
-                    f"{name} table keys need two or more members, got {sorted(s)}"
-                )
-            out[mask_of(s)] = as_money(val)
-        return out
-
-    t = normalize(t_table, "T")
-    o = normalize(o_table, "O")
+    t = _read_table(n_agents, t_table, "T")
+    o = _read_table(n_agents, o_table, "O")
     for mask in range(1 << n_agents):
         if mask.bit_count() < 2:
             continue
-        if mask not in t or mask not in o:
-            missing = "T" if mask not in t else "O"
-            raise MissingCoalition(
-                f"{missing} table lacks coalition {sorted(members_of(mask))}"
-            )
+        for name, table in ("T", t), ("O", o):
+            if mask not in table:
+                raise MissingCoalition(f"{name} table lacks coalition {sorted(members_of(mask))}")
         values[mask] = t[mask] - o[mask]
     return ISNGame(n_agents, tuple(values))
 

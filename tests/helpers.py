@@ -7,6 +7,7 @@ code paths under test, so agreement is meaningful.
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import ISNGame
@@ -30,6 +31,29 @@ def perm_shapley(n_agents, value_fn):
             totals[i] += value_fn(joined) - value_fn(so_far)
             so_far = joined
     return tuple(t / count for t in totals)
+
+
+def subset_shapley(n_agents, value_fn):
+    """perm_shapley's average, with orderings counted instead of enumerated.
+
+    The agents ahead of i form a coalition S without i in exactly
+    |S|! (n - |S| - 1)! of the n! orderings, so i's share is the weighted
+    sum of v(S + i) - v(S) over those S: n 2^(n-1) marginals, not n * n!.
+    value_fn is as for perm_shapley.
+    """
+    weights = [
+        Fraction(factorial(k) * factorial(n_agents - k - 1), factorial(n_agents))
+        for k in range(n_agents)
+    ]
+    shares = []
+    for i in range(n_agents):
+        others = [j for j in range(n_agents) if j != i]
+        total = Fraction(0)
+        for mask in range(1 << len(others)):
+            s = frozenset(j for k, j in enumerate(others) if mask >> k & 1)
+            total += weights[len(s)] * (value_fn(s | {i}) - value_fn(s))
+        shares.append(total)
+    return tuple(shares)
 
 
 def rule_indicator_value(rule):

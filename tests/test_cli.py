@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import operator
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symbio
 from symbio import cli
@@ -327,3 +333,158 @@ def test_report_dict_pipeline_known_values():
     report_w = cmd_analyze(scenario_w, check_superadditive(scenario_w.game))
     assert report_w["shapley"] == {"F0": "31", "F1": "31"}
     assert report_w["implementable"] is True
+
+
+def _write(tmp_path, doc) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _data(name) -> dict:
+    return json.loads((DATA / name).read_text())
+
+
+def test_repeated_json_key_exits_2(capsys, tmp_path):
+    path = _write(tmp_path, '{"agents": ["A", "B"], "tables": {"T": {"A,B": 3, "A,B": 4},'
+                            ' "O": {"A,B": 0}}}')
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out) == (2, "")
+    assert err == "error: key 'A,B' given twice in one object\n"
+
+
+def test_coalition_spelled_twice_exits_2(capsys, tmp_path):
+    doc = _data("g3.json")
+    doc["tables"]["O"]["B,A"] = 0
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == "error: O table lists coalition [0, 1] twice\n"
+
+
+@pytest.mark.parametrize("section,entry", [
+    ("transport", {"from": "F0", "to": "F1", "resource": "slag", "cost": 0}),
+    ("transaction", {"from": "F0", "to": "F1", "cost": 2}),
+])
+def test_repeated_route_exits_2(capsys, tmp_path, section, entry):
+    doc = _data("w.json")
+    doc["exchange"][section].append(entry)
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == (f"error: exchange.{section}[1]: repeats the route of an earlier "
+                   f"{section} entry\n")
+
+
+@pytest.mark.parametrize("name,path,old,new", [
+    ("g3.json", [], "policy", "polcy"),  # a misspelt section used to vanish
+    ("g3.json", ["policy"], "promoted", "promted"),
+    ("w.json", ["exchange"], "streams", "strems"),
+    ("w.json", ["exchange", "streams", 0], None, "note"),
+    ("w.json", ["exchange", "streams", 1], None, "unit_discharge_cost"),  # an offer's field
+    ("w.json", ["exchange", "transport", 0], None, "note"),
+    ("w.json", ["exchange", "transaction", 0], None, "resource"),
+])
+def test_unknown_keys_exit_2(capsys, tmp_path, name, path, old, new):
+    doc = _data(name)
+    node = reduce(operator.getitem, path, doc)
+    node[new] = node.pop(old) if old else 1
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)[1:]
+    assert err == f"error: {where or 'scenario file'}: unknown key {new!r}\n"
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_non_string_resource_exits_2(capsys, tmp_path, index):
+    doc = _data("w.json")
+    doc["exchange"]["streams"][index]["resource"] = 5
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: exchange.streams[{index}].resource: must be a string\n"
+
+
+@pytest.mark.parametrize("promoted,message", [
+    (5, "policy.promoted: must be a list"),
+    ([["A", ["B"]]], "policy.promoted[0]: unknown agent ['B']"),
+    (["A,B", "B,A"], "group [0, 1] labeled twice"),
+])
+def test_policy_shape_errors_exit_2(capsys, tmp_path, promoted, message):
+    doc = _data("g3.json")
+    doc["policy"]["promoted"] = promoted
+    code, out, err = run(capsys, "enforce", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+class _Pairs(list):
+    """A JSON object as its list of (key, value) pairs, so keys may repeat."""
+
+
+class _Number(str):
+    """A JSON decimal kept as its source text."""
+
+
+def _dump(node) -> str:
+    if isinstance(node, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_dump, node)) + "]"
+    return node if isinstance(node, _Number) else json.dumps(node)
+
+
+def _containers(node):
+    if isinstance(node, list):  # _Pairs included
+        yield node
+        for child in node:
+            yield from _containers(child[1] if isinstance(node, _Pairs) else child)
+
+
+def _parse(text):
+    return json.loads(text, object_pairs_hook=_Pairs, parse_float=_Number)
+
+
+#: Values a mutation puts in place of another: every JSON type, agent names,
+#: coalitions, stream kinds and numbers in each accepted and refused form.
+HOSTILE_VALUES = [
+    "null", "true", "0", "-3", "7", "0.5", "1e400", '"1/2"', '"1/0"', '"x"', '"A"', '"A,B"',
+    '"B,A"', '"F1"', '"offer"', '"demand"', "[]", "{}", '["A", "B"]', '[["A", "B"]]',
+    '[["A", ["B"]]]', '{"A,B": 1}',
+]
+#: Keys a mutation renames a field to: every key the format knows, and typos.
+HOSTILE_KEYS = [
+    "agents", "tables", "exchange", "policy", "polcy", "T", "O", "A,B", "B,A", "A,C", "promoted",
+    "prohibited", "streams", "transport", "transaction", "firm", "kind", "resource", "quantity",
+    "unit_discharge_cost", "unit_purchase_cost", "unit_treatment_cost", "from", "to", "cost",
+]
+
+
+@st.composite
+def hostile_files(draw):
+    """g3.json or w.json after one to three drops, retypes, duplicates or renames."""
+    doc = _parse((DATA / draw(st.sampled_from(["g3.json", "w.json"]))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_containers(doc))))
+        if not node:
+            continue
+        i = draw(st.integers(0, len(node) - 1))
+        op = draw(st.sampled_from(["drop", "retype", "duplicate", "rename"]))
+        if op == "drop":
+            del node[i]
+        elif op == "duplicate":
+            node.insert(i, _parse(_dump(node[i])))
+        elif op == "retype":
+            value = _parse(draw(st.sampled_from(HOSTILE_VALUES)))
+            node[i] = (node[i][0], value) if isinstance(node, _Pairs) else value
+        elif isinstance(node, _Pairs):
+            node[i] = (draw(st.sampled_from(HOSTILE_KEYS)), node[i][1])
+    return _dump(doc)
+
+
+@given(hostile_files(), st.sampled_from(["analyze", "enforce", "shapley", "core", "mcnet"]))
+@settings(max_examples=300, deadline=2000)
+def test_hostile_files_exit_cleanly(tmp_path_factory, text, command):
+    """Every mutated file ends in exit 0, 2 or 3, never in an exception."""
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, str(path)])
+    assert code in (0, 2, 3)

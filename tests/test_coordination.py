@@ -34,6 +34,9 @@ def test_policy_validation():
         Policy({frozenset({0}): PolicyLabel.PROMOTED})
     with pytest.raises(ValueError):
         Policy.from_groups(promoted=[{0, 1}], prohibited=[{0, 1}])
+    for twice in ({"promoted": [{0, 1}, {1, 0}]}, {"prohibited": [(0, 1), (1, 0)]}):
+        with pytest.raises(ValueError, match="labeled twice"):
+            Policy.from_groups(**twice)
 
 
 def test_validate_policy_mutual_exclusivity():

@@ -160,6 +160,18 @@ def test_stream_validation():
         ResourceStream(0, "r", "offer", Fraction(1), unit_purchase_cost=Fraction(1))
 
 
+def test_stream_amounts_are_exact():
+    stream = ResourceStream(0, "r", "demand", "5/2", unit_purchase_cost=3, unit_treatment_cost="0.5")
+    assert (stream.quantity, stream.unit_purchase_cost, stream.unit_treatment_cost) == (
+        Fraction(5, 2), 3, Fraction(1, 2))
+    assert all(type(a) is Fraction for a in (stream.quantity, stream.unit_purchase_cost))
+    # a binary float would leak into the game's table (0.1 * 5 ...), so it is refused
+    with pytest.raises(TypeError):
+        ResourceStream(0, "slag", "offer", 0.1, unit_discharge_cost=5)
+    with pytest.raises(TypeError):
+        ResourceStream(1, "slag", "demand", 8, unit_purchase_cost=7, unit_treatment_cost=0.5)
+
+
 def test_missing_transport_entry_rejected():
     with pytest.raises(ScenarioError):
         ExchangeScenario(

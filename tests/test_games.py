@@ -49,6 +49,13 @@ def test_out_of_roster_table_entry_rejected():
         make_isn_game(2, {(0, 3): 1}, {(0, 3): 0})
 
 
+def test_coalition_listed_twice_rejected():
+    with pytest.raises(ValueError, match=r"value table lists coalition \[0, 1\] twice"):
+        ISNGame.from_values(2, {(0, 1): 1, (1, 0): 2})
+    with pytest.raises(ValueError, match=r"T table lists coalition \[0, 2\] twice"):
+        make_isn_game(3, {(0, 2): 1, (2, 0): 1}, {})
+
+
 def test_value_rejects_unknown_agent(g3):
     with pytest.raises(UnknownAgent):
         g3.value({0, 7})

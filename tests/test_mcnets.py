@@ -20,7 +20,7 @@ from symbio.mcnets import (
 )
 from symbio.solutions import shapley, shapley_bruteforce
 
-from helpers import perm_shapley, random_game, rule_indicator_value
+from helpers import perm_shapley, random_game, rule_indicator_value, subset_shapley
 
 RULE = MCNetRule({0, 1}, {2}, 6)
 
@@ -117,7 +117,15 @@ def test_rule_shapley_matches_permutation_oracle(extra, positive, negative, valu
     if negative == set(range(n)):
         return
     rule = MCNetRule(positive, negative, value)
-    assert rule_shapley(rule, n) == perm_shapley(n, rule_indicator_value(rule))
+    assert rule_shapley(rule, n) == subset_shapley(n, rule_indicator_value(rule))
+
+
+def test_subset_formula_oracle_matches_permutation_average():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for _ in range(10):
+            values = {s: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for s in coalitions(n)}
+            assert subset_shapley(n, values.__getitem__) == perm_shapley(n, values.__getitem__)
 
 
 def test_rule_shapley_sum_matches_grand_value_for_nonempty_positive():
