@@ -9,10 +9,6 @@ class MissingCoalition(SymbioError):
     """A cost table lacks an entry for a coalition with two or more members."""
 
 
-class AgentCountMismatch(SymbioError):
-    """A coalition references an agent id outside the declared roster size."""
-
-
 class UnknownAgent(SymbioError):
     """A coalition contains an agent id that is not on the roster."""
 

@@ -7,10 +7,12 @@ discharge the waste and purchase virgin inputs. The baseline cost of a
 coalition (no exchange at all) and the minimized realized cost define the
 coalition's worth: baseline minus optimum.
 
-Plan optimization is a fixed-charge transportation problem. It is solved
-exactly: enumerate subsets of activated firm pairs, then solve the
-continuous shipment subproblem for each subset with the exact simplex.
-Quantities are divisible; everything is Fraction arithmetic.
+Plan optimization is a fixed-charge transportation problem, solved
+exactly: each subset of candidate firm pairs (routes, at most
+ENUMERATION_BOUND of them) gets one exact-simplex solve of its continuous
+shipment subproblem. scenario_to_game enumerates the whole roster once and
+hands each saving to every coalition holding its firms by a superset-max
+pass. Quantities are divisible; everything is Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ScenarioError
-from .games import ISNGame, Money, as_money, check_roster, coalition, members_of, zero_table
+from .errors import BoundExceeded, ScenarioError
+from .games import ENUMERATION_BOUND, ISNGame, Money, as_money, check_roster, coalition, mask_of, zero_table
 from .lp import solve_lp
 
 OFFER = "offer"
@@ -182,9 +184,20 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
     """
     members = coalition(s)
     baseline = t_value(scenario, members)  # checks the roster
+    best_net, best_plan = Fraction(0), EMPTY_PLAN
+    for _, net, plan in _route_subsets(scenario, members):
+        if net > best_net or (net == best_net and plan.key() < best_plan.key()):
+            best_net, best_plan = net, plan
+    return best_plan, baseline - best_net
 
-    # Stream pairs eligible inside this coalition, with per-unit saving.
-    pair_vars = []  # (offer_idx, demand_idx, gain)
+
+def _route_subsets(scenario, members):
+    """Yield (firm mask, net saving, plan) once for each nonempty subset of
+    the candidate routes among members: ordered firm pairs whose best-case
+    saving beats their fixed transaction cost. Net saving is the shipment
+    LP's optimum minus the subset's transaction costs. Raises BoundExceeded,
+    before any LP, past ENUMERATION_BOUND candidates."""
+    by_route = {}  # route -> [(offer_idx, demand_idx, gain)], ascending
     for oi, di in scenario._compatible_pairs():
         o, d = scenario.streams[oi], scenario.streams[di]
         if o.firm not in members or d.firm not in members:
@@ -192,36 +205,18 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
         haul = scenario.transport[(o.firm, d.firm, o.resource)]
         gain = o.unit_discharge_cost + d.unit_purchase_cost - d.unit_treatment_cost - haul
         if gain > 0:
-            pair_vars.append((oi, di, gain))
-
-    # Candidate firm pairs: only those whose best-case saving can beat the
-    # fixed transaction cost are ever worth activating.
-    by_route = {}
-    for oi, di, gain in pair_vars:
-        route = (scenario.streams[oi].firm, scenario.streams[di].firm)
-        by_route.setdefault(route, []).append((oi, di, gain))
-    candidates = []
-    for route in sorted(by_route):
-        fixed = scenario.transaction[route]
-        bound = sum(
-            gain * min(scenario.streams[oi].quantity, scenario.streams[di].quantity)
-            for oi, di, gain in by_route[route]
-        )
-        if bound > fixed:
-            candidates.append(route)
-
-    best_cost = baseline
-    best_plan = EMPTY_PLAN
+            by_route.setdefault((o.firm, d.firm), []).append((oi, di, gain))
+    candidates = [route for route in sorted(by_route) if scenario.transaction[route] < sum(
+        gain * min(scenario.streams[oi].quantity, scenario.streams[di].quantity)
+        for oi, di, gain in by_route[route])]
+    if len(candidates) > ENUMERATION_BOUND:
+        raise BoundExceeded(f"{len(candidates)} candidate routes; route subsets are "
+                            f"enumerated for at most {ENUMERATION_BOUND}")
     for chosen in range(1, 1 << len(candidates)):
         routes = [candidates[i] for i in range(len(candidates)) if chosen >> i & 1]
-        fixed_total = sum(scenario.transaction[r] for r in routes)
-        variables = [pv for r in routes for pv in sorted(by_route[r])]
-        saving, plan = _best_shipments(scenario, variables)
-        cost = baseline - saving + fixed_total
-        if cost < best_cost or (cost == best_cost and plan.key() < best_plan.key()):
-            best_cost = cost
-            best_plan = plan
-    return best_plan, best_cost
+        saving, plan = _best_shipments(scenario, [pv for r in routes for pv in by_route[r]])
+        net = saving - sum(scenario.transaction[r] for r in routes)
+        yield mask_of(firm for route in routes for firm in route), net, plan
 
 
 def _best_shipments(scenario, variables):
@@ -250,15 +245,19 @@ def _best_shipments(scenario, variables):
 def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
     """Game with every coalition worth its baseline-minus-optimal saving.
 
-    Values are nonnegative (the empty plan is feasible) and the game is
-    superadditive: disjoint coalitions can always merge their plans.
+    The roster's route subsets are enumerated once (BoundExceeded past
+    ENUMERATION_BOUND routes), each net saving credited to the firms it
+    touches. A route's candidacy depends only on its two firms, so one
+    superset-max pass gives v(S) = max(0, best net of the subsets inside S).
+    Values are nonnegative and the game is superadditive: disjoint
+    coalitions can always merge their plans.
     """
     n = scenario.n_agents
     table = zero_table(n)
-    for mask in range(1 << n):
-        if mask.bit_count() < 2:
-            continue
-        members = members_of(mask)
-        _, cost = optimal_exchange_plan(scenario, members)
-        table[mask] = t_value(scenario, members) - cost
+    for mask, net, _ in _route_subsets(scenario, range(n)):
+        table[mask] = max(table[mask], net)
+    for i in range(n):
+        for mask in range(1 << n):
+            if mask >> i & 1:
+                table[mask] = max(table[mask], table[mask ^ 1 << i])
     return ISNGame(n, tuple(table))

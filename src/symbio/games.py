@@ -16,12 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (
-    AgentCountMismatch,
-    BoundExceeded,
-    MissingCoalition,
-    UnknownAgent,
-)
+from .errors import BoundExceeded, MissingCoalition, UnknownAgent
 
 Money = Fraction
 AgentId = int
@@ -94,7 +89,7 @@ def coalitions(n_agents: int, min_size: int = 0) -> Iterator[Coalition]:
 
 def _check_agent_count(n_agents: int) -> None:
     if n_agents < 1:
-        raise AgentCountMismatch("a game needs at least one agent")
+        raise ValueError("a game needs at least one agent")
     if n_agents > ENUMERATION_BOUND:
         raise BoundExceeded(
             f"dense coalition table supports at most {ENUMERATION_BOUND} agents"
@@ -159,7 +154,7 @@ def _read_table(n_agents: int, values: Mapping, name: str) -> "dict[int, Money]"
         s = coalition(raw)
         for i in s:
             if i >= n_agents:
-                raise AgentCountMismatch(f"{name} table mentions agent {i}, roster has {n_agents}")
+                raise UnknownAgent(f"{name} table mentions agent {i}, roster has {n_agents}")
         if len(s) < 2:
             raise ValueError(f"{name} table keys need two or more members, got {sorted(s)}")
         mask = mask_of(s)

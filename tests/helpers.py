@@ -199,6 +199,21 @@ def random_scenario(rng, n, resources=("r", "s"), max_qty=10):
     )
 
 
+def dense_scenario(n):
+    """One resource that every firm both offers and demands, with cheap
+    transactions: all n (n - 1) ordered firm pairs are candidate routes."""
+    streams = []
+    for firm in range(n):
+        streams += [waste_offer(firm, "steam", 10, 5), input_demand(firm, "steam", 10, 7, 1)]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return ExchangeScenario(
+        n_agents=n,
+        streams=tuple(streams),
+        transport={(a, b, "steam"): 1 for a, b in pairs},
+        transaction={pair: 2 + sum(pair) for pair in pairs},
+    )
+
+
 def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResult:
     """Optimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 

@@ -296,6 +296,33 @@ def test_oversized_numbers_exit_2_quickly(tmp_path, table_value, extra):
     assert float(done.stdout) < 1
 
 
+def test_too_many_routes_exit_3_quickly(tmp_path):
+    # every firm offers and demands steam: 5 * 4 candidate routes, past the
+    # 16 whose 2^16 - 1 subsets the optimizer enumerates
+    names = [f"F{i}" for i in range(5)]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    doc = {"agents": names, "exchange": {
+        "streams": [s for f in names for s in (
+            {"firm": f, "kind": "offer", "resource": "steam", "quantity": 10,
+             "unit_discharge_cost": 5},
+            {"firm": f, "kind": "demand", "resource": "steam", "quantity": 10,
+             "unit_purchase_cost": 7, "unit_treatment_cost": 1})],
+        "transport": [{"from": a, "to": b, "resource": "steam", "cost": 1} for a, b in pairs],
+        "transaction": [{"from": a, "to": b, "cost": 2} for a, b in pairs],
+    }}
+    path = tmp_path / "dense5.json"
+    path.write_text(json.dumps(doc))
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, "analyze", str(path)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: bound exceeded: 20 candidate routes")
+    assert "Traceback" not in done.stderr
+    assert float(done.stdout) < 1
+
+
 @pytest.mark.parametrize(
     "value,field",
     [('"abc"', "tables.T['A,B']"), ('"1/0"', "tables.T['A,B']"), ("true", "tables.T['A,B']"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import symbio.exchange
 from symbio.errors import BoundExceeded, ScenarioError
 from symbio.exchange import (
     ExchangeScenario,
@@ -15,7 +16,7 @@ from symbio.exchange import (
 )
 from symbio.games import check_superadditive, coalitions
 
-from helpers import grid_plan_cost, random_scenario
+from helpers import dense_scenario, grid_plan_cost, random_scenario
 
 
 @pytest.fixture
@@ -186,3 +187,59 @@ def test_bound_exceeded():
     empty = ExchangeScenario(n_agents=17, streams=(), transport={}, transaction={})
     with pytest.raises(BoundExceeded):
         scenario_to_game(empty)
+
+
+def test_game_matches_grid_search_on_every_coalition():
+    rng = random.Random(19)
+    for _ in range(30):
+        n = rng.choice([2, 3, 4])
+        scenario = random_scenario(rng, n, max_qty=6 if n < 4 else 3)
+        game = scenario_to_game(scenario)
+        for members in coalitions(n):
+            assert game.value(members) == t_value(scenario, members) - grid_plan_cost(
+                scenario, members)
+
+
+def test_game_agrees_with_the_per_coalition_optimizer():
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.choice([2, 3, 4, 5])
+        scenario = random_scenario(rng, n)
+        game = scenario_to_game(scenario)
+        for members in coalitions(n):
+            _, cost = optimal_exchange_plan(scenario, members)
+            assert game.value(members) == t_value(scenario, members) - cost
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the LPs the exchange optimizer solves."""
+    calls = []
+    solve = symbio.exchange.solve_lp
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(symbio.exchange, "solve_lp", spy)
+    return calls
+
+
+def test_each_route_subset_is_solved_once(lp_calls):
+    game = scenario_to_game(dense_scenario(3))  # 6 candidate routes
+    assert len(lp_calls) == 2**6 - 1
+    assert check_superadditive(game) is None
+    assert game.value({0, 1}) > 0
+
+
+def test_too_many_routes_raise_before_any_lp(lp_calls):
+    scenario = dense_scenario(5)  # 20 candidate routes
+    with pytest.raises(BoundExceeded, match="20 candidate routes"):
+        scenario_to_game(scenario)
+    with pytest.raises(BoundExceeded):
+        optimal_exchange_plan(scenario, range(5))
+    assert lp_calls == []
+    # the bound counts the coalition's own routes: three firms have six
+    _, cost = optimal_exchange_plan(scenario, range(3))
+    assert cost < t_value(scenario, range(3))
+    assert len(lp_calls) == 2**6 - 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbio.errors import AgentCountMismatch, BoundExceeded, MissingCoalition, UnknownAgent
+from symbio.errors import BoundExceeded, MissingCoalition, UnknownAgent
 from symbio.games import (
     ISNGame,
     as_money,
@@ -45,7 +45,7 @@ def test_missing_coalition_rejected():
 
 
 def test_out_of_roster_table_entry_rejected():
-    with pytest.raises(AgentCountMismatch):
+    with pytest.raises(UnknownAgent, match=r"T table mentions agent 3, roster has 2"):
         make_isn_game(2, {(0, 3): 1}, {(0, 3): 0})
 
 
@@ -71,7 +71,7 @@ def test_bound_is_checked_before_the_table_is_built():
         ISNGame.from_values(100, {})
     with pytest.raises(BoundExceeded):
         make_isn_game(100, {}, {})
-    with pytest.raises(AgentCountMismatch):
+    with pytest.raises(ValueError, match="at least one agent"):
         ISNGame.from_values(0, {})
 
 
