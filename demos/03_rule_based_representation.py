@@ -8,7 +8,9 @@ every rule has a closed-form Shapley allocation, and allocations add up
 rule by rule, so no factorial enumeration is ever needed.
 """
 
-from symbio import ISNGame, evaluate, from_isn_game, net_shapley, rule_shapley, shapley_bruteforce
+from itertools import permutations
+
+from symbio import ISNGame, evaluate, from_isn_game, net_shapley, rule_shapley
 
 game = ISNGame.from_values(3, {(0, 1): 10, (0, 2): 4, (1, 2): 6, (0, 1, 2): 12})
 net = from_isn_game(game)
@@ -24,7 +26,12 @@ for rule in net.rules:
     print(f"  {sorted(rule.positive)}: {rule_shapley(rule, 3)}")
 
 fast = net_shapley(net)
-slow = shapley_bruteforce(game)
+# the definition, for comparison: i's marginal worth averaged over all 3! orderings
+orders = list(permutations(range(3)))
+slow = tuple(
+    sum(game.value(o[: o.index(i) + 1]) - game.value(o[: o.index(i)]) for o in orders) / len(orders)
+    for i in range(3)
+)
 print("rule-wise total:   ", fast)
 print("permutation oracle:", slow)
 print("identical:", fast == slow)

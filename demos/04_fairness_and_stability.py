@@ -8,11 +8,11 @@ pair is worth 10 but the grand coalition only 12 has no core at all.
 Either way the collaboration is not implementable as-is.
 """
 
-from symbio import ISNGame, core_nonempty, in_core, is_implementable, shapley_bruteforce
+from symbio import ISNGame, core_nonempty, in_core, is_implementable, shapley
 
 game = ISNGame.from_values(3, {(0, 1): 10, (0, 2): 4, (1, 2): 6, (0, 1, 2): 12})
 
-phi = shapley_bruteforce(game)
+phi = shapley(game)
 print("fair split:", phi)
 print("pair {0,1} gets", phi[0] + phi[1], "but could earn", game.value({0, 1}), "alone")
 

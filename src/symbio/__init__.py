@@ -12,7 +12,6 @@ from .coordination import (
     IncentiveNet,
     Policy,
     PolicyLabel,
-    classify,
     enforce_policy,
     synthesize_prohibition,
     synthesize_promotion,
@@ -57,23 +56,18 @@ from .games import (
 from .mcnets import (
     MCNet,
     MCNetRule,
-    applicable,
     compose,
-    empty_net,
     evaluate,
     from_isn_game,
     net_shapley,
     rule_shapley,
 )
 from .solutions import (
-    FACTORIAL_BOUND,
     CoreResult,
     core_nonempty,
-    core_nonempty_by_enumeration,
     in_core,
     is_implementable,
     shapley,
-    shapley_bruteforce,
 )
 
 __version__ = "0.1.0"
@@ -85,7 +79,6 @@ __all__ = [
     "ENUMERATION_BOUND",
     "ExchangePlan",
     "ExchangeScenario",
-    "FACTORIAL_BOUND",
     "ISNGame",
     "IncentiveNet",
     "LengthMismatch",
@@ -106,16 +99,12 @@ __all__ = [
     "TargetTooSmall",
     "UnknownAgent",
     "ValidationError",
-    "applicable",
     "as_money",
     "check_superadditive",
-    "classify",
     "coalition",
     "coalitions",
     "compose",
     "core_nonempty",
-    "core_nonempty_by_enumeration",
-    "empty_net",
     "enforce_policy",
     "evaluate",
     "from_isn_game",
@@ -128,7 +117,6 @@ __all__ = [
     "rule_shapley",
     "scenario_to_game",
     "shapley",
-    "shapley_bruteforce",
     "subgame",
     "synthesize_prohibition",
     "synthesize_promotion",

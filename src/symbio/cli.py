@@ -32,7 +32,7 @@ from .games import (
     ISNGame, as_money, check_superadditive, make_isn_game, members_of, subgame
 )
 from .mcnets import from_isn_game
-from .solutions import core_nonempty, in_core, shapley
+from .solutions import core_nonempty, in_core, is_implementable, shapley
 
 
 @dataclass(frozen=True)
@@ -271,9 +271,8 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         for grp in scenario.policy.groups(label):
             entry = {"group": _coalition_key(names, grp), "label": label.value}
             if label is PolicyLabel.PROMOTED:
-                sub = subgame(coordinated, grp)
                 entry["subsidy"] = str(subsidy_of.get(grp, Fraction(0)))
-                entry["implementable"] = in_core(sub, shapley(sub))
+                entry["implementable"] = is_implementable(subgame(coordinated, grp))
             else:
                 cv = coordinated.value(grp)
                 entry["coordinated_value"] = str(cv)

@@ -74,10 +74,6 @@ class Policy:
         )
 
 
-def classify(policy: Policy, s: Iterable[int]) -> PolicyLabel:
-    return policy.labels.get(coalition(s), PolicyLabel.PERMITTED)
-
-
 def validate_policy(policy: Policy):
     """None when promoted groups are pairwise disjoint, else one clash."""
     promoted = policy.groups(PolicyLabel.PROMOTED)

@@ -10,9 +10,11 @@ coalition's worth: baseline minus optimum.
 Plan optimization is a fixed-charge transportation problem, solved
 exactly: each subset of candidate firm pairs (routes, at most
 ENUMERATION_BOUND of them) gets one exact-simplex solve of its continuous
-shipment subproblem. scenario_to_game enumerates the whole roster once and
-hands each saving to every coalition holding its firms by a superset-max
-pass. Quantities are divisible; everything is Fraction arithmetic.
+shipment subproblem. scenario_to_game enumerates the whole roster once,
+reads only each LP's optimum, and hands each saving to every coalition
+holding its firms by a superset-max pass; only optimal_exchange_plan turns
+shipments into plans. Quantities are divisible; all arithmetic is exact
+(ints and Fractions).
 """
 
 from __future__ import annotations
@@ -185,18 +187,21 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
     members = coalition(s)
     baseline = t_value(scenario, members)  # checks the roster
     best_net, best_plan = Fraction(0), EMPTY_PLAN
-    for _, net, plan in _route_subsets(scenario, members):
+    for _, net, variables, x in _route_subsets(scenario, members):
+        plan = _plan(scenario, variables, x)
         if net > best_net or (net == best_net and plan.key() < best_plan.key()):
             best_net, best_plan = net, plan
     return best_plan, baseline - best_net
 
 
 def _route_subsets(scenario, members):
-    """Yield (firm mask, net saving, plan) once for each nonempty subset of
-    the candidate routes among members: ordered firm pairs whose best-case
-    saving beats their fixed transaction cost. Net saving is the shipment
-    LP's optimum minus the subset's transaction costs. Raises BoundExceeded,
-    before any LP, past ENUMERATION_BOUND candidates."""
+    """Yield (firm mask, net saving, variables, x) once for each nonempty
+    subset of the candidate routes among members: ordered firm pairs whose
+    best-case saving beats their fixed transaction cost. variables are the
+    subset's (offer, demand, gain) stream pairs and x their optimal
+    shipments; net saving is the shipment LP's optimum minus the subset's
+    transaction costs. Raises BoundExceeded, before any LP, past
+    ENUMERATION_BOUND candidates."""
     by_route = {}  # route -> [(offer_idx, demand_idx, gain)], ascending
     for oi, di in scenario._compatible_pairs():
         o, d = scenario.streams[oi], scenario.streams[di]
@@ -214,13 +219,15 @@ def _route_subsets(scenario, members):
                             f"enumerated for at most {ENUMERATION_BOUND}")
     for chosen in range(1, 1 << len(candidates)):
         routes = [candidates[i] for i in range(len(candidates)) if chosen >> i & 1]
-        saving, plan = _best_shipments(scenario, [pv for r in routes for pv in by_route[r]])
-        net = saving - sum(scenario.transaction[r] for r in routes)
-        yield mask_of(firm for route in routes for firm in route), net, plan
+        variables = [pv for r in routes for pv in by_route[r]]
+        result = _best_shipments(scenario, variables)
+        net = result.objective - sum(scenario.transaction[r] for r in routes)
+        yield mask_of(firm for route in routes for firm in route), net, variables, result.x
 
 
 def _best_shipments(scenario, variables):
-    """Maximize total per-unit saving over stream capacity constraints."""
+    """Maximize total per-unit saving over stream capacity constraints;
+    returns the LPResult."""
     gains = [g for _, _, g in variables]
     caps = {}  # stream index -> row of the constraint matrix
     a_ub, b_ub = [], []
@@ -228,18 +235,22 @@ def _best_shipments(scenario, variables):
         for idx in (oi, di):
             if idx not in caps:
                 caps[idx] = len(a_ub)
-                a_ub.append([Fraction(0)] * len(variables))
+                a_ub.append([0] * len(variables))
                 b_ub.append(scenario.streams[idx].quantity)
-            a_ub[caps[idx]][k] = Fraction(1)
-    result = solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True)
+            a_ub[caps[idx]][k] = 1
+    return solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True)
+
+
+def _plan(scenario, variables, x):
+    """Shipments x of the (offer, demand, gain) variables, summed per route
+    and resource and sorted."""
     amounts = {}
-    for (oi, di, _), qty in zip(variables, result.x, strict=True):
+    for (oi, di, _), qty in zip(variables, x, strict=True):
         if qty > 0:
             o, d = scenario.streams[oi], scenario.streams[di]
             key = (o.firm, d.firm, o.resource)
             amounts[key] = amounts.get(key, Fraction(0)) + qty
-    shipments = tuple(Shipment(*key, qty) for key, qty in sorted(amounts.items()))
-    return result.objective, ExchangePlan(shipments)
+    return ExchangePlan(tuple(Shipment(*key, qty) for key, qty in sorted(amounts.items())))
 
 
 def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
@@ -254,7 +265,7 @@ def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
     """
     n = scenario.n_agents
     table = zero_table(n)
-    for mask, net, _ in _route_subsets(scenario, range(n)):
+    for mask, net, _, _ in _route_subsets(scenario, range(n)):
         table[mask] = max(table[mask], net)
     for i in range(n):
         for mask in range(1 << n):

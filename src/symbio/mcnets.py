@@ -2,8 +2,9 @@
 
 A rule (positive, negative) -> value applies to a coalition S when every
 positive agent is in S and no negative agent is. A net's worth for S is the
-sum of its applicable rule values. Games and incentive regulations share
-this representation, which is what makes coordinating them a concatenation.
+sum of the values of its rules that apply. Games and incentive regulations
+share this representation, which is what makes coordinating them a
+concatenation.
 """
 
 from __future__ import annotations
@@ -58,18 +59,8 @@ class MCNet:
                 raise ValueError("negative pattern may not be the whole roster")
 
 
-def empty_net(n_agents: int) -> MCNet:
-    return MCNet(n_agents, ())
-
-
-def applicable(rule: MCNetRule, s: Iterable[int]) -> bool:
-    """True when all positive agents and no negative agents are in s."""
-    s = coalition(s)
-    return rule.positive <= s and not (rule.negative & s)
-
-
 def evaluate(net: MCNet, s: Iterable[int]) -> Money:
-    """Sum of the values of the rules applicable to s."""
+    """Sum of the values of the rules that apply to s."""
     s = coalition(s)
     check_roster(s, net.n_agents)
     return sum(

@@ -1,35 +1,43 @@
 """Independent oracles and random generators shared by the test modules.
 
 Everything here recomputes results from definitions (permutation averages,
-integer grid search, constraint checks) without going through the library
-code paths under test, so agreement is meaningful.
+vertex enumeration, integer grid search, constraint checks) without going
+through the library code paths under test, so agreement is meaningful.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import ISNGame
 from symbio.lp import LPResult
 from symbio.mcnets import MCNet, MCNetRule
+from symbio.solutions import CoreResult
 
 
 def perm_shapley(n_agents, value_fn):
     """Average marginal contribution over all orderings, from scratch.
 
-    value_fn takes a frozenset of agent ids; a nonzero empty-set value is
-    respected (needed for rules with empty positive patterns).
+    value_fn takes a frozenset of agent ids and is asked once per coalition;
+    a nonzero empty-set value is respected (needed for rules with empty
+    positive patterns).
     """
+    worth = {}  # bitmask -> value_fn of its members
+
+    def v(mask):
+        if mask not in worth:
+            worth[mask] = value_fn(frozenset(i for i in range(n_agents) if mask >> i & 1))
+        return worth[mask]
+
     totals = [Fraction(0)] * n_agents
     count = 0
     for order in permutations(range(n_agents)):
         count += 1
-        so_far = frozenset()
+        mask = 0
         for i in order:
-            joined = so_far | {i}
-            totals[i] += value_fn(joined) - value_fn(so_far)
-            so_far = joined
+            totals[i] += v(mask | 1 << i) - v(mask)
+            mask |= 1 << i
     return tuple(t / count for t in totals)
 
 
@@ -84,6 +92,55 @@ def core_constraints_hold(game, x):
         if coalition_worth(x, members) < game.value(members):
             return False
     return True
+
+
+def core_nonempty_by_enumeration(game) -> CoreResult:
+    """Independent core decision: try every potential vertex.
+
+    The core is a bounded polyhedron, so if it is nonempty it has a vertex
+    where the efficiency equality plus n-1 coalition constraints are tight.
+    Solve each such square system exactly and test the candidate against
+    all constraints. Exponential; meant as a cross-check oracle for small n.
+    """
+    n = game.n_agents
+    vals = game.table
+    full = (1 << n) - 1
+    proper = [mask for mask in range(1, full)]
+    eff_row = ([Fraction(1)] * n, vals[full])
+
+    def feasible(x):
+        if sum(x) != vals[full]:
+            return False
+        return all(
+            sum(x[i] for i in range(n) if mask >> i & 1) >= vals[mask] for mask in proper
+        )
+
+    for tight in combinations(proper, n - 1):
+        rows = [eff_row] + [
+            ([Fraction(mask >> i & 1) for i in range(n)], vals[mask]) for mask in tight
+        ]
+        x = _solve_square([r[0] for r in rows], [r[1] for r in rows])
+        if x is not None and feasible(x):
+            return CoreResult(True, tuple(x))
+    return CoreResult(False)
+
+
+def _solve_square(a, b):
+    """Gaussian elimination over Fractions; None when singular."""
+    n = len(b)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b, strict=True)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [v - factor * p for v, p in zip(m[r], m[col], strict=True)]
+    return [m[r][n] for r in range(n)]
 
 
 def grid_plan_cost(scenario, members):

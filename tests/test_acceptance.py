@@ -21,15 +21,15 @@ from symbio.errors import PolicyInvalid
 from symbio.exchange import scenario_to_game
 from symbio.games import coalitions, subgame
 from symbio.mcnets import MCNetRule, evaluate, from_isn_game, net_shapley
-from symbio.solutions import (
-    core_nonempty,
-    core_nonempty_by_enumeration,
-    is_implementable,
-    shapley,
-    shapley_bruteforce,
-)
+from symbio.solutions import core_nonempty, is_implementable, shapley
 
-from helpers import core_constraints_hold, random_game, random_scenario
+from helpers import (
+    core_constraints_hold,
+    core_nonempty_by_enumeration,
+    perm_shapley,
+    random_game,
+    random_scenario,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,7 +61,7 @@ def test_criterion_02_and_03_shapley_agreement_and_efficiency():
     for _ in range(100):
         n = rng.randint(2, 7)
         game = random_game(rng, n)
-        slow = shapley_bruteforce(game)
+        slow = perm_shapley(n, game.value)
         agree = agree and net_shapley(from_isn_game(game)) == slow and shapley(game) == slow
         efficient = efficient and sum(slow) == game.value(frozenset(range(n)))
     _report(2, "rule-wise and subset-formula Shapley equal permutation brute force", agree,
@@ -122,7 +122,7 @@ def test_criterion_06_incentive_synthesis_sound_and_minimal():
 def test_criterion_07_worked_constant(g3):
     rule, amount = synthesize_promotion(g3, {0, 1, 2})
     coordinated = CoordinatedGame(g3, MCNet(3, (rule,)))
-    phi = shapley_bruteforce(coordinated)
+    phi = perm_shapley(3, coordinated.value)
     ok = (
         amount == Fraction(1, 2)
         and phi == (Fraction(9, 2), Fraction(11, 2), Fraction(5, 2))

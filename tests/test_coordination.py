@@ -7,7 +7,6 @@ from symbio.coordination import (
     CoordinatedGame,
     Policy,
     PolicyLabel,
-    classify,
     enforce_policy,
     synthesize_prohibition,
     synthesize_promotion,
@@ -15,18 +14,10 @@ from symbio.coordination import (
 )
 from symbio.errors import NonpositiveEpsilon, PolicyInvalid, RosterMismatch, TargetTooSmall
 from symbio.games import ISNGame, coalitions, subgame
-from symbio.mcnets import MCNet, MCNetRule, empty_net, evaluate, net_shapley, from_isn_game
+from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley, from_isn_game
 from symbio.solutions import is_implementable
 
 from helpers import random_game, random_net
-
-
-def test_classify_defaults_to_permitted():
-    policy = Policy({frozenset({0, 1}): PolicyLabel.PROMOTED})
-    assert classify(policy, {0, 1}) is PolicyLabel.PROMOTED
-    assert classify(policy, {1, 2}) is PolicyLabel.PERMITTED
-    banned = Policy({frozenset({0, 1, 2}): PolicyLabel.PROHIBITED})
-    assert classify(banned, {0, 1, 2}) is PolicyLabel.PROHIBITED
 
 
 def test_policy_validation():
@@ -51,7 +42,7 @@ def test_incentive_value_is_mcnet_evaluation(g3):
     net = MCNet(3, (MCNetRule({0, 1, 2}, set(), Fraction(1, 2)),))
     assert evaluate(net, {0, 1, 2}) == Fraction(1, 2)
     assert evaluate(net, {0, 1}) == 0
-    assert evaluate(empty_net(3), {0, 1}) == 0
+    assert evaluate(MCNet(3, ()), {0, 1}) == 0
     coordinated = CoordinatedGame(g3, net)
     for members in coalitions(3):
         assert coordinated.value(members) - g3.value(members) == evaluate(net, members)
@@ -113,7 +104,7 @@ def test_coordinate_additivity(g3):
     for members in coalitions(3):
         if members != frozenset({0, 1, 2}):
             assert coordinated.value(members) == g3.value(members)
-    identity = CoordinatedGame(g3, empty_net(3))
+    identity = CoordinatedGame(g3, MCNet(3, ()))
     for members in coalitions(3):
         assert identity.value(members) == g3.value(members)
 
@@ -131,7 +122,7 @@ def test_coordinate_matches_mcnet_composition(g3):
 
 def test_coordinate_roster_mismatch(g3):
     with pytest.raises(RosterMismatch):
-        CoordinatedGame(g3, empty_net(4))
+        CoordinatedGame(g3, MCNet(4, ()))
 
 
 def test_coordination_additivity_for_arbitrary_nets():
@@ -246,4 +237,4 @@ def test_disjoint_promotions_are_simultaneously_implementable():
 
 def test_coordinated_game_validates_roster(g3):
     with pytest.raises(RosterMismatch):
-        CoordinatedGame(g3, empty_net(2))
+        CoordinatedGame(g3, MCNet(2, ()))

@@ -243,3 +243,17 @@ def test_too_many_routes_raise_before_any_lp(lp_calls):
     _, cost = optimal_exchange_plan(scenario, range(3))
     assert cost < t_value(scenario, range(3))
     assert len(lp_calls) == 2**6 - 1
+
+
+def test_game_build_makes_no_plans(monkeypatch):
+    built = []
+    for name in ("ExchangePlan", "Shipment"):
+        cls = getattr(symbio.exchange, name)
+        monkeypatch.setattr(symbio.exchange, name, lambda *a, cls=cls: built.append(a) or cls(*a))
+    scenario = dense_scenario(3)
+    game = scenario_to_game(scenario)
+    assert game.value({0, 1, 2}) > 0
+    assert built == []
+    # the spy does see the plans the per-coalition optimizer builds
+    plan, _ = optimal_exchange_plan(scenario, range(3))
+    assert plan.shipments and built

@@ -10,15 +10,13 @@ from symbio.games import ISNGame, coalitions, make_isn_game
 from symbio.mcnets import (
     MCNet,
     MCNetRule,
-    applicable,
     compose,
-    empty_net,
     evaluate,
     from_isn_game,
     net_shapley,
     rule_shapley,
 )
-from symbio.solutions import shapley, shapley_bruteforce
+from symbio.solutions import shapley
 
 from helpers import perm_shapley, random_game, rule_indicator_value, subset_shapley
 
@@ -26,9 +24,10 @@ RULE = MCNetRule({0, 1}, {2}, 6)
 
 
 def test_applicability():
-    assert applicable(RULE, {0, 1})
-    assert not applicable(RULE, {0, 1, 2})  # negative literal present
-    assert not applicable(RULE, {0})  # positive pattern not contained
+    net = MCNet(3, (RULE,))
+    assert evaluate(net, {0, 1}) == RULE.value
+    assert evaluate(net, {0, 1, 2}) == 0  # negative literal present
+    assert evaluate(net, {0}) == 0  # positive pattern not contained
 
 
 def test_rule_validation():
@@ -47,7 +46,7 @@ def test_rule_validation():
 def test_evaluate_sums_applicable_rules(g3):
     net = from_isn_game(g3)
     assert evaluate(net, {0, 1}) == 10
-    assert evaluate(empty_net(3), {0, 1}) == 0
+    assert evaluate(MCNet(3, ()), {0, 1}) == 0
     blocked = MCNet(2, (MCNetRule({0}, set(), 4), MCNetRule({1}, {0}, 3)))
     assert evaluate(blocked, {0, 1}) == 4
 
@@ -91,7 +90,7 @@ def test_exactly_one_rule_applies_to_valued_coalitions(seed, n):
     for members in coalitions(n, min_size=2):
         if game.value(members) == 0:
             continue
-        hits = [r for r in net.rules if applicable(r, members)]
+        hits = [r for r in net.rules if rule_indicator_value(r)(members)]
         assert len(hits) == 1
         assert hits[0].positive == members
 
@@ -156,7 +155,7 @@ def test_net_shapley_on_g3(g3):
         Fraction(16, 3),
         Fraction(7, 3),
     )
-    assert net_shapley(empty_net(3)) == (0, 0, 0)
+    assert net_shapley(MCNet(3, ())) == (0, 0, 0)
     single = MCNet(3, (MCNetRule({0, 1}, set(), 10),))
     assert net_shapley(single) == (5, 5, 0)
 
@@ -165,14 +164,14 @@ def test_net_shapley_on_g3(g3):
 @settings(max_examples=20, deadline=None)
 def test_net_shapley_agrees_with_bruteforce(seed, n):
     game = random_game(random.Random(seed), n)
-    slow = shapley_bruteforce(game)
+    slow = perm_shapley(n, game.value)
     assert net_shapley(from_isn_game(game)) == slow
     assert shapley(game) == slow
 
 
 def test_compose(g3):
     net = from_isn_game(g3)
-    assert compose(net, empty_net(3)).rules == net.rules
+    assert compose(net, MCNet(3, ())).rules == net.rules
     bump = MCNet(3, (MCNetRule({0, 1, 2}, set(), Fraction(1, 2)),))
     merged = compose(net, bump)
     assert len(merged.rules) == 5
@@ -180,7 +179,7 @@ def test_compose(g3):
     r1, r2 = MCNetRule({0}, set(), 1), MCNetRule({1}, set(), 2)
     assert compose(MCNet(2, (r1,)), MCNet(2, (r2,))).rules == (r1, r2)
     with pytest.raises(RosterMismatch):
-        compose(net, empty_net(2))
+        compose(net, MCNet(2, ()))
 
 
 def test_compose_is_additive_and_associative(g3):

@@ -5,23 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbio import lp
+from symbio import solutions
 from symbio.coordination import CoordinatedGame
-from symbio.errors import BoundExceeded, LengthMismatch
+from symbio.errors import LengthMismatch
 from symbio.exchange import scenario_to_game
-from symbio.games import ISNGame, check_superadditive, coalitions, make_isn_game, members_of
+from symbio.games import ISNGame, check_superadditive, coalitions, members_of
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley
-from symbio.solutions import (
-    core_nonempty,
-    core_nonempty_by_enumeration,
-    in_core,
-    is_implementable,
-    shapley,
-    shapley_bruteforce,
-)
+from symbio.solutions import core_nonempty, in_core, is_implementable, shapley
 
 from helpers import (
     core_constraints_hold,
+    core_nonempty_by_enumeration,
     fraction_solve_lp,
     perm_shapley,
     random_game,
@@ -31,16 +25,16 @@ from helpers import (
 
 
 def test_shapley_on_g3(g3):
-    assert shapley_bruteforce(g3) == (Fraction(13, 3), Fraction(16, 3), Fraction(7, 3))
+    assert shapley(g3) == (Fraction(13, 3), Fraction(16, 3), Fraction(7, 3))
 
 
 def test_shapley_symmetric_two_agent_game():
     game = ISNGame.from_values(2, {(0, 1): 20})
-    assert shapley_bruteforce(game) == (10, 10)
+    assert shapley(game) == (10, 10)
 
 
 def test_shapley_zero_game():
-    assert shapley_bruteforce(ISNGame.from_values(3, {})) == (0, 0, 0)
+    assert shapley(ISNGame.from_values(3, {})) == (0, 0, 0)
 
 
 def test_subset_formula_shapley_on_g3(g3):
@@ -62,28 +56,14 @@ def test_subset_formula_shapley_on_coordinated_games():
         expected = perm_shapley(n, lambda s: game.value(s) + evaluate(net, s))
         assert coordinated.table[0] != 0
         assert shapley(coordinated) == expected
-        assert shapley_bruteforce(coordinated) == expected
         assert net_shapley(coordinated.as_mcnet()) == expected
-
-
-def test_shapley_bound():
-    with pytest.raises(BoundExceeded):
-        shapley_bruteforce(make_isn_game(10, _zero_tables(10), _zero_tables(10)))
-
-
-def _zero_tables(n):
-    return {
-        frozenset(i for i in range(n) if mask >> i & 1): 0
-        for mask in range(1 << n)
-        if bin(mask).count("1") >= 2
-    }
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=6))
 @settings(max_examples=25, deadline=None)
 def test_shapley_efficiency(seed, n):
     game = random_game(random.Random(seed), n)
-    phi = shapley_bruteforce(game)
+    phi = shapley(game)
     assert sum(phi) == game.value(frozenset(range(n)))
 
 
@@ -102,7 +82,7 @@ def test_shapley_equivariant_under_relabeling(seed):
             for members in coalitions(n, min_size=2)
         },
     )
-    phi, psi = shapley_bruteforce(game), shapley_bruteforce(relabeled)
+    phi, psi = shapley(game), shapley(relabeled)
     assert all(psi[perm[i]] == phi[i] for i in range(n))
 
 
@@ -119,6 +99,33 @@ def test_in_core_boundary_allocation_counts():
     assert in_core(game, (10, 0))
     assert in_core(game, (0, 10))
     assert not in_core(game, (11, -1))
+
+
+def test_in_core_matches_constraint_oracle():
+    rng = random.Random(41)
+    verdicts = []
+    for n in range(2, 7):
+        for _ in range(12):
+            game = random_game(rng, n)
+            candidates = [shapley(game)]
+            result = core_nonempty(game)
+            if result.nonempty:
+                # the LP witness is a vertex: on the boundary of the core
+                x = result.witness
+                step = Fraction(1, rng.choice([1, 2, 3, 7]))
+                i, j = rng.sample(range(n), 2)
+                candidates.append(x)
+                for d in (step, -step):
+                    moved = list(x)
+                    moved[i] += d
+                    candidates.append(tuple(moved))  # off the efficiency plane
+                    moved[j] -= d
+                    candidates.append(tuple(moved))  # along it, across some rows
+            for x in candidates:
+                verdict = in_core(game, x)
+                assert verdict == core_constraints_hold(game, x)
+                verdicts.append(verdict)
+    assert verdicts.count(True) >= 25 and verdicts.count(False) >= 60
 
 
 def test_core_of_g3(g3):
@@ -186,7 +193,7 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
                 result = core_nonempty(game)
                 oracle_calls.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(lp, "solve_lp", oracle)
+                    m.setattr(solutions, "solve_lp", oracle)
                     assert core_nonempty(game) == result
                 if oracle_calls:
                     verdicts.add((n, result.nonempty))
