@@ -38,7 +38,7 @@ nearly = CoordinatedGame(game, MCNet(3, (shaved,)))
 print("with 999/1000 of the subsidy:", is_implementable(subgame(nearly, {0, 1, 2})))
 
 print()
-policy = Policy.from_groups(promoted=[{0, 1, 2}], prohibited=[{0, 1}])
+policy = Policy(promoted=[{0, 1, 2}], prohibited=[{0, 1}])
 net = enforce_policy(game, policy, epsilon=1)
 print("rules enforcing promote {0,1,2} / prohibit {0,1}:")
 for r in net.rules:

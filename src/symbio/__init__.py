@@ -9,13 +9,10 @@ while blocking prohibited ones. All arithmetic is exact rational.
 
 from .coordination import (
     CoordinatedGame,
-    IncentiveNet,
     Policy,
-    PolicyLabel,
     enforce_policy,
     synthesize_prohibition,
     synthesize_promotion,
-    validate_policy,
 )
 from .errors import (
     BoundExceeded,
@@ -80,7 +77,6 @@ __all__ = [
     "ExchangePlan",
     "ExchangeScenario",
     "ISNGame",
-    "IncentiveNet",
     "LengthMismatch",
     "MCNet",
     "MCNetRule",
@@ -90,7 +86,6 @@ __all__ = [
     "ParseError",
     "Policy",
     "PolicyInvalid",
-    "PolicyLabel",
     "ResourceStream",
     "RosterMismatch",
     "ScenarioError",
@@ -121,6 +116,5 @@ __all__ = [
     "synthesize_prohibition",
     "synthesize_promotion",
     "t_value",
-    "validate_policy",
     "waste_offer",
 ]

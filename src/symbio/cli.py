@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coordination import CoordinatedGame, Policy, PolicyLabel, enforce_policy, validate_policy
+from .coordination import CoordinatedGame, Policy, enforce_policy
 from .errors import BoundExceeded, ParseError, SymbioError, ValidationError
 from .exchange import (
     DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
@@ -92,7 +92,7 @@ def load_scenario(path: str) -> Scenario:
 
     Shape errors (a wrong JSON type, an unknown or repeated key, an unknown
     agent, an unreadable number) raise ParseError naming the field; data the
-    library rejects raises ValidationError.
+    library rejects raises ValidationError, its coalitions written by name.
     """
     try:
         with open(path) as fp:
@@ -119,7 +119,7 @@ def load_scenario(path: str) -> Scenario:
         policy = None
         if "policy" in doc:
             section = _expect(doc["policy"], dict, "policy", ("promoted", "prohibited"))
-            policy = Policy.from_groups(**{
+            policy = Policy(**{
                 label: [_group(g, f"policy.{label}[{k}]", ids)
                         for k, g in enumerate(_expect(groups, list, f"policy.{label}"))]
                 for label, groups in section.items()
@@ -136,13 +136,8 @@ def load_scenario(path: str) -> Scenario:
             game = scenario_to_game(_parse_exchange(doc["exchange"], ids))
     except (ParseError, BoundExceeded):
         raise
-    except (SymbioError, ValueError) as e:
-        raise ValidationError(str(e)) from None
-
-    clash = None if policy is None else validate_policy(policy)
-    if clash is not None:
-        a, b = (_coalition_key(names, g) for g in clash)
-        raise ValidationError(f"promoted groups overlap: {{{a}}} and {{{b}}}")
+    except SymbioError as e:
+        raise ValidationError(e.describe(lambda s: f"{{{_coalition_key(names, s)}}}")) from None
     return Scenario(names, game, policy, "tables" if "tables" in doc else "exchange")
 
 
@@ -258,26 +253,31 @@ def cmd_mcnet(scenario: Scenario) -> dict:
 
 
 def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
-    if scenario.policy is None:
+    policy = scenario.policy
+    if policy is None:
         raise ValidationError("no policy section in scenario file")
     game = scenario.game
     names = scenario.agents
-    net = enforce_policy(game, scenario.policy, epsilon)
+    net = enforce_policy(game, policy, epsilon)
     coordinated = CoordinatedGame(game, net)
     subsidy_of = {rule.positive: rule.value for rule in net.rules if rule.value > 0}
 
     verdicts = []
-    for label in (PolicyLabel.PROMOTED, PolicyLabel.PROHIBITED):
-        for grp in scenario.policy.groups(label):
-            entry = {"group": _coalition_key(names, grp), "label": label.value}
-            if label is PolicyLabel.PROMOTED:
-                entry["subsidy"] = str(subsidy_of.get(grp, Fraction(0)))
-                entry["implementable"] = is_implementable(subgame(coordinated, grp))
-            else:
-                cv = coordinated.value(grp)
-                entry["coordinated_value"] = str(cv)
-                entry["blocked"] = cv < 0
-            verdicts.append(entry)
+    for grp in policy.promoted:
+        verdicts.append({
+            "group": _coalition_key(names, grp),
+            "label": "promoted",
+            "subsidy": str(subsidy_of.get(grp, Fraction(0))),
+            "implementable": is_implementable(subgame(coordinated, grp)),
+        })
+    for grp in policy.prohibited:
+        cv = coordinated.value(grp)
+        verdicts.append({
+            "group": _coalition_key(names, grp),
+            "label": "prohibited",
+            "coordinated_value": str(cv),
+            "blocked": cv < 0,
+        })
 
     return {
         "command": "enforce",
@@ -285,12 +285,8 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         "source": scenario.source,
         "epsilon": str(epsilon),
         "policy": {
-            "promoted": [
-                _coalition_key(names, g) for g in scenario.policy.groups(PolicyLabel.PROMOTED)
-            ],
-            "prohibited": [
-                _coalition_key(names, g) for g in scenario.policy.groups(PolicyLabel.PROHIBITED)
-            ],
+            "promoted": [_coalition_key(names, g) for g in policy.promoted],
+            "prohibited": [_coalition_key(names, g) for g in policy.prohibited],
         },
         "incentive_rules": [_rule_entry(names, r) for r in net.rules],
         "coordinated_values": _value_rows(names, coordinated),

@@ -1,87 +1,57 @@
 """Normative coordination: policies, incentive rules, coordinated games.
 
-A policy labels agent groups as promoted, permitted or prohibited. The
-regulator turns labels into an incentive net: a minimal subsidy on each
-promoted group's grand coalition (making the group's Shapley allocation
-enter its core) and a tax on each prohibited group pushing its coordinated
-worth strictly below what its members get alone. Incentive rules use the
-exact-group pattern (S, roster minus S), so they touch no other coalition.
+A policy promotes some agent groups and prohibits others; every other
+group is permitted. The regulator turns the policy into an incentive net,
+a plain MC-net whose positive values are subsidies and negative values
+taxes: a minimal subsidy on each promoted group's grand coalition (making
+the group's Shapley allocation enter its core) and a tax on each
+prohibited group pushing its coordinated worth strictly below what its
+members get alone. Incentive rules use the exact-group pattern
+(S, roster minus S), so they touch no other coalition.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .errors import (
-    NonpositiveEpsilon,
-    PolicyInvalid,
-    RosterMismatch,
-    TargetTooSmall,
-    UnknownAgent,
-)
-from .games import ISNGame, as_money, coalition, mask_of, subgame
+from .errors import NonpositiveEpsilon, PolicyInvalid, RosterMismatch, TargetTooSmall
+from .games import ISNGame, as_money, check_roster, coalition, mask_of, subgame
 from .mcnets import MCNet, MCNetRule, compose, from_isn_game
 from .solutions import shapley
-
-#: Incentive regulations are plain MC-nets; positive values are subsidies,
-#: negative values are taxes.
-IncentiveNet = MCNet
-
-
-class PolicyLabel(enum.Enum):
-    PROMOTED = "promoted"
-    PERMITTED = "permitted"
-    PROHIBITED = "prohibited"
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Group labels assigned by the authority; unlabeled means permitted."""
+    """Groups the authority promotes or prohibits; any other group is permitted.
 
-    labels: Mapping
+    Each field becomes a tuple of coalitions in ascending bitmask order.
+    Construction enforces every policy rule and raises PolicyInvalid,
+    naming the offending groups, when a group has fewer than two agents,
+    when a group is listed twice (within a list or across both), or when
+    two promoted groups overlap: only pairwise disjoint promotions can all
+    be implementable at once.
+    """
+
+    promoted: "tuple[frozenset, ...]" = ()
+    prohibited: "tuple[frozenset, ...]" = ()
 
     def __post_init__(self):
-        canonical = {}
-        for raw, label in self.labels.items():
-            group = coalition(raw)
-            if len(group) < 2:
-                raise ValueError("only groups of two or more agents can be labeled")
-            if not isinstance(label, PolicyLabel):
-                raise ValueError(f"not a policy label: {label!r}")
-            if group in canonical:
-                raise ValueError(f"group {sorted(group)} labeled twice")
-            canonical[group] = label
-        object.__setattr__(self, "labels", canonical)
-
-    @classmethod
-    def from_groups(cls, promoted=(), prohibited=()) -> "Policy":
-        labels = {}
-        for label, groups in (PolicyLabel.PROMOTED, promoted), (PolicyLabel.PROHIBITED, prohibited):
-            for g in groups:
-                group = coalition(g)
-                if group in labels:
-                    raise ValueError(f"group {sorted(group)} labeled twice")
-                labels[group] = label
-        return cls(labels)
-
-    def groups(self, label: PolicyLabel):
-        """Groups carrying a label, ascending by bitmask for determinism."""
-        return sorted(
-            (g for g, l in self.labels.items() if l is label), key=mask_of
-        )
-
-
-def validate_policy(policy: Policy):
-    """None when promoted groups are pairwise disjoint, else one clash."""
-    promoted = policy.groups(PolicyLabel.PROMOTED)
-    for i, a in enumerate(promoted):
-        for b in promoted[i + 1 :]:
-            if a & b:
-                return (a, b)
-    return None
+        seen = set()
+        for name in "promoted", "prohibited":
+            groups = tuple(sorted(map(coalition, getattr(self, name)), key=mask_of))
+            for group in groups:
+                if len(group) < 2:
+                    raise PolicyInvalid("group {} has fewer than two agents", group)
+                if group in seen:
+                    raise PolicyInvalid("group {} labeled twice", group)
+                seen.add(group)
+            object.__setattr__(self, name, groups)
+        for i, a in enumerate(self.promoted):
+            for b in self.promoted[i + 1 :]:
+                if a & b:
+                    raise PolicyInvalid("promoted groups overlap: {} and {}", a, b)
 
 
 @dataclass(frozen=True)
@@ -93,7 +63,7 @@ class CoordinatedGame:
     """
 
     base: ISNGame
-    incentives: IncentiveNet
+    incentives: MCNet
     table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -172,34 +142,26 @@ def synthesize_prohibition(game, target: Iterable[int], epsilon) -> "MCNetRule |
     return MCNetRule(target, rest, tax)
 
 
-def enforce_policy(game: ISNGame, policy: Policy, epsilon=Fraction(1)) -> IncentiveNet:
+def enforce_policy(game: ISNGame, policy: Policy, epsilon=Fraction(1)) -> MCNet:
     """Incentive net realizing a policy over the whole roster.
 
-    Promoted groups must be pairwise disjoint (PolicyInvalid otherwise).
     Prohibition taxes are synthesized first; promotion subsidies are then
     computed against the tax-coordinated game, so a prohibited group nested
     inside a promoted one is priced in. Exact-group rules guarantee that
     permitted groups keep their market worth.
     """
-    clash = validate_policy(policy)
-    if clash is not None:
-        raise PolicyInvalid(*clash)
-    roster = frozenset(range(game.n_agents))
-    for group in policy.labels:
-        if not group <= roster:
-            raise UnknownAgent(
-                f"policy labels group {sorted(group)} outside the roster of {game.n_agents}"
-            )
+    for group in policy.promoted + policy.prohibited:
+        check_roster(group, game.n_agents)
 
     taxes = []
-    for group in policy.groups(PolicyLabel.PROHIBITED):
+    for group in policy.prohibited:
         rule = synthesize_prohibition(game, group, epsilon)
         if rule is not None:
             taxes.append(rule)
     taxed = CoordinatedGame(game, MCNet(game.n_agents, tuple(taxes)))
 
     subsidies = []
-    for group in policy.groups(PolicyLabel.PROMOTED):
+    for group in policy.promoted:
         rule, _ = synthesize_promotion(taxed, group)
         if rule is not None:
             subsidies.append(rule)

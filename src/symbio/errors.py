@@ -1,12 +1,29 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+A message that names coalitions is a template with one `{}` per coalition,
+kept in the error's `coalitions`: str() writes each as its sorted id list,
+and `describe` lets a caller that knows the agents' names write them its
+own way (the CLI prints `{A,B}`).
+"""
 
 
 class SymbioError(Exception):
     """Base class for all library errors."""
 
+    def __init__(self, template: str = "", *coalitions):
+        self.template = template
+        self.coalitions = tuple(frozenset(c) for c in coalitions)
+        super().__init__(self.describe(sorted))
+
+    def describe(self, show) -> str:
+        """The message with each named coalition written as show(coalition)."""
+        if not self.coalitions:
+            return self.template
+        return self.template.format(*map(show, self.coalitions))
+
 
 class MissingCoalition(SymbioError):
-    """A cost table lacks an entry for a coalition with two or more members."""
+    """A cost table lacks or repeats a coalition, or keys one of fewer than two members."""
 
 
 class UnknownAgent(SymbioError):
@@ -34,14 +51,7 @@ class NonpositiveEpsilon(SymbioError):
 
 
 class PolicyInvalid(SymbioError):
-    """A policy violates the mutual-exclusivity requirement on promoted groups."""
-
-    def __init__(self, group_a, group_b):
-        self.group_a = frozenset(group_a)
-        self.group_b = frozenset(group_b)
-        super().__init__(
-            f"promoted groups overlap: {sorted(self.group_a)} and {sorted(self.group_b)}"
-        )
+    """A policy group has one agent or is listed twice, or promoted groups overlap."""
 
 
 class ScenarioError(SymbioError):

@@ -156,10 +156,10 @@ def _read_table(n_agents: int, values: Mapping, name: str) -> "dict[int, Money]"
             if i >= n_agents:
                 raise UnknownAgent(f"{name} table mentions agent {i}, roster has {n_agents}")
         if len(s) < 2:
-            raise ValueError(f"{name} table keys need two or more members, got {sorted(s)}")
+            raise MissingCoalition(f"{name} table keys need two or more members, got {{}}", s)
         mask = mask_of(s)
         if mask in out:
-            raise ValueError(f"{name} table lists coalition {sorted(s)} twice")
+            raise MissingCoalition(f"{name} table lists coalition {{}} twice", s)
         out[mask] = as_money(val)
     return out
 
@@ -179,7 +179,7 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
             continue
         for name, table in ("T", t), ("O", o):
             if mask not in table:
-                raise MissingCoalition(f"{name} table lacks coalition {sorted(members_of(mask))}")
+                raise MissingCoalition(f"{name} table lacks coalition {{}}", members_of(mask))
         values[mask] = t[mask] - o[mask]
     return ISNGame(n_agents, tuple(values))
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .errors import RosterMismatch, UnknownAgent
+from .errors import RosterMismatch
 from .games import ISNGame, Money, as_money, check_roster, coalition, members_of
 
 
@@ -49,13 +49,9 @@ class MCNet:
         object.__setattr__(self, "rules", tuple(self.rules))
         if self.n_agents < 1:
             raise ValueError("a net needs at least one agent")
-        full = frozenset(range(self.n_agents))
         for rule in self.rules:
-            if not (rule.positive | rule.negative) <= full:
-                raise UnknownAgent(
-                    f"rule mentions agents outside the roster of {self.n_agents}"
-                )
-            if rule.negative == full:
+            check_roster(rule.positive | rule.negative, self.n_agents)
+            if len(rule.negative) == self.n_agents:
                 raise ValueError("negative pattern may not be the whole roster")
 
 
@@ -97,9 +93,7 @@ def rule_shapley(rule: MCNetRule, n_agents: int) -> "tuple[Fraction, ...]":
     -value * p! (q-1)! / (p+q)!; everyone else gets zero. Matches the
     permutation average exactly (property-tested against it).
     """
-    full = frozenset(range(n_agents))
-    if not (rule.positive | rule.negative) <= full:
-        raise UnknownAgent(f"rule does not fit a roster of {n_agents}")
+    check_roster(rule.positive | rule.negative, n_agents)
     p, q = len(rule.positive), len(rule.negative)
     total = factorial(p + q)
     out = [Fraction(0)] * n_agents

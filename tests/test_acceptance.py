@@ -143,13 +143,12 @@ def test_criterion_08_mutual_exclusivity():
         cut = rng.randint(2, n - 2)
         a, b = frozenset(ids[:cut]), frozenset(ids[cut:])
         coordinated = CoordinatedGame(
-            game, enforce_policy(game, Policy.from_groups(promoted=[a, b]))
+            game, enforce_policy(game, Policy(promoted=[a, b]))
         )
         ok = ok and is_implementable(subgame(coordinated, a))
         ok = ok and is_implementable(subgame(coordinated, b))
-    overlapping = Policy.from_groups(promoted=[{0, 1}, {1, 2}])
     try:
-        enforce_policy(random_game(random.Random(0), 3), overlapping)
+        enforce_policy(random_game(random.Random(0), 3), Policy(promoted=[{0, 1}, {1, 2}]))
         rejected = False
     except PolicyInvalid:
         rejected = True
@@ -173,7 +172,7 @@ def test_criterion_09_prohibition_contract():
         if n >= 4 and rng.random() < 0.5:
             promoted = [frozenset(members[2:])]
             labeled.add(promoted[0])
-        policy = Policy.from_groups(promoted=promoted, prohibited=[banned])
+        policy = Policy(promoted=promoted, prohibited=[banned])
         coordinated = CoordinatedGame(game, enforce_policy(game, policy, epsilon))
         ok = ok and coordinated.value(banned) == -epsilon
         for group in coalitions(n):

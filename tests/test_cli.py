@@ -385,7 +385,22 @@ def test_coalition_spelled_twice_exits_2(capsys, tmp_path):
     doc["tables"]["O"]["B,A"] = 0
     code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
     assert (code, out) == (2, "")
-    assert err == "error: O table lists coalition [0, 1] twice\n"
+    assert err == "error: O table lists coalition {A,B} twice\n"
+
+
+@pytest.mark.parametrize("table,key,value,message", [
+    ("T", "A,C", None, "T table lacks coalition {A,C}"),  # None drops the key
+    ("O", "C", 1, "O table keys need two or more members, got {C}"),
+])
+def test_table_errors_name_agents_exit_2(capsys, tmp_path, table, key, value, message):
+    doc = _data("g3.json")
+    if value is None:
+        del doc["tables"][table][key]
+    else:
+        doc["tables"][table][key] = value
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("section,entry", [
@@ -432,7 +447,10 @@ def test_non_string_resource_exits_2(capsys, tmp_path, index):
 @pytest.mark.parametrize("promoted,message", [
     (5, "policy.promoted: must be a list"),
     ([["A", ["B"]]], "policy.promoted[0]: unknown agent ['B']"),
-    (["A,B", "B,A"], "group [0, 1] labeled twice"),
+    (["A,B", "B,A"], "group {A,B} labeled twice"),
+    ([["A", "B"], ["B", "C"]], "promoted groups overlap: {A,B} and {B,C}"),
+    (["C,B", "A,B"], "promoted groups overlap: {A,B} and {B,C}"),
+    ([["C"]], "group {C} has fewer than two agents"),
 ])
 def test_policy_shape_errors_exit_2(capsys, tmp_path, promoted, message):
     doc = _data("g3.json")

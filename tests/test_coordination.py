@@ -6,13 +6,13 @@ import pytest
 from symbio.coordination import (
     CoordinatedGame,
     Policy,
-    PolicyLabel,
     enforce_policy,
     synthesize_prohibition,
     synthesize_promotion,
-    validate_policy,
 )
-from symbio.errors import NonpositiveEpsilon, PolicyInvalid, RosterMismatch, TargetTooSmall
+from symbio.errors import (
+    NonpositiveEpsilon, PolicyInvalid, RosterMismatch, TargetTooSmall, UnknownAgent
+)
 from symbio.games import ISNGame, coalitions, subgame
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley, from_isn_game
 from symbio.solutions import is_implementable
@@ -21,21 +21,38 @@ from helpers import random_game, random_net
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        Policy({frozenset({0}): PolicyLabel.PROMOTED})
-    with pytest.raises(ValueError):
-        Policy.from_groups(promoted=[{0, 1}], prohibited=[{0, 1}])
-    for twice in ({"promoted": [{0, 1}, {1, 0}]}, {"prohibited": [(0, 1), (1, 0)]}):
-        with pytest.raises(ValueError, match="labeled twice"):
-            Policy.from_groups(**twice)
+    for groups, named in [
+        ({"promoted": [{0}]}, [{0}]),
+        ({"promoted": [{0, 1}], "prohibited": [{0, 1}]}, [{0, 1}]),
+        ({"promoted": [{0, 1}, {1, 0}]}, [{0, 1}]),
+        ({"prohibited": [(0, 1), (1, 0)]}, [{0, 1}]),
+        ({"promoted": [{1, 2}, {0, 1}]}, [{0, 1}, {1, 2}]),
+    ]:
+        with pytest.raises(PolicyInvalid) as e:
+            Policy(**groups)
+        assert e.value.coalitions == tuple(map(frozenset, named))
+    with pytest.raises(PolicyInvalid, match=r"group \[0, 1\] labeled twice"):
+        Policy(promoted=[{0, 1}], prohibited=[{1, 0}])
+    with pytest.raises(PolicyInvalid, match=r"group \[2\] has fewer than two agents"):
+        Policy(prohibited=[{0, 1}, {2}])
 
 
-def test_validate_policy_mutual_exclusivity():
-    ok = Policy.from_groups(promoted=[{0, 1}, {2, 3}])
-    assert validate_policy(ok) is None
-    clash = Policy.from_groups(promoted=[{0, 1}, {1, 2}])
-    assert validate_policy(clash) == (frozenset({0, 1}), frozenset({1, 2}))
-    assert validate_policy(Policy.from_groups()) is None
+def test_policy_mutual_exclusivity():
+    ok = Policy(promoted=[{0, 1}, {2, 3}])
+    assert ok.promoted == (frozenset({0, 1}), frozenset({2, 3}))
+    with pytest.raises(PolicyInvalid, match=r"promoted groups overlap: \[0, 1\] and \[1, 2\]"):
+        Policy(promoted=[{1, 2}, {0, 1}])
+    assert Policy() == Policy(promoted=(), prohibited=())
+    # a prohibited group may overlap a promoted one, or another prohibited one
+    Policy(promoted=[{0, 1, 2}], prohibited=[{0, 1}, {1, 2}])
+
+
+def test_policy_groups_are_stored_in_bitmask_order():
+    policy = Policy(promoted=[{2, 3}, {0, 1}], prohibited=[[3, 1], [0, 2]])
+    assert policy.promoted == (frozenset({0, 1}), frozenset({2, 3}))
+    assert policy.prohibited == (frozenset({0, 2}), frozenset({1, 3}))
+    assert policy == Policy(promoted=[{0, 1}, {2, 3}], prohibited=[{0, 2}, {1, 3}])
+    assert hash(policy) == hash(Policy(promoted=[{0, 1}, {3, 2}], prohibited=[{1, 3}, {2, 0}]))
 
 
 def test_incentive_value_is_mcnet_evaluation(g3):
@@ -177,28 +194,33 @@ def test_promotion_additivity_of_shapley_shift(g3):
 
 
 def test_enforce_policy_promotion_only(g3):
-    net = enforce_policy(g3, Policy.from_groups(promoted=[{0, 1, 2}]))
+    net = enforce_policy(g3, Policy(promoted=[{0, 1, 2}]))
     assert [(r.positive, r.value) for r in net.rules] == [
         (frozenset({0, 1, 2}), Fraction(1, 2))
     ]
 
 
 def test_enforce_policy_prohibition_only(g3):
-    net = enforce_policy(g3, Policy.from_groups(prohibited=[{0, 1}]), epsilon=1)
+    net = enforce_policy(g3, Policy(prohibited=[{0, 1}]), epsilon=1)
     assert [(r.positive, r.negative, r.value) for r in net.rules] == [
         (frozenset({0, 1}), frozenset({2}), Fraction(-11))
     ]
 
 
+def test_enforce_policy_checks_the_roster(g3):
+    with pytest.raises(UnknownAgent, match="agent 3 not on a roster of 3"):
+        enforce_policy(g3, Policy(prohibited=[{2, 3}]))
+
+
 def test_enforce_policy_rejects_overlapping_promotions(g3):
     with pytest.raises(PolicyInvalid):
-        enforce_policy(g3, Policy.from_groups(promoted=[{0, 1}, {1, 2}]))
+        enforce_policy(g3, Policy(promoted=[{0, 1}, {1, 2}]))
 
 
 def test_enforce_policy_prices_in_nested_prohibition():
     rng = random.Random(31)
     game = random_game(rng, 4, lo=0, hi=12)
-    policy = Policy.from_groups(promoted=[{0, 1, 2}], prohibited=[{0, 1}])
+    policy = Policy(promoted=[{0, 1, 2}], prohibited=[{0, 1}])
     net = enforce_policy(game, policy, epsilon=2)
     coordinated = CoordinatedGame(game, net)
     assert coordinated.value({0, 1}) == -2
@@ -209,7 +231,7 @@ def test_enforce_policy_non_interference():
     rng = random.Random(37)
     for _ in range(10):
         game = random_game(rng, 4)
-        policy = Policy.from_groups(promoted=[{0, 1}], prohibited=[{2, 3}])
+        policy = Policy(promoted=[{0, 1}], prohibited=[{2, 3}])
         coordinated = CoordinatedGame(game, enforce_policy(game, policy))
         labeled = {frozenset({0, 1}), frozenset({2, 3})}
         for members in coalitions(4):
@@ -229,7 +251,7 @@ def test_disjoint_promotions_are_simultaneously_implementable():
     rng = random.Random(41)
     for _ in range(10):
         game = random_game(rng, 5)
-        policy = Policy.from_groups(promoted=[{0, 1}, {2, 3, 4}])
+        policy = Policy(promoted=[{0, 1}, {2, 3, 4}])
         coordinated = CoordinatedGame(game, enforce_policy(game, policy))
         assert is_implementable(subgame(coordinated, {0, 1}))
         assert is_implementable(subgame(coordinated, {2, 3, 4}))

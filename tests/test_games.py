@@ -50,10 +50,11 @@ def test_out_of_roster_table_entry_rejected():
 
 
 def test_coalition_listed_twice_rejected():
-    with pytest.raises(ValueError, match=r"value table lists coalition \[0, 1\] twice"):
+    with pytest.raises(MissingCoalition, match=r"value table lists coalition \[0, 1\] twice"):
         ISNGame.from_values(2, {(0, 1): 1, (1, 0): 2})
-    with pytest.raises(ValueError, match=r"T table lists coalition \[0, 2\] twice"):
+    with pytest.raises(MissingCoalition, match=r"T table lists coalition \[0, 2\] twice") as e:
         make_isn_game(3, {(0, 2): 1, (2, 0): 1}, {})
+    assert e.value.coalitions == (frozenset({0, 2}),)
 
 
 def test_value_rejects_unknown_agent(g3):

@@ -39,8 +39,9 @@ def test_rule_validation():
         MCNetRule({0}, set(), 0)
     with pytest.raises(ValueError):
         MCNet(2, (MCNetRule(set(), {0, 1}, 1),))  # negative == whole roster
-    with pytest.raises(UnknownAgent):
-        MCNet(2, (MCNetRule({5}, set(), 1),))
+    for rule in MCNetRule({5}, set(), 1), MCNetRule({0}, {2}, 1):
+        with pytest.raises(UnknownAgent):
+            MCNet(2, (rule,))
 
 
 def test_evaluate_sums_applicable_rules(g3):
@@ -99,6 +100,8 @@ def test_rule_shapley_examples():
     assert rule_shapley(MCNetRule({0, 1}, set(), 10), 3) == (5, 5, 0)
     assert rule_shapley(RULE, 3) == (1, 1, -2)
     assert rule_shapley(MCNetRule({0}, set(), 4), 3) == (4, 0, 0)
+    with pytest.raises(UnknownAgent):
+        rule_shapley(RULE, 2)
 
 
 @given(
