@@ -14,20 +14,7 @@ from .coordination import (
     synthesize_prohibition,
     synthesize_promotion,
 )
-from .errors import (
-    BoundExceeded,
-    LengthMismatch,
-    MissingCoalition,
-    NonpositiveEpsilon,
-    ParseError,
-    PolicyInvalid,
-    RosterMismatch,
-    ScenarioError,
-    SymbioError,
-    TargetTooSmall,
-    UnknownAgent,
-    ValidationError,
-)
+from .errors import BoundExceeded, SymbioError
 from .exchange import (
     ExchangePlan,
     ExchangeScenario,
@@ -42,7 +29,6 @@ from .exchange import (
 from .games import (
     ENUMERATION_BOUND,
     ISNGame,
-    Money,
     as_money,
     check_superadditive,
     coalition,
@@ -77,23 +63,12 @@ __all__ = [
     "ExchangePlan",
     "ExchangeScenario",
     "ISNGame",
-    "LengthMismatch",
     "MCNet",
     "MCNetRule",
-    "MissingCoalition",
-    "Money",
-    "NonpositiveEpsilon",
-    "ParseError",
     "Policy",
-    "PolicyInvalid",
     "ResourceStream",
-    "RosterMismatch",
-    "ScenarioError",
     "Shipment",
     "SymbioError",
-    "TargetTooSmall",
-    "UnknownAgent",
-    "ValidationError",
     "as_money",
     "check_superadditive",
     "coalition",

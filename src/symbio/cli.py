@@ -4,7 +4,8 @@ Subcommands: analyze, enforce, shapley, core, mcnet. Scenario files are
 JSON documents with an `agents` name list, exactly one of `tables` (T/O
 cost tables keyed by comma-joined agent names) or `exchange` (streams,
 transport, transaction), and an optional `policy` section; any other key,
-and any key or coalition given twice, is an error. All numbers are
+any key, coalition or agent in a coalition given twice, and a comma in an
+agent name are errors. All numbers are
 read exactly by games.as_money: integers, "a/b" strings, decimal strings,
 or raw JSON decimals (parsed from their source text, never through binary
 floats), within its digit and exponent caps.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coordination import CoordinatedGame, Policy, enforce_policy
-from .errors import BoundExceeded, ParseError, SymbioError, ValidationError
+from .errors import BoundExceeded, SymbioError
 from .exchange import (
     DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
 )
@@ -44,11 +45,11 @@ class Scenario:
 
 
 def _amount(raw, where: str) -> Fraction:
-    """as_money, with its errors reported as a ParseError naming the field."""
+    """as_money, with its errors reported as a SymbioError naming the field."""
     try:
         return as_money(raw)
     except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"{where}: {e}") from None
+        raise SymbioError(f"{where}: {e}") from None
 
 
 def _unique_keys(pairs) -> dict:
@@ -56,7 +57,7 @@ def _unique_keys(pairs) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
-        raise ParseError(f"key {key!r} given twice in one object")
+        raise SymbioError(f"key {key!r} given twice in one object")
     return obj
 
 
@@ -66,54 +67,64 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 def _expect(raw, kind: type, where: str, keys=None):
     """raw, checked to be a JSON value of `kind`; an object may hold only `keys`, if given."""
     if not isinstance(raw, kind):
-        raise ParseError(f"{where}: must be {_JSON_TYPES[kind]}")
+        raise SymbioError(f"{where}: must be {_JSON_TYPES[kind]}")
     if keys is not None and not raw.keys() <= set(keys):
-        raise ParseError(f"{where}: unknown key {min(raw.keys() - set(keys))!r}")
+        raise SymbioError(f"{where}: unknown key {min(raw.keys() - set(keys))!r}")
     return raw
 
 
 def _agent(raw, where: str, ids) -> int:
     if isinstance(raw, str) and raw in ids:
         return ids[raw]
-    raise ParseError(f"{where}: unknown agent {raw!r}")
+    raise SymbioError(f"{where}: unknown agent {raw!r}")
 
 
 def _group(raw, where: str, ids) -> "tuple[int, ...]":
-    """Agent ids of a name list or an 'A,B' string, in written order."""
+    """Agent ids of a name list or an 'A,B' string, in written order; no agent twice."""
     if isinstance(raw, str):
         raw = raw.split(",")
     elif not isinstance(raw, list):
-        raise ParseError(f"{where}: coalition must be a name list or 'A,B' string")
-    return tuple(_agent(name, where, ids) for name in raw)
+        raise SymbioError(f"{where}: coalition must be a name list or 'A,B' string")
+    group = tuple(_agent(name, where, ids) for name in raw)
+    if len(set(group)) < len(group):
+        twice = next(name for k, name in enumerate(raw) if name in raw[:k])
+        raise SymbioError(f"{where}: agent {twice!r} named twice")
+    return group
 
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file into a game plus optional policy.
 
-    Shape errors (a wrong JSON type, an unknown or repeated key, an unknown
-    agent, an unreadable number) raise ParseError naming the field; data the
-    library rejects raises ValidationError, its coalitions written by name.
+    Every fault raises SymbioError: shape errors (a wrong JSON type, an
+    unknown or repeated key, an unknown agent or one named twice in a
+    coalition, an agent name holding a comma, an unreadable number) name the
+    field, and data the library rejects is reported with its coalitions
+    written by name. A scenario past an enumeration bound raises
+    BoundExceeded.
     """
     try:
         with open(path) as fp:
             doc = json.load(fp, parse_float=as_money, object_pairs_hook=_unique_keys)
     except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from None
+        raise SymbioError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+        raise SymbioError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # oversized number, nesting too deep
-        raise ParseError(f"{path}: {e}") from None
+        raise SymbioError(f"{path}: {e}") from None
 
     _expect(doc, dict, "scenario file", ("agents", "tables", "exchange", "policy"))
     names = doc.get("agents")
     if not isinstance(names, list) or not names or not all(isinstance(a, str) for a in names):
-        raise ParseError("agents: must be a non-empty list of names")
+        raise SymbioError("agents: must be a non-empty list of names")
     if len(set(names)) != len(names):
-        raise ParseError("agents: names must be unique")
+        raise SymbioError("agents: names must be unique")
+    for name in names:
+        if "," in name:
+            raise SymbioError(f"agents: name {name!r} contains ','")
     names = tuple(names)
     ids = {name: i for i, name in enumerate(names)}
     if ("tables" in doc) == ("exchange" in doc):
-        raise ParseError("scenario needs exactly one of 'tables' or 'exchange'")
+        raise SymbioError("scenario needs exactly one of 'tables' or 'exchange'")
 
     try:
         policy = None
@@ -134,10 +145,10 @@ def load_scenario(path: str) -> Scenario:
             game = make_isn_game(len(names), t, o)
         else:
             game = scenario_to_game(_parse_exchange(doc["exchange"], ids))
-    except (ParseError, BoundExceeded):
+    except BoundExceeded:
         raise
     except SymbioError as e:
-        raise ValidationError(e.describe(lambda s: f"{{{_coalition_key(names, s)}}}")) from None
+        raise SymbioError(e.describe(lambda s: f"{{{_coalition_key(names, s)}}}")) from None
     return Scenario(names, game, policy, "tables" if "tables" in doc else "exchange")
 
 
@@ -148,7 +159,7 @@ def _parse_exchange(raw, ids) -> ExchangeScenario:
         where = f"exchange.streams[{k}]"
         kind = _expect(entry, dict, where).get("kind")
         if kind not in (OFFER, DEMAND):
-            raise ParseError(f"{where}.kind: must be 'offer' or 'demand'")
+            raise SymbioError(f"{where}.kind: must be 'offer' or 'demand'")
         _expect(entry, dict, where, ("firm", "kind", "resource", "quantity") + STREAM_COSTS[kind])
         streams.append(ResourceStream(
             _agent(entry.get("firm"), f"{where}.firm", ids),
@@ -166,7 +177,7 @@ def _parse_exchange(raw, ids) -> ExchangeScenario:
             key = tuple(_agent(entry.get(f), f"{where}.{f}", ids) for f in ("from", "to"))
             key += tuple(_expect(entry.get(f), str, f"{where}.{f}") for f in extra)
             if key in table:
-                raise ParseError(f"{where}: repeats the route of an earlier {name} entry")
+                raise SymbioError(f"{where}: repeats the route of an earlier {name} entry")
             table[key] = _amount(entry.get("cost"), f"{where}.cost")
     return ExchangeScenario(len(ids), tuple(streams), costs["transport"], costs["transaction"])
 
@@ -255,7 +266,7 @@ def cmd_mcnet(scenario: Scenario) -> dict:
 def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     policy = scenario.policy
     if policy is None:
-        raise ValidationError("no policy section in scenario file")
+        raise SymbioError("no policy section in scenario file")
     game = scenario.game
     names = scenario.agents
     net = enforce_policy(game, policy, epsilon)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NonpositiveEpsilon, PolicyInvalid, RosterMismatch, TargetTooSmall
+from .errors import SymbioError
 from .games import ISNGame, as_money, check_roster, coalition, mask_of, subgame
 from .mcnets import MCNet, MCNetRule, compose, from_isn_game
 from .solutions import shapley
@@ -27,7 +27,7 @@ class Policy:
     """Groups the authority promotes or prohibits; any other group is permitted.
 
     Each field becomes a tuple of coalitions in ascending bitmask order.
-    Construction enforces every policy rule and raises PolicyInvalid,
+    Construction enforces every policy rule and raises SymbioError,
     naming the offending groups, when a group has fewer than two agents,
     when a group is listed twice (within a list or across both), or when
     two promoted groups overlap: only pairwise disjoint promotions can all
@@ -43,15 +43,15 @@ class Policy:
             groups = tuple(sorted(map(coalition, getattr(self, name)), key=mask_of))
             for group in groups:
                 if len(group) < 2:
-                    raise PolicyInvalid("group {} has fewer than two agents", group)
+                    raise SymbioError("group {} has fewer than two agents", group)
                 if group in seen:
-                    raise PolicyInvalid("group {} labeled twice", group)
+                    raise SymbioError("group {} labeled twice", group)
                 seen.add(group)
             object.__setattr__(self, name, groups)
         for i, a in enumerate(self.promoted):
             for b in self.promoted[i + 1 :]:
                 if a & b:
-                    raise PolicyInvalid("promoted groups overlap: {} and {}", a, b)
+                    raise SymbioError("promoted groups overlap: {} and {}", a, b)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class CoordinatedGame:
     def __post_init__(self):
         n = self.base.n_agents
         if n != self.incentives.n_agents:
-            raise RosterMismatch(f"game has {n} agents, incentives {self.incentives.n_agents}")
+            raise SymbioError(f"game has {n} agents, incentives {self.incentives.n_agents}")
         table = list(self.base.table)
         for rule in self.incentives.rules:
             # the rule applies to positive | t for every t outside both patterns
@@ -104,7 +104,7 @@ def synthesize_promotion(game, target: Iterable[int]):
     """
     target = coalition(target)
     if len(target) < 2:
-        raise TargetTooSmall("promotion targets need at least two members")
+        raise SymbioError("promotion targets need at least two members")
     sub = subgame(game, target)
     phi = shapley(sub)
     k = sub.n_agents
@@ -132,9 +132,9 @@ def synthesize_prohibition(game, target: Iterable[int], epsilon) -> "MCNetRule |
     target = coalition(target)
     epsilon = as_money(epsilon)
     if len(target) < 2:
-        raise TargetTooSmall("prohibition targets need at least two members")
+        raise SymbioError("prohibition targets need at least two members")
     if epsilon <= 0:
-        raise NonpositiveEpsilon("prohibition margin must be > 0")
+        raise SymbioError("prohibition margin must be > 0")
     tax = -(game.value(target) + epsilon)
     if tax == 0:
         return None

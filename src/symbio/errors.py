@@ -1,4 +1,10 @@
-"""Exception types shared across the library.
+"""The library's two exception types.
+
+Every check on a value the library is given raises SymbioError, a
+ValueError, so `except ValueError` callers keep working; BoundExceeded is
+the one fault a caller may want to tell apart (the CLI exits 3 for it, 2
+for any other SymbioError). A binary float or other wrong Python type
+passed as money raises TypeError instead.
 
 A message that names coalitions is a template with one `{}` per coalition,
 kept in the error's `coalitions`: str() writes each as its sorted id list,
@@ -7,8 +13,8 @@ own way (the CLI prints `{A,B}`).
 """
 
 
-class SymbioError(Exception):
-    """Base class for all library errors."""
+class SymbioError(ValueError):
+    """A value given to the library breaks one of its rules."""
 
     def __init__(self, template: str = "", *coalitions):
         self.template = template
@@ -22,45 +28,5 @@ class SymbioError(Exception):
         return self.template.format(*map(show, self.coalitions))
 
 
-class MissingCoalition(SymbioError):
-    """A cost table lacks or repeats a coalition, or keys one of fewer than two members."""
-
-
-class UnknownAgent(SymbioError):
-    """A coalition contains an agent id that is not on the roster."""
-
-
 class BoundExceeded(SymbioError):
     """An enumeration-bounded operation was asked to exceed its bound."""
-
-
-class RosterMismatch(SymbioError):
-    """Two objects built over different agent rosters were combined."""
-
-
-class LengthMismatch(SymbioError):
-    """An allocation's length does not match the game's roster size."""
-
-
-class TargetTooSmall(SymbioError):
-    """Incentive synthesis targets must have at least two members."""
-
-
-class NonpositiveEpsilon(SymbioError):
-    """Prohibition margins must be strictly positive."""
-
-
-class PolicyInvalid(SymbioError):
-    """A policy group has one agent or is listed twice, or promoted groups overlap."""
-
-
-class ScenarioError(SymbioError):
-    """Exchange scenario data is inconsistent or incomplete."""
-
-
-class ParseError(SymbioError):
-    """A scenario file could not be parsed; message carries field diagnostics."""
-
-
-class ValidationError(SymbioError):
-    """A scenario file parsed but failed semantic validation."""

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import BoundExceeded, ScenarioError
-from .games import ENUMERATION_BOUND, ISNGame, Money, as_money, check_roster, coalition, mask_of, zero_table
+from .errors import BoundExceeded, SymbioError
+from .games import ENUMERATION_BOUND, ISNGame, as_money, check_roster, coalition, mask_of, zero_table
 from .lp import solve_lp
 
 OFFER = "offer"
@@ -58,16 +58,16 @@ class ResourceStream:
 
     def __post_init__(self):
         if self.kind not in (OFFER, DEMAND):
-            raise ScenarioError(f"stream kind must be offer or demand, got {self.kind!r}")
+            raise SymbioError(f"stream kind must be offer or demand, got {self.kind!r}")
         carried = STREAM_COSTS[self.kind]
         for name in STREAM_COSTS[OFFER] + STREAM_COSTS[DEMAND]:
             if (getattr(self, name) is None) == (name in carried):
-                raise ScenarioError(f"{self.kind}s carry exactly {' and '.join(carried)}")
+                raise SymbioError(f"{self.kind}s carry exactly {' and '.join(carried)}")
         for name in ("quantity",) + carried:
             amount = as_money(getattr(self, name))
             object.__setattr__(self, name, amount)
             if amount < 0:
-                raise ScenarioError(f"stream {name} must be >= 0")
+                raise SymbioError(f"stream {name} must be >= 0")
 
 
 def waste_offer(firm: int, resource: str, quantity, unit_discharge_cost) -> ResourceStream:
@@ -135,20 +135,23 @@ class ExchangeScenario:
             self, "transaction", {k: as_money(v) for k, v in self.transaction.items()}
         )
         if self.n_agents < 1:
-            raise ScenarioError("a scenario needs at least one firm")
+            raise SymbioError("a scenario needs at least one firm")
         for s in self.streams:
             if not 0 <= s.firm < self.n_agents:
-                raise ScenarioError(f"stream firm {s.firm} outside roster of {self.n_agents}")
+                raise SymbioError(f"stream firm {s.firm} outside roster of {self.n_agents}")
         for cost in list(self.transport.values()) + list(self.transaction.values()):
             if cost < 0:
-                raise ScenarioError("transport and transaction costs must be >= 0")
+                raise SymbioError("transport and transaction costs must be >= 0")
         for oi, di in self._compatible_pairs():
             o, d = self.streams[oi], self.streams[di]
-            route = (o.firm, d.firm, o.resource)
-            if route not in self.transport:
-                raise ScenarioError(f"missing transport cost for {route}")
+            firms = {o.firm}, {d.firm}
+            if (o.firm, d.firm, o.resource) not in self.transport:
+                resource = repr(o.resource).replace("{", "{{").replace("}", "}}")
+                raise SymbioError(
+                    f"missing transport cost from {{}} to {{}} for resource {resource}", *firms
+                )
             if (o.firm, d.firm) not in self.transaction:
-                raise ScenarioError(f"missing transaction cost for {(o.firm, d.firm)}")
+                raise SymbioError("missing transaction cost from {} to {}", *firms)
 
     def _compatible_pairs(self):
         """Stream index pairs (offer, demand) that could ever ship, ascending."""
@@ -160,7 +163,7 @@ class ExchangeScenario:
                     yield oi, di
 
 
-def t_value(scenario: ExchangeScenario, s: Iterable[int]) -> Money:
+def t_value(scenario: ExchangeScenario, s: Iterable[int]) -> Fraction:
     """Baseline cost of a coalition: discharge every offer, buy every demand."""
     members = coalition(s)
     check_roster(members, scenario.n_agents)

@@ -16,11 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BoundExceeded, MissingCoalition, UnknownAgent
-
-Money = Fraction
-AgentId = int
-Coalition = frozenset
+from .errors import BoundExceeded, SymbioError
 
 #: Dense coalition tables become unreasonable past 2^16 entries.
 ENUMERATION_BOUND = 16
@@ -34,13 +30,13 @@ MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def as_money(x) -> Money:
+def as_money(x) -> Fraction:
     """Coerce ints, strings ("3", "1/2", "0.25") and Decimals to Fraction.
 
     Binary floats are rejected (TypeError): converting them would silently
     import rounding error into computations that must stay exact. Text with
     more than MAX_DIGITS digits or an exponent beyond +-MAX_EXPONENT is
-    rejected (ValueError) before it is expanded.
+    rejected (SymbioError) before it is expanded.
     """
     if isinstance(x, Fraction):
         return x
@@ -52,20 +48,20 @@ def as_money(x) -> Money:
         x = str(x)
     if isinstance(x, str):
         if sum(c.isdigit() for c in x) > MAX_DIGITS:
-            raise ValueError(f"number has more than {MAX_DIGITS} digits")
+            raise SymbioError(f"number has more than {MAX_DIGITS} digits")
         exponent = _EXPONENT.search(x)
         if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise ValueError(f"number {x!r} has an exponent beyond {MAX_EXPONENT}")
+            raise SymbioError(f"number {x!r} has an exponent beyond {MAX_EXPONENT}")
         return Fraction(x)
     raise TypeError(f"cannot represent {x!r} exactly; use int, Fraction or string")
 
 
-def coalition(members: Iterable[int]) -> Coalition:
-    """Canonicalize an iterable of agent ids into a Coalition."""
+def coalition(members: Iterable[int]) -> frozenset:
+    """Canonicalize an iterable of agent ids into a frozenset."""
     s = frozenset(members)
     for i in s:
         if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-            raise UnknownAgent(f"agent ids must be non-negative integers, got {i!r}")
+            raise SymbioError(f"agent ids must be non-negative integers, got {i!r}")
     return s
 
 
@@ -76,11 +72,11 @@ def mask_of(members: Iterable[int]) -> int:
     return m
 
 
-def members_of(mask: int) -> Coalition:
+def members_of(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def coalitions(n_agents: int, min_size: int = 0) -> Iterator[Coalition]:
+def coalitions(n_agents: int, min_size: int = 0) -> Iterator[frozenset]:
     """All coalitions of an n-agent roster in ascending bitmask order."""
     for mask in range(1 << n_agents):
         if mask.bit_count() >= min_size:
@@ -89,14 +85,14 @@ def coalitions(n_agents: int, min_size: int = 0) -> Iterator[Coalition]:
 
 def _check_agent_count(n_agents: int) -> None:
     if n_agents < 1:
-        raise ValueError("a game needs at least one agent")
+        raise SymbioError("a game needs at least one agent")
     if n_agents > ENUMERATION_BOUND:
         raise BoundExceeded(
             f"dense coalition table supports at most {ENUMERATION_BOUND} agents"
         )
 
 
-def zero_table(n_agents: int) -> "list[Money]":
+def zero_table(n_agents: int) -> "list[Fraction]":
     """All-zero value table for n agents, checked against the bound first."""
     _check_agent_count(n_agents)
     return [Fraction(0)] * (1 << n_agents)
@@ -116,9 +112,9 @@ class ISNGame:
     def __post_init__(self):
         _check_agent_count(self.n_agents)
         if len(self.table) != 1 << self.n_agents:
-            raise ValueError("value table must have one entry per subset")
+            raise SymbioError("value table must have one entry per subset")
         if any(self.table[1 << i] for i in range(self.n_agents)) or self.table[0]:
-            raise ValueError("normalized games are worth 0 on the empty set and singletons")
+            raise SymbioError("normalized games are worth 0 on the empty set and singletons")
 
     @classmethod
     def from_values(cls, n_agents: int, values: Mapping) -> "ISNGame":
@@ -133,20 +129,20 @@ class ISNGame:
             table[mask] = val
         return cls(n_agents, tuple(table))
 
-    def value(self, s: Iterable[int]) -> Money:
+    def value(self, s: Iterable[int]) -> Fraction:
         """v(S), read from the table."""
         s = coalition(s)
         check_roster(s, self.n_agents)
         return self.table[mask_of(s)]
 
 
-def check_roster(s: Coalition, n_agents: int) -> None:
+def check_roster(s: frozenset, n_agents: int) -> None:
     for i in s:
         if i >= n_agents:
-            raise UnknownAgent(f"agent {i} not on a roster of {n_agents}")
+            raise SymbioError(f"agent {i} not on a roster of {n_agents}")
 
 
-def _read_table(n_agents: int, values: Mapping, name: str) -> "dict[int, Money]":
+def _read_table(n_agents: int, values: Mapping, name: str) -> "dict[int, Fraction]":
     """{mask: money} from a {coalition: money} mapping: keys of two or more
     agents on the roster, no coalition twice however its members are ordered."""
     out = {}
@@ -154,12 +150,12 @@ def _read_table(n_agents: int, values: Mapping, name: str) -> "dict[int, Money]"
         s = coalition(raw)
         for i in s:
             if i >= n_agents:
-                raise UnknownAgent(f"{name} table mentions agent {i}, roster has {n_agents}")
+                raise SymbioError(f"{name} table mentions agent {i}, roster has {n_agents}")
         if len(s) < 2:
-            raise MissingCoalition(f"{name} table keys need two or more members, got {{}}", s)
+            raise SymbioError(f"{name} table keys need two or more members, got {{}}", s)
         mask = mask_of(s)
         if mask in out:
-            raise MissingCoalition(f"{name} table lists coalition {{}} twice", s)
+            raise SymbioError(f"{name} table lists coalition {{}} twice", s)
         out[mask] = as_money(val)
     return out
 
@@ -179,12 +175,12 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
             continue
         for name, table in ("T", t), ("O", o):
             if mask not in table:
-                raise MissingCoalition(f"{name} table lacks coalition {{}}", members_of(mask))
+                raise SymbioError(f"{name} table lacks coalition {{}}", members_of(mask))
         values[mask] = t[mask] - o[mask]
     return ISNGame(n_agents, tuple(values))
 
 
-def check_superadditive(game) -> "tuple[Coalition, Coalition] | None":
+def check_superadditive(game) -> "tuple[frozenset, frozenset] | None":
     """Return None if v(S u T) >= v(S) + v(T) for all disjoint nonempty S, T.
 
     Otherwise return one violating pair, deterministically chosen and
@@ -215,10 +211,10 @@ def subgame(game, members: Iterable[int]) -> ISNGame:
     members = coalition(members)
     check_roster(members, game.n_agents)
     if not members:
-        raise ValueError("subgame needs at least one member")
+        raise SymbioError("subgame needs at least one member")
     original = [0]  # original[mask] = parent mask of the subgame's coalition mask
     for i in sorted(members):
         if game.table[1 << i] != 0:
-            raise ValueError("subgame would have a nonzero singleton value")
+            raise SymbioError("subgame would have a nonzero singleton value")
         original += [m | 1 << i for m in original]
     return ISNGame(len(members), (Fraction(0),) + tuple(game.table[m] for m in original[1:]))

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from .errors import RosterMismatch
-from .games import ISNGame, Money, as_money, check_roster, coalition, members_of
+from .errors import SymbioError
+from .games import ISNGame, as_money, check_roster, coalition, members_of
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,11 @@ class MCNetRule:
         object.__setattr__(self, "negative", coalition(self.negative))
         object.__setattr__(self, "value", as_money(self.value))
         if self.positive & self.negative:
-            raise ValueError("positive and negative patterns must be disjoint")
+            raise SymbioError("positive and negative patterns must be disjoint")
         if not self.positive and not self.negative:
-            raise ValueError("a rule must mention at least one agent")
+            raise SymbioError("a rule must mention at least one agent")
         if self.value == 0:
-            raise ValueError("rule values must be nonzero")
+            raise SymbioError("rule values must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,14 @@ class MCNet:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         if self.n_agents < 1:
-            raise ValueError("a net needs at least one agent")
+            raise SymbioError("a net needs at least one agent")
         for rule in self.rules:
             check_roster(rule.positive | rule.negative, self.n_agents)
             if len(rule.negative) == self.n_agents:
-                raise ValueError("negative pattern may not be the whole roster")
+                raise SymbioError("negative pattern may not be the whole roster")
 
 
-def evaluate(net: MCNet, s: Iterable[int]) -> Money:
+def evaluate(net: MCNet, s: Iterable[int]) -> Fraction:
     """Sum of the values of the rules that apply to s."""
     s = coalition(s)
     check_roster(s, net.n_agents)
@@ -116,5 +116,5 @@ def net_shapley(net: MCNet) -> "tuple[Fraction, ...]":
 def compose(a: MCNet, b: MCNet) -> MCNet:
     """Concatenate rule lists; evaluation becomes the sum of both nets."""
     if a.n_agents != b.n_agents:
-        raise RosterMismatch(f"rosters differ: {a.n_agents} vs {b.n_agents}")
+        raise SymbioError(f"rosters differ: {a.n_agents} vs {b.n_agents}")
     return MCNet(a.n_agents, a.rules + b.rules)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import LengthMismatch
+from .errors import SymbioError
 from .games import as_money
 from .lp import solve_lp
 
@@ -54,7 +54,7 @@ def in_core(game, x) -> bool:
     n = game.n_agents
     x = tuple(as_money(v) for v in x)
     if len(x) != n:
-        raise LengthMismatch(f"allocation has {len(x)} entries, game has {n} agents")
+        raise SymbioError(f"allocation has {len(x)} entries, game has {n} agents")
     vals = game.table
     full = (1 << n) - 1
     if sum(x) != vals[full]:

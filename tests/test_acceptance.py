@@ -17,7 +17,7 @@ from symbio.coordination import (
     enforce_policy,
     synthesize_promotion,
 )
-from symbio.errors import PolicyInvalid
+from symbio.errors import SymbioError
 from symbio.exchange import scenario_to_game
 from symbio.games import coalitions, subgame
 from symbio.mcnets import MCNetRule, evaluate, from_isn_game, net_shapley
@@ -150,8 +150,8 @@ def test_criterion_08_mutual_exclusivity():
     try:
         enforce_policy(random_game(random.Random(0), 3), Policy(promoted=[{0, 1}, {1, 2}]))
         rejected = False
-    except PolicyInvalid:
-        rejected = True
+    except SymbioError as e:
+        rejected = "overlap" in str(e)
     _report(8, "disjoint promoted groups are simultaneously implementable; "
                "overlapping promotions are rejected", ok and rejected,
             " (50 games, n 4..6)")

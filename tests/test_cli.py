@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import symbio
 from symbio import cli
 from symbio.cli import cmd_analyze, load_scenario, main
-from symbio.errors import ParseError, ValidationError
+from symbio.errors import SymbioError
 from symbio.games import ISNGame, check_superadditive
 from symbio.mcnets import from_isn_game, net_shapley
 from symbio.solutions import in_core
@@ -46,7 +46,7 @@ def test_load_w_exchange():
 
 
 def test_load_missing_file():
-    with pytest.raises(ParseError):
+    with pytest.raises(SymbioError, match=r"cannot read .*absent\.json: "):
         load_scenario(str(DATA / "absent.json"))
 
 
@@ -59,7 +59,7 @@ def test_load_rejects_overlapping_promotions(tmp_path):
     }
     path = tmp_path / "clash.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError):
+    with pytest.raises(SymbioError, match=r"promoted groups overlap: \{A,B\} and \{B,C\}"):
         load_scenario(str(path))
 
 
@@ -67,7 +67,7 @@ def test_load_incomplete_tables(tmp_path):
     doc = {"agents": ["A", "B"], "tables": {"T": {}, "O": {}}}
     path = tmp_path / "missing.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError):
+    with pytest.raises(SymbioError, match=r"T table lacks coalition \{A,B\}"):
         load_scenario(str(path))
 
 
@@ -123,6 +123,16 @@ def test_commands_run_clean(capsys, command):
         ("g3_enforce.txt", ["enforce", "g3.json"]),
         ("w_analyze.txt", ["analyze", "w.json"]),
         ("w_enforce.txt", ["enforce", "w.json"]),
+        *(
+            (f"{data}_{command}.txt", [command, f"{data}.json"])
+            for data in ("g3", "w")
+            for command in ("shapley", "core", "mcnet")
+        ),
+        *(
+            (f"{data}_{command}.json", [command, f"{data}.json", "--format", "json"])
+            for data in ("g3", "w")
+            for command in ("analyze", "enforce")
+        ),
     ],
 )
 def test_golden_outputs(capsys, name, argv):
@@ -377,7 +387,7 @@ def test_repeated_json_key_exits_2(capsys, tmp_path):
                             ' "O": {"A,B": 0}}}')
     code, out, err = run(capsys, "analyze", path)
     assert (code, out) == (2, "")
-    assert err == "error: key 'A,B' given twice in one object\n"
+    assert err == f"error: {path}: key 'A,B' given twice in one object\n"
 
 
 def test_coalition_spelled_twice_exits_2(capsys, tmp_path):
@@ -442,6 +452,45 @@ def test_non_string_resource_exits_2(capsys, tmp_path, index):
     code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
     assert (code, out) == (2, "")
     assert err == f"error: exchange.streams[{index}].resource: must be a string\n"
+
+
+def test_comma_in_agent_name_exits_2(capsys, tmp_path):
+    """'B,C' would make {A,"B,C"} and {"A,B",C} the same report row."""
+    doc = {"agents": ["A", "B,C", "A,B", "C"], "exchange": {}}
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == "error: agents: name 'B,C' contains ','\n"
+
+
+@pytest.mark.parametrize("command,section,key,group,message", [
+    ("analyze", "tables", "T", "A,A,B", "tables.T['A,A,B']: agent 'A' named twice"),
+    ("enforce", "policy", "promoted", ["A", "B", "B"], "policy.promoted[0]: agent 'B' named twice"),
+], ids=["table-key", "policy-group"])
+def test_agent_named_twice_in_a_coalition_exits_2(capsys, tmp_path, command, section, key, group,
+                                                  message):
+    doc = _data("g3.json")
+    if section == "tables":
+        doc["tables"][key][group] = doc["tables"][key].pop("A,B")
+    else:
+        doc["policy"][key] = [group]
+    code, out, err = run(capsys, command, _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("section,resource,message", [
+    ("transport", "slag", "missing transport cost from {F0} to {F1} for resource 'slag'"),
+    ("transaction", "slag", "missing transaction cost from {F0} to {F1}"),
+    ("transport", "{x}", "missing transport cost from {F0} to {F1} for resource '{x}'"),
+], ids=["transport", "transaction", "braced-resource"])
+def test_missing_route_cost_names_firms_exits_2(capsys, tmp_path, section, resource, message):
+    doc = _data("w.json")
+    for entry in doc["exchange"]["streams"] + doc["exchange"]["transport"]:
+        entry["resource"] = resource
+    doc["exchange"][section] = []
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("promoted,message", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import symbio.exchange
-from symbio.errors import BoundExceeded, ScenarioError
+from symbio.errors import BoundExceeded, SymbioError
 from symbio.exchange import (
     ExchangeScenario,
     ResourceStream,
@@ -155,9 +155,9 @@ def test_divisible_quantities_ship_fractionally():
 
 
 def test_stream_validation():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SymbioError, match="stream quantity must be >= 0"):
         waste_offer(0, "r", -1, 5)
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SymbioError, match="offers carry exactly unit_discharge_cost"):
         ResourceStream(0, "r", "offer", Fraction(1), unit_purchase_cost=Fraction(1))
 
 
@@ -174,13 +174,13 @@ def test_stream_amounts_are_exact():
 
 
 def test_missing_transport_entry_rejected():
-    with pytest.raises(ScenarioError):
-        ExchangeScenario(
-            n_agents=2,
-            streams=(waste_offer(0, "r", 1, 1), input_demand(1, "r", 1, 1, 0)),
-            transport={},
-            transaction={(0, 1): 0},
-        )
+    streams = (waste_offer(0, "r", 1, 1), input_demand(1, "r", 1, 1, 0))
+    match = r"missing transport cost from \[0\] to \[1\] for resource 'r'"
+    with pytest.raises(SymbioError, match=match) as e:
+        ExchangeScenario(n_agents=2, streams=streams, transport={}, transaction={(0, 1): 0})
+    assert e.value.coalitions == (frozenset({0}), frozenset({1}))
+    with pytest.raises(SymbioError, match=r"missing transaction cost from \[0\] to \[1\]"):
+        ExchangeScenario(n_agents=2, streams=streams, transport={(0, 1, "r"): 0}, transaction={})
 
 
 def test_bound_exceeded():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbio.errors import BoundExceeded, MissingCoalition, UnknownAgent
+from symbio.errors import BoundExceeded, SymbioError
 from symbio.games import (
     ISNGame,
     as_money,
@@ -40,25 +40,25 @@ def test_one_agent_game_is_all_zero():
 
 
 def test_missing_coalition_rejected():
-    with pytest.raises(MissingCoalition):
+    with pytest.raises(SymbioError, match=r"T table lacks coalition \[0, 2\]"):
         make_isn_game(3, {(0, 1): 1}, {(0, 1): 0})
 
 
 def test_out_of_roster_table_entry_rejected():
-    with pytest.raises(UnknownAgent, match=r"T table mentions agent 3, roster has 2"):
+    with pytest.raises(SymbioError, match=r"T table mentions agent 3, roster has 2"):
         make_isn_game(2, {(0, 3): 1}, {(0, 3): 0})
 
 
 def test_coalition_listed_twice_rejected():
-    with pytest.raises(MissingCoalition, match=r"value table lists coalition \[0, 1\] twice"):
+    with pytest.raises(SymbioError, match=r"value table lists coalition \[0, 1\] twice"):
         ISNGame.from_values(2, {(0, 1): 1, (1, 0): 2})
-    with pytest.raises(MissingCoalition, match=r"T table lists coalition \[0, 2\] twice") as e:
+    with pytest.raises(SymbioError, match=r"T table lists coalition \[0, 2\] twice") as e:
         make_isn_game(3, {(0, 2): 1, (2, 0): 1}, {})
     assert e.value.coalitions == (frozenset({0, 2}),)
 
 
 def test_value_rejects_unknown_agent(g3):
-    with pytest.raises(UnknownAgent):
+    with pytest.raises(SymbioError, match="agent 7 not on a roster of 3"):
         g3.value({0, 7})
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbio.errors import RosterMismatch, UnknownAgent
+from symbio.errors import SymbioError
 from symbio.games import ISNGame, coalitions, make_isn_game
 from symbio.mcnets import (
     MCNet,
@@ -39,8 +39,8 @@ def test_rule_validation():
         MCNetRule({0}, set(), 0)
     with pytest.raises(ValueError):
         MCNet(2, (MCNetRule(set(), {0, 1}, 1),))  # negative == whole roster
-    for rule in MCNetRule({5}, set(), 1), MCNetRule({0}, {2}, 1):
-        with pytest.raises(UnknownAgent):
+    for rule, agent in (MCNetRule({5}, set(), 1), 5), (MCNetRule({0}, {2}, 1), 2):
+        with pytest.raises(SymbioError, match=f"agent {agent} not on a roster of 2"):
             MCNet(2, (rule,))
 
 
@@ -100,7 +100,7 @@ def test_rule_shapley_examples():
     assert rule_shapley(MCNetRule({0, 1}, set(), 10), 3) == (5, 5, 0)
     assert rule_shapley(RULE, 3) == (1, 1, -2)
     assert rule_shapley(MCNetRule({0}, set(), 4), 3) == (4, 0, 0)
-    with pytest.raises(UnknownAgent):
+    with pytest.raises(SymbioError, match="agent 2 not on a roster of 2"):
         rule_shapley(RULE, 2)
 
 
@@ -181,7 +181,7 @@ def test_compose(g3):
     assert evaluate(merged, {0, 1, 2}) == Fraction(25, 2)
     r1, r2 = MCNetRule({0}, set(), 1), MCNetRule({1}, set(), 2)
     assert compose(MCNet(2, (r1,)), MCNet(2, (r2,))).rules == (r1, r2)
-    with pytest.raises(RosterMismatch):
+    with pytest.raises(SymbioError, match="rosters differ: 3 vs 2"):
         compose(net, MCNet(2, ()))
 
 

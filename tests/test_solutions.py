@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symbio import solutions
 from symbio.coordination import CoordinatedGame
-from symbio.errors import LengthMismatch
+from symbio.errors import SymbioError
 from symbio.exchange import scenario_to_game
 from symbio.games import ISNGame, check_superadditive, coalitions, members_of
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley
@@ -90,7 +90,7 @@ def test_in_core_checks(g3):
     assert in_core(g3, (5, 5, 2))
     assert not in_core(g3, (Fraction(13, 3), Fraction(16, 3), Fraction(7, 3)))
     assert not in_core(g3, (4, 4, 4))  # pair {0,1} gets 8 < 10
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(SymbioError, match="allocation has 2 entries, game has 3 agents"):
         in_core(g3, (1, 2))
 
 
