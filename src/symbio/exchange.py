@@ -8,20 +8,23 @@ coalition (no exchange at all) and the minimized realized cost define the
 coalition's worth: baseline minus optimum.
 
 Plan optimization is a fixed-charge transportation problem, solved
-exactly: each subset of candidate firm pairs (routes, at most
-ENUMERATION_BOUND of them) gets one exact-simplex solve of its continuous
-shipment subproblem. scenario_to_game enumerates the whole roster once,
-reads only each LP's optimum, and hands each saving to every coalition
-holding its firms by a superset-max pass; only optimal_exchange_plan turns
-shipments into plans. Quantities are divisible; all arithmetic is exact
-(ints and Fractions).
+exactly by Land-Doig branch and bound over route activation (Balinski
+1961). Each route (an ordered firm pair that can save) is solved alone
+once; unprofitable routes are dropped, and the sum of the others' net
+savings bounds any route set, exactly so when no two share a stream.
+scenario_to_game searches each coalition in ascending mask order, with
+the best worth of its coalitions one firm smaller as the incumbent, and
+reads only LP optima; only optimal_exchange_plan turns shipments into
+plans. A call solves at most 2**ENUMERATION_BOUND LPs and raises
+BoundExceeded past that. Quantities are divisible; all arithmetic is
+exact (ints and Fractions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceeded, SymbioError
 from .games import ENUMERATION_BOUND, ISNGame, as_money, check_roster, coalition, mask_of, zero_table
@@ -184,64 +187,144 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
     cost = shipping (treatment + transport) + transaction fixed costs of
     activated pairs + residual discharge/purchase of unshipped quantities.
     The empty plan is always feasible, so cost <= t_value(scenario, s).
-    Among equally cheap candidates the lexicographically smallest shipment
-    list wins, which keeps outputs deterministic.
+    The plan ships along the route set _RouteSearch.best returns, whose
+    tie rule keeps outputs deterministic; a zero saving ships nothing.
     """
     members = coalition(s)
     baseline = t_value(scenario, members)  # checks the roster
-    best_net, best_plan = Fraction(0), EMPTY_PLAN
-    for _, net, variables, x in _route_subsets(scenario, members):
-        plan = _plan(scenario, variables, x)
-        if net > best_net or (net == best_net and plan.key() < best_plan.key()):
-            best_net, best_plan = net, plan
-    return best_plan, baseline - best_net
+    search = _RouteSearch(scenario, members)
+    net, routes = search.best(search.routes, Fraction(0))
+    if routes is None:
+        return EMPTY_PLAN, baseline
+    x, _, _ = search.best_shipments(routes)
+    return _plan(scenario, [v for r in routes for v in r.variables], x), baseline - net
 
 
-def _route_subsets(scenario, members):
-    """Yield (firm mask, net saving, variables, x) once for each nonempty
-    subset of the candidate routes among members: ordered firm pairs whose
-    best-case saving beats their fixed transaction cost. variables are the
-    subset's (offer, demand, gain) stream pairs and x their optimal
-    shipments; net saving is the shipment LP's optimum minus the subset's
-    transaction costs. Raises BoundExceeded, before any LP, past
-    ENUMERATION_BOUND candidates."""
-    by_route = {}  # route -> [(offer_idx, demand_idx, gain)], ascending
-    for oi, di in scenario._compatible_pairs():
-        o, d = scenario.streams[oi], scenario.streams[di]
-        if o.firm not in members or d.firm not in members:
-            continue
-        haul = scenario.transport[(o.firm, d.firm, o.resource)]
-        gain = o.unit_discharge_cost + d.unit_purchase_cost - d.unit_treatment_cost - haul
-        if gain > 0:
-            by_route.setdefault((o.firm, d.firm), []).append((oi, di, gain))
-    candidates = [route for route in sorted(by_route) if scenario.transaction[route] < sum(
-        gain * min(scenario.streams[oi].quantity, scenario.streams[di].quantity)
-        for oi, di, gain in by_route[route])]
-    if len(candidates) > ENUMERATION_BOUND:
-        raise BoundExceeded(f"{len(candidates)} candidate routes; route subsets are "
-                            f"enumerated for at most {ENUMERATION_BOUND}")
-    for chosen in range(1, 1 << len(candidates)):
-        routes = [candidates[i] for i in range(len(candidates)) if chosen >> i & 1]
-        variables = [pv for r in routes for pv in by_route[r]]
-        result = _best_shipments(scenario, variables)
-        net = result.objective - sum(scenario.transaction[r] for r in routes)
-        yield mask_of(firm for route in routes for firm in route), net, variables, result.x
+class _Route(NamedTuple):
+    """A profitable ordered firm pair. Routes sort by pair, which is unique."""
+
+    pair: "tuple[int, int]"
+    mask: int  # the two firms
+    variables: tuple  # (offer, demand, gain) stream pairs, ascending
+    streams: frozenset  # stream indices the variables touch
+    fee: Fraction  # fixed transaction cost
+    net: Fraction = Fraction(0)  # best net saving of the route alone
 
 
-def _best_shipments(scenario, variables):
-    """Maximize total per-unit saving over stream capacity constraints;
-    returns the LPResult."""
-    gains = [g for _, _, g in variables]
-    caps = {}  # stream index -> row of the constraint matrix
-    a_ub, b_ub = [], []
-    for k, (oi, di, _) in enumerate(variables):
-        for idx in (oi, di):
-            if idx not in caps:
-                caps[idx] = len(a_ub)
-                a_ub.append([0] * len(variables))
-                b_ub.append(scenario.streams[idx].quantity)
-            a_ub[caps[idx]][k] = 1
-    return solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True)
+class _RouteSearch:
+    """Exact route-activation search over one coalition's routes.
+
+    A route is an ordered firm pair with a stream pair that saves per unit
+    and a best-case saving above its transaction fee. Each is solved alone
+    once for its net saving net_r, and only routes with net_r > 0 are kept:
+    restricting a feasible shipment vector to some of its routes keeps it
+    feasible, so net savings are subadditive over route sets, and a route
+    with net_r <= 0 never helps. The same argument makes the sum of net_r
+    an upper bound on any subset's saving, exact when the routes share no
+    stream. All LP solves of one search count against one budget of
+    2**ENUMERATION_BOUND; the next solve raises BoundExceeded.
+    """
+
+    def __init__(self, scenario, members):
+        self.scenario = scenario
+        self.lps_left = 2**ENUMERATION_BOUND
+        by_route = {}  # pair -> [(offer_idx, demand_idx, gain)], ascending
+        for oi, di in scenario._compatible_pairs():
+            o, d = scenario.streams[oi], scenario.streams[di]
+            if o.firm not in members or d.firm not in members:
+                continue
+            haul = scenario.transport[(o.firm, d.firm, o.resource)]
+            gain = o.unit_discharge_cost + d.unit_purchase_cost - d.unit_treatment_cost - haul
+            if gain > 0:
+                by_route.setdefault((o.firm, d.firm), []).append((oi, di, gain))
+        self.routes = []
+        for pair, variables in sorted(by_route.items()):
+            fee = scenario.transaction[pair]
+            if fee >= sum(gain * self._cap(oi, di) for oi, di, gain in variables):
+                continue
+            streams = frozenset(idx for oi, di, _ in variables for idx in (oi, di))
+            route = _Route(pair, mask_of(pair), tuple(variables), streams, fee)
+            net = self.best_shipments((route,))[1]
+            if net > 0:
+                self.routes.append(route._replace(net=net))
+
+    def _cap(self, oi, di):
+        return min(self.scenario.streams[oi].quantity, self.scenario.streams[di].quantity)
+
+    def best_shipments(self, fixed, free=()):
+        """Maximize net saving with routes fixed active and the activation
+        y of routes free relaxed to 0 <= y <= 1 (x_k <= cap_k * y for each
+        of their variables, cap_k the smaller of its two quantities).
+        Returns (x, net, y); with no free routes net is the exact best
+        saving of the fixed set.
+
+        y <= 1 needs no row: the stream rows already hold x_k <= cap_k, and
+        at a vertex a positive y_r is x_k / cap_k for some tight row of r."""
+        if not self.lps_left:
+            raise BoundExceeded(f"the exchange optimizer solved its budget of "
+                                f"{2**ENUMERATION_BOUND} LPs (2^{ENUMERATION_BOUND}) "
+                                f"without finishing")
+        self.lps_left -= 1
+        variables = [v for r in fixed + free for v in r.variables]
+        width = len(variables) + len(free)
+        c = [gain for _, _, gain in variables] + [-r.fee for r in free]
+        rows = {}  # stream index -> row of the constraint matrix
+        a_ub, b_ub = [], []
+        for k, (oi, di, _) in enumerate(variables):
+            for idx in (oi, di):
+                if idx not in rows:
+                    rows[idx] = len(a_ub)
+                    a_ub.append([0] * width)
+                    b_ub.append(self.scenario.streams[idx].quantity)
+                a_ub[rows[idx]][k] = 1
+        k = sum(len(r.variables) for r in fixed)
+        for j, route in enumerate(free, start=len(variables)):
+            for oi, di, _ in route.variables:
+                row = [0] * width
+                row[k], row[j] = 1, -self._cap(oi, di)
+                a_ub.append(row)
+                b_ub.append(0)
+                k += 1
+        result = solve_lp(c, a_ub=a_ub, b_ub=b_ub, maximize=True)
+        net = result.objective - sum(r.fee for r in fixed)
+        return result.x[:len(variables)], net, result.x[len(variables):]
+
+    def best(self, routes, incumbent):
+        """(net, route tuple) for the best subset of routes (sorted) if
+        it saves more than incumbent, else (incumbent, None).
+
+        Past the bound shortcuts, Land-Doig branch and bound on the
+        best_shipments relaxation: a node whose bound is <= the best so far
+        is pruned, an integral y is a plan of exactly that net, and
+        otherwise the first fractional route in sorted order is branched
+        on, depth first, active before dropped. Ties keep the first set
+        met: every route when they share no stream, else the first
+        integral node.
+        """
+        routes = tuple(routes)
+        bound = sum(r.net for r in routes)
+        if bound <= incumbent:
+            return incumbent, None
+        if len(frozenset().union(*(r.streams for r in routes))) == sum(
+                len(r.streams) for r in routes):
+            return bound, routes
+        best, chosen = incumbent, None
+        stack = [((), routes, bound)]
+        while stack:
+            fixed, free, bound = stack.pop()
+            if bound <= best:
+                continue
+            _, net, y = self.best_shipments(fixed, free)
+            if net <= best:
+                continue
+            split = next((j for j, v in enumerate(y) if v.denominator != 1), None)
+            if split is None:
+                best, chosen = net, tuple(sorted(fixed + tuple(r for r, v in zip(free, y) if v)))
+                continue
+            rest = free[:split] + free[split + 1:]
+            stack.append((fixed, rest, min(net, sum(r.net for r in fixed + rest))))
+            stack.append((tuple(sorted(fixed + (free[split],))), rest, net))
+        return best, chosen
 
 
 def _plan(scenario, variables, x):
@@ -259,19 +342,17 @@ def _plan(scenario, variables, x):
 def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
     """Game with every coalition worth its baseline-minus-optimal saving.
 
-    The roster's route subsets are enumerated once (BoundExceeded past
-    ENUMERATION_BOUND routes), each net saving credited to the firms it
-    touches. A route's candidacy depends only on its two firms, so one
-    superset-max pass gives v(S) = max(0, best net of the subsets inside S).
-    Values are nonnegative and the game is superadditive: disjoint
-    coalitions can always merge their plans.
+    The roster's routes are found and solved alone once (after the firm
+    bound is checked); then each coalition, masks ascending, searches the
+    routes inside it with max_i v(S - i) as its incumbent, which merging
+    plans makes a lower bound. Values are nonnegative and the game is
+    superadditive: disjoint coalitions can always merge their plans.
     """
     n = scenario.n_agents
     table = zero_table(n)
-    for mask, net, _, _ in _route_subsets(scenario, range(n)):
-        table[mask] = max(table[mask], net)
-    for i in range(n):
-        for mask in range(1 << n):
-            if mask >> i & 1:
-                table[mask] = max(table[mask], table[mask ^ 1 << i])
+    search = _RouteSearch(scenario, range(n))
+    for mask in range(1, 1 << n):
+        inside = [r for r in search.routes if r.mask & mask == r.mask]
+        incumbent = max(table[mask ^ 1 << i] for i in range(n) if mask >> i & 1)
+        table[mask] = search.best(inside, incumbent)[0]
     return ISNGame(n, tuple(table))

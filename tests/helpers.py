@@ -9,9 +9,10 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
+from symbio.errors import BoundExceeded
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
-from symbio.games import ISNGame
-from symbio.lp import LPResult
+from symbio.games import ENUMERATION_BOUND, ISNGame, mask_of, zero_table
+from symbio.lp import LPResult, solve_lp
 from symbio.mcnets import MCNet, MCNetRule
 from symbio.solutions import CoreResult
 
@@ -197,6 +198,67 @@ def grid_plan_cost(scenario, members):
                 cost += (s.quantity - shipped_in.get(idx, 0)) * s.unit_purchase_cost
         best = min(best, cost)
     return best
+
+
+def route_subset_game(scenario):
+    """Exchange game by enumerating every subset of candidate routes.
+
+    One exact LP per nonempty subset of the roster's candidate routes
+    (2^m - 1 of them), each net saving credited to the firms it touches,
+    then a superset-max pass: v(S) = max(0, best net of the subsets inside
+    S). Oracle for symbio.exchange.scenario_to_game; raises BoundExceeded
+    past ENUMERATION_BOUND candidate routes.
+    """
+    n = scenario.n_agents
+    table = zero_table(n)
+    for mask, net in _route_subsets(scenario, range(n)):
+        table[mask] = max(table[mask], net)
+    for i in range(n):
+        for mask in range(1 << n):
+            if mask >> i & 1:
+                table[mask] = max(table[mask], table[mask ^ 1 << i])
+    return ISNGame(n, tuple(table))
+
+
+def _route_subsets(scenario, members):
+    """Yield (firm mask, net saving) once for each nonempty subset of the
+    candidate routes among members: ordered firm pairs whose best-case
+    saving beats their fixed transaction cost."""
+    by_route = {}  # route -> [(offer_idx, demand_idx, gain)], ascending
+    for oi, di in scenario._compatible_pairs():
+        o, d = scenario.streams[oi], scenario.streams[di]
+        if o.firm not in members or d.firm not in members:
+            continue
+        haul = scenario.transport[(o.firm, d.firm, o.resource)]
+        gain = o.unit_discharge_cost + d.unit_purchase_cost - d.unit_treatment_cost - haul
+        if gain > 0:
+            by_route.setdefault((o.firm, d.firm), []).append((oi, di, gain))
+    candidates = [route for route in sorted(by_route) if scenario.transaction[route] < sum(
+        gain * min(scenario.streams[oi].quantity, scenario.streams[di].quantity)
+        for oi, di, gain in by_route[route])]
+    if len(candidates) > ENUMERATION_BOUND:
+        raise BoundExceeded(f"{len(candidates)} candidate routes; route subsets are "
+                            f"enumerated for at most {ENUMERATION_BOUND}")
+    for chosen in range(1, 1 << len(candidates)):
+        routes = [candidates[i] for i in range(len(candidates)) if chosen >> i & 1]
+        variables = [pv for r in routes for pv in by_route[r]]
+        net = _best_shipments(scenario, variables) - sum(scenario.transaction[r] for r in routes)
+        yield mask_of(firm for route in routes for firm in route), net
+
+
+def _best_shipments(scenario, variables):
+    """Most total per-unit saving over stream capacity constraints."""
+    gains = [g for _, _, g in variables]
+    caps = {}  # stream index -> row of the constraint matrix
+    a_ub, b_ub = [], []
+    for k, (oi, di, _) in enumerate(variables):
+        for idx in (oi, di):
+            if idx not in caps:
+                caps[idx] = len(a_ub)
+                a_ub.append([0] * len(variables))
+                b_ub.append(scenario.streams[idx].quantity)
+            a_ub[caps[idx]][k] = 1
+    return solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True).objective
 
 
 def random_game(rng, n, lo=-8, hi=20):

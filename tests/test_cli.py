@@ -306,9 +306,10 @@ def test_oversized_numbers_exit_2_quickly(tmp_path, table_value, extra):
     assert float(done.stdout) < 1
 
 
-def test_too_many_routes_exit_3_quickly(tmp_path):
-    # every firm offers and demands steam: 5 * 4 candidate routes, past the
-    # 16 whose 2^16 - 1 subsets the optimizer enumerates
+def dense5_file(tmp_path):
+    """Every firm offers and demands steam: 5 * 4 routes, 2^20 - 1 route
+    subsets. Each direction of a pair ships 10 units saving 5 + 7 - 1 - 1
+    a unit and pays a fee of 2."""
     names = [f"F{i}" for i in range(5)]
     pairs = [(a, b) for a in names for b in names if a != b]
     doc = {"agents": names, "exchange": {
@@ -322,15 +323,42 @@ def test_too_many_routes_exit_3_quickly(tmp_path):
     }}
     path = tmp_path / "dense5.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_too_many_routes_exit_3_quickly(tmp_path):
+    # with a budget of 2^3 LPs the 20 routes cannot even be solved alone
+    low_budget = "import symbio.exchange\nsymbio.exchange.ENUMERATION_BOUND = 3\n" + TIMED_MAIN
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", TIMED_MAIN, "analyze", str(path)],
+        [sys.executable, "-c", low_budget, "analyze", str(dense5_file(tmp_path))],
         capture_output=True, text=True, timeout=10, env=env,
     )
     assert done.returncode == 3
-    assert done.stderr.startswith("error: bound exceeded: 20 candidate routes")
+    assert done.stderr.startswith("error: bound exceeded: ")
+    assert "budget of 8 LPs" in done.stderr
     assert "Traceback" not in done.stderr
     assert float(done.stdout) < 1
+
+
+def test_dense_five_firms_finish(tmp_path):
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "symbio.cli", "analyze", str(dense5_file(tmp_path)),
+         "--format", "json"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    values = {frozenset(key.split(",")): Fraction(v)
+              for key, v in json.loads(done.stdout)["values"].items()}
+    assert len(values) == 2**5 - 5 - 1
+    for pair, value in values.items():
+        if len(pair) == 2:
+            assert value == 2 * (10 * (5 + 7 - 1 - 1) - 2)
+    for a in values:
+        for b in values:
+            if not a & b and a | b in values:
+                assert values[a | b] >= values[a] + values[b]
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from symbio.exchange import (
 )
 from symbio.games import check_superadditive, coalitions
 
-from helpers import dense_scenario, grid_plan_cost, random_scenario
+from helpers import dense_scenario, grid_plan_cost, random_scenario, route_subset_game
 
 
 @pytest.fixture
@@ -183,10 +183,14 @@ def test_missing_transport_entry_rejected():
         ExchangeScenario(n_agents=2, streams=streams, transport={(0, 1, "r"): 0}, transaction={})
 
 
-def test_bound_exceeded():
+def test_bound_exceeded(lp_calls):
     empty = ExchangeScenario(n_agents=17, streams=(), transport={}, transaction={})
     with pytest.raises(BoundExceeded):
         scenario_to_game(empty)
+    # the firm bound is checked before any route is solved alone
+    with pytest.raises(BoundExceeded, match="at most 16 agents"):
+        scenario_to_game(dense_scenario(17))
+    assert lp_calls == []
 
 
 def test_game_matches_grid_search_on_every_coalition():
@@ -225,24 +229,68 @@ def lp_calls(monkeypatch):
     return calls
 
 
-def test_each_route_subset_is_solved_once(lp_calls):
-    game = scenario_to_game(dense_scenario(3))  # 6 candidate routes
-    assert len(lp_calls) == 2**6 - 1
+def ring_scenario(n):
+    """Firm i offers its own resource to firm i + 1 alone: n routes, no two
+    of which share a stream."""
+    streams = []
+    for firm in range(n):
+        streams += [waste_offer(firm, f"r{firm}", 6, 4),
+                    input_demand((firm + 1) % n, f"r{firm}", 5, 6, 1)]
+    return ExchangeScenario(
+        n_agents=n,
+        streams=tuple(streams),
+        transport={(i, (i + 1) % n, f"r{i}"): 1 for i in range(n)},
+        transaction={(a, b): 3 for a in range(n) for b in range(n) if a != b},
+    )
+
+
+def test_route_lp_counts(lp_calls):
+    # a ring's routes share no stream: each is solved alone, and that is all
+    game = scenario_to_game(ring_scenario(5))
+    assert len(lp_calls) == 5
+    assert game.value(range(5)) == 5 * (8 * 5 - 3)
+    lp_calls.clear()
+    game = scenario_to_game(dense_scenario(3))  # 6 routes, 2^6 - 1 subsets
+    assert 6 < len(lp_calls) < 2**6 - 1
     assert check_superadditive(game) is None
     assert game.value({0, 1}) > 0
 
 
-def test_too_many_routes_raise_before_any_lp(lp_calls):
-    scenario = dense_scenario(5)  # 20 candidate routes
-    with pytest.raises(BoundExceeded, match="20 candidate routes"):
+def test_lp_budget_raises_bound_exceeded(lp_calls, monkeypatch):
+    monkeypatch.setattr(symbio.exchange, "ENUMERATION_BOUND", 3)
+    scenario = dense_scenario(5)  # 20 routes, each solved alone first
+    with pytest.raises(BoundExceeded, match="budget of 8 LPs"):
         scenario_to_game(scenario)
+    assert len(lp_calls) == 2**3
+    lp_calls.clear()
     with pytest.raises(BoundExceeded):
         optimal_exchange_plan(scenario, range(5))
-    assert lp_calls == []
-    # the bound counts the coalition's own routes: three firms have six
-    _, cost = optimal_exchange_plan(scenario, range(3))
-    assert cost < t_value(scenario, range(3))
-    assert len(lp_calls) == 2**6 - 1
+    assert len(lp_calls) == 2**3
+    # the budget is per call: two firms need their two routes and one re-solve
+    lp_calls.clear()
+    _, cost = optimal_exchange_plan(scenario, range(2))
+    assert t_value(scenario, range(2)) - cost == 2 * (100 - 3)
+    assert len(lp_calls) == 3
+
+
+def test_game_and_plans_match_the_route_subset_oracle():
+    rng = random.Random(29)
+    scenarios = [random_scenario(rng, n) for n in (2, 3, 4, 5) for _ in range(8)]
+    for scenario in scenarios + [dense_scenario(4)]:
+        oracle = route_subset_game(scenario)
+        assert scenario_to_game(scenario).table == oracle.table
+        for members in coalitions(scenario.n_agents):
+            _, cost = optimal_exchange_plan(scenario, members)
+            assert t_value(scenario, members) - cost == oracle.value(members)
+
+
+def test_dense_six_firms_build():
+    game = scenario_to_game(dense_scenario(6))  # 30 routes, 2^30 - 1 subsets
+    assert check_superadditive(game) is None
+    # each direction ships 10 units saving 5 + 7 - 1 - 1 a unit, minus its fee
+    for a in range(6):
+        for b in range(a + 1, 6):
+            assert game.value({a, b}) == 2 * (100 - (2 + a + b))
 
 
 def test_game_build_makes_no_plans(monkeypatch):
