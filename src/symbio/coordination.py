@@ -17,7 +17,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import SymbioError
-from .games import ISNGame, as_money, check_roster, coalition, mask_of, subgame
+from .games import (
+    ISNGame, as_money, check_roster, coalition, mask_of, scaled_shares, subgame
+)
 from .mcnets import MCNet, MCNetRule, compose, from_isn_game
 from .solutions import shapley
 
@@ -100,23 +102,23 @@ def synthesize_promotion(game, target: Iterable[int]):
     lifts each member's Shapley payoff by x/|target| while leaving proper
     subsets untouched, so the smallest sufficient subsidy is
     max over proper nonempty S of (v(S) - shapley(S)) * |target| / |S|,
-    clamped at zero. When zero, no rule is emitted (rule is None).
+    clamped at zero. When zero, no rule is emitted (rule is None). The
+    scan runs on ints over one denominator (games.scaled_shares).
     """
     target = coalition(target)
     if len(target) < 2:
         raise SymbioError("promotion targets need at least two members")
     sub = subgame(game, target)
-    phi = shapley(sub)
+    vals, shares, d = scaled_shares(sub.table, shapley(sub))
     k = sub.n_agents
-    needed = Fraction(0)
+    gap, size = 0, 1  # the largest (v(S) - shapley(S)) / |S| so far is gap / (size d)
     for mask in range(1, (1 << k) - 1):
-        size = mask.bit_count()
-        share = sum(phi[i] for i in range(k) if mask >> i & 1)
-        gap = (sub.table[mask] - share) * Fraction(k, size)
-        if gap > needed:
-            needed = gap
-    if needed == 0:
+        g = vals[mask] - shares[mask]
+        if g * size > gap * mask.bit_count():
+            gap, size = g, mask.bit_count()
+    if not gap:
         return None, Fraction(0)
+    needed = Fraction(gap * k, size * d)
     rest = frozenset(range(game.n_agents)) - target
     return MCNetRule(target, rest, needed), needed
 

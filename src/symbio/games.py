@@ -6,6 +6,13 @@ game stores its worths in `table`, a tuple indexed by coalition bitmask
 every kernel reads games through it, which is why construction is capped at
 ENUMERATION_BOUND agents. All money amounts are exact rationals
 (fractions.Fraction); nothing in this package ever rounds.
+
+The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
+promotion subsidy elsewhere) run on Python ints: scaled_table writes a
+table over the lcm of its denominators, and each scan turns its answer
+back into Fractions. A table whose 2^n entries times the bit length of
+that lcm pass SCALED_BITS (2^28) bits raises BoundExceeded before anything
+is scaled.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BoundExceeded, SymbioError
@@ -26,6 +35,11 @@ ENUMERATION_BOUND = 16
 #: billion-digit integer before any check could run.
 MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
+
+#: Most bits a scaled table may take: its entry count times the bit length of
+#: its common denominator. Values with many different long denominators make
+#: that denominator, and every scaled entry, grow with each one folded in.
+SCALED_BITS = 1 << 28
 
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
@@ -81,6 +95,41 @@ def coalitions(n_agents: int, min_size: int = 0) -> Iterator[frozenset]:
     for mask in range(1 << n_agents):
         if mask.bit_count() >= min_size:
             yield members_of(mask)
+
+
+def scaled_table(values, denominator: int = 1) -> "tuple[list[int], int]":
+    """(ints, d) with ints[k] == values[k] * d exactly, for d the lcm of
+    `denominator` and the values' denominators.
+
+    Raises BoundExceeded as soon as len(values) * d.bit_length() passes
+    SCALED_BITS, before any entry is scaled.
+    """
+    d = 1
+    for q in chain((denominator,), (v.denominator for v in values)):
+        if d % q:
+            d = lcm(d, q)
+            if len(values) * d.bit_length() > SCALED_BITS:
+                raise BoundExceeded(
+                    f"the common denominator of {len(values)} values needs more than "
+                    f"{SCALED_BITS // len(values)} bits (budget: {SCALED_BITS} bits in all)"
+                )
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def scaled_shares(table, x) -> "tuple[list[int], list[int], int]":
+    """(vals, shares, d): the table, and x(S) = sum of x_i over i in S for
+    every mask S, as ints over one denominator d (see scaled_table).
+
+    shares is built one agent at a time: the masks holding agent i are
+    those without it, each plus x_i.
+    """
+    xs, dx = scaled_table(x)
+    vals, d = scaled_table(table, dx)
+    shares = [0]
+    for xi in xs:
+        xi *= d // dx
+        shares += [s + xi for s in shares]
+    return vals, shares, d
 
 
 def _check_agent_count(n_agents: int) -> None:
@@ -183,20 +232,22 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
 def check_superadditive(game) -> "tuple[frozenset, frozenset] | None":
     """Return None if v(S u T) >= v(S) + v(T) for all disjoint nonempty S, T.
 
-    Otherwise return one violating pair, deterministically chosen and
-    normalized so the smaller bitmask comes first. Works on any game with
-    n_agents and a mask-indexed value table.
+    Otherwise return the violating pair (A, B) with the smallest bitmask a of
+    A and, for that a, the largest bitmask b of B; a < b always holds, since
+    the pair (B, A) violates too. Works on any game with n_agents and a
+    mask-indexed value table, scanned on ints (scaled_table).
     """
     n = game.n_agents
-    val = game.table
+    val, _ = scaled_table(game.table)
+    full = (1 << n) - 1
     for a in range(1, 1 << n):
-        rest = ((1 << n) - 1) & ~a
+        rest = full ^ a
+        va = val[a]
         b = rest
-        # iterate nonzero submasks of the complement, descending
-        while b:
-            if val[a | b] < val[a] + val[b]:
-                lo, hi = min(a, b), max(a, b)
-                return (members_of(lo), members_of(hi))
+        # submasks b of the complement with b > a, descending
+        while b > a:
+            if val[a | b] < va + val[b]:
+                return (members_of(a), members_of(b))
             b = (b - 1) & rest
     return None
 

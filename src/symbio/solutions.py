@@ -1,11 +1,15 @@
 """Fairness and stability solution concepts.
 
-`shapley` is the Shapley allocation by the subset formula, O(n 2^n).
-Core decisions run as exact LP feasibility with a constructive witness;
-`in_core` checks one allocation against every coalition. A game is
-implementable when its Shapley allocation sits in its core: fair and
-stable at once. The slow oracles these are tested against (permutation
-average, vertex enumeration) live with the tests, not here.
+`shapley` is the Shapley allocation by the subset formula, summed per
+coalition in O(2^n) integer operations. Core decisions run as exact LP
+feasibility with a constructive witness; `in_core` checks one allocation
+against every coalition. `shapley` and `in_core` scan the value table as
+Python ints over the lcm of its denominators (games.scaled_table) and
+return Fractions; a table whose scaled form would pass games.SCALED_BITS
+bits raises BoundExceeded instead. A game is implementable when its
+Shapley allocation sits in its core: fair and stable at once. The slow
+oracles these are tested against (permutation average, vertex
+enumeration) live with the tests, not here.
 
 Functions read a game's n_agents and mask-indexed value `table`, empty
 set and singletons included; ISNGame and CoordinatedGame both qualify.
@@ -16,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add, lt
 
 from .errors import SymbioError
-from .games import as_money
+from .games import as_money, scaled_shares, scaled_table
 from .lp import solve_lp
 
 
@@ -31,39 +36,46 @@ class CoreResult:
 
 
 def shapley(game) -> "tuple[Fraction, ...]":
-    """phi_i = sum over S without i of |S|!(n-|S|-1)!/n! (v(S+i) - v(S))."""
+    """phi_i = sum over S without i of w(|S|) (v(S+i) - v(S)) / n!, where
+    w(k) = k! (n-k-1)!.
+
+    Summed per coalition instead of per marginal: S enters n! phi_i with
+    weight w(|S|-1) when it holds i and -w(|S|) when it does not, so n! phi_i
+    is the sum over S holding i of (w(|S|-1) + w(|S|)) v(S), less the sum of
+    w(|S|) v(S) over all S. The sums run on ints (games.scaled_table) and
+    are divided once, by n! d. Agent n-1's sum is over the upper half of the
+    weighted table; adding that half onto the lower one leaves the same sums
+    for agents 0..n-2, so the pass costs O(2^n) list operations.
+    """
     n = game.n_agents
-    vals = game.table
-    # gains[i][k]: total marginal contribution of i to the coalitions of size k
-    gains = [[Fraction(0)] * n for _ in range(n)]
-    for mask in range(1 << n):
-        k = mask.bit_count()
-        for i in range(n):
-            if not mask >> i & 1:
-                gains[i][k] += vals[mask | 1 << i] - vals[mask]
-    weights = [Fraction(factorial(k) * factorial(n - k - 1), factorial(n)) for k in range(n)]
-    return tuple(sum((w * g for w, g in zip(weights, row)), Fraction(0)) for row in gains)
+    vals, d = scaled_table(game.table)
+    # w[n] = 0: no coalition without i has n members (w[-1], read for the
+    # empty set, which holds no agent, is that 0 too)
+    w = [factorial(k) * factorial(n - k - 1) for k in range(n)] + [0]
+    sizes = [mask.bit_count() for mask in range(1 << n)]
+    outside = sum(w[k] * v for k, v in zip(sizes, vals))
+    weighted = [(w[k - 1] + w[k]) * v for k, v in zip(sizes, vals)]
+    phi = [None] * n
+    for i in reversed(range(n)):
+        lower, upper = weighted[: 1 << i], weighted[1 << i :]
+        phi[i] = Fraction(sum(upper) - outside, factorial(n) * d)
+        weighted = list(map(add, lower, upper))
+    return tuple(phi)
 
 
 def in_core(game, x) -> bool:
     """Efficiency plus every coalition getting at least its own worth.
 
     Weak inequalities: an allocation exactly on a constraint boundary is
-    in the core.
+    in the core. Compared on ints over one denominator (games.scaled_shares).
     """
     n = game.n_agents
     x = tuple(as_money(v) for v in x)
     if len(x) != n:
         raise SymbioError(f"allocation has {len(x)} entries, game has {n} agents")
-    vals = game.table
+    vals, shares, _ = scaled_shares(game.table, x)
     full = (1 << n) - 1
-    if sum(x) != vals[full]:
-        return False
-    for mask in range(1, full):
-        total = sum(x[i] for i in range(n) if mask >> i & 1)
-        if total < vals[mask]:
-            return False
-    return True
+    return shares[full] == vals[full] and not any(map(lt, shares[1:full], vals[1:full]))
 
 
 def core_nonempty(game) -> CoreResult:

@@ -11,7 +11,7 @@ from math import factorial
 
 from symbio.errors import BoundExceeded
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
-from symbio.games import ENUMERATION_BOUND, ISNGame, mask_of, zero_table
+from symbio.games import ENUMERATION_BOUND, ISNGame, mask_of, members_of, subgame, zero_table
 from symbio.lp import LPResult, solve_lp
 from symbio.mcnets import MCNet, MCNetRule
 from symbio.solutions import CoreResult
@@ -271,6 +271,72 @@ def random_game(rng, n, lo=-8, hi=20):
         den = rng.choice([1, 1, 2, 3, 4])
         values[members] = Fraction(rng.randint(lo * den, hi * den), den)
     return ISNGame.from_values(n, values)
+
+
+def fraction_check_superadditive(game):
+    """symbio.games.check_superadditive as it was on Fractions, scanning every
+    nonzero submask b of each a's complement, descending; oracle for the
+    exact pair the integer scan returns."""
+    n = game.n_agents
+    val = game.table
+    for a in range(1, 1 << n):
+        rest = ((1 << n) - 1) & ~a
+        b = rest
+        # iterate nonzero submasks of the complement, descending
+        while b:
+            if val[a | b] < val[a] + val[b]:
+                lo, hi = min(a, b), max(a, b)
+                return (members_of(lo), members_of(hi))
+            b = (b - 1) & rest
+    return None
+
+
+def fraction_promotion_amount(game, target):
+    """synthesize_promotion's subsidy by its former Fraction gap loop, with the
+    subgame's Shapley value averaged over orderings (perm_shapley)."""
+    sub = subgame(game, target)
+    phi = perm_shapley(sub.n_agents, sub.value)
+    k = sub.n_agents
+    needed = Fraction(0)
+    for mask in range(1, (1 << k) - 1):
+        size = mask.bit_count()
+        share = sum(phi[i] for i in range(k) if mask >> i & 1)
+        gap = (sub.table[mask] - share) * Fraction(k, size)
+        if gap > needed:
+            needed = gap
+    return needed
+
+
+def mixed_amount(rng, lo, hi):
+    """Random rational in [lo, hi] over a denominator of 1, 7, 11, 13 or 100,
+    or now and then over a 999-digit one (a 1000-digit value)."""
+    den = rng.choice([1, 7, 11, 13, 100, 100, 10**998 + rng.randrange(10**6)])
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def mixed_game(rng, n):
+    """Pairwise game v(S) = sum of w_ij over the pairs in S, on sparse pair
+    weights (a few negative) over mixed denominators (mixed_amount); then up
+    to three coalitions, in ascending order, are either lowered at random or
+    set to their best part max_i v(S - i): where v was monotone, only a
+    split of S into two parts of two or more agents can then violate
+    superadditivity at S."""
+    w = {}
+    for pair in combinations(range(n), 2):
+        draw = rng.random()
+        w[pair] = (Fraction(0) if draw < 0.5 else -mixed_amount(rng, 0, 4) if draw < 0.55
+                   else mixed_amount(rng, 0, 12))
+    values = {}
+    for mask in range(1 << n):
+        if mask.bit_count() >= 2:
+            members = sorted(members_of(mask))
+            values[mask] = sum(w[i, j] for k, i in enumerate(members) for j in members[k + 1:])
+    for mask in sorted(rng.sample(sorted(values), min(len(values), rng.randint(0, 3)))):
+        if rng.random() < 0.5:
+            values[mask] -= mixed_amount(rng, 0, 10)
+        else:
+            values[mask] = max(values.get(mask & ~(1 << i), 0) for i in members_of(mask))
+    return ISNGame.from_values(n, {members_of(mask): v for mask, v in values.items()})
 
 
 def random_net(rng, n):

@@ -20,6 +20,8 @@ from symbio.games import ISNGame, check_superadditive
 from symbio.mcnets import from_isn_game, net_shapley
 from symbio.solutions import in_core
 
+from helpers import perm_shapley
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -359,6 +361,91 @@ def test_dense_five_firms_finish(tmp_path):
         for b in values:
             if not a & b and a | b in values:
                 assert values[a | b] >= values[a] + values[b]
+
+
+def table_file(tmp_path, names, value_of, policy=None):
+    """A tables scenario with T(S) = value_of(mask) and O(S) = 0 for every S
+    of two or more agents (mask: bits of S in roster order)."""
+    t = {}
+    for mask in range(1 << len(names)):
+        if mask.bit_count() >= 2:
+            t[",".join(n for i, n in enumerate(names) if mask >> i & 1)] = value_of(mask)
+    doc = {"agents": names, "tables": {"T": t, "O": dict.fromkeys(t, 0)}}
+    if policy:
+        doc["policy"] = policy
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+#: TIMED_MAIN that also prints the child's peak resident memory in KiB.
+SIZED_MAIN = TIMED_MAIN.replace(
+    "print(time.perf_counter() - start)",
+    "import resource\n"
+    "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
+)
+
+
+def test_many_long_denominators_exit_3_quickly(tmp_path):
+    # 9 agents, each value 1/q over its own 999-digit q: about 160 of them
+    # already take the lcm past 2^28 / 2^9 bits
+    path = table_file(tmp_path, [f"F{i}" for i in range(9)], lambda mask: f"1/{10**998 + mask}")
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", SIZED_MAIN, "analyze", str(path)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: bound exceeded: the common denominator of 512 values")
+    assert "Traceback" not in done.stderr
+    seconds, rss_kib = done.stdout.split()
+    assert float(seconds) < 2 and int(rss_kib) < 200 * 1024
+
+
+def test_long_denominators_within_the_budget(capsys, tmp_path):
+    names = ["A", "B", "C"]
+    value_of = {mask: f"{mask}/{10**998 + 3 * mask}" for mask in (3, 5, 6, 7)}  # 1000 digits
+    code, out, err = run(capsys, "analyze", str(table_file(tmp_path, names, value_of.get)),
+                         "--format", "json")
+    assert code == 0 and not err
+    expected = perm_shapley(3, lambda s: Fraction(value_of[sum(1 << i for i in s)])
+                            if len(s) >= 2 else Fraction(0))
+    assert json.loads(out)["shapley"] == {n: str(v) for n, v in zip(names, expected)}
+    assert len(json.loads(out)["shapley"]["A"]) > 2000
+
+
+@pytest.mark.slow
+def test_sixteen_agents_shapley_and_enforce(tmp_path):
+    """The pairwise synergy game v(S) = sum of w_ij over pairs in S at the
+    16-agent bound: phi_i = sum_j w_ij / 2, the game is convex, so both
+    promoted halves are implementable, and each prohibited pair is taxed to
+    -epsilon."""
+    n = 16
+    names = [chr(ord("A") + i) for i in range(n)]
+    quarters = [[(7 * min(i, j) + 3 * max(i, j)) % 11 + 1 if i != j else 0 for j in range(n)]
+                for i in range(n)]
+    value = [0] * (1 << n)  # in quarters
+    for mask in range(1, 1 << n):
+        i = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        value[mask] = value[rest] + sum(quarters[i][j] for j in range(i + 1, n) if rest >> j & 1)
+    policy = {"promoted": [names[:8], names[8:]], "prohibited": [["A", "B"], ["A", "P"]]}
+    path = table_file(tmp_path, names, lambda mask: f"{value[mask]}/4", policy)
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    reports = {}
+    for command, extra in ("shapley", []), ("enforce", ["--epsilon", "1/2"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "symbio.cli", command, str(path), "--format", "json", *extra],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0 and not done.stderr
+        reports[command] = json.loads(done.stdout)
+    phi = {names[i]: str(Fraction(sum(quarters[i]), 8)) for i in range(n)}
+    assert reports["shapley"]["shapley"] == phi
+    verdicts = reports["enforce"]["group_verdicts"]
+    assert [v["implementable"] for v in verdicts if v["label"] == "promoted"] == [True, True]
+    assert [(v["blocked"], v["coordinated_value"])
+            for v in verdicts if v["label"] == "prohibited"] == [(True, "-1/2")] * 2
 
 
 @pytest.mark.parametrize(

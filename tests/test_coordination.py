@@ -15,7 +15,7 @@ from symbio.games import ISNGame, coalitions, subgame
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley, from_isn_game
 from symbio.solutions import is_implementable
 
-from helpers import random_game, random_net
+from helpers import fraction_promotion_amount, mixed_game, random_game, random_net
 
 
 def test_policy_validation():
@@ -85,6 +85,25 @@ def test_promotion_on_symmetric_game(g3_prime):
     assert amount == 3  # Shapley is (4,4,4); each pair needs (10-8)*3/2
     coordinated = CoordinatedGame(g3_prime, MCNet(3, (rule,)))
     assert is_implementable(subgame(coordinated, {0, 1, 2}))
+
+
+def test_promotion_amount_matches_fraction_gap_loop():
+    """Mixed and 1000-digit denominators, half the games with a tax on a pair
+    inside the target, as enforce_policy prices them."""
+    rng = random.Random(101)
+    amounts = []
+    for n in range(2, 7):
+        for _ in range(8):
+            game = mixed_game(rng, n)
+            target = rng.sample(range(n), rng.randint(2, n))
+            if rng.random() < 0.5:
+                tax = synthesize_prohibition(game, rng.sample(target, 2), Fraction(1, 3))
+                game = CoordinatedGame(game, MCNet(n, (tax,) if tax else ()))
+            rule, amount = synthesize_promotion(game, target)
+            assert amount == fraction_promotion_amount(game, target)
+            assert (rule is None) == (amount == 0)
+            amounts.append(amount)
+    assert sum(a > 0 for a in amounts) >= 10 and amounts.count(0) >= 5
 
 
 def test_promotion_target_too_small(g3):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbio import games
+from symbio.coordination import CoordinatedGame
 from symbio.errors import BoundExceeded, SymbioError
 from symbio.games import (
     ISNGame,
@@ -12,10 +14,11 @@ from symbio.games import (
     check_superadditive,
     coalitions,
     make_isn_game,
+    scaled_table,
     subgame,
 )
 
-from helpers import random_game
+from helpers import fraction_check_superadditive, mixed_game, random_game, random_net
 
 
 def test_make_isn_game_subtracts_tables():
@@ -142,6 +145,41 @@ def test_superadditivity_check_matches_double_loop(seed, n):
 
     game = random_game(random.Random(seed), n)
     assert (check_superadditive(game) is None) == (not _violation_by_double_loop(game))
+
+
+def test_superadditivity_pair_matches_fraction_scan():
+    """The integer scan visits only b > a, yet returns the Fraction scan's
+    exact pair, on games that may reach the empty set and singletons too."""
+    import random
+
+    rng = random.Random(83)
+    pairs = []
+    for n in range(2, 8):
+        for _ in range(20):
+            game = mixed_game(rng, n)
+            for g in (game, CoordinatedGame(game, random_net(rng, n))):
+                pair = check_superadditive(g)
+                assert pair == fraction_check_superadditive(g)
+                pairs.append(pair)
+    violations = [p for p in pairs if p is not None]
+    assert len(violations) >= 100 and len(pairs) - len(violations) >= 50
+    assert sum(len(a) >= 2 for a, _ in violations) >= 5
+
+
+def test_scaled_table_bound(monkeypatch):
+    values = (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7))  # lcm 105, 7 bits
+    assert scaled_table(values) == ([35, -21, 30], 105)
+    assert scaled_table(values, 2) == ([70, -42, 60], 210)
+    assert scaled_table((Fraction(4), 5)) == ([4, 5], 1)
+    monkeypatch.setattr(games, "SCALED_BITS", 3 * 7)
+    assert scaled_table(values)[1] == 105
+    with pytest.raises(BoundExceeded, match="needs more than 7 bits"):
+        scaled_table(values, 2)  # 210 takes 8 bits
+    monkeypatch.setattr(games, "SCALED_BITS", 3 * 7 - 1)
+    with pytest.raises(BoundExceeded, match="needs more than 6 bits"):
+        scaled_table(values)
+    with pytest.raises(BoundExceeded):
+        scaled_table((Fraction(1),) * 3, 105)  # the denominator given counts too
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from helpers import (
     core_constraints_hold,
     core_nonempty_by_enumeration,
     fraction_solve_lp,
+    mixed_game,
     perm_shapley,
     random_game,
     random_net,
@@ -57,6 +59,16 @@ def test_subset_formula_shapley_on_coordinated_games():
         assert coordinated.table[0] != 0
         assert shapley(coordinated) == expected
         assert net_shapley(coordinated.as_mcnet()) == expected
+
+
+def test_shapley_on_mixed_denominators():
+    rng = random.Random(89)
+    for n in range(1, 7):
+        for _ in range(4):
+            game = mixed_game(rng, n)
+            coordinated = CoordinatedGame(game, random_net(rng, n))
+            for g in game, coordinated:
+                assert shapley(g) == perm_shapley(n, g.value)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=6))
@@ -126,6 +138,33 @@ def test_in_core_matches_constraint_oracle():
                 assert verdict == core_constraints_hold(game, x)
                 verdicts.append(verdict)
     assert verdicts.count(True) >= 25 and verdicts.count(False) >= 60
+
+
+def test_in_core_on_mixed_denominators():
+    """Allocations over denominators the table does not use: 3, 17 and a
+    1000-digit one, each step taken off the efficiency plane and along it,
+    and Shapley rounded down to thirds with the remainder on the last agent."""
+    rng = random.Random(97)
+    verdicts = []
+    for n in range(2, 7):
+        for _ in range(8):
+            game = mixed_game(rng, n)
+            phi = perm_shapley(n, game.value)
+            thirds = [Fraction(math.floor(3 * p), 3) for p in phi[:-1]]
+            candidates = [phi, (*thirds, game.value(range(n)) - sum(thirds))]
+            for den in (3, 17, 10**999 + 7):
+                step = Fraction(rng.randint(1, 5), den)
+                i, j = rng.sample(range(n), 2)
+                moved = list(phi)
+                moved[i] += step
+                candidates.append(tuple(moved))
+                moved[j] -= step
+                candidates.append(tuple(moved))
+            for x in candidates:
+                verdict = in_core(game, x)
+                assert verdict == core_constraints_hold(game, x)
+                verdicts.append(verdict)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 100
 
 
 def test_core_of_g3(g3):
