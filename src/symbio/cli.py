@@ -10,6 +10,10 @@ read exactly by games.as_money: integers, "a/b" strings, decimal strings,
 or raw JSON decimals (parsed from their source text, never through binary
 floats), within its digit and exponent caps.
 
+Table keys and policy groups become bitmasks straight from the agent
+names (one {name: bit} dict); games.game_from_masks builds the game. Every
+key's names and number are read, T then O, before the table rules run.
+
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms. Exit codes:
 0 success, 2 validation failure, 3 enumeration bound exceeded.
@@ -30,7 +34,7 @@ from .exchange import (
     DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
 )
 from .games import (
-    ISNGame, as_money, check_superadditive, make_isn_game, members_of, subgame
+    ISNGame, as_money, check_superadditive, game_from_masks, members_of, subgame
 )
 from .mcnets import from_isn_game
 from .solutions import core_nonempty, in_core, is_implementable, shapley
@@ -79,17 +83,31 @@ def _agent(raw, where: str, ids) -> int:
     raise SymbioError(f"{where}: unknown agent {raw!r}")
 
 
-def _group(raw, where: str, ids) -> "tuple[int, ...]":
-    """Agent ids of a name list or an 'A,B' string, in written order; no agent twice."""
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    elif not isinstance(raw, list):
+def _mask(raw, where: str, bits) -> int:
+    """Bitmask of a name list or an 'A,B' string; every name known, none twice."""
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(parts, list):
         raise SymbioError(f"{where}: coalition must be a name list or 'A,B' string")
-    group = tuple(_agent(name, where, ids) for name in raw)
-    if len(set(group)) < len(group):
-        twice = next(name for k, name in enumerate(raw) if name in raw[:k])
+    try:
+        mask = sum(map(bits.__getitem__, parts))
+    except (KeyError, TypeError):  # an unknown name, or a list or object as one
+        unknown = next(p for p in parts if not isinstance(p, str) or p not in bits)
+        raise SymbioError(f"{where}: unknown agent {unknown!r}") from None
+    # a sum of powers of two has fewer one bits than terms exactly when a
+    # term repeats; without repeats it is their OR
+    if mask.bit_count() < len(parts):
+        twice = next(name for k, name in enumerate(parts) if name in parts[:k])
         raise SymbioError(f"{where}: agent {twice!r} named twice")
-    return group
+    return mask
+
+
+def _table_pairs(raw, x: str, bits) -> "list[tuple[int, Fraction]]":
+    """(mask, amount) for each entry of tables.x, in file order."""
+    pairs = []
+    for key, value in _expect(raw, dict, f"tables.{x}").items():
+        where = f"tables.{x}[{key!r}]"
+        pairs.append((_mask(key, where, bits), _amount(value, where)))
+    return pairs
 
 
 def load_scenario(path: str) -> Scenario:
@@ -122,7 +140,7 @@ def load_scenario(path: str) -> Scenario:
         if "," in name:
             raise SymbioError(f"agents: name {name!r} contains ','")
     names = tuple(names)
-    ids = {name: i for i, name in enumerate(names)}
+    bits = {name: 1 << i for i, name in enumerate(names)}
     if ("tables" in doc) == ("exchange" in doc):
         raise SymbioError("scenario needs exactly one of 'tables' or 'exchange'")
 
@@ -131,19 +149,16 @@ def load_scenario(path: str) -> Scenario:
         if "policy" in doc:
             section = _expect(doc["policy"], dict, "policy", ("promoted", "prohibited"))
             policy = Policy(**{
-                label: [_group(g, f"policy.{label}[{k}]", ids)
+                label: [members_of(_mask(g, f"policy.{label}[{k}]", bits))
                         for k, g in enumerate(_expect(groups, list, f"policy.{label}"))]
                 for label, groups in section.items()
             })
         if "tables" in doc:
             tables = _expect(doc["tables"], dict, "tables", ("T", "O"))
-            t, o = {}, {}
-            for x, table in ("T", t), ("O", o):
-                for k, v in _expect(tables.get(x), dict, f"tables.{x}").items():
-                    where = f"tables.{x}[{k!r}]"
-                    table[_group(k, where, ids)] = _amount(v, where)
-            game = make_isn_game(len(names), t, o)
+            t, o = (_table_pairs(tables.get(x), x, bits) for x in ("T", "O"))
+            game = game_from_masks(len(names), t, o)
         else:
+            ids = {name: i for i, name in enumerate(names)}
             game = scenario_to_game(_parse_exchange(doc["exchange"], ids))
     except BoundExceeded:
         raise
@@ -194,12 +209,12 @@ def _allocation(names, x) -> dict:
 
 
 def _value_rows(names, game) -> dict:
-    rows = {}
-    for mask in range(1 << game.n_agents):
-        if mask.bit_count() < 2:
-            continue
-        rows[_coalition_key(names, members_of(mask))] = str(game.table[mask])
-    return rows
+    keys = [""]  # keys[mask]: the names of mask's members, comma-joined in roster order
+    for name in names:
+        keys += [f"{k},{name}" if k else name for k in keys]
+    table = game.table
+    return {keys[mask]: str(table[mask])
+            for mask in range(1 << game.n_agents) if mask.bit_count() >= 2}
 
 
 def cmd_analyze(scenario: Scenario, violation) -> dict:

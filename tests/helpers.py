@@ -291,6 +291,54 @@ def fraction_check_superadditive(game):
     return None
 
 
+def supermodularity_violations(table, n):
+    """Every (S, i, j), S a mask and i < j agents outside it, at which
+    v(S+i+j) + v(S) < v(S+i) + v(S+j) on a mask-indexed table, in ascending
+    (S, i, j) order; straight from the definition, on the table's own values."""
+    found = []
+    for s in range(1 << n):
+        for i, j in combinations(range(n), 2):
+            bi, bj = 1 << i, 1 << j
+            if not s & (bi | bj) and table[s | bi | bj] + table[s] < table[s | bi] + table[s | bj]:
+                found.append((s, i, j))
+    return found
+
+
+def convex_game(rng, n):
+    """v(S) = the sum of nonnegative dividends c_C over a few random groups C
+    of two or more agents inside S: each dividend adds c_C to every second
+    difference within C, so the game is convex."""
+    values = [Fraction(0)] * (1 << n)
+    for _ in range(rng.randint(0, 2 * n) if n >= 2 else 0):
+        group = mask_of(rng.sample(range(n), rng.randint(2, n)))
+        dividend = Fraction(rng.randint(0, 30), rng.choice([1, 2, 3, 7]))
+        for mask in range(1 << n):
+            if mask & group == group:
+                values[mask] += dividend
+    return ISNGame(n, tuple(values))
+
+
+def one_violation_game(rng, n):
+    """(game, (S, i, j)): a pairwise game v(S) = sum of w_kl over pairs in S,
+    distinct positive integer weights, with one coalition T that holds the
+    lightest pair {i, j} lowered by w_ij + 1. Local supermodularity then
+    fails at (T - i - j, i, j) alone: every other second difference with T
+    on top has slack w_kl >= w_ij + 1, one with T at the bottom has at least
+    w_kl - w_ij - 1 >= 0, and one with T in the middle only gains."""
+    pairs = list(combinations(range(n), 2))
+    w = dict(zip(pairs, rng.sample(range(1, 10 * len(pairs) + 1), len(pairs))))
+    i, j = min(pairs, key=w.get)
+    others = [k for k in range(n) if k not in (i, j)]
+    t = mask_of([i, j, *rng.sample(others, rng.randint(0, len(others)))])
+    values = {}
+    for mask in range(1 << n):
+        if mask.bit_count() >= 2:
+            values[members_of(mask)] = sum(
+                w[k, l] for k, l in pairs if mask >> k & 1 and mask >> l & 1
+            ) - (w[i, j] + 1 if mask == t else 0)
+    return ISNGame.from_values(n, values), (t & ~(1 << i | 1 << j), i, j)
+
+
 def fraction_promotion_amount(game, target):
     """synthesize_promotion's subsidy by its former Fraction gap loop, with the
     subgame's Shapley value averaged over orderings (perm_shapley)."""

@@ -16,7 +16,7 @@ import symbio
 from symbio import cli
 from symbio.cli import cmd_analyze, load_scenario, main
 from symbio.errors import SymbioError
-from symbio.games import ISNGame, check_superadditive
+from symbio.games import ISNGame, check_superadditive, make_isn_game, members_of
 from symbio.mcnets import from_isn_game, net_shapley
 from symbio.solutions import in_core
 
@@ -523,6 +523,52 @@ def test_table_errors_name_agents_exit_2(capsys, tmp_path, table, key, value, me
         del doc["tables"][table][key]
     else:
         doc["tables"][table][key] = value
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))
+@settings(max_examples=30, deadline=None)
+def test_shuffled_table_keys_load_like_make_isn_game(tmp_path_factory, seed, n):
+    """Keys written in any member order ("C,A,B"), listed in any order,
+    with ints, "a/b" strings and decimals, give make_isn_game's table."""
+    import random
+
+    rng = random.Random(seed)
+    names = [f"F{i}" for i in rng.sample(range(100), n)]
+    tables, docs = ({}, {}), ({}, {})
+    groups = [sorted(members_of(mask), key=lambda _: rng.random())
+              for mask in range(1 << n) if mask.bit_count() >= 2]
+    for table, doc in zip(tables, docs):
+        for group in rng.sample(groups, len(groups)):
+            value = rng.choice([rng.randint(-50, 50), f"{rng.randint(-50, 50)}/{rng.randint(1, 9)}",
+                                f"{rng.randint(0, 999)}.{rng.randint(0, 99)}"])
+            table[tuple(group)] = value
+            doc[",".join(names[i] for i in group)] = value
+    path = tmp_path_factory.getbasetemp() / "shuffled.json"
+    path.write_text(json.dumps({"agents": names, "tables": {"T": docs[0], "O": docs[1]}}))
+    assert load_scenario(str(path)).game.table == make_isn_game(n, *tables).table
+
+
+@pytest.mark.parametrize("t_faults,o_faults,message", [
+    ({"C": 1}, {"A,Z": 0}, "tables.O['A,Z']: unknown agent 'Z'"),
+    ({"B,A": 1, "C,C": 1}, {}, "tables.T['C,C']: agent 'C' named twice"),
+    ({"C": 1}, {"B,B,A": 0, "Z": 0}, "tables.O['B,B,A']: agent 'B' named twice"),
+    ({"C": 1, "B,A": 1}, {}, "T table keys need two or more members, got {C}"),
+    ({"B,A": 1, "C": 1}, {"A": 0}, "T table lists coalition {A,B} twice"),
+    ({}, {"C,A": 0, "B": 0}, "O table lists coalition {A,C} twice"),
+    ({"B": 1}, {"A,B": True}, "tables.O['A,B']: bool is not a money amount"),
+], ids=["unknown-in-O", "twice-after-dup", "twice-in-O", "size-first", "dup-first", "dup-in-O",
+        "number-before-size"])
+def test_table_fault_precedence(capsys, tmp_path, t_faults, o_faults, message):
+    """Every key is read, name by name and number by number, T then O,
+    before any size or repeat rule runs, T's before O's; a lacking
+    coalition comes last."""
+    doc = _data("g3.json")
+    for table, faults in ("T", t_faults), ("O", o_faults):
+        doc["tables"][table].update(faults)
+    del doc["tables"]["T"]["A,C"]
     code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"

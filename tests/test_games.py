@@ -13,12 +13,22 @@ from symbio.games import (
     as_money,
     check_superadditive,
     coalitions,
+    is_supermodular,
     make_isn_game,
     scaled_table,
     subgame,
 )
+from symbio.mcnets import MCNet, MCNetRule
 
-from helpers import fraction_check_superadditive, mixed_game, random_game, random_net
+from helpers import (
+    convex_game,
+    fraction_check_superadditive,
+    mixed_game,
+    one_violation_game,
+    random_game,
+    random_net,
+    supermodularity_violations,
+)
 
 
 def test_make_isn_game_subtracts_tables():
@@ -113,6 +123,27 @@ def test_as_money_caps_digits_and_exponent():
         as_money(Decimal("1e999999999"))
 
 
+def test_as_money_hostile_strings():
+    """The digit count runs only past MAX_DIGITS characters and the exponent
+    pattern only on text holding an e; verdicts and messages are the same."""
+    with pytest.raises(SymbioError, match=r"^number has more than 1000 digits$"):
+        as_money("1" * 1001)
+    with pytest.raises(SymbioError, match=r"^number has more than 1000 digits$"):
+        as_money("3/" + "7" * 1000)
+    assert as_money(" " * 2000 + "5/" + "9" * 998) == Fraction(5, int("9" * 998))
+    with pytest.raises(SymbioError, match=r"^number '1e999999999' has an exponent beyond 1000$"):
+        as_money("1e999999999")
+    with pytest.raises(SymbioError, match=r"^number '-2E-1001' has an exponent beyond 1000$"):
+        as_money("-2E-1001")
+    assert as_money("1E-5") == Fraction(1, 100000)
+    assert as_money("2.5e3") == 2500
+    with pytest.raises(ZeroDivisionError):
+        as_money("1/0")
+    for text in ("e", "1e", "1/e5", "0x1e5"):
+        with pytest.raises(ValueError):
+            as_money(text)
+
+
 def test_superadditive_holds_on_g3(g3):
     assert check_superadditive(g3) is None
 
@@ -164,6 +195,57 @@ def test_superadditivity_pair_matches_fraction_scan():
     violations = [p for p in pairs if p is not None]
     assert len(violations) >= 100 and len(pairs) - len(violations) >= 50
     assert sum(len(a) >= 2 for a, _ in violations) >= 5
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_supermodularity_matches_the_pairwise_oracle(seed, n):
+    """is_supermodular agrees with the brute-force (S, i, j) check on convex,
+    random and mixed-denominator games, and on games that fail at exactly
+    one (S, i, j)."""
+    import random
+
+    rng = random.Random(seed)
+    games_ = [convex_game(rng, n), random_game(rng, n), mixed_game(rng, n)]
+    if n >= 2:
+        game, where = one_violation_game(rng, n)
+        assert supermodularity_violations(game.table, n) == [where]
+        games_.append(game)
+    for game in games_:
+        expected = not supermodularity_violations(game.table, n)
+        assert is_supermodular(scaled_table(game.table)[0], n) is expected
+    assert is_supermodular(scaled_table(games_[0].table)[0], n)
+
+
+def test_superadditivity_pair_matches_fraction_scan_on_convex_tables():
+    """The convexity certificate returns None only where the pair walk
+    passes too: on convex games, on games one second difference short of
+    convex, and on coordinated tables whose empty set or singletons are
+    worth something (the certificate needs v(empty) <= 0)."""
+    import random
+
+    rng = random.Random(29)
+    certified = walked = 0
+    for n in range(1, 8):
+        for _ in range(12):
+            convex = convex_game(rng, n)
+            nets = [MCNet(n, ()), random_net(rng, n),
+                    MCNet(n, [MCNetRule({i}, (), rng.randint(-5, 5) or 1) for i in range(n)])]
+            if n >= 2:  # the rule applies to the empty set: v(empty) = c
+                nets += [MCNet(n, [MCNetRule((), {0}, c)]) for c in (-3, Fraction(1, 2))]
+            tables = [CoordinatedGame(convex, net) for net in nets]
+            if n >= 2:
+                tables.append(one_violation_game(rng, n)[0])
+            for g in tables:
+                pair = check_superadditive(g)
+                assert pair == fraction_check_superadditive(g)
+                val = scaled_table(g.table)[0]
+                if val[0] <= 0 and is_supermodular(val, n):
+                    certified += 1
+                    assert pair is None
+                else:
+                    walked += 1
+    assert certified >= 200 and walked >= 100
 
 
 def test_scaled_table_bound(monkeypatch):
