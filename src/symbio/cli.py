@@ -22,6 +22,7 @@ ascending roster order, rationals printed in lowest terms. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -52,7 +53,9 @@ def _amount(raw, where: str) -> Fraction:
     """as_money, with its errors reported as a SymbioError naming the field."""
     try:
         return as_money(raw)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except ZeroDivisionError:
+        raise SymbioError(f"{where}: {raw!r} has a zero denominator") from None
+    except (TypeError, ValueError) as e:
         raise SymbioError(f"{where}: {e}") from None
 
 
@@ -394,7 +397,9 @@ def render(report: dict, fmt: str) -> str:
 # ---------------------------------------------------------------- entry
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="symbio",
         description="Cooperative-game analysis and incentive design for "

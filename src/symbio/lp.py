@@ -21,6 +21,24 @@ tests run on the ints, and the ratio test compares rhs_i*a_best with
 rhs_best*a_i. So every entering, leaving and drive-out choice, and the
 solution, are exactly those of the same simplex run on a Fraction tableau.
 Values become Fractions only in the returned LPResult.
+
+Columns are numbered in the logical order structural | slack | artificial,
+with one artificial per row that starts without a basic slack, in row
+order; Bland's rule and the basis read these numbers. Only structural |
+slack | equality-row artificial | rhs columns are stored. A <= row with a
+negative right-hand side is negated, so its slack coefficient is -1 and
+its artificial's +1, and that artificial's column is minus its slack's in
+every row at every basis, because pivots are row operations. In the
+phase-one cost row it costs 1 where the slack costs 0, so its cell there
+is obj[-1] - obj[slack] (d_a = 1 - d_s). Such a "mirrored" artificial is
+read off its slack wherever a rule reads its column (the entering scan,
+the ratio test, the pivot, the cost row's basic entries), so every choice
+sees the values a full tableau holds and no choice moves. The removed
+cells are minus cells kept in the same row, so even the gcds, and with
+them every stored int, are those of the full tableau. A problem with n
+variables, m <= rows and e equality rows stores n + m + e + 1 columns
+instead of n + m + (<= rows with a negative rhs) + e + 1; for the core LP,
+whose <= rows all have one, that is about half.
 """
 
 from __future__ import annotations
@@ -36,6 +54,17 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: "tuple[Fraction, ...] | None" = None
     objective: "Fraction | None" = None
+
+
+class _Tableau(list):
+    """The stored rows, and where each logical column is stored: source[j]
+    is its stored column, or ~s for a mirrored artificial, minus column s."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, rows, source):
+        super().__init__(rows)
+        self.source = source
 
 
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResult:
@@ -61,48 +90,48 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResu
             raise ValueError("constraint width does not match objective")
         rows.append((coeffs, _exact(rhs), False))
 
-    # Column layout: structural | slack | artificial | rhs. A row gets an
-    # artificial unless it has a slack and a nonnegative right-hand side
-    # (rows with a negative one are negated, which turns the slack to -1).
-    # Each row is multiplied by its common denominator, negated with the rhs.
+    # Stored layout: structural | slack | equality artificial | rhs, so row
+    # k's slack or artificial is stored column n + k. Each row is multiplied
+    # by its common denominator, negated with the rhs. mirrored lists the
+    # slack columns of the <= rows with a negative rhs, whose artificials
+    # are not stored; those rows come first, so their artificials are
+    # numbered before the equality rows' ones.
     n_slack = sum(1 for _, _, s in rows if s)
-    n_art = sum(1 for _, rhs, s in rows if not s or rhs < 0)
-    width = n + n_slack + n_art
-    tableau = []
-    basis = []
-    slack_col = n
-    art_col = n + n_slack
-    for coeffs, rhs, needs_slack in rows:
+    real = n + n_slack
+    width = n + len(rows)
+    stored, basis, mirrored = [], [], []
+    for k, (coeffs, rhs, needs_slack) in enumerate(rows):
         scale = reduce(lcm, (v.denominator for v in coeffs), rhs.denominator)
         if rhs < 0:
             scale = -scale
         row = [v.numerator * (scale // v.denominator) for v in coeffs]
         row += [0] * (width - n)
         row.append(rhs.numerator * (scale // rhs.denominator))
-        if needs_slack:
-            row[slack_col] = scale
-            slack_col += 1
-        if needs_slack and rhs >= 0:
-            basis.append(slack_col - 1)
+        if not needs_slack:
+            row[n + k] = abs(scale)
+            basis.append(n + k + len(mirrored))
         else:
-            row[art_col] = abs(scale)
-            basis.append(art_col)
-            art_col += 1
-        tableau.append(_primitive(row))
+            row[n + k] = scale
+            if rhs < 0:
+                basis.append(real + len(mirrored))
+                mirrored.append(n + k)
+            else:
+                basis.append(n + k)
+        stored.append(_primitive(row))
+    tableau = _Tableau(stored, [*range(real), *(~s for s in mirrored), *range(real, width)])
 
-    if n_art:
-        cost1 = [0] * (n + n_slack) + [1] * n_art + [0]
+    if len(tableau.source) > real:
+        cost1 = [0] * real + [1] * (width - real) + [0]
         obj = _reduced_row(cost1, tableau, basis)
-        _pivot_until_optimal(tableau, basis, obj, width)
+        _pivot_until_optimal(tableau, basis, obj)
         if obj[-2] != 0:  # leftover artificial infeasibility
             return LPResult("infeasible")
-        _drive_out_artificials(tableau, basis, n + n_slack)
-        width = n + n_slack
-        tableau = [row[:width] + [row[-1]] for row in tableau]
+        _drive_out_artificials(tableau, basis, real)
+        tableau = _Tableau([row[:real] + [row[-1]] for row in tableau], range(real))
 
-    cost2 = c + [0] * (width - n + 1)
+    cost2 = c + [0] * (real - n + 1)
     obj = _reduced_row(cost2, tableau, basis)
-    if not _pivot_until_optimal(tableau, basis, obj, width):
+    if not _pivot_until_optimal(tableau, basis, obj):
         return LPResult("unbounded")
 
     x = [Fraction(0)] * n
@@ -121,39 +150,46 @@ def _exact(v):
 
 
 def _primitive(row):
-    # reduce, not gcd(*row): on short rows CPython keeps the star-args
-    # tuples in its tuple free lists, which raised peak memory measurably.
-    g = reduce(gcd, row)
+    g = gcd(*row)
     return row if g == 1 else [v // g for v in row]
+
+
+def _cost(obj, t):
+    """The cost row's cell at source t (see _Tableau)."""
+    return obj[t] if t >= 0 else obj[-1] - obj[~t]
 
 
 def _reduced_row(cost, tableau, basis):
     """Cost row with basic columns zeroed, as ints plus a last scale cell.
 
     The true cost row is obj[:-1] / obj[-1]; its last true cell holds
-    -objective.
+    -objective. cost covers the stored columns and the rhs.
     """
     scale = reduce(lcm, (v.denominator for v in cost), 1)
     obj = [v.numerator * (scale // v.denominator) for v in cost] + [scale]
     for i, b in enumerate(basis):
-        factor = obj[b]
+        t = tableau.source[b]
+        factor = _cost(obj, t)
         if factor == 0:
             continue
         row = tableau[i]
-        pc = row[b]
+        pc = row[t] if t >= 0 else -row[~t]
         obj = _primitive([pc * o - factor * r for o, r in zip(obj, row)] + [pc * obj[-1]])
     return obj
 
 
-def _pivot_until_optimal(tableau, basis, obj, width) -> bool:
+def _pivot_until_optimal(tableau, basis, obj) -> bool:
     """Run Bland-rule pivots in place; False means unbounded."""
+    source = tableau.source
     while True:
-        col = next((j for j in range(width) if obj[j] < 0), None)
+        col = next((j for j, t in enumerate(source) if _cost(obj, t) < 0), None)
         if col is None:
             return True
+        t = source[col]
+        sign, j = (1, t) if t >= 0 else (-1, ~t)
         row = None
         for i, trow in enumerate(tableau):
-            a = trow[col]
+            a = sign * trow[j]
             if a <= 0:
                 continue
             if row is None:
@@ -169,21 +205,24 @@ def _pivot_until_optimal(tableau, basis, obj, width) -> bool:
 
 
 def _pivot(tableau, basis, obj, row, col):
-    """Make col basic in row; obj (if given) is updated in place."""
+    """Make logical column col basic in row; obj (if given) is updated in place."""
+    t = tableau.source[col]
+    sign, j = (1, t) if t >= 0 else (-1, ~t)
     prow = tableau[row]
-    pc = prow[col]
+    pc = sign * prow[j]
     if pc < 0:
         pc = -pc
         tableau[row] = prow = [-v for v in prow]
     basis[row] = col
     for i, target in enumerate(tableau):
-        tc = target[col]
+        tc = sign * target[j]
         if tc == 0 or i == row:
             continue
-        tableau[i] = _primitive([pc * t - tc * p for t, p in zip(target, prow)])
-    if obj is not None and obj[col] != 0:
-        oc = obj[col]
-        obj[:] = _primitive([pc * o - oc * p for o, p in zip(obj, prow)] + [pc * obj[-1]])
+        tableau[i] = _primitive([pc * x - tc * p for x, p in zip(target, prow)])
+    if obj is not None:
+        oc = _cost(obj, t)
+        if oc != 0:
+            obj[:] = _primitive([pc * o - oc * p for o, p in zip(obj, prow)] + [pc * obj[-1]])
 
 
 def _drive_out_artificials(tableau, basis, real_width):

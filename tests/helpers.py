@@ -599,3 +599,31 @@ def _drive_out_artificials(tableau, basis, real_width):
             continue
         _pivot(tableau, basis, [Fraction(0)] * (len(tableau[i])), i, col)
         i += 1
+
+
+def traced_pivots(module, call):
+    """call()'s result, and (row, column, stored row length) for every pivot
+    module._pivot made meanwhile, in order.
+
+    module is symbio.lp or this module (the oracle above); both number
+    columns structural | slack | artificial, so the lists compare directly.
+    """
+    pivots = []
+    pivot = module._pivot
+
+    def spy(tableau, basis, obj, row, col):
+        pivots.append((row, col, len(tableau[row])))
+        pivot(tableau, basis, obj, row, col)
+
+    module._pivot = spy
+    try:
+        return call(), pivots
+    finally:
+        module._pivot = pivot
+
+
+def mirrored_columns(c, a_ub=(), b_ub=()):
+    """The columns of the artificials of <= rows with a negative right-hand
+    side, which symbio.lp does not store (its module docstring)."""
+    start = len(c) + len(a_ub)
+    return range(start, start + sum(1 for b in b_ub if b < 0))

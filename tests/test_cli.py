@@ -476,6 +476,34 @@ def test_bad_epsilon_exits_2(capsys):
     assert err.startswith("error: --epsilon: ")
 
 
+def test_zero_denominator_is_named(capsys, tmp_path):
+    code, out, err = run(capsys, "enforce", str(DATA / "g3.json"), "--epsilon", "1/0")
+    assert (code, out) == (2, "")
+    assert err == "error: --epsilon: '1/0' has a zero denominator\n"
+    path = tmp_path / "zero.json"
+    path.write_text('{"agents": ["A", "B"], "tables": {"T": {"A,B": "1/0"}, "O": {"A,B": 0}}}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: tables.T['A,B']: '1/0' has a zero denominator\n"
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    """main builds its parser once per process; each call still parses its
+    own argv, defaults included, as a fresh parser would."""
+    g3 = str(DATA / "g3.json")
+    calls = [["enforce", g3, "--epsilon", "1/2"], ["enforce", g3],
+             ["analyze", g3, "--format", "json"], ["analyze", g3]]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    code, out, _ = fresh[1]
+    assert code == 0 and "epsilon: 1\n" in out
+    shared = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_report_dict_pipeline_known_values():
     scenario = load_scenario(str(DATA / "g3.json"))
     report = cmd_analyze(scenario, check_superadditive(scenario.game))

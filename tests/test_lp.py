@@ -9,7 +9,8 @@ import pytest
 from symbio import lp
 from symbio.lp import LPResult, solve_lp
 
-from helpers import fraction_solve_lp
+import helpers
+from helpers import fraction_solve_lp, mirrored_columns, traced_pivots
 
 
 def test_basic_maximization():
@@ -188,15 +189,23 @@ def _random_lp(rng):
 
 
 def test_matches_fraction_tableau_on_random_lps():
+    """Same results, and the same pivots: every (row, column) in order."""
     rng = random.Random(20180419)
     seen = Counter()
+    mirrored_entries = 0
     for _ in range(1500):
         args, kwargs = _random_lp(rng)
-        r = solve_lp(*args, **kwargs)
-        expected = fraction_solve_lp(*args, **kwargs)
+        r, pivots = traced_pivots(lp, lambda: solve_lp(*args, **kwargs))
+        expected, oracle_pivots = traced_pivots(helpers, lambda: fraction_solve_lp(*args, **kwargs))
         assert (r.status, r.x, r.objective) == astuple(expected), (args, kwargs)
+        assert [p[:2] for p in pivots] == [p[:2] for p in oracle_pivots], (args, kwargs)
+        mirrored = mirrored_columns(*args[:3])
+        mirrored_entries += sum(col in mirrored for _, col, _ in pivots)
         seen[r.status, kwargs["maximize"]] += 1
     # every verdict is exercised in both senses
     statuses = ("optimal", "infeasible", "unbounded")
     assert set(seen) == {(s, m) for s in statuses for m in (False, True)}
     assert min(seen.values()) >= 50, seen
+    # an artificial read off its slack column re-enters the basis, so
+    # Bland's phase one still needs those columns after they leave it
+    assert mirrored_entries > 0

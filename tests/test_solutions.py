@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbio import solutions
+from symbio import lp, solutions
 from symbio.coordination import CoordinatedGame
 from symbio.errors import SymbioError
 from symbio.exchange import scenario_to_game
@@ -14,15 +15,18 @@ from symbio.games import ISNGame, check_superadditive, coalitions, members_of
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley
 from symbio.solutions import core_nonempty, in_core, is_implementable, shapley
 
+import helpers
 from helpers import (
     core_constraints_hold,
     core_nonempty_by_enumeration,
     fraction_solve_lp,
+    mirrored_columns,
     mixed_game,
     perm_shapley,
     random_game,
     random_net,
     random_scenario,
+    traced_pivots,
 )
 
 
@@ -219,27 +223,39 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
     oracle_calls = []
 
     def oracle(*args, **kwargs):
-        oracle_calls.append(args)
+        call = inspect.signature(fraction_solve_lp).bind(*args, **kwargs)
+        call.apply_defaults()
+        oracle_calls.append(call.arguments)
         return fraction_solve_lp(*args, **kwargs)
 
     rng = random.Random(7)
     verdicts = set()
     non_superadditive = 0
+    mirrored_entries = 0
     for n in range(2, 7):
         for make in (random_game, _near_convex_game):
             for _ in range(2 if n == 6 else 6):
                 game = make(rng, n)
-                result = core_nonempty(game)
+                result, pivots = traced_pivots(lp, lambda: core_nonempty(game))
                 oracle_calls.clear()
                 with monkeypatch.context() as m:
                     m.setattr(solutions, "solve_lp", oracle)
-                    assert core_nonempty(game) == result
+                    oracle_result, oracle_pivots = traced_pivots(helpers, lambda: core_nonempty(game))
+                assert oracle_result == result
+                assert [p[:2] for p in pivots] == [p[:2] for p in oracle_pivots]
                 if oracle_calls:
                     verdicts.add((n, result.nonempty))
+                    lp_args = oracle_calls[0]
+                    m_ub, m_eq = len(lp_args["a_ub"]), len(lp_args["a_eq"])
+                    # stored: structural | slack | the efficiency row's artificial | rhs
+                    assert all(width <= n + m_ub + m_eq + 1 for *_, width in pivots)
+                    mirrored = mirrored_columns(lp_args["c"], lp_args["a_ub"], lp_args["b_ub"])
+                    mirrored_entries += sum(col in mirrored for _, col, _ in pivots)
                 non_superadditive += check_superadditive(game) is not None
     # from n = 3 on, both verdicts come out of the LP at every size
     assert {(n, v) for n in range(3, 7) for v in (False, True)} <= verdicts
     assert non_superadditive >= 20
+    assert mirrored_entries > 0
 
 
 def test_implementability(g3, g3_prime):
