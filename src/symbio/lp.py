@@ -1,44 +1,48 @@
 """Exact linear programming over rationals.
 
-A dense two-phase tableau simplex with Bland's rule for both the entering
-and leaving choices, so it terminates on degenerate problems and its
-verdicts (feasible / infeasible) are exact even when the optimum sits on a
+A two-phase simplex with Bland's rule for both the entering and leaving
+choices, so it terminates on degenerate problems and its verdicts
+(feasible / infeasible) are exact even when the optimum sits on a
 constraint boundary. Instances are not small: the core LP has one row per
 coalition worth more than its members alone, up to 2^n - n - 2 rows for n
-agents, each with its own slack column.
+agents.
 
-The tableau is fraction-free. Each row is a list of Python ints whose true
-value is the list divided by its entry in the row's basic column, which is
-kept positive; every row is kept primitive (gcd 1). The cost row carries
-its own positive scale in one extra last cell. A pivot on entry pc of the
-pivot row turns each other row with entry tc in that column into
-pc*row - tc*pivot_row (negating the pivot row first when pc < 0, which
-only the artificial drive-out meets), and rows with tc == 0 are left alone.
+Columns are numbered in the logical order structural | slack | artificial,
+with one artificial per row that starts without a basic slack, in row
+order; Bland's rule and the basis read these numbers. A <= row with a
+negative right-hand side is negated, so its slack coefficient is -1 and
+its artificial's +1: at every basis that artificial's column is minus its
+slack's, and in phase one its cost is 1 - the slack's.
+
+The tableau is a fraction-free dictionary (Tucker's condensed tableau, as
+in Avis's lrs). Basic columns are unit vectors and are not stored: a row
+is Python ints [cell per stored column, rhs, scale], scale > 0, with true
+values cell / scale, kept primitive; tableau.cols names the logical
+column in each slot. The cost row has the same layout, -objective in its
+rhs cell. Of a mirrored slack/artificial pair, a member whose partner is
+basic is minus that row's unit column; it is not stored, and its
+phase-one cost is 1, so it never enters. When both are nonbasic only the
+slack is stored; the artificial is read off it, cells negated and cost
+cell scale - d_s. So exactly n columns are stored for n variables, and a
+row is n + 2 ints whatever the number of rows.
+
+A pivot on cell pc swaps the entering and leaving columns in the entering
+column's slot. The pivot row keeps its cells, takes its old scale s there
+(-s when the leaving column is an artificial stored as its slack) and pc
+as its scale; each other row with cell t in that slot becomes
+pc*row - t*q, for q the new pivot row times the entering column's sign
+(-1 for an artificial read off its slack), with pc added in the slot and
+0 as scale. A negative pc, which only the artificial drive-out meets, negates
+the pivot row first; the drive-out onto an artificial's own unstored
+slack only negates the row.
 
 Scaling a row by a positive number changes neither the sign of a cell nor
 the ratio of two cells, and those are all the pivot rules read: the sign
 tests run on the ints, and the ratio test compares rhs_i*a_best with
-rhs_best*a_i. So every entering, leaving and drive-out choice, and the
-solution, are exactly those of the same simplex run on a Fraction tableau.
-Values become Fractions only in the returned LPResult.
-
-Columns are numbered in the logical order structural | slack | artificial,
-with one artificial per row that starts without a basic slack, in row
-order; Bland's rule and the basis read these numbers. Only structural |
-slack | equality-row artificial | rhs columns are stored. A <= row with a
-negative right-hand side is negated, so its slack coefficient is -1 and
-its artificial's +1, and that artificial's column is minus its slack's in
-every row at every basis, because pivots are row operations. In the
-phase-one cost row it costs 1 where the slack costs 0, so its cell there
-is obj[-1] - obj[slack] (d_a = 1 - d_s). Such a "mirrored" artificial is
-read off its slack wherever a rule reads its column (the entering scan,
-the ratio test, the pivot, the cost row's basic entries), so every choice
-sees the values a full tableau holds and no choice moves. The removed
-cells are minus cells kept in the same row, so even the gcds, and with
-them every stored int, are those of the full tableau. A problem with n
-variables, m <= rows and e equality rows stores n + m + e + 1 columns
-instead of n + m + (<= rows with a negative rhs) + e + 1; for the core LP,
-whose <= rows all have one, that is about half.
+rhs_best*a_i. Every cell read holds a full tableau's true value over the
+row's positive scale, so every entering, leaving and drive-out choice, and
+the solution, are exactly those of the same simplex run on a full
+Fraction tableau. Values become Fractions only in the returned LPResult.
 """
 
 from __future__ import annotations
@@ -57,14 +61,19 @@ class LPResult:
 
 
 class _Tableau(list):
-    """The stored rows, and where each logical column is stored: source[j]
-    is its stored column, or ~s for a mirrored artificial, minus column s."""
+    """The stored rows; cols[j] is the logical column stored in slot j.
 
-    __slots__ = ("source",)
+    slack_of maps each mirrored artificial to its slack column, art_of the
+    other way.
+    """
 
-    def __init__(self, rows, source):
+    __slots__ = ("cols", "slack_of", "art_of")
+
+    def __init__(self, rows, cols, slack_of):
         super().__init__(rows)
-        self.source = source
+        self.cols = cols
+        self.slack_of = slack_of
+        self.art_of = {s: a for a, s in slack_of.items()}
 
 
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResult:
@@ -78,66 +87,48 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResu
         c = [-v for v in c]
     n = len(c)
 
-    rows = []  # (coeffs, rhs, needs_slack)
-    for coeffs, rhs in zip(a_ub, b_ub, strict=True):
-        coeffs = [_exact(v) for v in coeffs]
-        if len(coeffs) != n:
-            raise ValueError("constraint width does not match objective")
-        rows.append((coeffs, _exact(rhs), True))
-    for coeffs, rhs in zip(a_eq, b_eq, strict=True):
-        coeffs = [_exact(v) for v in coeffs]
-        if len(coeffs) != n:
-            raise ValueError("constraint width does not match objective")
-        rows.append((coeffs, _exact(rhs), False))
-
-    # Stored layout: structural | slack | equality artificial | rhs, so row
-    # k's slack or artificial is stored column n + k. Each row is multiplied
-    # by its common denominator, negated with the rhs. mirrored lists the
-    # slack columns of the <= rows with a negative rhs, whose artificials
-    # are not stored; those rows come first, so their artificials are
-    # numbered before the equality rows' ones.
-    n_slack = sum(1 for _, _, s in rows if s)
-    real = n + n_slack
-    width = n + len(rows)
-    stored, basis, mirrored = [], [], []
-    for k, (coeffs, rhs, needs_slack) in enumerate(rows):
-        scale = reduce(lcm, (v.denominator for v in coeffs), rhs.denominator)
-        if rhs < 0:
-            scale = -scale
-        row = [v.numerator * (scale // v.denominator) for v in coeffs]
-        row += [0] * (width - n)
-        row.append(rhs.numerator * (scale // rhs.denominator))
-        if not needs_slack:
-            row[n + k] = abs(scale)
-            basis.append(n + k + len(mirrored))
+    # Slack k belongs to <= row k. Each row starts with its slack basic, or
+    # when it is an equality row or was negated, its artificial; the
+    # artificials are numbered in row order, after every real column.
+    ub = [_dictionary_row(coeffs, rhs, n) for coeffs, rhs in zip(a_ub, b_ub, strict=True)]
+    eq = [_dictionary_row(coeffs, rhs, n) for coeffs, rhs in zip(a_eq, b_eq, strict=True)]
+    real = n + len(ub)
+    basis, slack_of = [], {}
+    for k, (_, negated) in enumerate(ub):
+        if negated:
+            artificial = real + len(slack_of)
+            slack_of[artificial] = n + k
+            basis.append(artificial)
         else:
-            row[n + k] = scale
-            if rhs < 0:
-                basis.append(real + len(mirrored))
-                mirrored.append(n + k)
-            else:
-                basis.append(n + k)
-        stored.append(_primitive(row))
-    tableau = _Tableau(stored, [*range(real), *(~s for s in mirrored), *range(real, width)])
+            basis.append(n + k)
+    basis += range(real + len(slack_of), real + len(slack_of) + len(eq))
+    tableau = _Tableau([row for row, _ in ub + eq], list(range(n)), slack_of)
 
-    if len(tableau.source) > real:
-        cost1 = [0] * real + [1] * (width - real) + [0]
+    n_artificial = len(slack_of) + len(eq)
+    if n_artificial:
+        cost1 = [0] * real + [1] * n_artificial
         obj = _reduced_row(cost1, tableau, basis)
         _pivot_until_optimal(tableau, basis, obj)
         if obj[-2] != 0:  # leftover artificial infeasibility
             return LPResult("infeasible")
         _drive_out_artificials(tableau, basis, real)
-        tableau = _Tableau([row[:real] + [row[-1]] for row in tableau], range(real))
+        # phase two drops the equality artificials' slots, and with an
+        # empty slack_of no artificial is read off a slack any more
+        keep = [j for j, col in enumerate(tableau.cols) if col < real]
+        tableau = _Tableau(
+            [[row[j] for j in keep] + row[-2:] for row in tableau],
+            [tableau.cols[j] for j in keep],
+            {},
+        )
 
-    cost2 = c + [0] * (real - n + 1)
-    obj = _reduced_row(cost2, tableau, basis)
+    obj = _reduced_row(c + [0] * (real - n), tableau, basis)
     if not _pivot_until_optimal(tableau, basis, obj):
         return LPResult("unbounded")
 
     x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
+    for row, b in zip(tableau, basis):
         if b < n:
-            x[b] = Fraction(tableau[i][-1], tableau[i][b])
+            x[b] = Fraction(row[-2], row[-1])
     value = Fraction(-obj[-2], obj[-1])
     if maximize:
         value = -value
@@ -149,56 +140,99 @@ def _exact(v):
     return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
+def _dictionary_row(coeffs, rhs, n):
+    """(row, negated): coeffs and rhs as a primitive dictionary row over
+    their common denominator, negated when rhs < 0 so that the row's basic
+    slack or artificial enters it as +1."""
+    row = [_exact(v) for v in coeffs]
+    if len(row) != n:
+        raise ValueError("constraint width does not match objective")
+    row.append(_exact(rhs))
+    negated = row[-1] < 0
+    if all(type(v) is int for v in row):
+        scale = 1
+    else:
+        scale = reduce(lcm, (v.denominator for v in row))
+        row = [v.numerator * (scale // v.denominator) for v in row]
+    if negated:
+        row = [-v for v in row]
+    row.append(scale)
+    return _primitive(row), negated
+
+
 def _primitive(row):
     g = gcd(*row)
     return row if g == 1 else [v // g for v in row]
 
 
-def _cost(obj, t):
-    """The cost row's cell at source t (see _Tableau)."""
-    return obj[t] if t >= 0 else obj[-1] - obj[~t]
+def _slot(tableau, col):
+    """(j, sign): logical column col is sign times stored slot j, or j is
+    None when col is minus the unit column of the row where its mirrored
+    partner is basic."""
+    cols = tableau.cols
+    if col in cols:
+        return cols.index(col), 1
+    slack = tableau.slack_of.get(col)
+    if slack in cols:
+        return cols.index(slack), -1
+    return None, -1
 
 
 def _reduced_row(cost, tableau, basis):
-    """Cost row with basic columns zeroed, as ints plus a last scale cell.
+    """The cost row over the stored columns: ints plus a last scale cell.
 
-    The true cost row is obj[:-1] / obj[-1]; its last true cell holds
-    -objective. cost covers the stored columns and the rhs.
+    cost lists every logical column's cost (ints or Fractions). The true
+    cost row is obj[:-1] / obj[-1], its rhs cell -objective; it is summed
+    over one lcm of the costs' denominators and the scales of the rows
+    with a basic column that costs something.
     """
-    scale = reduce(lcm, (v.denominator for v in cost), 1)
-    obj = [v.numerator * (scale // v.denominator) for v in cost] + [scale]
-    for i, b in enumerate(basis):
-        t = tableau.source[b]
-        factor = _cost(obj, t)
-        if factor == 0:
-            continue
-        row = tableau[i]
-        pc = row[t] if t >= 0 else -row[~t]
-        obj = _primitive([pc * o - factor * r for o, r in zip(obj, row)] + [pc * obj[-1]])
-    return obj
+    d = reduce(lcm, (v.denominator for v in cost), 1)
+    cost = [v.numerator * (d // v.denominator) for v in cost]
+    terms = [(tableau[i], cost[b]) for i, b in enumerate(basis) if cost[b]]
+    scale = reduce(lcm, (row[-1] for row, _ in terms), 1)
+    obj = [cost[col] * scale for col in tableau.cols] + [0]
+    for row, cb in terms:
+        f = cb * (scale // row[-1])
+        obj = [o - f * v for o, v in zip(obj, row)]
+    return _primitive(obj + [d * scale])
+
+
+def _entering(tableau, obj):
+    """Bland's rule: the smallest logical column with a negative reduced
+    cost, or None. A mirrored artificial costs obj[-1] - d_s."""
+    best = None
+    art_of = tableau.art_of
+    for j, col in enumerate(tableau.cols):
+        d = obj[j]
+        if d < 0:
+            if best is None or col < best:
+                best = col
+        elif art_of and d > obj[-1]:
+            art = art_of.get(col)
+            if art is not None and (best is None or art < best):
+                best = art
+    return best
 
 
 def _pivot_until_optimal(tableau, basis, obj) -> bool:
     """Run Bland-rule pivots in place; False means unbounded."""
-    source = tableau.source
     while True:
-        col = next((j for j, t in enumerate(source) if _cost(obj, t) < 0), None)
+        col = _entering(tableau, obj)
         if col is None:
             return True
-        t = source[col]
-        sign, j = (1, t) if t >= 0 else (-1, ~t)
+        j, sign = _slot(tableau, col)
         row = None
         for i, trow in enumerate(tableau):
             a = sign * trow[j]
             if a <= 0:
                 continue
             if row is None:
-                row, rhs_best, a_best = i, trow[-1], a
+                row, rhs_best, a_best = i, trow[-2], a
                 continue
             # rhs_i / a_i against rhs_best / a_best, with both a > 0
-            here, best = trow[-1] * a_best, rhs_best * a
+            here, best = trow[-2] * a_best, rhs_best * a
             if here < best or (here == best and basis[i] < basis[row]):
-                row, rhs_best, a_best = i, trow[-1], a
+                row, rhs_best, a_best = i, trow[-2], a
         if row is None:
             return False
         _pivot(tableau, basis, obj, row, col)
@@ -206,36 +240,53 @@ def _pivot_until_optimal(tableau, basis, obj) -> bool:
 
 def _pivot(tableau, basis, obj, row, col):
     """Make logical column col basic in row; obj (if given) is updated in place."""
-    t = tableau.source[col]
-    sign, j = (1, t) if t >= 0 else (-1, ~t)
+    j, sign = _slot(tableau, col)
     prow = tableau[row]
+    leaving, basis[row] = basis[row], col
+    if j is None:  # col is the unstored slack of row's basic artificial
+        tableau[row] = [-v for v in prow[:-1]] + prow[-1:]
+        return
     pc = sign * prow[j]
     if pc < 0:
-        pc = -pc
-        tableau[row] = prow = [-v for v in prow]
-    basis[row] = col
+        pc, prow = -pc, [-v for v in prow]
+    # the leaving column's cell in the pivot row is its scale s; a mirrored
+    # artificial is stored as its slack, minus that
+    tableau.cols[j] = tableau.slack_of.get(leaving, leaving)
+    mirror = 1 if tableau.cols[j] == leaving else -1
+    s = prow[-1]
+    q = [sign * v for v in prow]
+    q[j], q[-1] = pc + sign * mirror * s, 0
+    tableau[row] = prow[:j] + [mirror * s] + prow[j + 1 : -1] + [pc]
     for i, target in enumerate(tableau):
-        tc = sign * target[j]
+        tc = target[j]
         if tc == 0 or i == row:
             continue
-        tableau[i] = _primitive([pc * x - tc * p for x, p in zip(target, prow)])
+        tableau[i] = _primitive([pc * x - tc * p for x, p in zip(target, q)])
     if obj is not None:
-        oc = _cost(obj, t)
-        if oc != 0:
-            obj[:] = _primitive([pc * o - oc * p for o, p in zip(obj, prow)] + [pc * obj[-1]])
+        oc = obj[j] if sign > 0 else obj[j] - obj[-1]  # sign times the entering cost
+        new = [pc * o - oc * p for o, p in zip(obj, q)] if oc else obj[:]
+        d = -sign * oc * s  # the leaving column's cost
+        new[j] = d if mirror > 0 else new[-1] - d
+        obj[:] = _primitive(new)
 
 
 def _drive_out_artificials(tableau, basis, real_width):
-    """Pivot zero-level artificials onto real columns; drop redundant rows."""
+    """Pivot zero-level artificials onto real columns; drop redundant rows.
+
+    The real column is the first nonzero one in logical order: a stored
+    one, or a mirrored artificial's own slack, minus its unit column.
+    """
     i = 0
     while i < len(tableau):
         if basis[i] < real_width:
             i += 1
             continue
-        col = next((j for j in range(real_width) if tableau[i][j] != 0), None)
-        if col is None:
+        nonzero = [col for col, v in zip(tableau.cols, tableau[i]) if col < real_width and v != 0]
+        if basis[i] in tableau.slack_of:
+            nonzero.append(tableau.slack_of[basis[i]])
+        if not nonzero:
             del tableau[i]
             del basis[i]
             continue
-        _pivot(tableau, basis, None, i, col)
+        _pivot(tableau, basis, None, i, min(nonzero))
         i += 1

@@ -3,10 +3,10 @@
 `shapley` is the Shapley allocation by the subset formula, summed per
 coalition in O(2^n) integer operations. Core decisions run as exact LP
 feasibility with a constructive witness; `in_core` checks one allocation
-against every coalition. `shapley` and `in_core` scan the value table as
-Python ints over the lcm of its denominators (games.scaled_table) and
-return Fractions; a table whose scaled form would pass games.SCALED_BITS
-bits raises BoundExceeded instead. A game is implementable when its
+against every coalition. `shapley`, `in_core` and `core_nonempty` read
+the value table as Python ints over the lcm of its denominators
+(games.scaled_table) and return Fractions; a table whose scaled form
+would pass games.SCALED_BITS bits raises BoundExceeded instead. A game is implementable when its
 Shapley allocation sits in its core: fair and stable at once. The slow
 oracles these are tested against (permutation average, vertex
 enumeration) live with the tests, not here.
@@ -83,21 +83,22 @@ def core_nonempty(game) -> CoreResult:
 
     Solved as an LP in the slack above singleton worths: rows for proper
     coalitions whose worth exceeds their members' standalone total, one
-    efficiency equality, phase-one simplex for feasibility.
+    efficiency equality, phase-one simplex for feasibility. The rows are
+    ints over the table's lcm denominator d (games.scaled_shares), which
+    scales every right-hand side by d and moves no pivot; a table whose
+    scaled form would pass games.SCALED_BITS bits raises BoundExceeded.
     """
     n = game.n_agents
-    vals = game.table
     full = (1 << n) - 1
-    singles = [vals[1 << i] for i in range(n)]
-    budget = vals[full] - sum(singles)
+    # alone[S]: the members' standalone worths, summed
+    vals, alone, d = scaled_shares(game.table, [game.table[1 << i] for i in range(n)])
+    budget = vals[full] - alone[full]
     if budget < 0:
         return CoreResult(False)
 
     a_ub, b_ub = [], []
     for mask in range(1, full):
-        if mask.bit_count() < 2:
-            continue
-        floor = vals[mask] - sum(singles[i] for i in range(n) if mask >> i & 1)
+        floor = vals[mask] - alone[mask]  # 0 for a singleton
         if floor <= 0:
             continue
         a_ub.append([-(mask >> i & 1) for i in range(n)])
@@ -105,7 +106,7 @@ def core_nonempty(game) -> CoreResult:
     result = solve_lp([0] * n, a_ub=a_ub, b_ub=b_ub, a_eq=[[1] * n], b_eq=[budget])
     if result.status != "optimal":
         return CoreResult(False)
-    witness = tuple(y + s for y, s in zip(result.x, singles, strict=True))
+    witness = tuple((y + alone[1 << i]) / d for i, y in enumerate(result.x))
     return CoreResult(True, witness)
 
 

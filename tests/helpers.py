@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
+from symbio import lp
 from symbio.errors import BoundExceeded
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import ENUMERATION_BOUND, ISNGame, mask_of, members_of, subgame, zero_table
@@ -602,17 +603,23 @@ def _drive_out_artificials(tableau, basis, real_width):
 
 
 def traced_pivots(module, call):
-    """call()'s result, and (row, column, stored row length) for every pivot
-    module._pivot made meanwhile, in order.
+    """call()'s result, and (row, column, leaving column, pivot element,
+    stored row length) for every pivot module._pivot made meanwhile, in order.
 
     module is symbio.lp or this module (the oracle above); both number
-    columns structural | slack | artificial, so the lists compare directly.
+    columns structural | slack | artificial, so all but the lengths compare
+    directly. The pivot element is the entering column's true value in the
+    pivot row: read off the oracle's full tableau, or through symbio.lp's
+    dictionary (lp_entry), whose rows store only n nonbasic columns plus
+    rhs and scale.
     """
     pivots = []
     pivot = module._pivot
+    entry = lp_entry if module is lp else lambda tableau, basis, row, col: tableau[row][col]
 
     def spy(tableau, basis, obj, row, col):
-        pivots.append((row, col, len(tableau[row])))
+        element = entry(tableau, basis, row, col)
+        pivots.append((row, col, basis[row], element, len(tableau[row])))
         pivot(tableau, basis, obj, row, col)
 
     module._pivot = spy
@@ -622,8 +629,21 @@ def traced_pivots(module, call):
         module._pivot = pivot
 
 
-def mirrored_columns(c, a_ub=(), b_ub=()):
-    """The columns of the artificials of <= rows with a negative right-hand
-    side, which symbio.lp does not store (its module docstring)."""
+def lp_entry(tableau, basis, row, col):
+    """The true value of nonbasic logical column col in row of a symbio.lp
+    dictionary (its module docstring)."""
+    j, sign = lp._slot(tableau, col)
+    if j is not None:
+        return Fraction(sign * tableau[row][j], tableau[row][-1])
+    # minus the unit column of the row where col's mirrored partner is basic
+    partner = tableau.art_of.get(col, tableau.slack_of.get(col))
+    return Fraction(-(basis[row] == partner))
+
+
+def mirrored_pairs(c, a_ub=(), b_ub=()):
+    """{artificial column: slack column} for the <= rows with a negative
+    right-hand side, whose artificials symbio.lp reads off their slacks
+    (its module docstring)."""
     start = len(c) + len(a_ub)
-    return range(start, start + sum(1 for b in b_ub if b < 0))
+    slacks = [len(c) + k for k, b in enumerate(b_ub) if b < 0]
+    return {start + t: slack for t, slack in enumerate(slacks)}

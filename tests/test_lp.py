@@ -10,7 +10,7 @@ from symbio import lp
 from symbio.lp import LPResult, solve_lp
 
 import helpers
-from helpers import fraction_solve_lp, mirrored_columns, traced_pivots
+from helpers import fraction_solve_lp, lp_entry, mirrored_pairs, traced_pivots
 
 
 def test_basic_maximization():
@@ -92,15 +92,15 @@ def test_minimize_matches_negated_maximize():
 def test_drive_out_pivot_on_negative_entry(monkeypatch):
     # Phase one leaves an artificial basic at level zero whose row's first
     # nonzero real entry is negative: the drive-out pivots on it and must
-    # negate the row to keep its basic entry positive.
+    # negate the row to keep its scale, its basic column's entry, positive.
     drive_out_elements = []
     pivot = lp._pivot
 
     def spy(tableau, basis, obj, row, col):
         if obj is None:
-            drive_out_elements.append(tableau[row][col])
+            drive_out_elements.append(lp_entry(tableau, basis, row, col))
         pivot(tableau, basis, obj, row, col)
-        assert all(trow[b] > 0 for trow, b in zip(tableau, basis))
+        assert all(trow[-1] > 0 for trow in tableau)
 
     monkeypatch.setattr(lp, "_pivot", spy)
     args = ([-1, 1], (), (), [[2, 2], [0, -1]], [1, 0])
@@ -189,23 +189,30 @@ def _random_lp(rng):
 
 
 def test_matches_fraction_tableau_on_random_lps():
-    """Same results, and the same pivots: every (row, column) in order."""
+    """Same results, and the same pivots: every (row, entering column,
+    leaving column, pivot element) in order."""
     rng = random.Random(20180419)
     seen = Counter()
-    mirrored_entries = 0
+    paths = Counter()
     for _ in range(1500):
         args, kwargs = _random_lp(rng)
         r, pivots = traced_pivots(lp, lambda: solve_lp(*args, **kwargs))
         expected, oracle_pivots = traced_pivots(helpers, lambda: fraction_solve_lp(*args, **kwargs))
         assert (r.status, r.x, r.objective) == astuple(expected), (args, kwargs)
-        assert [p[:2] for p in pivots] == [p[:2] for p in oracle_pivots], (args, kwargs)
-        mirrored = mirrored_columns(*args[:3])
-        mirrored_entries += sum(col in mirrored for _, col, _ in pivots)
+        assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots], (args, kwargs)
+        mirrored = mirrored_pairs(*args[:3])
+        for _, col, leaving, element, _ in pivots:
+            # an artificial read off its slack column re-enters the basis,
+            # so Bland's phase one still needs those columns after they
+            # leave it
+            paths["artificial enters through its slack"] += col in mirrored
+            # the drive-out makes an artificial's own unstored slack basic
+            paths["drive-out onto an unstored slack"] += mirrored.get(leaving) == col
+            paths["negative pivot element"] += element < 0
         seen[r.status, kwargs["maximize"]] += 1
     # every verdict is exercised in both senses
     statuses = ("optimal", "infeasible", "unbounded")
     assert set(seen) == {(s, m) for s in statuses for m in (False, True)}
     assert min(seen.values()) >= 50, seen
-    # an artificial read off its slack column re-enters the basis, so
-    # Bland's phase one still needs those columns after they leave it
-    assert mirrored_entries > 0
+    # and every path of the dictionary's pivot
+    assert len(paths) == 3 and min(paths.values()) > 0, paths

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbio import lp, solutions
+from symbio import games, lp, solutions
 from symbio.coordination import CoordinatedGame
-from symbio.errors import SymbioError
+from symbio.errors import BoundExceeded, SymbioError
 from symbio.exchange import scenario_to_game
 from symbio.games import ISNGame, check_superadditive, coalitions, members_of
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley
@@ -20,7 +20,7 @@ from helpers import (
     core_constraints_hold,
     core_nonempty_by_enumeration,
     fraction_solve_lp,
-    mirrored_columns,
+    mirrored_pairs,
     mixed_game,
     perm_shapley,
     random_game,
@@ -242,15 +242,15 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
                     m.setattr(solutions, "solve_lp", oracle)
                     oracle_result, oracle_pivots = traced_pivots(helpers, lambda: core_nonempty(game))
                 assert oracle_result == result
-                assert [p[:2] for p in pivots] == [p[:2] for p in oracle_pivots]
+                assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots]
                 if oracle_calls:
                     verdicts.add((n, result.nonempty))
                     lp_args = oracle_calls[0]
-                    m_ub, m_eq = len(lp_args["a_ub"]), len(lp_args["a_eq"])
-                    # stored: structural | slack | the efficiency row's artificial | rhs
-                    assert all(width <= n + m_ub + m_eq + 1 for *_, width in pivots)
-                    mirrored = mirrored_columns(lp_args["c"], lp_args["a_ub"], lp_args["b_ub"])
-                    mirrored_entries += sum(col in mirrored for _, col, _ in pivots)
+                    # stored: one cell per nonbasic column, rhs and scale;
+                    # phase two never pivots, as the LP costs nothing
+                    assert all(width == n + 2 for *_, width in pivots)
+                    mirrored = mirrored_pairs(lp_args["c"], lp_args["a_ub"], lp_args["b_ub"])
+                    mirrored_entries += sum(col in mirrored for _, col, *_ in pivots)
                 non_superadditive += check_superadditive(game) is not None
     # from n = 3 on, both verdicts come out of the LP at every size
     assert {(n, v) for n in range(3, 7) for v in (False, True)} <= verdicts
@@ -275,6 +275,30 @@ def test_implementability_beyond_the_factorial_bound():
         n, {s: 10 if len(s) == 2 else 12 if len(s) == n else 0 for s in coalitions(n, min_size=2)}
     )
     assert not is_implementable(pairs_overdemand)
+
+
+@pytest.mark.slow
+def test_core_witness_of_a_nine_agent_convex_game():
+    """|S|^2 - |S| at n = 9: 501 coalition rows, under a second; Bland's
+    phase one reaches the marginal vector (16, 14, ..., 0)."""
+    n = 9
+    convex = ISNGame.from_values(n, {s: len(s) ** 2 - len(s) for s in coalitions(n, min_size=2)})
+    result = core_nonempty(convex)
+    assert result.nonempty and result.witness == tuple(range(2 * n - 2, -1, -2))
+
+
+def test_core_lp_rows_are_scaled_under_the_bit_budget(monkeypatch):
+    """The core LP's rows are ints over the table's lcm denominator (105,
+    7 bits for 8 entries), under games.SCALED_BITS like the other scans."""
+    game = ISNGame.from_values(
+        3, {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 5), (1, 2): Fraction(2, 7), (0, 1, 2): 1}
+    )
+    monkeypatch.setattr(games, "SCALED_BITS", 8 * 7)
+    result = core_nonempty(game)
+    assert result.nonempty and in_core(game, result.witness)
+    monkeypatch.setattr(games, "SCALED_BITS", 8 * 7 - 1)
+    with pytest.raises(BoundExceeded, match="needs more than 6 bits"):
+        core_nonempty(game)
 
 
 def test_two_person_exchange_games_always_implementable():
