@@ -5,14 +5,22 @@ JSON documents with an `agents` name list, exactly one of `tables` (T/O
 cost tables keyed by comma-joined agent names) or `exchange` (streams,
 transport, transaction), and an optional `policy` section; any other key,
 any key, coalition or agent in a coalition given twice, and a comma in an
-agent name are errors. All numbers are
-read exactly by games.as_money: integers, "a/b" strings, decimal strings,
-or raw JSON decimals (parsed from their source text, never through binary
-floats), within its digit and exponent caps.
+agent name are errors. All numbers are read exactly, in one grammar on
+every interpreter (games._RATIONAL_FORMAT, Python 3.11's): integers, "a/b"
+strings, decimal strings, or raw JSON decimals (parsed from their source
+text, never through binary floats). Every number, a raw JSON integer
+included, may have at most games.MAX_DIGITS digits, and a decimal exponent
+must lie within +-games.MAX_EXPONENT.
 
 Table keys and policy groups become bitmasks straight from the agent
-names (one {name: bit} dict); games.game_from_masks builds the game. Every
-key's names and number are read, T then O, before the table rules run.
+names. A table key spelt as reports spell it (roster order, "A,B,D") costs
+one lookup in a dict of those keys, built per file of at most
+ENUMERATION_BOUND agents; any other key is split and checked name by name
+(_mask), so its faults read the same. A value
+becomes a numerator and a denominator (JSON ints pass through, text goes
+through games.money_terms), and games.game_from_masks builds each v(S) as
+one Fraction. Every key's names and number are read, T then O, before the
+table rules run. `--epsilon` is checked to be > 0 before the file is read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms. Exit codes:
@@ -35,7 +43,8 @@ from .exchange import (
     DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
 )
 from .games import (
-    ISNGame, as_money, check_superadditive, game_from_masks, members_of, subgame
+    ENUMERATION_BOUND, MAX_DIGITS, ISNGame, as_money, check_superadditive, game_from_masks,
+    members_of, money_terms, subgame,
 )
 from .mcnets import from_isn_game
 from .solutions import core_nonempty, in_core, is_implementable, shapley
@@ -49,13 +58,29 @@ class Scenario:
     source: str  # "tables" | "exchange"
 
 
+#: JSON integers, like text, may have at most MAX_DIGITS digits.
+_INT_LIMIT = 10**MAX_DIGITS
+
+
+def _terms(raw) -> "tuple[int, int]":
+    """(numerator, denominator) of a JSON number or number string.
+
+    A JSON int passes through, held to MAX_DIGITS digits; anything else is
+    read by games.money_terms (a JSON decimal is a Fraction already, from
+    parse_float).
+    """
+    if type(raw) is int:
+        if -_INT_LIMIT < raw < _INT_LIMIT:
+            return raw, 1
+        raise SymbioError(f"number has more than {MAX_DIGITS} digits")
+    return money_terms(raw)
+
+
 def _amount(raw, where: str) -> Fraction:
-    """as_money, with its errors reported as a SymbioError naming the field."""
+    """_terms(raw) as a Fraction, its faults reported as a SymbioError naming the field."""
     try:
-        return as_money(raw)
-    except ZeroDivisionError:
-        raise SymbioError(f"{where}: {raw!r} has a zero denominator") from None
-    except (TypeError, ValueError) as e:
+        return Fraction(*_terms(raw))
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise SymbioError(f"{where}: {e}") from None
 
 
@@ -104,13 +129,34 @@ def _mask(raw, where: str, bits) -> int:
     return mask
 
 
-def _table_pairs(raw, x: str, bits) -> "list[tuple[int, Fraction]]":
-    """(mask, amount) for each entry of tables.x, in file order."""
-    pairs = []
-    for key, value in _expect(raw, dict, f"tables.{x}").items():
-        where = f"tables.{x}[{key!r}]"
-        pairs.append((_mask(key, where, bits), _amount(value, where)))
-    return pairs
+def _table_pairs(tables: dict, names, bits) -> "list[list[tuple[int, tuple[int, int]]]]":
+    """T's and then O's (mask, (numerator, denominator)) pairs, each in file order.
+
+    A key spelt as reports spell it costs one lookup in a dict of the
+    roster's keys of two or more agents (_keys), which lives only while the
+    tables are read; any other key is read by _mask, which names its fault.
+    Past ENUMERATION_BOUND agents no dict is built (it would hold 2^n keys):
+    every key goes through _mask, and game_from_masks then raises
+    BoundExceeded, after any fault in a key or a value, as for any roster.
+    """
+    masks = {}
+    if len(names) <= ENUMERATION_BOUND:
+        masks = dict(zip(_keys(names), range(1 << len(names))))
+        for key in "", *names:  # left: the keys of two or more agents, each with a comma
+            masks.pop(key, None)
+    both = []
+    for x in "T", "O":
+        pairs = []
+        for key, value in _expect(tables.get(x), dict, f"tables.{x}").items():
+            mask = masks.get(key)
+            if mask is None:
+                mask = _mask(key, f"tables.{x}[{key!r}]", bits)
+            try:
+                pairs.append((mask, _terms(value)))
+            except (TypeError, ValueError, ZeroDivisionError) as e:
+                raise SymbioError(f"tables.{x}[{key!r}]: {e}") from None
+        both.append(pairs)
+    return both
 
 
 def load_scenario(path: str) -> Scenario:
@@ -158,8 +204,7 @@ def load_scenario(path: str) -> Scenario:
             })
         if "tables" in doc:
             tables = _expect(doc["tables"], dict, "tables", ("T", "O"))
-            t, o = (_table_pairs(tables.get(x), x, bits) for x in ("T", "O"))
-            game = game_from_masks(len(names), t, o)
+            game = game_from_masks(len(names), *_table_pairs(tables, names, bits))
         else:
             ids = {name: i for i, name in enumerate(names)}
             game = scenario_to_game(_parse_exchange(doc["exchange"], ids))
@@ -211,10 +256,18 @@ def _allocation(names, x) -> dict:
     return {names[i]: str(v) for i, v in enumerate(x)}
 
 
-def _value_rows(names, game) -> dict:
-    keys = [""]  # keys[mask]: the names of mask's members, comma-joined in roster order
+def _keys(names) -> "list[str]":
+    """keys[mask]: the names of mask's members, comma-joined in roster order,
+    as reports write a coalition; an agent named "" keeps its comma, so the
+    key of {"", B} is ",B", not B's."""
+    keys = [""]
     for name in names:
-        keys += [f"{k},{name}" if k else name for k in keys]
+        keys += [name] + [f"{k},{name}" for k in keys[1:]]
+    return keys
+
+
+def _value_rows(names, game) -> dict:
+    keys = _keys(names)
     table = game.table
     return {keys[mask]: str(table[mask])
             for mask in range(1 << game.n_agents) if mask.bit_count() >= 2}
@@ -428,6 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "enforce":
+            epsilon = _amount(args.epsilon, "--epsilon")
+            if epsilon <= 0:
+                raise SymbioError("--epsilon: must be > 0")
         scenario = load_scenario(args.scenario)
         violation = check_superadditive(scenario.game)
         if violation is not None:
@@ -445,7 +502,7 @@ def main(argv=None) -> int:
         elif args.command == "mcnet":
             report = cmd_mcnet(scenario)
         else:
-            report = cmd_enforce(scenario, _amount(args.epsilon, "--epsilon"))
+            report = cmd_enforce(scenario, epsilon)
     except BoundExceeded as e:
         print(f"error: bound exceeded: {e}", file=sys.stderr)
         return 3

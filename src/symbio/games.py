@@ -7,11 +7,16 @@ every kernel reads games through it, which is why construction is capped at
 ENUMERATION_BOUND agents. All money amounts are exact rationals
 (fractions.Fraction); nothing in this package ever rounds.
 
-Value and cost tables are read from (mask, money) pairs: _table owns the
-rules that every key has two or more agents and that none is given twice,
-and game_from_masks the rule that T and O list every such coalition.
-make_isn_game and ISNGame.from_values turn their coalition keys into masks
-first; the CLI reader builds masks from agent names directly.
+Text amounts follow one grammar on every interpreter, Python 3.11's
+(_RATIONAL_FORMAT), read straight into a numerator and a denominator
+(money_terms); as_money makes the one Fraction.
+
+Value and cost tables are read from (mask, (numerator, denominator))
+pairs: _table owns the rules that every key has two or more agents and
+that none is given twice, and game_from_masks the rule that T and O list
+every such coalition; it builds each T(S) - O(S) as one Fraction from the
+four ints. make_isn_game and ISNGame.from_values turn their coalition keys
+into masks first; the CLI reader builds masks from agent names directly.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
 promotion subsidy elsewhere) run on Python ints: scaled_table writes a
@@ -49,34 +54,89 @@ MAX_EXPONENT = 1000
 #: that denominator, and every scaled entry, grow with each one folded in.
 SCALED_BITS = 1 << 28
 
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+#: The grammar of text numbers: Python 3.11's fractions._RATIONAL_FORMAT,
+#: owned here so that a file reads alike on every interpreter (3.10 rejects
+#: "1_0/3", 3.12 accepts "3/ 4"). One character differs: the decimal group
+#: has 3.13's `\d*` for 3.11's `d*`, which let "5.d" match only for int()
+#: to reject it. Underscores between digits and any Unicode decimal digit
+#: ("٣/4") are read, as in 3.11.
+_RATIONAL_FORMAT = re.compile(r"""
+    \A\s*                                 # optional whitespace at the start,
+    (?P<sign>[-+]?)                       # an optional sign, then
+    (?=\d|\.\d)                           # lookahead for digit or .digit
+    (?P<num>\d*|\d+(_\d+)*)               # numerator (possibly empty)
+    (?:                                   # followed by
+       (?:/(?P<denom>\d+(_\d+)*))?        # an optional denominator
+    |                                     # or
+       (?:\.(?P<decimal>\d*|\d+(_\d+)*))? # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+(_\d+)*))?     # and optional exponent
+    )
+    \s*\Z                                 # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def _parse(text: str) -> "tuple[int, int]":
+    """(numerator, denominator > 0) of text in the number grammar, unreduced.
+
+    Past MAX_DIGITS characters the digits are counted before the text is
+    matched, and the exponent is held to MAX_EXPONENT before it is applied;
+    either fault raises SymbioError. Text outside the grammar raises
+    ValueError, a zero denominator ZeroDivisionError.
+    """
+    if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
+        raise SymbioError(f"number has more than {MAX_DIGITS} digits")
+    m = _RATIONAL_FORMAT.match(text)
+    if m is None:
+        raise ValueError(f"{text!r} is not a number")
+    sign, num, den, decimal, exp = m.group("sign", "num", "denom", "decimal", "exp")
+    num = int(num or "0")
+    if den:
+        den = int(den)
+        if not den:
+            raise ZeroDivisionError(f"{text!r} has a zero denominator")
+    else:
+        den = 1
+        if decimal:
+            decimal = decimal.replace("_", "")
+            den = 10 ** len(decimal)
+            num = num * den + int(decimal)
+        if exp:
+            exp = int(exp)
+            if abs(exp) > MAX_EXPONENT:
+                raise SymbioError(f"number {text!r} has an exponent beyond {MAX_EXPONENT}")
+            if exp >= 0:
+                num *= 10**exp
+            else:
+                den *= 10**-exp
+    return (-num if sign == "-" else num), den
+
+
+def money_terms(x) -> "tuple[int, int]":
+    """(numerator, denominator > 0) of a money amount, accepted and rejected
+    as by as_money; text becomes the two ints without a Fraction."""
+    if isinstance(x, str):
+        return _parse(x)
+    if isinstance(x, bool):
+        raise TypeError("bool is not a money amount")
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    if isinstance(x, Decimal):
+        return _parse(str(x))
+    raise TypeError(f"cannot represent {x!r} exactly; use int, Fraction or string")
 
 
 def as_money(x) -> Fraction:
     """Coerce ints, strings ("3", "1/2", "0.25") and Decimals to Fraction.
 
     Binary floats are rejected (TypeError): converting them would silently
-    import rounding error into computations that must stay exact. Text with
+    import rounding error into computations that must stay exact. Text is
+    read by one grammar (_RATIONAL_FORMAT) on every interpreter; text with
     more than MAX_DIGITS digits or an exponent beyond +-MAX_EXPONENT is
     rejected (SymbioError) before it is expanded.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise TypeError("bool is not a money amount")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Decimal):
-        x = str(x)
-    if isinstance(x, str):
-        if len(x) > MAX_DIGITS and sum(c.isdigit() for c in x) > MAX_DIGITS:
-            raise SymbioError(f"number has more than {MAX_DIGITS} digits")
-        if "e" in x or "E" in x:
-            exponent = _EXPONENT.search(x)
-            if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-                raise SymbioError(f"number {x!r} has an exponent beyond {MAX_EXPONENT}")
-        return Fraction(x)
-    raise TypeError(f"cannot represent {x!r} exactly; use int, Fraction or string")
+    return Fraction(*money_terms(x))
 
 
 def coalition(members: Iterable[int]) -> frozenset:
@@ -183,8 +243,8 @@ class ISNGame:
         is a coalition listed twice, such as (0, 1) next to (1, 0).
         """
         table = zero_table(n_agents)
-        for mask, val in _table(_masks(n_agents, values, "value"), "value").items():
-            table[mask] = val
+        for mask, terms in _table(_masks(n_agents, values, "value"), "value").items():
+            table[mask] = Fraction(*terms)
         return cls(n_agents, tuple(table))
 
     def value(self, s: Iterable[int]) -> Fraction:
@@ -200,19 +260,19 @@ def check_roster(s: frozenset, n_agents: int) -> None:
             raise SymbioError(f"agent {i} not on a roster of {n_agents}")
 
 
-def _masks(n_agents: int, values: Mapping, name: str) -> "Iterator[tuple[int, Fraction]]":
-    """(mask, money) for each {coalition: value} entry, its members checked
-    to be ids on the roster."""
+def _masks(n_agents: int, values: Mapping, name: str) -> "Iterator[tuple[int, tuple]]":
+    """(mask, money_terms(value)) for each {coalition: value} entry, its
+    members checked to be ids on the roster."""
     for raw, val in values.items():
         s = coalition(raw)
         for i in s:
             if i >= n_agents:
                 raise SymbioError(f"{name} table mentions agent {i}, roster has {n_agents}")
-        yield mask_of(s), as_money(val)
+        yield mask_of(s), money_terms(val)
 
 
-def _table(pairs, name: str) -> "dict[int, Fraction]":
-    """{mask: money} from (mask, money) pairs: each of two or more agents, none twice."""
+def _table(pairs, name: str) -> dict:
+    """{mask: amount} from (mask, amount) pairs: each of two or more agents, none twice."""
     out = {}
     for mask, val in pairs:
         if mask.bit_count() < 2:
@@ -225,12 +285,14 @@ def _table(pairs, name: str) -> "dict[int, Fraction]":
 
 
 def game_from_masks(n_agents: int, t_pairs, o_pairs) -> ISNGame:
-    """The game v(S) = T(S) - O(S) from (mask, Fraction) pairs.
+    """The game v(S) = T(S) - O(S) from (mask, (numerator, denominator))
+    pairs, the terms of each amount (money_terms) as two ints.
 
     T and O must each list every coalition of two or more agents, once
     (_table); t_pairs is read in full before o_pairs. Masks must lie on the
     roster (below 1 << n_agents): make_isn_game checks its coalition keys
-    before turning them into masks.
+    before turning them into masks. Each v(S) is one Fraction, built from
+    the four ints.
     """
     values = zero_table(n_agents)
     t, o = _table(t_pairs, "T"), _table(o_pairs, "O")
@@ -242,8 +304,9 @@ def game_from_masks(n_agents: int, t_pairs, o_pairs) -> ISNGame:
             for name, table in ("T", t), ("O", o):
                 if mask not in table:
                     raise SymbioError(f"{name} table lacks coalition {{}}", members_of(mask))
-    for mask, val in t.items():
-        values[mask] = val - o[mask]
+    for mask, (tn, td) in t.items():
+        on, od = o[mask]
+        values[mask] = Fraction(tn * od - on * td, td * od)
     return ISNGame(n_agents, tuple(values))
 
 

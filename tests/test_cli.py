@@ -280,24 +280,30 @@ sys.exit(code)
 """
 
 HUGE_EXPONENT = "1e999999999"
+TABLES_DOC = ('{"agents": ["A", "B"], "tables": {"T": {"A,B": %s}, "O": {"A,B": 0}},'
+              ' "policy": {"prohibited": [["A", "B"]]}}')
+EXCHANGE_DOC = ('{"agents": ["F0", "F1"], "exchange": {"streams": [{"firm": "F0",'
+                ' "kind": "offer", "resource": "slag", "quantity": %s,'
+                ' "unit_discharge_cost": 5}]}, "policy": {"prohibited": [["F0", "F1"]]}}')
 
 
 @pytest.mark.parametrize(
-    "table_value,extra",
+    "doc,value,extra,message",
     [
-        (f'"{HUGE_EXPONENT}"', []),  # quoted
-        (HUGE_EXPONENT, []),  # raw JSON number, read by parse_float
-        ("1" + "0" * 4999, []),  # JSON integer past Python's digit limit
-        ("10", ["--epsilon", HUGE_EXPONENT]),
+        (TABLES_DOC, f'"{HUGE_EXPONENT}"', [], None),  # quoted
+        (TABLES_DOC, HUGE_EXPONENT, [], None),  # raw JSON number, read by parse_float
+        (TABLES_DOC, "1" + "0" * 4999, [], None),  # JSON integer past Python's digit limit
+        (TABLES_DOC, "1" + "0" * 1999, [],  # JSON integer within it, past MAX_DIGITS
+         "error: tables.T['A,B']: number has more than 1000 digits\n"),
+        (EXCHANGE_DOC, "1" + "0" * 1999, [],
+         "error: exchange.streams[0].quantity: number has more than 1000 digits\n"),
+        (TABLES_DOC, "10", ["--epsilon", HUGE_EXPONENT], None),
     ],
-    ids=["quoted", "raw", "long-int", "epsilon"],
+    ids=["quoted", "raw", "long-int", "raw-2000-digits", "exchange-quantity", "epsilon"],
 )
-def test_oversized_numbers_exit_2_quickly(tmp_path, table_value, extra):
+def test_oversized_numbers_exit_2_quickly(tmp_path, doc, value, extra, message):
     path = tmp_path / "huge.json"
-    path.write_text(
-        '{"agents": ["A", "B"], "tables": {"T": {"A,B": %s}, "O": {"A,B": 0}},'
-        ' "policy": {"prohibited": [["A", "B"]]}}' % table_value
-    )
+    path.write_text(doc % value)
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", TIMED_MAIN, "enforce", str(path), *extra],
@@ -305,6 +311,35 @@ def test_oversized_numbers_exit_2_quickly(tmp_path, table_value, extra):
     )
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert message is None or done.stderr == message
+    assert float(done.stdout) < 1
+
+
+BOUND_MESSAGE = "error: bound exceeded: dense coalition table supports at most 16 agents\n"
+
+
+@pytest.mark.parametrize(
+    "n_agents,t_table,code,message",
+    [
+        (17, {}, 3, BOUND_MESSAGE),
+        (40, {}, 3, BOUND_MESSAGE),
+        (40, {"F0,F1": 1}, 3, BOUND_MESSAGE),
+        # every key and value is read before the agent count is checked
+        (40, {"F1,F0": 1, "F2,F2": 1}, 2, "error: tables.T['F2,F2']: agent 'F2' named twice\n"),
+    ],
+    ids=["17-agents", "40-agents", "40-agents-one-key", "40-agents-bad-key"],
+)
+def test_tables_past_the_bound_exit_quickly(tmp_path, n_agents, t_table, code, message):
+    doc = {"agents": [f"F{i}" for i in range(n_agents)], "tables": {"T": t_table, "O": {}}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, "analyze", str(path)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == code
+    assert done.stderr == message
     assert float(done.stdout) < 1
 
 
@@ -471,20 +506,28 @@ def test_deeply_nested_file_exits_2(capsys, tmp_path):
 
 
 def test_bad_epsilon_exits_2(capsys):
-    code, out, err = run(capsys, "enforce", str(DATA / "g3.json"), "--epsilon", "half")
-    assert code == 2
-    assert err.startswith("error: --epsilon: ")
+    """g3 prohibits nothing, so only the flag check itself can reject an
+    epsilon <= 0; it runs before the file is read, so it wins over a file
+    that is absent."""
+    cases = [("half", "'half' is not a number"), ("0", "must be > 0"), ("-1/2", "must be > 0")]
+    for epsilon, message in cases:
+        for path in DATA / "g3.json", DATA / "absent.json":
+            code, out, err = run(capsys, "enforce", str(path), f"--epsilon={epsilon}")
+            assert (code, out) == (2, "")
+            assert err == f"error: --epsilon: {message}\n"
 
 
 def test_zero_denominator_is_named(capsys, tmp_path):
-    code, out, err = run(capsys, "enforce", str(DATA / "g3.json"), "--epsilon", "1/0")
-    assert (code, out) == (2, "")
-    assert err == "error: --epsilon: '1/0' has a zero denominator\n"
-    path = tmp_path / "zero.json"
-    path.write_text('{"agents": ["A", "B"], "tables": {"T": {"A,B": "1/0"}, "O": {"A,B": 0}}}')
-    code, out, err = run(capsys, "analyze", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: tables.T['A,B']: '1/0' has a zero denominator\n"
+    for zero in "1/0", "1/00":
+        code, out, err = run(capsys, "enforce", str(DATA / "g3.json"), "--epsilon", zero)
+        assert (code, out) == (2, "")
+        assert err == f"error: --epsilon: '{zero}' has a zero denominator\n"
+        path = tmp_path / "zero.json"
+        path.write_text('{"agents": ["A", "B"], "tables": {"T": {"A,B": "%s"},'
+                        ' "O": {"A,B": 0}}}' % zero)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: tables.T['A,B']: '{zero}' has a zero denominator\n"
 
 
 def test_shared_parser_keeps_no_state(capsys):
@@ -544,6 +587,9 @@ def test_coalition_spelled_twice_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("table,key,value,message", [
     ("T", "A,C", None, "T table lacks coalition {A,C}"),  # None drops the key
     ("O", "C", 1, "O table keys need two or more members, got {C}"),
+    ("T", "", 1, "tables.T['']: unknown agent ''"),
+    ("O", "A,B,", 1, "tables.O['A,B,']: unknown agent ''"),
+    ("T", ",A,B", 1, "tables.T[',A,B']: unknown agent ''"),
 ])
 def test_table_errors_name_agents_exit_2(capsys, tmp_path, table, key, value, message):
     doc = _data("g3.json")
@@ -560,7 +606,8 @@ def test_table_errors_name_agents_exit_2(capsys, tmp_path, table, key, value, me
 @settings(max_examples=30, deadline=None)
 def test_shuffled_table_keys_load_like_make_isn_game(tmp_path_factory, seed, n):
     """Keys written in any member order ("C,A,B"), listed in any order,
-    with ints, "a/b" strings and decimals, give make_isn_game's table."""
+    with ints, "a/b" strings (padded or unreduced too), decimal strings and
+    raw JSON decimals, give make_isn_game's table, every entry a Fraction."""
     import random
 
     rng = random.Random(seed)
@@ -571,12 +618,17 @@ def test_shuffled_table_keys_load_like_make_isn_game(tmp_path_factory, seed, n):
     for table, doc in zip(tables, docs):
         for group in rng.sample(groups, len(groups)):
             value = rng.choice([rng.randint(-50, 50), f"{rng.randint(-50, 50)}/{rng.randint(1, 9)}",
-                                f"{rng.randint(0, 999)}.{rng.randint(0, 99)}"])
-            table[tuple(group)] = value
+                                f"{rng.randint(0, 999)}.{rng.randint(0, 99)}", " 3/4 ", "6/4",
+                                "-0/5", float(f"{rng.randint(-999, 999)}.{rng.randint(0, 99)}")])
+            # a float is written as a raw JSON decimal, its repr; the reader
+            # parses that text, as make_isn_game does the same string
+            table[tuple(group)] = repr(value) if isinstance(value, float) else value
             doc[",".join(names[i] for i in group)] = value
     path = tmp_path_factory.getbasetemp() / "shuffled.json"
     path.write_text(json.dumps({"agents": names, "tables": {"T": docs[0], "O": docs[1]}}))
-    assert load_scenario(str(path)).game.table == make_isn_game(n, *tables).table
+    loaded, made = load_scenario(str(path)).game.table, make_isn_game(n, *tables).table
+    assert loaded == made
+    assert all(type(v) is Fraction for v in loaded + made)
 
 
 @pytest.mark.parametrize("t_faults,o_faults,message", [
@@ -649,6 +701,20 @@ def test_comma_in_agent_name_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
     assert (code, out) == (2, "")
     assert err == "error: agents: name 'B,C' contains ','\n"
+
+
+def test_agent_named_empty_keeps_its_keys_apart(capsys, tmp_path):
+    """With an agent named "", the key of {"", B} is ",B", and "B" stays the
+    singleton {B}: a table key is never read as another coalition's, and the
+    report row is written as the coalition's other messages write it."""
+    doc = {"agents": ["", "B"], "tables": {"T": {"B": 1}, "O": {",B": 0}}}
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == "error: T table keys need two or more members, got {B}\n"
+    doc["tables"]["T"] = {"B,": 1}
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert code == 0
+    assert "coalition values:\n  ,B = 1\n" in out
 
 
 @pytest.mark.parametrize("command,section,key,group,message", [

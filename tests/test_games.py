@@ -144,6 +144,45 @@ def test_as_money_hostile_strings():
             as_money(text)
 
 
+#: Text amounts and how Python 3.11's Fraction(str) read them, written out:
+#: (numerator, denominator) in lowest terms, or the exception raised. The
+#: package reads them so on every interpreter; Fraction(str) itself does not
+#: (3.10 rejects "1_0/3", 3.12 and 3.13 accept "3/ 4").
+NUMBER_CORPUS = [
+    (" 3/4 ", (3, 4)),
+    ("+3/4", (3, 4)),
+    ("6/4", (3, 2)),
+    ("-0/5", (0, 1)),
+    ("1_0/3", (10, 3)),
+    ("\u0663/4", (3, 4)),  # ARABIC-INDIC DIGIT THREE
+    ("3/ 4", ValueError),
+    ("1/00", ZeroDivisionError),
+    ("-3/-4", ValueError),
+    ("1.5", (3, 2)),
+    ("5.", (5, 1)),
+    ("1e3", (1000, 1)),
+    ("2.5E-3", (1, 400)),
+    ("0x10", ValueError),
+    ("", ValueError),
+    ("5.d", ValueError),
+]
+
+
+@pytest.mark.parametrize("text,expected", NUMBER_CORPUS)
+def test_number_grammar_corpus(text, expected):
+    if isinstance(expected, tuple):
+        value = as_money(text)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == expected
+        num, den = games.money_terms(text)
+        assert den > 0 and num * expected[1] == expected[0] * den
+    else:
+        with pytest.raises(expected):
+            as_money(text)
+        with pytest.raises(expected):
+            games.money_terms(text)
+
+
 def test_superadditive_holds_on_g3(g3):
     assert check_superadditive(g3) is None
 
