@@ -13,17 +13,20 @@ included, may have at most games.MAX_DIGITS digits, and a decimal exponent
 must lie within +-games.MAX_EXPONENT.
 
 Table keys and policy groups become bitmasks straight from the agent
-names. A table key spelt as reports spell it (roster order, "A,B,D") costs
-one lookup in a dict of those keys, built per file of at most
-ENUMERATION_BOUND agents; any other key is split and checked name by name
-(_mask), so its faults read the same. A value
-becomes a numerator and a denominator (JSON ints pass through, text goes
-through games.money_terms), and games.game_from_masks builds each v(S) as
-one Fraction. Every key's names and number are read, T then O, before the
-table rules run. `--epsilon` is checked to be > 0 before the file is read.
+names. The roster's coalition keys as reports spell them (roster order,
+"A,B,D") are built once per file of at most ENUMERATION_BOUND agents and
+kept on the Scenario; a table key spelt that way costs one lookup in a
+dict of them, and any other key is split and checked name by name (_mask),
+so its faults read the same. A value becomes a numerator and a denominator
+(JSON ints pass through, text goes through games.money_terms), and
+games.game_from_masks writes every v(S) as an int over the table's lcm
+denominator, with no Fraction per coalition. Every key's names and number
+are read, T then O, before the table rules run. `--epsilon` is checked to
+be > 0 before the file is read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
-ascending roster order, rationals printed in lowest terms. Exit codes:
+ascending roster order, rationals printed in lowest terms; value rows are
+printed straight from a game's ints (games.fraction_text). Exit codes:
 0 success, 2 validation failure, 3 enumeration bound exceeded.
 """
 
@@ -34,7 +37,7 @@ import functools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coordination import CoordinatedGame, Policy, enforce_policy
@@ -43,8 +46,8 @@ from .exchange import (
     DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
 )
 from .games import (
-    ENUMERATION_BOUND, MAX_DIGITS, ISNGame, as_money, check_superadditive, game_from_masks,
-    members_of, money_terms, subgame,
+    ENUMERATION_BOUND, MAX_DIGITS, ISNGame, as_money, check_superadditive, fraction_text,
+    game_from_masks, members_of, money_terms, subgame,
 )
 from .mcnets import from_isn_game
 from .solutions import core_nonempty, in_core, is_implementable, shapley
@@ -56,6 +59,7 @@ class Scenario:
     game: ISNGame
     policy: "Policy | None"
     source: str  # "tables" | "exchange"
+    keys: "list[str]" = field(repr=False, compare=False)  # keys[mask], see _keys
 
 
 #: JSON integers, like text, may have at most MAX_DIGITS digits.
@@ -129,19 +133,20 @@ def _mask(raw, where: str, bits) -> int:
     return mask
 
 
-def _table_pairs(tables: dict, names, bits) -> "list[list[tuple[int, tuple[int, int]]]]":
+def _table_pairs(tables: dict, names, bits, keys) -> "list[list[tuple[int, tuple[int, int]]]]":
     """T's and then O's (mask, (numerator, denominator)) pairs, each in file order.
 
     A key spelt as reports spell it costs one lookup in a dict of the
-    roster's keys of two or more agents (_keys), which lives only while the
-    tables are read; any other key is read by _mask, which names its fault.
-    Past ENUMERATION_BOUND agents no dict is built (it would hold 2^n keys):
-    every key goes through _mask, and game_from_masks then raises
-    BoundExceeded, after any fault in a key or a value, as for any roster.
+    roster's keys of two or more agents (keys, from _keys), which lives only
+    while the tables are read; any other key is read by _mask, which names
+    its fault. Past ENUMERATION_BOUND agents keys is None and no dict is
+    built (it would hold 2^n keys): every key goes through _mask, and
+    game_from_masks then raises BoundExceeded, after any fault in a key or a
+    value, as for any roster.
     """
     masks = {}
-    if len(names) <= ENUMERATION_BOUND:
-        masks = dict(zip(_keys(names), range(1 << len(names))))
+    if keys is not None:
+        masks = dict(zip(keys, range(len(keys))))
         for key in "", *names:  # left: the keys of two or more agents, each with a comma
             masks.pop(key, None)
     both = []
@@ -190,6 +195,8 @@ def load_scenario(path: str) -> Scenario:
             raise SymbioError(f"agents: name {name!r} contains ','")
     names = tuple(names)
     bits = {name: 1 << i for i, name in enumerate(names)}
+    # past the bound both sources raise BoundExceeded before a report needs keys
+    keys = _keys(names) if len(names) <= ENUMERATION_BOUND else None
     if ("tables" in doc) == ("exchange" in doc):
         raise SymbioError("scenario needs exactly one of 'tables' or 'exchange'")
 
@@ -204,7 +211,7 @@ def load_scenario(path: str) -> Scenario:
             })
         if "tables" in doc:
             tables = _expect(doc["tables"], dict, "tables", ("T", "O"))
-            game = game_from_masks(len(names), *_table_pairs(tables, names, bits))
+            game = game_from_masks(len(names), *_table_pairs(tables, names, bits, keys))
         else:
             ids = {name: i for i, name in enumerate(names)}
             game = scenario_to_game(_parse_exchange(doc["exchange"], ids))
@@ -212,7 +219,7 @@ def load_scenario(path: str) -> Scenario:
         raise
     except SymbioError as e:
         raise SymbioError(e.describe(lambda s: f"{{{_coalition_key(names, s)}}}")) from None
-    return Scenario(names, game, policy, "tables" if "tables" in doc else "exchange")
+    return Scenario(names, game, policy, "tables" if "tables" in doc else "exchange", keys)
 
 
 def _parse_exchange(raw, ids) -> ExchangeScenario:
@@ -266,11 +273,11 @@ def _keys(names) -> "list[str]":
     return keys
 
 
-def _value_rows(names, game) -> dict:
-    keys = _keys(names)
-    table = game.table
-    return {keys[mask]: str(table[mask])
-            for mask in range(1 << game.n_agents) if mask.bit_count() >= 2}
+def _value_rows(keys, game) -> dict:
+    """{key: v(S)} for every S of two or more agents, printed from the ints."""
+    scaled, d = game.scaled, game.denominator
+    return {keys[mask]: fraction_text(scaled[mask], d)
+            for mask in range(len(keys)) if mask.bit_count() >= 2}
 
 
 def cmd_analyze(scenario: Scenario, violation) -> dict:
@@ -283,7 +290,7 @@ def cmd_analyze(scenario: Scenario, violation) -> dict:
         "command": "analyze",
         "agents": list(names),
         "source": scenario.source,
-        "values": _value_rows(names, game),
+        "values": _value_rows(scenario.keys, game),
         "superadditive": violation is None,
         "superadditive_counterexample": None
         if violation is None
@@ -371,7 +378,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
             "prohibited": [_coalition_key(names, g) for g in policy.prohibited],
         },
         "incentive_rules": [_rule_entry(names, r) for r in net.rules],
-        "coordinated_values": _value_rows(names, coordinated),
+        "coordinated_values": _value_rows(scenario.keys, coordinated),
         "group_verdicts": verdicts,
         "coordinated_shapley": _allocation(names, shapley(coordinated)),
     }

@@ -8,17 +8,25 @@ the group's Shapley allocation enter its core) and a tax on each
 prohibited group pushing its coordinated worth strictly below what its
 members get alone. Incentive rules use the exact-group pattern
 (S, roster minus S), so they touch no other coalition.
+
+A coordinated game holds its worths as ints over one denominator, like
+ISNGame: the base game's ints, rewritten over the lcm of its denominator
+and the rules' only when a rule brings a new one, with each rule's value
+added as an int. Promotion subsidies are priced on those ints
+(games.scaled_shares); no table of Fractions is made on the way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import SymbioError
 from .games import (
-    ISNGame, as_money, check_roster, coalition, mask_of, scaled_shares, subgame
+    ISNGame, _lowest, _rescale, as_money, check_roster, coalition, mask_of, scaled_shares,
+    subgame,
 )
 from .mcnets import MCNet, MCNetRule, compose, from_isn_game
 from .solutions import shapley
@@ -60,35 +68,44 @@ class Policy:
 class CoordinatedGame:
     """Market game plus incentives: worth is v(S) + incentive(S).
 
-    The worths are tabulated once, into a mask-indexed `table` like
-    ISNGame's; rules may make the empty set and singletons nonzero.
+    The worths are tabulated once, into mask-indexed `scaled` ints over
+    `denominator` in lowest terms, like ISNGame's; rules may make the empty
+    set and singletons nonzero. The table is first written over the lcm of
+    the base denominator and the rules', held to games.SCALED_BITS.
     """
 
     base: ISNGame
     incentives: MCNet
-    table: tuple = field(init=False, repr=False, compare=False)
+    scaled: tuple = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.base.n_agents
         if n != self.incentives.n_agents:
             raise SymbioError(f"game has {n} agents, incentives {self.incentives.n_agents}")
-        table = list(self.base.table)
+        table, d = self.base.scaled, self.base.denominator
+        new = lcm(d, *(rule.value.denominator for rule in self.incentives.rules))
+        table = list(table) if new == d else _rescale(table, d, new)[0]
         for rule in self.incentives.rules:
+            value = rule.value.numerator * (new // rule.value.denominator)
             # the rule applies to positive | t for every t outside both patterns
             positive = mask_of(rule.positive)
             free = ((1 << n) - 1) & ~(positive | mask_of(rule.negative))
             t = free
             while True:
-                table[positive | t] += rule.value
+                table[positive | t] += value
                 if not t:
                     break
                 t = (t - 1) & free
-        object.__setattr__(self, "table", tuple(table))
+        table, new = _lowest(table, new)
+        object.__setattr__(self, "scaled", table)
+        object.__setattr__(self, "denominator", new)
 
     @property
     def n_agents(self) -> int:
         return self.base.n_agents
 
+    table = ISNGame.table
     value = ISNGame.value
 
     def as_mcnet(self) -> MCNet:
@@ -109,7 +126,7 @@ def synthesize_promotion(game, target: Iterable[int]):
     if len(target) < 2:
         raise SymbioError("promotion targets need at least two members")
     sub = subgame(game, target)
-    vals, shares, d = scaled_shares(sub.table, shapley(sub))
+    vals, shares, d = scaled_shares(sub, shapley(sub))
     k = sub.n_agents
     gap, size = 0, 1  # the largest (v(S) - shapley(S)) / |S| so far is gap / (size d)
     for mask in range(1, (1 << k) - 1):

@@ -355,4 +355,4 @@ def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
         inside = [r for r in search.routes if r.mask & mask == r.mask]
         incumbent = max(table[mask ^ 1 << i] for i in range(n) if mask >> i & 1)
         table[mask] = search.best(inside, incumbent)[0]
-    return ISNGame(n, tuple(table))
+    return ISNGame.from_table(n, table)

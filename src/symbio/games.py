@@ -1,11 +1,13 @@
 """Transferable-utility games over a finite roster of firms.
 
 Agents are dense integer ids 0..n-1. Coalitions are frozensets of ids. A
-game stores its worths in `table`, a tuple indexed by coalition bitmask
-(table[mask] is v(members of mask), empty set and singletons included);
-every kernel reads games through it, which is why construction is capped at
-ENUMERATION_BOUND agents. All money amounts are exact rationals
-(fractions.Fraction); nothing in this package ever rounds.
+game stores its worths once, as `scaled`, a tuple of ints indexed by
+coalition bitmask (scaled[mask] is v(members of mask) times `denominator`,
+empty set and singletons included), over `denominator`, the lcm of the
+values' reduced denominators. Every kernel reads those ints, which is why
+construction is capped at ENUMERATION_BOUND agents; `table`, the same
+worths as Fractions, is a view built on first use for library callers. All
+money amounts are exact rationals; nothing in this package ever rounds.
 
 Text amounts follow one grammar on every interpreter, Python 3.11's
 (_RATIONAL_FORMAT), read straight into a numerator and a denominator
@@ -14,17 +16,19 @@ Text amounts follow one grammar on every interpreter, Python 3.11's
 Value and cost tables are read from (mask, (numerator, denominator))
 pairs: _table owns the rules that every key has two or more agents and
 that none is given twice, and game_from_masks the rule that T and O list
-every such coalition; it builds each T(S) - O(S) as one Fraction from the
-four ints. make_isn_game and ISNGame.from_values turn their coalition keys
-into masks first; the CLI reader builds masks from agent names directly.
+every such coalition. _scaled_game reduces each value by one gcd and
+writes it over the lcm, making no Fraction; a table whose 2^n entries
+times the bit length of that lcm pass SCALED_BITS (2^28) bits raises
+BoundExceeded while it is built. make_isn_game and ISNGame.from_values
+turn their coalition keys into masks first, the CLI reader builds masks
+from agent names, and ISNGame.from_table takes Fractions. Subgames and
+coordinated games derive their ints from their parent's.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
-promotion subsidy elsewhere) run on Python ints: scaled_table writes a
-table over the lcm of its denominators, and each scan turns its answer
-back into Fractions. A table whose 2^n entries times the bit length of
-that lcm pass SCALED_BITS (2^28) bits raises BoundExceeded before anything
-is scaled. check_superadditive tries an O(n^2 2^n) convexity certificate
-(is_supermodular) before its 3^n / 2 pair walk.
+promotion subsidy elsewhere) read those ints and return Fractions; only an
+allocation is scaled onto the table (scaled_shares). check_superadditive
+tries an O(n^2 2^n) convexity certificate (is_supermodular) before its
+3^n / 2 pair walk. Reports print v(S) from the ints (fraction_text).
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
-from math import lcm
-from operator import lt, sub
+from functools import cached_property
+from math import gcd, lcm
+from operator import lt, mul, sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BoundExceeded, SymbioError
@@ -166,39 +170,84 @@ def coalitions(n_agents: int, min_size: int = 0) -> Iterator[frozenset]:
             yield members_of(mask)
 
 
-def scaled_table(values, denominator: int = 1) -> "tuple[list[int], int]":
+def _check_bits(count: int, d: int) -> None:
+    """BoundExceeded if `count` values over the denominator d pass SCALED_BITS."""
+    if count * d.bit_length() > SCALED_BITS:
+        raise BoundExceeded(
+            f"the common denominator of {count} values needs more than "
+            f"{SCALED_BITS // count} bits (budget: {SCALED_BITS} bits in all)"
+        )
+
+
+def scaled_table(values) -> "tuple[list[int], int]":
     """(ints, d) with ints[k] == values[k] * d exactly, for d the lcm of
-    `denominator` and the values' denominators.
+    the values' denominators.
 
     Raises BoundExceeded as soon as len(values) * d.bit_length() passes
     SCALED_BITS, before any entry is scaled.
     """
     d = 1
-    for q in chain((denominator,), (v.denominator for v in values)):
+    for q in (v.denominator for v in values):
         if d % q:
             d = lcm(d, q)
-            if len(values) * d.bit_length() > SCALED_BITS:
-                raise BoundExceeded(
-                    f"the common denominator of {len(values)} values needs more than "
-                    f"{SCALED_BITS // len(values)} bits (budget: {SCALED_BITS} bits in all)"
-                )
+            _check_bits(len(values), d)
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def scaled_shares(table, x) -> "tuple[list[int], list[int], int]":
-    """(vals, shares, d): the table, and x(S) = sum of x_i over i in S for
-    every mask S, as ints over one denominator d (see scaled_table).
+def scaled_shares(game, x) -> "tuple[list[int], list[int], int]":
+    """(vals, shares, d): the game's values, and x(S) = sum of x_i over i in
+    S for every mask S, as ints over one denominator d, the lcm of the
+    game's denominator and x's.
 
-    shares is built one agent at a time: the masks holding agent i are
-    those without it, each plus x_i.
+    The game's ints are rescaled only when x brings a new denominator, and
+    then d is held to SCALED_BITS as in scaled_table. shares is built one
+    agent at a time: the masks holding agent i are those without it, each
+    plus x_i.
     """
     xs, dx = scaled_table(x)
-    vals, d = scaled_table(table, dx)
+    vals, d = game.scaled, game.denominator
+    if d % dx:
+        vals, d = _rescale(vals, d, lcm(d, dx))
     shares = [0]
     for xi in xs:
         xi *= d // dx
         shares += [s + xi for s in shares]
     return vals, shares, d
+
+
+def _rescale(vals, d: int, new: int) -> "tuple[list[int], int]":
+    """(vals over `new`, new): ints over d written over a multiple of d,
+    checked against SCALED_BITS first."""
+    _check_bits(len(vals), new)
+    return [v * (new // d) for v in vals], new
+
+
+def _lowest(scaled, d) -> "tuple[tuple, int]":
+    """(scaled, d) divided through by their gcd, so that d is the lcm of the
+    reduced denominators of the values scaled[k] / d; SymbioError unless
+    every entry is an int and d a positive int."""
+    scaled = tuple(scaled)
+    try:
+        g = gcd(d, *scaled) if type(d) is int and d > 0 else 0
+    except TypeError:  # an entry that is not an int
+        g = 0
+    if not g:
+        raise SymbioError("scaled values must be ints over a positive int denominator "
+                          "(ISNGame.from_table takes Fractions)")
+    if g != 1:
+        scaled = tuple(v // g for v in scaled)
+        d //= g
+    return scaled, d
+
+
+def fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without making the Fraction."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != den:
+            return f"{num // g}/{den // g}"
+        num //= den
+    return str(num)
 
 
 def _check_agent_count(n_agents: int) -> None:
@@ -220,19 +269,27 @@ def zero_table(n_agents: int) -> "list[Fraction]":
 class ISNGame:
     """Normalized TU game: v(S)=0 for |S|<=1, stored values for |S|>=2.
 
-    The value table is a tuple indexed by coalition bitmask, so instances
+    v(S) is scaled[mask] / denominator, ints stored in lowest terms (divided
+    through by their gcd), so the denominator is the lcm of the values'
+    reduced denominators and equal games compare and hash equal. Instances
     are immutable and hashable; reads are safe from any number of threads.
+    ISNGame.from_table builds one from Fractions.
     """
 
     n_agents: int
-    table: tuple
+    scaled: tuple
+    denominator: int = 1
 
     def __post_init__(self):
         _check_agent_count(self.n_agents)
-        if len(self.table) != 1 << self.n_agents:
+        scaled = self.scaled
+        if len(scaled) != 1 << self.n_agents:
             raise SymbioError("value table must have one entry per subset")
-        if any(self.table[1 << i] for i in range(self.n_agents)) or self.table[0]:
+        if any(scaled[1 << i] for i in range(self.n_agents)) or scaled[0]:
             raise SymbioError("normalized games are worth 0 on the empty set and singletons")
+        scaled, d = _lowest(scaled, self.denominator)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "denominator", d)
 
     @classmethod
     def from_values(cls, n_agents: int, values: Mapping) -> "ISNGame":
@@ -242,16 +299,30 @@ class ISNGame:
         keys are rejected because normalization fixes those values, and so
         is a coalition listed twice, such as (0, 1) next to (1, 0).
         """
-        table = zero_table(n_agents)
-        for mask, terms in _table(_masks(n_agents, values, "value"), "value").items():
-            table[mask] = Fraction(*terms)
-        return cls(n_agents, tuple(table))
+        _check_agent_count(n_agents)
+        nums, dens = [0] * (1 << n_agents), [1] * (1 << n_agents)
+        for mask, (num, den) in _table(_masks(n_agents, values, "value"), "value").items():
+            nums[mask], dens[mask] = num, den
+        return _scaled_game(n_agents, nums, dens)
+
+    @classmethod
+    def from_table(cls, n_agents: int, table) -> "ISNGame":
+        """Build a game from its mask-indexed table of Fractions (or ints),
+        2^n entries, empty set and singletons 0; scaled as in scaled_table."""
+        return cls(n_agents, *scaled_table(table))
+
+    @cached_property
+    def table(self) -> tuple:
+        """v(S) as a Fraction for every mask S, built on first use; the
+        kernels read `scaled` and `denominator` instead."""
+        d = self.denominator
+        return tuple(Fraction(v, d) for v in self.scaled)
 
     def value(self, s: Iterable[int]) -> Fraction:
-        """v(S), read from the table."""
+        """v(S), read from the scaled table."""
         s = coalition(s)
         check_roster(s, self.n_agents)
-        return self.table[mask_of(s)]
+        return Fraction(self.scaled[mask_of(s)], self.denominator)
 
 
 def check_roster(s: frozenset, n_agents: int) -> None:
@@ -284,6 +355,30 @@ def _table(pairs, name: str) -> dict:
     return out
 
 
+def _scaled_game(n_agents: int, nums: list, dens: list) -> ISNGame:
+    """The game of v(S) = nums[S] / dens[S] over every mask S (dens > 0, not
+    necessarily in lowest terms).
+
+    Each value is reduced by one gcd and its denominator folded into the
+    lcm d, which is held to SCALED_BITS as it grows; then every numerator
+    is written over d. No Fraction is made. The lists are written to.
+    """
+    size = len(nums)
+    d = 1
+    for mask, den in enumerate(dens):
+        if den != 1:
+            g = gcd(nums[mask], den)
+            if g != 1:
+                nums[mask] //= g
+                den = dens[mask] = den // g
+            if d % den:
+                d = lcm(d, den)
+                _check_bits(size, d)
+    if d != 1:
+        nums = list(map(mul, nums, map(d.__floordiv__, dens)))
+    return ISNGame(n_agents, tuple(nums), d)
+
+
 def game_from_masks(n_agents: int, t_pairs, o_pairs) -> ISNGame:
     """The game v(S) = T(S) - O(S) from (mask, (numerator, denominator))
     pairs, the terms of each amount (money_terms) as two ints.
@@ -291,10 +386,10 @@ def game_from_masks(n_agents: int, t_pairs, o_pairs) -> ISNGame:
     T and O must each list every coalition of two or more agents, once
     (_table); t_pairs is read in full before o_pairs. Masks must lie on the
     roster (below 1 << n_agents): make_isn_game checks its coalition keys
-    before turning them into masks. Each v(S) is one Fraction, built from
-    the four ints.
+    before turning them into masks. Each v(S) is (tn od - on td) / (td od)
+    from the four ints, scaled by _scaled_game.
     """
-    values = zero_table(n_agents)
+    _check_agent_count(n_agents)
     t, o = _table(t_pairs, "T"), _table(o_pairs, "O")
     size = (1 << n_agents) - n_agents - 1  # coalitions of two or more agents
     if len(t) < size or len(o) < size:
@@ -304,10 +399,11 @@ def game_from_masks(n_agents: int, t_pairs, o_pairs) -> ISNGame:
             for name, table in ("T", t), ("O", o):
                 if mask not in table:
                     raise SymbioError(f"{name} table lacks coalition {{}}", members_of(mask))
+    nums, dens = [0] * (1 << n_agents), [1] * (1 << n_agents)
     for mask, (tn, td) in t.items():
         on, od = o[mask]
-        values[mask] = Fraction(tn * od - on * td, td * od)
-    return ISNGame(n_agents, tuple(values))
+        nums[mask], dens[mask] = tn * od - on * td, td * od
+    return _scaled_game(n_agents, nums, dens)
 
 
 def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
@@ -368,14 +464,14 @@ def check_superadditive(game) -> "tuple[frozenset, frozenset] | None":
     Otherwise return the violating pair (A, B) with the smallest bitmask a of
     A and, for that a, the largest bitmask b of B; a < b always holds, since
     the pair (B, A) violates too. Works on any game with n_agents and a
-    mask-indexed value table, scanned on ints (scaled_table).
+    mask-indexed `scaled` table of ints, which it scans as they are.
 
     A convex game with v(empty) <= 0 is superadditive (Shapley 1971), so
     is_supermodular's O(n^2 2^n) check comes first; only a game it does not
     certify takes the walk over the about 3^n / 2 disjoint pairs.
     """
     n = game.n_agents
-    val, _ = scaled_table(game.table)
+    val = game.scaled
     if val[0] <= 0 and is_supermodular(val, n):
         return None
     full = (1 << n) - 1
@@ -396,15 +492,17 @@ def subgame(game, members: Iterable[int]) -> ISNGame:
 
     The restriction must itself be normalized (zero singleton values);
     coordinated games whose incentive rules target groups always are. The
-    parent's worth of the empty set is not carried over.
+    parent's worth of the empty set is not carried over. The parent's ints
+    are copied over its denominator, which ISNGame then reduces.
     """
     members = coalition(members)
     check_roster(members, game.n_agents)
     if not members:
         raise SymbioError("subgame needs at least one member")
+    scaled = game.scaled
     original = [0]  # original[mask] = parent mask of the subgame's coalition mask
     for i in sorted(members):
-        if game.table[1 << i] != 0:
+        if scaled[1 << i]:
             raise SymbioError("subgame would have a nonzero singleton value")
         original += [m | 1 << i for m in original]
-    return ISNGame(len(members), (Fraction(0),) + tuple(game.table[m] for m in original[1:]))
+    return ISNGame(len(members), (0, *map(scaled.__getitem__, original[1:])), game.denominator)

@@ -74,13 +74,12 @@ def from_isn_game(game: ISNGame) -> MCNet:
     """
     n = game.n_agents
     full_mask = (1 << n) - 1
+    scaled, d = game.scaled, game.denominator
     rules = []
     for mask in range(1 << n):
-        if mask.bit_count() < 2:
+        if mask.bit_count() < 2 or not scaled[mask]:
             continue
-        v = game.table[mask]
-        if v == 0:
-            continue
+        v = Fraction(scaled[mask], d)
         rules.append(MCNetRule(members_of(mask), members_of(full_mask & ~mask), v))
     return MCNet(n, tuple(rules))
 

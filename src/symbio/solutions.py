@@ -3,16 +3,18 @@
 `shapley` is the Shapley allocation by the subset formula, summed per
 coalition in O(2^n) integer operations. Core decisions run as exact LP
 feasibility with a constructive witness; `in_core` checks one allocation
-against every coalition. `shapley`, `in_core` and `core_nonempty` read
-the value table as Python ints over the lcm of its denominators
-(games.scaled_table) and return Fractions; a table whose scaled form
-would pass games.SCALED_BITS bits raises BoundExceeded instead. A game is implementable when its
-Shapley allocation sits in its core: fair and stable at once. The slow
-oracles these are tested against (permutation average, vertex
-enumeration) live with the tests, not here.
+against every coalition. A game is implementable when its Shapley
+allocation sits in its core: fair and stable at once. The slow oracles
+these are tested against (permutation average, vertex enumeration) live
+with the tests, not here.
 
-Functions read a game's n_agents and mask-indexed value `table`, empty
-set and singletons included; ISNGame and CoordinatedGame both qualify.
+Functions read a game's n_agents and its mask-indexed `scaled` ints over
+`denominator` (the lcm of its values' denominators), empty set and
+singletons included; ISNGame and CoordinatedGame both qualify, and
+neither table is rescaled here. Answers come back as Fractions. Only an
+allocation with a denominator new to the table makes `in_core` rewrite
+the table over a larger one (games.scaled_shares), which raises
+BoundExceeded past games.SCALED_BITS bits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import factorial
 from operator import add, lt
 
 from .errors import SymbioError
-from .games import as_money, scaled_shares, scaled_table
+from .games import as_money, scaled_shares
 from .lp import solve_lp
 
 
@@ -42,13 +44,14 @@ def shapley(game) -> "tuple[Fraction, ...]":
     Summed per coalition instead of per marginal: S enters n! phi_i with
     weight w(|S|-1) when it holds i and -w(|S|) when it does not, so n! phi_i
     is the sum over S holding i of (w(|S|-1) + w(|S|)) v(S), less the sum of
-    w(|S|) v(S) over all S. The sums run on ints (games.scaled_table) and
-    are divided once, by n! d. Agent n-1's sum is over the upper half of the
-    weighted table; adding that half onto the lower one leaves the same sums
-    for agents 0..n-2, so the pass costs O(2^n) list operations.
+    w(|S|) v(S) over all S. The sums run on the game's ints over its
+    denominator d and are divided once, by n! d. Agent n-1's sum is over
+    the upper half of the weighted table; adding that half onto the lower
+    one leaves the same sums for agents 0..n-2, so the pass costs O(2^n)
+    list operations.
     """
     n = game.n_agents
-    vals, d = scaled_table(game.table)
+    vals, d = game.scaled, game.denominator
     # w[n] = 0: no coalition without i has n members (w[-1], read for the
     # empty set, which holds no agent, is that 0 too)
     w = [factorial(k) * factorial(n - k - 1) for k in range(n)] + [0]
@@ -73,7 +76,7 @@ def in_core(game, x) -> bool:
     x = tuple(as_money(v) for v in x)
     if len(x) != n:
         raise SymbioError(f"allocation has {len(x)} entries, game has {n} agents")
-    vals, shares, _ = scaled_shares(game.table, x)
+    vals, shares, _ = scaled_shares(game, x)
     full = (1 << n) - 1
     return shares[full] == vals[full] and not any(map(lt, shares[1:full], vals[1:full]))
 
@@ -84,14 +87,13 @@ def core_nonempty(game) -> CoreResult:
     Solved as an LP in the slack above singleton worths: rows for proper
     coalitions whose worth exceeds their members' standalone total, one
     efficiency equality, phase-one simplex for feasibility. The rows are
-    ints over the table's lcm denominator d (games.scaled_shares), which
-    scales every right-hand side by d and moves no pivot; a table whose
-    scaled form would pass games.SCALED_BITS bits raises BoundExceeded.
+    ints over the table's denominator d (games.scaled_shares), which scales
+    every right-hand side by d and moves no pivot.
     """
     n = game.n_agents
     full = (1 << n) - 1
     # alone[S]: the members' standalone worths, summed
-    vals, alone, d = scaled_shares(game.table, [game.table[1 << i] for i in range(n)])
+    vals, alone, d = scaled_shares(game, [game.value({i}) for i in range(n)])
     budget = vals[full] - alone[full]
     if budget < 0:
         return CoreResult(False)

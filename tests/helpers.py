@@ -218,7 +218,7 @@ def route_subset_game(scenario):
         for mask in range(1 << n):
             if mask >> i & 1:
                 table[mask] = max(table[mask], table[mask ^ 1 << i])
-    return ISNGame(n, tuple(table))
+    return ISNGame.from_table(n, table)
 
 
 def _route_subsets(scenario, members):
@@ -316,7 +316,7 @@ def convex_game(rng, n):
         for mask in range(1 << n):
             if mask & group == group:
                 values[mask] += dividend
-    return ISNGame(n, tuple(values))
+    return ISNGame.from_table(n, values)
 
 
 def one_violation_game(rng, n):

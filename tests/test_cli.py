@@ -449,6 +449,96 @@ def test_long_denominators_within_the_budget(capsys, tmp_path):
     assert len(json.loads(out)["shapley"]["A"]) > 2000
 
 
+def test_long_denominators_that_cancel_in_t_minus_o(capsys, tmp_path):
+    """Each T(S) and O(S) share a 489-digit denominator of their own, which
+    cancels in T(S) - O(S). Unreduced, the 502 denominators (lcm about
+    800,000 bits) would take the 9-agent table past games.SCALED_BITS (2^19
+    bits each for 512 values); reduced per coalition, every value is an int
+    and the file reads like the one written in lowest terms."""
+    names = [f"F{i}" for i in range(9)]
+    worth = {mask: mask.bit_count() - 2 * (mask & 1) for mask in range(1 << 9)}
+    reduced = table_file(tmp_path, names, worth.get)
+    doc = json.loads(reduced.read_text())
+    for key in doc["tables"]["T"]:
+        mask = sum(1 << names.index(name) for name in key.split(","))
+        q = 10**488 + mask
+        if mask % 2:  # O written over 2q, not in lowest terms
+            doc["tables"]["T"][key] = f"{worth[mask] * q + mask}/{q}"
+            doc["tables"]["O"][key] = f"{2 * mask}/{2 * q}"
+        else:
+            doc["tables"]["T"][key] = f"{worth[mask] * q - 7}/{q}"
+            doc["tables"]["O"][key] = f"-7/{q}"
+    cancelling = tmp_path / "cancelling.json"
+    cancelling.write_text(json.dumps(doc))
+    reports = [run(capsys, "analyze", str(path)) for path in (reduced, cancelling)]
+    assert reports[0][0] == 0 and reports[0] == reports[1]
+    assert load_scenario(str(cancelling)).game.denominator == 1
+
+
+def benchmark_halves_file(tmp_path, n):
+    """An enforce file shaped like the benchmark's: a pairwise-synergy game
+    in twelfths, T(S) the members' standalone costs (ints), O(S) = T(S) -
+    v(S) as "a/b" text, two promoted halves, and two prohibited pairs, one
+    inside the first half and one across the halves."""
+    names = [chr(ord("A") + i) for i in range(n)]
+    cost = [300 + 37 * i for i in range(n)]
+    w = [[(5 * i + 7 * j) % 23 + 1 for j in range(n)] for i in range(n)]  # in twelfths
+    t, o = {}, {}
+    for mask in range(1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        if len(members) >= 2:
+            key = ",".join(names[i] for i in members)
+            t[key] = sum(cost[i] for i in members)
+            v = Fraction(sum(w[i][j] for k, i in enumerate(members) for j in members[k + 1:]), 12)
+            o[key] = str(t[key] - v)
+    half = n // 2
+    policy = {"promoted": [names[:half], names[half:]],
+              "prohibited": [[names[0], names[2]], [names[1], names[half + 1]]]}
+    path = tmp_path / "halves.json"
+    path.write_text(json.dumps({"agents": names, "tables": {"T": t, "O": o}, "policy": policy}))
+    return path
+
+
+def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
+    """symbio enforce on a 10-agent tables file builds each game's ints once:
+    it makes far fewer Fractions than the 1,024 coalitions, and scales only
+    allocations (at most n values), never a 2^n table."""
+    n = 10
+    path = benchmark_halves_file(tmp_path, n)
+    made = [0]
+    scaled_sizes = []
+    original_new = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return original_new.__func__(cls, *args, **kwargs)
+
+    original_scaled = symbio.games.scaled_table
+
+    def counting_scaled(values):
+        scaled_sizes.append(len(values))
+        return original_scaled(values)
+
+    for module in vars(symbio).values():
+        if getattr(module, "scaled_table", None) is original_scaled:
+            monkeypatch.setattr(module, "scaled_table", counting_scaled)
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        code, out, err = run(capsys, "enforce", str(path), "--epsilon", "1/2")
+    finally:
+        Fraction.__new__ = original_new  # the staticmethod itself, as it was
+    assert code == 0 and not err
+    assert "coordinated values:" in out and "promoted {A,B,C,D,E}: implementable" in out
+    assert 0 < made[0] < 100
+    assert scaled_sizes and max(scaled_sizes) <= n
+    assert Fraction.__dict__["__new__"] is original_new
+    # the value rows, printed from the ints, read as each T(S) - O(S) in lowest terms
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    tables = json.loads(path.read_text())["tables"]
+    assert code == 0 and json.loads(out)["values"] == {
+        key: str(t - Fraction(tables["O"][key])) for key, t in tables["T"].items()}
+
+
 @pytest.mark.slow
 def test_sixteen_agents_shapley_and_enforce(tmp_path):
     """The pairwise synergy game v(S) = sum of w_ij over pairs in S at the

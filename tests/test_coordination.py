@@ -11,7 +11,7 @@ from symbio.coordination import (
     synthesize_promotion,
 )
 from symbio.errors import SymbioError
-from symbio.games import ISNGame, coalitions, subgame
+from symbio.games import ISNGame, coalitions, members_of, scaled_table, subgame
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley, from_isn_game
 from symbio.solutions import is_implementable
 
@@ -169,6 +169,42 @@ def test_coordination_additivity_for_arbitrary_nets():
         coordinated = CoordinatedGame(game, net)
         for members in coalitions(n):
             assert coordinated.value(members) == game.value(members) + evaluate(net, members)
+
+
+def test_coordinated_ints_match_the_fraction_sum():
+    """The coordinated table, built on ints over the lcm of the base and rule
+    denominators, equals the Fraction sum v(S) + incentive(S) on every mask,
+    for rules over sevenths and elevenths (new to the base game) that reach
+    the empty set and singletons; its denominator is the Fraction table's
+    lcm, and a subgame equals the restriction of that Fraction table."""
+    rng = random.Random(47)
+    nonzero_empty = subgames = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        base = mixed_game(rng, n) if rng.random() < 0.5 else random_game(rng, n)
+        rules = list(random_net(rng, n).rules)
+        everyone_but_last = set(range(n - 1))  # applies to the empty set and {n - 1}
+        rules.append(MCNetRule(set(), everyone_but_last, Fraction(rng.randint(1, 20), 7)))
+        rules.append(MCNetRule({rng.randrange(n)}, set(), Fraction(rng.randint(-9, 9) or 1, 11)))
+        net = MCNet(n, tuple(rules))
+        coordinated = CoordinatedGame(base, net)
+        table = coordinated.table
+        for mask in range(1 << n):
+            assert type(table[mask]) is Fraction
+            assert table[mask] == base.table[mask] + evaluate(net, members_of(mask))
+        assert coordinated.denominator == scaled_table(table)[1]
+        nonzero_empty += table[0] != 0
+        members = [i for i in range(n) if table[1 << i] == 0]
+        if members:
+            original = [0]
+            for i in members:
+                original += [m | 1 << i for m in original]
+            restricted = [Fraction(0)] + [table[m] for m in original[1:]]
+            sub = subgame(coordinated, members)
+            assert sub == ISNGame.from_table(len(members), restricted)
+            assert sub.table == tuple(restricted)
+            subgames += 1
+    assert nonzero_empty >= 50 and subgames >= 30
 
 
 def test_coordinated_table_covers_empty_set_and_singletons(g3):

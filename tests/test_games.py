@@ -6,19 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbio import games
-from symbio.coordination import CoordinatedGame
+from symbio.coordination import CoordinatedGame, synthesize_promotion
 from symbio.errors import BoundExceeded, SymbioError
 from symbio.games import (
     ISNGame,
     as_money,
     check_superadditive,
     coalitions,
+    fraction_text,
+    game_from_masks,
     is_supermodular,
     make_isn_game,
+    members_of,
+    money_terms,
     scaled_table,
     subgame,
 )
 from symbio.mcnets import MCNet, MCNetRule
+from symbio.solutions import in_core
 
 from helpers import (
     convex_game,
@@ -91,14 +96,60 @@ def test_bound_is_checked_before_the_table_is_built():
 
 def test_game_table_is_normalized():
     zeros = (Fraction(0),) * 4
-    assert ISNGame(2, zeros).value({0, 1}) == 0
+    assert ISNGame.from_table(2, zeros).value({0, 1}) == 0
     for mask in (0, 1, 2):
         table = list(zeros)
         table[mask] = Fraction(1)
         with pytest.raises(ValueError):
-            ISNGame(2, tuple(table))
+            ISNGame.from_table(2, tuple(table))
     with pytest.raises(ValueError):
-        ISNGame(2, zeros[:3])
+        ISNGame.from_table(2, zeros[:3])
+    # the constructor itself takes ints over a denominator, stored in lowest terms
+    assert ISNGame(2, (0, 0, 0, 6), 4) == ISNGame.from_table(2, (0, 0, 0, Fraction(3, 2)))
+    for scaled, d in ((0, 0, 0, Fraction(1, 2)), 1), ((0, 0, 0, 1), 0), ((0, 0, 0, 1), "2"):
+        with pytest.raises(ValueError, match="must be ints"):
+            ISNGame(2, scaled, d)
+
+
+def test_every_builder_gives_the_same_game():
+    """game_from_masks (T - O from ints), ISNGame.from_values (a coalition
+    mapping) and ISNGame.from_table (Fractions) build equal games from one
+    mixed-denominator table: equal and equally hashed, with the same ints
+    over the lcm of the values' reduced denominators, and a table view of
+    Fractions."""
+    import random
+
+    rng = random.Random(61)
+    for n in range(1, 7):
+        for _ in range(6):
+            table = mixed_game(rng, n).table
+            values = {members_of(m): table[m] for m in range(1 << n) if m.bit_count() >= 2}
+            # T(S) over an unreduced denominator, O(S) = T(S) - v(S)
+            t = {m: (3 * m * v.denominator + 1, 3 * v.denominator) for m, v in enumerate(table)
+                 if m.bit_count() >= 2}
+            o = {m: money_terms(Fraction(*t[m]) - table[m]) for m in t}
+            built = [game_from_masks(n, t.items(), o.items()), ISNGame.from_values(n, values),
+                     ISNGame.from_table(n, table)]
+            for game in built:
+                assert game == built[0] and hash(game) == hash(built[0])
+                assert game.scaled == built[0].scaled
+                assert all(type(v) is int for v in game.scaled)
+                assert game.denominator == scaled_table(table)[1]
+                assert game.table == table and all(type(v) is Fraction for v in game.table)
+
+
+def test_fraction_text_is_str_of_fraction():
+    import random
+
+    rng = random.Random(5)
+    dens = [1, 2, 3, 4, 6, 12, 105, 630, 10**40 + 1]
+    for num in [0, 1, -1, 6, -6, 12, 35, -105, 10**50, -(10**50) - 3]:
+        for den in dens:
+            assert fraction_text(num, den) == str(Fraction(num, den))
+    for _ in range(2000):
+        den = rng.choice(dens) * rng.randint(1, 30)
+        num = rng.randint(-5 * den, 5 * den)
+        assert fraction_text(num, den) == str(Fraction(num, den))
 
 
 def test_exact_rational_values():
@@ -290,17 +341,39 @@ def test_superadditivity_pair_matches_fraction_scan_on_convex_tables():
 def test_scaled_table_bound(monkeypatch):
     values = (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7))  # lcm 105, 7 bits
     assert scaled_table(values) == ([35, -21, 30], 105)
-    assert scaled_table(values, 2) == ([70, -42, 60], 210)
     assert scaled_table((Fraction(4), 5)) == ([4, 5], 1)
     monkeypatch.setattr(games, "SCALED_BITS", 3 * 7)
     assert scaled_table(values)[1] == 105
-    with pytest.raises(BoundExceeded, match="needs more than 7 bits"):
-        scaled_table(values, 2)  # 210 takes 8 bits
     monkeypatch.setattr(games, "SCALED_BITS", 3 * 7 - 1)
     with pytest.raises(BoundExceeded, match="needs more than 6 bits"):
         scaled_table(values)
-    with pytest.raises(BoundExceeded):
-        scaled_table((Fraction(1),) * 3, 105)  # the denominator given counts too
+
+
+def test_rescaling_a_built_table_keeps_the_bit_budget(monkeypatch):
+    """A game's table over 105 (7 bits, 8 entries) is scaled once, when it
+    is built. Only a denominator new to it rescales it, held to
+    games.SCALED_BITS: a rule in halves in a CoordinatedGame and an
+    allocation in halves in in_core (over 210, 8 bits), and the Shapley
+    value in the subsidy scan (over 630, 10 bits). An allocation in thirds
+    divides 105 and rescales nothing."""
+    values = {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 5), (1, 2): Fraction(2, 7),
+              (0, 1, 2): 1}
+    game = ISNGame.from_values(3, values)
+    halves = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    for bits, rescale, result in [
+        (8, lambda: CoordinatedGame(game, MCNet(3, (MCNetRule({0, 1}, {2}, Fraction(1, 2)),))
+                                    ).denominator, 210),
+        (8, lambda: in_core(game, halves), True),
+        (10, lambda: synthesize_promotion(game, {0, 1, 2}), (None, 0)),
+    ]:
+        monkeypatch.setattr(games, "SCALED_BITS", 8 * bits)
+        assert rescale() == result
+        monkeypatch.setattr(games, "SCALED_BITS", 8 * bits - 1)
+        with pytest.raises(BoundExceeded, match=f"needs more than {bits - 1} bits"):
+            rescale()
+        assert in_core(game, (Fraction(1, 3), 0, Fraction(2, 3)))
+    monkeypatch.setattr(games, "SCALED_BITS", 8 * 7)
+    assert ISNGame.from_values(3, values) == game
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))

@@ -289,16 +289,17 @@ def test_core_witness_of_a_nine_agent_convex_game():
 
 def test_core_lp_rows_are_scaled_under_the_bit_budget(monkeypatch):
     """The core LP's rows are ints over the table's lcm denominator (105,
-    7 bits for 8 entries), under games.SCALED_BITS like the other scans."""
-    game = ISNGame.from_values(
-        3, {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 5), (1, 2): Fraction(2, 7), (0, 1, 2): 1}
-    )
+    7 bits for 8 entries), which is scaled once, when the game is built,
+    under games.SCALED_BITS: one bit less and the construction raises."""
+    values = {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 5), (1, 2): Fraction(2, 7), (0, 1, 2): 1}
     monkeypatch.setattr(games, "SCALED_BITS", 8 * 7)
+    game = ISNGame.from_values(3, values)
+    assert game.denominator == 105
     result = core_nonempty(game)
     assert result.nonempty and in_core(game, result.witness)
     monkeypatch.setattr(games, "SCALED_BITS", 8 * 7 - 1)
     with pytest.raises(BoundExceeded, match="needs more than 6 bits"):
-        core_nonempty(game)
+        ISNGame.from_values(3, values)
 
 
 def test_two_person_exchange_games_always_implementable():
