@@ -285,7 +285,7 @@ class _RouteSearch:
                 a_ub.append(row)
                 b_ub.append(0)
                 k += 1
-        result = solve_lp(c, a_ub=a_ub, b_ub=b_ub, maximize=True)
+        result = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
         net = result.objective - sum(r.fee for r in fixed)
         return result.x[:len(variables)], net, result.x[len(variables):]
 

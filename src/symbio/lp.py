@@ -1,11 +1,15 @@
 """Exact linear programming over rationals.
 
-A two-phase simplex with Bland's rule for both the entering and leaving
-choices, so it terminates on degenerate problems and its verdicts
-(feasible / infeasible) are exact even when the optimum sits on a
-constraint boundary. Instances are not small: the core LP has one row per
-coalition worth more than its members alone, up to 2^n - n - 2 rows for n
-agents.
+A simplex with Bland's rule for both the entering and leaving choices, so
+it terminates on degenerate problems and its verdicts (feasible /
+infeasible) are exact even when the optimum sits on a constraint
+boundary. Instances are not small: the core LP has one row per coalition
+worth more than its members alone, up to 2^n - n - 2 rows for n agents.
+
+solve_lp runs one phase. An LP with an equality row or a negative
+right-hand side is a feasibility question with c = 0: phase one runs
+alone, and the point where it stops is the answer. Any other LP starts
+feasible at x = 0, every slack basic, and one phase maximizes c.x.
 
 Columns are numbered in the logical order structural | slack | artificial,
 with one artificial per row that starts without a basic slack, in row
@@ -26,23 +30,21 @@ slack is stored; the artificial is read off it, cells negated and cost
 cell scale - d_s. So exactly n columns are stored for n variables, and a
 row is n + 2 ints whatever the number of rows.
 
-A pivot on cell pc swaps the entering and leaving columns in the entering
-column's slot. The pivot row keeps its cells, takes its old scale s there
-(-s when the leaving column is an artificial stored as its slack) and pc
-as its scale; each other row with cell t in that slot becomes
-pc*row - t*q, for q the new pivot row times the entering column's sign
-(-1 for an artificial read off its slack), with pc added in the slot and
-0 as scale. A negative pc, which only the artificial drive-out meets, negates
-the pivot row first; the drive-out onto an artificial's own unstored
-slack only negates the row.
+A pivot on cell pc > 0 swaps the entering and leaving columns in the
+entering column's slot. The pivot row keeps its cells, takes its old
+scale s there (-s when the leaving column is an artificial stored as its
+slack) and pc as its scale; each other row with cell t in that slot
+becomes pc*row - t*q, for q the new pivot row times the entering column's
+sign (-1 for an artificial read off its slack), with pc added in the slot
+and 0 as scale.
 
 Scaling a row by a positive number changes neither the sign of a cell nor
 the ratio of two cells, and those are all the pivot rules read: the sign
 tests run on the ints, and the ratio test compares rhs_i*a_best with
 rhs_best*a_i. Every cell read holds a full tableau's true value over the
-row's positive scale, so every entering, leaving and drive-out choice, and
-the solution, are exactly those of the same simplex run on a full
-Fraction tableau. Values become Fractions only in the returned LPResult.
+row's positive scale, so every entering and leaving choice, and the
+solution, are exactly those of the same simplex run on a full Fraction
+tableau. Values become Fractions only in the returned LPResult.
 """
 
 from __future__ import annotations
@@ -76,15 +78,13 @@ class _Tableau(list):
         self.art_of = {s: a for a, s in slack_of.items()}
 
 
-def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResult:
-    """Optimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
+def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
+    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    Minimizes unless maximize=True. Inputs are ints, Fractions, or anything
-    Fraction accepts; right-hand sides may be negative.
+    Inputs are ints or Fractions. A feasibility LP (an equality row or a
+    negative right-hand side) must have c = 0, else ValueError.
     """
     c = [_exact(v) for v in c]
-    if maximize:
-        c = [-v for v in c]
     n = len(c)
 
     # Slack k belongs to <= row k. Each row starts with its slack basic, or
@@ -104,40 +104,34 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResu
     basis += range(real + len(slack_of), real + len(slack_of) + len(eq))
     tableau = _Tableau([row for row, _ in ub + eq], list(range(n)), slack_of)
 
-    n_artificial = len(slack_of) + len(eq)
-    if n_artificial:
-        cost1 = [0] * real + [1] * n_artificial
-        obj = _reduced_row(cost1, tableau, basis)
+    if slack_of or eq:
+        if any(c):
+            raise ValueError("a feasibility LP takes c = 0")
+        cost = [0] * real + [1] * (len(slack_of) + len(eq))
+        obj = _reduced_row(cost, tableau, basis)
         _pivot_until_optimal(tableau, basis, obj)
         if obj[-2] != 0:  # leftover artificial infeasibility
             return LPResult("infeasible")
-        _drive_out_artificials(tableau, basis, real)
-        # phase two drops the equality artificials' slots, and with an
-        # empty slack_of no artificial is read off a slack any more
-        keep = [j for j, col in enumerate(tableau.cols) if col < real]
-        tableau = _Tableau(
-            [[row[j] for j in keep] + row[-2:] for row in tableau],
-            [tableau.cols[j] for j in keep],
-            {},
-        )
-
-    obj = _reduced_row(c + [0] * (real - n), tableau, basis)
-    if not _pivot_until_optimal(tableau, basis, obj):
-        return LPResult("unbounded")
+        value = Fraction(0)
+    else:
+        # minimize -c.x; the cost row's rhs cell holds minus that, c.x
+        obj = _reduced_row([-v for v in c] + [0] * len(ub), tableau, basis)
+        if not _pivot_until_optimal(tableau, basis, obj):
+            return LPResult("unbounded")
+        value = Fraction(obj[-2], obj[-1])
 
     x = [Fraction(0)] * n
     for row, b in zip(tableau, basis):
         if b < n:
             x[b] = Fraction(row[-2], row[-1])
-    value = Fraction(-obj[-2], obj[-1])
-    if maximize:
-        value = -value
     return LPResult("optimal", tuple(x), value)
 
 
 def _exact(v):
-    """An int or Fraction equal to v; other number types go through Fraction."""
-    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+    """v if it is an int or Fraction; no float or text enters (TypeError)."""
+    if type(v) is int or type(v) is Fraction:
+        return v
+    raise TypeError(f"LP coefficients are ints or Fractions, not {type(v).__name__}")
 
 
 def _dictionary_row(coeffs, rhs, n):
@@ -166,16 +160,11 @@ def _primitive(row):
 
 
 def _slot(tableau, col):
-    """(j, sign): logical column col is sign times stored slot j, or j is
-    None when col is minus the unit column of the row where its mirrored
-    partner is basic."""
+    """(j, sign): entering logical column col is sign times stored slot j."""
     cols = tableau.cols
     if col in cols:
         return cols.index(col), 1
-    slack = tableau.slack_of.get(col)
-    if slack in cols:
-        return cols.index(slack), -1
-    return None, -1
+    return cols.index(tableau.slack_of[col]), -1
 
 
 def _reduced_row(cost, tableau, basis):
@@ -239,16 +228,11 @@ def _pivot_until_optimal(tableau, basis, obj) -> bool:
 
 
 def _pivot(tableau, basis, obj, row, col):
-    """Make logical column col basic in row; obj (if given) is updated in place."""
+    """Make logical column col basic in row; obj is updated in place."""
     j, sign = _slot(tableau, col)
     prow = tableau[row]
     leaving, basis[row] = basis[row], col
-    if j is None:  # col is the unstored slack of row's basic artificial
-        tableau[row] = [-v for v in prow[:-1]] + prow[-1:]
-        return
     pc = sign * prow[j]
-    if pc < 0:
-        pc, prow = -pc, [-v for v in prow]
     # the leaving column's cell in the pivot row is its scale s; a mirrored
     # artificial is stored as its slack, minus that
     tableau.cols[j] = tableau.slack_of.get(leaving, leaving)
@@ -262,31 +246,8 @@ def _pivot(tableau, basis, obj, row, col):
         if tc == 0 or i == row:
             continue
         tableau[i] = _primitive([pc * x - tc * p for x, p in zip(target, q)])
-    if obj is not None:
-        oc = obj[j] if sign > 0 else obj[j] - obj[-1]  # sign times the entering cost
-        new = [pc * o - oc * p for o, p in zip(obj, q)] if oc else obj[:]
-        d = -sign * oc * s  # the leaving column's cost
-        new[j] = d if mirror > 0 else new[-1] - d
-        obj[:] = _primitive(new)
-
-
-def _drive_out_artificials(tableau, basis, real_width):
-    """Pivot zero-level artificials onto real columns; drop redundant rows.
-
-    The real column is the first nonzero one in logical order: a stored
-    one, or a mirrored artificial's own slack, minus its unit column.
-    """
-    i = 0
-    while i < len(tableau):
-        if basis[i] < real_width:
-            i += 1
-            continue
-        nonzero = [col for col, v in zip(tableau.cols, tableau[i]) if col < real_width and v != 0]
-        if basis[i] in tableau.slack_of:
-            nonzero.append(tableau.slack_of[basis[i]])
-        if not nonzero:
-            del tableau[i]
-            del basis[i]
-            continue
-        _pivot(tableau, basis, None, i, min(nonzero))
-        i += 1
+    oc = obj[j] if sign > 0 else obj[j] - obj[-1]  # sign times the entering cost
+    new = [pc * o - oc * p for o, p in zip(obj, q)]
+    d = -sign * oc * s  # the leaving column's cost
+    new[j] = d if mirror > 0 else new[-1] - d
+    obj[:] = _primitive(new)

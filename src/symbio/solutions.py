@@ -84,9 +84,9 @@ def in_core(game, x) -> bool:
 def core_nonempty(game) -> CoreResult:
     """Decide core feasibility exactly and produce a witness point.
 
-    Solved as an LP in the slack above singleton worths: rows for proper
-    coalitions whose worth exceeds their members' standalone total, one
-    efficiency equality, phase-one simplex for feasibility. The rows are
+    A feasibility LP (c = 0) in the slack above singleton worths: rows for
+    proper coalitions worth more than their members alone, one efficiency
+    equality; the point where phase one stops is the witness. The rows are
     ints over the table's denominator d (games.scaled_shares), which scales
     every right-hand side by d and moves no pivot.
     """

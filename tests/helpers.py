@@ -5,6 +5,7 @@ vertex enumeration, integer grid search, constraint checks) without going
 through the library code paths under test, so agreement is meaningful.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
@@ -259,7 +260,7 @@ def _best_shipments(scenario, variables):
                 a_ub.append([0] * len(variables))
                 b_ub.append(scenario.streams[idx].quantity)
             a_ub[caps[idx]][k] = 1
-    return solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True).objective
+    return solve_lp(gains, a_ub=a_ub, b_ub=b_ub).objective
 
 
 def random_game(rng, n, lo=-8, hi=20):
@@ -615,10 +616,10 @@ def traced_pivots(module, call):
     """
     pivots = []
     pivot = module._pivot
-    entry = lp_entry if module is lp else lambda tableau, basis, row, col: tableau[row][col]
+    entry = lp_entry if module is lp else lambda tableau, row, col: tableau[row][col]
 
     def spy(tableau, basis, obj, row, col):
-        element = entry(tableau, basis, row, col)
+        element = entry(tableau, row, col)
         pivots.append((row, col, basis[row], element, len(tableau[row])))
         pivot(tableau, basis, obj, row, col)
 
@@ -629,15 +630,40 @@ def traced_pivots(module, call):
         module._pivot = pivot
 
 
-def lp_entry(tableau, basis, row, col):
-    """The true value of nonbasic logical column col in row of a symbio.lp
-    dictionary (its module docstring)."""
+def traced_oracle(call):
+    """traced_pivots(helpers, call), and how many of those pivots the
+    oracle's drive-out of zero-level artificials (_drive_out_artificials,
+    after phase one) made."""
+    global _drive_out_artificials
+    drive_out, made = _drive_out_artificials, []
+
+    def spy(tableau, basis, real_width):
+        global _pivot
+        pivot = _pivot
+
+        def counted(*args):
+            made.append(args)
+            pivot(*args)
+
+        _pivot = counted
+        try:
+            drive_out(tableau, basis, real_width)
+        finally:
+            _pivot = pivot
+
+    _drive_out_artificials = spy
+    try:
+        result, pivots = traced_pivots(sys.modules[__name__], call)
+    finally:
+        _drive_out_artificials = drive_out
+    return result, pivots, len(made)
+
+
+def lp_entry(tableau, row, col):
+    """The true value of an entering logical column col in row of a
+    symbio.lp dictionary (its module docstring)."""
     j, sign = lp._slot(tableau, col)
-    if j is not None:
-        return Fraction(sign * tableau[row][j], tableau[row][-1])
-    # minus the unit column of the row where col's mirrored partner is basic
-    partner = tableau.art_of.get(col, tableau.slack_of.get(col))
-    return Fraction(-(basis[row] == partner))
+    return Fraction(sign * tableau[row][j], tableau[row][-1])
 
 
 def mirrored_pairs(c, a_ub=(), b_ub=()):

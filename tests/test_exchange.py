@@ -256,6 +256,14 @@ def test_route_lp_counts(lp_calls):
     assert game.value({0, 1}) > 0
 
 
+@pytest.mark.parametrize("n, lps", [(4, 17), (5, 36), (6, 72), (7, 141)])
+def test_dense_lp_counts(lp_calls, n, lps):
+    # n (n - 1) routes, one resource: the README's counts, which also pin
+    # the relaxations' optimal vertices the branch and bound reads
+    scenario_to_game(dense_scenario(n))
+    assert len(lp_calls) == lps
+
+
 def test_lp_budget_raises_bound_exceeded(lp_calls, monkeypatch):
     monkeypatch.setattr(symbio.exchange, "ENUMERATION_BOUND", 3)
     scenario = dense_scenario(5)  # 20 routes, each solved alone first

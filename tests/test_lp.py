@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import astuple
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -9,31 +10,29 @@ import pytest
 from symbio import lp
 from symbio.lp import LPResult, solve_lp
 
-import helpers
-from helpers import fraction_solve_lp, lp_entry, mirrored_pairs, traced_pivots
+from helpers import fraction_solve_lp, mirrored_pairs, traced_oracle, traced_pivots
 
 
 def test_basic_maximization():
-    r = solve_lp([3, 2], a_ub=[[1, 1], [1, 0]], b_ub=[4, 2], maximize=True)
+    r = solve_lp([3, 2], a_ub=[[1, 1], [1, 0]], b_ub=[4, 2])
     assert r.status == "optimal"
     assert r.x == (2, 2)
     assert r.objective == 10
 
 
 def test_infeasible():
-    r = solve_lp([1], a_ub=[[1]], b_ub=[-1])
+    r = solve_lp([0], a_ub=[[1]], b_ub=[-1])
     assert r.status == "infeasible"
 
 
 def test_negative_rhs_feasible():
     # x >= 1 written as -x <= -1
-    r = solve_lp([1], a_ub=[[-1]], b_ub=[-1])
-    assert r.status == "optimal"
-    assert r.x == (1,)
+    r = solve_lp([0], a_ub=[[-1]], b_ub=[-1])
+    assert r == LPResult("optimal", (1,), 0)
 
 
 def test_unbounded():
-    assert solve_lp([1], maximize=True).status == "unbounded"
+    assert solve_lp([1]).status == "unbounded"
 
 
 def test_equalities():
@@ -43,14 +42,16 @@ def test_equalities():
 
 
 def test_exact_fractional_boundary():
-    # optimum is exactly 1/3; a float solver could land on either side
-    r = solve_lp([1], a_ub=[[-1]], b_ub=[Fraction(-1, 3)])
+    # the point is exactly 1/3; a float solver could land on either side
+    r = solve_lp([0], a_ub=[[-1]], b_ub=[Fraction(-1, 3)])
+    assert r.x == (Fraction(1, 3),)
+    r = solve_lp([1], a_ub=[[3]], b_ub=[1])
     assert r.x == (Fraction(1, 3),)
     assert r.objective == Fraction(1, 3)
 
 
 def test_redundant_equality_rows():
-    r = solve_lp([1, 1], a_eq=[[1, 1], [2, 2]], b_eq=[3, 6])
+    r = solve_lp([0, 0], a_eq=[[1, 1], [2, 2]], b_eq=[3, 6])
     assert r.status == "optimal"
     assert sum(r.x) == 3
 
@@ -72,44 +73,47 @@ def test_transportation_needs_lp_not_greedy():
         [5, 4, 4, 0],
         a_ub=[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
         b_ub=[10, 10, 10, 10],
-        maximize=True,
     )
     assert r.objective == 80
 
 
-def test_minimize_matches_negated_maximize():
-    a_ub = [[2, 1], [1, 3]]
-    b_ub = [8, 9]
-    lo = solve_lp([-1, -2], a_ub=a_ub, b_ub=b_ub)
-    hi = solve_lp([1, 2], a_ub=a_ub, b_ub=b_ub, maximize=True)
-    assert lo.objective == -hi.objective
-    assert lo.x == hi.x
+def test_feasibility_lp_takes_no_objective():
+    with pytest.raises(ValueError, match="c = 0"):
+        solve_lp([1], a_ub=[[-1]], b_ub=[-1])
+    with pytest.raises(ValueError, match="c = 0"):
+        solve_lp([0, Fraction(1, 2)], a_eq=[[1, 1]], b_eq=[1])
+    # the same rows with b >= 0 and no equality row: an optimization LP
+    assert solve_lp([-1], a_ub=[[-1]], b_ub=[0]) == LPResult("optimal", (0,), 0)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), True])
+@pytest.mark.parametrize("where", ["c", "a_ub", "b_eq"])
+def test_only_ints_and_fractions(bad, where):
+    # a float would enter as its binary value: 0.1 is 3602879701896397/2^55
+    args = {"c": [0], "a_ub": [[1]], "b_ub": [1], "a_eq": [[1]], "b_eq": [1]}
+    args[where] = [[bad]] if where.startswith("a_") else [bad]
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        solve_lp(**args)
 
 
 # ---------------------------------------------------------------- edge cases
 
 
-def test_drive_out_pivot_on_negative_entry(monkeypatch):
+def test_drive_out_pivot_on_negative_entry():
     # Phase one leaves an artificial basic at level zero whose row's first
-    # nonzero real entry is negative: the drive-out pivots on it and must
-    # negate the row to keep its scale, its basic column's entry, positive.
-    drive_out_elements = []
-    pivot = lp._pivot
-
-    def spy(tableau, basis, obj, row, col):
-        if obj is None:
-            drive_out_elements.append(lp_entry(tableau, basis, row, col))
-        pivot(tableau, basis, obj, row, col)
-        assert all(trow[-1] > 0 for trow in tableau)
-
-    monkeypatch.setattr(lp, "_pivot", spy)
-    args = ([-1, 1], (), (), [[2, 2], [0, -1]], [1, 0])
-    r = solve_lp(*args)
-    assert drive_out_elements and drive_out_elements[0] < 0
-    assert r == LPResult("optimal", (Fraction(1, 2), Fraction(0)), Fraction(-1, 2))
-    assert r == fraction_solve_lp(*args)
+    # nonzero real entry is negative. The oracle's drive-out pivots on that
+    # entry; symbio stops after phase one, at the same point.
+    args = ([0, 0], (), (), [[2, 2], [0, -1]], [1, 0])
+    r, pivots = traced_pivots(lp, lambda: solve_lp(*args))
+    expected, oracle_pivots, drive_outs = traced_oracle(lambda: fraction_solve_lp(*args))
+    assert r == expected == LPResult("optimal", (Fraction(1, 2), Fraction(0)), Fraction(0))
+    assert drive_outs == 1 and oracle_pivots[-1][3] < 0
+    assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[:-1]]
+    assert all(element > 0 for *_, element, _ in pivots)
 
 
+# maximize is the oracle's sense; symbio always maximizes, so it is given
+# -c where the oracle minimizes c.x, and its objective is minus the oracle's
 @pytest.mark.parametrize(
     "c, maximize, expected",
     [
@@ -121,23 +125,27 @@ def test_drive_out_pivot_on_negative_entry(monkeypatch):
     ],
 )
 def test_no_constraints(c, maximize, expected):
-    assert solve_lp(c, maximize=maximize) == expected
     assert fraction_solve_lp(c, maximize=maximize) == expected
+    sense = 1 if maximize else -1
+    r = solve_lp([sense * v for v in c])
+    assert (r.status, r.x) == (expected.status, expected.x)
+    assert r.objective == (None if expected.objective is None else sense * expected.objective)
 
 
+# kwargs are the oracle's: maximize for an optimization LP
 @pytest.mark.parametrize(
     "args, kwargs",
     [
         (([3, 2], [[1, 1], [1, 0]], [4, 2]), {"maximize": True}),
         (([0, 0], (), (), [[1, 1], [1, -1]], [3, 1]), {}),
-        (([2, 4], [[-2, -4]], [-6]), {}),
-        (([1, 1], [[-3, 0], [0, -6]], [-2, -3]), {}),
-        (([6, 0], [[-3, 0]], [-2]), {}),
+        (([0, 0], [[-2, -4]], [-6]), {}),
+        (([0, 0], [[-3, 0], [0, -6]], [-2, -3]), {}),
+        (([6, 0], [[3, 0]], [2]), {"maximize": True}),
         (([1], [[1]], [0]), {"maximize": True}),
     ],
 )
 def test_results_are_fractions_in_lowest_terms(args, kwargs):
-    r = solve_lp(*args, **kwargs)
+    r = solve_lp(*args)
     assert r.status == "optimal"
     for v in (*r.x, r.objective):
         assert type(v) is Fraction
@@ -152,24 +160,38 @@ def _rational(rng, lo=-6, hi=6):
     return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 7]))
 
 
-def _random_lp(rng):
-    """A small LP; most are feasible by construction around a point x0 >= 0.
+def _random_lp(rng, feasibility):
+    """A small LP in one of solve_lp's two forms, and the oracle's kwargs.
 
-    Coefficients have mixed signs and small denominators, so right-hand
-    sides come out negative about half the time. Some instances repeat an
-    equality row (scaled, consistently or not) or get random right-hand
-    sides; some cap every variable so the optimum is bounded.
+    Rows have mixed-sign coefficients with small denominators. A
+    feasibility LP (c = 0) is mostly feasible by construction around a
+    point x0 >= 0, so its right-hand sides come out negative about half the
+    time; it has at least one equality row or negative right-hand side, and
+    some instances repeat an equality row (scaled, consistently or not) or
+    get random right-hand sides. An optimization LP has only <= rows with
+    right-hand sides >= 0, zero in some; some cap every variable so the
+    optimum is bounded.
     """
     n = rng.randint(1, 5)
-    x0 = [_rational(rng, 0, 4) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
 
     def row():
         return [_rational(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
 
+    a_ub = [row() for _ in range(rng.randint(0, 5))]
+    if not feasibility:
+        b_ub = [rng.choice([0, _rational(rng, 0, 6)]) for _ in a_ub]
+        if rng.random() < 0.5:
+            for j in range(n):
+                a_ub.append([int(i == j) for i in range(n)])
+                b_ub.append(_rational(rng, 0, 8))
+        c = [_rational(rng) for _ in range(n)]
+        return (c, a_ub, b_ub), {"maximize": True}
+
+    x0 = [_rational(rng, 0, 4) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+
     def at_x0(coeffs):
         return sum(a * x for a, x in zip(coeffs, x0))
 
-    a_ub = [row() for _ in range(rng.randint(0, 5))]
     a_eq = [row() for _ in range(rng.randint(0, 3))]
     b_ub = [at_x0(r) + rng.choice([0, 0, _rational(rng, 0, 3)]) for r in a_ub]
     b_eq = [at_x0(r) for r in a_eq]
@@ -180,39 +202,38 @@ def _random_lp(rng):
     if rng.random() < 0.2:
         b_ub = [_rational(rng) for _ in b_ub]
         b_eq = [_rational(rng) for _ in b_eq]
-    if rng.random() < 0.5:
-        for j in range(n):
-            a_ub.append([int(i == j) for i in range(n)])
-            b_ub.append(_rational(rng, 0, 8))
-    c = [_rational(rng) for _ in range(n)]
-    return (c, a_ub, b_ub, a_eq, b_eq), {"maximize": rng.random() < 0.5}
+    if not a_eq and all(b >= 0 for b in b_ub):
+        a_eq.append(row())
+        b_eq.append(at_x0(a_eq[-1]))
+    return ([0] * n, a_ub, b_ub, a_eq, b_eq), {}
 
 
 def test_matches_fraction_tableau_on_random_lps():
     """Same results, and the same pivots: every (row, entering column,
-    leaving column, pivot element) in order."""
+    leaving column, pivot element) in order, up to where the oracle's
+    two-phase simplex goes on to drive zero-level artificials out of a
+    feasibility LP's basis."""
     rng = random.Random(20180419)
     seen = Counter()
     paths = Counter()
-    for _ in range(1500):
-        args, kwargs = _random_lp(rng)
-        r, pivots = traced_pivots(lp, lambda: solve_lp(*args, **kwargs))
-        expected, oracle_pivots = traced_pivots(helpers, lambda: fraction_solve_lp(*args, **kwargs))
+    for k in range(1500):
+        feasibility = k % 2 == 0
+        args, kwargs = _random_lp(rng, feasibility)
+        r, pivots = traced_pivots(lp, lambda: solve_lp(*args))
+        expected, oracle_pivots, drive_outs = traced_oracle(lambda: fraction_solve_lp(*args, **kwargs))
         assert (r.status, r.x, r.objective) == astuple(expected), (args, kwargs)
-        assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots], (args, kwargs)
+        assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[: len(pivots)]], args
+        assert len(oracle_pivots) == len(pivots) + drive_outs, args
         mirrored = mirrored_pairs(*args[:3])
-        for _, col, leaving, element, _ in pivots:
+        for _, col, _, element, _ in pivots:
             # an artificial read off its slack column re-enters the basis,
             # so Bland's phase one still needs those columns after they
             # leave it
             paths["artificial enters through its slack"] += col in mirrored
-            # the drive-out makes an artificial's own unstored slack basic
-            paths["drive-out onto an unstored slack"] += mirrored.get(leaving) == col
-            paths["negative pivot element"] += element < 0
-        seen[r.status, kwargs["maximize"]] += 1
-    # every verdict is exercised in both senses
-    statuses = ("optimal", "infeasible", "unbounded")
-    assert set(seen) == {(s, m) for s in statuses for m in (False, True)}
+            assert element > 0
+        paths["oracle drive-out"] += drive_outs
+        seen[r.status, feasibility] += 1
+    # each form gives both its verdicts
+    assert set(seen) == {("optimal", True), ("infeasible", True), ("optimal", False), ("unbounded", False)}
     assert min(seen.values()) >= 50, seen
-    # and every path of the dictionary's pivot
-    assert len(paths) == 3 and min(paths.values()) > 0, paths
+    assert len(paths) == 2 and min(paths.values()) > 0, paths

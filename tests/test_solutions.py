@@ -15,9 +15,9 @@ from symbio.games import ISNGame, check_superadditive, coalitions, members_of
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley
 from symbio.solutions import core_nonempty, in_core, is_implementable, shapley
 
-import helpers
 from helpers import (
     core_constraints_hold,
+    convex_game,
     core_nonempty_by_enumeration,
     fraction_solve_lp,
     mirrored_pairs,
@@ -26,6 +26,7 @@ from helpers import (
     random_game,
     random_net,
     random_scenario,
+    traced_oracle,
     traced_pivots,
 )
 
@@ -240,14 +241,15 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
                 oracle_calls.clear()
                 with monkeypatch.context() as m:
                     m.setattr(solutions, "solve_lp", oracle)
-                    oracle_result, oracle_pivots = traced_pivots(helpers, lambda: core_nonempty(game))
+                    oracle_result, oracle_pivots, drive_outs = traced_oracle(lambda: core_nonempty(game))
                 assert oracle_result == result
-                assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots]
+                # phase one alone: the oracle's pivots up to its drive-out
+                assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[: len(pivots)]]
+                assert len(oracle_pivots) == len(pivots) + drive_outs
                 if oracle_calls:
                     verdicts.add((n, result.nonempty))
                     lp_args = oracle_calls[0]
-                    # stored: one cell per nonbasic column, rhs and scale;
-                    # phase two never pivots, as the LP costs nothing
+                    # stored: one cell per nonbasic column, rhs and scale
                     assert all(width == n + 2 for *_, width in pivots)
                     mirrored = mirrored_pairs(lp_args["c"], lp_args["a_ub"], lp_args["b_ub"])
                     mirrored_entries += sum(col in mirrored for _, col, *_ in pivots)
@@ -256,6 +258,25 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
     assert {(n, v) for n in range(3, 7) for v in (False, True)} <= verdicts
     assert non_superadditive >= 20
     assert mirrored_entries > 0
+
+
+def test_core_witness_survives_the_oracles_drive_out(monkeypatch):
+    # The two-phase oracle drives zero-level artificials out of the basis
+    # after phase one and runs phase two; symbio stops after phase one.
+    # Neither step moves the point, so the witness is the same.
+    rng = random.Random(5)
+    drove_out = 0
+    for n in range(2, 7):
+        for make in (random_game, mixed_game, convex_game):
+            for _ in range({5: 6, 6: 1}.get(n, 24)):
+                game = make(rng, n)
+                result = core_nonempty(game)
+                with monkeypatch.context() as m:
+                    m.setattr(solutions, "solve_lp", fraction_solve_lp)
+                    oracle_result, _, drive_outs = traced_oracle(lambda: core_nonempty(game))
+                assert oracle_result == result
+                drove_out += drive_outs > 0
+    assert drove_out > 0
 
 
 def test_implementability(g3, g3_prime):
