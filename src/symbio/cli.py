@@ -15,14 +15,17 @@ must lie within +-games.MAX_EXPONENT.
 Table keys and policy groups become bitmasks straight from the agent
 names. The roster's coalition keys as reports spell them (roster order,
 "A,B,D") are built once per file of at most ENUMERATION_BOUND agents and
-kept on the Scenario; a table key spelt that way costs one lookup in a
-dict of them, and any other key is split and checked name by name (_mask),
-so its faults read the same. A value becomes a numerator and a denominator
-(JSON ints pass through, text goes through games.money_terms), and
-games.game_from_masks writes every v(S) as an int over the table's lcm
-denominator, with no Fraction per coalition. Every key's names and number
-are read, T then O, before the table rules run. `--epsilon` is checked to
-be > 0 before the file is read.
+kept on the Scenario. Each of T and O is read as three columns (masks,
+numerators, denominators), with no Fraction, tuple or dict per coalition.
+A table whose keys are all spelt that way and whose values are all JSON
+ints or plain "a/b" text (_PLAIN) is read in bulk: one map over a dict of
+those keys, and one json call over its joined numbers. Any other table is
+read key by key: a key is split and checked name by name (_mask) and a
+value read by _terms (text by games.money_terms), so its faults read the
+same. games.game_from_masks writes every v(S) as an int over the table's
+lcm denominator. Every key's names and number are read, T then O, before
+the table rules run. `--epsilon` is checked to be > 0 before the file is
+read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms; value rows are
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -59,11 +63,18 @@ class Scenario:
     game: ISNGame
     policy: "Policy | None"
     source: str  # "tables" | "exchange"
-    keys: "list[str]" = field(repr=False, compare=False)  # keys[mask], see _keys
+    keys: "list[str] | None" = field(repr=False, compare=False)  # keys[mask], see _keys
 
 
 #: JSON integers, like text, may have at most MAX_DIGITS digits.
 _INT_LIMIT = 10**MAX_DIGITS
+
+#: Plain numbers, the bulk reader's strict subset of games._RATIONAL_FORMAT:
+#: an int or "a/b" in ASCII digits with an optional "-" and no leading zero
+#: (so a denominator is never 0, and each part is also a JSON int), at most
+#: MAX_DIGITS // 2 digits a part, so never more than MAX_DIGITS in all.
+_PLAIN = re.compile(
+    rf"-?(?:0|[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})(?:/[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})?")
 
 
 def _terms(raw) -> "tuple[int, int]":
@@ -133,34 +144,71 @@ def _mask(raw, where: str, bits) -> int:
     return mask
 
 
-def _table_pairs(tables: dict, names, bits, keys) -> "list[list[tuple[int, tuple[int, int]]]]":
-    """T's and then O's (mask, (numerator, denominator)) pairs, each in file order.
+def _plain_terms(values: list) -> "tuple[list[int], list[int]] | None":
+    """(numerators, denominators) of a column of JSON ints and _PLAIN
+    strings, read in bulk; None if any value needs _terms.
 
-    A key spelt as reports spell it costs one lookup in a dict of the
-    roster's keys of two or more agents (keys, from _keys), which lives only
-    while the tables are read; any other key is read by _mask, which names
-    its fault. Past ENUMERATION_BOUND agents keys is None and no dict is
-    built (it would hold 2^n keys): every key goes through _mask, and
-    game_from_masks then raises BoundExceeded, after any fault in a key or a
-    value, as for any roster.
+    A column of ints is held to _INT_LIMIT by its min and max. In a column
+    of ints and strings each value's text must match _PLAIN, so none holds
+    a comma, and the column written as one JSON list of numerators and
+    denominators splits back into two per value; json reads all their ints
+    in one call. Anything else (a bool, a JSON decimal, text outside _PLAIN,
+    a long number) gives None, and _terms reads or rejects it value by
+    value.
     """
-    masks = {}
+    types = set(map(type, values))
+    if types <= {int}:
+        if -_INT_LIMIT < min(values, default=0) and max(values, default=0) < _INT_LIMIT:
+            return values, [1] * len(values)
+        return None
+    if not types <= {int, str}:
+        return None
+    parts = list(map(str, values))
+    if not all(map(_PLAIN.fullmatch, parts)):
+        return None
+    # "3/4", "5" -> "3,4,5,1": numerators at even places, denominators at odd
+    terms = ",".join([p if "/" in p else p + "/1" for p in parts]).replace("/", ",")
+    flat = json.loads(f"[{terms}]")
+    return flat[0::2], flat[1::2]
+
+
+def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list, list]]":
+    """T's and then O's columns (masks, numerators, denominators), each in
+    file order.
+
+    A table whose keys are all spelt as reports spell them (roster order,
+    "A,B,D") takes its masks from one map over a dict of the roster's keys
+    of two or more agents (keys, from _keys), which lives only while the
+    tables are read, and its values from _plain_terms. Any other table is
+    read key by key, a key the dict lacks by _mask and a value by _terms,
+    so its first fault is named in file order, T's before O's. Past
+    ENUMERATION_BOUND agents keys is None and no dict is built (it would
+    hold 2^n keys): every key goes through _mask, and game_from_masks then
+    raises BoundExceeded, after any fault in a key or a value, as for any
+    roster.
+    """
+    lookup = {}
     if keys is not None:
-        masks = dict(zip(keys, range(len(keys))))
+        lookup = dict(zip(keys, range(len(keys))))
         for key in "", *names:  # left: the keys of two or more agents, each with a comma
-            masks.pop(key, None)
+            lookup.pop(key, None)
     both = []
     for x in "T", "O":
-        pairs = []
-        for key, value in _expect(tables.get(x), dict, f"tables.{x}").items():
-            mask = masks.get(key)
-            if mask is None:
-                mask = _mask(key, f"tables.{x}[{key!r}]", bits)
-            try:
-                pairs.append((mask, _terms(value)))
-            except (TypeError, ValueError, ZeroDivisionError) as e:
-                raise SymbioError(f"tables.{x}[{key!r}]: {e}") from None
-        both.append(pairs)
+        table = _expect(tables.get(x), dict, f"tables.{x}")
+        masks = list(map(lookup.get, table))
+        terms = None if None in masks else _plain_terms(list(table.values()))
+        if terms is None:
+            masks, nums, dens = [], [], []
+            for key, value in table.items():
+                masks.append(lookup.get(key) or _mask(key, f"tables.{x}[{key!r}]", bits))
+                try:
+                    num, den = _terms(value)
+                except (TypeError, ValueError, ZeroDivisionError) as e:
+                    raise SymbioError(f"tables.{x}[{key!r}]: {e}") from None
+                nums.append(num)
+                dens.append(den)
+            terms = nums, dens
+        both.append((masks, *terms))
     return both
 
 
@@ -211,7 +259,7 @@ def load_scenario(path: str) -> Scenario:
             })
         if "tables" in doc:
             tables = _expect(doc["tables"], dict, "tables", ("T", "O"))
-            game = game_from_masks(len(names), *_table_pairs(tables, names, bits, keys))
+            game = game_from_masks(len(names), *_table_columns(tables, names, bits, keys))
         else:
             ids = {name: i for i, name in enumerate(names)}
             game = scenario_to_game(_parse_exchange(doc["exchange"], ids))

@@ -13,16 +13,19 @@ Text amounts follow one grammar on every interpreter, Python 3.11's
 (_RATIONAL_FORMAT), read straight into a numerator and a denominator
 (money_terms); as_money makes the one Fraction.
 
-Value and cost tables are read from (mask, (numerator, denominator))
-pairs: _table owns the rules that every key has two or more agents and
-that none is given twice, and game_from_masks the rule that T and O list
-every such coalition. _scaled_game reduces each value by one gcd and
-writes it over the lcm, making no Fraction; a table whose 2^n entries
-times the bit length of that lcm pass SCALED_BITS (2^28) bits raises
+Value and cost tables are read as three columns: masks, numerators and
+denominators. _scatter writes a table's columns into mask-indexed lists
+and owns the rules that every key has two or more agents and that none is
+given twice, and game_from_masks the rule that T and O list every such
+coalition; T(S) - O(S) is then taken column-wise for every mask at once.
+_scaled_game writes each value over the lcm of the denominators, making no
+Fraction; a table whose 2^n entries times the bit length of that lcm pass
+SCALED_BITS (2^28) bits, even with each value reduced, raises
 BoundExceeded while it is built. make_isn_game and ISNGame.from_values
-turn their coalition keys into masks first, the CLI reader builds masks
-from agent names, and ISNGame.from_table takes Fractions. Subgames and
-coordinated games derive their ints from their parent's.
+turn their coalition keys into mask columns first (_columns), the CLI
+reader builds masks from agent names, and ISNGame.from_table takes
+Fractions. Subgames and coordinated games derive their ints from their
+parent's.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
 promotion subsidy elsewhere) read those ints and return Fractions; only an
@@ -39,7 +42,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import lt, mul, sub
+from operator import floordiv, lt, mul, sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BoundExceeded, SymbioError
@@ -179,6 +182,17 @@ def _check_bits(count: int, d: int) -> None:
         )
 
 
+def _lcm(dens, count: int) -> int:
+    """The lcm of the positive ints dens, held to count values' share of
+    SCALED_BITS (_check_bits) as it grows."""
+    d = 1
+    for den in dens:
+        if d % den:
+            d = lcm(d, den)
+            _check_bits(count, d)
+    return d
+
+
 def scaled_table(values) -> "tuple[list[int], int]":
     """(ints, d) with ints[k] == values[k] * d exactly, for d the lcm of
     the values' denominators.
@@ -186,11 +200,7 @@ def scaled_table(values) -> "tuple[list[int], int]":
     Raises BoundExceeded as soon as len(values) * d.bit_length() passes
     SCALED_BITS, before any entry is scaled.
     """
-    d = 1
-    for q in (v.denominator for v in values):
-        if d % q:
-            d = lcm(d, q)
-            _check_bits(len(values), d)
+    d = _lcm({v.denominator for v in values}, len(values))
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
@@ -300,10 +310,8 @@ class ISNGame:
         is a coalition listed twice, such as (0, 1) next to (1, 0).
         """
         _check_agent_count(n_agents)
-        nums, dens = [0] * (1 << n_agents), [1] * (1 << n_agents)
-        for mask, (num, den) in _table(_masks(n_agents, values, "value"), "value").items():
-            nums[mask], dens[mask] = num, den
-        return _scaled_game(n_agents, nums, dens)
+        nums, dens = _scatter(n_agents, _columns(n_agents, values, "value"), "value")
+        return _scaled_game(n_agents, [0 if v is None else v for v in nums], dens)
 
     @classmethod
     def from_table(cls, n_agents: int, table) -> "ISNGame":
@@ -331,79 +339,98 @@ def check_roster(s: frozenset, n_agents: int) -> None:
             raise SymbioError(f"agent {i} not on a roster of {n_agents}")
 
 
-def _masks(n_agents: int, values: Mapping, name: str) -> "Iterator[tuple[int, tuple]]":
-    """(mask, money_terms(value)) for each {coalition: value} entry, its
-    members checked to be ids on the roster."""
+def _columns(n_agents: int, values: Mapping, name: str) -> "tuple[list, list, list]":
+    """(masks, numerators, denominators) of a {coalition: value} mapping,
+    in its order: each coalition's members checked to be ids on the roster,
+    each value read by money_terms."""
+    masks, nums, dens = [], [], []
     for raw, val in values.items():
         s = coalition(raw)
         for i in s:
             if i >= n_agents:
                 raise SymbioError(f"{name} table mentions agent {i}, roster has {n_agents}")
-        yield mask_of(s), money_terms(val)
+        num, den = money_terms(val)
+        masks.append(mask_of(s))
+        nums.append(num)
+        dens.append(den)
+    return masks, nums, dens
 
 
-def _table(pairs, name: str) -> dict:
-    """{mask: amount} from (mask, amount) pairs: each of two or more agents, none twice."""
-    out = {}
-    for mask, val in pairs:
-        if mask.bit_count() < 2:
-            raise SymbioError(f"{name} table keys need two or more members, got {{}}",
-                              members_of(mask))
-        if mask in out:
-            raise SymbioError(f"{name} table lists coalition {{}} twice", members_of(mask))
-        out[mask] = val
-    return out
+def _scatter(n_agents: int, columns, name: str) -> "tuple[list, list]":
+    """(nums, dens) indexed by mask from one table's (masks, nums, dens)
+    columns: the empty set and singletons 0, and a coalition the table does
+    not list num None, den 1.
+
+    Every key must have two or more agents and none may be listed twice.
+    Both rules are read off the scattered table (its count of listed
+    entries, and its empty-set and singleton slots); only a table that
+    breaks one is walked key by key, in listing order, to name the first
+    fault.
+    """
+    masks, nums, dens = columns
+    size = 1 << n_agents
+    dense_nums, dense_dens = [None] * size, [1] * size
+    for mask, num, den in zip(masks, nums, dens):
+        dense_nums[mask] = num
+        dense_dens[mask] = den
+    small = [0, *[1 << i for i in range(n_agents)]]
+    listed = size - dense_nums.count(None)
+    if listed < len(masks) or [*map(dense_nums.__getitem__, small)].count(None) < len(small):
+        seen = set()
+        for mask in masks:
+            if mask.bit_count() < 2:
+                raise SymbioError(f"{name} table keys need two or more members, got {{}}",
+                                  members_of(mask))
+            if mask in seen:
+                raise SymbioError(f"{name} table lists coalition {{}} twice", members_of(mask))
+            seen.add(mask)
+    for mask in small:
+        dense_nums[mask] = 0
+    return dense_nums, dense_dens
 
 
 def _scaled_game(n_agents: int, nums: list, dens: list) -> ISNGame:
     """The game of v(S) = nums[S] / dens[S] over every mask S (dens > 0, not
     necessarily in lowest terms).
 
-    Each value is reduced by one gcd and its denominator folded into the
-    lcm d, which is held to SCALED_BITS as it grows; then every numerator
-    is written over d. No Fraction is made. The lists are written to.
+    Every numerator is written over d, the lcm of the distinct denominators,
+    and ISNGame divides the table through by its gcd. Only if d passes
+    SCALED_BITS is each value first reduced by its gcd (T(S) and O(S) may
+    share a long denominator that cancels) and d folded again, which raises
+    BoundExceeded if it still passes. No Fraction is made.
     """
-    size = len(nums)
-    d = 1
-    for mask, den in enumerate(dens):
-        if den != 1:
-            g = gcd(nums[mask], den)
-            if g != 1:
-                nums[mask] //= g
-                den = dens[mask] = den // g
-            if d % den:
-                d = lcm(d, den)
-                _check_bits(size, d)
+    try:
+        d = _lcm(set(dens), len(nums))
+    except BoundExceeded:
+        g = list(map(gcd, nums, dens))
+        nums = list(map(floordiv, nums, g))
+        dens = list(map(floordiv, dens, g))
+        d = _lcm(set(dens), len(nums))
     if d != 1:
         nums = list(map(mul, nums, map(d.__floordiv__, dens)))
     return ISNGame(n_agents, tuple(nums), d)
 
 
-def game_from_masks(n_agents: int, t_pairs, o_pairs) -> ISNGame:
-    """The game v(S) = T(S) - O(S) from (mask, (numerator, denominator))
-    pairs, the terms of each amount (money_terms) as two ints.
+def game_from_masks(n_agents: int, t_columns, o_columns) -> ISNGame:
+    """The game v(S) = T(S) - O(S) from each table's three columns (masks,
+    numerators, denominators), the terms of each amount (money_terms).
 
     T and O must each list every coalition of two or more agents, once
-    (_table); t_pairs is read in full before o_pairs. Masks must lie on the
-    roster (below 1 << n_agents): make_isn_game checks its coalition keys
-    before turning them into masks. Each v(S) is (tn od - on td) / (td od)
-    from the four ints, scaled by _scaled_game.
+    (_scatter, T's rules before O's); a lacking coalition is named last.
+    Masks must lie on the roster (below 1 << n_agents): make_isn_game checks
+    its coalition keys before turning them into masks. Each v(S) is
+    (tn od - on td) / (td od), computed column-wise from the four ints and
+    scaled by _scaled_game.
     """
     _check_agent_count(n_agents)
-    t, o = _table(t_pairs, "T"), _table(o_pairs, "O")
-    size = (1 << n_agents) - n_agents - 1  # coalitions of two or more agents
-    if len(t) < size or len(o) < size:
+    (tn, td), (on, od) = _scatter(n_agents, t_columns, "T"), _scatter(n_agents, o_columns, "O")
+    if None in tn or None in on:
         for mask in range(1 << n_agents):
-            if mask.bit_count() < 2:
-                continue
-            for name, table in ("T", t), ("O", o):
-                if mask not in table:
+            for name, table in ("T", tn), ("O", on):
+                if table[mask] is None:
                     raise SymbioError(f"{name} table lacks coalition {{}}", members_of(mask))
-    nums, dens = [0] * (1 << n_agents), [1] * (1 << n_agents)
-    for mask, (tn, td) in t.items():
-        on, od = o[mask]
-        nums[mask], dens[mask] = tn * od - on * td, td * od
-    return _scaled_game(n_agents, nums, dens)
+    nums = list(map(sub, map(mul, tn, od), map(mul, on, td)))
+    return _scaled_game(n_agents, nums, list(map(mul, td, od)))
 
 
 def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
@@ -414,7 +441,7 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
     run check_superadditive separately to validate that claim.
     """
     return game_from_masks(
-        n_agents, _masks(n_agents, t_table, "T"), _masks(n_agents, o_table, "O")
+        n_agents, _columns(n_agents, t_table, "T"), _columns(n_agents, o_table, "O")
     )
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbio
-from symbio import cli
+from symbio import cli, games
 from symbio.cli import cmd_analyze, load_scenario, main
 from symbio.errors import SymbioError
 from symbio.games import ISNGame, check_superadditive, make_isn_game, members_of
@@ -719,6 +719,178 @@ def test_shuffled_table_keys_load_like_make_isn_game(tmp_path_factory, seed, n):
     loaded, made = load_scenario(str(path)).game.table, make_isn_game(n, *tables).table
     assert loaded == made
     assert all(type(v) is Fraction for v in loaded + made)
+
+
+@contextlib.contextmanager
+def counted(module, name, calls, keep=lambda *args: True):
+    """Count in calls[name] the calls of module.name whose arguments pass keep."""
+    original = getattr(module, name)
+
+    def spy(*args):
+        if keep(*args):
+            calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+
+    setattr(module, name, spy)
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6),
+       st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_roster_spelt_keys_load_in_bulk_like_make_isn_game(tmp_path_factory, seed, n, shuffled):
+    """Keys spelt in roster order ("F3,F7"), listed in mask order or
+    shuffled, with JSON ints and plain "a/b" text, are read in bulk: no key
+    goes through _mask and no value through games._parse, and the game is
+    make_isn_game's."""
+    import random
+
+    rng = random.Random(seed)
+    names = [f"F{i}" for i in rng.sample(range(100), n)]
+    masks = [mask for mask in range(1 << n) if mask.bit_count() >= 2]
+    tables, docs = ({}, {}), ({}, {})
+    for table, doc in zip(tables, docs):
+        for mask in rng.sample(masks, len(masks)) if shuffled else masks:
+            value = rng.choice([rng.randint(-50, 50), f"{rng.randint(-50, 50)}/{rng.randint(1, 9)}",
+                                "-0/5", "6/4", str(rng.randint(-10**30, 10**30))])
+            members = sorted(members_of(mask))
+            table[tuple(members)] = value
+            doc[",".join(names[i] for i in members)] = value
+    path = tmp_path_factory.getbasetemp() / "roster_spelt.json"
+    path.write_text(json.dumps({"agents": names, "tables": {"T": docs[0], "O": docs[1]}}))
+    calls = {}
+    with counted(cli, "_mask", calls), counted(games, "_parse", calls):
+        loaded = load_scenario(str(path)).game
+    assert calls == {}
+    assert loaded == make_isn_game(n, *tables)
+
+
+def test_benchmark_shaped_file_loads_in_bulk(tmp_path):
+    """On a file shaped like the benchmark's (roster-spelt keys, int T,
+    "a/b" O), no table key is read by _mask and no value by _terms or
+    games._parse (its policy groups still go through _mask)."""
+    path = benchmark_halves_file(tmp_path, 10)
+    calls = {}
+
+    def table_key(raw, where, bits):
+        return where.startswith("tables.")
+
+    with counted(cli, "_mask", calls, table_key), counted(cli, "_terms", calls), \
+            counted(games, "_parse", calls):
+        scenario = load_scenario(str(path))
+    assert calls == {}
+    tables = json.loads(path.read_text())["tables"]
+    ids = {name: i for i, name in enumerate(scenario.agents)}
+    t, o = ({tuple(ids[a] for a in key.split(",")): v for key, v in tables[x].items()}
+            for x in ("T", "O"))
+    assert scenario.game == make_isn_game(10, t, o)
+
+
+def _canonical_doc():
+    names = ["A", "B", "C", "D"]
+    t, o = {}, {}
+    for mask in range(1 << 4):
+        if mask.bit_count() >= 2:
+            key = ",".join(name for i, name in enumerate(names) if mask >> i & 1)
+            t[key] = 100 + 7 * mask
+            o[key] = f"{50 + 5 * mask}/{mask % 5 + 1}" if mask % 3 else 40 + mask
+    return {"agents": names, "tables": {"T": t, "O": o}}
+
+
+@pytest.mark.parametrize("table", ["T", "O"])
+@pytest.mark.parametrize("kind,raw,message", [
+    ("key", "B,A", None),
+    ("text", "+3", None),
+    ("text", " 3/4 ", None),
+    ("text", "1_0", None),
+    ("json", "2.5", None),
+    ("json", "true", "tables.{table}['A,B']: bool is not a money amount"),
+    ("text", "1/0", "tables.{table}['A,B']: '1/0' has a zero denominator"),
+    ("json", "1" + "0" * 1000, "tables.{table}['A,B']: number has more than 1000 digits"),
+    ("drop", None, "{table} table lacks coalition {{A,B}}"),
+    ("text", "1,2", "tables.{table}['A,B']: '1,2' is not a number"),
+], ids=["reordered-key", "plus-sign", "padded", "underscore", "json-decimal", "bool",
+        "zero-denominator", "1001-digit-int", "missing-key", "comma"])
+def test_one_entry_off_the_bulk_path_reads_as_before(capsys, tmp_path, table, kind, raw,
+                                                      message):
+    """One key or value outside the bulk reader's forms sends its table key
+    by key: the file gives make_isn_game's game or the same error as ever."""
+    doc = _canonical_doc()
+    entries = doc["tables"][table]
+    value = entries.pop("A,B")
+    if kind == "key":
+        entries[raw] = value
+    elif kind == "text":
+        entries["A,B"] = raw
+    elif kind == "json":
+        entries["A,B"] = "@raw@"
+    text = json.dumps(doc).replace('"@raw@"', str(raw))
+    path = _write(tmp_path, text)
+    code, out, err = run(capsys, "analyze", path)
+    if message is not None:
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(table=table)}\n"
+        return
+    assert code == 0
+    ids = {name: i for i, name in enumerate(doc["agents"])}
+    tables = [{tuple(ids[a] for a in key.split(",")): v for key, v in doc["tables"][x].items()}
+              for x in ("T", "O")]
+    if kind == "json":
+        tables["TO".index(table)][(0, 1)] = raw  # the JSON text, as the reader parses it
+    assert load_scenario(path).game == make_isn_game(4, *tables)
+
+
+#: Number-shaped text: signs, spaces, underscores, a Unicode digit, leading
+#: zeros, zero denominators, decimals and exponents, digit runs past
+#: MAX_DIGITS, and numbers run together by the characters a bulk reader
+#: might join a column with.
+_digits = (st.sampled_from(["0", "00", "1", "7", "12", "1_0", "\u0663"])
+           | st.integers(400, 1200).map(lambda k: "9" * k))
+_number = st.tuples(st.sampled_from(["", "-"]), st.integers(0, 10**6).map(str),
+                    st.sampled_from(["", "/7", "/12"])).map("".join) | st.tuples(
+    st.sampled_from(["", "-", "+", " "]), _digits,
+    st.sampled_from(["", "/", "/0", "/00", "/05", "/7", "/-3"]) | _digits.map("/".__add__),
+    st.sampled_from(["", " ", ".5", "e5"]),
+).map("".join)
+number_texts = st.tuples(st.sampled_from([" ", ",", "],[", "/", ""]),
+                         st.lists(_number, min_size=1, max_size=3)).map(lambda x: x[0].join(x[1]))
+
+
+def _bulk_reads_as_parse(text):
+    got = cli._plain_terms([5, text, "-3/4"])
+    if got is not None:
+        num, den = games._parse(text)
+        assert got == ([5, num, -3], [1, den, 4])
+
+
+@given(st.text() | number_texts)
+@settings(max_examples=500, deadline=None)
+def test_bulk_number_check_reads_as_parse_or_declines(text):
+    """_plain_terms either declines a column or reads each of its text
+    values as games._parse does: no text is read otherwise, and none adds
+    or drops a value of the column."""
+    _bulk_reads_as_parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1,2", "1 2", "1],[2", "1/2/3", "3/-4", "007", "1/05", "-", "", "9" * 500 + "/" + "9" * 500,
+    "-" + "9" * 501,
+])
+def test_bulk_number_check_edges(text):
+    _bulk_reads_as_parse(text)
+
+
+def test_bulk_number_check_reads_plain_columns():
+    assert cli._plain_terms([]) == ([], [])
+    assert cli._plain_terms([3, -7, 0]) == ([3, -7, 0], [1, 1, 1])
+    assert cli._plain_terms(["-0/5", 7, "12/9", "0", "-" + "9" * 500 + "/" + "9" * 500]) == (
+        [0, 7, 12, 0, -int("9" * 500)], [5, 1, 9, 1, int("9" * 500)])
+    assert cli._plain_terms([10**1000, 1]) is None
+    assert cli._plain_terms([True, 1]) is None
+    assert cli._plain_terms([Fraction(1, 2)]) is None
 
 
 @pytest.mark.parametrize("t_faults,o_faults,message", [

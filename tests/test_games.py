@@ -128,7 +128,9 @@ def test_every_builder_gives_the_same_game():
             t = {m: (3 * m * v.denominator + 1, 3 * v.denominator) for m, v in enumerate(table)
                  if m.bit_count() >= 2}
             o = {m: money_terms(Fraction(*t[m]) - table[m]) for m in t}
-            built = [game_from_masks(n, t.items(), o.items()), ISNGame.from_values(n, values),
+            t_columns, o_columns = ((list(x), *map(list, zip(*x.values()))) if x else ([], [], [])
+                                    for x in (t, o))
+            built = [game_from_masks(n, t_columns, o_columns), ISNGame.from_values(n, values),
                      ISNGame.from_table(n, table)]
             for game in built:
                 assert game == built[0] and hash(game) == hash(built[0])
