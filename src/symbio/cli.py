@@ -18,11 +18,11 @@ names. The roster's coalition keys as reports spell them (roster order,
 kept on the Scenario. Each of T and O is read as three columns (masks,
 numerators, denominators), with no Fraction, tuple or dict per coalition.
 A table whose keys are all spelt that way and whose values are all JSON
-ints or plain "a/b" text (_PLAIN) is read in bulk: one map over a dict of
-those keys, and one json call over its joined numbers. Any other table is
-read key by key: a key is split and checked name by name (_mask) and a
-value read by _terms (text by games.money_terms), so its faults read the
-same. games.game_from_masks writes every v(S) as an int over the table's
+ints or plain "a/b" text is read in bulk: one map over a dict of those
+keys, and one json call over its joined numbers (games.plain_terms). Any
+other table is read key by key: a key is split and checked name by name
+(_mask) and a value read by _terms (text by games.money_terms), so its
+faults read the same. games.game_from_masks writes every v(S) as an int over the table's
 lcm denominator. Every key's names and number are read, T then O, before
 the table rules run. `--epsilon` is checked to be > 0 before the file is
 read.
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -50,8 +49,8 @@ from .exchange import (
     DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
 )
 from .games import (
-    ENUMERATION_BOUND, MAX_DIGITS, ISNGame, as_money, check_superadditive, fraction_text,
-    game_from_masks, members_of, money_terms, subgame,
+    ENUMERATION_BOUND, INT_LIMIT, MAX_DIGITS, ISNGame, as_money, check_superadditive,
+    fraction_text, game_from_masks, members_of, money_terms, plain_terms, subgame,
 )
 from .mcnets import from_isn_game
 from .solutions import core_nonempty, in_core, is_implementable, shapley
@@ -66,17 +65,6 @@ class Scenario:
     keys: "list[str] | None" = field(repr=False, compare=False)  # keys[mask], see _keys
 
 
-#: JSON integers, like text, may have at most MAX_DIGITS digits.
-_INT_LIMIT = 10**MAX_DIGITS
-
-#: Plain numbers, the bulk reader's strict subset of games._RATIONAL_FORMAT:
-#: an int or "a/b" in ASCII digits with an optional "-" and no leading zero
-#: (so a denominator is never 0, and each part is also a JSON int), at most
-#: MAX_DIGITS // 2 digits a part, so never more than MAX_DIGITS in all.
-_PLAIN = re.compile(
-    rf"-?(?:0|[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})(?:/[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})?")
-
-
 def _terms(raw) -> "tuple[int, int]":
     """(numerator, denominator) of a JSON number or number string.
 
@@ -85,7 +73,7 @@ def _terms(raw) -> "tuple[int, int]":
     parse_float).
     """
     if type(raw) is int:
-        if -_INT_LIMIT < raw < _INT_LIMIT:
+        if -INT_LIMIT < raw < INT_LIMIT:
             return raw, 1
         raise SymbioError(f"number has more than {MAX_DIGITS} digits")
     return money_terms(raw)
@@ -144,34 +132,6 @@ def _mask(raw, where: str, bits) -> int:
     return mask
 
 
-def _plain_terms(values: list) -> "tuple[list[int], list[int]] | None":
-    """(numerators, denominators) of a column of JSON ints and _PLAIN
-    strings, read in bulk; None if any value needs _terms.
-
-    A column of ints is held to _INT_LIMIT by its min and max. In a column
-    of ints and strings each value's text must match _PLAIN, so none holds
-    a comma, and the column written as one JSON list of numerators and
-    denominators splits back into two per value; json reads all their ints
-    in one call. Anything else (a bool, a JSON decimal, text outside _PLAIN,
-    a long number) gives None, and _terms reads or rejects it value by
-    value.
-    """
-    types = set(map(type, values))
-    if types <= {int}:
-        if -_INT_LIMIT < min(values, default=0) and max(values, default=0) < _INT_LIMIT:
-            return values, [1] * len(values)
-        return None
-    if not types <= {int, str}:
-        return None
-    parts = list(map(str, values))
-    if not all(map(_PLAIN.fullmatch, parts)):
-        return None
-    # "3/4", "5" -> "3,4,5,1": numerators at even places, denominators at odd
-    terms = ",".join([p if "/" in p else p + "/1" for p in parts]).replace("/", ",")
-    flat = json.loads(f"[{terms}]")
-    return flat[0::2], flat[1::2]
-
-
 def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list, list]]":
     """T's and then O's columns (masks, numerators, denominators), each in
     file order.
@@ -179,13 +139,13 @@ def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list, l
     A table whose keys are all spelt as reports spell them (roster order,
     "A,B,D") takes its masks from one map over a dict of the roster's keys
     of two or more agents (keys, from _keys), which lives only while the
-    tables are read, and its values from _plain_terms. Any other table is
-    read key by key, a key the dict lacks by _mask and a value by _terms,
-    so its first fault is named in file order, T's before O's. Past
-    ENUMERATION_BOUND agents keys is None and no dict is built (it would
-    hold 2^n keys): every key goes through _mask, and game_from_masks then
-    raises BoundExceeded, after any fault in a key or a value, as for any
-    roster.
+    tables are read, and its values from games.plain_terms. Any other
+    table is read key by key, a key the dict lacks by _mask and a value by
+    _terms, so its first fault is named in file order, T's before O's; the
+    masks already looked up are kept. Past ENUMERATION_BOUND agents keys
+    is None and no dict is built (it would hold 2^n keys): every key goes
+    through _mask, and game_from_masks then raises BoundExceeded, after any
+    fault in a key or a value, as for any roster.
     """
     lookup = {}
     if keys is not None:
@@ -196,11 +156,12 @@ def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list, l
     for x in "T", "O":
         table = _expect(tables.get(x), dict, f"tables.{x}")
         masks = list(map(lookup.get, table))
-        terms = None if None in masks else _plain_terms(list(table.values()))
+        terms = None if None in masks else plain_terms(list(table.values()))
         if terms is None:
-            masks, nums, dens = [], [], []
-            for key, value in table.items():
-                masks.append(lookup.get(key) or _mask(key, f"tables.{x}[{key!r}]", bits))
+            nums, dens = [], []
+            for k, (key, value) in enumerate(table.items()):
+                if masks[k] is None:
+                    masks[k] = _mask(key, f"tables.{x}[{key!r}]", bits)
                 try:
                     num, den = _terms(value)
                 except (TypeError, ValueError, ZeroDivisionError) as e:

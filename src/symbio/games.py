@@ -11,21 +11,22 @@ money amounts are exact rationals; nothing in this package ever rounds.
 
 Text amounts follow one grammar on every interpreter, Python 3.11's
 (_RATIONAL_FORMAT), read straight into a numerator and a denominator
-(money_terms); as_money makes the one Fraction.
+(money_terms); as_money makes the one Fraction. A column of ints and plain
+"a/b" text (_PLAIN, a strict subset of that grammar) is read in bulk by
+plain_terms, which declines any other column.
 
 Value and cost tables are read as three columns: masks, numerators and
 denominators. _scatter writes a table's columns into mask-indexed lists
 and owns the rules that every key has two or more agents and that none is
 given twice, and game_from_masks the rule that T and O list every such
 coalition; T(S) - O(S) is then taken column-wise for every mask at once.
-_scaled_game writes each value over the lcm of the denominators, making no
-Fraction; a table whose 2^n entries times the bit length of that lcm pass
-SCALED_BITS (2^28) bits, even with each value reduced, raises
-BoundExceeded while it is built. make_isn_game and ISNGame.from_values
-turn their coalition keys into mask columns first (_columns), the CLI
-reader builds masks from agent names, and ISNGame.from_table takes
-Fractions. Subgames and coordinated games derive their ints from their
-parent's.
+_scaled_game reduces each value by one gcd and writes it over the lcm,
+making no Fraction; a table whose 2^n entries times the bit length of that
+lcm pass SCALED_BITS (2^28) bits raises BoundExceeded while it is built.
+make_isn_game and ISNGame.from_values turn their coalition keys into mask
+columns first (_columns), the CLI reader builds masks from agent names,
+and ISNGame.from_table takes Fractions. Subgames and coordinated games
+derive their ints from their parent's.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
 promotion subsidy elsewhere) read those ints and return Fractions; only an
@@ -36,6 +37,7 @@ tries an O(n^2 2^n) convexity certificate (is_supermodular) before its
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -116,6 +118,46 @@ def _parse(text: str) -> "tuple[int, int]":
             else:
                 den *= 10**-exp
     return (-num if sign == "-" else num), den
+
+
+#: Ints read in bulk (plain_terms), like text, have at most MAX_DIGITS digits.
+INT_LIMIT = 10**MAX_DIGITS
+
+#: Plain numbers, plain_terms' strict subset of _RATIONAL_FORMAT: an int or
+#: "a/b" in ASCII digits with an optional "-" and no leading zero (so a
+#: denominator is never 0, and each part is also a JSON int), at most
+#: MAX_DIGITS // 2 digits a part, so never more than MAX_DIGITS in all.
+_PLAIN = re.compile(
+    rf"-?(?:0|[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})(?:/[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})?")
+
+
+def plain_terms(values: list) -> "tuple[list[int], list[int]] | None":
+    """(numerators, denominators) of a column of ints and _PLAIN strings,
+    read in bulk and equal to _parse's for every string; None if any value
+    needs money_terms.
+
+    A column of ints is held to INT_LIMIT by its min and max. In a column
+    of ints and strings each value's text must match _PLAIN, so none holds
+    a comma, and the column written as one JSON list of numerators and
+    denominators splits back into two per value; json reads all their ints
+    in one call. Anything else (a bool, a Fraction, text outside _PLAIN, a
+    long number) gives None, and the caller reads or rejects it value by
+    value.
+    """
+    types = set(map(type, values))
+    if types <= {int}:
+        if -INT_LIMIT < min(values, default=0) and max(values, default=0) < INT_LIMIT:
+            return values, [1] * len(values)
+        return None
+    if not types <= {int, str}:
+        return None
+    parts = list(map(str, values))
+    if not all(map(_PLAIN.fullmatch, parts)):
+        return None
+    # "3/4", "5" -> "3,4,5,1": numerators at even places, denominators at odd
+    terms = ",".join([p if "/" in p else p + "/1" for p in parts]).replace("/", ",")
+    flat = json.loads(f"[{terms}]")
+    return flat[0::2], flat[1::2]
 
 
 def money_terms(x) -> "tuple[int, int]":
@@ -393,19 +435,16 @@ def _scaled_game(n_agents: int, nums: list, dens: list) -> ISNGame:
     """The game of v(S) = nums[S] / dens[S] over every mask S (dens > 0, not
     necessarily in lowest terms).
 
-    Every numerator is written over d, the lcm of the distinct denominators,
-    and ISNGame divides the table through by its gcd. Only if d passes
-    SCALED_BITS is each value first reduced by its gcd (T(S) and O(S) may
-    share a long denominator that cancels) and d folded again, which raises
-    BoundExceeded if it still passes. No Fraction is made.
+    Each value is reduced by its gcd first, so that T(S) and O(S) sharing a
+    long denominator that cancels cost nothing; every numerator is then
+    written over d, the lcm of the distinct reduced denominators, which
+    raises BoundExceeded as soon as it passes SCALED_BITS. No Fraction is
+    made.
     """
-    try:
-        d = _lcm(set(dens), len(nums))
-    except BoundExceeded:
-        g = list(map(gcd, nums, dens))
-        nums = list(map(floordiv, nums, g))
-        dens = list(map(floordiv, dens, g))
-        d = _lcm(set(dens), len(nums))
+    g = list(map(gcd, nums, dens))
+    nums = list(map(floordiv, nums, g))
+    dens = list(map(floordiv, dens, g))
+    d = _lcm(set(dens), len(nums))
     if d != 1:
         nums = list(map(mul, nums, map(d.__floordiv__, dens)))
     return ISNGame(n_agents, tuple(nums), d)

@@ -843,56 +843,6 @@ def test_one_entry_off_the_bulk_path_reads_as_before(capsys, tmp_path, table, ki
     assert load_scenario(path).game == make_isn_game(4, *tables)
 
 
-#: Number-shaped text: signs, spaces, underscores, a Unicode digit, leading
-#: zeros, zero denominators, decimals and exponents, digit runs past
-#: MAX_DIGITS, and numbers run together by the characters a bulk reader
-#: might join a column with.
-_digits = (st.sampled_from(["0", "00", "1", "7", "12", "1_0", "\u0663"])
-           | st.integers(400, 1200).map(lambda k: "9" * k))
-_number = st.tuples(st.sampled_from(["", "-"]), st.integers(0, 10**6).map(str),
-                    st.sampled_from(["", "/7", "/12"])).map("".join) | st.tuples(
-    st.sampled_from(["", "-", "+", " "]), _digits,
-    st.sampled_from(["", "/", "/0", "/00", "/05", "/7", "/-3"]) | _digits.map("/".__add__),
-    st.sampled_from(["", " ", ".5", "e5"]),
-).map("".join)
-number_texts = st.tuples(st.sampled_from([" ", ",", "],[", "/", ""]),
-                         st.lists(_number, min_size=1, max_size=3)).map(lambda x: x[0].join(x[1]))
-
-
-def _bulk_reads_as_parse(text):
-    got = cli._plain_terms([5, text, "-3/4"])
-    if got is not None:
-        num, den = games._parse(text)
-        assert got == ([5, num, -3], [1, den, 4])
-
-
-@given(st.text() | number_texts)
-@settings(max_examples=500, deadline=None)
-def test_bulk_number_check_reads_as_parse_or_declines(text):
-    """_plain_terms either declines a column or reads each of its text
-    values as games._parse does: no text is read otherwise, and none adds
-    or drops a value of the column."""
-    _bulk_reads_as_parse(text)
-
-
-@pytest.mark.parametrize("text", [
-    "1,2", "1 2", "1],[2", "1/2/3", "3/-4", "007", "1/05", "-", "", "9" * 500 + "/" + "9" * 500,
-    "-" + "9" * 501,
-])
-def test_bulk_number_check_edges(text):
-    _bulk_reads_as_parse(text)
-
-
-def test_bulk_number_check_reads_plain_columns():
-    assert cli._plain_terms([]) == ([], [])
-    assert cli._plain_terms([3, -7, 0]) == ([3, -7, 0], [1, 1, 1])
-    assert cli._plain_terms(["-0/5", 7, "12/9", "0", "-" + "9" * 500 + "/" + "9" * 500]) == (
-        [0, 7, 12, 0, -int("9" * 500)], [5, 1, 9, 1, int("9" * 500)])
-    assert cli._plain_terms([10**1000, 1]) is None
-    assert cli._plain_terms([True, 1]) is None
-    assert cli._plain_terms([Fraction(1, 2)]) is None
-
-
 @pytest.mark.parametrize("t_faults,o_faults,message", [
     ({"C": 1}, {"A,Z": 0}, "tables.O['A,Z']: unknown agent 'Z'"),
     ({"B,A": 1, "C,C": 1}, {}, "tables.T['C,C']: agent 'C' named twice"),

@@ -19,6 +19,7 @@ from symbio.games import (
     make_isn_game,
     members_of,
     money_terms,
+    plain_terms,
     scaled_table,
     subgame,
 )
@@ -73,6 +74,39 @@ def test_coalition_listed_twice_rejected():
     with pytest.raises(SymbioError, match=r"T table lists coalition \[0, 2\] twice") as e:
         make_isn_game(3, {(0, 2): 1, (2, 0): 1}, {})
     assert e.value.coalitions == (frozenset({0, 2}),)
+
+
+def test_from_values_reads_every_value_before_the_key_rules():
+    """As in make_isn_game and the CLI, every value is read before the size
+    and repeat rules run: a bad value listed after a singleton key is the
+    fault named."""
+    with pytest.raises(ValueError, match="'x' is not a number"):
+        ISNGame.from_values(3, {(0,): 1, (0, 1): "x"})
+    with pytest.raises(SymbioError, match=r"value table keys need two or more members"):
+        ISNGame.from_values(3, {(0,): 1, (0, 1): "2"})
+
+
+def test_cancelling_denominators_are_reduced_before_the_lcm(monkeypatch):
+    """T(S) and O(S) of 30 coalitions share a 1000-digit denominator of their
+    own, which cancels in T(S) - O(S). Unreduced, the lcm of the 30 products
+    (about 200,000 bits) would still fit a 10-agent table's budget (2^18
+    bits a value), and every entry would be scaled over it; reduced value by
+    value first, the table reaches ISNGame over denominator 1."""
+    n = 10
+    t, o = {}, {}
+    for k, mask in enumerate(m for m in range(1 << n) if m.bit_count() >= 2):
+        s = members_of(mask)
+        if k < 30:
+            q = 10**999 + k
+            t[s], o[s] = Fraction(mask * q + 1, q), Fraction(1, q)
+        else:
+            t[s], o[s] = mask, 0
+    handed = []
+    lowest = games._lowest
+    monkeypatch.setattr(games, "_lowest", lambda scaled, d: handed.append(d) or lowest(scaled, d))
+    game = make_isn_game(n, t, o)
+    assert handed == [1]
+    assert game.scaled == tuple(m if m.bit_count() >= 2 else 0 for m in range(1 << n))
 
 
 def test_value_rejects_unknown_agent(g3):
@@ -234,6 +268,56 @@ def test_number_grammar_corpus(text, expected):
             as_money(text)
         with pytest.raises(expected):
             games.money_terms(text)
+
+
+#: Number-shaped text: signs, spaces, underscores, a Unicode digit, leading
+#: zeros, zero denominators, decimals and exponents, digit runs past
+#: MAX_DIGITS, and numbers run together by the characters a bulk reader
+#: might join a column with.
+_digits = (st.sampled_from(["0", "00", "1", "7", "12", "1_0", "\u0663"])
+           | st.integers(400, 1200).map(lambda k: "9" * k))
+_number = st.tuples(st.sampled_from(["", "-"]), st.integers(0, 10**6).map(str),
+                    st.sampled_from(["", "/7", "/12"])).map("".join) | st.tuples(
+    st.sampled_from(["", "-", "+", " "]), _digits,
+    st.sampled_from(["", "/", "/0", "/00", "/05", "/7", "/-3"]) | _digits.map("/".__add__),
+    st.sampled_from(["", " ", ".5", "e5"]),
+).map("".join)
+number_texts = st.tuples(st.sampled_from([" ", ",", "],[", "/", ""]),
+                         st.lists(_number, min_size=1, max_size=3)).map(lambda x: x[0].join(x[1]))
+
+
+def _bulk_reads_as_parse(text):
+    got = plain_terms([5, text, "-3/4"])
+    if got is not None:
+        num, den = games._parse(text)
+        assert got == ([5, num, -3], [1, den, 4])
+
+
+@given(st.text() | number_texts)
+@settings(max_examples=500, deadline=None)
+def test_bulk_number_check_reads_as_parse_or_declines(text):
+    """plain_terms either declines a column or reads each of its text
+    values as games._parse does: no text is read otherwise, and none adds
+    or drops a value of the column."""
+    _bulk_reads_as_parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1,2", "1 2", "1],[2", "1/2/3", "3/-4", "007", "1/05", "-", "", "9" * 500 + "/" + "9" * 500,
+    "-" + "9" * 501,
+])
+def test_bulk_number_check_edges(text):
+    _bulk_reads_as_parse(text)
+
+
+def test_bulk_number_check_reads_plain_columns():
+    assert plain_terms([]) == ([], [])
+    assert plain_terms([3, -7, 0]) == ([3, -7, 0], [1, 1, 1])
+    assert plain_terms(["-0/5", 7, "12/9", "0", "-" + "9" * 500 + "/" + "9" * 500]) == (
+        [0, 7, 12, 0, -int("9" * 500)], [5, 1, 9, 1, int("9" * 500)])
+    assert plain_terms([10**1000, 1]) is None
+    assert plain_terms([True, 1]) is None
+    assert plain_terms([Fraction(1, 2)]) is None
 
 
 def test_superadditive_holds_on_g3(g3):
