@@ -12,20 +12,22 @@ text, never through binary floats). Every number, a raw JSON integer
 included, may have at most games.MAX_DIGITS digits, and a decimal exponent
 must lie within +-games.MAX_EXPONENT.
 
-Table keys and policy groups become bitmasks straight from the agent
-names. The roster's coalition keys as reports spell them (roster order,
-"A,B,D") are built once per file of at most ENUMERATION_BOUND agents and
-kept on the Scenario. Each of T and O is read as three columns (masks,
-numerators, denominators), with no Fraction, tuple or dict per coalition.
-A table whose keys are all spelt that way and whose values are all JSON
-ints or plain "a/b" text is read in bulk: one map over a dict of those
-keys, and one json call over its joined numbers (games.plain_terms). Any
-other table is read key by key: a key is split and checked name by name
-(_mask) and a value read by _terms (text by games.money_terms), so its
-faults read the same. games.game_from_masks writes every v(S) as an int over the table's
-lcm denominator. Every key's names and number are read, T then O, before
-the table rules run. `--epsilon` is checked to be > 0 before the file is
-read.
+A roster of more than ENUMERATION_BOUND agents raises BoundExceeded as
+soon as `agents` is read, before any other section. Table keys and policy
+groups become bitmasks straight from the agent names. The roster's
+coalition keys as reports spell them (roster order, "A,B,D") are built
+once per file and kept on the Scenario. Each of T and O is read as three
+columns (masks, numerators, denominators), with no Fraction, tuple or dict
+per coalition, and every table takes one path: one map over a dict of
+those keys gives the masks of the keys spelt that way, and one json call
+(games.plain_terms) the terms of every int and plain "a/b" value. Only
+the entries those two leave are read one by one, in one walk in file
+order: a key split and checked name by name (_mask), a value read by
+_number, so the first fault named is the first in the file, and a key's
+before its value's. games.game_from_masks writes every v(S) as an int over
+the table's lcm denominator. Every key's names and number are read, T then
+O, before the table rules run. `--epsilon` is checked to be > 0 before the
+file is read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms; value rows are
@@ -49,7 +51,7 @@ from .exchange import (
     DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
 )
 from .games import (
-    ENUMERATION_BOUND, INT_LIMIT, MAX_DIGITS, ISNGame, as_money, check_superadditive,
+    INT_LIMIT, MAX_DIGITS, ISNGame, _check_agent_count, as_money, check_superadditive,
     fraction_text, game_from_masks, members_of, money_terms, plain_terms, subgame,
 )
 from .mcnets import from_isn_game
@@ -62,27 +64,18 @@ class Scenario:
     game: ISNGame
     policy: "Policy | None"
     source: str  # "tables" | "exchange"
-    keys: "list[str] | None" = field(repr=False, compare=False)  # keys[mask], see _keys
+    keys: "list[str]" = field(repr=False, compare=False)  # keys[mask], see _keys
 
 
-def _terms(raw) -> "tuple[int, int]":
-    """(numerator, denominator) of a JSON number or number string.
-
-    A JSON int passes through, held to MAX_DIGITS digits; anything else is
-    read by games.money_terms (a JSON decimal is a Fraction already, from
-    parse_float).
-    """
-    if type(raw) is int:
-        if -INT_LIMIT < raw < INT_LIMIT:
-            return raw, 1
-        raise SymbioError(f"number has more than {MAX_DIGITS} digits")
-    return money_terms(raw)
-
-
-def _amount(raw, where: str) -> Fraction:
-    """_terms(raw) as a Fraction, its faults reported as a SymbioError naming the field."""
+def _number(raw, where: str) -> "tuple[int, int]":
+    """(numerator, denominator) of a JSON number or number string, read by
+    games.money_terms (a JSON decimal is a Fraction already, from
+    parse_float) and a JSON int held to MAX_DIGITS digits; any fault raises
+    a SymbioError naming the field."""
     try:
-        return Fraction(*_terms(raw))
+        if type(raw) is int and not -INT_LIMIT < raw < INT_LIMIT:
+            raise SymbioError(f"number has more than {MAX_DIGITS} digits")
+        return money_terms(raw)
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise SymbioError(f"{where}: {e}") from None
 
@@ -136,40 +129,31 @@ def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list, l
     """T's and then O's columns (masks, numerators, denominators), each in
     file order.
 
-    A table whose keys are all spelt as reports spell them (roster order,
-    "A,B,D") takes its masks from one map over a dict of the roster's keys
-    of two or more agents (keys, from _keys), which lives only while the
-    tables are read, and its values from games.plain_terms. Any other
-    table is read key by key, a key the dict lacks by _mask and a value by
-    _terms, so its first fault is named in file order, T's before O's; the
-    masks already looked up are kept. Past ENUMERATION_BOUND agents keys
-    is None and no dict is built (it would hold 2^n keys): every key goes
-    through _mask, and game_from_masks then raises BoundExceeded, after any
-    fault in a key or a value, as for any roster.
+    Every table takes one path. Its keys spelt as reports spell them
+    (roster order, "A,B,D") get their masks from one map over a dict of the
+    roster's keys of two or more agents (keys, from _keys), which lives
+    only while the tables are read, and its values their terms from
+    games.plain_terms. Only if a key or a value is left over is the table
+    walked, once, in file order: at each entry a key the dict lacks is read
+    by _mask, then a value plain_terms left by _number. So the first fault
+    is named in file order, T's before O's, and a key's before its value's.
     """
-    lookup = {}
-    if keys is not None:
-        lookup = dict(zip(keys, range(len(keys))))
-        for key in "", *names:  # left: the keys of two or more agents, each with a comma
-            lookup.pop(key, None)
+    lookup = dict(zip(keys, range(len(keys))))
+    for key in "", *names:  # left: the keys of two or more agents, each with a comma
+        lookup.pop(key, None)
     both = []
     for x in "T", "O":
         table = _expect(tables.get(x), dict, f"tables.{x}")
         masks = list(map(lookup.get, table))
-        terms = None if None in masks else plain_terms(list(table.values()))
-        if terms is None:
-            nums, dens = [], []
+        nums, dens, odd = plain_terms(list(table.values()))
+        if odd or None in masks:
+            odd = set(odd)
             for k, (key, value) in enumerate(table.items()):
                 if masks[k] is None:
                     masks[k] = _mask(key, f"tables.{x}[{key!r}]", bits)
-                try:
-                    num, den = _terms(value)
-                except (TypeError, ValueError, ZeroDivisionError) as e:
-                    raise SymbioError(f"tables.{x}[{key!r}]: {e}") from None
-                nums.append(num)
-                dens.append(den)
-            terms = nums, dens
-        both.append((masks, *terms))
+                if k in odd:
+                    nums[k], dens[k] = _number(value, f"tables.{x}[{key!r}]")
+        both.append((masks, nums, dens))
     return both
 
 
@@ -202,10 +186,10 @@ def load_scenario(path: str) -> Scenario:
     for name in names:
         if "," in name:
             raise SymbioError(f"agents: name {name!r} contains ','")
+    _check_agent_count(len(names))  # bits holds n ints of up to n bits each
     names = tuple(names)
     bits = {name: 1 << i for i, name in enumerate(names)}
-    # past the bound both sources raise BoundExceeded before a report needs keys
-    keys = _keys(names) if len(names) <= ENUMERATION_BOUND else None
+    keys = _keys(names)
     if ("tables" in doc) == ("exchange" in doc):
         raise SymbioError("scenario needs exactly one of 'tables' or 'exchange'")
 
@@ -244,8 +228,8 @@ def _parse_exchange(raw, ids) -> ExchangeScenario:
             _agent(entry.get("firm"), f"{where}.firm", ids),
             _expect(entry.get("resource"), str, f"{where}.resource"),
             kind,
-            _amount(entry.get("quantity"), f"{where}.quantity"),
-            **{f: _amount(entry.get(f), f"{where}.{f}") for f in STREAM_COSTS[kind]},
+            Fraction(*_number(entry.get("quantity"), f"{where}.quantity")),
+            **{f: Fraction(*_number(entry.get(f), f"{where}.{f}")) for f in STREAM_COSTS[kind]},
         ))
     costs = {}
     for name, extra in ("transport", ("resource",)), ("transaction", ()):
@@ -257,7 +241,7 @@ def _parse_exchange(raw, ids) -> ExchangeScenario:
             key += tuple(_expect(entry.get(f), str, f"{where}.{f}") for f in extra)
             if key in table:
                 raise SymbioError(f"{where}: repeats the route of an earlier {name} entry")
-            table[key] = _amount(entry.get("cost"), f"{where}.cost")
+            table[key] = Fraction(*_number(entry.get("cost"), f"{where}.cost"))
     return ExchangeScenario(len(ids), tuple(streams), costs["transport"], costs["transaction"])
 
 
@@ -400,6 +384,15 @@ def _pairs(d: dict) -> str:
     return ", ".join(f"{k} = {v}" for k, v in d.items())
 
 
+def _core_line(core: dict) -> str:
+    """The core line of an analyze report's "core" or of a core report."""
+    return f"core: nonempty, witness: {_pairs(core['witness'])}" if core["nonempty"] else "core: empty"
+
+
+def _rule_line(rule: dict) -> str:
+    return f"  pos={{{','.join(rule['positive'])}}} neg={{{','.join(rule['negative'])}}} value={rule['value']}"
+
+
 def render_text(report: dict) -> str:
     lines = [f"agents: {', '.join(report['agents'])}"]
     cmd = report["command"]
@@ -414,24 +407,16 @@ def render_text(report: dict) -> str:
             a, b = report["superadditive_counterexample"]
             lines.append(f"superadditive: no (counterexample: {{{a}}} + {{{b}}})")
         lines.append(f"shapley: {_pairs(report['shapley'])}")
-        core = report["core"]
-        if core["nonempty"]:
-            lines.append(f"core: nonempty, witness: {_pairs(core['witness'])}")
-        else:
-            lines.append("core: empty")
+        lines.append(_core_line(report["core"]))
         lines.append(f"implementable: {'yes' if report['implementable'] else 'no'}")
     elif cmd == "shapley":
         lines.append(f"shapley: {_pairs(report['shapley'])}")
         lines.append(f"total: {report['total']}")
     elif cmd == "core":
-        if report["nonempty"]:
-            lines.append(f"core: nonempty, witness: {_pairs(report['witness'])}")
-        else:
-            lines.append("core: empty")
+        lines.append(_core_line(report))
     elif cmd == "mcnet":
         lines.append(f"rules: {len(report['rules'])}")
-        for r in report["rules"]:
-            lines.append(f"  pos={{{','.join(r['positive'])}}} neg={{{','.join(r['negative'])}}} value={r['value']}")
+        lines += map(_rule_line, report["rules"])
     elif cmd == "enforce":
         lines.append(f"epsilon: {report['epsilon']}")
         pol = report["policy"]
@@ -439,8 +424,7 @@ def render_text(report: dict) -> str:
         prohibited = "; ".join(pol["prohibited"]) or "(none)"
         lines.append(f"policy: promoted {promoted} / prohibited {prohibited}")
         lines.append(f"incentive rules: {len(report['incentive_rules'])}")
-        for r in report["incentive_rules"]:
-            lines.append(f"  pos={{{','.join(r['positive'])}}} neg={{{','.join(r['negative'])}}} value={r['value']}")
+        lines += map(_rule_line, report["incentive_rules"])
         lines.append("coordinated values:")
         lines += [f"  {k} = {v}" for k, v in report["coordinated_values"].items()]
         lines.append("group verdicts:")
@@ -498,7 +482,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "enforce":
-            epsilon = _amount(args.epsilon, "--epsilon")
+            epsilon = Fraction(*_number(args.epsilon, "--epsilon"))
             if epsilon <= 0:
                 raise SymbioError("--epsilon: must be > 0")
         scenario = load_scenario(args.scenario)

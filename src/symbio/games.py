@@ -11,9 +11,10 @@ money amounts are exact rationals; nothing in this package ever rounds.
 
 Text amounts follow one grammar on every interpreter, Python 3.11's
 (_RATIONAL_FORMAT), read straight into a numerator and a denominator
-(money_terms); as_money makes the one Fraction. A column of ints and plain
-"a/b" text (_PLAIN, a strict subset of that grammar) is read in bulk by
-plain_terms, which declines any other column.
+(money_terms); as_money makes the one Fraction. plain_terms reads a column
+of values in bulk: ints, and every value whose text is a plain int or
+"a/b" (_PLAIN, a strict subset of that grammar), and lists the positions of
+the others for the caller to read one by one.
 
 Value and cost tables are read as three columns: masks, numerators and
 denominators. _scatter writes a table's columns into mask-indexed lists
@@ -131,33 +132,33 @@ _PLAIN = re.compile(
     rf"-?(?:0|[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})(?:/[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})?")
 
 
-def plain_terms(values: list) -> "tuple[list[int], list[int]] | None":
-    """(numerators, denominators) of a column of ints and _PLAIN strings,
-    read in bulk and equal to _parse's for every string; None if any value
-    needs money_terms.
+def plain_terms(values: list) -> "tuple[list[int], list[int], list[int]]":
+    """(numerators, denominators, odd) of a column of JSON values, read in
+    bulk: odd lists, in ascending order, the positions of the values not
+    read, whose terms are given as 0/1; every other value's terms equal
+    money_terms'.
 
-    A column of ints is held to INT_LIMIT by its min and max. In a column
-    of ints and strings each value's text must match _PLAIN, so none holds
-    a comma, and the column written as one JSON list of numerators and
-    denominators splits back into two per value; json reads all their ints
-    in one call. Anything else (a bool, a Fraction, text outside _PLAIN, a
-    long number) gives None, and the caller reads or rejects it value by
-    value.
+    A column of ints is held to INT_LIMIT by its min and max. Otherwise a
+    value is read from its str() when that text matches _PLAIN: an int, a
+    string, or a Fraction (from a JSON decimal, whose str is its lowest
+    terms); a bool, None, list or dict never matches. No matched text holds
+    a comma, so the column written as one JSON list of numerators and
+    denominators splits back into two per value, and json reads all their
+    ints in one call. The caller reads or rejects each odd value by itself.
     """
-    types = set(map(type, values))
-    if types <= {int}:
-        if -INT_LIMIT < min(values, default=0) and max(values, default=0) < INT_LIMIT:
-            return values, [1] * len(values)
-        return None
-    if not types <= {int, str}:
-        return None
+    if (set(map(type, values)) <= {int}
+            and -INT_LIMIT < min(values, default=0) and max(values, default=0) < INT_LIMIT):
+        return values, [1] * len(values), []
     parts = list(map(str, values))
+    odd = []
     if not all(map(_PLAIN.fullmatch, parts)):
-        return None
+        odd = [k for k, part in enumerate(parts) if not _PLAIN.fullmatch(part)]
+        for k in odd:
+            parts[k] = "0"
     # "3/4", "5" -> "3,4,5,1": numerators at even places, denominators at odd
     terms = ",".join([p if "/" in p else p + "/1" for p in parts]).replace("/", ",")
     flat = json.loads(f"[{terms}]")
-    return flat[0::2], flat[1::2]
+    return flat[0::2], flat[1::2], odd
 
 
 def money_terms(x) -> "tuple[int, int]":

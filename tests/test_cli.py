@@ -324,8 +324,8 @@ BOUND_MESSAGE = "error: bound exceeded: dense coalition table supports at most 1
         (17, {}, 3, BOUND_MESSAGE),
         (40, {}, 3, BOUND_MESSAGE),
         (40, {"F0,F1": 1}, 3, BOUND_MESSAGE),
-        # every key and value is read before the agent count is checked
-        (40, {"F1,F0": 1, "F2,F2": 1}, 2, "error: tables.T['F2,F2']: agent 'F2' named twice\n"),
+        # the agent count is checked before any key or value is read
+        (40, {"F1,F0": 1, "F2,F2": 1}, 3, BOUND_MESSAGE),
     ],
     ids=["17-agents", "40-agents", "40-agents-one-key", "40-agents-bad-key"],
 )
@@ -341,6 +341,26 @@ def test_tables_past_the_bound_exit_quickly(tmp_path, n_agents, t_table, code, m
     assert done.returncode == code
     assert done.stderr == message
     assert float(done.stdout) < 1
+
+
+def test_wide_roster_exits_3_before_its_policy_is_read(tmp_path):
+    """A roster of 100,000 names exits 3 before a bitmask is made for each
+    name (about n^2 / 16 bytes: 625 MB here) and before its 10,000
+    promoted pairs are checked for overlaps."""
+    names = [f"F{i}" for i in range(100_000)]
+    doc = {"agents": names, "tables": {"T": {}, "O": {}},
+           "policy": {"promoted": [names[k:k + 2] for k in range(0, 20_000, 2)]}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", SIZED_MAIN, "enforce", str(path)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert done.returncode == 3
+    assert done.stderr == BOUND_MESSAGE
+    seconds, rss_kib = done.stdout.split()
+    assert float(seconds) < 1 and int(rss_kib) < 100 * 1024
 
 
 def dense5_file(tmp_path):
@@ -768,17 +788,19 @@ def test_roster_spelt_keys_load_in_bulk_like_make_isn_game(tmp_path_factory, see
     assert loaded == make_isn_game(n, *tables)
 
 
+def table_key(raw, where, *bits):
+    """Whether a _mask or _number call reads a table entry."""
+    return where.startswith("tables.")
+
+
 def test_benchmark_shaped_file_loads_in_bulk(tmp_path):
     """On a file shaped like the benchmark's (roster-spelt keys, int T,
-    "a/b" O), no table key is read by _mask and no value by _terms or
+    "a/b" O), no table key is read by _mask and no value by _number or
     games._parse (its policy groups still go through _mask)."""
     path = benchmark_halves_file(tmp_path, 10)
     calls = {}
 
-    def table_key(raw, where, bits):
-        return where.startswith("tables.")
-
-    with counted(cli, "_mask", calls, table_key), counted(cli, "_terms", calls), \
+    with counted(cli, "_mask", calls, table_key), counted(cli, "_number", calls), \
             counted(games, "_parse", calls):
         scenario = load_scenario(str(path))
     assert calls == {}
@@ -787,6 +809,36 @@ def test_benchmark_shaped_file_loads_in_bulk(tmp_path):
     t, o = ({tuple(ids[a] for a in key.split(",")): v for key, v in tables[x].items()}
             for x in ("T", "O"))
     assert scenario.game == make_isn_game(10, t, o)
+
+
+@pytest.mark.parametrize("spelling", ["padded-last-value", "reversed-keys"])
+def test_each_table_entry_is_read_once(tmp_path, spelling):
+    """A table with entries outside the bulk forms reads only those one by
+    one: one padded O value is one games._parse call and no table key goes
+    through _mask; keys spelt in reverse are one _mask call each and no
+    value goes through _number."""
+    path = benchmark_halves_file(tmp_path, 8)
+    doc = json.loads(path.read_text())
+    tables = doc["tables"]
+    if spelling == "padded-last-value":
+        last = list(tables["O"])[-1]
+        tables["O"][last] = f" {tables['O'][last]} "
+    else:
+        for x in "T", "O":
+            tables[x] = {",".join(reversed(key.split(","))): v for key, v in tables[x].items()}
+    path.write_text(json.dumps(doc))
+    calls = {}
+    with counted(cli, "_mask", calls, table_key), counted(cli, "_number", calls, table_key), \
+            counted(games, "_parse", calls):
+        scenario = load_scenario(str(path))
+    if spelling == "padded-last-value":
+        assert calls == {"_number": 1, "_parse": 1}
+    else:
+        assert calls == {"_mask": 2 * (2**8 - 8 - 1)}
+    ids = {name: i for i, name in enumerate(scenario.agents)}
+    t, o = ({tuple(sorted(ids[a] for a in key.split(","))): v for key, v in tables[x].items()}
+            for x in ("T", "O"))
+    assert scenario.game == make_isn_game(8, t, o)
 
 
 def _canonical_doc():
@@ -851,8 +903,10 @@ def test_one_entry_off_the_bulk_path_reads_as_before(capsys, tmp_path, table, ki
     ({"B,A": 1, "C": 1}, {"A": 0}, "T table lists coalition {A,B} twice"),
     ({}, {"C,A": 0, "B": 0}, "O table lists coalition {A,C} twice"),
     ({"B": 1}, {"A,B": True}, "tables.O['A,B']: bool is not a money amount"),
+    ({"B,C": True, "C,Z": 1}, {}, "tables.T['B,C']: bool is not a money amount"),
+    ({"C,Z": 1, "C,B": True}, {}, "tables.T['C,Z']: unknown agent 'Z'"),
 ], ids=["unknown-in-O", "twice-after-dup", "twice-in-O", "size-first", "dup-first", "dup-in-O",
-        "number-before-size"])
+        "number-before-size", "value-before-key", "key-before-value"])
 def test_table_fault_precedence(capsys, tmp_path, t_faults, o_faults, message):
     """Every key is read, name by name and number by number, T then O,
     before any size or repeat rule runs, T's before O's; a lacking

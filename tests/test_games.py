@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbio import games
+from symbio import cli, games
 from symbio.coordination import CoordinatedGame, synthesize_promotion
 from symbio.errors import BoundExceeded, SymbioError
 from symbio.games import (
+    INT_LIMIT,
     ISNGame,
     as_money,
     check_superadditive,
@@ -286,20 +287,34 @@ number_texts = st.tuples(st.sampled_from([" ", ",", "],[", "/", ""]),
                          st.lists(_number, min_size=1, max_size=3)).map(lambda x: x[0].join(x[1]))
 
 
-def _bulk_reads_as_parse(text):
-    got = plain_terms([5, text, "-3/4"])
-    if got is not None:
-        num, den = games._parse(text)
-        assert got == ([5, num, -3], [1, den, 4])
+def _bulk_reads_as_number(values):
+    """plain_terms reads each value of the column as cli._number does or
+    lists its position as odd (terms 0/1); no value is added or dropped."""
+    nums, dens, odd = plain_terms(list(values))
+    assert len(nums) == len(dens) == len(values)
+    assert odd == sorted(set(odd)) and set(odd) <= set(range(len(values)))
+    for k, value in enumerate(values):
+        if k in odd:
+            assert (nums[k], dens[k]) == (0, 1)
+        else:
+            assert (nums[k], dens[k]) == cli._number(value, "x")
 
 
-@given(st.text() | number_texts)
+#: JSON values of every kind the reader can meet, numbers of every kind,
+#: and ints just past INT_LIMIT.
+json_values = (st.text() | number_texts | st.booleans() | st.none() | st.integers()
+               | st.fractions() | st.integers(-9, 9).map(lambda k: k * INT_LIMIT + k)
+               | st.lists(st.integers(), max_size=2)
+               | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@given(st.lists(json_values, max_size=6))
 @settings(max_examples=500, deadline=None)
-def test_bulk_number_check_reads_as_parse_or_declines(text):
-    """plain_terms either declines a column or reads each of its text
-    values as games._parse does: no text is read otherwise, and none adds
-    or drops a value of the column."""
-    _bulk_reads_as_parse(text)
+def test_bulk_number_check_reads_as_parse_or_declines(values):
+    """plain_terms reads each value of a column of any JSON values as the
+    CLI's own number reader does, or leaves it for the caller: no value is
+    read otherwise, and none is added or dropped."""
+    _bulk_reads_as_number(values)
 
 
 @pytest.mark.parametrize("text", [
@@ -307,17 +322,17 @@ def test_bulk_number_check_reads_as_parse_or_declines(text):
     "-" + "9" * 501,
 ])
 def test_bulk_number_check_edges(text):
-    _bulk_reads_as_parse(text)
+    _bulk_reads_as_number([5, text, "-3/4"])
 
 
 def test_bulk_number_check_reads_plain_columns():
-    assert plain_terms([]) == ([], [])
-    assert plain_terms([3, -7, 0]) == ([3, -7, 0], [1, 1, 1])
+    assert plain_terms([]) == ([], [], [])
+    assert plain_terms([3, -7, 0]) == ([3, -7, 0], [1, 1, 1], [])
     assert plain_terms(["-0/5", 7, "12/9", "0", "-" + "9" * 500 + "/" + "9" * 500]) == (
-        [0, 7, 12, 0, -int("9" * 500)], [5, 1, 9, 1, int("9" * 500)])
-    assert plain_terms([10**1000, 1]) is None
-    assert plain_terms([True, 1]) is None
-    assert plain_terms([Fraction(1, 2)]) is None
+        [0, 7, 12, 0, -int("9" * 500)], [5, 1, 9, 1, int("9" * 500)], [])
+    assert plain_terms([10**1000, 1]) == ([0, 1], [1, 1], [0])
+    assert plain_terms([True, 1, None, [2], {"a": 3}, Fraction(-5, 2), Fraction(4), " 6"]) == (
+        [0, 1, 0, 0, 0, -5, 4, 0], [1, 1, 1, 1, 1, 2, 1, 1], [0, 2, 3, 4, 7])
 
 
 def test_superadditive_holds_on_g3(g3):
