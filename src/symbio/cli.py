@@ -30,8 +30,9 @@ O, before the table rules run. `--epsilon` is checked to be > 0 before the
 file is read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
-ascending roster order, rationals printed in lowest terms; value rows are
-printed straight from a game's ints (games.fraction_text). Exit codes:
+ascending roster order, rationals printed in lowest terms by one printer,
+games.fraction_text (value rows straight from a game's ints), which raises
+BoundExceeded for a number longer than the interpreter writes. Exit codes:
 0 success, 2 validation failure, 3 enumeration bound exceeded.
 """
 
@@ -253,7 +254,7 @@ def _coalition_key(names, s) -> str:
 
 
 def _allocation(names, x) -> dict:
-    return {names[i]: str(v) for i, v in enumerate(x)}
+    return {names[i]: fraction_text(v) for i, v in enumerate(x)}
 
 
 def _keys(names) -> "list[str]":
@@ -303,7 +304,7 @@ def cmd_shapley(scenario: Scenario) -> dict:
         "command": "shapley",
         "agents": list(scenario.agents),
         "shapley": _allocation(scenario.agents, phi),
-        "total": str(sum(phi, Fraction(0))),
+        "total": fraction_text(sum(phi, Fraction(0))),
     }
 
 
@@ -321,7 +322,7 @@ def _rule_entry(names, rule) -> dict:
     return {
         "positive": [names[i] for i in sorted(rule.positive)],
         "negative": [names[i] for i in sorted(rule.negative)],
-        "value": str(rule.value),
+        "value": fraction_text(rule.value),
     }
 
 
@@ -349,7 +350,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         verdicts.append({
             "group": _coalition_key(names, grp),
             "label": "promoted",
-            "subsidy": str(subsidy_of.get(grp, Fraction(0))),
+            "subsidy": fraction_text(subsidy_of.get(grp, 0)),
             "implementable": is_implementable(subgame(coordinated, grp)),
         })
     for grp in policy.prohibited:
@@ -357,7 +358,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         verdicts.append({
             "group": _coalition_key(names, grp),
             "label": "prohibited",
-            "coordinated_value": str(cv),
+            "coordinated_value": fraction_text(cv),
             "blocked": cv < 0,
         })
 
@@ -365,7 +366,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         "command": "enforce",
         "agents": list(names),
         "source": scenario.source,
-        "epsilon": str(epsilon),
+        "epsilon": fraction_text(epsilon),
         "policy": {
             "promoted": [_coalition_key(names, g) for g in policy.promoted],
             "prohibited": [_coalition_key(names, g) for g in policy.prohibited],

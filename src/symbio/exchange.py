@@ -15,9 +15,16 @@ savings bounds any route set, exactly so when no two share a stream.
 scenario_to_game searches each coalition in ascending mask order, with
 the best worth of its coalitions one firm smaller as the incumbent, and
 reads only LP optima; only optimal_exchange_plan turns shipments into
-plans. A call solves at most 2**ENUMERATION_BOUND LPs and raises
-BoundExceeded past that. Quantities are divisible; all arithmetic is
-exact (ints and Fractions).
+plans. A call solves at most 2**ENUMERATION_BOUND LPs, and takes at most
+PAIR_BOUND profitable (offer, demand) stream pairs, each an LP column; it
+raises BoundExceeded past either, the pair bound before any LP.
+
+Compatible stream pairs (an offer and a demand of one resource at two
+firms) come from an index of demands by resource, in time linear in the
+streams plus the pairs, and in ascending (offer, demand) order: the LP
+column order, which fixes every pivot and plan. Validation checks each
+(offer firm, demand firm, resource) once. Quantities are divisible; all
+arithmetic is exact (ints and Fractions).
 """
 
 from __future__ import annotations
@@ -27,11 +34,17 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceeded, SymbioError
-from .games import ENUMERATION_BOUND, ISNGame, as_money, check_roster, coalition, mask_of, zero_table
+from .games import (
+    ENUMERATION_BOUND, ISNGame, _check_agent_count, as_money, check_roster, coalition, mask_of,
+)
 from .lp import solve_lp
 
 OFFER = "offer"
 DEMAND = "demand"
+
+#: Most profitable (offer, demand) stream pairs one search takes; each is an
+#: LP column, and one route's pairs are all solved in one LP.
+PAIR_BOUND = 256
 
 #: The cost fields a stream of each kind carries.
 STREAM_COSTS = {
@@ -145,24 +158,42 @@ class ExchangeScenario:
         for cost in list(self.transport.values()) + list(self.transaction.values()):
             if cost < 0:
                 raise SymbioError("transport and transaction costs must be >= 0")
-        for oi, di in self._compatible_pairs():
-            o, d = self.streams[oi], self.streams[di]
-            firms = {o.firm}, {d.firm}
-            if (o.firm, d.firm, o.resource) not in self.transport:
-                resource = repr(o.resource).replace("{", "{{").replace("}", "}}")
-                raise SymbioError(
-                    f"missing transport cost from {{}} to {{}} for resource {resource}", *firms
-                )
-            if (o.firm, d.firm) not in self.transaction:
-                raise SymbioError("missing transaction cost from {} to {}", *firms)
+        # partners keeps offers' first-index order and each list its demands'
+        # order, so the fault named is that of the first compatible pair
+        for (firm, resource), partners in self._partners().items():
+            for to in dict.fromkeys(self.streams[di].firm for di in partners):
+                firms = {firm}, {to}
+                if (firm, to, resource) not in self.transport:
+                    shown = repr(resource).replace("{", "{{").replace("}", "}}")
+                    raise SymbioError(
+                        f"missing transport cost from {{}} to {{}} for resource {shown}", *firms
+                    )
+                if (firm, to) not in self.transaction:
+                    raise SymbioError("missing transaction cost from {} to {}", *firms)
+
+    def _partners(self) -> dict:
+        """{(firm, resource) of each offer: the indices of the demands for
+        that resource at other firms, ascending}, keyed in the order of each
+        key's first offer. Demands are indexed by resource first, so this
+        takes time linear in the streams times at most the firm count."""
+        demands = {}
+        for di, d in enumerate(self.streams):
+            if d.kind == DEMAND:
+                demands.setdefault(d.resource, []).append(di)
+        partners = {}
+        for o in self.streams:
+            if o.kind == OFFER and (o.firm, o.resource) not in partners:
+                partners[o.firm, o.resource] = [
+                    di for di in demands.get(o.resource, ()) if self.streams[di].firm != o.firm]
+        return partners
 
     def _compatible_pairs(self):
-        """Stream index pairs (offer, demand) that could ever ship, ascending."""
+        """Stream index pairs (offer, demand) that could ever ship, ascending,
+        in time linear in the streams (_partners) plus the pairs."""
+        partners = self._partners()
         for oi, o in enumerate(self.streams):
-            if o.kind != OFFER:
-                continue
-            for di, d in enumerate(self.streams):
-                if d.kind == DEMAND and d.resource == o.resource and d.firm != o.firm:
+            if o.kind == OFFER:
+                for di in partners[o.firm, o.resource]:
                     yield oi, di
 
 
@@ -222,13 +253,16 @@ class _RouteSearch:
     with net_r <= 0 never helps. The same argument makes the sum of net_r
     an upper bound on any subset's saving, exact when the routes share no
     stream. All LP solves of one search count against one budget of
-    2**ENUMERATION_BOUND; the next solve raises BoundExceeded.
+    2**ENUMERATION_BOUND; the next solve raises BoundExceeded. So does a
+    coalition with more than PAIR_BOUND profitable stream pairs, before any
+    LP: a route is solved alone as one LP with a column per pair.
     """
 
     def __init__(self, scenario, members):
         self.scenario = scenario
         self.lps_left = 2**ENUMERATION_BOUND
         by_route = {}  # pair -> [(offer_idx, demand_idx, gain)], ascending
+        width = 0  # profitable pairs so far
         for oi, di in scenario._compatible_pairs():
             o, d = scenario.streams[oi], scenario.streams[di]
             if o.firm not in members or d.firm not in members:
@@ -236,6 +270,10 @@ class _RouteSearch:
             haul = scenario.transport[(o.firm, d.firm, o.resource)]
             gain = o.unit_discharge_cost + d.unit_purchase_cost - d.unit_treatment_cost - haul
             if gain > 0:
+                width += 1
+                if width > PAIR_BOUND:
+                    raise BoundExceeded(f"the exchange has more than {PAIR_BOUND} profitable "
+                                        f"(offer, demand) stream pairs")
                 by_route.setdefault((o.firm, d.firm), []).append((oi, di, gain))
         self.routes = []
         for pair, variables in sorted(by_route.items()):
@@ -349,7 +387,8 @@ def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
     superadditive: disjoint coalitions can always merge their plans.
     """
     n = scenario.n_agents
-    table = zero_table(n)
+    _check_agent_count(n)
+    table = [0] * (1 << n)
     search = _RouteSearch(scenario, range(n))
     for mask in range(1, 1 << n):
         inside = [r for r in search.routes if r.mask & mask == r.mask]

@@ -21,25 +21,27 @@ denominators. _scatter writes a table's columns into mask-indexed lists
 and owns the rules that every key has two or more agents and that none is
 given twice, and game_from_masks the rule that T and O list every such
 coalition; T(S) - O(S) is then taken column-wise for every mask at once.
-_scaled_game reduces each value by one gcd and writes it over the lcm,
-making no Fraction; a table whose 2^n entries times the bit length of that
-lcm pass SCALED_BITS (2^28) bits raises BoundExceeded while it is built.
-make_isn_game and ISNGame.from_values turn their coalition keys into mask
-columns first (_columns), the CLI reader builds masks from agent names,
-and ISNGame.from_table takes Fractions. Subgames and coordinated games
+_scaled, the one builder of a table from values, takes a numerator and a
+denominator column, reduces each value by one gcd and writes it over the
+lcm, making no Fraction; a table whose 2^n entries times the bit length of
+that lcm pass SCALED_BITS (2^28) bits raises BoundExceeded while it is
+built. game_from_masks and ISNGame.from_values hand it columns (from
+coalition keys, _columns, or the CLI's masks), ISNGame.from_table and
+scaled_shares their Fractions' terms. Subgames and coordinated games
 derive their ints from their parent's.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
 promotion subsidy elsewhere) read those ints and return Fractions; only an
 allocation is scaled onto the table (scaled_shares). check_superadditive
 tries an O(n^2 2^n) convexity certificate (is_supermodular) before its
-3^n / 2 pair walk. Reports print v(S) from the ints (fraction_text).
+3^n / 2 pair walk. Reports print every rational through fraction_text.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -225,26 +227,25 @@ def _check_bits(count: int, d: int) -> None:
         )
 
 
-def _lcm(dens, count: int) -> int:
-    """The lcm of the positive ints dens, held to count values' share of
-    SCALED_BITS (_check_bits) as it grows."""
+def _scaled(nums, dens) -> "tuple[list[int], int]":
+    """(ints, d) with ints[k] / d == nums[k] / dens[k] (dens > 0, in any
+    terms), d the lcm of the reduced denominators. Each value is reduced by
+    its gcd first, so that a long denominator T(S) and O(S) share costs
+    nothing, and d is held to SCALED_BITS as it grows (_check_bits), before
+    any entry is scaled. No prime divides d and every int (at its highest
+    power in d it divides a reduced denominator), so _lowest finds gcd 1.
+    """
+    g = list(map(gcd, nums, dens))
+    nums = list(map(floordiv, nums, g))
+    dens = list(map(floordiv, dens, g))
     d = 1
-    for den in dens:
+    for den in set(dens):
         if d % den:
             d = lcm(d, den)
-            _check_bits(count, d)
-    return d
-
-
-def scaled_table(values) -> "tuple[list[int], int]":
-    """(ints, d) with ints[k] == values[k] * d exactly, for d the lcm of
-    the values' denominators.
-
-    Raises BoundExceeded as soon as len(values) * d.bit_length() passes
-    SCALED_BITS, before any entry is scaled.
-    """
-    d = _lcm({v.denominator for v in values}, len(values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+            _check_bits(len(nums), d)
+    if d != 1:
+        nums = list(map(mul, nums, map(d.__floordiv__, dens)))
+    return nums, d
 
 
 def scaled_shares(game, x) -> "tuple[list[int], list[int], int]":
@@ -252,12 +253,12 @@ def scaled_shares(game, x) -> "tuple[list[int], list[int], int]":
     S for every mask S, as ints over one denominator d, the lcm of the
     game's denominator and x's.
 
-    The game's ints are rescaled only when x brings a new denominator, and
-    then d is held to SCALED_BITS as in scaled_table. shares is built one
-    agent at a time: the masks holding agent i are those without it, each
-    plus x_i.
+    x is scaled by _scaled, like a table. The game's ints are rescaled only
+    when x brings a new denominator, and then d is held to SCALED_BITS as
+    by _scaled. shares is built one agent at a time: the masks holding
+    agent i are those without it, each plus x_i.
     """
-    xs, dx = scaled_table(x)
+    xs, dx = _scaled([xi.numerator for xi in x], [xi.denominator for xi in x])
     vals, d = game.scaled, game.denominator
     if d % dx:
         vals, d = _rescale(vals, d, lcm(d, dx))
@@ -293,14 +294,27 @@ def _lowest(scaled, d) -> "tuple[tuple, int]":
     return scaled, d
 
 
-def fraction_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, without making the Fraction."""
-    if den != 1:
-        g = gcd(num, den)
-        if g != den:
-            return f"{num // g}/{den // g}"
-        num //= den
-    return str(num)
+def fraction_text(num, den: int = 1) -> str:
+    """str(Fraction(num, den)) for an int or Fraction num and an int den > 0,
+    without making a Fraction: every rational a report shows is written here.
+
+    A number with more digits than the interpreter writes an int with
+    (sys.get_int_max_str_digits, 4300 by default) raises BoundExceeded.
+    """
+    if type(num) is not int:
+        num, den = num.numerator, num.denominator * den
+    try:
+        if den != 1:
+            g = gcd(num, den)
+            if g != den:
+                return f"{num // g}/{den // g}"
+            num //= den
+        return str(num)
+    except ValueError:  # the interpreter's limit on int-to-text conversion
+        raise BoundExceeded(
+            f"a reported number has more than {sys.get_int_max_str_digits()} digits, the "
+            f"interpreter's limit for writing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)"
+        ) from None
 
 
 def _check_agent_count(n_agents: int) -> None:
@@ -310,12 +324,6 @@ def _check_agent_count(n_agents: int) -> None:
         raise BoundExceeded(
             f"dense coalition table supports at most {ENUMERATION_BOUND} agents"
         )
-
-
-def zero_table(n_agents: int) -> "list[Fraction]":
-    """All-zero value table for n agents, checked against the bound first."""
-    _check_agent_count(n_agents)
-    return [Fraction(0)] * (1 << n_agents)
 
 
 @dataclass(frozen=True)
@@ -354,13 +362,14 @@ class ISNGame:
         """
         _check_agent_count(n_agents)
         nums, dens = _scatter(n_agents, _columns(n_agents, values, "value"), "value")
-        return _scaled_game(n_agents, [0 if v is None else v for v in nums], dens)
+        return cls(n_agents, *_scaled([0 if v is None else v for v in nums], dens))
 
     @classmethod
     def from_table(cls, n_agents: int, table) -> "ISNGame":
         """Build a game from its mask-indexed table of Fractions (or ints),
-        2^n entries, empty set and singletons 0; scaled as in scaled_table."""
-        return cls(n_agents, *scaled_table(table))
+        2^n entries, empty set and singletons 0, scaled by _scaled."""
+        return cls(n_agents, *_scaled([v.numerator for v in table],
+                                      [v.denominator for v in table]))
 
     @cached_property
     def table(self) -> tuple:
@@ -432,25 +441,6 @@ def _scatter(n_agents: int, columns, name: str) -> "tuple[list, list]":
     return dense_nums, dense_dens
 
 
-def _scaled_game(n_agents: int, nums: list, dens: list) -> ISNGame:
-    """The game of v(S) = nums[S] / dens[S] over every mask S (dens > 0, not
-    necessarily in lowest terms).
-
-    Each value is reduced by its gcd first, so that T(S) and O(S) sharing a
-    long denominator that cancels cost nothing; every numerator is then
-    written over d, the lcm of the distinct reduced denominators, which
-    raises BoundExceeded as soon as it passes SCALED_BITS. No Fraction is
-    made.
-    """
-    g = list(map(gcd, nums, dens))
-    nums = list(map(floordiv, nums, g))
-    dens = list(map(floordiv, dens, g))
-    d = _lcm(set(dens), len(nums))
-    if d != 1:
-        nums = list(map(mul, nums, map(d.__floordiv__, dens)))
-    return ISNGame(n_agents, tuple(nums), d)
-
-
 def game_from_masks(n_agents: int, t_columns, o_columns) -> ISNGame:
     """The game v(S) = T(S) - O(S) from each table's three columns (masks,
     numerators, denominators), the terms of each amount (money_terms).
@@ -460,7 +450,7 @@ def game_from_masks(n_agents: int, t_columns, o_columns) -> ISNGame:
     Masks must lie on the roster (below 1 << n_agents): make_isn_game checks
     its coalition keys before turning them into masks. Each v(S) is
     (tn od - on td) / (td od), computed column-wise from the four ints and
-    scaled by _scaled_game.
+    scaled by _scaled.
     """
     _check_agent_count(n_agents)
     (tn, td), (on, od) = _scatter(n_agents, t_columns, "T"), _scatter(n_agents, o_columns, "O")
@@ -470,7 +460,7 @@ def game_from_masks(n_agents: int, t_columns, o_columns) -> ISNGame:
                 if table[mask] is None:
                     raise SymbioError(f"{name} table lacks coalition {{}}", members_of(mask))
     nums = list(map(sub, map(mul, tn, od), map(mul, on, td)))
-    return _scaled_game(n_agents, nums, list(map(mul, td, od)))
+    return ISNGame(n_agents, *_scaled(nums, list(map(mul, td, od))))
 
 
 def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:

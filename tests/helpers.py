@@ -13,7 +13,9 @@ from math import factorial
 from symbio import lp
 from symbio.errors import BoundExceeded
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
-from symbio.games import ENUMERATION_BOUND, ISNGame, mask_of, members_of, subgame, zero_table
+from symbio.games import (
+    ENUMERATION_BOUND, ISNGame, _check_agent_count, mask_of, members_of, subgame,
+)
 from symbio.lp import LPResult, solve_lp
 from symbio.mcnets import MCNet, MCNetRule
 from symbio.solutions import CoreResult
@@ -202,6 +204,16 @@ def grid_plan_cost(scenario, members):
     return best
 
 
+def compatible_pairs(scenario):
+    """(offer, demand) stream index pairs of one resource at two firms, in
+    ascending order, by comparing every offer with every stream; oracle for
+    ExchangeScenario._compatible_pairs."""
+    streams = scenario.streams
+    return [(oi, di) for oi, o in enumerate(streams) if o.kind == "offer"
+            for di, d in enumerate(streams)
+            if d.kind == "demand" and d.resource == o.resource and d.firm != o.firm]
+
+
 def route_subset_game(scenario):
     """Exchange game by enumerating every subset of candidate routes.
 
@@ -212,7 +224,8 @@ def route_subset_game(scenario):
     past ENUMERATION_BOUND candidate routes.
     """
     n = scenario.n_agents
-    table = zero_table(n)
+    _check_agent_count(n)
+    table = [0] * (1 << n)
     for mask, net in _route_subsets(scenario, range(n)):
         table[mask] = max(table[mask], net)
     for i in range(n):
@@ -227,7 +240,7 @@ def _route_subsets(scenario, members):
     candidate routes among members: ordered firm pairs whose best-case
     saving beats their fixed transaction cost."""
     by_route = {}  # route -> [(offer_idx, demand_idx, gain)], ascending
-    for oi, di in scenario._compatible_pairs():
+    for oi, di in compatible_pairs(scenario):
         o, d = scenario.streams[oi], scenario.streams[di]
         if o.firm not in members or d.firm not in members:
             continue

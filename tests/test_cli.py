@@ -469,6 +469,97 @@ def test_long_denominators_within_the_budget(capsys, tmp_path):
     assert len(json.loads(out)["shapley"]["A"]) > 2000
 
 
+def digit_limited_file(tmp_path):
+    """4 agents, T(S) = s^2 + 1/q for the k-th coalition S of two or more
+    (masks ascending), s = |S| and q = 10^399 + 2k + 1, and O all 0: a 9 KB
+    file within every documented bound, whose Shapley values each take about
+    8,800 characters to write, past the interpreter's default limit of 4,300
+    digits an int."""
+    coalitions = [m for m in range(16) if m.bit_count() >= 2]
+    terms = {m: (m.bit_count() ** 2, 10**399 + 2 * k + 1) for k, m in enumerate(coalitions)}
+    return table_file(tmp_path, list("ABCD"),
+                      lambda mask: f"{terms[mask][0] * terms[mask][1] + 1}/{terms[mask][1]}")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter writes ints of any length")
+@pytest.mark.parametrize("command", ["shapley", "analyze"])
+def test_a_number_too_long_to_print_exits_3(tmp_path, command):
+    """A report number longer than the interpreter writes is a bound, not a
+    traceback: exit 3 at once, nothing on stdout but the child's time. With
+    the limit lifted the report prints, and the Shapley values sum to v(N)."""
+    path = digit_limited_file(tmp_path)
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, command, str(path)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ("error: bound exceeded: a reported number has more than 4300 digits, "
+                           "the interpreter's limit for writing an int "
+                           "(PYTHONINTMAXSTRDIGITS=0 lifts it)\n")
+    assert float(done.stdout) < 1
+    done = subprocess.run(
+        [sys.executable, "-m", "symbio.cli", command, str(path), "--format", "json"],
+        capture_output=True, text=True, timeout=20, env={**env, "PYTHONINTMAXSTRDIGITS": "0"},
+    )
+    assert done.returncode == 0 and not done.stderr
+    shares = json.loads(done.stdout)["shapley"].values()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        total = sum(map(Fraction, shares))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert min(map(len, shares)) > 8000
+    assert total == 16 + Fraction(1, 10**399 + 21)
+
+
+def exchange_file(tmp_path, offers, demands):
+    """Two firms: F0 offers one stream of each resource in offers and F1
+    demands one of each in demands, 5 units saving 3 + 4 - 1 - 1 a unit,
+    with a fee of 1 each way."""
+    streams = [{"firm": "F0", "kind": "offer", "resource": r, "quantity": 5,
+                "unit_discharge_cost": 3} for r in offers]
+    streams += [{"firm": "F1", "kind": "demand", "resource": r, "quantity": 5,
+                 "unit_purchase_cost": 4, "unit_treatment_cost": 1} for r in demands]
+    doc = {"agents": ["F0", "F1"], "exchange": {
+        "streams": streams,
+        "transport": [{"from": "F0", "to": "F1", "resource": r, "cost": 1}
+                      for r in sorted(set(offers) & set(demands))],
+        "transaction": [{"from": "F0", "to": "F1", "cost": 1}],
+    }}
+    path = tmp_path / "exchange.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("offers,demands,row", [
+    # 256 profitable pairs, one route solved in one LP: 80 units at 5 a unit, less the fee
+    (["r"] * 16, ["r"] * 16, "  F0,F1 = 399"),
+    (["r"] * 16 + ["s"], ["r"] * 16 + ["s"], None),  # 257
+    (["r"] * 80, ["r"] * 80, None),  # 6,400: a 6,400-column LP, so no answer for minutes
+    ([f"r{i}" for i in range(4000)], [f"s{i}" for i in range(4000)], "  F0,F1 = 0"),  # no pair
+])
+def test_exchange_pair_bound_and_linear_scan(tmp_path, offers, demands, row):
+    """An exchange takes at most 256 profitable (offer, demand) stream pairs
+    and raises BoundExceeded past them before any LP; finding the pairs does
+    not compare every offer with every stream."""
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, "analyze", str(exchange_file(tmp_path, offers, demands))],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    *report, seconds = done.stdout.splitlines()
+    if row is None:
+        assert done.returncode == 3 and not report and done.stderr == (
+            "error: bound exceeded: the exchange has more than 256 profitable "
+            "(offer, demand) stream pairs\n")
+    else:
+        assert done.returncode == 0 and not done.stderr and row in report
+    assert float(seconds) < 1
+
+
 def test_long_denominators_that_cancel_in_t_minus_o(capsys, tmp_path):
     """Each T(S) and O(S) share a 489-digit denominator of their own, which
     cancels in T(S) - O(S). Unreduced, the 502 denominators (lcm about
@@ -521,8 +612,9 @@ def benchmark_halves_file(tmp_path, n):
 
 def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
     """symbio enforce on a 10-agent tables file builds each game's ints once:
-    it makes far fewer Fractions than the 1,024 coalitions, and scales only
-    allocations (at most n values), never a 2^n table."""
+    it makes far fewer Fractions than the 1,024 coalitions, and scales one
+    2^n table, the file's, and otherwise only allocations (at most n
+    values)."""
     n = 10
     path = benchmark_halves_file(tmp_path, n)
     made = [0]
@@ -533,15 +625,13 @@ def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
         made[0] += 1
         return original_new.__func__(cls, *args, **kwargs)
 
-    original_scaled = symbio.games.scaled_table
+    original_scaled = symbio.games._scaled
 
-    def counting_scaled(values):
-        scaled_sizes.append(len(values))
-        return original_scaled(values)
+    def counting_scaled(nums, dens):
+        scaled_sizes.append(len(nums))
+        return original_scaled(nums, dens)
 
-    for module in vars(symbio).values():
-        if getattr(module, "scaled_table", None) is original_scaled:
-            monkeypatch.setattr(module, "scaled_table", counting_scaled)
+    monkeypatch.setattr(symbio.games, "_scaled", counting_scaled)
     Fraction.__new__ = staticmethod(counting_new)
     try:
         code, out, err = run(capsys, "enforce", str(path), "--epsilon", "1/2")
@@ -550,7 +640,8 @@ def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
     assert code == 0 and not err
     assert "coordinated values:" in out and "promoted {A,B,C,D,E}: implementable" in out
     assert 0 < made[0] < 100
-    assert scaled_sizes and max(scaled_sizes) <= n
+    assert scaled_sizes.count(1 << n) == 1 and len(scaled_sizes) > 1
+    assert max(size for size in scaled_sizes if size != 1 << n) <= n
     assert Fraction.__dict__["__new__"] is original_new
     # the value rows, printed from the ints, read as each T(S) - O(S) in lowest terms
     code, out, _ = run(capsys, "analyze", str(path), "--format", "json")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,7 +12,7 @@ from symbio.coordination import (
     synthesize_promotion,
 )
 from symbio.errors import SymbioError
-from symbio.games import ISNGame, coalitions, members_of, scaled_table, subgame
+from symbio.games import ISNGame, coalitions, members_of, subgame
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley, from_isn_game
 from symbio.solutions import is_implementable
 
@@ -192,7 +193,7 @@ def test_coordinated_ints_match_the_fraction_sum():
         for mask in range(1 << n):
             assert type(table[mask]) is Fraction
             assert table[mask] == base.table[mask] + evaluate(net, members_of(mask))
-        assert coordinated.denominator == scaled_table(table)[1]
+        assert coordinated.denominator == lcm(*(v.denominator for v in table))
         nonzero_empty += table[0] != 0
         members = [i for i in range(n) if table[1 << i] == 0]
         if members:

@@ -16,7 +16,9 @@ from symbio.exchange import (
 )
 from symbio.games import check_superadditive, coalitions
 
-from helpers import dense_scenario, grid_plan_cost, random_scenario, route_subset_game
+from helpers import (
+    compatible_pairs, dense_scenario, grid_plan_cost, random_scenario, route_subset_game
+)
 
 
 @pytest.fixture
@@ -181,6 +183,39 @@ def test_missing_transport_entry_rejected():
     assert e.value.coalitions == (frozenset({0}), frozenset({1}))
     with pytest.raises(SymbioError, match=r"missing transaction cost from \[0\] to \[1\]"):
         ExchangeScenario(n_agents=2, streams=streams, transport={(0, 1, "r"): 0}, transaction={})
+
+
+def test_compatible_pairs_match_the_full_scan():
+    """The indexed scan yields the full scan's pairs in its ascending
+    (offer, demand) order, the LP column order; and validation names the
+    missing cost of the first pair the full scan meets."""
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        scenario = random_scenario(rng, n, resources=("r", "s", "t"))
+        streams = scenario.streams + tuple(
+            rng.choice(scenario.streams) for _ in range(rng.randint(0, 6)))
+        scenario = ExchangeScenario(n, streams, scenario.transport, scenario.transaction)
+        pairs = compatible_pairs(scenario)
+        assert list(scenario._compatible_pairs()) == pairs
+        transport = {k: v for k, v in scenario.transport.items() if rng.random() < 0.8}
+        transaction = {k: v for k, v in scenario.transaction.items() if rng.random() < 0.9}
+        expected = None
+        for oi, di in pairs:
+            o, d = streams[oi], streams[di]
+            if (o.firm, d.firm, o.resource) not in transport:
+                expected = (f"missing transport cost from [{o.firm}] to [{d.firm}] "
+                            f"for resource {o.resource!r}")
+            elif (o.firm, d.firm) not in transaction:
+                expected = f"missing transaction cost from [{o.firm}] to [{d.firm}]"
+            if expected:
+                break
+        try:
+            ExchangeScenario(n, streams, transport, transaction)
+        except SymbioError as e:
+            assert str(e) == expected
+        else:
+            assert expected is None
 
 
 def test_bound_exceeded(lp_calls):

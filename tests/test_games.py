@@ -1,5 +1,7 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,10 @@ from symbio.games import (
     game_from_masks,
     is_supermodular,
     make_isn_game,
+    mask_of,
     members_of,
     money_terms,
     plain_terms,
-    scaled_table,
     subgame,
 )
 from symbio.mcnets import MCNet, MCNetRule
@@ -171,7 +173,7 @@ def test_every_builder_gives_the_same_game():
                 assert game == built[0] and hash(game) == hash(built[0])
                 assert game.scaled == built[0].scaled
                 assert all(type(v) is int for v in game.scaled)
-                assert game.denominator == scaled_table(table)[1]
+                assert game.denominator == lcm(*(v.denominator for v in table))
                 assert game.table == table and all(type(v) is Fraction for v in game.table)
 
 
@@ -187,6 +189,26 @@ def test_fraction_text_is_str_of_fraction():
         den = rng.choice(dens) * rng.randint(1, 30)
         num = rng.randint(-5 * den, 5 * den)
         assert fraction_text(num, den) == str(Fraction(num, den))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter writes ints of any length")
+def test_fraction_text_takes_fractions_and_bounds_their_length():
+    """fraction_text writes a Fraction, or an int or Fraction over a
+    denominator, as str(Fraction) does; a number longer than the
+    interpreter writes raises BoundExceeded, not ValueError."""
+    for x in Fraction(0), Fraction(-7, 3), Fraction(12), 5, -4:
+        assert fraction_text(x) == str(Fraction(x))
+        assert fraction_text(x, 6) == str(Fraction(x) / 6)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert fraction_text(10**639, 3) == f"{10**639}/3"
+        for args in (10**640, 1), (1, 10**640), (Fraction(1, 3 * 10**640),):
+            with pytest.raises(BoundExceeded, match="more than 640 digits, the interpreter's"):
+                fraction_text(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_exact_rational_values():
@@ -404,8 +426,8 @@ def test_supermodularity_matches_the_pairwise_oracle(seed, n):
         games_.append(game)
     for game in games_:
         expected = not supermodularity_violations(game.table, n)
-        assert is_supermodular(scaled_table(game.table)[0], n) is expected
-    assert is_supermodular(scaled_table(games_[0].table)[0], n)
+        assert is_supermodular(game.scaled, n) is expected
+    assert is_supermodular(games_[0].scaled, n)
 
 
 def test_superadditivity_pair_matches_fraction_scan_on_convex_tables():
@@ -430,7 +452,7 @@ def test_superadditivity_pair_matches_fraction_scan_on_convex_tables():
             for g in tables:
                 pair = check_superadditive(g)
                 assert pair == fraction_check_superadditive(g)
-                val = scaled_table(g.table)[0]
+                val = g.scaled
                 if val[0] <= 0 and is_supermodular(val, n):
                     certified += 1
                     assert pair is None
@@ -440,14 +462,48 @@ def test_superadditivity_pair_matches_fraction_scan_on_convex_tables():
 
 
 def test_scaled_table_bound(monkeypatch):
-    values = (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7))  # lcm 105, 7 bits
-    assert scaled_table(values) == ([35, -21, 30], 105)
-    assert scaled_table((Fraction(4), 5)) == ([4, 5], 1)
+    """games._scaled writes a table's terms as ints over the lcm of the
+    reduced denominators, reducing each value first, and raises
+    BoundExceeded once that lcm passes the table's share of SCALED_BITS."""
+    terms = [1, -1, 2], [3, 5, 7]  # lcm 105, 7 bits
+    assert games._scaled(*terms) == ([35, -21, 30], 105)
+    assert games._scaled([4, 5], [1, 1]) == ([4, 5], 1)
+    assert games._scaled([2, 3], [4, 9]) == ([3, 2], 6)  # 1/2 and 1/3, not over 36
+    assert games._scaled([0, 6, -10], [7, 3, 5]) == ([0, 2, -2], 1)
     monkeypatch.setattr(games, "SCALED_BITS", 3 * 7)
-    assert scaled_table(values)[1] == 105
+    assert games._scaled(*terms)[1] == 105
     monkeypatch.setattr(games, "SCALED_BITS", 3 * 7 - 1)
     with pytest.raises(BoundExceeded, match="needs more than 6 bits"):
-        scaled_table(values)
+        games._scaled(*terms)
+
+
+def test_every_builder_scales_to_lowest_terms(monkeypatch):
+    """ISNGame.from_table, ISNGame.from_values, make_isn_game with O = 0
+    and game_from_masks build equal ints over an equal denominator, and
+    every table they hand to ISNGame is in lowest terms already: _lowest
+    finds gcd 1 each time, so _scaled's output needs no second reduction."""
+    import random
+
+    rng = random.Random(67)
+    sources = [make(rng, n) for n in range(1, 7) for make in (random_game, mixed_game)
+               for _ in range(4)]
+    found = []
+    lowest = games._lowest
+    monkeypatch.setattr(games, "_lowest",
+                        lambda scaled, d: found.append(gcd(d, *scaled)) or lowest(scaled, d))
+    for source in sources:
+        n, table = source.n_agents, source.table
+        values = {members_of(m): table[m] for m in range(1 << n) if m.bit_count() >= 2}
+        masks = list(map(mask_of, values))
+        t_columns = (masks, [v.numerator for v in values.values()],
+                     [v.denominator for v in values.values()])
+        o_columns = (masks, [0] * len(masks), [1] * len(masks))
+        built = [ISNGame.from_table(n, table), ISNGame.from_values(n, values),
+                 make_isn_game(n, values, dict.fromkeys(values, 0)),
+                 game_from_masks(n, t_columns, o_columns)]
+        for game in built:
+            assert game.scaled == source.scaled and game.denominator == source.denominator
+    assert found == [1] * (4 * len(sources))
 
 
 def test_rescaling_a_built_table_keeps_the_bit_budget(monkeypatch):
