@@ -9,28 +9,45 @@ coalition's worth: baseline minus optimum.
 
 Plan optimization is a fixed-charge transportation problem, solved
 exactly by Land-Doig branch and bound over route activation (Balinski
-1961). Each route (an ordered firm pair that can save) is solved alone
-once; unprofitable routes are dropped, and the sum of the others' net
-savings bounds any route set, exactly so when no two share a stream.
-scenario_to_game searches each coalition in ascending mask order, with
-the best worth of its coalitions one firm smaller as the incumbent, and
-reads only LP optima; only optimal_exchange_plan turns shipments into
-plans. A call solves at most 2**ENUMERATION_BOUND LPs, and takes at most
-PAIR_BOUND profitable (offer, demand) stream pairs, each an LP column; it
-raises BoundExceeded past either, the pair bound before any LP.
+1961). A route is an ordered firm pair that can save. Its net saving
+alone is the sum of gain times cap less its fee when its stream pairs
+share no stream, and one LP otherwise; unprofitable routes are dropped,
+and the sum of the others' net savings bounds any route set, exactly so
+when no two share a stream. scenario_to_game searches each coalition in
+ascending mask order, with the best worth of its coalitions one firm
+smaller as the incumbent, and reads only LP optima; only
+optimal_exchange_plan turns shipments into plans. A call solves at most
+2**ENUMERATION_BOUND LPs, and takes at most PAIR_BOUND profitable (offer,
+demand) stream pairs, each an LP column; it raises BoundExceeded past
+either, the pair bound before any LP.
 
-Compatible stream pairs (an offer and a demand of one resource at two
-firms) come from an index of demands by resource, in time linear in the
-streams plus the pairs, and in ascending (offer, demand) order: the LP
-column order, which fixes every pivot and plan. Validation checks each
-(offer firm, demand firm, resource) once. Quantities are divisible; all
-arithmetic is exact (ints and Fractions).
+A search works on one integer scale: quantities are ints over lq, the lcm
+of their denominators, and per-unit gains and fees over lg, so every LP
+row, net saving, bound and incumbent is an int (savings over lg*lq), and
+so is scenario_to_game's table. An integral node's optimum is whole: with
+each route's activation fixed at 0 or 1 the shipments are a vertex of a
+transportation polytope over int data. Only optimal_exchange_plan divides
+back. Each LP is the rational one with shipments counted in units of
+1/lq and its objective times lg*lq; positive factors change no sign and
+no ratio order, so Bland's rule makes the same pivots.
+
+The profitable stream pairs (an offer and a demand of one resource at
+two firms, saving per unit) come from an index of demands by resource and
+firm: for each offer and demand firm, one bisection over that firm's
+demands sorted by purchase minus treatment cost finds those above haul
+minus discharge, so pairs that do not save are never walked. Each route
+keeps its pairs in ascending (offer, demand) order: the LP column order,
+which fixes every pivot and plan. Validation checks each (offer firm,
+demand firm, resource) once. Quantities are divisible; all arithmetic is
+exact (ints and Fractions).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceeded, SymbioError
@@ -158,10 +175,15 @@ class ExchangeScenario:
         for cost in list(self.transport.values()) + list(self.transaction.values()):
             if cost < 0:
                 raise SymbioError("transport and transaction costs must be >= 0")
-        # partners keeps offers' first-index order and each list its demands'
-        # order, so the fault named is that of the first compatible pair
-        for (firm, resource), partners in self._partners().items():
-            for to in dict.fromkeys(self.streams[di].firm for di in partners):
+        # offers in first-index order, and each one's demand firms in the order
+        # of their first demand, so the fault named is that of the first
+        # compatible pair
+        demands = self._demands(range(self.n_agents))
+        for firm, resource in dict.fromkeys(
+                (o.firm, o.resource) for o in self.streams if o.kind == OFFER):
+            for to in demands.get(resource, ()):
+                if to == firm:
+                    continue
                 firms = {firm}, {to}
                 if (firm, to, resource) not in self.transport:
                     shown = repr(resource).replace("{", "{{").replace("}", "}}")
@@ -171,30 +193,15 @@ class ExchangeScenario:
                 if (firm, to) not in self.transaction:
                     raise SymbioError("missing transaction cost from {} to {}", *firms)
 
-    def _partners(self) -> dict:
-        """{(firm, resource) of each offer: the indices of the demands for
-        that resource at other firms, ascending}, keyed in the order of each
-        key's first offer. Demands are indexed by resource first, so this
-        takes time linear in the streams times at most the firm count."""
+    def _demands(self, members) -> dict:
+        """{resource: {firm: indices of its demands for it, ascending}} over
+        the firms in members, each firm in the order of its first such
+        demand: one pass over the streams."""
         demands = {}
         for di, d in enumerate(self.streams):
-            if d.kind == DEMAND:
-                demands.setdefault(d.resource, []).append(di)
-        partners = {}
-        for o in self.streams:
-            if o.kind == OFFER and (o.firm, o.resource) not in partners:
-                partners[o.firm, o.resource] = [
-                    di for di in demands.get(o.resource, ()) if self.streams[di].firm != o.firm]
-        return partners
-
-    def _compatible_pairs(self):
-        """Stream index pairs (offer, demand) that could ever ship, ascending,
-        in time linear in the streams (_partners) plus the pairs."""
-        partners = self._partners()
-        for oi, o in enumerate(self.streams):
-            if o.kind == OFFER:
-                for di in partners[o.firm, o.resource]:
-                    yield oi, di
+            if d.kind == DEMAND and d.firm in members:
+                demands.setdefault(d.resource, {}).setdefault(d.firm, []).append(di)
+        return demands
 
 
 def t_value(scenario: ExchangeScenario, s: Iterable[int]) -> Fraction:
@@ -224,77 +231,119 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
     members = coalition(s)
     baseline = t_value(scenario, members)  # checks the roster
     search = _RouteSearch(scenario, members)
-    net, routes = search.best(search.routes, Fraction(0))
+    net, routes = search.best(search.routes, 0)
     if routes is None:
         return EMPTY_PLAN, baseline
     x, _, _ = search.best_shipments(routes)
-    return _plan(scenario, [v for r in routes for v in r.variables], x), baseline - net
+    plan = _plan(scenario, [v for r in routes for v in r.variables], x, search.lq)
+    return plan, baseline - Fraction(net, search.scale)
 
 
 class _Route(NamedTuple):
-    """A profitable ordered firm pair. Routes sort by pair, which is unique."""
+    """A profitable ordered firm pair. Routes sort by pair, which is unique.
+    Amounts are ints on the search's scale."""
 
     pair: "tuple[int, int]"
     mask: int  # the two firms
-    variables: tuple  # (offer, demand, gain) stream pairs, ascending
+    variables: tuple  # (offer, demand, gain, cap) stream pairs, ascending
     streams: frozenset  # stream indices the variables touch
-    fee: Fraction  # fixed transaction cost
-    net: Fraction = Fraction(0)  # best net saving of the route alone
+    fee: int  # fixed transaction cost
+    net: int = 0  # best net saving of the route alone
+
+
+def _lcm(amounts) -> int:
+    """The lcm of the denominators of Fractions (1 for none)."""
+    return lcm(*{a.denominator for a in amounts})
+
+
+def _over(amount, d: int) -> int:
+    """amount * d, for a Fraction amount whose denominator divides d."""
+    return amount.numerator * (d // amount.denominator)
 
 
 class _RouteSearch:
     """Exact route-activation search over one coalition's routes.
 
+    Amounts are ints: quantities and caps over lq, per-unit gains over lg,
+    and fees, net savings and LP objectives over scale = lg * lq.
+
     A route is an ordered firm pair with a stream pair that saves per unit
-    and a best-case saving above its transaction fee. Each is solved alone
-    once for its net saving net_r, and only routes with net_r > 0 are kept:
-    restricting a feasible shipment vector to some of its routes keeps it
-    feasible, so net savings are subadditive over route sets, and a route
-    with net_r <= 0 never helps. The same argument makes the sum of net_r
-    an upper bound on any subset's saving, exact when the routes share no
-    stream. All LP solves of one search count against one budget of
-    2**ENUMERATION_BOUND; the next solve raises BoundExceeded. So does a
+    and a best-case saving (the sum of gain times cap) above its fee. Its
+    net saving alone, net_r, is that sum less the fee when no two of its
+    pairs share a stream, and one LP otherwise; only routes with net_r > 0
+    are kept: restricting a feasible shipment vector to some of its routes
+    keeps it feasible, so net savings are subadditive over route sets, and
+    a route with net_r <= 0 never helps. The same argument makes the sum of
+    net_r an upper bound on any subset's saving, exact when the routes
+    share no stream. All LP solves of one search count against one budget
+    of 2**ENUMERATION_BOUND; the next solve raises BoundExceeded. So does a
     coalition with more than PAIR_BOUND profitable stream pairs, before any
-    LP: a route is solved alone as one LP with a column per pair.
+    LP: a route may be solved alone as one LP with a column per pair.
     """
 
     def __init__(self, scenario, members):
-        self.scenario = scenario
         self.lps_left = 2**ENUMERATION_BOUND
-        by_route = {}  # pair -> [(offer_idx, demand_idx, gain)], ascending
+        streams = scenario.streams
+        inside = [i for i, s in enumerate(streams) if s.firm in members]
+        demands = scenario._demands(members)
+        offers = [i for i in inside if streams[i].kind == OFFER]
+        links = {(o.firm, b, o.resource) for o in map(streams.__getitem__, offers)
+                 for b in demands.get(o.resource, ()) if b != o.firm}
+        self.lq = lq = _lcm(streams[i].quantity for i in inside)
+        lg = _lcm([getattr(streams[i], cost) for i in inside
+                   for cost in STREAM_COSTS[streams[i].kind]]
+                  + [scenario.transport[link] for link in links]
+                  + [scenario.transaction[link[:2]] for link in links])
+        self.scale = lg * lq
+        self.quantity = {i: _over(streams[i].quantity, lq) for i in inside}
+        # a demand's worth per unit received; a pair saves when it exceeds
+        # haul - discharge, so each firm's demands are ranked by it
+        worth = {di: _over(streams[di].unit_purchase_cost, lg)
+                 - _over(streams[di].unit_treatment_cost, lg)
+                 for firms in demands.values() for dis in firms.values() for di in dis}
+        for firms in demands.values():
+            for dis in firms.values():
+                dis.sort(key=worth.__getitem__)
+        by_route = {}  # pair -> [(offer, demand, gain, cap)], ascending
         width = 0  # profitable pairs so far
-        for oi, di in scenario._compatible_pairs():
-            o, d = scenario.streams[oi], scenario.streams[di]
-            if o.firm not in members or d.firm not in members:
-                continue
-            haul = scenario.transport[(o.firm, d.firm, o.resource)]
-            gain = o.unit_discharge_cost + d.unit_purchase_cost - d.unit_treatment_cost - haul
-            if gain > 0:
-                width += 1
+        for oi in offers:
+            o = streams[oi]
+            discharge = _over(o.unit_discharge_cost, lg)
+            for b, dis in demands.get(o.resource, {}).items():
+                if b == o.firm:
+                    continue
+                haul = _over(scenario.transport[o.firm, b, o.resource], lg)
+                saving = dis[bisect_right(dis, haul - discharge, key=worth.__getitem__):]
+                if not saving:
+                    continue
+                width += len(saving)
                 if width > PAIR_BOUND:
                     raise BoundExceeded(f"the exchange has more than {PAIR_BOUND} profitable "
                                         f"(offer, demand) stream pairs")
-                by_route.setdefault((o.firm, d.firm), []).append((oi, di, gain))
+                by_route.setdefault((o.firm, b), []).extend(
+                    (oi, di, discharge + worth[di] - haul,
+                     min(self.quantity[oi], self.quantity[di])) for di in sorted(saving))
         self.routes = []
         for pair, variables in sorted(by_route.items()):
-            fee = scenario.transaction[pair]
-            if fee >= sum(gain * self._cap(oi, di) for oi, di, gain in variables):
+            fee = _over(scenario.transaction[pair], lg) * lq
+            best_case = sum(gain * cap for _, _, gain, cap in variables)
+            if fee >= best_case:
                 continue
-            streams = frozenset(idx for oi, di, _ in variables for idx in (oi, di))
-            route = _Route(pair, mask_of(pair), tuple(variables), streams, fee)
-            net = self.best_shipments((route,))[1]
+            touched = frozenset(idx for oi, di, _, _ in variables for idx in (oi, di))
+            route = _Route(pair, mask_of(pair), tuple(variables), touched, fee)
+            if len(touched) == 2 * len(variables):  # each pair ships its cap
+                net = best_case - fee
+            else:
+                net = int(self.best_shipments((route,))[1])  # whole: no route is free
             if net > 0:
                 self.routes.append(route._replace(net=net))
-
-    def _cap(self, oi, di):
-        return min(self.scenario.streams[oi].quantity, self.scenario.streams[di].quantity)
 
     def best_shipments(self, fixed, free=()):
         """Maximize net saving with routes fixed active and the activation
         y of routes free relaxed to 0 <= y <= 1 (x_k <= cap_k * y for each
         of their variables, cap_k the smaller of its two quantities).
-        Returns (x, net, y); with no free routes net is the exact best
-        saving of the fixed set.
+        Returns (x, net, y), x over lq and net over scale; with no free
+        routes net is the exact best saving of the fixed set, and whole.
 
         y <= 1 needs no row: the stream rows already hold x_k <= cap_k, and
         at a vertex a positive y_r is x_k / cap_k for some tight row of r."""
@@ -305,21 +354,21 @@ class _RouteSearch:
         self.lps_left -= 1
         variables = [v for r in fixed + free for v in r.variables]
         width = len(variables) + len(free)
-        c = [gain for _, _, gain in variables] + [-r.fee for r in free]
+        c = [gain for _, _, gain, _ in variables] + [-r.fee for r in free]
         rows = {}  # stream index -> row of the constraint matrix
         a_ub, b_ub = [], []
-        for k, (oi, di, _) in enumerate(variables):
+        for k, (oi, di, _, _) in enumerate(variables):
             for idx in (oi, di):
                 if idx not in rows:
                     rows[idx] = len(a_ub)
                     a_ub.append([0] * width)
-                    b_ub.append(self.scenario.streams[idx].quantity)
+                    b_ub.append(self.quantity[idx])
                 a_ub[rows[idx]][k] = 1
         k = sum(len(r.variables) for r in fixed)
         for j, route in enumerate(free, start=len(variables)):
-            for oi, di, _ in route.variables:
+            for _, _, _, cap in route.variables:
                 row = [0] * width
-                row[k], row[j] = 1, -self._cap(oi, di)
+                row[k], row[j] = 1, -cap
                 a_ub.append(row)
                 b_ub.append(0)
                 k += 1
@@ -333,11 +382,11 @@ class _RouteSearch:
 
         Past the bound shortcuts, Land-Doig branch and bound on the
         best_shipments relaxation: a node whose bound is <= the best so far
-        is pruned, an integral y is a plan of exactly that net, and
-        otherwise the first fractional route in sorted order is branched
-        on, depth first, active before dropped. Ties keep the first set
-        met: every route when they share no stream, else the first
-        integral node.
+        is pruned, an integral y is a plan of exactly that net, a whole
+        one, and otherwise the first fractional route in sorted order is
+        branched on, depth first, active before dropped. Ties keep the
+        first set met: every route when they share no stream, else the
+        first integral node.
         """
         routes = tuple(routes)
         bound = sum(r.net for r in routes)
@@ -357,7 +406,8 @@ class _RouteSearch:
                 continue
             split = next((j for j, v in enumerate(y) if v.denominator != 1), None)
             if split is None:
-                best, chosen = net, tuple(sorted(fixed + tuple(r for r, v in zip(free, y) if v)))
+                best = int(net)
+                chosen = tuple(sorted(fixed + tuple(r for r, v in zip(free, y) if v)))
                 continue
             rest = free[:split] + free[split + 1:]
             stack.append((fixed, rest, min(net, sum(r.net for r in fixed + rest))))
@@ -365,26 +415,27 @@ class _RouteSearch:
         return best, chosen
 
 
-def _plan(scenario, variables, x):
-    """Shipments x of the (offer, demand, gain) variables, summed per route
-    and resource and sorted."""
+def _plan(scenario, variables, x, lq):
+    """Shipments x (over lq) of the (offer, demand, gain, cap) variables,
+    summed per route and resource and sorted."""
     amounts = {}
-    for (oi, di, _), qty in zip(variables, x, strict=True):
+    for (oi, di, _, _), qty in zip(variables, x, strict=True):
         if qty > 0:
             o, d = scenario.streams[oi], scenario.streams[di]
             key = (o.firm, d.firm, o.resource)
-            amounts[key] = amounts.get(key, Fraction(0)) + qty
-    return ExchangePlan(tuple(Shipment(*key, qty) for key, qty in sorted(amounts.items())))
+            amounts[key] = amounts.get(key, 0) + qty
+    return ExchangePlan(tuple(Shipment(*key, qty / lq) for key, qty in sorted(amounts.items())))
 
 
 def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
     """Game with every coalition worth its baseline-minus-optimal saving.
 
-    The roster's routes are found and solved alone once (after the firm
+    The roster's routes are found and settled alone once (after the firm
     bound is checked); then each coalition, masks ascending, searches the
     routes inside it with max_i v(S - i) as its incumbent, which merging
     plans makes a lower bound. Values are nonnegative and the game is
-    superadditive: disjoint coalitions can always merge their plans.
+    superadditive: disjoint coalitions can always merge their plans. The
+    table is the search's ints over its scale, which ISNGame reduces.
     """
     n = scenario.n_agents
     _check_agent_count(n)
@@ -394,4 +445,4 @@ def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
         inside = [r for r in search.routes if r.mask & mask == r.mask]
         incumbent = max(table[mask ^ 1 << i] for i in range(n) if mask >> i & 1)
         table[mask] = search.best(inside, incumbent)[0]
-    return ISNGame.from_table(n, table)
+    return ISNGame(n, table, search.scale)

@@ -233,7 +233,8 @@ def _scaled(nums, dens) -> "tuple[list[int], int]":
     its gcd first, so that a long denominator T(S) and O(S) share costs
     nothing, and d is held to SCALED_BITS as it grows (_check_bits), before
     any entry is scaled. No prime divides d and every int (at its highest
-    power in d it divides a reduced denominator), so _lowest finds gcd 1.
+    power in d it divides a reduced denominator), so the ints are in lowest
+    terms, and ISNGame._in_lowest_terms takes them as they are.
     """
     g = list(map(gcd, nums, dens))
     nums = list(map(floordiv, nums, g))
@@ -334,7 +335,10 @@ class ISNGame:
     through by their gcd), so the denominator is the lcm of the values'
     reduced denominators and equal games compare and hash equal. Instances
     are immutable and hashable; reads are safe from any number of threads.
-    ISNGame.from_table builds one from Fractions.
+    ISNGame.from_table builds one from Fractions. ISNGame(n, scaled, d)
+    divides any ints through by their gcd (_lowest); the builders that
+    scale by _scaled, whose output is in lowest terms already, take no gcd
+    (_in_lowest_terms).
     """
 
     n_agents: int
@@ -342,15 +346,29 @@ class ISNGame:
     denominator: int = 1
 
     def __post_init__(self):
+        self._check_normalized()
+        scaled, d = _lowest(self.scaled, self.denominator)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "denominator", d)
+
+    def _check_normalized(self):
         _check_agent_count(self.n_agents)
         scaled = self.scaled
         if len(scaled) != 1 << self.n_agents:
             raise SymbioError("value table must have one entry per subset")
         if any(scaled[1 << i] for i in range(self.n_agents)) or scaled[0]:
             raise SymbioError("normalized games are worth 0 on the empty set and singletons")
-        scaled, d = _lowest(scaled, self.denominator)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "denominator", d)
+
+    @classmethod
+    def _in_lowest_terms(cls, n_agents: int, scaled, d: int) -> "ISNGame":
+        """The game of the ints over d that _scaled wrote: checked like any
+        game, but not divided through by a gcd, which on long denominators
+        is a multi-precision gcd of the whole lcm and always 1 here."""
+        game = object.__new__(cls)
+        for name, value in ("n_agents", n_agents), ("scaled", tuple(scaled)), ("denominator", d):
+            object.__setattr__(game, name, value)
+        game._check_normalized()
+        return game
 
     @classmethod
     def from_values(cls, n_agents: int, values: Mapping) -> "ISNGame":
@@ -362,14 +380,14 @@ class ISNGame:
         """
         _check_agent_count(n_agents)
         nums, dens = _scatter(n_agents, _columns(n_agents, values, "value"), "value")
-        return cls(n_agents, *_scaled([0 if v is None else v for v in nums], dens))
+        return cls._in_lowest_terms(n_agents, *_scaled([0 if v is None else v for v in nums], dens))
 
     @classmethod
     def from_table(cls, n_agents: int, table) -> "ISNGame":
         """Build a game from its mask-indexed table of Fractions (or ints),
         2^n entries, empty set and singletons 0, scaled by _scaled."""
-        return cls(n_agents, *_scaled([v.numerator for v in table],
-                                      [v.denominator for v in table]))
+        return cls._in_lowest_terms(n_agents, *_scaled([v.numerator for v in table],
+                                                        [v.denominator for v in table]))
 
     @cached_property
     def table(self) -> tuple:
@@ -460,7 +478,7 @@ def game_from_masks(n_agents: int, t_columns, o_columns) -> ISNGame:
                 if table[mask] is None:
                     raise SymbioError(f"{name} table lacks coalition {{}}", members_of(mask))
     nums = list(map(sub, map(mul, tn, od), map(mul, on, td)))
-    return ISNGame(n_agents, *_scaled(nums, list(map(mul, td, od))))
+    return ISNGame._in_lowest_terms(n_agents, *_scaled(nums, list(map(mul, td, od))))
 
 
 def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:

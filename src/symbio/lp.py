@@ -137,17 +137,18 @@ def _exact(v):
 def _dictionary_row(coeffs, rhs, n):
     """(row, negated): coeffs and rhs as a primitive dictionary row over
     their common denominator, negated when rhs < 0 so that the row's basic
-    slack or artificial enters it as +1."""
-    row = [_exact(v) for v in coeffs]
-    if len(row) != n:
-        raise ValueError("constraint width does not match objective")
-    row.append(_exact(rhs))
-    negated = row[-1] < 0
-    if all(type(v) is int for v in row):
+    slack or artificial enters it as +1. An all-int row is read with one
+    type check; any other has each cell checked by _exact."""
+    row = [*coeffs, rhs]
+    if set(map(type, row)) == {int}:
         scale = 1
     else:
+        row = [_exact(v) for v in row]
         scale = reduce(lcm, (v.denominator for v in row))
         row = [v.numerator * (scale // v.denominator) for v in row]
+    if len(row) != n + 1:
+        raise ValueError("constraint width does not match objective")
+    negated = row[-1] < 0
     if negated:
         row = [-v for v in row]
     row.append(scale)

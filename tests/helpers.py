@@ -235,10 +235,10 @@ def route_subset_game(scenario):
     return ISNGame.from_table(n, table)
 
 
-def _route_subsets(scenario, members):
-    """Yield (firm mask, net saving) once for each nonempty subset of the
-    candidate routes among members: ordered firm pairs whose best-case
-    saving beats their fixed transaction cost."""
+def candidate_routes(scenario, members):
+    """(by_route, candidates): every profitable (offer, demand, gain) pair
+    among members by ordered firm pair, ascending, and the sorted pairs
+    whose best-case saving beats their fixed transaction cost."""
     by_route = {}  # route -> [(offer_idx, demand_idx, gain)], ascending
     for oi, di in compatible_pairs(scenario):
         o, d = scenario.streams[oi], scenario.streams[di]
@@ -251,17 +251,24 @@ def _route_subsets(scenario, members):
     candidates = [route for route in sorted(by_route) if scenario.transaction[route] < sum(
         gain * min(scenario.streams[oi].quantity, scenario.streams[di].quantity)
         for oi, di, gain in by_route[route])]
+    return by_route, candidates
+
+
+def _route_subsets(scenario, members):
+    """Yield (firm mask, net saving) once for each nonempty subset of the
+    candidate routes among members."""
+    by_route, candidates = candidate_routes(scenario, members)
     if len(candidates) > ENUMERATION_BOUND:
         raise BoundExceeded(f"{len(candidates)} candidate routes; route subsets are "
                             f"enumerated for at most {ENUMERATION_BOUND}")
     for chosen in range(1, 1 << len(candidates)):
         routes = [candidates[i] for i in range(len(candidates)) if chosen >> i & 1]
         variables = [pv for r in routes for pv in by_route[r]]
-        net = _best_shipments(scenario, variables) - sum(scenario.transaction[r] for r in routes)
+        net = route_saving(scenario, variables) - sum(scenario.transaction[r] for r in routes)
         yield mask_of(firm for route in routes for firm in route), net
 
 
-def _best_shipments(scenario, variables):
+def route_saving(scenario, variables):
     """Most total per-unit saving over stream capacity constraints."""
     gains = [g for _, _, g in variables]
     caps = {}  # stream index -> row of the constraint matrix
@@ -419,28 +426,32 @@ def random_net(rng, n):
     return MCNet(n, tuple(rules))
 
 
-def random_scenario(rng, n, resources=("r", "s"), max_qty=10):
-    """Exchange scenario with integer data; every firm gets 1-2 streams."""
+def random_scenario(rng, n, resources=("r", "s"), max_qty=10, denominators=None):
+    """Exchange scenario; every firm gets 1-2 streams. Amounts are ints, or
+    with denominators each drawn int is a numerator over one of them, drawn
+    too (the int draws are the same either way)."""
+    def draw(lo, hi):
+        k = rng.randint(lo, hi)
+        return k if denominators is None else Fraction(k, rng.choice(denominators))
+
     streams = []
     for firm in range(n):
         for _ in range(rng.randint(1, 2)):
             resource = rng.choice(resources)
-            qty = rng.randint(0, max_qty)
+            qty = draw(0, max_qty)
             if rng.random() < 0.5:
-                streams.append(waste_offer(firm, resource, qty, rng.randint(0, 9)))
+                streams.append(waste_offer(firm, resource, qty, draw(0, 9)))
             else:
-                streams.append(
-                    input_demand(firm, resource, qty, rng.randint(0, 9), rng.randint(0, 5))
-                )
+                streams.append(input_demand(firm, resource, qty, draw(0, 9), draw(0, 5)))
     transport = {
-        (a, b, r): rng.randint(0, 5)
+        (a, b, r): draw(0, 5)
         for a in range(n)
         for b in range(n)
         if a != b
         for r in resources
     }
     transaction = {
-        (a, b): rng.randint(0, 15) for a in range(n) for b in range(n) if a != b
+        (a, b): draw(0, 15) for a in range(n) for b in range(n) if a != b
     }
     return ExchangeScenario(
         n_agents=n, streams=tuple(streams), transport=transport, transaction=transaction

@@ -515,9 +515,9 @@ def test_a_number_too_long_to_print_exits_3(tmp_path, command):
     assert total == 16 + Fraction(1, 10**399 + 21)
 
 
-def exchange_file(tmp_path, offers, demands):
+def exchange_file(tmp_path, offers, demands, haul=1):
     """Two firms: F0 offers one stream of each resource in offers and F1
-    demands one of each in demands, 5 units saving 3 + 4 - 1 - 1 a unit,
+    demands one of each in demands, 5 units saving 3 + 4 - 1 - haul a unit,
     with a fee of 1 each way."""
     streams = [{"firm": "F0", "kind": "offer", "resource": r, "quantity": 5,
                 "unit_discharge_cost": 3} for r in offers]
@@ -525,7 +525,7 @@ def exchange_file(tmp_path, offers, demands):
                  "unit_purchase_cost": 4, "unit_treatment_cost": 1} for r in demands]
     doc = {"agents": ["F0", "F1"], "exchange": {
         "streams": streams,
-        "transport": [{"from": "F0", "to": "F1", "resource": r, "cost": 1}
+        "transport": [{"from": "F0", "to": "F1", "resource": r, "cost": haul}
                       for r in sorted(set(offers) & set(demands))],
         "transaction": [{"from": "F0", "to": "F1", "cost": 1}],
     }}
@@ -545,9 +545,26 @@ def test_exchange_pair_bound_and_linear_scan(tmp_path, offers, demands, row):
     """An exchange takes at most 256 profitable (offer, demand) stream pairs
     and raises BoundExceeded past them before any LP; finding the pairs does
     not compare every offer with every stream."""
+    check_timed_exchange(exchange_file(tmp_path, offers, demands), row)
+
+
+@pytest.mark.parametrize("haul,row", [
+    (10, "  F0,F1 = 0"),  # no pair saves: 3 + 4 - 1 - 10 a unit
+    (1, None),  # every pair saves, and the bound is met at the first offer's demands
+])
+def test_exchange_pair_scan_skips_pairs_that_do_not_save(tmp_path, haul, row):
+    """1,000 offers and 1,000 demands of one resource: 10^6 compatible pairs,
+    of which only those that save are walked, so either way the answer takes
+    well under a second."""
+    check_timed_exchange(exchange_file(tmp_path, ["r"] * 1000, ["r"] * 1000, haul), row)
+
+
+def check_timed_exchange(path, row):
+    """`symbio analyze` on path in a fresh interpreter: row in its report, or
+    with row None exit 3 at the pair bound; either way in under 1 s."""
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", TIMED_MAIN, "analyze", str(exchange_file(tmp_path, offers, demands))],
+        [sys.executable, "-c", TIMED_MAIN, "analyze", str(path)],
         capture_output=True, text=True, timeout=20, env=env,
     )
     *report, seconds = done.stdout.splitlines()

@@ -10,6 +10,7 @@ from symbio.exchange import (
     ResourceStream,
     input_demand,
     optimal_exchange_plan,
+    _RouteSearch,
     scenario_to_game,
     t_value,
     waste_offer,
@@ -17,7 +18,8 @@ from symbio.exchange import (
 from symbio.games import check_superadditive, coalitions
 
 from helpers import (
-    compatible_pairs, dense_scenario, grid_plan_cost, random_scenario, route_subset_game
+    candidate_routes, compatible_pairs, dense_scenario, grid_plan_cost, random_scenario,
+    route_saving, route_subset_game,
 )
 
 
@@ -186,18 +188,34 @@ def test_missing_transport_entry_rejected():
 
 
 def test_compatible_pairs_match_the_full_scan():
-    """The indexed scan yields the full scan's pairs in its ascending
-    (offer, demand) order, the LP column order; and validation names the
-    missing cost of the first pair the full scan meets."""
+    """A search takes the full scan's profitable pairs: each route it keeps
+    holds the oracle's (offer, demand) pairs in ascending order, the LP
+    column order, with gain, cap, fee and net saving on the search's integer
+    scale, and a candidate route is dropped exactly when it saves nothing
+    alone. Validation names the missing cost of the first pair the full
+    scan meets."""
     rng = random.Random(71)
-    for _ in range(200):
+    for trial in range(200):
         n = rng.randint(1, 5)
-        scenario = random_scenario(rng, n, resources=("r", "s", "t"))
+        fractional = range(2, 8) if trial % 2 else None
+        scenario = random_scenario(rng, n, resources=("r", "s", "t"), denominators=fractional)
         streams = scenario.streams + tuple(
             rng.choice(scenario.streams) for _ in range(rng.randint(0, 6)))
         scenario = ExchangeScenario(n, streams, scenario.transport, scenario.transaction)
+        members = [i for i in range(n) if rng.random() < 0.8]
+        search = _RouteSearch(scenario, members)
+        lq, lg = search.lq, search.scale // search.lq
+        by_route, candidates = candidate_routes(scenario, members)
+        expected = []
+        for pair in candidates:
+            variables = [(oi, di, gain * lg, min(streams[oi].quantity, streams[di].quantity) * lq)
+                         for oi, di, gain in by_route[pair]]
+            fee = scenario.transaction[pair]
+            net = route_saving(scenario, by_route[pair]) - fee
+            if net > 0:
+                expected.append((pair, variables, fee * lg * lq, net * lg * lq))
+        assert [(r.pair, list(r.variables), r.fee, r.net) for r in search.routes] == expected
         pairs = compatible_pairs(scenario)
-        assert list(scenario._compatible_pairs()) == pairs
         transport = {k: v for k, v in scenario.transport.items() if rng.random() < 0.8}
         transaction = {k: v for k, v in scenario.transaction.items() if rng.random() < 0.9}
         expected = None
@@ -280,40 +298,46 @@ def ring_scenario(n):
 
 
 def test_route_lp_counts(lp_calls):
-    # a ring's routes share no stream: each is solved alone, and that is all
+    # a ring's routes share no stream, nor do any route's pairs: no LP at all
     game = scenario_to_game(ring_scenario(5))
-    assert len(lp_calls) == 5
+    assert len(lp_calls) == 0
     assert game.value(range(5)) == 5 * (8 * 5 - 3)
     lp_calls.clear()
     game = scenario_to_game(dense_scenario(3))  # 6 routes, 2^6 - 1 subsets
-    assert 6 < len(lp_calls) < 2**6 - 1
+    assert len(lp_calls) == 1  # the branch and bound's, once routes share streams
     assert check_superadditive(game) is None
     assert game.value({0, 1}) > 0
 
 
 @pytest.mark.parametrize("n, lps", [(4, 17), (5, 36), (6, 72), (7, 141)])
 def test_dense_lp_counts(lp_calls, n, lps):
-    # n (n - 1) routes, one resource: the README's counts, which also pin
-    # the relaxations' optimal vertices the branch and bound reads
+    # one resource, n (n - 1) routes: lps counts one LP per route alone plus
+    # the branch and bound's. Each route has one stream pair, so it is
+    # settled alone without an LP, and the branch and bound's alone remain:
+    # 5, 16, 42 and 99, the README's counts, which also pin the
+    # relaxations' optimal vertices the branch and bound reads
     scenario_to_game(dense_scenario(n))
-    assert len(lp_calls) == lps
+    assert len(lp_calls) == lps - n * (n - 1)
 
 
 def test_lp_budget_raises_bound_exceeded(lp_calls, monkeypatch):
     monkeypatch.setattr(symbio.exchange, "ENUMERATION_BOUND", 3)
-    scenario = dense_scenario(5)  # 20 routes, each solved alone first
+    scenario = dense_scenario(5)  # 20 routes, settled alone without an LP
     with pytest.raises(BoundExceeded, match="budget of 8 LPs"):
-        scenario_to_game(scenario)
+        scenario_to_game(scenario)  # inside the branch and bound, which needs 16
     assert len(lp_calls) == 2**3
+    # the plan takes two LPs, one in its search and one for its shipments
+    monkeypatch.setattr(symbio.exchange, "ENUMERATION_BOUND", 0)
     lp_calls.clear()
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match=r"budget of 1 LPs \(2\^0\)"):
         optimal_exchange_plan(scenario, range(5))
-    assert len(lp_calls) == 2**3
-    # the budget is per call: two firms need their two routes and one re-solve
+    assert len(lp_calls) == 1
+    # the budget is per call: two firms' routes share no stream, so their
+    # plan takes one LP, for its shipments
     lp_calls.clear()
     _, cost = optimal_exchange_plan(scenario, range(2))
     assert t_value(scenario, range(2)) - cost == 2 * (100 - 3)
-    assert len(lp_calls) == 3
+    assert len(lp_calls) == 1
 
 
 def test_game_and_plans_match_the_route_subset_oracle():
@@ -325,6 +349,62 @@ def test_game_and_plans_match_the_route_subset_oracle():
         for members in coalitions(scenario.n_agents):
             _, cost = optimal_exchange_plan(scenario, members)
             assert t_value(scenario, members) - cost == oracle.value(members)
+
+
+def test_fractional_data_matches_the_route_subset_oracle():
+    """Fraction quantities and costs (denominators 2-7), so that the search's
+    quantity scale lq and gain scale lg exceed 1: the game's table and each
+    coalition's plan cost equal the oracle's, which solves in Fractions."""
+    rng = random.Random(37)
+    routes = scaled = 0
+    for _ in range(40):
+        n = rng.choice([2, 3, 4, 5])
+        scenario = random_scenario(rng, n, max_qty=40, denominators=range(2, 8))
+        search = _RouteSearch(scenario, range(n))
+        routes += len(search.routes)
+        scaled += bool(search.routes) and search.lq > 1 and search.scale > search.lq
+        oracle = route_subset_game(scenario)
+        assert scenario_to_game(scenario).table == oracle.table
+        for members in coalitions(n):
+            _, cost = optimal_exchange_plan(scenario, members)
+            assert t_value(scenario, members) - cost == oracle.value(members)
+    assert routes >= 40 and scaled >= 20
+
+
+def test_game_build_makes_no_fraction_per_pair_or_row(lp_calls, monkeypatch):
+    """scenario_to_game works on ints: outside solve_lp, whose results are
+    Fractions, it makes at most one Fraction per LP (the relaxation's net
+    saving), none per compatible pair and none per LP row."""
+    made = []  # for each Fraction made, whether solve_lp made it
+    solving = [False]
+    original_new = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(solving[0])
+        return original_new.__func__(cls, *args, **kwargs)
+
+    solve = symbio.exchange.solve_lp  # the lp_calls spy
+    rows = []
+
+    def flagged(*args, **kwargs):
+        rows.append(len(kwargs["a_ub"]))
+        solving[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving[0] = False
+
+    monkeypatch.setattr(symbio.exchange, "solve_lp", flagged)
+    scenario = dense_scenario(5)  # 20 compatible pairs, all profitable
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        game = scenario_to_game(scenario)
+    finally:
+        Fraction.__new__ = original_new  # the staticmethod itself, as it was
+    assert Fraction.__dict__["__new__"] is original_new
+    assert game.value(range(5)) > 0 and len(lp_calls) == 16
+    assert made.count(False) <= len(lp_calls) < sum(rows)
+    assert made.count(True) > 0  # the spy sees the Fractions solve_lp returns
 
 
 def test_dense_six_firms_build():

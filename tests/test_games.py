@@ -94,7 +94,8 @@ def test_cancelling_denominators_are_reduced_before_the_lcm(monkeypatch):
     own, which cancels in T(S) - O(S). Unreduced, the lcm of the 30 products
     (about 200,000 bits) would still fit a 10-agent table's budget (2^18
     bits a value), and every entry would be scaled over it; reduced value by
-    value first, the table reaches ISNGame over denominator 1."""
+    value first, the table reaches ISNGame over denominator 1, which takes
+    no gcd of a table built by _scaled."""
     n = 10
     t, o = {}, {}
     for k, mask in enumerate(m for m in range(1 << n) if m.bit_count() >= 2):
@@ -108,7 +109,7 @@ def test_cancelling_denominators_are_reduced_before_the_lcm(monkeypatch):
     lowest = games._lowest
     monkeypatch.setattr(games, "_lowest", lambda scaled, d: handed.append(d) or lowest(scaled, d))
     game = make_isn_game(n, t, o)
-    assert handed == [1]
+    assert handed == [] and game.denominator == 1
     assert game.scaled == tuple(m if m.bit_count() >= 2 else 0 for m in range(1 << n))
 
 
@@ -480,8 +481,8 @@ def test_scaled_table_bound(monkeypatch):
 def test_every_builder_scales_to_lowest_terms(monkeypatch):
     """ISNGame.from_table, ISNGame.from_values, make_isn_game with O = 0
     and game_from_masks build equal ints over an equal denominator, and
-    every table they hand to ISNGame is in lowest terms already: _lowest
-    finds gcd 1 each time, so _scaled's output needs no second reduction."""
+    every table they build is in lowest terms (gcd 1) although none of them
+    calls _lowest: _scaled's output needs no second reduction."""
     import random
 
     rng = random.Random(67)
@@ -503,7 +504,12 @@ def test_every_builder_scales_to_lowest_terms(monkeypatch):
                  game_from_masks(n, t_columns, o_columns)]
         for game in built:
             assert game.scaled == source.scaled and game.denominator == source.denominator
-    assert found == [1] * (4 * len(sources))
+            assert type(game.scaled) is tuple and gcd(game.denominator, *game.scaled) == 1
+    assert found == []
+    # the public constructor still reduces: the same ints over twice the denominator
+    game = ISNGame(n, tuple(2 * v for v in source.scaled), 2 * source.denominator)
+    assert found == [2 * gcd(source.denominator, *source.scaled)]
+    assert game == source
 
 
 def test_rescaling_a_built_table_keeps_the_bit_budget(monkeypatch):

@@ -87,11 +87,14 @@ def test_feasibility_lp_takes_no_objective():
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), True])
-@pytest.mark.parametrize("where", ["c", "a_ub", "b_eq"])
+@pytest.mark.parametrize("where", ["c", "a_ub", "b_eq", "int_row"])
 def test_only_ints_and_fractions(bad, where):
     # a float would enter as its binary value: 0.1 is 3602879701896397/2^55
     args = {"c": [0], "a_ub": [[1]], "b_ub": [1], "a_eq": [[1]], "b_eq": [1]}
-    args[where] = [[bad]] if where.startswith("a_") else [bad]
+    if where == "int_row":  # one bad cell among ints, past the all-int check
+        args.update(c=[0, 0, 0], a_ub=[[1, bad, 2]], a_eq=[[1, 1, 1]])
+    else:
+        args[where] = [[bad]] if where.startswith("a_") else [bad]
     with pytest.raises(TypeError, match=type(bad).__name__):
         solve_lp(**args)
 
