@@ -31,7 +31,7 @@ file is read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms by one printer,
-games.fraction_text (value rows straight from a game's ints), which raises
+games.fraction_text (value rows and shares straight from ints), which raises
 BoundExceeded for a number longer than the interpreter writes. Exit codes:
 0 success, 2 validation failure, 3 enumeration bound exceeded.
 """
@@ -56,7 +56,7 @@ from .games import (
     fraction_text, game_from_masks, members_of, money_terms, plain_terms, subgame,
 )
 from .mcnets import from_isn_game
-from .solutions import core_nonempty, in_core, is_implementable, shapley
+from .solutions import _in_core, _shapley_terms, core_nonempty, is_implementable
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,9 @@ def _coalition_key(names, s) -> str:
     return ",".join(names[i] for i in sorted(s))
 
 
-def _allocation(names, x) -> dict:
-    return {names[i]: fraction_text(v) for i, v in enumerate(x)}
+def _allocation(names, x, den: int = 1) -> dict:
+    """{name: x_i / den}, for ints or Fractions x_i."""
+    return {names[i]: fraction_text(v, den) for i, v in enumerate(x)}
 
 
 def _keys(names) -> "list[str]":
@@ -278,7 +279,7 @@ def cmd_analyze(scenario: Scenario, violation) -> dict:
     """violation is check_superadditive's result for scenario.game."""
     game = scenario.game
     names = scenario.agents
-    phi = shapley(game)
+    phi = _shapley_terms(game)
     core = core_nonempty(game)
     return {
         "command": "analyze",
@@ -289,22 +290,22 @@ def cmd_analyze(scenario: Scenario, violation) -> dict:
         "superadditive_counterexample": None
         if violation is None
         else [_coalition_key(names, violation[0]), _coalition_key(names, violation[1])],
-        "shapley": _allocation(names, phi),
+        "shapley": _allocation(names, *phi),
         "core": {
             "nonempty": core.nonempty,
             "witness": None if core.witness is None else _allocation(names, core.witness),
         },
-        "implementable": in_core(game, phi),
+        "implementable": _in_core(game, *phi),
     }
 
 
 def cmd_shapley(scenario: Scenario) -> dict:
-    phi = shapley(scenario.game)
+    phi, den = _shapley_terms(scenario.game)
     return {
         "command": "shapley",
         "agents": list(scenario.agents),
-        "shapley": _allocation(scenario.agents, phi),
-        "total": fraction_text(sum(phi, Fraction(0))),
+        "shapley": _allocation(scenario.agents, phi, den),
+        "total": fraction_text(sum(phi), den),
     }
 
 
@@ -374,7 +375,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         "incentive_rules": [_rule_entry(names, r) for r in net.rules],
         "coordinated_values": _value_rows(scenario.keys, coordinated),
         "group_verdicts": verdicts,
-        "coordinated_shapley": _allocation(names, shapley(coordinated)),
+        "coordinated_shapley": _allocation(names, *_shapley_terms(coordinated)),
     }
 
 

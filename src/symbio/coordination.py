@@ -12,8 +12,9 @@ members get alone. Incentive rules use the exact-group pattern
 A coordinated game holds its worths as ints over one denominator, like
 ISNGame: the base game's ints, rewritten over the lcm of its denominator
 and the rules' only when a rule brings a new one, with each rule's value
-added as an int. Promotion subsidies are priced on those ints
-(games.scaled_shares); no table of Fractions is made on the way.
+added as an int. Promotion subsidies are priced on the subgame's ints and
+its Shapley value's (solutions._shapley_terms); no table is rescaled and
+no table of Fractions is made on the way.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from typing import Iterable
 
 from .errors import SymbioError
 from .games import (
-    ISNGame, _lowest, _rescale, as_money, check_roster, coalition, mask_of, scaled_shares,
-    subgame,
+    ISNGame, _check_bits, _lowest, as_money, check_roster, coalition, mask_of, subgame
 )
 from .mcnets import MCNet, MCNetRule, compose, from_isn_game
-from .solutions import shapley
+from .solutions import _shapley_terms, _sums
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,11 @@ class CoordinatedGame:
             raise SymbioError(f"game has {n} agents, incentives {self.incentives.n_agents}")
         table, d = self.base.scaled, self.base.denominator
         new = lcm(d, *(rule.value.denominator for rule in self.incentives.rules))
-        table = list(table) if new == d else _rescale(table, d, new)[0]
+        if new == d:
+            table = list(table)
+        else:
+            _check_bits(len(table), new)
+            table = [v * (new // d) for v in table]
         for rule in self.incentives.rules:
             value = rule.value.numerator * (new // rule.value.denominator)
             # the rule applies to positive | t for every t outside both patterns
@@ -120,22 +124,24 @@ def synthesize_promotion(game, target: Iterable[int]):
     subsets untouched, so the smallest sufficient subsidy is
     max over proper nonempty S of (v(S) - shapley(S)) * |target| / |S|,
     clamped at zero. When zero, no rule is emitted (rule is None). The
-    scan runs on ints over one denominator (games.scaled_shares).
+    scan compares v(S) k! with the Shapley shares' sum, both ints over k! d
+    (solutions._shapley_terms).
     """
     target = coalition(target)
     if len(target) < 2:
         raise SymbioError("promotion targets need at least two members")
     sub = subgame(game, target)
-    vals, shares, d = scaled_shares(sub, shapley(sub))
+    phi, den = _shapley_terms(sub)
+    shares, vals, f = _sums(phi), sub.scaled, den // sub.denominator  # f = k!
     k = sub.n_agents
-    gap, size = 0, 1  # the largest (v(S) - shapley(S)) / |S| so far is gap / (size d)
+    gap, size = 0, 1  # the largest (v(S) - shapley(S)) / |S| so far is gap / (size den)
     for mask in range(1, (1 << k) - 1):
-        g = vals[mask] - shares[mask]
+        g = vals[mask] * f - shares[mask]
         if g * size > gap * mask.bit_count():
             gap, size = g, mask.bit_count()
     if not gap:
         return None, Fraction(0)
-    needed = Fraction(gap * k, size * d)
+    needed = Fraction(gap * k, size * den)
     rest = frozenset(range(game.n_agents)) - target
     return MCNetRule(target, rest, needed), needed
 

@@ -26,15 +26,16 @@ denominator column, reduces each value by one gcd and writes it over the
 lcm, making no Fraction; a table whose 2^n entries times the bit length of
 that lcm pass SCALED_BITS (2^28) bits raises BoundExceeded while it is
 built. game_from_masks and ISNGame.from_values hand it columns (from
-coalition keys, _columns, or the CLI's masks), ISNGame.from_table and
-scaled_shares their Fractions' terms. Subgames and coordinated games
-derive their ints from their parent's.
+coalition keys, _columns, or the CLI's masks), ISNGame.from_table its
+Fractions' terms. Subgames and coordinated games derive their ints from
+their parent's.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
-promotion subsidy elsewhere) read those ints and return Fractions; only an
-allocation is scaled onto the table (scaled_shares). check_superadditive
-tries an O(n^2 2^n) convexity certificate (is_supermodular) before its
-3^n / 2 pair walk. Reports print every rational through fraction_text.
+promotion subsidy elsewhere) read those ints as they are; no table is
+rescaled to meet an allocation, which solutions keeps as ints over a
+denominator of its own. check_superadditive tries an O(n^2 2^n) convexity
+certificate (is_supermodular) before its 3^n / 2 pair walk. Reports print
+every rational through fraction_text.
 """
 
 from __future__ import annotations
@@ -247,34 +248,6 @@ def _scaled(nums, dens) -> "tuple[list[int], int]":
     if d != 1:
         nums = list(map(mul, nums, map(d.__floordiv__, dens)))
     return nums, d
-
-
-def scaled_shares(game, x) -> "tuple[list[int], list[int], int]":
-    """(vals, shares, d): the game's values, and x(S) = sum of x_i over i in
-    S for every mask S, as ints over one denominator d, the lcm of the
-    game's denominator and x's.
-
-    x is scaled by _scaled, like a table. The game's ints are rescaled only
-    when x brings a new denominator, and then d is held to SCALED_BITS as
-    by _scaled. shares is built one agent at a time: the masks holding
-    agent i are those without it, each plus x_i.
-    """
-    xs, dx = _scaled([xi.numerator for xi in x], [xi.denominator for xi in x])
-    vals, d = game.scaled, game.denominator
-    if d % dx:
-        vals, d = _rescale(vals, d, lcm(d, dx))
-    shares = [0]
-    for xi in xs:
-        xi *= d // dx
-        shares += [s + xi for s in shares]
-    return vals, shares, d
-
-
-def _rescale(vals, d: int, new: int) -> "tuple[list[int], int]":
-    """(vals over `new`, new): ints over d written over a multiple of d,
-    checked against SCALED_BITS first."""
-    _check_bits(len(vals), new)
-    return [v * (new // d) for v in vals], new
 
 
 def _lowest(scaled, d) -> "tuple[tuple, int]":

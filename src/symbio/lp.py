@@ -18,17 +18,18 @@ negative right-hand side is negated, so its slack coefficient is -1 and
 its artificial's +1: at every basis that artificial's column is minus its
 slack's, and in phase one its cost is 1 - the slack's.
 
-The tableau is a fraction-free dictionary (Tucker's condensed tableau, as
-in Avis's lrs). Basic columns are unit vectors and are not stored: a row
-is Python ints [cell per stored column, rhs, scale], scale > 0, with true
-values cell / scale, kept primitive; tableau.cols names the logical
-column in each slot. The cost row has the same layout, -objective in its
-rhs cell. Of a mirrored slack/artificial pair, a member whose partner is
-basic is minus that row's unit column; it is not stored, and its
-phase-one cost is 1, so it never enters. When both are nonbasic only the
-slack is stored; the artificial is read off it, cells negated and cost
-cell scale - d_s. So exactly n columns are stored for n variables, and a
-row is n + 2 ints whatever the number of rows.
+The tableau is a fraction-free dictionary (Tucker's condensed tableau,
+as in Avis's lrs). Basic columns are unit vectors and are not stored: a
+row is Python ints [cell per stored column, rhs, scale], scale > 0, with
+true values cell / scale, kept primitive, and 1 as the input's int rows
+start; tableau.cols names the logical column in each slot. The cost row
+has the same layout, -objective in its rhs cell. Of a mirrored
+slack/artificial pair, a member whose partner is basic is minus that
+row's unit column; it is not stored, and its phase-one cost is 1, so it
+never enters. When both are nonbasic only the slack is stored; the
+artificial is read off it, cells negated and cost cell scale - d_s. So
+exactly n columns are stored for n variables, and a row is n + 2 ints
+whatever the number of rows.
 
 A pivot on cell pc > 0 swaps the entering and leaving columns in the
 entering column's slot. The pivot row keeps its cells, takes its old
@@ -51,8 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,13 @@ class _Tableau(list):
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
     """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    Inputs are ints or Fractions. A feasibility LP (an equality row or a
-    negative right-hand side) must have c = 0, else ValueError.
+    Inputs are ints; any other type, a Fraction, float, str, bool or Decimal
+    included, raises TypeError. Rational data enters as each row scaled by
+    a positive common multiple of its denominators (and c likewise), which
+    moves no pivot. A feasibility LP (an equality row or a negative
+    right-hand side) must have c = 0, else ValueError.
     """
-    c = [_exact(v) for v in c]
+    c = _ints(c)
     n = len(c)
 
     # Slack k belongs to <= row k. Each row starts with its slack basic, or
@@ -127,32 +130,26 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
     return LPResult("optimal", tuple(x), value)
 
 
-def _exact(v):
-    """v if it is an int or Fraction; no float or text enters (TypeError)."""
-    if type(v) is int or type(v) is Fraction:
-        return v
-    raise TypeError(f"LP coefficients are ints or Fractions, not {type(v).__name__}")
+def _ints(values) -> list:
+    """values as a list of ints, by one type test; anything else raises TypeError."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    bad = next(v for v in values if type(v) is not int)
+    raise TypeError(f"LP coefficients are ints, not {type(bad).__name__}")
 
 
 def _dictionary_row(coeffs, rhs, n):
-    """(row, negated): coeffs and rhs as a primitive dictionary row over
-    their common denominator, negated when rhs < 0 so that the row's basic
-    slack or artificial enters it as +1. An all-int row is read with one
-    type check; any other has each cell checked by _exact."""
-    row = [*coeffs, rhs]
-    if set(map(type, row)) == {int}:
-        scale = 1
-    else:
-        row = [_exact(v) for v in row]
-        scale = reduce(lcm, (v.denominator for v in row))
-        row = [v.numerator * (scale // v.denominator) for v in row]
+    """(row, negated): coeffs and rhs as a dictionary row of scale 1,
+    negated when rhs < 0 so that the row's basic slack or artificial enters
+    it as +1."""
+    row = _ints([*coeffs, rhs])
     if len(row) != n + 1:
         raise ValueError("constraint width does not match objective")
     negated = row[-1] < 0
     if negated:
         row = [-v for v in row]
-    row.append(scale)
-    return _primitive(row), negated
+    return row + [1], negated
 
 
 def _primitive(row):
@@ -169,22 +166,14 @@ def _slot(tableau, col):
 
 
 def _reduced_row(cost, tableau, basis):
-    """The cost row over the stored columns: ints plus a last scale cell.
-
-    cost lists every logical column's cost (ints or Fractions). The true
-    cost row is obj[:-1] / obj[-1], its rhs cell -objective; it is summed
-    over one lcm of the costs' denominators and the scales of the rows
-    with a basic column that costs something.
-    """
-    d = reduce(lcm, (v.denominator for v in cost), 1)
-    cost = [v.numerator * (d // v.denominator) for v in cost]
-    terms = [(tableau[i], cost[b]) for i, b in enumerate(basis) if cost[b]]
-    scale = reduce(lcm, (row[-1] for row, _ in terms), 1)
-    obj = [cost[col] * scale for col in tableau.cols] + [0]
-    for row, cb in terms:
-        f = cb * (scale // row[-1])
-        obj = [o - f * v for o, v in zip(obj, row)]
-    return _primitive(obj + [d * scale])
+    """The cost row over the stored columns of the starting dictionary,
+    whose rows all have scale 1: ints, its rhs cell -objective, and scale 1.
+    cost lists every logical column's cost, as ints."""
+    obj = [cost[col] for col in tableau.cols] + [0]
+    for row, b in zip(tableau, basis):
+        if cost[b]:
+            obj = [o - cost[b] * v for o, v in zip(obj, row)]
+    return obj + [1]
 
 
 def _entering(tableau, obj):

@@ -10,22 +10,21 @@ with the tests, not here.
 
 Functions read a game's n_agents and its mask-indexed `scaled` ints over
 `denominator` (the lcm of its values' denominators), empty set and
-singletons included; ISNGame and CoordinatedGame both qualify, and
-neither table is rescaled here. Answers come back as Fractions. Only an
-allocation with a denominator new to the table makes `in_core` rewrite
-the table over a larger one (games.scaled_shares), which raises
-BoundExceeded past games.SCALED_BITS bits.
+singletons included; ISNGame and CoordinatedGame both qualify. No table
+is rescaled: an allocation is ints over a denominator of its own (the
+Shapley value's is n! d, _shapley_terms), and _in_core cross-multiplies
+each x(S) / dx with v(S) / d. Only public answers are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from operator import add, lt
+from math import factorial, gcd
+from operator import add, ge
 
 from .errors import SymbioError
-from .games import as_money, scaled_shares
+from .games import _check_bits, _scaled, money_terms
 from .lp import solve_lp
 
 
@@ -37,48 +36,77 @@ class CoreResult:
     witness: "tuple[Fraction, ...] | None" = None
 
 
-def shapley(game) -> "tuple[Fraction, ...]":
-    """phi_i = sum over S without i of w(|S|) (v(S+i) - v(S)) / n!, where
-    w(k) = k! (n-k-1)!.
+def _shapley_terms(game) -> "tuple[list[int], int]":
+    """(phi, n! d): phi_i = sum over S without i of w(|S|) (v(S+i) - v(S)) / n!,
+    where w(k) = k! (n-k-1)!, as ints over n! d for the game's denominator d.
 
     Summed per coalition instead of per marginal: S enters n! phi_i with
     weight w(|S|-1) when it holds i and -w(|S|) when it does not, so n! phi_i
     is the sum over S holding i of (w(|S|-1) + w(|S|)) v(S), less the sum of
-    w(|S|) v(S) over all S. The sums run on the game's ints over its
-    denominator d and are divided once, by n! d. Agent n-1's sum is over
-    the upper half of the weighted table; adding that half onto the lower
-    one leaves the same sums for agents 0..n-2, so the pass costs O(2^n)
-    list operations.
+    w(|S|) v(S) over all S. The sums run on the game's ints over d. Agent
+    n-1's sum is over the upper half of the weighted table; adding that half
+    onto the lower one leaves the same sums for agents 0..n-2, so the pass
+    costs O(2^n) list operations.
     """
     n = game.n_agents
-    vals, d = game.scaled, game.denominator
+    vals = game.scaled
     # w[n] = 0: no coalition without i has n members (w[-1], read for the
     # empty set, which holds no agent, is that 0 too)
     w = [factorial(k) * factorial(n - k - 1) for k in range(n)] + [0]
     sizes = [mask.bit_count() for mask in range(1 << n)]
     outside = sum(w[k] * v for k, v in zip(sizes, vals))
     weighted = [(w[k - 1] + w[k]) * v for k, v in zip(sizes, vals)]
-    phi = [None] * n
+    phi = [0] * n
     for i in reversed(range(n)):
         lower, upper = weighted[: 1 << i], weighted[1 << i :]
-        phi[i] = Fraction(sum(upper) - outside, factorial(n) * d)
+        phi[i] = sum(upper) - outside
         weighted = list(map(add, lower, upper))
-    return tuple(phi)
+    return phi, factorial(n) * game.denominator
+
+
+def shapley(game) -> "tuple[Fraction, ...]":
+    """The Shapley allocation, one Fraction per agent (_shapley_terms)."""
+    phi, den = _shapley_terms(game)
+    return tuple(Fraction(v, den) for v in phi)
+
+
+def _sums(xs) -> "list[int]":
+    """x(S), the sum of x_i over i in S, for every mask S: the masks holding
+    agent i are those without it, each plus x_i."""
+    sums = [0]
+    for x in xs:
+        sums += [s + x for s in sums]
+    return sums
+
+
+def _in_core(game, xs, dx) -> bool:
+    """Whether the allocation xs / dx is in the game's core: x(S) >= v(S) for
+    every S, with equality for the grand coalition. With g = gcd(d, dx),
+    x(S) / dx >= v(S) / d is x(S) (d / g) >= v(S) (dx / g), one product a
+    side per coalition and none stored."""
+    g = gcd(game.denominator, dx)
+    a, b = game.denominator // g, dx // g
+    sums, vals = _sums(xs), game.scaled
+    full = len(sums) - 1
+    return sums[full] * a == vals[full] * b and all(
+        map(ge, map(a.__mul__, sums[1:full]), map(b.__mul__, vals[1:full])))
 
 
 def in_core(game, x) -> bool:
     """Efficiency plus every coalition getting at least its own worth.
 
     Weak inequalities: an allocation exactly on a constraint boundary is
-    in the core. Compared on ints over one denominator (games.scaled_shares).
+    in the core. x is read by games.money_terms and scaled by games._scaled
+    over its own denominator, held to SCALED_BITS for the 2^n sums _in_core
+    makes of it.
     """
     n = game.n_agents
-    x = tuple(as_money(v) for v in x)
-    if len(x) != n:
-        raise SymbioError(f"allocation has {len(x)} entries, game has {n} agents")
-    vals, shares, _ = scaled_shares(game, x)
-    full = (1 << n) - 1
-    return shares[full] == vals[full] and not any(map(lt, shares[1:full], vals[1:full]))
+    terms = [money_terms(v) for v in x]
+    if len(terms) != n:
+        raise SymbioError(f"allocation has {len(terms)} entries, game has {n} agents")
+    xs, dx = _scaled([num for num, _ in terms], [den for _, den in terms])
+    _check_bits(1 << n, dx)
+    return _in_core(game, xs, dx)
 
 
 def core_nonempty(game) -> CoreResult:
@@ -87,13 +115,14 @@ def core_nonempty(game) -> CoreResult:
     A feasibility LP (c = 0) in the slack above singleton worths: rows for
     proper coalitions worth more than their members alone, one efficiency
     equality; the point where phase one stops is the witness. The rows are
-    ints over the table's denominator d (games.scaled_shares), which scales
-    every right-hand side by d and moves no pivot.
+    the table's ints over its denominator d, which scales every right-hand
+    side by d and moves no pivot.
     """
     n = game.n_agents
     full = (1 << n) - 1
+    vals, d = game.scaled, game.denominator
     # alone[S]: the members' standalone worths, summed
-    vals, alone, d = scaled_shares(game, [game.value({i}) for i in range(n)])
+    alone = _sums([vals[1 << i] for i in range(n)])
     budget = vals[full] - alone[full]
     if budget < 0:
         return CoreResult(False)
@@ -114,4 +143,4 @@ def core_nonempty(game) -> CoreResult:
 
 def is_implementable(game) -> bool:
     """Fair and stable at once: the Shapley allocation lies in the core."""
-    return in_core(game, shapley(game))
+    return _in_core(game, *_shapley_terms(game))

@@ -5,6 +5,7 @@ vertex enumeration, integer grid search, constraint checks) without going
 through the library code paths under test, so agreement is meaningful.
 """
 
+import contextlib
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -16,7 +17,7 @@ from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import (
     ENUMERATION_BOUND, ISNGame, _check_agent_count, mask_of, members_of, subgame,
 )
-from symbio.lp import LPResult, solve_lp
+from symbio.lp import LPResult
 from symbio.mcnets import MCNet, MCNetRule
 from symbio.solutions import CoreResult
 
@@ -269,7 +270,9 @@ def _route_subsets(scenario, members):
 
 
 def route_saving(scenario, variables):
-    """Most total per-unit saving over stream capacity constraints."""
+    """Most total per-unit saving over stream capacity constraints, solved
+    by fraction_solve_lp on the Fraction data, independent of the integer
+    kernel the exchange search runs on."""
     gains = [g for _, _, g in variables]
     caps = {}  # stream index -> row of the constraint matrix
     a_ub, b_ub = [], []
@@ -280,7 +283,7 @@ def route_saving(scenario, variables):
                 a_ub.append([0] * len(variables))
                 b_ub.append(scenario.streams[idx].quantity)
             a_ub[caps[idx]][k] = 1
-    return solve_lp(gains, a_ub=a_ub, b_ub=b_ub).objective
+    return fraction_solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True).objective
 
 
 def random_game(rng, n, lo=-8, hi=20):
@@ -697,3 +700,26 @@ def mirrored_pairs(c, a_ub=(), b_ub=()):
     start = len(c) + len(a_ub)
     slacks = [len(c) + k for k, b in enumerate(b_ub) if b < 0]
     return {start + t: slack for t, slack in enumerate(slacks)}
+
+
+@contextlib.contextmanager
+def fractions_made(tag=lambda: True):
+    """A list that gets tag() for each Fraction made in the block.
+
+    The spy sits on Fraction.__new__ itself: a spy on a module's name for
+    the class would miss the Fractions that Fraction arithmetic makes,
+    which never looks that name up.
+    """
+    made = []
+    original_new = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(tag())
+        return original_new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = original_new  # the staticmethod itself, as it was
+    assert Fraction.__dict__["__new__"] is original_new

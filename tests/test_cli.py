@@ -20,7 +20,7 @@ from symbio.games import ISNGame, check_superadditive, make_isn_game, members_of
 from symbio.mcnets import from_isn_game, net_shapley
 from symbio.solutions import in_core
 
-from helpers import perm_shapley
+from helpers import fractions_made, perm_shapley
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -629,19 +629,13 @@ def benchmark_halves_file(tmp_path, n):
 
 def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
     """symbio enforce on a 10-agent tables file builds each game's ints once:
-    it makes far fewer Fractions than the 1,024 coalitions, and scales one
-    2^n table, the file's, and otherwise only allocations (at most n
-    values)."""
+    it scales one 2^n table, the file's, and no allocation, and makes at most
+    11 Fractions, a few per policy group and none per coalition or share.
+    symbio analyze makes at most 3n + 1, all in the core LP's point and its
+    witness: the Shapley shares and the implementable check stay ints."""
     n = 10
     path = benchmark_halves_file(tmp_path, n)
-    made = [0]
     scaled_sizes = []
-    original_new = Fraction.__dict__["__new__"]
-
-    def counting_new(cls, *args, **kwargs):
-        made[0] += 1
-        return original_new.__func__(cls, *args, **kwargs)
-
     original_scaled = symbio.games._scaled
 
     def counting_scaled(nums, dens):
@@ -649,22 +643,46 @@ def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
         return original_scaled(nums, dens)
 
     monkeypatch.setattr(symbio.games, "_scaled", counting_scaled)
-    Fraction.__new__ = staticmethod(counting_new)
-    try:
+    with fractions_made() as made:
         code, out, err = run(capsys, "enforce", str(path), "--epsilon", "1/2")
-    finally:
-        Fraction.__new__ = original_new  # the staticmethod itself, as it was
     assert code == 0 and not err
     assert "coordinated values:" in out and "promoted {A,B,C,D,E}: implementable" in out
-    assert 0 < made[0] < 100
-    assert scaled_sizes.count(1 << n) == 1 and len(scaled_sizes) > 1
-    assert max(size for size in scaled_sizes if size != 1 << n) <= n
-    assert Fraction.__dict__["__new__"] is original_new
+    assert 0 < len(made) <= 11
+    assert scaled_sizes == [1 << n]
     # the value rows, printed from the ints, read as each T(S) - O(S) in lowest terms
-    code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+    with fractions_made() as made:
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
     tables = json.loads(path.read_text())["tables"]
     assert code == 0 and json.loads(out)["values"] == {
         key: str(t - Fraction(tables["O"][key])) for key, t in tables["T"].items()}
+    assert json.loads(out)["implementable"] and 0 < len(made) <= 3 * n + 1
+
+
+def test_shapley_makes_no_fraction(capsys, tmp_path):
+    """symbio shapley prints each share and the total from the ints over
+    n! d, making no Fraction at all."""
+    path = benchmark_halves_file(tmp_path, 10)
+    with fractions_made() as made:
+        code, out, err = run(capsys, "shapley", str(path))
+    assert code == 0 and not err and made == []
+    game = load_scenario(str(path)).game
+    assert out.splitlines()[-1] == f"total: {game.value(range(10))}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter writes ints of any length")
+def test_shapley_too_long_to_print_makes_no_fraction(capsys, tmp_path):
+    """8 agents whose 247 values each have their own 480-digit denominator:
+    the first share is too long to print, and symbio shapley exits 3 having
+    made no Fraction: no share is reduced before the printer stops at the
+    first."""
+    path = table_file(tmp_path, [f"F{i}" for i in range(8)], lambda mask: f"1/{10**479 + mask}")
+    with fractions_made() as made:
+        code, out, err = run(capsys, "shapley", str(path))
+    assert code == 3 and not out and made == []
+    assert err.endswith("error: bound exceeded: a reported number has more than "
+                        f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+                        "for writing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)\n")
 
 
 @pytest.mark.slow

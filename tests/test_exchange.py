@@ -18,8 +18,8 @@ from symbio.exchange import (
 from symbio.games import check_superadditive, coalitions
 
 from helpers import (
-    candidate_routes, compatible_pairs, dense_scenario, grid_plan_cost, random_scenario,
-    route_saving, route_subset_game,
+    candidate_routes, compatible_pairs, dense_scenario, fractions_made, grid_plan_cost,
+    random_scenario, route_saving, route_subset_game,
 )
 
 
@@ -320,6 +320,20 @@ def test_dense_lp_counts(lp_calls, n, lps):
     assert len(lp_calls) == lps - n * (n - 1)
 
 
+def test_pop_time_prune_skips_the_lp(lp_calls):
+    """A node whose bound is no better than a plan found since it was pushed
+    is dropped when popped, without its LP. No seed-1 benchmark file reaches
+    that prune; the 30th draw below (4 firms, 4 kept routes) reaches it
+    three times, and takes 9 LPs with it, 12 without."""
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        scenario = random_scenario(rng, n)
+    game = scenario_to_game(scenario)
+    assert n == 4 and len(lp_calls) == 9
+    assert game == route_subset_game(scenario)
+
+
 def test_lp_budget_raises_bound_exceeded(lp_calls, monkeypatch):
     monkeypatch.setattr(symbio.exchange, "ENUMERATION_BOUND", 3)
     scenario = dense_scenario(5)  # 20 routes, settled alone without an LP
@@ -375,14 +389,7 @@ def test_game_build_makes_no_fraction_per_pair_or_row(lp_calls, monkeypatch):
     """scenario_to_game works on ints: outside solve_lp, whose results are
     Fractions, it makes at most one Fraction per LP (the relaxation's net
     saving), none per compatible pair and none per LP row."""
-    made = []  # for each Fraction made, whether solve_lp made it
     solving = [False]
-    original_new = Fraction.__dict__["__new__"]
-
-    def counting_new(cls, *args, **kwargs):
-        made.append(solving[0])
-        return original_new.__func__(cls, *args, **kwargs)
-
     solve = symbio.exchange.solve_lp  # the lp_calls spy
     rows = []
 
@@ -396,12 +403,9 @@ def test_game_build_makes_no_fraction_per_pair_or_row(lp_calls, monkeypatch):
 
     monkeypatch.setattr(symbio.exchange, "solve_lp", flagged)
     scenario = dense_scenario(5)  # 20 compatible pairs, all profitable
-    Fraction.__new__ = staticmethod(counting_new)
-    try:
+    # for each Fraction made, whether solve_lp made it
+    with fractions_made(lambda: solving[0]) as made:
         game = scenario_to_game(scenario)
-    finally:
-        Fraction.__new__ = original_new  # the staticmethod itself, as it was
-    assert Fraction.__dict__["__new__"] is original_new
     assert game.value(range(5)) > 0 and len(lp_calls) == 16
     assert made.count(False) <= len(lp_calls) < sum(rows)
     assert made.count(True) > 0  # the spy sees the Fractions solve_lp returns

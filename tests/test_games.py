@@ -514,11 +514,12 @@ def test_every_builder_scales_to_lowest_terms(monkeypatch):
 
 def test_rescaling_a_built_table_keeps_the_bit_budget(monkeypatch):
     """A game's table over 105 (7 bits, 8 entries) is scaled once, when it
-    is built. Only a denominator new to it rescales it, held to
-    games.SCALED_BITS: a rule in halves in a CoordinatedGame and an
-    allocation in halves in in_core (over 210, 8 bits), and the Shapley
-    value in the subsidy scan (over 630, 10 bits). An allocation in thirds
-    divides 105 and rescales nothing."""
+    is built. Only a rule with a new denominator rescales it, held to
+    games.SCALED_BITS: a rule in halves in a CoordinatedGame (over 210,
+    8 bits). in_core rescales no table: it scales the allocation alone,
+    over the allocation's own denominator, held to the same budget for its
+    2^n sums (halves, thirds and sixths over 6, 3 bits). The subsidy scan
+    scales nothing, so it runs on a budget below the table's own."""
     values = {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 5), (1, 2): Fraction(2, 7),
               (0, 1, 2): 1}
     game = ISNGame.from_values(3, values)
@@ -526,15 +527,16 @@ def test_rescaling_a_built_table_keeps_the_bit_budget(monkeypatch):
     for bits, rescale, result in [
         (8, lambda: CoordinatedGame(game, MCNet(3, (MCNetRule({0, 1}, {2}, Fraction(1, 2)),))
                                     ).denominator, 210),
-        (8, lambda: in_core(game, halves), True),
-        (10, lambda: synthesize_promotion(game, {0, 1, 2}), (None, 0)),
+        (3, lambda: in_core(game, halves), True),
     ]:
         monkeypatch.setattr(games, "SCALED_BITS", 8 * bits)
         assert rescale() == result
         monkeypatch.setattr(games, "SCALED_BITS", 8 * bits - 1)
         with pytest.raises(BoundExceeded, match=f"needs more than {bits - 1} bits"):
             rescale()
-        assert in_core(game, (Fraction(1, 3), 0, Fraction(2, 3)))
+    monkeypatch.setattr(games, "SCALED_BITS", 8 * 2)
+    assert in_core(game, (Fraction(1, 3), 0, Fraction(2, 3)))  # over 3, 2 bits
+    assert synthesize_promotion(game, {0, 1, 2}) == (None, 0)
     monkeypatch.setattr(games, "SCALED_BITS", 8 * 7)
     assert ISNGame.from_values(3, values) == game
 

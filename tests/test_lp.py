@@ -3,7 +3,7 @@ from collections import Counter
 from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -43,7 +43,7 @@ def test_equalities():
 
 def test_exact_fractional_boundary():
     # the point is exactly 1/3; a float solver could land on either side
-    r = solve_lp([0], a_ub=[[-1]], b_ub=[Fraction(-1, 3)])
+    r = solve_lp([0], a_ub=[[-3]], b_ub=[-1])  # x >= 1/3, times 3
     assert r.x == (Fraction(1, 3),)
     r = solve_lp([1], a_ub=[[3]], b_ub=[1])
     assert r.x == (Fraction(1, 3),)
@@ -81,15 +81,17 @@ def test_feasibility_lp_takes_no_objective():
     with pytest.raises(ValueError, match="c = 0"):
         solve_lp([1], a_ub=[[-1]], b_ub=[-1])
     with pytest.raises(ValueError, match="c = 0"):
-        solve_lp([0, Fraction(1, 2)], a_eq=[[1, 1]], b_eq=[1])
+        solve_lp([0, 1], a_eq=[[1, 1]], b_eq=[1])
     # the same rows with b >= 0 and no equality row: an optimization LP
     assert solve_lp([-1], a_ub=[[-1]], b_ub=[0]) == LPResult("optimal", (0,), 0)
 
 
-@pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), True])
+@pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), True, Fraction(1, 3)])
 @pytest.mark.parametrize("where", ["c", "a_ub", "b_eq", "int_row"])
 def test_only_ints_and_fractions(bad, where):
-    # a float would enter as its binary value: 0.1 is 3602879701896397/2^55
+    # only ints: a float would enter as its binary value (0.1 is
+    # 3602879701896397/2^55), and rational data enters as rows scaled by a
+    # positive lcm (_int_lp), so a Fraction is refused as well
     args = {"c": [0], "a_ub": [[1]], "b_ub": [1], "a_eq": [[1]], "b_eq": [1]}
     if where == "int_row":  # one bad cell among ints, past the all-int check
         args.update(c=[0, 0, 0], a_ub=[[1, bad, 2]], a_eq=[[1, 1, 1]])
@@ -130,9 +132,11 @@ def test_drive_out_pivot_on_negative_entry():
 def test_no_constraints(c, maximize, expected):
     assert fraction_solve_lp(c, maximize=maximize) == expected
     sense = 1 if maximize else -1
-    r = solve_lp([sense * v for v in c])
+    scale = lcm(*(Fraction(v).denominator for v in c))
+    r = solve_lp([int(sense * scale * v) for v in c])
     assert (r.status, r.x) == (expected.status, expected.x)
-    assert r.objective == (None if expected.objective is None else sense * expected.objective)
+    assert r.objective == (None if expected.objective is None
+                           else sense * scale * expected.objective)
 
 
 # kwargs are the oracle's: maximize for an optimization LP
@@ -157,6 +161,22 @@ def test_results_are_fractions_in_lowest_terms(args, kwargs):
 
 
 # ------------------------------------------------------- differential oracle
+
+
+def _int_row(values) -> list:
+    """values times the lcm of their denominators, as ints: a positive
+    scale, so a row keeps its constraint and c its optimal points."""
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * scale) for v in values]
+
+
+def _int_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """An LP of rationals as solve_lp takes it: c, and each constraint row
+    with its right-hand side, scaled by its own lcm (_int_row)."""
+    ub = [_int_row([*a, b]) for a, b in zip(a_ub, b_ub)]
+    eq = [_int_row([*a, b]) for a, b in zip(a_eq, b_eq)]
+    return (_int_row(c), [r[:-1] for r in ub], [r[-1] for r in ub],
+            [r[:-1] for r in eq], [r[-1] for r in eq])
 
 
 def _rational(rng, lo=-6, hi=6):
@@ -215,13 +235,14 @@ def test_matches_fraction_tableau_on_random_lps():
     """Same results, and the same pivots: every (row, entering column,
     leaving column, pivot element) in order, up to where the oracle's
     two-phase simplex goes on to drive zero-level artificials out of a
-    feasibility LP's basis."""
+    feasibility LP's basis. Both solve the same int rows (_int_lp)."""
     rng = random.Random(20180419)
     seen = Counter()
     paths = Counter()
     for k in range(1500):
         feasibility = k % 2 == 0
         args, kwargs = _random_lp(rng, feasibility)
+        args = _int_lp(*args)
         r, pivots = traced_pivots(lp, lambda: solve_lp(*args))
         expected, oracle_pivots, drive_outs = traced_oracle(lambda: fraction_solve_lp(*args, **kwargs))
         assert (r.status, r.x, r.objective) == astuple(expected), (args, kwargs)
