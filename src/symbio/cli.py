@@ -53,7 +53,7 @@ from .exchange import (
 )
 from .games import (
     INT_LIMIT, MAX_DIGITS, ISNGame, _check_agent_count, as_money, check_superadditive,
-    fraction_text, game_from_masks, members_of, money_terms, plain_terms, subgame,
+    fraction_text, game_from_masks, mask_of, members_of, money_terms, plain_terms, subgame,
 )
 from .mcnets import from_isn_game
 from .solutions import _in_core, _shapley_terms, core_nonempty, is_implementable
@@ -212,7 +212,7 @@ def load_scenario(path: str) -> Scenario:
     except BoundExceeded:
         raise
     except SymbioError as e:
-        raise SymbioError(e.describe(lambda s: f"{{{_coalition_key(names, s)}}}")) from None
+        raise SymbioError(e.describe(lambda s: f"{{{keys[mask_of(s)]}}}")) from None
     return Scenario(names, game, policy, "tables" if "tables" in doc else "exchange", keys)
 
 
@@ -247,10 +247,6 @@ def _parse_exchange(raw, ids) -> ExchangeScenario:
 
 
 # ---------------------------------------------------------------- reports
-
-
-def _coalition_key(names, s) -> str:
-    return ",".join(names[i] for i in sorted(s))
 
 
 def _allocation(names, x, den: int = 1) -> dict:
@@ -289,7 +285,7 @@ def cmd_analyze(scenario: Scenario, violation) -> dict:
         "superadditive": violation is None,
         "superadditive_counterexample": None
         if violation is None
-        else [_coalition_key(names, violation[0]), _coalition_key(names, violation[1])],
+        else [scenario.keys[mask_of(s)] for s in violation],
         "shapley": _allocation(names, *phi),
         "core": {
             "nonempty": core.nonempty,
@@ -340,8 +336,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     policy = scenario.policy
     if policy is None:
         raise SymbioError("no policy section in scenario file")
-    game = scenario.game
-    names = scenario.agents
+    game, names, keys = scenario.game, scenario.agents, scenario.keys
     net = enforce_policy(game, policy, epsilon)
     coordinated = CoordinatedGame(game, net)
     subsidy_of = {rule.positive: rule.value for rule in net.rules if rule.value > 0}
@@ -349,7 +344,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     verdicts = []
     for grp in policy.promoted:
         verdicts.append({
-            "group": _coalition_key(names, grp),
+            "group": keys[mask_of(grp)],
             "label": "promoted",
             "subsidy": fraction_text(subsidy_of.get(grp, 0)),
             "implementable": is_implementable(subgame(coordinated, grp)),
@@ -357,7 +352,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     for grp in policy.prohibited:
         cv = coordinated.value(grp)
         verdicts.append({
-            "group": _coalition_key(names, grp),
+            "group": keys[mask_of(grp)],
             "label": "prohibited",
             "coordinated_value": fraction_text(cv),
             "blocked": cv < 0,
@@ -369,11 +364,11 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         "source": scenario.source,
         "epsilon": fraction_text(epsilon),
         "policy": {
-            "promoted": [_coalition_key(names, g) for g in policy.promoted],
-            "prohibited": [_coalition_key(names, g) for g in policy.prohibited],
+            "promoted": [keys[mask_of(g)] for g in policy.promoted],
+            "prohibited": [keys[mask_of(g)] for g in policy.prohibited],
         },
         "incentive_rules": [_rule_entry(names, r) for r in net.rules],
-        "coordinated_values": _value_rows(scenario.keys, coordinated),
+        "coordinated_values": _value_rows(keys, coordinated),
         "group_verdicts": verdicts,
         "coordinated_shapley": _allocation(names, *_shapley_terms(coordinated)),
     }
@@ -461,17 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
         "industrial symbiosis scenarios.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_epsilon in [
-        ("analyze", False),
-        ("enforce", True),
-        ("shapley", False),
-        ("core", False),
-        ("mcnet", False),
-    ]:
+    for name in ("analyze", "enforce", "shapley", "core", "mcnet"):
         p = sub.add_parser(name)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        if needs_epsilon:
+        if name == "enforce":
             p.add_argument(
                 "--epsilon",
                 default="1",
@@ -488,9 +477,10 @@ def main(argv=None) -> int:
             if epsilon <= 0:
                 raise SymbioError("--epsilon: must be > 0")
         scenario = load_scenario(args.scenario)
+        # exchange games too: the one production cross-check of the branch and bound
         violation = check_superadditive(scenario.game)
         if violation is not None:
-            a, b = (_coalition_key(scenario.agents, g) for g in violation)
+            a, b = (scenario.keys[mask_of(g)] for g in violation)
             print(
                 f"warning: game is not superadditive: merging {{{a}}} and {{{b}}} loses value",
                 file=sys.stderr,

@@ -23,9 +23,10 @@ either, the pair bound before any LP.
 
 A search works on one integer scale: quantities are ints over lq, the lcm
 of their denominators, and per-unit gains and fees over lg, so every LP
-row, net saving, bound and incumbent is an int (savings over lg*lq), and
-so is scenario_to_game's table. An integral node's optimum is whole: with
-each route's activation fixed at 0 or 1 the shipments are a vertex of a
+row, net saving, bound and incumbent is an int (savings over lg*lq; a
+relaxation's net is floored off solve_lp's (num, den) pair), and so is
+scenario_to_game's table. An integral node's optimum is whole: with each
+route's activation fixed at 0 or 1 the shipments are a vertex of a
 transportation polytope over int data. Only optimal_exchange_plan divides
 back. Each LP is the rational one with shipments counted in units of
 1/lq and its objective times lg*lq; positive factors change no sign and
@@ -38,8 +39,7 @@ demands sorted by purchase minus treatment cost finds those above haul
 minus discharge, so pairs that do not save are never walked. Each route
 keeps its pairs in ascending (offer, demand) order: the LP column order,
 which fixes every pivot and plan. Validation checks each (offer firm,
-demand firm, resource) once. Quantities are divisible; all arithmetic is
-exact (ints and Fractions).
+demand firm, resource) once. Quantities are divisible; all math is exact.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ class _RouteSearch:
             if len(touched) == 2 * len(variables):  # each pair ships its cap
                 net = best_case - fee
             else:
-                net = int(self.best_shipments((route,))[1])  # whole: no route is free
+                net = self.best_shipments((route,))[1]
             if net > 0:
                 self.routes.append(route._replace(net=net))
 
@@ -342,8 +342,9 @@ class _RouteSearch:
         """Maximize net saving with routes fixed active and the activation
         y of routes free relaxed to 0 <= y <= 1 (x_k <= cap_k * y for each
         of their variables, cap_k the smaller of its two quantities).
-        Returns (x, net, y), x over lq and net over scale; with no free
-        routes net is the exact best saving of the fixed set, and whole.
+        Returns (x, net, y), x and y solve_lp's (num, den) pairs, x over lq
+        and net over scale, floored; with no free routes net is the exact
+        best saving of the fixed set, and whole.
 
         y <= 1 needs no row: the stream rows already hold x_k <= cap_k, and
         at a vertex a positive y_r is x_k / cap_k for some tight row of r."""
@@ -373,7 +374,8 @@ class _RouteSearch:
                 b_ub.append(0)
                 k += 1
         result = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-        net = result.objective - sum(r.fee for r in fixed)
+        num, den = result.objective
+        net = num // den - sum(r.fee for r in fixed)
         return result.x[:len(variables)], net, result.x[len(variables):]
 
     def best(self, routes, incumbent):
@@ -386,7 +388,10 @@ class _RouteSearch:
         one, and otherwise the first fractional route in sorted order is
         branched on, depth first, active before dropped. Ties keep the
         first set met: every route when they share no stream, else the
-        first integral node.
+        first integral node. Flooring a relaxation's net moves no decision:
+        best, each incumbent and each route's net are whole, so net <= best
+        exactly when floor(net) <= best, and min(net, S) floors to
+        min(floor(net), S) for a whole S.
         """
         routes = tuple(routes)
         bound = sum(r.net for r in routes)
@@ -404,10 +409,10 @@ class _RouteSearch:
             _, net, y = self.best_shipments(fixed, free)
             if net <= best:
                 continue
-            split = next((j for j, v in enumerate(y) if v.denominator != 1), None)
+            split = next((j for j, (p, q) in enumerate(y) if p % q), None)
             if split is None:
-                best = int(net)
-                chosen = tuple(sorted(fixed + tuple(r for r, v in zip(free, y) if v)))
+                best = net
+                chosen = tuple(sorted(fixed + tuple(r for r, (p, _) in zip(free, y) if p)))
                 continue
             rest = free[:split] + free[split + 1:]
             stack.append((fixed, rest, min(net, sum(r.net for r in fixed + rest))))
@@ -416,15 +421,15 @@ class _RouteSearch:
 
 
 def _plan(scenario, variables, x, lq):
-    """Shipments x (over lq) of the (offer, demand, gain, cap) variables,
-    summed per route and resource and sorted."""
+    """Shipments x ((num, den) pairs over lq) of the (offer, demand, gain,
+    cap) variables, summed per route and resource and sorted."""
     amounts = {}
-    for (oi, di, _, _), qty in zip(variables, x, strict=True):
-        if qty > 0:
+    for (oi, di, _, _), (p, q) in zip(variables, x, strict=True):
+        if p > 0:
             o, d = scenario.streams[oi], scenario.streams[di]
             key = (o.firm, d.firm, o.resource)
-            amounts[key] = amounts.get(key, 0) + qty
-    return ExchangePlan(tuple(Shipment(*key, qty / lq) for key, qty in sorted(amounts.items())))
+            amounts[key] = amounts.get(key, 0) + Fraction(p, q * lq)
+    return ExchangePlan(tuple(Shipment(*key, qty) for key, qty in sorted(amounts.items())))
 
 
 def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:

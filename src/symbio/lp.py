@@ -45,21 +45,23 @@ tests run on the ints, and the ratio test compares rhs_i*a_best with
 rhs_best*a_i. Every cell read holds a full tableau's true value over the
 row's positive scale, so every entering and leaving choice, and the
 solution, are exactly those of the same simplex run on a full Fraction
-tableau. Values become Fractions only in the returned LPResult.
+tableau. The answer is the dictionary's own numbers: each value is its
+row's (rhs, scale) pair, read off with no gcd, and no Fraction is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
 @dataclass(frozen=True)
 class LPResult:
+    """At an optimum each value is a (num, den) int pair, den > 0, not reduced."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
-    x: "tuple[Fraction, ...] | None" = None
-    objective: "Fraction | None" = None
+    x: "tuple[tuple[int, int], ...] | None" = None  # basic: its row's (rhs, scale); else (0, 1)
+    objective: "tuple[int, int] | None" = None  # the cost row's (rhs, scale); (0, 1) if c = 0
 
 
 class _Tableau(list):
@@ -85,7 +87,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
     included, raises TypeError. Rational data enters as each row scaled by
     a positive common multiple of its denominators (and c likewise), which
     moves no pivot. A feasibility LP (an equality row or a negative
-    right-hand side) must have c = 0, else ValueError.
+    right-hand side) must have c = 0, else ValueError. Values are int pairs.
     """
     c = _ints(c)
     n = len(c)
@@ -115,18 +117,18 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
         _pivot_until_optimal(tableau, basis, obj)
         if obj[-2] != 0:  # leftover artificial infeasibility
             return LPResult("infeasible")
-        value = Fraction(0)
+        value = (0, 1)
     else:
         # minimize -c.x; the cost row's rhs cell holds minus that, c.x
         obj = _reduced_row([-v for v in c] + [0] * len(ub), tableau, basis)
         if not _pivot_until_optimal(tableau, basis, obj):
             return LPResult("unbounded")
-        value = Fraction(obj[-2], obj[-1])
+        value = (obj[-2], obj[-1])
 
-    x = [Fraction(0)] * n
+    x = [(0, 1)] * n
     for row, b in zip(tableau, basis):
         if b < n:
-            x[b] = Fraction(row[-2], row[-1])
+            x[b] = (row[-2], row[-1])
     return LPResult("optimal", tuple(x), value)
 
 

@@ -116,7 +116,8 @@ def core_nonempty(game) -> CoreResult:
     proper coalitions worth more than their members alone, one efficiency
     equality; the point where phase one stops is the witness. The rows are
     the table's ints over its denominator d, which scales every right-hand
-    side by d and moves no pivot.
+    side by d and moves no pivot. Agent i's share, slack y / s over d, is
+    the Fraction (y + alone_i s) / (s d).
     """
     n = game.n_agents
     full = (1 << n) - 1
@@ -137,7 +138,7 @@ def core_nonempty(game) -> CoreResult:
     result = solve_lp([0] * n, a_ub=a_ub, b_ub=b_ub, a_eq=[[1] * n], b_eq=[budget])
     if result.status != "optimal":
         return CoreResult(False)
-    witness = tuple((y + alone[1 << i]) / d for i, y in enumerate(result.x))
+    witness = tuple(Fraction(y + alone[1 << i] * s, s * d) for i, (y, s) in enumerate(result.x))
     return CoreResult(True, witness)
 
 

@@ -208,7 +208,8 @@ def grid_plan_cost(scenario, members):
 def compatible_pairs(scenario):
     """(offer, demand) stream index pairs of one resource at two firms, in
     ascending order, by comparing every offer with every stream; oracle for
-    ExchangeScenario._compatible_pairs."""
+    the pair scan in symbio.exchange._RouteSearch, whose per-firm bisection
+    walks only the pairs that save."""
     streams = scenario.streams
     return [(oi, di) for oi, o in enumerate(streams) if o.kind == "offer"
             for di, d in enumerate(streams)
@@ -283,7 +284,7 @@ def route_saving(scenario, variables):
                 a_ub.append([0] * len(variables))
                 b_ub.append(scenario.streams[idx].quantity)
             a_ub[caps[idx]][k] = 1
-    return fraction_solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True).objective
+    return lp_fractions(fraction_solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True)).objective
 
 
 def random_game(rng, n, lo=-8, hi=20):
@@ -481,7 +482,8 @@ def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) 
 
     Oracle for symbio.lp.solve_lp: the same two-phase Bland-rule simplex,
     run on a tableau of Fractions. Minimizes unless maximize=True. All
-    inputs are coerced to Fraction; right-hand sides may be negative.
+    inputs are coerced to Fraction; right-hand sides may be negative. Values
+    come back as solve_lp's (num, den) pairs, here in lowest terms.
     """
     c = [Fraction(v) for v in c]
     if maximize:
@@ -559,7 +561,14 @@ def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) 
     value = -obj[-1]
     if maximize:
         value = -value
-    return LPResult("optimal", tuple(x), value)
+    return LPResult("optimal", tuple(v.as_integer_ratio() for v in x), value.as_integer_ratio())
+
+
+def lp_fractions(result) -> LPResult:
+    """result with its (num, den) pairs as Fractions, to compare values."""
+    if result.x is None:
+        return result
+    return LPResult(result.status, tuple(Fraction(*v) for v in result.x), Fraction(*result.objective))
 
 
 def _reduced_row(cost, tableau, basis):

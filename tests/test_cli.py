@@ -631,8 +631,9 @@ def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
     """symbio enforce on a 10-agent tables file builds each game's ints once:
     it scales one 2^n table, the file's, and no allocation, and makes at most
     11 Fractions, a few per policy group and none per coalition or share.
-    symbio analyze makes at most 3n + 1, all in the core LP's point and its
-    witness: the Shapley shares and the implementable check stay ints."""
+    symbio analyze makes at most n, one per share of the core witness: the
+    core LP's point, the Shapley shares and the implementable check stay
+    ints."""
     n = 10
     path = benchmark_halves_file(tmp_path, n)
     scaled_sizes = []
@@ -655,7 +656,7 @@ def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
     tables = json.loads(path.read_text())["tables"]
     assert code == 0 and json.loads(out)["values"] == {
         key: str(t - Fraction(tables["O"][key])) for key, t in tables["T"].items()}
-    assert json.loads(out)["implementable"] and 0 < len(made) <= 3 * n + 1
+    assert json.loads(out)["implementable"] and 0 < len(made) <= n
 
 
 def test_shapley_makes_no_fraction(capsys, tmp_path):

@@ -187,6 +187,22 @@ def test_missing_transport_entry_rejected():
         ExchangeScenario(n_agents=2, streams=streams, transport={(0, 1, "r"): 0}, transaction={})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ResourceStream(0, "r", "gift", 1), "stream kind must be offer or demand, got 'gift'"),
+    (lambda: ExchangeScenario(0, (), {}, {}), "a scenario needs at least one firm"),
+    (lambda: ExchangeScenario(2, (waste_offer(2, "r", 1, 1),), {}, {}),
+     "stream firm 2 outside roster of 2"),
+    (lambda: ExchangeScenario(2, (), {(0, 1, "r"): -1}, {}),
+     "transport and transaction costs must be >= 0"),
+    (lambda: ExchangeScenario(2, (), {}, {(0, 1): Fraction(-1, 2)}),
+     "transport and transaction costs must be >= 0"),
+], ids=["bad-kind", "no-firm", "firm-off-roster", "negative-transport", "negative-transaction"])
+def test_scenario_validation_messages(build, message):
+    with pytest.raises(SymbioError) as e:
+        build()
+    assert str(e.value) == message
+
+
 def test_compatible_pairs_match_the_full_scan():
     """A search takes the full scan's profitable pairs: each route it keeps
     holds the oracle's (offer, demand) pairs in ascending order, the LP
@@ -385,30 +401,15 @@ def test_fractional_data_matches_the_route_subset_oracle():
     assert routes >= 40 and scaled >= 20
 
 
-def test_game_build_makes_no_fraction_per_pair_or_row(lp_calls, monkeypatch):
-    """scenario_to_game works on ints: outside solve_lp, whose results are
-    Fractions, it makes at most one Fraction per LP (the relaxation's net
-    saving), none per compatible pair and none per LP row."""
-    solving = [False]
-    solve = symbio.exchange.solve_lp  # the lp_calls spy
-    rows = []
-
-    def flagged(*args, **kwargs):
-        rows.append(len(kwargs["a_ub"]))
-        solving[0] = True
-        try:
-            return solve(*args, **kwargs)
-        finally:
-            solving[0] = False
-
-    monkeypatch.setattr(symbio.exchange, "solve_lp", flagged)
+def test_game_build_makes_no_fraction_per_pair_or_row(lp_calls):
+    """scenario_to_game works on ints: solve_lp returns (num, den) int
+    pairs and the search floors each net saving, so no Fraction is made at
+    all, neither per compatible pair nor per LP row nor per LP."""
     scenario = dense_scenario(5)  # 20 compatible pairs, all profitable
-    # for each Fraction made, whether solve_lp made it
-    with fractions_made(lambda: solving[0]) as made:
+    with fractions_made() as made:
         game = scenario_to_game(scenario)
     assert game.value(range(5)) > 0 and len(lp_calls) == 16
-    assert made.count(False) <= len(lp_calls) < sum(rows)
-    assert made.count(True) > 0  # the spy sees the Fractions solve_lp returns
+    assert made == []
 
 
 def test_dense_six_firms_build():

@@ -15,6 +15,7 @@ from symbio.games import (
     ISNGame,
     as_money,
     check_superadditive,
+    coalition,
     coalitions,
     fraction_text,
     game_from_masks,
@@ -574,3 +575,13 @@ def test_subgame_reindexes_densely(g3):
 
 def test_subgame_of_grand_coalition_is_same_game(g3):
     assert subgame(g3, {0, 1, 2}) == g3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g3: coalition([-1]), "agent ids must be non-negative integers, got -1"),
+    (lambda g3: subgame(g3, []), "subgame needs at least one member"),
+], ids=["negative-agent", "empty-subgame"])
+def test_coalition_and_subgame_validation_messages(g3, call, message):
+    with pytest.raises(SymbioError) as e:
+        call(g3)
+    assert str(e.value) == message

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -10,11 +9,11 @@ import pytest
 from symbio import lp
 from symbio.lp import LPResult, solve_lp
 
-from helpers import fraction_solve_lp, mirrored_pairs, traced_oracle, traced_pivots
+from helpers import fraction_solve_lp, lp_fractions, mirrored_pairs, traced_oracle, traced_pivots
 
 
 def test_basic_maximization():
-    r = solve_lp([3, 2], a_ub=[[1, 1], [1, 0]], b_ub=[4, 2])
+    r = lp_fractions(solve_lp([3, 2], a_ub=[[1, 1], [1, 0]], b_ub=[4, 2]))
     assert r.status == "optimal"
     assert r.x == (2, 2)
     assert r.objective == 10
@@ -27,7 +26,7 @@ def test_infeasible():
 
 def test_negative_rhs_feasible():
     # x >= 1 written as -x <= -1
-    r = solve_lp([0], a_ub=[[-1]], b_ub=[-1])
+    r = lp_fractions(solve_lp([0], a_ub=[[-1]], b_ub=[-1]))
     assert r == LPResult("optimal", (1,), 0)
 
 
@@ -36,22 +35,22 @@ def test_unbounded():
 
 
 def test_equalities():
-    r = solve_lp([0, 0], a_eq=[[1, 1], [1, -1]], b_eq=[3, 1])
+    r = lp_fractions(solve_lp([0, 0], a_eq=[[1, 1], [1, -1]], b_eq=[3, 1]))
     assert r.status == "optimal"
     assert r.x == (2, 1)
 
 
 def test_exact_fractional_boundary():
     # the point is exactly 1/3; a float solver could land on either side
-    r = solve_lp([0], a_ub=[[-3]], b_ub=[-1])  # x >= 1/3, times 3
+    r = lp_fractions(solve_lp([0], a_ub=[[-3]], b_ub=[-1]))  # x >= 1/3, times 3
     assert r.x == (Fraction(1, 3),)
-    r = solve_lp([1], a_ub=[[3]], b_ub=[1])
+    r = lp_fractions(solve_lp([1], a_ub=[[3]], b_ub=[1]))
     assert r.x == (Fraction(1, 3),)
     assert r.objective == Fraction(1, 3)
 
 
 def test_redundant_equality_rows():
-    r = solve_lp([0, 0], a_eq=[[1, 1], [2, 2]], b_eq=[3, 6])
+    r = lp_fractions(solve_lp([0, 0], a_eq=[[1, 1], [2, 2]], b_eq=[3, 6]))
     assert r.status == "optimal"
     assert sum(r.x) == 3
 
@@ -62,7 +61,7 @@ def test_contradictory_equalities():
 
 
 def test_degenerate_single_point():
-    r = solve_lp([0, 0], a_eq=[[1, 0], [0, 1]], b_eq=[0, 0], a_ub=[[1, 1]], b_ub=[0])
+    r = lp_fractions(solve_lp([0, 0], a_eq=[[1, 0], [0, 1]], b_eq=[0, 0], a_ub=[[1, 1]], b_ub=[0]))
     assert r.status == "optimal"
     assert r.x == (0, 0)
 
@@ -74,7 +73,7 @@ def test_transportation_needs_lp_not_greedy():
         a_ub=[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
         b_ub=[10, 10, 10, 10],
     )
-    assert r.objective == 80
+    assert lp_fractions(r).objective == 80
 
 
 def test_feasibility_lp_takes_no_objective():
@@ -83,7 +82,7 @@ def test_feasibility_lp_takes_no_objective():
     with pytest.raises(ValueError, match="c = 0"):
         solve_lp([0, 1], a_eq=[[1, 1]], b_eq=[1])
     # the same rows with b >= 0 and no equality row: an optimization LP
-    assert solve_lp([-1], a_ub=[[-1]], b_ub=[0]) == LPResult("optimal", (0,), 0)
+    assert lp_fractions(solve_lp([-1], a_ub=[[-1]], b_ub=[0])) == LPResult("optimal", (0,), 0)
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), True, Fraction(1, 3)])
@@ -101,6 +100,14 @@ def test_only_ints_and_fractions(bad, where):
         solve_lp(**args)
 
 
+@pytest.mark.parametrize("form", ["a_ub", "a_eq"])
+def test_row_width_must_match_objective(form):
+    rows = {form: [[1, 2]], "b" + form[1:]: [1]}
+    with pytest.raises(ValueError) as e:
+        solve_lp([0], **rows)
+    assert str(e.value) == "constraint width does not match objective"
+
+
 # ---------------------------------------------------------------- edge cases
 
 
@@ -111,7 +118,8 @@ def test_drive_out_pivot_on_negative_entry():
     args = ([0, 0], (), (), [[2, 2], [0, -1]], [1, 0])
     r, pivots = traced_pivots(lp, lambda: solve_lp(*args))
     expected, oracle_pivots, drive_outs = traced_oracle(lambda: fraction_solve_lp(*args))
-    assert r == expected == LPResult("optimal", (Fraction(1, 2), Fraction(0)), Fraction(0))
+    assert lp_fractions(r) == lp_fractions(expected) == LPResult(
+        "optimal", (Fraction(1, 2), Fraction(0)), Fraction(0))
     assert drive_outs == 1 and oracle_pivots[-1][3] < 0
     assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[:-1]]
     assert all(element > 0 for *_, element, _ in pivots)
@@ -130,10 +138,10 @@ def test_drive_out_pivot_on_negative_entry():
     ],
 )
 def test_no_constraints(c, maximize, expected):
-    assert fraction_solve_lp(c, maximize=maximize) == expected
+    assert lp_fractions(fraction_solve_lp(c, maximize=maximize)) == expected
     sense = 1 if maximize else -1
     scale = lcm(*(Fraction(v).denominator for v in c))
-    r = solve_lp([int(sense * scale * v) for v in c])
+    r = lp_fractions(solve_lp([int(sense * scale * v) for v in c]))
     assert (r.status, r.x) == (expected.status, expected.x)
     assert r.objective == (None if expected.objective is None
                            else sense * scale * expected.objective)
@@ -152,12 +160,14 @@ def test_no_constraints(c, maximize, expected):
     ],
 )
 def test_results_are_fractions_in_lowest_terms(args, kwargs):
+    # values come as the dictionary's (rhs, scale) int pairs, not reduced:
+    # the fractions equal the oracle's, whose pairs are in lowest terms
     r = solve_lp(*args)
+    expected = fraction_solve_lp(*args, **kwargs)
     assert r.status == "optimal"
-    for v in (*r.x, r.objective):
-        assert type(v) is Fraction
-        assert gcd(v.numerator, v.denominator) == 1
-    assert r == fraction_solve_lp(*args, **kwargs)
+    for (p, q), (a, b) in zip((*r.x, r.objective), (*expected.x, expected.objective), strict=True):
+        assert type(p) is type(q) is int and q > 0
+        assert gcd(a, b) == 1 and b > 0 and p * b == a * q
 
 
 # ------------------------------------------------------- differential oracle
@@ -245,7 +255,7 @@ def test_matches_fraction_tableau_on_random_lps():
         args = _int_lp(*args)
         r, pivots = traced_pivots(lp, lambda: solve_lp(*args))
         expected, oracle_pivots, drive_outs = traced_oracle(lambda: fraction_solve_lp(*args, **kwargs))
-        assert (r.status, r.x, r.objective) == astuple(expected), (args, kwargs)
+        assert lp_fractions(r) == lp_fractions(expected), (args, kwargs)
         assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[: len(pivots)]], args
         assert len(oracle_pivots) == len(pivots) + drive_outs, args
         mirrored = mirrored_pairs(*args[:3])
