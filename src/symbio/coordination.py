@@ -26,10 +26,10 @@ from typing import Iterable
 
 from .errors import SymbioError
 from .games import (
-    ISNGame, _check_bits, _lowest, as_money, check_roster, coalition, mask_of, subgame
+    ISNGame, _check_bits, _lowest, _sums, as_money, check_roster, coalition, mask_of, subgame
 )
 from .mcnets import MCNet, MCNetRule, compose, from_isn_game
-from .solutions import _shapley_terms, _sums
+from .solutions import _shapley_terms
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,17 @@ demand) stream pairs, each an LP column; it raises BoundExceeded past
 either, the pair bound before any LP.
 
 A search works on one integer scale: quantities are ints over lq, the lcm
-of their denominators, and per-unit gains and fees over lg, so every LP
-row, net saving, bound and incumbent is an int (savings over lg*lq; a
-relaxation's net is floored off solve_lp's (num, den) pair), and so is
+of the denominators of the streams in profitable pairs, and per-unit gains
+and fees over lg, that of the costs the pair scan reads (each link's
+offer, demand, transport and transaction costs), so every LP row, net
+saving, bound and incumbent is an int (savings over lg*lq; a relaxation's
+net is floored off solve_lp's (num, den) pair), and so is
 scenario_to_game's table. An integral node's optimum is whole: with each
 route's activation fixed at 0 or 1 the shipments are a vertex of a
 transportation polytope over int data. Only optimal_exchange_plan divides
-back. Each LP is the rational one with shipments counted in units of
-1/lq and its objective times lg*lq; positive factors change no sign and
-no ratio order, so Bland's rule makes the same pivots.
+back. Each LP is the rational one with shipments counted in units of 1/lq
+and its objective times lg*lq; positive factors change no sign and no
+ratio order, so Bland's rule makes the same pivots.
 
 The profitable stream pairs (an offer and a demand of one resource at
 two firms, saving per unit) come from an index of demands by resource and
@@ -265,7 +267,9 @@ class _RouteSearch:
     """Exact route-activation search over one coalition's routes.
 
     Amounts are ints: quantities and caps over lq, per-unit gains over lg,
-    and fees, net savings and LP objectives over scale = lg * lq.
+    and fees, net savings and LP objectives over scale = lg * lq. lg covers
+    only the costs of links (an offer and a demand of one resource at two
+    member firms), lq only the quantities of streams in profitable pairs.
 
     A route is an ordered firm pair with a stream pair that saves per unit
     and a best-case saving (the sum of gain times cap) above its fee. Its
@@ -284,29 +288,28 @@ class _RouteSearch:
     def __init__(self, scenario, members):
         self.lps_left = 2**ENUMERATION_BOUND
         streams = scenario.streams
-        inside = [i for i, s in enumerate(streams) if s.firm in members]
         demands = scenario._demands(members)
-        offers = [i for i in inside if streams[i].kind == OFFER]
-        links = {(o.firm, b, o.resource) for o in map(streams.__getitem__, offers)
+        links = {(o.firm, b, o.resource) for o in streams if o.kind == OFFER and o.firm in members
                  for b in demands.get(o.resource, ()) if b != o.firm}
-        self.lq = lq = _lcm(streams[i].quantity for i in inside)
-        lg = _lcm([getattr(streams[i], cost) for i in inside
+        # the streams the pair scan reads: an offer and a demand at each link's ends
+        ends = {(a, OFFER, r) for a, _, r in links} | {(b, DEMAND, r) for _, b, r in links}
+        linked = [i for i, s in enumerate(streams) if (s.firm, s.kind, s.resource) in ends]
+        lg = _lcm([getattr(streams[i], cost) for i in linked
                    for cost in STREAM_COSTS[streams[i].kind]]
                   + [scenario.transport[link] for link in links]
                   + [scenario.transaction[link[:2]] for link in links])
-        self.scale = lg * lq
-        self.quantity = {i: _over(streams[i].quantity, lq) for i in inside}
         # a demand's worth per unit received; a pair saves when it exceeds
-        # haul - discharge, so each firm's demands are ranked by it
+        # haul - discharge, so each firm's linked demands are ranked by it
         worth = {di: _over(streams[di].unit_purchase_cost, lg)
                  - _over(streams[di].unit_treatment_cost, lg)
-                 for firms in demands.values() for dis in firms.values() for di in dis}
+                 for di in linked if streams[di].kind == DEMAND}
         for firms in demands.values():
             for dis in firms.values():
-                dis.sort(key=worth.__getitem__)
-        by_route = {}  # pair -> [(offer, demand, gain, cap)], ascending
+                if dis[0] in worth:
+                    dis.sort(key=worth.__getitem__)
+        by_route = {}  # pair -> [(offer, demand, gain)], ascending
         width = 0  # profitable pairs so far
-        for oi in offers:
+        for oi in (i for i in linked if streams[i].kind == OFFER):
             o = streams[oi]
             discharge = _over(o.unit_discharge_cost, lg)
             for b, dis in demands.get(o.resource, {}).items():
@@ -321,10 +324,15 @@ class _RouteSearch:
                     raise BoundExceeded(f"the exchange has more than {PAIR_BOUND} profitable "
                                         f"(offer, demand) stream pairs")
                 by_route.setdefault((o.firm, b), []).extend(
-                    (oi, di, discharge + worth[di] - haul,
-                     min(self.quantity[oi], self.quantity[di])) for di in sorted(saving))
+                    (oi, di, discharge + worth[di] - haul) for di in sorted(saving))
+        # only caps and LP rows read quantities: those of profitable pairs' streams
+        paired = {i for found in by_route.values() for oi, di, _ in found for i in (oi, di)}
+        self.lq = lq = _lcm(streams[i].quantity for i in paired)
+        self.scale = lg * lq
+        self.quantity = quantity = {i: _over(streams[i].quantity, lq) for i in paired}
         self.routes = []
-        for pair, variables in sorted(by_route.items()):
+        for pair, found in sorted(by_route.items()):
+            variables = [(oi, di, gain, min(quantity[oi], quantity[di])) for oi, di, gain in found]
             fee = _over(scenario.transaction[pair], lg) * lq
             best_case = sum(gain * cap for _, _, gain, cap in variables)
             if fee >= best_case:

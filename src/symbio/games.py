@@ -535,6 +535,15 @@ def check_superadditive(game) -> "tuple[frozenset, frozenset] | None":
     return None
 
 
+def _sums(xs) -> "list[int]":
+    """x(S), the sum of x_i over i in S, for every mask S: the masks holding
+    agent i are those without it, each plus x_i."""
+    sums = [0]
+    for x in xs:
+        sums += [s + x for s in sums]
+    return sums
+
+
 def subgame(game, members: Iterable[int]) -> ISNGame:
     """Restrict a game to `members`, re-indexing them densely by ascending id.
 
@@ -548,9 +557,7 @@ def subgame(game, members: Iterable[int]) -> ISNGame:
     if not members:
         raise SymbioError("subgame needs at least one member")
     scaled = game.scaled
-    original = [0]  # original[mask] = parent mask of the subgame's coalition mask
-    for i in sorted(members):
-        if scaled[1 << i]:
-            raise SymbioError("subgame would have a nonzero singleton value")
-        original += [m | 1 << i for m in original]
+    if any(scaled[1 << i] for i in members):
+        raise SymbioError("subgame would have a nonzero singleton value")
+    original = _sums([1 << i for i in sorted(members)])  # parent mask of each subgame mask
     return ISNGame(len(members), (0, *map(scaled.__getitem__, original[1:])), game.denominator)

@@ -159,14 +159,6 @@ def _primitive(row):
     return row if g == 1 else [v // g for v in row]
 
 
-def _slot(tableau, col):
-    """(j, sign): entering logical column col is sign times stored slot j."""
-    cols = tableau.cols
-    if col in cols:
-        return cols.index(col), 1
-    return cols.index(tableau.slack_of[col]), -1
-
-
 def _reduced_row(cost, tableau, basis):
     """The cost row over the stored columns of the starting dictionary,
     whose rows all have scale 1: ints, its rhs cell -objective, and scale 1.
@@ -179,29 +171,30 @@ def _reduced_row(cost, tableau, basis):
 
 
 def _entering(tableau, obj):
-    """Bland's rule: the smallest logical column with a negative reduced
-    cost, or None. A mirrored artificial costs obj[-1] - d_s."""
+    """Bland's rule: (col, j, sign) for the smallest logical column col with
+    a negative reduced cost, stored as sign times slot j, or None. A mirrored
+    artificial is read off its slack's slot (sign -1) and costs obj[-1] - d_s."""
     best = None
     art_of = tableau.art_of
     for j, col in enumerate(tableau.cols):
         d = obj[j]
         if d < 0:
-            if best is None or col < best:
-                best = col
+            if best is None or col < best[0]:
+                best = col, j, 1
         elif art_of and d > obj[-1]:
             art = art_of.get(col)
-            if art is not None and (best is None or art < best):
-                best = art
+            if art is not None and (best is None or art < best[0]):
+                best = art, j, -1
     return best
 
 
 def _pivot_until_optimal(tableau, basis, obj) -> bool:
     """Run Bland-rule pivots in place; False means unbounded."""
     while True:
-        col = _entering(tableau, obj)
-        if col is None:
+        entering = _entering(tableau, obj)
+        if entering is None:
             return True
-        j, sign = _slot(tableau, col)
+        _, j, sign = entering
         row = None
         for i, trow in enumerate(tableau):
             a = sign * trow[j]
@@ -216,12 +209,12 @@ def _pivot_until_optimal(tableau, basis, obj) -> bool:
                 row, rhs_best, a_best = i, trow[-2], a
         if row is None:
             return False
-        _pivot(tableau, basis, obj, row, col)
+        _pivot(tableau, basis, obj, row, entering)
 
 
-def _pivot(tableau, basis, obj, row, col):
-    """Make logical column col basic in row; obj is updated in place."""
-    j, sign = _slot(tableau, col)
+def _pivot(tableau, basis, obj, row, entering):
+    """Make _entering's (col, j, sign) basic in row; obj is updated in place."""
+    col, j, sign = entering
     prow = tableau[row]
     leaving, basis[row] = basis[row], col
     pc = sign * prow[j]

@@ -24,7 +24,7 @@ from math import factorial, gcd
 from operator import add, ge
 
 from .errors import SymbioError
-from .games import _check_bits, _scaled, money_terms
+from .games import _check_bits, _scaled, _sums, money_terms
 from .lp import solve_lp
 
 
@@ -68,15 +68,6 @@ def shapley(game) -> "tuple[Fraction, ...]":
     """The Shapley allocation, one Fraction per agent (_shapley_terms)."""
     phi, den = _shapley_terms(game)
     return tuple(Fraction(v, den) for v in phi)
-
-
-def _sums(xs) -> "list[int]":
-    """x(S), the sum of x_i over i in S, for every mask S: the masks holding
-    agent i are those without it, each plus x_i."""
-    sums = [0]
-    for x in xs:
-        sums += [s + x for s in sums]
-    return sums
 
 
 def _in_core(game, xs, dx) -> bool:

@@ -652,12 +652,14 @@ def traced_pivots(module, call):
     """
     pivots = []
     pivot = module._pivot
-    entry = lp_entry if module is lp else lambda tableau, row, col: tableau[row][col]
 
-    def spy(tableau, basis, obj, row, col):
-        element = entry(tableau, row, col)
+    def spy(tableau, basis, obj, row, entering):
+        if module is lp:  # entering is lp._entering's (col, j, sign)
+            col, element = entering[0], lp_entry(tableau, row, entering)
+        else:
+            col, element = entering, tableau[row][entering]
         pivots.append((row, col, basis[row], element, len(tableau[row])))
-        pivot(tableau, basis, obj, row, col)
+        pivot(tableau, basis, obj, row, entering)
 
     module._pivot = spy
     try:
@@ -695,10 +697,11 @@ def traced_oracle(call):
     return result, pivots, len(made)
 
 
-def lp_entry(tableau, row, col):
-    """The true value of an entering logical column col in row of a
-    symbio.lp dictionary (its module docstring)."""
-    j, sign = lp._slot(tableau, col)
+def lp_entry(tableau, row, entering):
+    """The true value in row of a symbio.lp dictionary (its module
+    docstring) of the entering column, lp._entering's (col, j, sign): sign
+    times the cell in slot j, over the row's scale."""
+    _, j, sign = entering
     return Fraction(sign * tableau[row][j], tableau[row][-1])
 
 

@@ -401,6 +401,30 @@ def test_fractional_data_matches_the_route_subset_oracle():
     assert routes >= 40 and scaled >= 20
 
 
+def test_unpaired_streams_leave_the_scale_alone():
+    """Only streams that the pair scan reads (the two ends of an offer and a
+    demand of one resource at two firms) enter the search's scale, and only
+    those of profitable pairs enter lq. An offer and demands that no other
+    firm trades with, each amount over its own long denominator, leave lq
+    at 1, the scale and the game as they are without them."""
+    paired = (waste_offer(0, "r", 10, 5), input_demand(1, "r", 8, 7, 2),
+              waste_offer(1, "s", 6, 3), input_demand(2, "s", 4, 9, 1))
+    transport = {(0, 1, "r"): Fraction(1, 3), (1, 2, "s"): Fraction(5, 7)}
+    transaction = {(0, 1): 10, (1, 2): 2}
+    big = 10**60
+    unpaired = (waste_offer(0, "x", Fraction(1, big + 1), Fraction(2, big + 3)),
+                input_demand(0, "x", Fraction(3, big + 7), Fraction(5, big + 9),
+                             Fraction(1, big + 11)),
+                input_demand(2, "y", Fraction(7, big + 13), Fraction(4, big + 17),
+                             Fraction(1, big + 19)))
+    plain = ExchangeScenario(3, paired, transport, transaction)
+    hostile = ExchangeScenario(3, unpaired[:1] + paired + unpaired[1:], transport, transaction)
+    search = _RouteSearch(hostile, range(3))
+    assert len(search.routes) == 2 and search.lq == 1
+    assert search.scale == _RouteSearch(plain, range(3)).scale == 21
+    assert scenario_to_game(hostile) == scenario_to_game(plain)
+
+
 def test_game_build_makes_no_fraction_per_pair_or_row(lp_calls):
     """scenario_to_game works on ints: solve_lp returns (num, den) int
     pairs and the search floors each net saving, so no Fraction is made at
