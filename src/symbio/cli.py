@@ -169,7 +169,7 @@ def load_scenario(path: str) -> Scenario:
     BoundExceeded.
     """
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             doc = json.load(fp, parse_float=as_money, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise SymbioError(f"cannot read {path}: {e}") from None

@@ -23,7 +23,7 @@ either, the pair bound before any LP.
 
 A search works on one integer scale: quantities are ints over lq, the lcm
 of the denominators of the streams in profitable pairs, and per-unit gains
-and fees over lg, that of the costs the pair scan reads (each link's
+and fees over lg, that of the costs the link scan reads (each link's
 offer, demand, transport and transaction costs), so every LP row, net
 saving, bound and incumbent is an int (savings over lg*lq; a relaxation's
 net is floored off solve_lp's (num, den) pair), and so is
@@ -34,14 +34,15 @@ back. Each LP is the rational one with shipments counted in units of 1/lq
 and its objective times lg*lq; positive factors change no sign and no
 ratio order, so Bland's rule makes the same pivots.
 
-The profitable stream pairs (an offer and a demand of one resource at
-two firms, saving per unit) come from an index of demands by resource and
-firm: for each offer and demand firm, one bisection over that firm's
-demands sorted by purchase minus treatment cost finds those above haul
-minus discharge, so pairs that do not save are never walked. Each route
-keeps its pairs in ascending (offer, demand) order: the LP column order,
-which fixes every pivot and plan. Validation checks each (offer firm,
-demand firm, resource) once. Quantities are divisible; all math is exact.
+Validation and the search walk one link list, ExchangeScenario._links: a
+link is an offer and another firm's demands for its resource, one list per
+(firm, resource) that every link reaching it shares. The profitable stream
+pairs (an offer and a demand of one resource at two firms, saving per unit)
+come from one bisection per link over its demand list, sorted once by
+purchase minus treatment cost, for those above haul minus discharge, so
+pairs that do not save are never walked. Each route keeps its pairs in
+ascending (offer, demand) order: the LP column order, which fixes every
+pivot and plan. Quantities are divisible; all math is exact.
 """
 
 from __future__ import annotations
@@ -177,33 +178,32 @@ class ExchangeScenario:
         for cost in list(self.transport.values()) + list(self.transaction.values()):
             if cost < 0:
                 raise SymbioError("transport and transaction costs must be >= 0")
-        # offers in first-index order, and each one's demand firms in the order
-        # of their first demand, so the fault named is that of the first
+        # links come offer by offer, each one's demand firms in the order of
+        # their first demand, so the fault named is that of the first
         # compatible pair
-        demands = self._demands(range(self.n_agents))
-        for firm, resource in dict.fromkeys(
-                (o.firm, o.resource) for o in self.streams if o.kind == OFFER):
-            for to in demands.get(resource, ()):
-                if to == firm:
-                    continue
-                firms = {firm}, {to}
-                if (firm, to, resource) not in self.transport:
-                    shown = repr(resource).replace("{", "{{").replace("}", "}}")
-                    raise SymbioError(
-                        f"missing transport cost from {{}} to {{}} for resource {shown}", *firms
-                    )
-                if (firm, to) not in self.transaction:
-                    raise SymbioError("missing transaction cost from {} to {}", *firms)
+        for oi, to, _ in self._links(range(self.n_agents)):
+            o = self.streams[oi]
+            if (o.firm, to, o.resource) not in self.transport:
+                shown = repr(o.resource).replace("{", "{{").replace("}", "}}")
+                raise SymbioError(
+                    f"missing transport cost from {{}} to {{}} for resource {shown}", {o.firm}, {to}
+                )
+            if (o.firm, to) not in self.transaction:
+                raise SymbioError("missing transaction cost from {} to {}", {o.firm}, {to})
 
-    def _demands(self, members) -> dict:
-        """{resource: {firm: indices of its demands for it, ascending}} over
-        the firms in members, each firm in the order of its first such
-        demand: one pass over the streams."""
-        demands = {}
+    def _links(self, members) -> list:
+        """(offer index, demand firm, demand indices) for each offer at a
+        member firm, in index order, and each other member firm demanding
+        its resource, in the order of that firm's first such demand. The
+        indices of one firm's demands for one resource are one ascending
+        list, shared by every link that reaches it."""
+        demands = {}  # resource -> {firm: indices of its demands for it}
         for di, d in enumerate(self.streams):
             if d.kind == DEMAND and d.firm in members:
                 demands.setdefault(d.resource, {}).setdefault(d.firm, []).append(di)
-        return demands
+        return [(oi, b, dis) for oi, o in enumerate(self.streams)
+                if o.kind == OFFER and o.firm in members and o.resource in demands
+                for b, dis in demands[o.resource].items() if b != o.firm]
 
 
 def t_value(scenario: ExchangeScenario, s: Iterable[int]) -> Fraction:
@@ -268,8 +268,9 @@ class _RouteSearch:
 
     Amounts are ints: quantities and caps over lq, per-unit gains over lg,
     and fees, net savings and LP objectives over scale = lg * lq. lg covers
-    only the costs of links (an offer and a demand of one resource at two
-    member firms), lq only the quantities of streams in profitable pairs.
+    only the costs of the members' links (ExchangeScenario._links: their
+    offers, demands, transport and transaction costs), lq only the
+    quantities of streams in profitable pairs.
 
     A route is an ordered firm pair with a stream pair that saves per unit
     and a best-case saving (the sum of gain times cap) above its fee. Its
@@ -288,43 +289,35 @@ class _RouteSearch:
     def __init__(self, scenario, members):
         self.lps_left = 2**ENUMERATION_BOUND
         streams = scenario.streams
-        demands = scenario._demands(members)
-        links = {(o.firm, b, o.resource) for o in streams if o.kind == OFFER and o.firm in members
-                 for b in demands.get(o.resource, ()) if b != o.firm}
-        # the streams the pair scan reads: an offer and a demand at each link's ends
-        ends = {(a, OFFER, r) for a, _, r in links} | {(b, DEMAND, r) for _, b, r in links}
-        linked = [i for i, s in enumerate(streams) if (s.firm, s.kind, s.resource) in ends]
-        lg = _lcm([getattr(streams[i], cost) for i in linked
-                   for cost in STREAM_COSTS[streams[i].kind]]
-                  + [scenario.transport[link] for link in links]
-                  + [scenario.transaction[link[:2]] for link in links])
+        links = scenario._links(members)
+        lists = {id(dis): dis for _, _, dis in links}.values()  # each demand list once
+        lg = _lcm([streams[oi].unit_discharge_cost for oi, _, _ in links]
+                  + [getattr(streams[di], cost) for dis in lists for di in dis
+                     for cost in STREAM_COSTS[DEMAND]]
+                  + [scenario.transport[streams[oi].firm, b, streams[oi].resource]
+                     for oi, b, _ in links]
+                  + [scenario.transaction[streams[oi].firm, b] for oi, b, _ in links])
         # a demand's worth per unit received; a pair saves when it exceeds
-        # haul - discharge, so each firm's linked demands are ranked by it
+        # haul - discharge, so each demand list is ranked by it
         worth = {di: _over(streams[di].unit_purchase_cost, lg)
-                 - _over(streams[di].unit_treatment_cost, lg)
-                 for di in linked if streams[di].kind == DEMAND}
-        for firms in demands.values():
-            for dis in firms.values():
-                if dis[0] in worth:
-                    dis.sort(key=worth.__getitem__)
+                 - _over(streams[di].unit_treatment_cost, lg) for dis in lists for di in dis}
+        for dis in lists:
+            dis.sort(key=worth.__getitem__)
         by_route = {}  # pair -> [(offer, demand, gain)], ascending
         width = 0  # profitable pairs so far
-        for oi in (i for i in linked if streams[i].kind == OFFER):
+        for oi, b, dis in links:
             o = streams[oi]
+            haul = _over(scenario.transport[o.firm, b, o.resource], lg)
             discharge = _over(o.unit_discharge_cost, lg)
-            for b, dis in demands.get(o.resource, {}).items():
-                if b == o.firm:
-                    continue
-                haul = _over(scenario.transport[o.firm, b, o.resource], lg)
-                saving = dis[bisect_right(dis, haul - discharge, key=worth.__getitem__):]
-                if not saving:
-                    continue
-                width += len(saving)
-                if width > PAIR_BOUND:
-                    raise BoundExceeded(f"the exchange has more than {PAIR_BOUND} profitable "
-                                        f"(offer, demand) stream pairs")
-                by_route.setdefault((o.firm, b), []).extend(
-                    (oi, di, discharge + worth[di] - haul) for di in sorted(saving))
+            saving = dis[bisect_right(dis, haul - discharge, key=worth.__getitem__):]
+            if not saving:
+                continue
+            width += len(saving)
+            if width > PAIR_BOUND:
+                raise BoundExceeded(f"the exchange has more than {PAIR_BOUND} profitable "
+                                    f"(offer, demand) stream pairs")
+            by_route.setdefault((o.firm, b), []).extend(
+                (oi, di, discharge + worth[di] - haul) for di in sorted(saving))
         # only caps and LP rows read quantities: those of profitable pairs' streams
         paired = {i for found in by_route.values() for oi, di, _ in found for i in (oi, di)}
         self.lq = lq = _lcm(streams[i].quantity for i in paired)

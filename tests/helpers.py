@@ -208,8 +208,9 @@ def grid_plan_cost(scenario, members):
 def compatible_pairs(scenario):
     """(offer, demand) stream index pairs of one resource at two firms, in
     ascending order, by comparing every offer with every stream; oracle for
-    the pair scan in symbio.exchange._RouteSearch, whose per-firm bisection
-    walks only the pairs that save."""
+    ExchangeScenario._links, the link list that validation and
+    symbio.exchange._RouteSearch walk, the search bisecting each link's
+    demand list so that it walks only the pairs that save."""
     streams = scenario.streams
     return [(oi, di) for oi, o in enumerate(streams) if o.kind == "offer"
             for di, d in enumerate(streams)

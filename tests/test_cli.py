@@ -1110,6 +1110,23 @@ def test_agent_named_empty_keeps_its_keys_apart(capsys, tmp_path):
     assert "coalition values:\n  ,B = 1\n" in out
 
 
+def test_scenario_files_are_read_as_utf8(capsys, tmp_path):
+    """JSON text is UTF-8 (RFC 8259 section 8.1): a file naming an agent
+    "Café" reads the same under an ASCII locale as in process."""
+    path = tmp_path / "cafe.json"
+    text = (DATA / "w.json").read_text(encoding="utf-8").replace('"F0"', '"Café"')
+    path.write_text(text, encoding="utf-8")
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    done = subprocess.run(
+        [sys.executable, "-m", "symbio.cli", "analyze", str(path), "--format", "json"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run(capsys, "analyze", str(path), "--format", "json")[1]
+    assert "Caf\\u00e9" in done.stdout
+
+
 @pytest.mark.parametrize("command,section,key,group,message", [
     ("analyze", "tables", "T", "A,A,B", "tables.T['A,A,B']: agent 'A' named twice"),
     ("enforce", "policy", "promoted", ["A", "B", "B"], "policy.promoted[0]: agent 'B' named twice"),

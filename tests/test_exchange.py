@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -222,6 +223,14 @@ def test_compatible_pairs_match_the_full_scan():
         search = _RouteSearch(scenario, members)
         lq, lg = search.lq, search.scale // search.lq
         by_route, candidates = candidate_routes(scenario, members)
+        linked = [(streams[oi], streams[di]) for oi, di in compatible_pairs(scenario)
+                  if streams[oi].firm in members and streams[di].firm in members]
+        assert lg == lcm(*(cost.denominator for o, d in linked for cost in (
+            o.unit_discharge_cost, d.unit_purchase_cost, d.unit_treatment_cost,
+            scenario.transport[o.firm, d.firm, o.resource],
+            scenario.transaction[o.firm, d.firm])))
+        assert lq == lcm(*(streams[i].quantity.denominator for found in by_route.values()
+                           for oi, di, _ in found for i in (oi, di)))
         expected = []
         for pair in candidates:
             variables = [(oi, di, gain * lg, min(streams[oi].quantity, streams[di].quantity) * lq)
