@@ -33,7 +33,8 @@ Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms by one printer,
 games.fraction_text (value rows and shares straight from ints), which raises
 BoundExceeded for a number longer than the interpreter writes. Exit codes:
-0 success, 2 validation failure, 3 enumeration bound exceeded.
+0 success, 2 validation failure or a text report that stdout's encoding
+cannot write, 3 enumeration bound exceeded.
 """
 
 from __future__ import annotations
@@ -501,7 +502,12 @@ def main(argv=None) -> int:
     except SymbioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    sys.stdout.write(render(report, args.format))
+    try:
+        sys.stdout.write(render(report, args.format))
+    except UnicodeEncodeError as e:  # an ASCII locale's stdout and a non-ASCII name
+        print(f"error: stdout's {e.encoding} encoding cannot write the text report; "
+              f"use --format json or a UTF-8 locale", file=sys.stderr)
+        return 2
     return 0
 
 

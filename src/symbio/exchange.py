@@ -13,9 +13,11 @@ exactly by Land-Doig branch and bound over route activation (Balinski
 alone is the sum of gain times cap less its fee when its stream pairs
 share no stream, and one LP otherwise; unprofitable routes are dropped,
 and the sum of the others' net savings bounds any route set, exactly so
-when no two share a stream. scenario_to_game searches each coalition in
-ascending mask order, with the best worth of its coalitions one firm
-smaller as the incumbent, and reads only LP optima; only
+when no two share a stream. In the branch and bound's relaxation a free
+route with one stream pair is one column, its activation, with no cap
+row (_RouteSearch.best_shipments). scenario_to_game searches each
+coalition in ascending mask order, with the best worth of its coalitions
+one firm smaller as the incumbent, and reads only LP optima; only
 optimal_exchange_plan turns shipments into plans. A call solves at most
 2**ENUMERATION_BOUND LPs, and takes at most PAIR_BOUND profitable (offer,
 demand) stream pairs, each an LP column; it raises BoundExceeded past
@@ -343,41 +345,62 @@ class _RouteSearch:
         """Maximize net saving with routes fixed active and the activation
         y of routes free relaxed to 0 <= y <= 1 (x_k <= cap_k * y for each
         of their variables, cap_k the smaller of its two quantities).
-        Returns (x, net, y), x and y solve_lp's (num, den) pairs, x over lq
-        and net over scale, floored; with no free routes net is the exact
-        best saving of the fixed set, and whole.
+        Returns (x, net, y): x the fixed routes' shipments over lq and y
+        one per free route, solve_lp's (num, den) pairs, and net over
+        scale, floored; with no free routes net is the exact best saving
+        of the fixed set, and whole.
 
-        y <= 1 needs no row: the stream rows already hold x_k <= cap_k, and
-        at a vertex a positive y_r is x_k / cap_k for some tight row of r."""
+        A free route with one pair is one column, its y: x = cap * y at
+        every optimum, as a fee >= 0 never pays for a larger y, so the
+        column gains gain * cap - fee and takes cap in its two stream rows,
+        with no cap row. Other free routes have a column per pair, a y
+        column and a cap row per pair. y <= 1 needs no row: a one-pair y
+        has cap * y <= cap in the stream row of its smaller quantity, and
+        the stream rows hold x_k <= cap_k, so at a vertex a positive
+        many-pair y_r is x_k / cap_k for some tight cap row of r."""
         if not self.lps_left:
             raise BoundExceeded(f"the exchange optimizer solved its budget of "
                                 f"{2**ENUMERATION_BOUND} LPs (2^{ENUMERATION_BOUND}) "
                                 f"without finishing")
         self.lps_left -= 1
-        variables = [v for r in fixed + free for v in r.variables]
-        width = len(variables) + len(free)
-        c = [gain for _, _, gain, _ in variables] + [-r.fee for r in free]
+        ends = [(oi, di, 1) for r in fixed for oi, di, _, _ in r.variables]
+        c = [gain for r in fixed for _, _, gain, _ in r.variables]
+        shipped = len(c)  # the fixed routes' x columns
+        y, caps = [], []  # each free route's y column; (x column, route, cap) per cap row
+        for j, route in enumerate(free):
+            if len(route.variables) == 1:
+                (oi, di, gain, cap), = route.variables
+                y.append(len(c))
+                ends.append((oi, di, cap))
+                c.append(gain * cap - route.fee)
+                continue
+            y.append(None)
+            for oi, di, gain, cap in route.variables:
+                caps.append((len(c), j, cap))
+                ends.append((oi, di, 1))
+                c.append(gain)
+        for j, route in enumerate(free):
+            if y[j] is None:
+                y[j] = len(c)
+                c.append(-route.fee)
         rows = {}  # stream index -> row of the constraint matrix
         a_ub, b_ub = [], []
-        for k, (oi, di, _, _) in enumerate(variables):
+        for k, (oi, di, coefficient) in enumerate(ends):
             for idx in (oi, di):
                 if idx not in rows:
                     rows[idx] = len(a_ub)
-                    a_ub.append([0] * width)
+                    a_ub.append([0] * len(c))
                     b_ub.append(self.quantity[idx])
-                a_ub[rows[idx]][k] = 1
-        k = sum(len(r.variables) for r in fixed)
-        for j, route in enumerate(free, start=len(variables)):
-            for _, _, _, cap in route.variables:
-                row = [0] * width
-                row[k], row[j] = 1, -cap
-                a_ub.append(row)
-                b_ub.append(0)
-                k += 1
+                a_ub[rows[idx]][k] = coefficient
+        for k, j, cap in caps:
+            row = [0] * len(c)
+            row[k], row[y[j]] = 1, -cap
+            a_ub.append(row)
+            b_ub.append(0)
         result = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
         num, den = result.objective
         net = num // den - sum(r.fee for r in fixed)
-        return result.x[:len(variables)], net, result.x[len(variables):]
+        return result.x[:shipped], net, [result.x[k] for k in y]
 
     def best(self, routes, incumbent):
         """(net, route tuple) for the best subset of routes (sorted) if

@@ -276,16 +276,53 @@ def route_saving(scenario, variables):
     by fraction_solve_lp on the Fraction data, independent of the integer
     kernel the exchange search runs on."""
     gains = [g for _, _, g in variables]
-    caps = {}  # stream index -> row of the constraint matrix
+    a_ub, b_ub = _stream_rows(scenario, variables, len(variables))
+    return lp_fractions(fraction_solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True)).objective
+
+
+def _stream_rows(scenario, variables, width):
+    """(a_ub, b_ub): a row of the given width per stream that the (offer,
+    demand, gain) variables touch, in the order first touched, with a 1 in
+    each of its variables' columns and the stream's quantity as its bound."""
+    rows = {}  # stream index -> row of the constraint matrix
     a_ub, b_ub = [], []
     for k, (oi, di, _) in enumerate(variables):
         for idx in (oi, di):
-            if idx not in caps:
-                caps[idx] = len(a_ub)
-                a_ub.append([0] * len(variables))
+            if idx not in rows:
+                rows[idx] = len(a_ub)
+                a_ub.append([0] * width)
                 b_ub.append(scenario.streams[idx].quantity)
-            a_ub[caps[idx]][k] = 1
-    return lp_fractions(fraction_solve_lp(gains, a_ub=a_ub, b_ub=b_ub, maximize=True)).objective
+            a_ub[rows[idx]][k] = 1
+    return a_ub, b_ub
+
+
+def relaxation_net(scenario, fixed, free):
+    """Best net saving of the branch and bound's relaxation with the
+    routes (ordered firm pairs) fixed active and the activation y of those
+    free relaxed, in its explicit form on the Fraction data: a column x
+    per stream pair of every route and a column y per free route, a row
+    per stream, a cap row x_k - cap_k y <= 0 per pair of a free route and
+    a row y <= 1, solved by fraction_solve_lp, less the fixed routes'
+    fees. Oracle for symbio.exchange._RouteSearch.best_shipments, whose
+    one-pair routes are one column each and which has no y <= 1 rows."""
+    by_route, _ = candidate_routes(scenario, range(scenario.n_agents))
+    streams = scenario.streams
+    variables = [v for r in fixed + free for v in by_route[r]]
+    width = len(variables) + len(free)
+    c = [gain for _, _, gain in variables] + [-scenario.transaction[r] for r in free]
+    a_ub, b_ub = _stream_rows(scenario, variables, width)
+    k = sum(len(by_route[r]) for r in fixed)
+    for j, route in enumerate(free, start=len(variables)):
+        for oi, di, _ in by_route[route]:
+            row = [0] * width
+            row[k], row[j] = 1, -min(streams[oi].quantity, streams[di].quantity)
+            a_ub.append(row)
+            b_ub.append(0)
+            k += 1
+        a_ub.append([int(i == j) for i in range(width)])
+        b_ub.append(1)
+    result = fraction_solve_lp(c, a_ub=a_ub, b_ub=b_ub, maximize=True)
+    return lp_fractions(result).objective - sum(scenario.transaction[r] for r in fixed)
 
 
 def random_game(rng, n, lo=-8, hi=20):

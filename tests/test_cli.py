@@ -1110,18 +1110,27 @@ def test_agent_named_empty_keeps_its_keys_apart(capsys, tmp_path):
     assert "coalition values:\n  ,B = 1\n" in out
 
 
-def test_scenario_files_are_read_as_utf8(capsys, tmp_path):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_scenario_files_are_read_as_utf8(capsys, tmp_path, fmt):
     """JSON text is UTF-8 (RFC 8259 section 8.1): a file naming an agent
-    "Café" reads the same under an ASCII locale as in process."""
+    "Café" reads the same under an ASCII locale as in process. The JSON
+    report escapes the name; the text report, which an ASCII stdout cannot
+    encode, exits 2 with one error line, no traceback and no stdout."""
     path = tmp_path / "cafe.json"
     text = (DATA / "w.json").read_text(encoding="utf-8").replace('"F0"', '"Café"')
     path.write_text(text, encoding="utf-8")
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1]),
            "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     done = subprocess.run(
-        [sys.executable, "-m", "symbio.cli", "analyze", str(path), "--format", "json"],
+        [sys.executable, "-m", "symbio.cli", "analyze", str(path), "--format", fmt],
         capture_output=True, text=True, timeout=10, env=env,
     )
+    if fmt == "text":
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: stdout's ascii encoding cannot write the text report; "
+                               "use --format json or a UTF-8 locale\n")
+        assert "Café" in run(capsys, "analyze", str(path))[1]
+        return
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == run(capsys, "analyze", str(path), "--format", "json")[1]
     assert "Caf\\u00e9" in done.stdout

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 import pytest
 
@@ -20,7 +20,7 @@ from symbio.games import check_superadditive, coalitions
 
 from helpers import (
     candidate_routes, compatible_pairs, dense_scenario, fractions_made, grid_plan_cost,
-    random_scenario, route_saving, route_subset_game,
+    random_scenario, relaxation_net, route_saving, route_subset_game,
 )
 
 
@@ -408,6 +408,51 @@ def test_fractional_data_matches_the_route_subset_oracle():
             _, cost = optimal_exchange_plan(scenario, members)
             assert t_value(scenario, members) - cost == oracle.value(members)
     assert routes >= 40 and scaled >= 20
+
+
+def test_relaxation_matches_the_explicit_oracle():
+    """best_shipments' relaxation, where a free route with one stream pair
+    is one column and no row caps y at 1, has the optimum of the explicit
+    form (relaxation_net: an x per pair, a y per free route, cap rows and
+    y <= 1 rows, in Fractions): its net is the oracle's floored on the
+    search's scale, every y lies in [0, 1], and when every y is whole the
+    net is the active routes' best saving less their fees. The routes are
+    split at random into fixed, free and left out; the draws have 1-3
+    resources, fractional data in half of them, repeated streams in a third
+    (for routes with several pairs) and half the fees zeroed in a quarter."""
+    rng = random.Random(43)
+    zero_fee = shared = whole = 0
+    for trial in range(240):
+        n = rng.randint(2, 5)
+        resources = ("r", "s", "t")[:rng.randint(1, 3)]
+        fractional = range(2, 6) if trial % 2 else None
+        scenario = random_scenario(rng, n, resources=resources, denominators=fractional)
+        streams, transaction = scenario.streams, scenario.transaction
+        if trial % 3 == 0:
+            streams += tuple(rng.choice(streams) for _ in range(rng.randint(1, 4)))
+        if trial % 4 == 1:
+            transaction = {k: v if rng.random() < 0.5 else 0 for k, v in transaction.items()}
+        scenario = ExchangeScenario(n, streams, scenario.transport, transaction)
+        search = _RouteSearch(scenario, range(n))
+        fixed, free, dropped = [], [], []
+        for route in search.routes:
+            rng.choice((fixed, free, free, dropped)).append(route)
+        if not free:
+            continue
+        _, net, y = search.best_shipments(tuple(fixed), tuple(free))
+        oracle = relaxation_net(scenario, [r.pair for r in fixed], [r.pair for r in free])
+        assert net == floor(oracle * search.scale)
+        assert all(0 <= p <= q for p, q in y)
+        if all(p % q == 0 for p, q in y):
+            whole += 1
+            by_route, _ = candidate_routes(scenario, range(n))
+            active = [r.pair for r in fixed] + [r.pair for r, (p, _) in zip(free, y) if p]
+            saving = route_saving(scenario, [v for pair in active for v in by_route[pair]])
+            fees = sum(scenario.transaction[pair] for pair in active)
+            assert net == (saving - fees) * search.scale
+        zero_fee += any(r.fee == 0 and len(r.variables) == 1 for r in free)
+        shared += any(len(r.variables) > 1 for r in free)
+    assert zero_fee >= 15 and shared >= 30 and whole >= 40
 
 
 def test_unpaired_streams_leave_the_scale_alone():
