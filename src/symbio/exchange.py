@@ -36,13 +36,14 @@ back. Each LP is the rational one with shipments counted in units of 1/lq
 and its objective times lg*lq; positive factors change no sign and no
 ratio order, so Bland's rule makes the same pivots.
 
-Validation and the search walk one link list, ExchangeScenario._links: a
-link is an offer and another firm's demands for its resource, one list per
-(firm, resource) that every link reaching it shares. The profitable stream
-pairs (an offer and a demand of one resource at two firms, saving per unit)
-come from one bisection per link over its demand list, sorted once by
-purchase minus treatment cost, for those above haul minus discharge, so
-pairs that do not save are never walked. Each route keeps its pairs in
+Validation and the search walk one link list, ExchangeScenario.links,
+built once per scenario: a link is an offer and another firm's demands for
+its resource, one list per (firm, resource) that every link reaching it
+shares, and a search keeps the links inside its coalition. The profitable
+stream pairs (an offer and a demand of one resource at two firms, saving
+per unit) come from one bisection per link over its demand list, sorted
+by purchase minus treatment cost, for those above haul minus discharge,
+so pairs that do not save are never walked. Each route keeps its pairs in
 ascending (offer, demand) order: the LP column order, which fixes every
 pivot and plan. Quantities are divisible; all math is exact.
 """
@@ -50,7 +51,7 @@ pivot and plan. Quantities are divisible; all math is exact.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
@@ -163,6 +164,9 @@ class ExchangeScenario:
     streams: "tuple[ResourceStream, ...]"
     transport: Mapping
     transaction: Mapping
+    # the roster's links (_links), built once: validation walks them, and
+    # each _RouteSearch keeps those inside its coalition
+    links: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "streams", tuple(self.streams))
@@ -183,7 +187,8 @@ class ExchangeScenario:
         # links come offer by offer, each one's demand firms in the order of
         # their first demand, so the fault named is that of the first
         # compatible pair
-        for oi, to, _ in self._links(range(self.n_agents)):
+        links = self._links()
+        for oi, to, _ in links:
             o = self.streams[oi]
             if (o.firm, to, o.resource) not in self.transport:
                 shown = repr(o.resource).replace("{", "{{").replace("}", "}}")
@@ -192,19 +197,20 @@ class ExchangeScenario:
                 )
             if (o.firm, to) not in self.transaction:
                 raise SymbioError("missing transaction cost from {} to {}", {o.firm}, {to})
+        object.__setattr__(self, "links", links)
 
-    def _links(self, members) -> list:
-        """(offer index, demand firm, demand indices) for each offer at a
-        member firm, in index order, and each other member firm demanding
-        its resource, in the order of that firm's first such demand. The
-        indices of one firm's demands for one resource are one ascending
-        list, shared by every link that reaches it."""
+    def _links(self) -> list:
+        """(offer index, demand firm, demand indices) for each offer, in
+        index order, and each other firm demanding its resource, in the
+        order of that firm's first such demand. The indices of one firm's
+        demands for one resource are one ascending list, shared by every
+        link that reaches it."""
         demands = {}  # resource -> {firm: indices of its demands for it}
         for di, d in enumerate(self.streams):
-            if d.kind == DEMAND and d.firm in members:
+            if d.kind == DEMAND:
                 demands.setdefault(d.resource, {}).setdefault(d.firm, []).append(di)
         return [(oi, b, dis) for oi, o in enumerate(self.streams)
-                if o.kind == OFFER and o.firm in members and o.resource in demands
+                if o.kind == OFFER and o.resource in demands
                 for b, dis in demands[o.resource].items() if b != o.firm]
 
 
@@ -270,9 +276,9 @@ class _RouteSearch:
 
     Amounts are ints: quantities and caps over lq, per-unit gains over lg,
     and fees, net savings and LP objectives over scale = lg * lq. lg covers
-    only the costs of the members' links (ExchangeScenario._links: their
-    offers, demands, transport and transaction costs), lq only the
-    quantities of streams in profitable pairs.
+    only the costs of the members' links (those of ExchangeScenario.links
+    inside the coalition: their offers, demands, transport and transaction
+    costs), lq only the quantities of streams in profitable pairs.
 
     A route is an ordered firm pair with a stream pair that saves per unit
     and a best-case saving (the sum of gain times cap) above its fee. Its
@@ -291,7 +297,8 @@ class _RouteSearch:
     def __init__(self, scenario, members):
         self.lps_left = 2**ENUMERATION_BOUND
         streams = scenario.streams
-        links = scenario._links(members)
+        links = [link for link in scenario.links
+                 if streams[link[0]].firm in members and link[1] in members]
         lists = {id(dis): dis for _, _, dis in links}.values()  # each demand list once
         lg = _lcm([streams[oi].unit_discharge_cost for oi, _, _ in links]
                   + [getattr(streams[di], cost) for dis in lists for di in dis
@@ -300,7 +307,9 @@ class _RouteSearch:
                      for oi, b, _ in links]
                   + [scenario.transaction[streams[oi].firm, b] for oi, b, _ in links])
         # a demand's worth per unit received; a pair saves when it exceeds
-        # haul - discharge, so each demand list is ranked by it
+        # haul - discharge, so each demand list is ranked by it, in place: lg
+        # times purchase less treatment ranks the scenario's lists alike for
+        # every lg, and a stable sort of a ranked list leaves it as it is
         worth = {di: _over(streams[di].unit_purchase_cost, lg)
                  - _over(streams[di].unit_treatment_cost, lg) for dis in lists for di in dis}
         for dis in lists:

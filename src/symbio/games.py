@@ -232,19 +232,26 @@ def _scaled(nums, dens) -> "tuple[list[int], int]":
     """(ints, d) with ints[k] / d == nums[k] / dens[k] (dens > 0, in any
     terms), d the lcm of the reduced denominators. Each value is reduced by
     its gcd first, so that a long denominator T(S) and O(S) share costs
-    nothing, and d is held to SCALED_BITS as it grows (_check_bits), before
-    any entry is scaled. No prime divides d and every int (at its highest
-    power in d it divides a reduced denominator), so the ints are in lowest
-    terms, and ISNGame._in_lowest_terms takes them as they are.
+    nothing. The distinct denominators fold into d pairwise, level by
+    level, so each level's lcms take operands of at most the inputs' bits
+    in all, where a running lcm takes the grown d at every step; every
+    partial lcm divides d, so each, and d, is held to SCALED_BITS
+    (_check_bits) before any entry is scaled. No prime divides d and every
+    int (at its highest power in d it divides a reduced denominator), so
+    the ints are in lowest terms, and ISNGame._in_lowest_terms takes them
+    as they are.
     """
     g = list(map(gcd, nums, dens))
     nums = list(map(floordiv, nums, g))
     dens = list(map(floordiv, dens, g))
-    d = 1
-    for den in set(dens):
-        if d % den:
-            d = lcm(d, den)
-            _check_bits(len(nums), d)
+    level = list(set(dens))
+    while len(level) > 1:
+        folded = list(map(lcm, level[::2], level[1::2]))
+        for partial in folded:
+            _check_bits(len(nums), partial)
+        level = folded + level[2 * len(folded):]
+    d = level[0] if level else 1
+    _check_bits(len(nums), d)
     if d != 1:
         nums = list(map(mul, nums, map(d.__floordiv__, dens)))
     return nums, d

@@ -1,43 +1,43 @@
 """Exact linear programming over rationals.
 
 A simplex with Bland's rule for both the entering and leaving choices, so
-it terminates on degenerate problems and its verdicts (feasible /
-infeasible) are exact even when the optimum sits on a constraint
-boundary. Instances are not small: the core LP has one row per coalition
-worth more than its members alone, up to 2^n - n - 2 rows for n agents.
+it terminates on degenerate problems and its answers are exact even when
+the optimum sits on a constraint boundary. Instances are not small: the
+core LP has one row per coalition worth more than its members alone, up to
+2^n - n - 2 rows for n agents.
 
-solve_lp runs one phase. An LP with an equality row or a negative
-right-hand side is a feasibility question with c = 0: phase one runs
-alone, and the point where it stops is the answer. Any other LP starts
-feasible at x = 0, every slack basic, and one phase maximizes c.x.
+solve_lp takes one form: <= rows with right-hand sides >= 0, so it starts
+feasible at x = 0, every slack basic, and one phase maximizes c.x less the
+k = surplus columns s_r, one in each of the first k rows with coefficient
+-1 and cost 1. A row a.x - s_r <= b asks a.x >= b: add a to c, and the
+optimum reaches the sum of those rows' b exactly when every such row holds
+(solutions.core_nonempty).
 
-Columns are numbered in the logical order structural | slack | artificial,
-with one artificial per row that starts without a basic slack, in row
-order; Bland's rule and the basis read these numbers. A <= row with a
-negative right-hand side is negated, so its slack coefficient is -1 and
-its artificial's +1: at every basis that artificial's column is minus its
-slack's, and in phase one its cost is 1 - the slack's.
+Columns are numbered in the logical order structural | surplus | slack,
+slack r in row r; Bland's rule and the basis read these numbers. Slack
+n + k + r, r < k, has the cells of surplus n + r negated and a cost 1 less:
+at every basis its reduced cost is 1 - the surplus's.
 
 The tableau is a fraction-free dictionary (Tucker's condensed tableau,
 as in Avis's lrs). Basic columns are unit vectors and are not stored: a
 row is Python ints [cell per stored column, rhs, scale], scale > 0, with
 true values cell / scale, kept primitive, and 1 as the input's int rows
 start; tableau.cols names the logical column in each slot. The cost row
-has the same layout, -objective in its rhs cell. Of a mirrored
-slack/artificial pair, a member whose partner is basic is minus that
-row's unit column; it is not stored, and its phase-one cost is 1, so it
-never enters. When both are nonbasic only the slack is stored; the
-artificial is read off it, cells negated and cost cell scale - d_s. So
-exactly n columns are stored for n variables, and a row is n + 2 ints
-whatever the number of rows.
+has the same layout, -objective in its rhs cell, and starts as -c. Of a
+mirrored surplus/slack pair, a member whose partner is basic is minus that
+row's unit column; it is not stored, and its reduced cost is 1, so it
+never enters. When both are nonbasic only the surplus is stored; the slack
+is read off it, cells negated and cost cell scale - d_s. So exactly n
+columns are stored for n variables, and a row is n + 2 ints whatever the
+number of rows.
 
 A pivot on cell pc > 0 swaps the entering and leaving columns in the
 entering column's slot. The pivot row keeps its cells, takes its old
-scale s there (-s when the leaving column is an artificial stored as its
-slack) and pc as its scale; each other row with cell t in that slot
+scale s there (-s when the leaving column is a slack stored as its
+surplus) and pc as its scale; each other row with cell t in that slot
 becomes pc*row - t*q, for q the new pivot row times the entering column's
-sign (-1 for an artificial read off its slack), with pc added in the slot
-and 0 as scale.
+sign (-1 for a slack read off its surplus), with pc added in the slot and
+0 as scale.
 
 Scaling a row by a positive number changes neither the sign of a cell nor
 the ratio of two cells, and those are all the pivot rules read: the sign
@@ -59,77 +59,52 @@ from math import gcd
 class LPResult:
     """At an optimum each value is a (num, den) int pair, den > 0, not reduced."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: "tuple[tuple[int, int], ...] | None" = None  # basic: its row's (rhs, scale); else (0, 1)
-    objective: "tuple[int, int] | None" = None  # the cost row's (rhs, scale); (0, 1) if c = 0
+    objective: "tuple[int, int] | None" = None  # the cost row's (rhs, scale)
 
 
 class _Tableau(list):
     """The stored rows; cols[j] is the logical column stored in slot j.
 
-    slack_of maps each mirrored artificial to its slack column, art_of the
-    other way.
+    The surplus columns are n..n+k-1 for n = len(cols), and slack n + k + r
+    mirrors surplus n + r.
     """
 
-    __slots__ = ("cols", "slack_of", "art_of")
+    __slots__ = ("cols", "k")
 
-    def __init__(self, rows, cols, slack_of):
+    def __init__(self, rows, n, k):
         super().__init__(rows)
-        self.cols = cols
-        self.slack_of = slack_of
-        self.art_of = {s: a for a, s in slack_of.items()}
+        self.cols = list(range(n))
+        self.k = k
 
 
-def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPResult:
-    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
+def solve_lp(c, a_ub=(), b_ub=(), surplus=0) -> LPResult:
+    """Maximize c.x - (s_0 + ... + s_{k-1}) subject to row r of a_ub x,
+    less s_r for r < k = surplus, <= b_ub[r], with x, s >= 0.
 
     Inputs are ints; any other type, a Fraction, float, str, bool or Decimal
     included, raises TypeError. Rational data enters as each row scaled by
     a positive common multiple of its denominators (and c likewise), which
-    moves no pivot. A feasibility LP (an equality row or a negative
-    right-hand side) must have c = 0, else ValueError. Values are int pairs.
+    moves no pivot. A negative right-hand side raises ValueError. Values are
+    int pairs, x's without the surplus columns.
     """
     c = _ints(c)
     n = len(c)
-
-    # Slack k belongs to <= row k. Each row starts with its slack basic, or
-    # when it is an equality row or was negated, its artificial; the
-    # artificials are numbered in row order, after every real column.
-    ub = [_dictionary_row(coeffs, rhs, n) for coeffs, rhs in zip(a_ub, b_ub, strict=True)]
-    eq = [_dictionary_row(coeffs, rhs, n) for coeffs, rhs in zip(a_eq, b_eq, strict=True)]
-    real = n + len(ub)
-    basis, slack_of = [], {}
-    for k, (_, negated) in enumerate(ub):
-        if negated:
-            artificial = real + len(slack_of)
-            slack_of[artificial] = n + k
-            basis.append(artificial)
-        else:
-            basis.append(n + k)
-    basis += range(real + len(slack_of), real + len(slack_of) + len(eq))
-    tableau = _Tableau([row for row, _ in ub + eq], list(range(n)), slack_of)
-
-    if slack_of or eq:
-        if any(c):
-            raise ValueError("a feasibility LP takes c = 0")
-        cost = [0] * real + [1] * (len(slack_of) + len(eq))
-        obj = _reduced_row(cost, tableau, basis)
-        _pivot_until_optimal(tableau, basis, obj)
-        if obj[-2] != 0:  # leftover artificial infeasibility
-            return LPResult("infeasible")
-        value = (0, 1)
-    else:
-        # minimize -c.x; the cost row's rhs cell holds minus that, c.x
-        obj = _reduced_row([-v for v in c] + [0] * len(ub), tableau, basis)
-        if not _pivot_until_optimal(tableau, basis, obj):
-            return LPResult("unbounded")
-        value = (obj[-2], obj[-1])
-
+    tableau = _Tableau([_dictionary_row(coeffs, rhs, n)
+                        for coeffs, rhs in zip(a_ub, b_ub, strict=True)], n, surplus)
+    if not 0 <= surplus <= len(tableau):
+        raise ValueError("surplus counts rows of a_ub")
+    basis = list(range(n + surplus, n + surplus + len(tableau)))  # every slack
+    # minimize -c.x + sum(s); the cost row's rhs cell holds minus that
+    obj = [-v for v in c] + [0, 1]
+    if not _pivot_until_optimal(tableau, basis, obj):
+        return LPResult("unbounded")
     x = [(0, 1)] * n
     for row, b in zip(tableau, basis):
         if b < n:
             x[b] = (row[-2], row[-1])
-    return LPResult("optimal", tuple(x), value)
+    return LPResult("optimal", tuple(x), (obj[-2], obj[-1]))
 
 
 def _ints(values) -> list:
@@ -142,16 +117,13 @@ def _ints(values) -> list:
 
 
 def _dictionary_row(coeffs, rhs, n):
-    """(row, negated): coeffs and rhs as a dictionary row of scale 1,
-    negated when rhs < 0 so that the row's basic slack or artificial enters
-    it as +1."""
+    """coeffs and rhs as a dictionary row of scale 1."""
     row = _ints([*coeffs, rhs])
     if len(row) != n + 1:
         raise ValueError("constraint width does not match objective")
-    negated = row[-1] < 0
-    if negated:
-        row = [-v for v in row]
-    return row + [1], negated
+    if row[-1] < 0:
+        raise ValueError("right-hand sides are >= 0")
+    return row + [1]
 
 
 def _primitive(row):
@@ -159,32 +131,21 @@ def _primitive(row):
     return row if g == 1 else [v // g for v in row]
 
 
-def _reduced_row(cost, tableau, basis):
-    """The cost row over the stored columns of the starting dictionary,
-    whose rows all have scale 1: ints, its rhs cell -objective, and scale 1.
-    cost lists every logical column's cost, as ints."""
-    obj = [cost[col] for col in tableau.cols] + [0]
-    for row, b in zip(tableau, basis):
-        if cost[b]:
-            obj = [o - cost[b] * v for o, v in zip(obj, row)]
-    return obj + [1]
-
-
 def _entering(tableau, obj):
     """Bland's rule: (col, j, sign) for the smallest logical column col with
     a negative reduced cost, stored as sign times slot j, or None. A mirrored
-    artificial is read off its slack's slot (sign -1) and costs obj[-1] - d_s."""
+    slack is read off its surplus's slot (sign -1) and costs obj[-1] - d_s."""
     best = None
-    art_of = tableau.art_of
+    k = tableau.k
+    lo = len(tableau.cols)
+    hi = lo + k
     for j, col in enumerate(tableau.cols):
         d = obj[j]
         if d < 0:
             if best is None or col < best[0]:
                 best = col, j, 1
-        elif art_of and d > obj[-1]:
-            art = art_of.get(col)
-            if art is not None and (best is None or art < best[0]):
-                best = art, j, -1
+        elif k and d > obj[-1] and lo <= col < hi and (best is None or col + k < best[0]):
+            best = col + k, j, -1
     return best
 
 
@@ -219,9 +180,10 @@ def _pivot(tableau, basis, obj, row, entering):
     leaving, basis[row] = basis[row], col
     pc = sign * prow[j]
     # the leaving column's cell in the pivot row is its scale s; a mirrored
-    # artificial is stored as its slack, minus that
-    tableau.cols[j] = tableau.slack_of.get(leaving, leaving)
-    mirror = 1 if tableau.cols[j] == leaving else -1
+    # slack is stored as its surplus, minus that
+    n, k = len(tableau.cols), tableau.k
+    mirror = -1 if n + k <= leaving < n + 2 * k else 1
+    tableau.cols[j] = leaving - k if mirror < 0 else leaving
     s = prow[-1]
     q = [sign * v for v in prow]
     q[j], q[-1] = pc + sign * mirror * s, 0

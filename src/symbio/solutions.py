@@ -1,12 +1,12 @@
 """Fairness and stability solution concepts.
 
 `shapley` is the Shapley allocation by the subset formula, summed per
-coalition in O(2^n) integer operations. Core decisions run as exact LP
-feasibility with a constructive witness; `in_core` checks one allocation
-against every coalition. A game is implementable when its Shapley
-allocation sits in its core: fair and stable at once. The slow oracles
-these are tested against (permutation average, vertex enumeration) live
-with the tests, not here.
+coalition in O(2^n) integer operations. A core decision is one exact LP
+whose optimum is the witness when the core is nonempty; `in_core` checks
+one allocation against every coalition. A game is implementable when its
+Shapley allocation sits in its core: fair and stable at once. The slow
+oracles these are tested against (permutation average, vertex
+enumeration) live with the tests, not here.
 
 Functions read a game's n_agents and its mask-indexed `scaled` ints over
 `denominator` (the lcm of its values' denominators), empty set and
@@ -103,12 +103,18 @@ def in_core(game, x) -> bool:
 def core_nonempty(game) -> CoreResult:
     """Decide core feasibility exactly and produce a witness point.
 
-    A feasibility LP (c = 0) in the slack above singleton worths: rows for
-    proper coalitions worth more than their members alone, one efficiency
-    equality; the point where phase one stops is the witness. The rows are
-    the table's ints over its denominator d, which scales every right-hand
-    side by d and moves no pivot. Agent i's share, slack y / s over d, is
-    the Fraction (y + alone_i s) / (s d).
+    One LP in the slack y above singleton worths: a row y(S) - s_S <= floor,
+    with a surplus s_S, for each proper coalition S worth floor > 0 more
+    than its members alone, and y(N) <= budget, the grand coalition's worth
+    beyond theirs. c is the rows' column sums, so the LP maximizes the sum
+    of their left sides, which reaches the sum of their right-hand sides
+    exactly when y(S) >= floor for every S and y(N) = budget: the core is
+    nonempty, and the optimum is the witness. That objective differs by a
+    constant from phase one's on the same rows as equalities, each with an
+    artificial in its slack's place, so Bland's rule makes phase one's
+    pivots. The rows are the table's ints over its denominator d, which
+    scales every right-hand side by d and moves no pivot. Agent i's share,
+    slack y / q over d, is the Fraction (y + alone_i q) / (q d).
     """
     n = game.n_agents
     full = (1 << n) - 1
@@ -122,14 +128,17 @@ def core_nonempty(game) -> CoreResult:
     a_ub, b_ub = [], []
     for mask in range(1, full):
         floor = vals[mask] - alone[mask]  # 0 for a singleton
-        if floor <= 0:
-            continue
-        a_ub.append([-(mask >> i & 1) for i in range(n)])
-        b_ub.append(-floor)
-    result = solve_lp([0] * n, a_ub=a_ub, b_ub=b_ub, a_eq=[[1] * n], b_eq=[budget])
-    if result.status != "optimal":
+        if floor > 0:
+            a_ub.append([mask >> i & 1 for i in range(n)])
+            b_ub.append(floor)
+    surplus = len(a_ub)
+    a_ub.append([1] * n)
+    b_ub.append(budget)
+    result = solve_lp(list(map(sum, zip(*a_ub))), a_ub=a_ub, b_ub=b_ub, surplus=surplus)
+    num, den = result.objective
+    if num != sum(b_ub) * den:
         return CoreResult(False)
-    witness = tuple(Fraction(y + alone[1 << i] * s, s * d) for i, (y, s) in enumerate(result.x))
+    witness = tuple(Fraction(y + alone[1 << i] * q, q * d) for i, (y, q) in enumerate(result.x))
     return CoreResult(True, witness)
 
 

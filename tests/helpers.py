@@ -208,7 +208,7 @@ def grid_plan_cost(scenario, members):
 def compatible_pairs(scenario):
     """(offer, demand) stream index pairs of one resource at two firms, in
     ascending order, by comparing every offer with every stream; oracle for
-    ExchangeScenario._links, the link list that validation and
+    ExchangeScenario.links, the link list that validation and
     symbio.exchange._RouteSearch walk, the search bisecting each link's
     demand list so that it walks only the pairs that save."""
     streams = scenario.streams
@@ -515,17 +515,28 @@ def dense_scenario(n):
     )
 
 
-def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) -> LPResult:
+def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False,
+                      surplus=0) -> LPResult:
     """Optimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
     Oracle for symbio.lp.solve_lp: the same two-phase Bland-rule simplex,
     run on a tableau of Fractions. Minimizes unless maximize=True. All
-    inputs are coerced to Fraction; right-hand sides may be negative. Values
-    come back as solve_lp's (num, den) pairs, here in lowest terms.
+    inputs are coerced to Fraction; right-hand sides may be negative, and
+    then phase one runs, as the core LP once did (phase_one_core_lp).
+    surplus=k writes solve_lp's surplus columns out as dense structural
+    columns after x, one per <= row r < k with -1 in that row, which the
+    objective charges 1 either way (subtracted from a maximum, added to a
+    minimum). Values come back as solve_lp's (num, den) pairs, here in
+    lowest terms, x without the surplus columns.
     """
     c = [Fraction(v) for v in c]
     if maximize:
         c = [-v for v in c]
+    n_x = len(c)
+    c += [Fraction(1)] * surplus
+    a_ub = [[*coeffs, *(-Fraction(r == t) for t in range(surplus))]
+            for r, coeffs in enumerate(a_ub)]
+    a_eq = [[*coeffs, *[0] * surplus] for coeffs in a_eq]
     n = len(c)
 
     rows = []  # (coeffs, rhs, needs_slack)
@@ -592,9 +603,9 @@ def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False) 
     if not _pivot_until_optimal(tableau, basis, obj, width):
         return LPResult("unbounded")
 
-    x = [Fraction(0)] * n
+    x = [Fraction(0)] * n_x
     for i, b in enumerate(basis):
-        if b is not None and b < n:
+        if b is not None and b < n_x:
             x[b] = tableau[i][-1]
     value = -obj[-1]
     if maximize:
@@ -681,12 +692,15 @@ def traced_pivots(module, call):
     """call()'s result, and (row, column, leaving column, pivot element,
     stored row length) for every pivot module._pivot made meanwhile, in order.
 
-    module is symbio.lp or this module (the oracle above); both number
-    columns structural | slack | artificial, so all but the lengths compare
-    directly. The pivot element is the entering column's true value in the
-    pivot row: read off the oracle's full tableau, or through symbio.lp's
-    dictionary (lp_entry), whose rows store only n nonbasic columns plus
-    rhs and scale.
+    module is symbio.lp or this module (the oracle above). The oracle
+    numbers columns structural | slack | artificial, symbio.lp structural |
+    surplus | slack; on the surplus form written out (fraction_solve_lp's
+    surplus) or on the phase-one LP whose rows it reads as <= rows
+    (phase_one_core_lp), the numbers name the same columns, so all but the
+    lengths compare directly. The pivot element is the entering column's
+    true value in the pivot row: read off the oracle's full tableau, or
+    through symbio.lp's dictionary (lp_entry), whose rows store only n
+    nonbasic columns plus rhs and scale.
     """
     pivots = []
     pivot = module._pivot
@@ -743,13 +757,31 @@ def lp_entry(tableau, row, entering):
     return Fraction(sign * tableau[row][j], tableau[row][-1])
 
 
-def mirrored_pairs(c, a_ub=(), b_ub=()):
-    """{artificial column: slack column} for the <= rows with a negative
-    right-hand side, whose artificials symbio.lp reads off their slacks
-    (its module docstring)."""
-    start = len(c) + len(a_ub)
-    slacks = [len(c) + k for k, b in enumerate(b_ub) if b < 0]
-    return {start + t: slack for t, slack in enumerate(slacks)}
+def mirrored_pairs(n, surplus):
+    """{slack column: surplus column} for solve_lp with n variables and
+    surplus=k: slack n + k + r is read off surplus n + r (symbio.lp's
+    module docstring)."""
+    return {n + surplus + r: n + r for r in range(surplus)}
+
+
+def phase_one_core_lp(game):
+    """The feasibility LP that symbio.solutions.core_nonempty once solved
+    by phase one, as fraction_solve_lp's arguments: c = 0 over the slack y
+    above singleton worths, -y(S) <= -floor for each proper coalition S
+    worth floor > 0 more than its members alone, in mask order, and
+    y(N) = budget; None when the budget is negative and no LP runs. Its
+    artificials sit where core_nonempty's slacks do and its slacks where
+    the surpluses do, so phase one's pivots are those of the surplus form."""
+    n = game.n_agents
+    full = (1 << n) - 1
+    vals = game.scaled
+    alone = [sum(vals[1 << i] for i in range(n) if mask >> i & 1) for mask in range(full + 1)]
+    if vals[full] < alone[full]:
+        return None
+    floors = [(mask, vals[mask] - alone[mask]) for mask in range(1, full)
+              if vals[mask] > alone[mask]]
+    return ([0] * n, [[-(mask >> i & 1) for i in range(n)] for mask, _ in floors],
+            [-floor for _, floor in floors], [[1] * n], [vals[full] - alone[full]])
 
 
 @contextlib.contextmanager

@@ -511,3 +511,39 @@ def test_game_build_makes_no_plans(monkeypatch):
     # the spy does see the plans the per-coalition optimizer builds
     plan, _ = optimal_exchange_plan(scenario, range(3))
     assert plan.shipments and built
+
+
+def test_the_roster_links_are_built_once(monkeypatch):
+    """A scenario builds its roster's link list once, to validate it, and
+    each search keeps the links inside its coalition: construction and
+    scenario_to_game make one _links call. Searches rank the shared demand
+    lists in place, so a second scenario_to_game or optimal_exchange_plan
+    on the same scenario, and one on a copy never searched, give the same
+    answers.
+    A third of the draws repeat streams, so that a firm demands one
+    resource more than once."""
+    calls = []
+    links = ExchangeScenario._links
+    monkeypatch.setattr(ExchangeScenario, "_links", lambda self: calls.append(self) or links(self))
+    rng = random.Random(29)
+    ranked = 0
+    for trial in range(30):
+        n = rng.randint(2, 4)
+        drawn = random_scenario(rng, n, denominators=range(2, 6) if trial % 2 else None)
+        streams = drawn.streams
+        if trial % 3 == 0:
+            streams += tuple(rng.choice(streams) for _ in range(rng.randint(1, 4)))
+        def copy():
+            return ExchangeScenario(n, streams, drawn.transport, drawn.transaction)
+
+        calls.clear()
+        scenario = copy()
+        game = scenario_to_game(scenario)
+        assert calls == [scenario]
+        assert scenario_to_game(scenario) == game == scenario_to_game(copy())
+        for members in coalitions(n):
+            plan = optimal_exchange_plan(scenario, members)
+            assert optimal_exchange_plan(scenario, members) == plan
+            assert optimal_exchange_plan(copy(), members) == plan
+        ranked += any(len(dis) > 1 for _, _, dis in scenario.links)
+    assert ranked >= 5

@@ -479,6 +479,25 @@ def test_scaled_table_bound(monkeypatch):
         games._scaled(*terms)
 
 
+def test_scaled_folds_the_lcm_pairwise(monkeypatch):
+    """games._scaled folds 247 distinct 400-bit denominators into their lcm
+    level by level: the lcm calls' operands total at most the inputs' bits
+    on each of ceil(log2 247) = 8 levels, where a running lcm takes the
+    grown lcm at every step, about 247 / 2 times the inputs' bits in all."""
+    dens = [10**120 + mask for mask in range(1 << 8) if mask.bit_count() >= 2]
+    operand_bits = []
+    fold = games.lcm
+
+    def counting(*args):
+        operand_bits.append(sum(a.bit_length() for a in args))
+        return fold(*args)
+
+    monkeypatch.setattr(games, "lcm", counting)
+    ints, d = games._scaled([1] * len(dens), dens)
+    assert d == lcm(*dens) and ints == [d // den for den in dens]
+    assert sum(operand_bits) <= 8 * sum(den.bit_length() for den in dens)
+
+
 def test_every_builder_scales_to_lowest_terms(monkeypatch):
     """ISNGame.from_table, ISNGame.from_values, make_isn_game with O = 0
     and game_from_masks build equal ints over an equal denominator, and

@@ -20,14 +20,19 @@ def test_basic_maximization():
 
 
 def test_infeasible():
-    r = solve_lp([0], a_ub=[[1]], b_ub=[-1])
-    assert r.status == "infeasible"
+    # x >= 1 and x <= 0: the surplus row x - s <= 1 asks x >= 1, and the
+    # optimum of (x - s) + x stops at 0, short of the right-hand sides' 1
+    r = lp_fractions(solve_lp([2], a_ub=[[1], [1]], b_ub=[1, 0], surplus=1))
+    assert r == LPResult("optimal", (0,), 0)
 
 
 def test_negative_rhs_feasible():
-    # x >= 1 written as -x <= -1
-    r = lp_fractions(solve_lp([0], a_ub=[[-1]], b_ub=[-1]))
-    assert r == LPResult("optimal", (1,), 0)
+    # x >= 1 is not written -x <= -1 but as the surplus row x - s <= 1,
+    # which the optimum of x - s meets
+    with pytest.raises(ValueError, match="right-hand sides are >= 0"):
+        solve_lp([0], a_ub=[[-1]], b_ub=[-1])
+    r = lp_fractions(solve_lp([1], a_ub=[[1]], b_ub=[1], surplus=1))
+    assert r == LPResult("optimal", (1,), 1)
 
 
 def test_unbounded():
@@ -35,14 +40,16 @@ def test_unbounded():
 
 
 def test_equalities():
-    r = lp_fractions(solve_lp([0, 0], a_eq=[[1, 1], [1, -1]], b_eq=[3, 1]))
-    assert r.status == "optimal"
-    assert r.x == (2, 1)
+    # x + y = 3 and x - y = 1: each a surplus row (>=) and a <= row, c the
+    # rows' column sums; the optimum reaches the right-hand sides' 8
+    r = lp_fractions(solve_lp([4, 0], a_ub=[[1, 1], [1, -1], [1, 1], [1, -1]],
+                              b_ub=[3, 1, 3, 1], surplus=2))
+    assert r == LPResult("optimal", (2, 1), 8)
 
 
 def test_exact_fractional_boundary():
     # the point is exactly 1/3; a float solver could land on either side
-    r = lp_fractions(solve_lp([0], a_ub=[[-3]], b_ub=[-1]))  # x >= 1/3, times 3
+    r = lp_fractions(solve_lp([3], a_ub=[[3]], b_ub=[1], surplus=1))  # x >= 1/3, times 3
     assert r.x == (Fraction(1, 3),)
     r = lp_fractions(solve_lp([1], a_ub=[[3]], b_ub=[1]))
     assert r.x == (Fraction(1, 3),)
@@ -50,20 +57,22 @@ def test_exact_fractional_boundary():
 
 
 def test_redundant_equality_rows():
-    r = lp_fractions(solve_lp([0, 0], a_eq=[[1, 1], [2, 2]], b_eq=[3, 6]))
-    assert r.status == "optimal"
+    # x + y = 3 and 2x + 2y = 6, as the core LP asks its budget row: a <= row
+    # whose left side c maximizes
+    r = lp_fractions(solve_lp([3, 3], a_ub=[[1, 1], [2, 2]], b_ub=[3, 6]))
+    assert r.objective == 9
     assert sum(r.x) == 3
 
 
 def test_contradictory_equalities():
-    r = solve_lp([0, 0], a_eq=[[1, 1], [1, 1]], b_eq=[3, 4])
-    assert r.status == "infeasible"
+    # x + y = 3 and x + y = 4: the optimum stops at 6, short of 7
+    r = lp_fractions(solve_lp([2, 2], a_ub=[[1, 1], [1, 1]], b_ub=[3, 4]))
+    assert r.objective == 6
 
 
 def test_degenerate_single_point():
-    r = lp_fractions(solve_lp([0, 0], a_eq=[[1, 0], [0, 1]], b_eq=[0, 0], a_ub=[[1, 1]], b_ub=[0]))
-    assert r.status == "optimal"
-    assert r.x == (0, 0)
+    r = lp_fractions(solve_lp([2, 2], a_ub=[[1, 0], [0, 1], [1, 1]], b_ub=[0, 0, 0]))
+    assert r == LPResult("optimal", (0, 0), 0)
 
 
 def test_transportation_needs_lp_not_greedy():
@@ -76,31 +85,32 @@ def test_transportation_needs_lp_not_greedy():
     assert lp_fractions(r).objective == 80
 
 
-def test_feasibility_lp_takes_no_objective():
-    with pytest.raises(ValueError, match="c = 0"):
-        solve_lp([1], a_ub=[[-1]], b_ub=[-1])
-    with pytest.raises(ValueError, match="c = 0"):
-        solve_lp([0, 1], a_eq=[[1, 1]], b_eq=[1])
-    # the same rows with b >= 0 and no equality row: an optimization LP
+def test_rows_outside_the_one_form_are_refused():
+    with pytest.raises(ValueError, match="right-hand sides are >= 0"):
+        solve_lp([1], a_ub=[[1], [-1]], b_ub=[1, -1])
+    for surplus in (-1, 3):
+        with pytest.raises(ValueError, match="surplus counts rows"):
+            solve_lp([1], a_ub=[[1], [1]], b_ub=[1, 1], surplus=surplus)
+    # b = 0 is in the form
     assert lp_fractions(solve_lp([-1], a_ub=[[-1]], b_ub=[0])) == LPResult("optimal", (0,), 0)
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), True, Fraction(1, 3)])
-@pytest.mark.parametrize("where", ["c", "a_ub", "b_eq", "int_row"])
+@pytest.mark.parametrize("where", ["c", "a_ub", "b_ub", "int_row"])
 def test_only_ints_and_fractions(bad, where):
     # only ints: a float would enter as its binary value (0.1 is
     # 3602879701896397/2^55), and rational data enters as rows scaled by a
     # positive lcm (_int_lp), so a Fraction is refused as well
-    args = {"c": [0], "a_ub": [[1]], "b_ub": [1], "a_eq": [[1]], "b_eq": [1]}
+    args = {"c": [0], "a_ub": [[1]], "b_ub": [1]}
     if where == "int_row":  # one bad cell among ints, past the all-int check
-        args.update(c=[0, 0, 0], a_ub=[[1, bad, 2]], a_eq=[[1, 1, 1]])
+        args.update(c=[0, 0, 0], a_ub=[[1, bad, 2]])
     else:
         args[where] = [[bad]] if where.startswith("a_") else [bad]
     with pytest.raises(TypeError, match=type(bad).__name__):
         solve_lp(**args)
 
 
-@pytest.mark.parametrize("form", ["a_ub", "a_eq"])
+@pytest.mark.parametrize("form", ["a_ub"])
 def test_row_width_must_match_objective(form):
     rows = {form: [[1, 2]], "b" + form[1:]: [1]}
     with pytest.raises(ValueError) as e:
@@ -112,14 +122,17 @@ def test_row_width_must_match_objective(form):
 
 
 def test_drive_out_pivot_on_negative_entry():
-    # Phase one leaves an artificial basic at level zero whose row's first
-    # nonzero real entry is negative. The oracle's drive-out pivots on that
-    # entry; symbio stops after phase one, at the same point.
-    args = ([0, 0], (), (), [[2, 2], [0, -1]], [1, 0])
-    r, pivots = traced_pivots(lp, lambda: solve_lp(*args))
-    expected, oracle_pivots, drive_outs = traced_oracle(lambda: fraction_solve_lp(*args))
-    assert lp_fractions(r) == lp_fractions(expected) == LPResult(
-        "optimal", (Fraction(1, 2), Fraction(0)), Fraction(0))
+    # 2x + 2y = 1 and -y = 0 by phase one: the oracle's phase one leaves an
+    # artificial basic at level zero whose row's first nonzero real entry is
+    # negative, and its drive-out pivots on that entry. Read as <= rows,
+    # with c their column sums, symbio makes phase one's pivots and stops
+    # at the same point.
+    rows, rhs = [[2, 2], [0, -1]], [1, 0]
+    r, pivots = traced_pivots(lp, lambda: solve_lp([2, 1], a_ub=rows, b_ub=rhs))
+    expected, oracle_pivots, drive_outs = traced_oracle(
+        lambda: fraction_solve_lp([0, 0], a_eq=rows, b_eq=rhs))
+    assert lp_fractions(r) == LPResult("optimal", (Fraction(1, 2), Fraction(0)), Fraction(1))
+    assert lp_fractions(expected).x == lp_fractions(r).x
     assert drive_outs == 1 and oracle_pivots[-1][3] < 0
     assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[:-1]]
     assert all(element > 0 for *_, element, _ in pivots)
@@ -147,23 +160,23 @@ def test_no_constraints(c, maximize, expected):
                            else sense * scale * expected.objective)
 
 
-# kwargs are the oracle's: maximize for an optimization LP
+# kwargs are both solvers': the surplus form of >= rows and equalities
 @pytest.mark.parametrize(
     "args, kwargs",
     [
-        (([3, 2], [[1, 1], [1, 0]], [4, 2]), {"maximize": True}),
-        (([0, 0], (), (), [[1, 1], [1, -1]], [3, 1]), {}),
-        (([0, 0], [[-2, -4]], [-6]), {}),
-        (([0, 0], [[-3, 0], [0, -6]], [-2, -3]), {}),
-        (([6, 0], [[3, 0]], [2]), {"maximize": True}),
-        (([1], [[1]], [0]), {"maximize": True}),
+        (([3, 2], [[1, 1], [1, 0]], [4, 2]), {}),
+        (([4, 0], [[1, 1], [1, -1], [1, 1], [1, -1]], [3, 1, 3, 1]), {"surplus": 2}),
+        (([2, 4], [[2, 4]], [6]), {"surplus": 1}),
+        (([3, 6], [[3, 0], [0, 6]], [2, 3]), {"surplus": 2}),
+        (([6, 0], [[3, 0]], [2]), {}),
+        (([1], [[1]], [0]), {}),
     ],
 )
 def test_results_are_fractions_in_lowest_terms(args, kwargs):
     # values come as the dictionary's (rhs, scale) int pairs, not reduced:
     # the fractions equal the oracle's, whose pairs are in lowest terms
-    r = solve_lp(*args)
-    expected = fraction_solve_lp(*args, **kwargs)
+    r = solve_lp(*args, **kwargs)
+    expected = fraction_solve_lp(*args, maximize=True, **kwargs)
     assert r.status == "optimal"
     for (p, q), (a, b) in zip((*r.x, r.objective), (*expected.x, expected.objective), strict=True):
         assert type(p) is type(q) is int and q > 0
@@ -180,94 +193,73 @@ def _int_row(values) -> list:
     return [int(v * scale) for v in values]
 
 
-def _int_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+def _int_lp(c, a_ub=(), b_ub=()):
     """An LP of rationals as solve_lp takes it: c, and each constraint row
     with its right-hand side, scaled by its own lcm (_int_row)."""
-    ub = [_int_row([*a, b]) for a, b in zip(a_ub, b_ub)]
-    eq = [_int_row([*a, b]) for a, b in zip(a_eq, b_eq)]
-    return (_int_row(c), [r[:-1] for r in ub], [r[-1] for r in ub],
-            [r[:-1] for r in eq], [r[-1] for r in eq])
+    rows = [_int_row([*a, b]) for a, b in zip(a_ub, b_ub)]
+    return _int_row(c), [r[:-1] for r in rows], [r[-1] for r in rows]
 
 
 def _rational(rng, lo=-6, hi=6):
     return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 7]))
 
 
-def _random_lp(rng, feasibility):
-    """A small LP in one of solve_lp's two forms, and the oracle's kwargs.
-
-    Rows have mixed-sign coefficients with small denominators. A
-    feasibility LP (c = 0) is mostly feasible by construction around a
-    point x0 >= 0, so its right-hand sides come out negative about half the
-    time; it has at least one equality row or negative right-hand side, and
-    some instances repeat an equality row (scaled, consistently or not) or
-    get random right-hand sides. An optimization LP has only <= rows with
-    right-hand sides >= 0, zero in some; some cap every variable so the
-    optimum is bounded.
-    """
+def _random_lp(rng):
+    """A small LP in solve_lp's form, rows with mixed-sign coefficients over
+    small denominators and right-hand sides >= 0, zero in some, and how
+    many of its first rows hold a surplus column. Some cap every variable
+    so the optimum is bounded. c is random, or about half the time the
+    column sums of a system of >= rows (the surplus ones) and equalities,
+    each a surplus row and a <= row, as the core LP asks (the oracle's
+    phase one on it makes the same pivots), plus a little noise."""
     n = rng.randint(1, 5)
 
     def row():
         return [_rational(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
 
     a_ub = [row() for _ in range(rng.randint(0, 5))]
-    if not feasibility:
-        b_ub = [rng.choice([0, _rational(rng, 0, 6)]) for _ in a_ub]
-        if rng.random() < 0.5:
-            for j in range(n):
-                a_ub.append([int(i == j) for i in range(n)])
-                b_ub.append(_rational(rng, 0, 8))
+    b_ub = [rng.choice([0, _rational(rng, 0, 6)]) for _ in a_ub]
+    surplus = rng.randint(0, len(a_ub))
+    if rng.random() < 0.5:
+        # equalities: a <= copy of some surplus rows
+        for r in range(surplus):
+            if rng.random() < 0.5:
+                a_ub.append(a_ub[r])
+                b_ub.append(b_ub[r])
+        c = [sum(column) for column in zip(*a_ub, [0] * n)]
+        if rng.random() < 0.3:
+            c = [v + _rational(rng, -1, 1) for v in c]
+    else:
         c = [_rational(rng) for _ in range(n)]
-        return (c, a_ub, b_ub), {"maximize": True}
-
-    x0 = [_rational(rng, 0, 4) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
-
-    def at_x0(coeffs):
-        return sum(a * x for a, x in zip(coeffs, x0))
-
-    a_eq = [row() for _ in range(rng.randint(0, 3))]
-    b_ub = [at_x0(r) + rng.choice([0, 0, _rational(rng, 0, 3)]) for r in a_ub]
-    b_eq = [at_x0(r) for r in a_eq]
-    if a_eq and rng.random() < 0.3:
-        k = _rational(rng, 1, 3)
-        a_eq.append([k * a for a in a_eq[0]])
-        b_eq.append(k * b_eq[0] + rng.choice([0, 0, 1]))  # redundant or contradictory
-    if rng.random() < 0.2:
-        b_ub = [_rational(rng) for _ in b_ub]
-        b_eq = [_rational(rng) for _ in b_eq]
-    if not a_eq and all(b >= 0 for b in b_ub):
-        a_eq.append(row())
-        b_eq.append(at_x0(a_eq[-1]))
-    return ([0] * n, a_ub, b_ub, a_eq, b_eq), {}
+    if rng.random() < 0.5:
+        for j in range(n):
+            a_ub.append([int(i == j) for i in range(n)])
+            b_ub.append(_rational(rng, 0, 8))
+    return (c, a_ub, b_ub), surplus
 
 
 def test_matches_fraction_tableau_on_random_lps():
     """Same results, and the same pivots: every (row, entering column,
-    leaving column, pivot element) in order, up to where the oracle's
-    two-phase simplex goes on to drive zero-level artificials out of a
-    feasibility LP's basis. Both solve the same int rows (_int_lp)."""
+    leaving column, pivot element) in order, against the oracle's one phase
+    on the surplus columns written out. Both solve the same int rows
+    (_int_lp)."""
     rng = random.Random(20180419)
     seen = Counter()
-    paths = Counter()
-    for k in range(1500):
-        feasibility = k % 2 == 0
-        args, kwargs = _random_lp(rng, feasibility)
+    mirrored_entries = 0
+    for _ in range(1500):
+        args, surplus = _random_lp(rng)
         args = _int_lp(*args)
-        r, pivots = traced_pivots(lp, lambda: solve_lp(*args))
-        expected, oracle_pivots, drive_outs = traced_oracle(lambda: fraction_solve_lp(*args, **kwargs))
-        assert lp_fractions(r) == lp_fractions(expected), (args, kwargs)
-        assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[: len(pivots)]], args
-        assert len(oracle_pivots) == len(pivots) + drive_outs, args
-        mirrored = mirrored_pairs(*args[:3])
+        r, pivots = traced_pivots(lp, lambda: solve_lp(*args, surplus=surplus))
+        expected, oracle_pivots, drive_outs = traced_oracle(
+            lambda: fraction_solve_lp(*args, maximize=True, surplus=surplus))
+        assert lp_fractions(r) == lp_fractions(expected), (args, surplus)
+        assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots], (args, surplus)
+        assert drive_outs == 0
+        mirrored = mirrored_pairs(len(args[0]), surplus)
         for _, col, _, element, _ in pivots:
-            # an artificial read off its slack column re-enters the basis,
-            # so Bland's phase one still needs those columns after they
-            # leave it
-            paths["artificial enters through its slack"] += col in mirrored
+            # a slack read off its surplus column re-enters the basis
+            mirrored_entries += col in mirrored
             assert element > 0
-        paths["oracle drive-out"] += drive_outs
-        seen[r.status, feasibility] += 1
-    # each form gives both its verdicts
-    assert set(seen) == {("optimal", True), ("infeasible", True), ("optimal", False), ("unbounded", False)}
-    assert min(seen.values()) >= 50, seen
-    assert len(paths) == 2 and min(paths.values()) > 0, paths
+        seen[r.status] += 1
+    assert set(seen) == {"optimal", "unbounded"} and min(seen.values()) >= 50, seen
+    assert mirrored_entries > 0

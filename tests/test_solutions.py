@@ -13,7 +13,7 @@ from symbio.errors import BoundExceeded, SymbioError
 from symbio.exchange import scenario_to_game
 from symbio.games import ISNGame, check_superadditive, coalitions, members_of
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley
-from symbio.solutions import core_nonempty, in_core, is_implementable, shapley
+from symbio.solutions import CoreResult, core_nonempty, in_core, is_implementable, shapley
 
 from helpers import (
     core_constraints_hold,
@@ -23,6 +23,7 @@ from helpers import (
     mirrored_pairs,
     mixed_game,
     perm_shapley,
+    phase_one_core_lp,
     random_game,
     random_net,
     random_scenario,
@@ -221,13 +222,15 @@ def _near_convex_game(rng, n):
 
 
 def test_core_witness_matches_fraction_tableau(monkeypatch):
+    # the oracle solves core_nonempty's LP with its surplus columns written
+    # out: the same pivots, every one, and no drive-out
     oracle_calls = []
 
     def oracle(*args, **kwargs):
         call = inspect.signature(fraction_solve_lp).bind(*args, **kwargs)
         call.apply_defaults()
         oracle_calls.append(call.arguments)
-        return fraction_solve_lp(*args, **kwargs)
+        return fraction_solve_lp(*args, maximize=True, **kwargs)
 
     rng = random.Random(7)
     verdicts = set()
@@ -243,15 +246,14 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
                     m.setattr(solutions, "solve_lp", oracle)
                     oracle_result, oracle_pivots, drive_outs = traced_oracle(lambda: core_nonempty(game))
                 assert oracle_result == result
-                # phase one alone: the oracle's pivots up to its drive-out
-                assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[: len(pivots)]]
-                assert len(oracle_pivots) == len(pivots) + drive_outs
+                assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots]
+                assert drive_outs == 0
                 if oracle_calls:
                     verdicts.add((n, result.nonempty))
                     lp_args = oracle_calls[0]
                     # stored: one cell per nonbasic column, rhs and scale
                     assert all(width == n + 2 for *_, width in pivots)
-                    mirrored = mirrored_pairs(lp_args["c"], lp_args["a_ub"], lp_args["b_ub"])
+                    mirrored = mirrored_pairs(len(lp_args["c"]), lp_args["surplus"])
                     mirrored_entries += sum(col in mirrored for _, col, *_ in pivots)
                 non_superadditive += check_superadditive(game) is not None
     # from n = 3 on, both verdicts come out of the LP at every size
@@ -260,10 +262,60 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
     assert mirrored_entries > 0
 
 
-def test_core_witness_survives_the_oracles_drive_out(monkeypatch):
+def _singleton_net(rng, n):
+    """random_net's rules and one that moves a single firm's worth alone,
+    which moves every floor of the core LP and its budget."""
+    i = rng.randrange(n)
+    value = Fraction(rng.choice([-9, -4, -1, 1, 4, 9]), rng.choice([1, 2]))
+    return MCNet(n, random_net(rng, n).rules + (MCNetRule({i}, set(range(n)) - {i}, value),))
+
+
+def _coordinated_game(rng, n):
+    return CoordinatedGame(random_game(rng, n), _singleton_net(rng, n))
+
+
+def _phase_one_witness(game, x):
+    """The core point of the phase-one LP's solution x (phase_one_core_lp):
+    each slack y over d, lifted by the agent's worth alone."""
+    return tuple((Fraction(*y) + game.scaled[1 << i]) / game.denominator for i, y in enumerate(x))
+
+
+def test_core_lp_makes_phase_ones_pivots():
+    """core_nonempty's LP makes the pivots of the oracle's phase one on the
+    feasibility LP the core was once decided by (phase_one_core_lp), tuple
+    for tuple, and stops at its point: the same verdict and witness. Only
+    the oracle's drive-out pivots follow; phase two, with c = 0, makes
+    none."""
+    rng = random.Random(26)
+    verdicts = set()
+    makers = (random_game, mixed_game, convex_game, _near_convex_game, _coordinated_game)
+    for n in range(2, 8):
+        # at n = 7 the Fraction oracle takes seconds on 100 rows
+        for make in (convex_game, _coordinated_game) if n == 7 else makers:
+            for _ in range(1 if n >= 6 else 5):
+                game = make(rng, n)
+                result, pivots = traced_pivots(lp, lambda: core_nonempty(game))
+                args = phase_one_core_lp(game)
+                if args is None:  # a negative budget: no LP
+                    assert result == CoreResult(False) and not pivots
+                    continue
+                expected, oracle_pivots, drive_outs = traced_oracle(
+                    lambda: fraction_solve_lp(*args))
+                assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[: len(pivots)]]
+                assert len(oracle_pivots) == len(pivots) + drive_outs
+                assert result.nonempty == (expected.status == "optimal")
+                if result.nonempty:
+                    assert result.witness == _phase_one_witness(game, expected.x)
+                verdicts.add((make, result.nonempty))
+    # a convex game's core is never empty
+    both = {(make, v) for make in makers for v in (False, True)}
+    assert verdicts == both - {(convex_game, False)}
+
+
+def test_core_witness_survives_the_oracles_drive_out():
     # The two-phase oracle drives zero-level artificials out of the basis
-    # after phase one and runs phase two; symbio stops after phase one.
-    # Neither step moves the point, so the witness is the same.
+    # after phase one and runs phase two; the core LP stops where phase one
+    # does. Neither step moves the point, so the witness is the same.
     rng = random.Random(5)
     drove_out = 0
     for n in range(2, 7):
@@ -271,12 +323,43 @@ def test_core_witness_survives_the_oracles_drive_out(monkeypatch):
             for _ in range({5: 6, 6: 1}.get(n, 24)):
                 game = make(rng, n)
                 result = core_nonempty(game)
-                with monkeypatch.context() as m:
-                    m.setattr(solutions, "solve_lp", fraction_solve_lp)
-                    oracle_result, _, drive_outs = traced_oracle(lambda: core_nonempty(game))
-                assert oracle_result == result
+                args = phase_one_core_lp(game)
+                if args is None:
+                    continue
+                expected, _, drive_outs = traced_oracle(lambda: fraction_solve_lp(*args))
+                if result.nonempty:
+                    assert result.witness == _phase_one_witness(game, expected.x)
                 drove_out += drive_outs > 0
     assert drove_out > 0
+
+
+@pytest.mark.parametrize("game, rows", [
+    # n = 1: the budget row alone, no surplus column
+    (ISNGame.from_values(1, {}), [[1]]),
+    (CoordinatedGame(ISNGame.from_values(1, {}),
+                     MCNet(1, (MCNetRule({0}, set(), Fraction(5, 2)),))), [[1]]),
+    # no positive floor: every pair worth no more than its members alone
+    (ISNGame.from_values(3, {(0, 1): -2, (0, 2): 0, (1, 2): -1, (0, 1, 2): 6}), [[1, 1, 1]]),
+    # budget 0, with and without a positive floor
+    (ISNGame.from_values(3, {(0, 1): 0, (0, 1, 2): 0}), [[1, 1, 1]]),
+    (ISNGame.from_values(3, {(0, 1): 1, (0, 1, 2): 0}), [[1, 1, 0], [1, 1, 1]]),
+    # singleton worths of 3 each drive the budget to 4 - 9 < 0: no LP
+    (CoordinatedGame(ISNGame.from_values(3, {(0, 1, 2): 4}),
+                     MCNet(3, tuple(MCNetRule({i}, {0, 1, 2} - {i}, 3) for i in range(3)))),
+     None),
+])
+def test_core_lp_corners(monkeypatch, game, rows):
+    calls = []
+    solve = solutions.solve_lp
+    monkeypatch.setattr(solutions, "solve_lp",
+                        lambda *a, **kw: calls.append(kw) or solve(*a, **kw))
+    result = core_nonempty(game)
+    assert [call["a_ub"] for call in calls] == ([] if rows is None else [rows])
+    assert [call["surplus"] for call in calls] == ([] if rows is None else [len(rows) - 1])
+    expected = core_nonempty_by_enumeration(game)
+    assert result.nonempty == expected.nonempty
+    if result.nonempty:
+        assert core_constraints_hold(game, result.witness)
 
 
 def test_implementability(g3, g3_prime):
@@ -301,7 +384,7 @@ def test_implementability_beyond_the_factorial_bound():
 @pytest.mark.slow
 def test_core_witness_of_a_nine_agent_convex_game():
     """|S|^2 - |S| at n = 9: 501 coalition rows, under a second; Bland's
-    phase one reaches the marginal vector (16, 14, ..., 0)."""
+    rule reaches the marginal vector (16, 14, ..., 0)."""
     n = 9
     convex = ISNGame.from_values(n, {s: len(s) ** 2 - len(s) for s in coalitions(n, min_size=2)})
     result = core_nonempty(convex)
