@@ -43,7 +43,7 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -135,18 +135,25 @@ def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list, l
     (roster order, "A,B,D") get their masks from one map over a dict of the
     roster's keys of two or more agents (keys, from _keys), which lives
     only while the tables are read, and its values their terms from
-    games.plain_terms. Only if a key or a value is left over is the table
-    walked, once, in file order: at each entry a key the dict lacks is read
-    by _mask, then a value plain_terms left by _number. So the first fault
-    is named in file order, T's before O's, and a key's before its value's.
+    games.plain_terms. A key the dict lacks is tried once more with its
+    names sorted by roster position ("B,A" as "A,B"); an unknown or repeated
+    name leaves it lacking. Only if a key or a value is left over is the
+    table walked, once, in file order: at each entry a key still lacking is
+    read by _mask, which names its fault, then a value plain_terms left by
+    _number. So the first fault is named in file order, T's before O's, and
+    a key's before its value's.
     """
     lookup = dict(zip(keys, range(len(keys))))
     for key in "", *names:  # left: the keys of two or more agents, each with a comma
         lookup.pop(key, None)
+    rank = defaultdict(int, bits).__getitem__  # an unknown name sorts first
     both = []
     for x in "T", "O":
         table = _expect(tables.get(x), dict, f"tables.{x}")
         masks = list(map(lookup.get, table))
+        if None in masks:
+            masks = [mask or lookup.get(",".join(sorted(key.split(","), key=rank)))
+                     for mask, key in zip(masks, table)]
         nums, dens, odd = plain_terms(list(table.values()))
         if odd or None in masks:
             odd = set(odd)

@@ -1,9 +1,13 @@
 """Fairness and stability solution concepts.
 
 `shapley` is the Shapley allocation by the subset formula, summed per
-coalition in O(2^n) integer operations. A core decision is one exact LP
-whose optimum is the witness when the core is nonempty; `in_core` checks
-one allocation against every coalition. A game is implementable when its
+coalition in O(2^n) integer operations. A core decision first scans the
+splits {S, N - S} in one O(2^n) integer pass: a split worth more than the
+grand coalition proves the core empty with no LP. Otherwise it is one
+exact LP whose optimum is the witness when the core is nonempty. Every
+empty verdict carries balanced weights (Bondareva 1963, Shapley 1967), a
+certificate anyone can check in exact arithmetic. `in_core` checks one
+allocation against every coalition. A game is implementable when its
 Shapley allocation sits in its core: fair and stable at once. The slow
 oracles these are tested against (permutation average, vertex
 enumeration) live with the tests, not here.
@@ -18,22 +22,28 @@ each x(S) / dx with v(S) / d. Only public answers are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
 from operator import add, ge
 
 from .errors import SymbioError
-from .games import _check_bits, _scaled, _sums, money_terms
+from .games import _check_bits, _scaled, _sums, members_of, money_terms
 from .lp import solve_lp
 
 
 @dataclass(frozen=True)
 class CoreResult:
-    """Core feasibility verdict; witness is present iff nonempty."""
+    """Core feasibility verdict: witness is present iff nonempty, weights iff
+    empty. The weights are (coalition, lambda_S) pairs in mask order, a
+    balanced collection worth more than the grand coalition: lambda_S > 0,
+    each agent's weights sum to 1, and sum lambda_S v(S) > v(N). They are
+    a certificate, not part of the verdict, so they do not take part in ==.
+    """
 
     nonempty: bool
     witness: "tuple[Fraction, ...] | None" = None
+    weights: "tuple[tuple[frozenset, Fraction], ...] | None" = field(default=None, compare=False)
 
 
 def _shapley_terms(game) -> "tuple[list[int], int]":
@@ -100,21 +110,65 @@ def in_core(game, x) -> bool:
     return _in_core(game, xs, dx)
 
 
-def core_nonempty(game) -> CoreResult:
-    """Decide core feasibility exactly and produce a witness point.
+def _split(vals) -> int:
+    """A mask S, nonempty and without the top agent, with v(S) + v(N - S) >
+    v(N), the split worth most (the lowest S of a tie); 0 if there is none.
 
-    One LP in the slack y above singleton worths: a row y(S) - s_S <= floor,
-    with a surplus s_S, for each proper coalition S worth floor > 0 more
-    than its members alone, and y(N) <= budget, the grand coalition's worth
-    beyond theirs. c is the rows' column sums, so the LP maximizes the sum
-    of their left sides, which reaches the sum of their right-hand sides
-    exactly when y(S) >= floor for every S and y(N) = budget: the core is
-    nonempty, and the optimum is the witness. That objective differs by a
-    constant from phase one's on the same rows as equalities, each with an
-    artificial in its slack's place, so Bland's rule makes phase one's
-    pivots. The rows are the table's ints over its denominator d, which
-    scales every right-hand side by d and moves no pivot. Agent i's share,
-    slack y / q over d, is the Fraction (y + alone_i q) / (q d).
+    Each split {S, N - S} is read once, from its side without the top agent,
+    and v(N - S) is vals read backwards (N - S is full - S), so the scan is
+    one map over two slices. The empty set takes no part.
+    """
+    full = len(vals) - 1
+    half = len(vals) >> 1
+    worth = list(map(add, vals[1:half], vals[full - 1 : half - 1 : -1]))
+    best = max(worth, default=vals[full])
+    return worth.index(best) + 1 if best > vals[full] else 0
+
+
+def _balanced_weights(n, masks, floors) -> "tuple[tuple[frozenset, Fraction], ...]":
+    """Balanced weights for a core that the LP found empty.
+
+    The optimal lambda of the Bondareva-Shapley LP over the core LP's rows
+    (masks, with their floors v(S) less their members' worths alone): max
+    sum lambda_S floor(S) subject to sum of lambda_S over the S holding i
+    <= 1 for each agent i. Its optimum exceeds the budget exactly when the
+    core is empty (LP duality with core_nonempty's LP). Each agent is then
+    topped up to weight 1 by its singleton, whose floor is 0, so
+    sum lambda_S v(S) is that optimum plus every agent's worth alone, more
+    than v(N).
+    """
+    result = solve_lp(floors, a_ub=[[mask >> i & 1 for mask in masks] for i in range(n)],
+                      b_ub=[1] * n)
+    weights = {mask: Fraction(num, den) for mask, (num, den) in zip(masks, result.x) if num}
+    for i in range(n):
+        top = Fraction(1) - sum(w for mask, w in weights.items() if mask >> i & 1)
+        if top:
+            weights[1 << i] = top
+    return tuple((members_of(mask), w) for mask, w in sorted(weights.items()))
+
+
+def core_nonempty(game) -> CoreResult:
+    """Decide core feasibility exactly: a witness point, or balanced weights.
+
+    An empty core shows first where it is cheapest to see. A grand coalition
+    worth less than its members alone (a negative budget) has weight 1 on
+    each singleton. Then _split scans every split {S, N - S}: one worth more
+    than v(N) has weight 1 on S and on N - S. Neither builds a row.
+
+    Otherwise one LP in the slack y above singleton worths: a row
+    y(S) - s_S <= floor, with a surplus s_S, for each proper coalition S
+    worth floor > 0 more than its members alone, and y(N) <= budget, the
+    grand coalition's worth beyond theirs. c is the rows' column sums, so
+    the LP maximizes the sum of their left sides, which reaches the sum of
+    their right-hand sides exactly when y(S) >= floor for every S and
+    y(N) = budget: the core is nonempty, and the optimum is the witness.
+    That objective differs by a constant from phase one's on the same rows
+    as equalities, each with an artificial in its slack's place, so Bland's
+    rule makes phase one's pivots. The rows are the table's ints over its
+    denominator d, which scales every right-hand side by d and moves no
+    pivot. Agent i's share, slack y / q over d, is the Fraction
+    (y + alone_i q) / (q d). An empty verdict of this LP gets its weights
+    from a second LP on the same rows (_balanced_weights).
     """
     n = game.n_agents
     full = (1 << n) - 1
@@ -123,21 +177,26 @@ def core_nonempty(game) -> CoreResult:
     alone = _sums([vals[1 << i] for i in range(n)])
     budget = vals[full] - alone[full]
     if budget < 0:
-        return CoreResult(False)
+        return CoreResult(False, weights=tuple((frozenset({i}), Fraction(1)) for i in range(n)))
+    split = _split(vals)
+    if split:
+        return CoreResult(False, weights=((members_of(split), Fraction(1)),
+                                          (members_of(full ^ split), Fraction(1))))
 
-    a_ub, b_ub = [], []
+    masks, b_ub = [], []
     for mask in range(1, full):
         floor = vals[mask] - alone[mask]  # 0 for a singleton
         if floor > 0:
-            a_ub.append([mask >> i & 1 for i in range(n)])
+            masks.append(mask)
             b_ub.append(floor)
+    a_ub = [[mask >> i & 1 for i in range(n)] for mask in masks]
     surplus = len(a_ub)
     a_ub.append([1] * n)
     b_ub.append(budget)
     result = solve_lp(list(map(sum, zip(*a_ub))), a_ub=a_ub, b_ub=b_ub, surplus=surplus)
     num, den = result.objective
     if num != sum(b_ub) * den:
-        return CoreResult(False)
+        return CoreResult(False, weights=_balanced_weights(n, masks, b_ub[:surplus]))
     witness = tuple(Fraction(y + alone[1 << i] * q, q * d) for i, (y, q) in enumerate(result.x))
     return CoreResult(True, witness)
 

@@ -6,12 +6,13 @@ through the library code paths under test, so agreement is meaningful.
 """
 
 import contextlib
+import inspect
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
-from symbio import lp
+from symbio import lp, solutions
 from symbio.errors import BoundExceeded
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import (
@@ -129,6 +130,26 @@ def core_nonempty_by_enumeration(game) -> CoreResult:
         if x is not None and feasible(x):
             return CoreResult(True, tuple(x))
     return CoreResult(False)
+
+
+def balanced_weights_hold(n, value, weights):
+    """Whether weights, (coalition, lambda) pairs, prove an n-agent game's
+    core empty (Bondareva 1963, Shapley 1967): distinct nonempty coalitions
+    of the roster, every lambda >= 0, the lambdas of the coalitions holding
+    agent i summing to 1 for every i, and sum of lambda_S value(S) above
+    value(N). value maps a frozenset of agent ids to a Fraction. Any core
+    point x would give sum lambda_S x(S) = x(N) = value(N), yet at least
+    sum lambda_S value(S). Fractions only, no symbio code."""
+    everyone = frozenset(range(n))
+    coalitions = [frozenset(s) for s, _ in weights]
+    if len(set(coalitions)) < len(coalitions) or not all(s and s <= everyone for s in coalitions):
+        return False
+    lambdas = [Fraction(w) for _, w in weights]
+    if any(w < 0 for w in lambdas):
+        return False
+    if any(sum(w for s, w in zip(coalitions, lambdas) if i in s) != 1 for i in range(n)):
+        return False
+    return sum(w * Fraction(value(s)) for s, w in zip(coalitions, lambdas)) > value(everyone)
 
 
 def _solve_square(a, b):
@@ -718,6 +739,26 @@ def traced_pivots(module, call):
         return call(), pivots
     finally:
         module._pivot = pivot
+
+
+def traced_solves(call):
+    """call()'s result, and (arguments, pivots) for each solve_lp call that
+    symbio.solutions made meanwhile, in order: the call's arguments by
+    name, defaults included, and its traced_pivots."""
+    solve, solves = solutions.solve_lp, []
+
+    def spy(*args, **kwargs):
+        arguments = inspect.signature(solve).bind(*args, **kwargs)
+        arguments.apply_defaults()
+        result, pivots = traced_pivots(lp, lambda: solve(*args, **kwargs))
+        solves.append((arguments.arguments, pivots))
+        return result
+
+    solutions.solve_lp = spy
+    try:
+        return call(), solves
+    finally:
+        solutions.solve_lp = solve
 
 
 def traced_oracle(call):

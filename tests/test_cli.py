@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbio
-from symbio import cli, games
+from symbio import cli, games, solutions
 from symbio.cli import cmd_analyze, load_scenario, main
 from symbio.errors import SymbioError
 from symbio.games import ISNGame, check_superadditive, make_isn_game, members_of
 from symbio.mcnets import from_isn_game, net_shapley
 from symbio.solutions import in_core
 
-from helpers import fractions_made, perm_shapley
+from helpers import balanced_weights_hold, fractions_made, perm_shapley
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,6 +134,13 @@ def test_commands_run_clean(capsys, command):
             (f"{data}_{command}.json", [command, f"{data}.json", "--format", "json"])
             for data in ("g3", "w")
             for command in ("analyze", "enforce")
+        ),
+        # empty cores: one a split shows, one only the core LP finds
+        *(
+            (f"{data}_{command}.{ext}", [command, f"{data}.json", "--format", fmt])
+            for data in ("g3_split", "g3_prime")
+            for command in ("analyze", "core")
+            for fmt, ext in (("text", "txt"), ("json", "json"))
         ),
     ],
 )
@@ -686,6 +693,45 @@ def test_shapley_too_long_to_print_makes_no_fraction(capsys, tmp_path):
                         "for writing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)\n")
 
 
+def _sixteen_agent_game():
+    """(names, w, v): 16 agents, pair synergies w_ij in quarters and the
+    pairwise game v(S) = sum of w_ij over pairs in S, in quarters, per mask."""
+    n = 16
+    names = [chr(ord("A") + i) for i in range(n)]
+    quarters = [[(7 * min(i, j) + 3 * max(i, j)) % 11 + 1 if i != j else 0 for j in range(n)]
+                for i in range(n)]
+    value = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        i = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        value[mask] = value[rest] + sum(quarters[i][j] for j in range(i + 1, n) if rest >> j & 1)
+    return names, quarters, value
+
+
+@pytest.mark.slow
+def test_sixteen_agents_empty_core_answers_without_an_lp(capsys, monkeypatch, tmp_path):
+    """The pairwise game at the 16-agent bound with the grand coalition
+    lowered to one below v(N - {A}): the split {N - {A}, {A}} shows the
+    core empty, so symbio analyze and symbio core answer with no LP, and
+    the weights of a split hold."""
+    names, _, value = _sixteen_agent_game()
+    full = (1 << 16) - 1
+    value[full] = value[full - 1] - 4
+    path = table_file(tmp_path, names, lambda mask: f"{value[mask]}/4")
+    solves = []
+    solve = solutions.solve_lp
+    monkeypatch.setattr(solutions, "solve_lp", lambda *a, **kw: solves.append(a) or solve(*a, **kw))
+    for command in "analyze", "core":
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 0 and "core: empty" in out.splitlines()
+    game = load_scenario(str(path)).game
+    weights = solutions.core_nonempty(game).weights
+    assert solves == []
+    (s, one), (rest, other) = weights  # the split worth most, not always A's
+    assert (one, other) == (1, 1) and s | rest == frozenset(range(16)) and not s & rest
+    assert balanced_weights_hold(16, game.value, weights)
+
+
 @pytest.mark.slow
 def test_sixteen_agents_shapley_and_enforce(tmp_path):
     """The pairwise synergy game v(S) = sum of w_ij over pairs in S at the
@@ -693,14 +739,7 @@ def test_sixteen_agents_shapley_and_enforce(tmp_path):
     promoted halves are implementable, and each prohibited pair is taxed to
     -epsilon."""
     n = 16
-    names = [chr(ord("A") + i) for i in range(n)]
-    quarters = [[(7 * min(i, j) + 3 * max(i, j)) % 11 + 1 if i != j else 0 for j in range(n)]
-                for i in range(n)]
-    value = [0] * (1 << n)  # in quarters
-    for mask in range(1, 1 << n):
-        i = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        value[mask] = value[rest] + sum(quarters[i][j] for j in range(i + 1, n) if rest >> j & 1)
+    names, quarters, value = _sixteen_agent_game()
     policy = {"promoted": [names[:8], names[8:]], "prohibited": [["A", "B"], ["A", "P"]]}
     path = table_file(tmp_path, names, lambda mask: f"{value[mask]}/4", policy)
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -942,8 +981,9 @@ def test_benchmark_shaped_file_loads_in_bulk(tmp_path):
 def test_each_table_entry_is_read_once(tmp_path, spelling):
     """A table with entries outside the bulk forms reads only those one by
     one: one padded O value is one games._parse call and no table key goes
-    through _mask; keys spelt in reverse are one _mask call each and no
-    value goes through _number."""
+    through _mask; keys spelt in reverse are found in the roster's keys
+    once their names are sorted, so neither a key goes through _mask nor a
+    value through _number."""
     path = benchmark_halves_file(tmp_path, 8)
     doc = json.loads(path.read_text())
     tables = doc["tables"]
@@ -961,7 +1001,7 @@ def test_each_table_entry_is_read_once(tmp_path, spelling):
     if spelling == "padded-last-value":
         assert calls == {"_number": 1, "_parse": 1}
     else:
-        assert calls == {"_mask": 2 * (2**8 - 8 - 1)}
+        assert calls == {}
     ids = {name: i for i, name in enumerate(scenario.agents)}
     t, o = ({tuple(sorted(ids[a] for a in key.split(","))): v for key, v in tables[x].items()}
             for x in ("T", "O"))

@@ -1,7 +1,11 @@
+import importlib.util
 import inspect
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +17,10 @@ from symbio.errors import BoundExceeded, SymbioError
 from symbio.exchange import scenario_to_game
 from symbio.games import ISNGame, check_superadditive, coalitions, members_of
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley
-from symbio.solutions import CoreResult, core_nonempty, in_core, is_implementable, shapley
+from symbio.solutions import core_nonempty, in_core, is_implementable, shapley
 
 from helpers import (
+    balanced_weights_hold,
     core_constraints_hold,
     convex_game,
     core_nonempty_by_enumeration,
@@ -28,7 +33,7 @@ from helpers import (
     random_net,
     random_scenario,
     traced_oracle,
-    traced_pivots,
+    traced_solves,
 )
 
 
@@ -205,6 +210,8 @@ def test_core_decision_matches_vertex_enumeration(seed, n):
     if lp.nonempty:
         assert core_constraints_hold(game, lp.witness)
         assert core_constraints_hold(game, enum.witness)
+    else:
+        assert balanced_weights_hold(n, game.value, lp.weights)
 
 
 def _near_convex_game(rng, n):
@@ -221,9 +228,30 @@ def _near_convex_game(rng, n):
     return ISNGame.from_values(n, values)
 
 
+def _split_proof_game(rng, n):
+    """random_game's values, drawn >= 0, with v(N) set to the best split's
+    worth: no split {S, N - S} is worth more than v(N), and the budget is
+    >= 0, so only the LP can find the core empty. It often is, where
+    coalitions of other shapes (three pairs of three agents, say) are
+    worth more together."""
+    table = list(random_game(rng, n, lo=0).table)
+    full = len(table) - 1
+    table[full] = max((table[mask] + table[full ^ mask] for mask in range(1, full)), default=0)
+    return ISNGame.from_table(n, table)
+
+
+def _decided_without_lp(game, result):
+    """A verdict core_nonempty reached with no LP is empty, and so is the
+    core by the oracle's phase one (phase_one_core_lp, None when the budget
+    is negative)."""
+    args = phase_one_core_lp(game)
+    return not result.nonempty and (args is None or fraction_solve_lp(*args).status == "infeasible")
+
+
 def test_core_witness_matches_fraction_tableau(monkeypatch):
-    # the oracle solves core_nonempty's LP with its surplus columns written
-    # out: the same pivots, every one, and no drive-out
+    # the oracle solves core_nonempty's LPs, the core LP with its surplus
+    # columns written out: the same pivots, every one, and no drive-out; so
+    # the same witness, or on an empty verdict the same weights
     oracle_calls = []
 
     def oracle(*args, **kwargs):
@@ -237,25 +265,31 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
     non_superadditive = 0
     mirrored_entries = 0
     for n in range(2, 7):
-        for make in (random_game, _near_convex_game):
-            for _ in range(2 if n == 6 else 6):
+        for make in (random_game, _split_proof_game, _near_convex_game):
+            for _ in range(3 if n == 6 else 6):
                 game = make(rng, n)
-                result, pivots = traced_pivots(lp, lambda: core_nonempty(game))
+                result, solves = traced_solves(lambda: core_nonempty(game))
                 oracle_calls.clear()
                 with monkeypatch.context() as m:
                     m.setattr(solutions, "solve_lp", oracle)
                     oracle_result, oracle_pivots, drive_outs = traced_oracle(lambda: core_nonempty(game))
-                assert oracle_result == result
+                assert oracle_result == result and oracle_result.weights == result.weights
+                pivots = [p for _, lp_pivots in solves for p in lp_pivots]
                 assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots]
-                assert drive_outs == 0
-                if oracle_calls:
-                    verdicts.add((n, result.nonempty))
-                    lp_args = oracle_calls[0]
-                    # stored: one cell per nonbasic column, rhs and scale
-                    assert all(width == n + 2 for *_, width in pivots)
-                    mirrored = mirrored_pairs(len(lp_args["c"]), lp_args["surplus"])
-                    mirrored_entries += sum(col in mirrored for _, col, *_ in pivots)
+                assert drive_outs == 0 and len(oracle_calls) == len(solves)
                 non_superadditive += check_superadditive(game) is not None
+                if not solves:  # a negative budget or a split: no LP, no pivot
+                    assert _decided_without_lp(game, result)
+                    continue
+                # an empty verdict's weights come from a second LP
+                assert len(solves) == 2 - result.nonempty
+                verdicts.add((n, result.nonempty))
+                for lp_args, lp_pivots in solves:
+                    # stored: one cell per nonbasic column, rhs and scale
+                    assert all(width == len(lp_args["c"]) + 2 for *_, width in lp_pivots)
+                (lp_args, lp_pivots), *_ = solves
+                mirrored = mirrored_pairs(len(lp_args["c"]), lp_args["surplus"])
+                mirrored_entries += sum(col in mirrored for _, col, *_ in lp_pivots)
     # from n = 3 on, both verdicts come out of the LP at every size
     assert {(n, v) for n in range(3, 7) for v in (False, True)} <= verdicts
     assert non_superadditive >= 20
@@ -285,20 +319,25 @@ def test_core_lp_makes_phase_ones_pivots():
     feasibility LP the core was once decided by (phase_one_core_lp), tuple
     for tuple, and stops at its point: the same verdict and witness. Only
     the oracle's drive-out pivots follow; phase two, with c = 0, makes
-    none."""
+    none. A core that a negative budget or a split shows empty makes no
+    pivot at all, and the oracle's phase one finds it empty too."""
     rng = random.Random(26)
     verdicts = set()
-    makers = (random_game, mixed_game, convex_game, _near_convex_game, _coordinated_game)
+    makers = (random_game, mixed_game, convex_game, _near_convex_game, _coordinated_game,
+              _split_proof_game)
     for n in range(2, 8):
         # at n = 7 the Fraction oracle takes seconds on 100 rows
         for make in (convex_game, _coordinated_game) if n == 7 else makers:
             for _ in range(1 if n >= 6 else 5):
                 game = make(rng, n)
-                result, pivots = traced_pivots(lp, lambda: core_nonempty(game))
-                args = phase_one_core_lp(game)
-                if args is None:  # a negative budget: no LP
-                    assert result == CoreResult(False) and not pivots
+                result, solves = traced_solves(lambda: core_nonempty(game))
+                if not solves:
+                    assert _decided_without_lp(game, result)
+                    verdicts.add((make, "no LP"))
                     continue
+                (_, pivots), *weights_lp = solves
+                assert len(weights_lp) == (not result.nonempty)
+                args = phase_one_core_lp(game)
                 expected, oracle_pivots, drive_outs = traced_oracle(
                     lambda: fraction_solve_lp(*args))
                 assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots[: len(pivots)]]
@@ -307,9 +346,99 @@ def test_core_lp_makes_phase_ones_pivots():
                 if result.nonempty:
                     assert result.witness == _phase_one_witness(game, expected.x)
                 verdicts.add((make, result.nonempty))
-    # a convex game's core is never empty
-    both = {(make, v) for make in makers for v in (False, True)}
-    assert verdicts == both - {(convex_game, False)}
+    # every maker reaches the LP with a nonempty core; a convex game's core
+    # is never empty, and only the LP finds a split-proof one empty
+    assert {(make, True) for make in makers} | {(_split_proof_game, False)} <= verdicts
+    assert {(make, "no LP") for make in makers} - verdicts == {
+        (convex_game, "no LP"), (_split_proof_game, "no LP")}
+    assert (convex_game, False) not in verdicts
+
+
+def test_every_empty_verdict_carries_balanced_weights():
+    """Over random games of 1 to 7 agents, coordinated ones with worth on
+    the empty set and on singletons included: every verdict is the oracle's
+    phase one's, an empty one carries weights balanced_weights_hold accepts
+    and a nonempty one none. Each source of weights occurs: a negative
+    budget (weight 1 on every singleton, no LP), a split (weight 1 on each
+    side, no LP) and the LP (a second LP for the weights)."""
+    rng = random.Random(27)
+    sources = Counter()
+    for n in range(1, 8):
+        for make in random_game, mixed_game, _coordinated_game, _split_proof_game:
+            for _ in range(40 if n <= 4 else 6):
+                game = make(rng, n)
+                result, solves = traced_solves(lambda: core_nonempty(game))
+                if n <= 5:
+                    args = phase_one_core_lp(game)
+                    expected = args is not None and fraction_solve_lp(*args).status == "optimal"
+                    assert result.nonempty == expected
+                if result.nonempty:
+                    assert result.weights is None and core_constraints_hold(game, result.witness)
+                    continue
+                assert result.witness is None
+                assert balanced_weights_hold(n, game.value, result.weights)
+                weights = [w for _, w in result.weights]
+                if not solves:
+                    singletons = [frozenset({i}) for i in range(n)]
+                    source = ("budget" if [s for s, _ in result.weights] == singletons
+                              else "split")
+                    assert weights == [1] * (n if source == "budget" else 2)
+                else:
+                    source = "LP"
+                    assert len(solves) == 2
+                sources[source] += 1
+                if isinstance(game, CoordinatedGame) and game.scaled[0]:
+                    sources["v(empty) != 0"] += 1
+    assert min(sources[k] for k in ("budget", "split", "LP", "v(empty) != 0")) >= 10
+
+
+def test_balanced_weights_fail_when_one_weight_changes():
+    """balanced_weights_hold rejects weights of a budget, a split and an
+    LP verdict once any one weight moves, up or down."""
+    cases = [
+        ISNGame.from_values(3, {(0, 1): -1, (0, 2): 2, (1, 2): 2, (0, 1, 2): -1}),  # budget
+        ISNGame.from_values(3, {(0, 1): 10, (0, 2): 4, (1, 2): 6, (0, 1, 2): 9}),  # split
+        ISNGame.from_values(3, {(0, 1): 10, (0, 2): 10, (1, 2): 10, (0, 1, 2): 12}),  # LP
+    ]
+    for game in cases:
+        weights = core_nonempty(game).weights
+        assert balanced_weights_hold(3, game.value, weights)
+        for k, (coalition, w) in enumerate(weights):
+            for moved in w + Fraction(1, 7), w - Fraction(1, 7):
+                changed = (*weights[:k], (coalition, moved), *weights[k + 1:])
+                assert not balanced_weights_hold(3, game.value, changed)
+    assert [len(core_nonempty(game).weights) for game in cases] == [3, 2, 3]
+
+
+def _bench_scenarios():
+    """bench/scenarios.py, the benchmark's generator, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_empty_cores_carry_balanced_weights():
+    """Both seed-1 tables-analyze passes of the benchmark: each of the six
+    empty cores a pass holds is found by a split, with no LP, and its
+    weights hold against the generator's own values; every other core is
+    nonempty, by one LP."""
+    scenarios = _bench_scenarios()
+    for pass_index in 0, 1:
+        empty = lps = 0
+        for case in scenarios.make_batch("tables-analyze", 1, pass_index):
+            game = ISNGame.from_table(case.n, case.values)
+            result, solves = traced_solves(lambda: core_nonempty(game))
+            assert result.nonempty == (case.split is None)
+            if case.split is None:
+                assert result.weights is None
+            else:
+                empty += 1
+                assert balanced_weights_hold(
+                    case.n, lambda s: case.values[sum(1 << i for i in s)], result.weights)
+            lps += len(solves)
+        assert (empty, lps) == (6, 52)
 
 
 def test_core_witness_survives_the_oracles_drive_out():
@@ -340,13 +469,17 @@ def test_core_witness_survives_the_oracles_drive_out():
                      MCNet(1, (MCNetRule({0}, set(), Fraction(5, 2)),))), [[1]]),
     # no positive floor: every pair worth no more than its members alone
     (ISNGame.from_values(3, {(0, 1): -2, (0, 2): 0, (1, 2): -1, (0, 1, 2): 6}), [[1, 1, 1]]),
-    # budget 0, with and without a positive floor
+    # budget 0, with and without a positive floor; at n = 3 the split of
+    # the pair worth 1 from the third agent is worth 1 > 0: no LP
     (ISNGame.from_values(3, {(0, 1): 0, (0, 1, 2): 0}), [[1, 1, 1]]),
-    (ISNGame.from_values(3, {(0, 1): 1, (0, 1, 2): 0}), [[1, 1, 0], [1, 1, 1]]),
+    (ISNGame.from_values(3, {(0, 1): 1, (0, 1, 2): 0}), None),
     # singleton worths of 3 each drive the budget to 4 - 9 < 0: no LP
     (CoordinatedGame(ISNGame.from_values(3, {(0, 1, 2): 4}),
                      MCNet(3, tuple(MCNetRule({i}, {0, 1, 2} - {i}, 3) for i in range(3)))),
      None),
+    # budget 0 at n = 4: no split is worth more than 0, yet {0, 1}, {2}
+    # and {3} are, so only the LP finds the core empty
+    (ISNGame.from_values(4, {(0, 1): 1, (2, 3): -1}), [[1, 1, 0, 0], [1, 1, 1, 1]]),
 ])
 def test_core_lp_corners(monkeypatch, game, rows):
     calls = []
@@ -354,12 +487,16 @@ def test_core_lp_corners(monkeypatch, game, rows):
     monkeypatch.setattr(solutions, "solve_lp",
                         lambda *a, **kw: calls.append(kw) or solve(*a, **kw))
     result = core_nonempty(game)
-    assert [call["a_ub"] for call in calls] == ([] if rows is None else [rows])
-    assert [call["surplus"] for call in calls] == ([] if rows is None else [len(rows) - 1])
+    # the core LP, then on an empty verdict the weights LP
+    assert [call["a_ub"] for call in calls[:1]] == ([] if rows is None else [rows])
+    assert [call["surplus"] for call in calls[:1]] == ([] if rows is None else [len(rows) - 1])
+    assert len(calls) == (rows is not None) * (2 - result.nonempty)
     expected = core_nonempty_by_enumeration(game)
     assert result.nonempty == expected.nonempty
     if result.nonempty:
-        assert core_constraints_hold(game, result.witness)
+        assert core_constraints_hold(game, result.witness) and result.weights is None
+    else:
+        assert balanced_weights_hold(game.n_agents, game.value, result.weights)
 
 
 def test_implementability(g3, g3_prime):
