@@ -47,11 +47,14 @@ row's positive scale, so every entering and leaving choice, and the
 solution, are exactly those of the same simplex run on a full Fraction
 tableau. The answer is the dictionary's own numbers: each value is its
 row's (rhs, scale) pair, read off with no gcd, and no Fraction is made.
+The final cost row also prices row r by slack r's reduced cost u_r (0 when
+basic, 1 when its surplus is, scale - d_s when read off it): the optimal
+dual, u >= 0, u_r <= 1 on surplus rows, A^T u >= c and b.u the optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 
@@ -62,6 +65,8 @@ class LPResult:
     status: str  # "optimal" | "unbounded"
     x: "tuple[tuple[int, int], ...] | None" = None  # basic: its row's (rhs, scale); else (0, 1)
     objective: "tuple[int, int] | None" = None  # the cost row's (rhs, scale)
+    # each row's price (the module docstring); a certificate, so not in ==
+    dual: "tuple[tuple[int, int], ...] | None" = field(default=None, compare=False)
 
 
 class _Tableau(list):
@@ -87,7 +92,7 @@ def solve_lp(c, a_ub=(), b_ub=(), surplus=0) -> LPResult:
     included, raises TypeError. Rational data enters as each row scaled by
     a positive common multiple of its denominators (and c likewise), which
     moves no pivot. A negative right-hand side raises ValueError. Values are
-    int pairs, x's without the surplus columns.
+    int pairs, x's without the surplus columns, dual's one per row.
     """
     c = _ints(c)
     n = len(c)
@@ -101,10 +106,18 @@ def solve_lp(c, a_ub=(), b_ub=(), surplus=0) -> LPResult:
     if not _pivot_until_optimal(tableau, basis, obj):
         return LPResult("unbounded")
     x = [(0, 1)] * n
+    dual = [(0, 1)] * len(tableau)  # a basic slack's price
     for row, b in zip(tableau, basis):
         if b < n:
             x[b] = (row[-2], row[-1])
-    return LPResult("optimal", tuple(x), (obj[-2], obj[-1]))
+        elif b < n + surplus:
+            dual[b - n] = (1, 1)  # its slack is minus the surplus's unit column
+    for d, col in zip(obj, tableau.cols):
+        if col >= n + surplus:
+            dual[col - n - surplus] = (d, obj[-1])
+        elif col >= n:
+            dual[col - n] = (obj[-1] - d, obj[-1])  # the slack read off its surplus
+    return LPResult("optimal", tuple(x), (obj[-2], obj[-1]), tuple(dual))
 
 
 def _ints(values) -> list:

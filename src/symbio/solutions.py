@@ -4,13 +4,13 @@
 coalition in O(2^n) integer operations. A core decision first scans the
 splits {S, N - S} in one O(2^n) integer pass: a split worth more than the
 grand coalition proves the core empty with no LP. Otherwise it is one
-exact LP whose optimum is the witness when the core is nonempty. Every
-empty verdict carries balanced weights (Bondareva 1963, Shapley 1967), a
-certificate anyone can check in exact arithmetic. `in_core` checks one
-allocation against every coalition. A game is implementable when its
-Shapley allocation sits in its core: fair and stable at once. The slow
-oracles these are tested against (permutation average, vertex
-enumeration) live with the tests, not here.
+exact LP: its optimum is the witness of a nonempty core, its optimal dual
+the weights of an empty one. Every empty verdict carries balanced weights
+(Bondareva 1963, Shapley 1967), a certificate anyone can check in exact
+arithmetic. `in_core` checks one allocation against every coalition. A
+game is implementable when its Shapley allocation sits in its core: fair
+and stable at once. The slow oracles these are tested against
+(permutation average, vertex enumeration) live with the tests, not here.
 
 Functions read a game's n_agents and its mask-indexed `scaled` ints over
 `denominator` (the lcm of its values' denominators), empty set and
@@ -34,11 +34,11 @@ from .lp import solve_lp
 
 @dataclass(frozen=True)
 class CoreResult:
-    """Core feasibility verdict: witness is present iff nonempty, weights iff
-    empty. The weights are (coalition, lambda_S) pairs in mask order, a
-    balanced collection worth more than the grand coalition: lambda_S > 0,
-    each agent's weights sum to 1, and sum lambda_S v(S) > v(N). They are
-    a certificate, not part of the verdict, so they do not take part in ==.
+    """Core feasibility verdict: witness iff nonempty, weights iff empty, the
+    (coalition, lambda_S) pairs in mask order of a balanced collection worth
+    more than v(N) (lambda_S > 0, each agent's sum 1): from a negative
+    budget, a split or the core LP's dual (core_nonempty). A certificate,
+    not part of the verdict, they take no part in ==.
     """
 
     nonempty: bool
@@ -125,28 +125,6 @@ def _split(vals) -> int:
     return worth.index(best) + 1 if best > vals[full] else 0
 
 
-def _balanced_weights(n, masks, floors) -> "tuple[tuple[frozenset, Fraction], ...]":
-    """Balanced weights for a core that the LP found empty.
-
-    The optimal lambda of the Bondareva-Shapley LP over the core LP's rows
-    (masks, with their floors v(S) less their members' worths alone): max
-    sum lambda_S floor(S) subject to sum of lambda_S over the S holding i
-    <= 1 for each agent i. Its optimum exceeds the budget exactly when the
-    core is empty (LP duality with core_nonempty's LP). Each agent is then
-    topped up to weight 1 by its singleton, whose floor is 0, so
-    sum lambda_S v(S) is that optimum plus every agent's worth alone, more
-    than v(N).
-    """
-    result = solve_lp(floors, a_ub=[[mask >> i & 1 for mask in masks] for i in range(n)],
-                      b_ub=[1] * n)
-    weights = {mask: Fraction(num, den) for mask, (num, den) in zip(masks, result.x) if num}
-    for i in range(n):
-        top = Fraction(1) - sum(w for mask, w in weights.items() if mask >> i & 1)
-        if top:
-            weights[1 << i] = top
-    return tuple((members_of(mask), w) for mask, w in sorted(weights.items()))
-
-
 def core_nonempty(game) -> CoreResult:
     """Decide core feasibility exactly: a witness point, or balanced weights.
 
@@ -167,8 +145,12 @@ def core_nonempty(game) -> CoreResult:
     rule makes phase one's pivots. The rows are the table's ints over its
     denominator d, which scales every right-hand side by d and moves no
     pivot. Agent i's share, slack y / q over d, is the Fraction
-    (y + alone_i q) / (q d). An empty verdict of this LP gets its weights
-    from a second LP on the same rows (_balanced_weights).
+    (y + alone_i q) / (q d). An optimum short of that sum is an empty
+    verdict. Its dual (LPResult.dual) prices the rows u_S <= 1 and the
+    budget u_N, with sum of 1 - u_S over the S holding i <= u_N - 1
+    (column i) and sum floor(S) (1 - u_S) > budget (u_N - 1), so u_N > 1:
+    lambda_S = (1 - u_S) / (u_N - 1), topped up to 1 per agent by its
+    singleton (floor 0), are weights worth more than v(N).
     """
     n = game.n_agents
     full = (1 << n) - 1
@@ -196,7 +178,12 @@ def core_nonempty(game) -> CoreResult:
     result = solve_lp(list(map(sum, zip(*a_ub))), a_ub=a_ub, b_ub=b_ub, surplus=surplus)
     num, den = result.objective
     if num != sum(b_ub) * den:
-        return CoreResult(False, weights=_balanced_weights(n, masks, b_ub[:surplus]))
+        *prices, (un, ud) = result.dual
+        weights = {mask: Fraction((q - p) * ud, q * (un - ud))
+                   for mask, (p, q) in zip(masks, prices) if p != q}
+        tops = [Fraction(1) - sum(w for m, w in weights.items() if m >> i & 1) for i in range(n)]
+        weights.update((1 << i, top) for i, top in enumerate(tops) if top)
+        return CoreResult(False, weights=tuple((members_of(m), weights[m]) for m in sorted(weights)))
     witness = tuple(Fraction(y + alone[1 << i] * q, q * d) for i, (y, q) in enumerate(result.x))
     return CoreResult(True, witness)
 

@@ -548,7 +548,9 @@ def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False,
     columns after x, one per <= row r < k with -1 in that row, which the
     objective charges 1 either way (subtracted from a maximum, added to a
     minimum). Values come back as solve_lp's (num, den) pairs, here in
-    lowest terms, x without the surplus columns.
+    lowest terms, x without the surplus columns. When no row needs an
+    artificial, dual holds each row's slack's reduced cost in the final
+    cost row of the minimum; with maximize=True, the maximum's row prices.
     """
     c = [Fraction(v) for v in c]
     if maximize:
@@ -631,14 +633,19 @@ def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, maximize=False,
     value = -obj[-1]
     if maximize:
         value = -value
-    return LPResult("optimal", tuple(v.as_integer_ratio() for v in x), value.as_integer_ratio())
+    dual = None if n_art else tuple(obj[n + r].as_integer_ratio() for r in range(n_slack))
+    return LPResult("optimal", tuple(v.as_integer_ratio() for v in x), value.as_integer_ratio(),
+                    dual)
 
 
 def lp_fractions(result) -> LPResult:
-    """result with its (num, den) pairs as Fractions, to compare values."""
+    """result with its (num, den) pairs as Fractions, to compare values;
+    dual, which takes no part in ==, too."""
     if result.x is None:
         return result
-    return LPResult(result.status, tuple(Fraction(*v) for v in result.x), Fraction(*result.objective))
+    dual = None if result.dual is None else tuple(Fraction(*v) for v in result.dual)
+    return LPResult(result.status, tuple(Fraction(*v) for v in result.x),
+                    Fraction(*result.objective), dual)
 
 
 def _reduced_row(cost, tableau, basis):

@@ -178,7 +178,8 @@ def test_results_are_fractions_in_lowest_terms(args, kwargs):
     r = solve_lp(*args, **kwargs)
     expected = fraction_solve_lp(*args, maximize=True, **kwargs)
     assert r.status == "optimal"
-    for (p, q), (a, b) in zip((*r.x, r.objective), (*expected.x, expected.objective), strict=True):
+    for (p, q), (a, b) in zip((*r.x, r.objective, *r.dual),
+                              (*expected.x, expected.objective, *expected.dual), strict=True):
         assert type(p) is type(q) is int and q > 0
         assert gcd(a, b) == 1 and b > 0 and p * b == a * q
 
@@ -238,14 +239,28 @@ def _random_lp(rng):
     return (c, a_ub, b_ub), surplus
 
 
+def _dual_holds(c, a_ub, b_ub, surplus, result):
+    """Whether an optimal result, in Fractions (lp_fractions), carries an
+    optimal dual solution: u >= 0, u_r <= 1 on the surplus rows (the
+    surplus columns' constraints), A^T u >= c, and b.u equal to the
+    objective."""
+    u = result.dual
+    if len(u) != len(b_ub) or any(v < 0 for v in u) or any(v > 1 for v in u[:surplus]):
+        return False
+    if sum(b * v for b, v in zip(b_ub, u)) != result.objective:
+        return False
+    return all(sum(row[j] * v for row, v in zip(a_ub, u)) >= c[j] for j in range(len(c)))
+
+
 def test_matches_fraction_tableau_on_random_lps():
     """Same results, and the same pivots: every (row, entering column,
     leaving column, pivot element) in order, against the oracle's one phase
     on the surplus columns written out. Both solve the same int rows
-    (_int_lp)."""
+    (_int_lp). At an optimum the row prices are the oracle's slack reduced
+    costs, surplus rows included, and an optimal dual (_dual_holds)."""
     rng = random.Random(20180419)
     seen = Counter()
-    mirrored_entries = 0
+    mirrored_entries = priced_surplus_rows = 0
     for _ in range(1500):
         args, surplus = _random_lp(rng)
         args = _int_lp(*args)
@@ -255,6 +270,11 @@ def test_matches_fraction_tableau_on_random_lps():
         assert lp_fractions(r) == lp_fractions(expected), (args, surplus)
         assert [p[:-1] for p in pivots] == [p[:-1] for p in oracle_pivots], (args, surplus)
         assert drive_outs == 0
+        if r.status == "optimal":
+            priced = lp_fractions(r)
+            assert priced.dual == lp_fractions(expected).dual, (args, surplus)
+            assert _dual_holds(*args, surplus, priced), (args, surplus)
+            priced_surplus_rows += any(priced.dual[:surplus])
         mirrored = mirrored_pairs(len(args[0]), surplus)
         for _, col, _, element, _ in pivots:
             # a slack read off its surplus column re-enters the basis
@@ -262,4 +282,4 @@ def test_matches_fraction_tableau_on_random_lps():
             assert element > 0
         seen[r.status] += 1
     assert set(seen) == {"optimal", "unbounded"} and min(seen.values()) >= 50, seen
-    assert mirrored_entries > 0
+    assert mirrored_entries > 0 and priced_surplus_rows > 0

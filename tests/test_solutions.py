@@ -249,9 +249,10 @@ def _decided_without_lp(game, result):
 
 
 def test_core_witness_matches_fraction_tableau(monkeypatch):
-    # the oracle solves core_nonempty's LPs, the core LP with its surplus
+    # the oracle solves core_nonempty's LP, the core LP with its surplus
     # columns written out: the same pivots, every one, and no drive-out; so
-    # the same witness, or on an empty verdict the same weights
+    # the same witness, or on an empty verdict the same weights, read off
+    # the oracle's dual
     oracle_calls = []
 
     def oracle(*args, **kwargs):
@@ -281,8 +282,8 @@ def test_core_witness_matches_fraction_tableau(monkeypatch):
                 if not solves:  # a negative budget or a split: no LP, no pivot
                     assert _decided_without_lp(game, result)
                     continue
-                # an empty verdict's weights come from a second LP
-                assert len(solves) == 2 - result.nonempty
+                # an empty verdict's weights come from the core LP's dual
+                assert len(solves) == 1
                 verdicts.add((n, result.nonempty))
                 for lp_args, lp_pivots in solves:
                     # stored: one cell per nonbasic column, rhs and scale
@@ -336,7 +337,7 @@ def test_core_lp_makes_phase_ones_pivots():
                     verdicts.add((make, "no LP"))
                     continue
                 (_, pivots), *weights_lp = solves
-                assert len(weights_lp) == (not result.nonempty)
+                assert weights_lp == []
                 args = phase_one_core_lp(game)
                 expected, oracle_pivots, drive_outs = traced_oracle(
                     lambda: fraction_solve_lp(*args))
@@ -360,7 +361,7 @@ def test_every_empty_verdict_carries_balanced_weights():
     phase one's, an empty one carries weights balanced_weights_hold accepts
     and a nonempty one none. Each source of weights occurs: a negative
     budget (weight 1 on every singleton, no LP), a split (weight 1 on each
-    side, no LP) and the LP (a second LP for the weights)."""
+    side, no LP) and the LP (the core LP's dual, no second LP)."""
     rng = random.Random(27)
     sources = Counter()
     for n in range(1, 8):
@@ -385,7 +386,7 @@ def test_every_empty_verdict_carries_balanced_weights():
                     assert weights == [1] * (n if source == "budget" else 2)
                 else:
                     source = "LP"
-                    assert len(solves) == 2
+                    assert len(solves) == 1
                 sources[source] += 1
                 if isinstance(game, CoordinatedGame) and game.scaled[0]:
                     sources["v(empty) != 0"] += 1
@@ -487,10 +488,10 @@ def test_core_lp_corners(monkeypatch, game, rows):
     monkeypatch.setattr(solutions, "solve_lp",
                         lambda *a, **kw: calls.append(kw) or solve(*a, **kw))
     result = core_nonempty(game)
-    # the core LP, then on an empty verdict the weights LP
+    # the core LP alone, whatever the verdict: an empty one is weighted by its dual
     assert [call["a_ub"] for call in calls[:1]] == ([] if rows is None else [rows])
     assert [call["surplus"] for call in calls[:1]] == ([] if rows is None else [len(rows) - 1])
-    assert len(calls) == (rows is not None) * (2 - result.nonempty)
+    assert len(calls) == (rows is not None)
     expected = core_nonempty_by_enumeration(game)
     assert result.nonempty == expected.nonempty
     if result.nonempty:
