@@ -25,16 +25,16 @@ either, the pair bound before any LP.
 
 A search works on one integer scale: quantities are ints over lq, the lcm
 of the denominators of the streams in profitable pairs, and per-unit gains
-and fees over lg, that of the costs the link scan reads (each link's
-offer, demand, transport and transaction costs), so every LP row, net
-saving, bound and incumbent is an int (savings over lg*lq; a relaxation's
-net is floored off solve_lp's (num, den) pair), and so is
-scenario_to_game's table. An integral node's optimum is whole: with each
-route's activation fixed at 0 or 1 the shipments are a vertex of a
-transportation polytope over int data. Only optimal_exchange_plan divides
-back. Each LP is the rational one with shipments counted in units of 1/lq
-and its objective times lg*lq; positive factors change no sign and no
-ratio order, so Bland's rule makes the same pivots.
+and fees over lg, that of those pairs' costs (offer, demand, transport
+and transaction), so every LP row, net saving, bound and incumbent is an
+int (savings over lg*lq; a relaxation's net is floored off solve_lp's
+(num, den) pair), and so is scenario_to_game's table. An integral node's
+optimum is whole: with each route's activation fixed at 0 or 1 the
+shipments are a vertex of a transportation polytope over int data. Only
+optimal_exchange_plan divides back. Each LP is the rational one with
+shipments counted in units of 1/lq and its objective times lg*lq;
+positive factors change no sign and no ratio order, so Bland's rule makes
+the same pivots.
 
 Validation and the search walk one link list, ExchangeScenario.links,
 built once per scenario: a link is an offer and another firm's demands for
@@ -43,9 +43,11 @@ shares, and a search keeps the links inside its coalition. The profitable
 stream pairs (an offer and a demand of one resource at two firms, saving
 per unit) come from one bisection per link over its demand list, sorted
 by purchase minus treatment cost, for those above haul minus discharge,
-so pairs that do not save are never walked. Each route keeps its pairs in
-ascending (offer, demand) order: the LP column order, which fixes every
-pivot and plan. Quantities are divisible; all math is exact.
+so pairs that do not save are never walked. The bisection compares ints
+over the list's own lcm with a floor, exactly, so the costs of pairs that
+do not save never reach lg. Each route keeps its pairs in ascending
+(offer, demand) order: the LP column order, which fixes every pivot and
+plan. Quantities are divisible; all math is exact.
 """
 
 from __future__ import annotations
@@ -276,9 +278,8 @@ class _RouteSearch:
 
     Amounts are ints: quantities and caps over lq, per-unit gains over lg,
     and fees, net savings and LP objectives over scale = lg * lq. lg covers
-    only the costs of the members' links (those of ExchangeScenario.links
-    inside the coalition: their offers, demands, transport and transaction
-    costs), lq only the quantities of streams in profitable pairs.
+    only the costs of the members' profitable pairs (their offers, demands,
+    transport and transaction costs), lq only those pairs' quantities.
 
     A route is an ordered firm pair with a stream pair that saves per unit
     and a best-case saving (the sum of gain times cap) above its fee. Its
@@ -300,35 +301,47 @@ class _RouteSearch:
         links = [link for link in scenario.links
                  if streams[link[0]].firm in members and link[1] in members]
         lists = {id(dis): dis for _, _, dis in links}.values()  # each demand list once
-        lg = _lcm([streams[oi].unit_discharge_cost for oi, _, _ in links]
-                  + [getattr(streams[di], cost) for dis in lists for di in dis
-                     for cost in STREAM_COSTS[DEMAND]]
-                  + [scenario.transport[streams[oi].firm, b, streams[oi].resource]
-                     for oi, b, _ in links]
-                  + [scenario.transaction[streams[oi].firm, b] for oi, b, _ in links])
-        # a demand's worth per unit received; a pair saves when it exceeds
-        # haul - discharge, so each demand list is ranked by it, in place: lg
-        # times purchase less treatment ranks the scenario's lists alike for
-        # every lg, and a stable sort of a ranked list leaves it as it is
-        worth = {di: _over(streams[di].unit_purchase_cost, lg)
-                 - _over(streams[di].unit_treatment_cost, lg) for dis in lists for di in dis}
+        # a demand's worth per unit received, purchase less treatment; a pair
+        # saves when it exceeds haul - discharge. Each demand list is ranked
+        # by it in place, as ints over the list's own lcm (its unit): that
+        # ranks the list alike for every search, and a stable sort of a
+        # ranked list leaves it as it is. The bisection compares exactly,
+        # so lg need only cover the costs of the pairs that save
+        worth, unit = {}, {}  # demand -> its worth over unit[id(its list)]
         for dis in lists:
+            unit[id(dis)] = u = _lcm([getattr(streams[di], cost) for di in dis
+                                      for cost in STREAM_COSTS[DEMAND]])
+            worth.update((di, _over(streams[di].unit_purchase_cost, u)
+                          - _over(streams[di].unit_treatment_cost, u)) for di in dis)
             dis.sort(key=worth.__getitem__)
-        by_route = {}  # pair -> [(offer, demand, gain)], ascending
+        saving = []  # (offer, demand firm, haul, its demands that save)
         width = 0  # profitable pairs so far
         for oi, b, dis in links:
             o = streams[oi]
-            haul = _over(scenario.transport[o.firm, b, o.resource], lg)
-            discharge = _over(o.unit_discharge_cost, lg)
-            saving = dis[bisect_right(dis, haul - discharge, key=worth.__getitem__):]
-            if not saving:
+            haul, c = scenario.transport[o.firm, b, o.resource], o.unit_discharge_cost
+            # an int worth exceeds (haul - c) * unit exactly when it exceeds its floor
+            floor = ((haul.numerator * c.denominator - c.numerator * haul.denominator)
+                     * unit[id(dis)] // (haul.denominator * c.denominator))
+            found = dis[bisect_right(dis, floor, key=worth.__getitem__):]
+            if not found:
                 continue
-            width += len(saving)
+            width += len(found)
             if width > PAIR_BOUND:
                 raise BoundExceeded(f"the exchange has more than {PAIR_BOUND} profitable "
                                     f"(offer, demand) stream pairs")
+            saving.append((oi, b, haul, found))
+        lg = _lcm([streams[oi].unit_discharge_cost for oi, _, _, _ in saving]
+                  + [getattr(streams[di], cost) for _, _, _, found in saving for di in found
+                     for cost in STREAM_COSTS[DEMAND]]
+                  + [haul for _, _, haul, _ in saving]
+                  + [scenario.transaction[streams[oi].firm, b] for oi, b, _, _ in saving])
+        by_route = {}  # pair -> [(offer, demand, gain)], ascending
+        for oi, b, haul, found in saving:
+            o = streams[oi]
+            base = _over(o.unit_discharge_cost, lg) - _over(haul, lg)
             by_route.setdefault((o.firm, b), []).extend(
-                (oi, di, discharge + worth[di] - haul) for di in sorted(saving))
+                (oi, di, base + _over(streams[di].unit_purchase_cost, lg)
+                 - _over(streams[di].unit_treatment_cost, lg)) for di in sorted(found))
         # only caps and LP rows read quantities: those of profitable pairs' streams
         paired = {i for found in by_route.values() for oi, di, _ in found for i in (oi, di)}
         self.lq = lq = _lcm(streams[i].quantity for i in paired)

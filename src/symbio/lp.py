@@ -37,7 +37,12 @@ scale s there (-s when the leaving column is a slack stored as its
 surplus) and pc as its scale; each other row with cell t in that slot
 becomes pc*row - t*q, for q the new pivot row times the entering column's
 sign (-1 for a slack read off its surplus), with pc added in the slot and
-0 as scale.
+0 as scale. Then the row is divided by the gcd of its ints. Two shortcuts
+leave every int as it is. When pc is 1, as in most pivots of the core LP,
+pc*row - t*q is row - t*q, made by one C-level map over the two lists:
+row - q for t = 1, row + q for t = -1, else row less q times t (which the
+cost row, once per pivot, always takes). And a row whose new scale is 1
+skips the gcd, since the gcd divides the scale.
 
 Scaling a row by a positive number changes neither the sign of a cell nor
 the ratio of two cells, and those are all the pivot rules read: the sign
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import add, sub
 
 
 @dataclass(frozen=True)
@@ -205,9 +211,20 @@ def _pivot(tableau, basis, obj, row, entering):
         tc = target[j]
         if tc == 0 or i == row:
             continue
-        tableau[i] = _primitive([pc * x - tc * p for x, p in zip(target, q)])
+        if pc != 1:
+            new = [pc * x - tc * p for x, p in zip(target, q)]
+        elif tc == 1:
+            new = list(map(sub, target, q))
+        elif tc == -1:
+            new = list(map(add, target, q))
+        else:
+            new = list(map(sub, target, map(tc.__mul__, q)))
+        tableau[i] = new if new[-1] == 1 else _primitive(new)
     oc = obj[j] if sign > 0 else obj[j] - obj[-1]  # sign times the entering cost
-    new = [pc * o - oc * p for o, p in zip(obj, q)]
+    if pc == 1:
+        new = list(map(sub, obj, map(oc.__mul__, q)))
+    else:
+        new = [pc * o - oc * p for o, p in zip(obj, q)]
     d = -sign * oc * s  # the leaving column's cost
     new[j] = d if mirror > 0 else new[-1] - d
-    obj[:] = _primitive(new)
+    obj[:] = new if new[-1] == 1 else _primitive(new)

@@ -10,7 +10,7 @@ import inspect
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, gcd
 
 from symbio import lp, solutions
 from symbio.errors import BoundExceeded
@@ -803,6 +803,41 @@ def lp_entry(tableau, row, entering):
     times the cell in slot j, over the row's scale."""
     _, j, sign = entering
     return Fraction(sign * tableau[row][j], tableau[row][-1])
+
+
+def reference_pivot(tableau, basis, obj, row, entering):
+    """symbio.lp._pivot without its unit-pivot shortcuts: every other row,
+    and the cost row, becomes pc*row - t*q by one cross-multiplying list
+    and is divided by its gcd. The dictionary it leaves must be the
+    kernel's, int for int (test_lp.test_unit_pivots_keep_every_int)."""
+    col, j, sign = entering
+    prow = tableau[row]
+    leaving, basis[row] = basis[row], col
+    pc = sign * prow[j]
+    # the leaving column's cell in the pivot row is its scale s; a mirrored
+    # slack is stored as its surplus, minus that
+    n, k = len(tableau.cols), tableau.k
+    mirror = -1 if n + k <= leaving < n + 2 * k else 1
+    tableau.cols[j] = leaving - k if mirror < 0 else leaving
+    s = prow[-1]
+    q = [sign * v for v in prow]
+    q[j], q[-1] = pc + sign * mirror * s, 0
+    tableau[row] = prow[:j] + [mirror * s] + prow[j + 1 : -1] + [pc]
+    for i, target in enumerate(tableau):
+        tc = target[j]
+        if tc == 0 or i == row:
+            continue
+        tableau[i] = _reference_primitive([pc * x - tc * p for x, p in zip(target, q)])
+    oc = obj[j] if sign > 0 else obj[j] - obj[-1]  # sign times the entering cost
+    new = [pc * o - oc * p for o, p in zip(obj, q)]
+    d = -sign * oc * s  # the leaving column's cost
+    new[j] = d if mirror > 0 else new[-1] - d
+    obj[:] = _reference_primitive(new)
+
+
+def _reference_primitive(row):
+    g = gcd(*row)
+    return row if g == 1 else [v // g for v in row]
 
 
 def mirrored_pairs(n, surplus):

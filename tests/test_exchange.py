@@ -208,8 +208,8 @@ def test_compatible_pairs_match_the_full_scan():
     """A search takes the full scan's profitable pairs: each route it keeps
     holds the oracle's (offer, demand) pairs in ascending order, the LP
     column order, with gain, cap, fee and net saving on the search's integer
-    scale, and a candidate route is dropped exactly when it saves nothing
-    alone. Validation names the missing cost of the first pair the full
+    scale, lg the lcm of the profitable pairs' cost denominators alone, and
+    a candidate route is dropped exactly when it saves nothing alone. Validation names the missing cost of the first pair the full
     scan meets."""
     rng = random.Random(71)
     for trial in range(200):
@@ -223,9 +223,9 @@ def test_compatible_pairs_match_the_full_scan():
         search = _RouteSearch(scenario, members)
         lq, lg = search.lq, search.scale // search.lq
         by_route, candidates = candidate_routes(scenario, members)
-        linked = [(streams[oi], streams[di]) for oi, di in compatible_pairs(scenario)
-                  if streams[oi].firm in members and streams[di].firm in members]
-        assert lg == lcm(*(cost.denominator for o, d in linked for cost in (
+        saving = [(streams[oi], streams[di]) for found in by_route.values()
+                  for oi, di, _ in found]
+        assert lg == lcm(*(cost.denominator for o, d in saving for cost in (
             o.unit_discharge_cost, d.unit_purchase_cost, d.unit_treatment_cost,
             scenario.transport[o.firm, d.firm, o.resource],
             scenario.transaction[o.firm, d.firm])))
@@ -477,6 +477,38 @@ def test_unpaired_streams_leave_the_scale_alone():
     assert len(search.routes) == 2 and search.lq == 1
     assert search.scale == _RouteSearch(plain, range(3)).scale == 21
     assert scenario_to_game(hostile) == scenario_to_game(plain)
+
+
+def test_links_that_never_save_leave_the_scale_alone(monkeypatch):
+    """Only the costs of pairs that save enter lg: the bisection decides
+    which pairs save on exact comparisons first. A 2-firm scenario with one
+    2x2 route plus 200 links that never save, each offer's discharge cost
+    over its own 900-digit denominator (about 235 KB as a scenario file),
+    keeps the scale and the game of the route alone, and no lcm or _over
+    that the search takes sees a number of more than 64 bits."""
+    route = (waste_offer(0, "r", 10, 5), waste_offer(0, "r", 6, 4),
+             input_demand(1, "r", 8, 7, 2), input_demand(1, "r", 5, 6, 1))
+    transport = {(0, 1, "r"): Fraction(1, 3)}
+    streams = list(route)
+    for i in range(200):
+        # worth 1 - 1 = 0 is below haul - discharge = 1 - 1/D: no saving
+        streams += [waste_offer(0, f"x{i}", 3, Fraction(1, 10**899 + 2 * i + 1)),
+                    input_demand(1, f"x{i}", 3, 1, 1)]
+        transport[0, 1, f"x{i}"] = 1
+    plain = ExchangeScenario(2, route, transport, {(0, 1): 10})
+    hostile = ExchangeScenario(2, streams, transport, {(0, 1): 10})
+    bits = []
+    over, lcm_ = symbio.exchange._over, symbio.exchange.lcm
+    monkeypatch.setattr(symbio.exchange, "_over", lambda amount, d: bits.append(max(
+        amount.numerator.bit_length(), amount.denominator.bit_length(), d.bit_length()))
+        or over(amount, d))
+    monkeypatch.setattr(symbio.exchange, "lcm", lambda *ds: bits.extend(
+        d.bit_length() for d in ds) or lcm_(*ds))
+    search = _RouteSearch(hostile, range(2))
+    assert len(search.routes) == 1 and search.scale.bit_length() == 2
+    assert search.scale == _RouteSearch(plain, range(2)).scale == 3
+    assert scenario_to_game(hostile) == scenario_to_game(plain)
+    assert bits and max(bits) <= 64
 
 
 def test_game_build_makes_no_fraction_per_pair_or_row(lp_calls):

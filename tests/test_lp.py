@@ -9,7 +9,14 @@ import pytest
 from symbio import lp
 from symbio.lp import LPResult, solve_lp
 
-from helpers import fraction_solve_lp, lp_fractions, mirrored_pairs, traced_oracle, traced_pivots
+from symbio.coordination import CoordinatedGame
+from symbio.exchange import scenario_to_game
+from symbio.solutions import core_nonempty
+
+from helpers import (
+    convex_game, fraction_solve_lp, lp_fractions, mirrored_pairs, random_game, random_net,
+    random_scenario, reference_pivot, traced_oracle, traced_pivots,
+)
 
 
 def test_basic_maximization():
@@ -283,3 +290,70 @@ def test_matches_fraction_tableau_on_random_lps():
         seen[r.status] += 1
     assert set(seen) == {"optimal", "unbounded"} and min(seen.values()) >= 50, seen
     assert mirrored_entries > 0 and priced_surplus_rows > 0
+
+
+# ------------------------------------------------------- unit-pivot shortcuts
+
+
+def test_unit_pivots_keep_every_int(monkeypatch):
+    """The kernel's shortcuts (a pivot on pc = 1 updates a row as one map,
+    and a row of new scale 1 takes no gcd) leave the dictionary, int for
+    int, as the plain cross-multiplying pivot (helpers.reference_pivot)
+    leaves a copy of it: after every pivot the rows, the stored columns, the
+    basis and the cost row are equal. The LPs are those of the random-LP
+    oracle test, core LPs of random and convex games with 2 to 7 agents,
+    coordinated or not, and the exchange search's relaxations on random
+    scenarios. Between them every branch runs often, for the rows (pc > 1;
+    pc = 1 with t = 1, t = -1 or another t) and for the cost row (pc > 1,
+    pc = 1), the gcd is skipped and taken, and taken gcds exceed 1, on rows
+    and on the cost row: so dropping a needed gcd shows."""
+    seen = Counter()
+    source = None
+    pivot = lp._pivot
+
+    def spy(tableau, basis, obj, row, entering):
+        copy = lp._Tableau([list(r) for r in tableau], 0, tableau.k)
+        copy.cols = list(tableau.cols)
+        expected = copy, list(basis), list(obj)
+        reference_pivot(*expected, row, entering)
+        _, j, sign = entering
+        pc = sign * tableau[row][j]
+        oc = obj[j] if sign > 0 else obj[j] - obj[-1]
+        updates = [(i, target[j], target[-1]) for i, target in enumerate(tableau)
+                   if i != row and target[j]]
+        updates.append((None, oc, obj[-1]))  # the cost row
+        pivot(tableau, basis, obj, row, entering)
+        assert (tableau, tableau.cols, basis, obj) == (copy, copy.cols, *expected[1:])
+        seen[source] += 1
+        for i, t, scale in updates:
+            kind = "row" if i is not None else "cost"
+            if pc != 1:
+                form = "pc > 1"
+            elif kind == "cost":
+                form = "pc = 1"
+            else:
+                form = {1: "t = 1", -1: "t = -1"}.get(t, "t other")
+            seen[kind, form] += 1
+            seen[kind, "gcd skipped" if pc * scale == 1 else "gcd taken"] += 1
+            seen[kind, "reduced"] += (tableau[i] if i is not None else obj)[-1] < pc * scale
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    source, rng = "random", random.Random(20180419)
+    for _ in range(1500):
+        args, surplus = _random_lp(rng)
+        solve_lp(*_int_lp(*args), surplus=surplus)
+    source, rng = "core", random.Random(29)
+    for n in range(2, 8):
+        for _ in range(8 if n < 7 else 2):
+            for game in random_game(rng, n), convex_game(rng, n):
+                core_nonempty(game)
+                core_nonempty(CoordinatedGame(game, random_net(rng, n)))
+    source = "exchange"
+    for trial in range(60):
+        scenario_to_game(random_scenario(rng, rng.randint(2, 5),
+                                         denominators=range(2, 6) if trial % 2 else None))
+    branches = [("row", form) for form in ("pc > 1", "t = 1", "t = -1", "t other")]
+    branches += [("cost", "pc > 1"), ("cost", "pc = 1")]
+    branches += [(kind, step) for kind in ("row", "cost")
+                 for step in ("gcd skipped", "gcd taken", "reduced")]
+    assert min(seen[key] for key in ["random", "core", "exchange", *branches]) >= 100, seen
