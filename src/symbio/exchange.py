@@ -36,18 +36,18 @@ shipments counted in units of 1/lq and its objective times lg*lq;
 positive factors change no sign and no ratio order, so Bland's rule makes
 the same pivots.
 
-Validation and the search walk one link list, ExchangeScenario.links,
-built once per scenario: a link is an offer and another firm's demands for
-its resource, one list per (firm, resource) that every link reaching it
-shares, and a search keeps the links inside its coalition. The profitable
-stream pairs (an offer and a demand of one resource at two firms, saving
-per unit) come from one bisection per link over its demand list, sorted
-by purchase minus treatment cost, for those above haul minus discharge,
-so pairs that do not save are never walked. The bisection compares ints
-over the list's own lcm with a floor, exactly, so the costs of pairs that
-do not save never reach lg. Each route keeps its pairs in ascending
-(offer, demand) order: the LP column order, which fixes every pivot and
-plan. Quantities are divisible; all math is exact.
+The profitable stream pairs (an offer and a demand of one resource at two
+firms, saving per unit) are found once per scenario, in
+ExchangeScenario.links. A link is an offer and another firm's demands for
+its resource, ranked by worth (purchase minus treatment cost), one tuple
+per (firm, resource) that every link reaching it shares. As it validates
+each link, the scenario bisects that tuple once, exactly, for the demands
+worth more than haul minus discharge, and keeps the links with one. A
+search keeps the links inside its coalition and walks only their saving
+demands, so the costs of pairs that do not save never reach lg. Each
+route keeps its pairs in ascending (offer, demand) order: the LP column
+order, which fixes every pivot and plan. Quantities are divisible; all
+math is exact.
 """
 
 from __future__ import annotations
@@ -166,9 +166,10 @@ class ExchangeScenario:
     streams: "tuple[ResourceStream, ...]"
     transport: Mapping
     transaction: Mapping
-    # the roster's links (_links), built once: validation walks them, and
+    # the roster's links that save, found once: (offer, demand firm, haul,
+    # ranked demands, start), the demands from start on saving per unit;
     # each _RouteSearch keeps those inside its coalition
-    links: list = field(init=False, repr=False, compare=False)
+    links: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "streams", tuple(self.streams))
@@ -189,31 +190,43 @@ class ExchangeScenario:
         # links come offer by offer, each one's demand firms in the order of
         # their first demand, so the fault named is that of the first
         # compatible pair
-        links = self._links()
-        for oi, to, _ in links:
+        links = []
+        for oi, to, worths, dis in self._links():
             o = self.streams[oi]
-            if (o.firm, to, o.resource) not in self.transport:
+            haul = self.transport.get((o.firm, to, o.resource))
+            if haul is None:
                 shown = repr(o.resource).replace("{", "{{").replace("}", "}}")
                 raise SymbioError(
                     f"missing transport cost from {{}} to {{}} for resource {shown}", {o.firm}, {to}
                 )
             if (o.firm, to) not in self.transaction:
                 raise SymbioError("missing transaction cost from {} to {}", {o.firm}, {to})
-        object.__setattr__(self, "links", links)
+            start = bisect_right(worths, haul - o.unit_discharge_cost)
+            if start < len(dis):
+                links.append((oi, to, haul, dis, start))
+        object.__setattr__(self, "links", tuple(links))
 
     def _links(self) -> list:
-        """(offer index, demand firm, demand indices) for each offer, in
-        index order, and each other firm demanding its resource, in the
-        order of that firm's first such demand. The indices of one firm's
-        demands for one resource are one ascending list, shared by every
-        link that reaches it."""
-        demands = {}  # resource -> {firm: indices of its demands for it}
+        """(offer index, demand firm, worths, demand indices) for each
+        offer, in index order, and each other firm demanding its resource,
+        in the order of that firm's first such demand. One firm's demands
+        for one resource are one tuple of indices, ranked by worth per unit
+        received (purchase less treatment cost, a Fraction; ties in index
+        order) beside the tuple of their worths, both shared by every link
+        that reaches them. Only the demands for an offered resource are
+        ranked."""
+        offered = {o.resource for o in self.streams if o.kind == OFFER}
+        demands = {}  # resource -> {firm: [(worth, index)] of its demands for it}
         for di, d in enumerate(self.streams):
-            if d.kind == DEMAND:
-                demands.setdefault(d.resource, {}).setdefault(d.firm, []).append(di)
-        return [(oi, b, dis) for oi, o in enumerate(self.streams)
+            if d.kind == DEMAND and d.resource in offered:
+                demands.setdefault(d.resource, {}).setdefault(d.firm, []).append(
+                    (d.unit_purchase_cost - d.unit_treatment_cost, di))
+        for firms in demands.values():
+            for b, ranked in firms.items():
+                firms[b] = tuple(zip(*sorted(ranked)))  # (worths, indices)
+        return [(oi, b, worths, dis) for oi, o in enumerate(self.streams)
                 if o.kind == OFFER and o.resource in demands
-                for b, dis in demands[o.resource].items() if b != o.firm]
+                for b, (worths, dis) in demands[o.resource].items() if b != o.firm]
 
 
 def t_value(scenario: ExchangeScenario, s: Iterable[int]) -> Fraction:
@@ -298,38 +311,16 @@ class _RouteSearch:
     def __init__(self, scenario, members):
         self.lps_left = 2**ENUMERATION_BOUND
         streams = scenario.streams
-        links = [link for link in scenario.links
-                 if streams[link[0]].firm in members and link[1] in members]
-        lists = {id(dis): dis for _, _, dis in links}.values()  # each demand list once
-        # a demand's worth per unit received, purchase less treatment; a pair
-        # saves when it exceeds haul - discharge. Each demand list is ranked
-        # by it in place, as ints over the list's own lcm (its unit): that
-        # ranks the list alike for every search, and a stable sort of a
-        # ranked list leaves it as it is. The bisection compares exactly,
-        # so lg need only cover the costs of the pairs that save
-        worth, unit = {}, {}  # demand -> its worth over unit[id(its list)]
-        for dis in lists:
-            unit[id(dis)] = u = _lcm([getattr(streams[di], cost) for di in dis
-                                      for cost in STREAM_COSTS[DEMAND]])
-            worth.update((di, _over(streams[di].unit_purchase_cost, u)
-                          - _over(streams[di].unit_treatment_cost, u)) for di in dis)
-            dis.sort(key=worth.__getitem__)
         saving = []  # (offer, demand firm, haul, its demands that save)
         width = 0  # profitable pairs so far
-        for oi, b, dis in links:
-            o = streams[oi]
-            haul, c = scenario.transport[o.firm, b, o.resource], o.unit_discharge_cost
-            # an int worth exceeds (haul - c) * unit exactly when it exceeds its floor
-            floor = ((haul.numerator * c.denominator - c.numerator * haul.denominator)
-                     * unit[id(dis)] // (haul.denominator * c.denominator))
-            found = dis[bisect_right(dis, floor, key=worth.__getitem__):]
-            if not found:
+        for oi, b, haul, dis, start in scenario.links:
+            if streams[oi].firm not in members or b not in members:
                 continue
-            width += len(found)
+            width += len(dis) - start
             if width > PAIR_BOUND:
                 raise BoundExceeded(f"the exchange has more than {PAIR_BOUND} profitable "
                                     f"(offer, demand) stream pairs")
-            saving.append((oi, b, haul, found))
+            saving.append((oi, b, haul, dis[start:]))
         lg = _lcm([streams[oi].unit_discharge_cost for oi, _, _, _ in saving]
                   + [getattr(streams[di], cost) for _, _, _, found in saving for di in found
                      for cost in STREAM_COSTS[DEMAND]]

@@ -229,9 +229,10 @@ def grid_plan_cost(scenario, members):
 def compatible_pairs(scenario):
     """(offer, demand) stream index pairs of one resource at two firms, in
     ascending order, by comparing every offer with every stream; oracle for
-    ExchangeScenario.links, the link list that validation and
-    symbio.exchange._RouteSearch walk, the search bisecting each link's
-    demand list so that it walks only the pairs that save."""
+    ExchangeScenario.links, which validation builds from the roster's links
+    once, keeping each link's demand list ranked by worth and the start of
+    its demands that save, so that symbio.exchange._RouteSearch walks only
+    the pairs that save."""
     streams = scenario.streams
     return [(oi, di) for oi, o in enumerate(streams) if o.kind == "offer"
             for di, d in enumerate(streams)

@@ -142,6 +142,16 @@ def test_commands_run_clean(capsys, command):
             for command in ("analyze", "core")
             for fmt, ext in (("text", "txt"), ("json", "json"))
         ),
+        # an exchange whose routes share streams: a ranked demand list, a
+        # route LP and a branch and bound that solves LPs
+        *(
+            (f"x4_{command}.txt", [command, "x4.json"])
+            for command in ("analyze", "enforce", "shapley", "core", "mcnet")
+        ),
+        *(
+            (f"x4_{command}.json", [command, "x4.json", "--format", "json"])
+            for command in ("analyze", "enforce")
+        ),
     ],
 )
 def test_golden_outputs(capsys, name, argv):

@@ -1,6 +1,9 @@
+import copy
+import json
 import random
 from fractions import Fraction
 from math import floor, lcm
+from pathlib import Path
 
 import pytest
 
@@ -548,8 +551,8 @@ def test_game_build_makes_no_plans(monkeypatch):
 def test_the_roster_links_are_built_once(monkeypatch):
     """A scenario builds its roster's link list once, to validate it, and
     each search keeps the links inside its coalition: construction and
-    scenario_to_game make one _links call. Searches rank the shared demand
-    lists in place, so a second scenario_to_game or optimal_exchange_plan
+    scenario_to_game make one _links call. The scenario ranks each shared
+    demand list once, so a second scenario_to_game or optimal_exchange_plan
     on the same scenario, and one on a copy never searched, give the same
     answers.
     A third of the draws repeat streams, so that a firm demands one
@@ -577,5 +580,84 @@ def test_the_roster_links_are_built_once(monkeypatch):
             plan = optimal_exchange_plan(scenario, members)
             assert optimal_exchange_plan(scenario, members) == plan
             assert optimal_exchange_plan(copy(), members) == plan
-        ranked += any(len(dis) > 1 for _, _, dis in scenario.links)
+        ranked += any(len(dis) > 1 for _, _, _, dis, _ in scenario.links)
     assert ranked >= 5
+
+
+def test_no_search_writes_its_scenario():
+    """Searching every coalition, by scenario_to_game and by
+    optimal_exchange_plan, leaves the scenario's links, ranked demands
+    included, as construction built them. A draw repeats streams, so that
+    a firm demands one resource more than once; in at least five of them
+    some firm's demands for a resource, in index order, are not ranked by
+    worth."""
+    rng = random.Random(30)
+    unranked = 0
+    for trial in range(30):
+        n = rng.randint(2, 4)
+        drawn = random_scenario(rng, n, denominators=range(2, 6) if trial % 2 else None)
+        streams = drawn.streams + tuple(
+            rng.choice(drawn.streams) for _ in range(rng.randint(1, 4)))
+        scenario = ExchangeScenario(n, streams, drawn.transport, drawn.transaction)
+        built = copy.deepcopy(scenario.links)
+        scenario_to_game(scenario)
+        for members in coalitions(n):
+            optimal_exchange_plan(scenario, members)
+        assert scenario.links == built
+        worths = {}  # (firm, resource) -> worths of its demands, in index order
+        for d in streams:
+            if d.kind == "demand":
+                worths.setdefault((d.firm, d.resource), []).append(
+                    d.unit_purchase_cost - d.unit_treatment_cost)
+        unranked += any(w != sorted(w) for w in worths.values())
+    assert unranked >= 5
+
+
+def x4_scenario():
+    """tests/data/x4.json, read with the library's constructors alone."""
+    doc = json.loads((Path(__file__).parent / "data" / "x4.json").read_text())
+    ids = {name: i for i, name in enumerate(doc["agents"])}
+    section = doc["exchange"]
+    streams = tuple(ResourceStream(
+        ids[entry["firm"]], entry["resource"], entry["kind"], Fraction(entry["quantity"]),
+        **{k: Fraction(v) for k, v in entry.items() if k.startswith("unit_")})
+        for entry in section["streams"])
+    transport = {(ids[e["from"]], ids[e["to"]], e["resource"]): Fraction(e["cost"])
+                 for e in section["transport"]}
+    transaction = {(ids[e["from"]], ids[e["to"]]): Fraction(e["cost"])
+                   for e in section["transaction"]}
+    return ExchangeScenario(len(ids), streams, transport, transaction)
+
+
+def test_x4_reaches_what_the_benchmark_files_do_not(lp_calls, monkeypatch):
+    """The golden exchange file x4.json (firms A, B, C, D) keeps what no
+    benchmark exchange file has:
+    - B demands slag twice, its first demand worth more per unit than its
+      second, and A's slag offer saves with the first alone;
+    - route C -> B has two stream pairs, which share C's offer, so it is
+      settled alone by an LP;
+    - routes A -> B and A -> D share A's offer, so the branch and bound
+      solves LPs, and one of them relaxes C -> B, a route of several pairs."""
+    scenario = x4_scenario()
+    a, b, c, d = range(4)
+    streams = scenario.streams
+    offer_a, = (i for i, s in enumerate(streams) if s.kind == "offer" and s.firm == a)
+    demands_b = [i for i, s in enumerate(streams) if s.kind == "demand" and s.firm == b]
+    worth = [streams[i].unit_purchase_cost - streams[i].unit_treatment_cost for i in demands_b]
+    assert len(demands_b) == 2 and worth[0] > worth[1]
+    by_route, _ = candidate_routes(scenario, range(4))
+    assert [di for _, di, _ in by_route[a, b]] == demands_b[:1]
+    assert [di for _, di, _ in by_route[c, b]] == demands_b
+    search = _RouteSearch(scenario, range(4))
+    routes = {r.pair: r for r in search.routes}
+    assert len(routes[c, b].variables) == 2 and len(routes[c, b].streams) == 3
+    assert routes[a, b].streams & routes[a, d].streams == {offer_a}
+    assert len(lp_calls) == 1  # C -> B's, settled alone
+    relaxed = []  # the pair counts of the free routes of each relaxation
+    best_shipments = _RouteSearch.best_shipments
+    monkeypatch.setattr(_RouteSearch, "best_shipments", lambda self, fixed, free=(): (
+        relaxed.append([len(r.variables) for r in free]) or best_shipments(self, fixed, free)))
+    lp_calls.clear()
+    scenario_to_game(scenario)
+    assert len(lp_calls) == 5 and relaxed[0] == []  # C -> B's, then four in the branch and bound
+    assert any(max(counts, default=0) > 1 for counts in relaxed)
