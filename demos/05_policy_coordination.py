@@ -42,7 +42,7 @@ policy = Policy(promoted=[{0, 1, 2}], prohibited=[{0, 1}])
 net = enforce_policy(game, policy, epsilon=1)
 print("rules enforcing promote {0,1,2} / prohibit {0,1}:")
 for r in net.rules:
-    kind = "subsidy" if r.value > 0 else "tax"
+    kind = "subsidy" if r.positive in policy.promoted else "tax"
     print(f"  {kind} {sorted(r.positive)} -> {r.value}")
 both = CoordinatedGame(game, net)
 print("prohibited pair now worth:", both.value({0, 1}), "(splitting up pays 0, so it dissolves)")

@@ -347,14 +347,14 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     game, names, keys = scenario.game, scenario.agents, scenario.keys
     net = enforce_policy(game, policy, epsilon)
     coordinated = CoordinatedGame(game, net)
-    subsidy_of = {rule.positive: rule.value for rule in net.rules if rule.value > 0}
+    value_of = {rule.positive: rule.value for rule in net.rules}  # a group has one rule at most
 
     verdicts = []
     for grp in policy.promoted:
         verdicts.append({
             "group": keys[mask_of(grp)],
             "label": "promoted",
-            "subsidy": fraction_text(subsidy_of.get(grp, 0)),
+            "subsidy": fraction_text(value_of.get(grp, 0)),
             "implementable": is_implementable(subgame(coordinated, grp)),
         })
     for grp in policy.prohibited:

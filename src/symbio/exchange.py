@@ -25,12 +25,12 @@ either, the pair bound before any LP.
 
 A search works on one integer scale: quantities are ints over lq, the lcm
 of the denominators of the streams in profitable pairs, and per-unit gains
-and fees over lg, that of those pairs' costs (offer, demand, transport
-and transaction), so every LP row, net saving, bound and incumbent is an
-int (savings over lg*lq; a relaxation's net is floored off solve_lp's
-(num, den) pair), and so is scenario_to_game's table. An integral node's
-optimum is whole: with each route's activation fixed at 0 or 1 the
-shipments are a vertex of a transportation polytope over int data. Only
+and fees over lg, that of those pairs' worths and costs and their routes'
+fees, so every LP row, net saving, bound and incumbent is an int (savings
+over lg*lq; a relaxation's net is floored off solve_lp's (num, den)
+pair), and so is scenario_to_game's table. An integral node's optimum is
+whole: with each route's activation fixed at 0 or 1 the shipments are a
+vertex of a transportation polytope over int data. Only
 optimal_exchange_plan divides back. Each LP is the rational one with
 shipments counted in units of 1/lq and its objective times lg*lq;
 positive factors change no sign and no ratio order, so Bland's rule makes
@@ -42,12 +42,13 @@ ExchangeScenario.links. A link is an offer and another firm's demands for
 its resource, ranked by worth (purchase minus treatment cost), one tuple
 per (firm, resource) that every link reaching it shares. As it validates
 each link, the scenario bisects that tuple once, exactly, for the demands
-worth more than haul minus discharge, and keeps the links with one. A
-search keeps the links inside its coalition and walks only their saving
-demands, so the costs of pairs that do not save never reach lg. Each
-route keeps its pairs in ascending (offer, demand) order: the LP column
-order, which fixes every pivot and plan. Quantities are divisible; all
-math is exact.
+worth more than the link's cost (haul minus discharge), and keeps the
+links with one; a pair's gain is its worth less that cost. A search keeps
+the links inside its coalition and walks only their saving demands, so
+the worths and costs of pairs that do not save never reach lg. Each route
+keeps its pairs in ascending (offer, demand) order: the LP column order,
+which fixes every pivot and plan. Quantities are divisible; all math is
+exact.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ class ExchangeScenario:
     streams: "tuple[ResourceStream, ...]"
     transport: Mapping
     transaction: Mapping
-    # the roster's links that save, found once: (offer, demand firm, haul,
-    # ranked demands, start), the demands from start on saving per unit;
-    # each _RouteSearch keeps those inside its coalition
+    # the roster's links that save, found once: (offer, demand firm, cost,
+    # worths, ranked demands, start), cost = haul - discharge and the
+    # demands from start on worth more; each _RouteSearch keeps those inside
+    # its coalition, and its lg covers their saving pairs' worths and costs
     links: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -201,9 +203,10 @@ class ExchangeScenario:
                 )
             if (o.firm, to) not in self.transaction:
                 raise SymbioError("missing transaction cost from {} to {}", {o.firm}, {to})
-            start = bisect_right(worths, haul - o.unit_discharge_cost)
+            cost = haul - o.unit_discharge_cost
+            start = bisect_right(worths, cost)
             if start < len(dis):
-                links.append((oi, to, haul, dis, start))
+                links.append((oi, to, cost, worths, dis, start))
         object.__setattr__(self, "links", tuple(links))
 
     def _links(self) -> list:
@@ -291,8 +294,9 @@ class _RouteSearch:
 
     Amounts are ints: quantities and caps over lq, per-unit gains over lg,
     and fees, net savings and LP objectives over scale = lg * lq. lg covers
-    only the costs of the members' profitable pairs (their offers, demands,
-    transport and transaction costs), lq only those pairs' quantities.
+    only the members' profitable pairs: their worths, their links' costs
+    and their routes' fees; lq only those pairs' quantities. A pair's gain
+    is its worth less its cost.
 
     A route is an ordered firm pair with a stream pair that saves per unit
     and a best-case saving (the sum of gain times cap) above its fee. Its
@@ -311,36 +315,30 @@ class _RouteSearch:
     def __init__(self, scenario, members):
         self.lps_left = 2**ENUMERATION_BOUND
         streams = scenario.streams
-        saving = []  # (offer, demand firm, haul, its demands that save)
+        by_route = {}  # pair -> [(offer, demand, worth, cost)] that save, ascending
         width = 0  # profitable pairs so far
-        for oi, b, haul, dis, start in scenario.links:
-            if streams[oi].firm not in members or b not in members:
+        for oi, b, cost, worths, dis, start in scenario.links:
+            a = streams[oi].firm
+            if a not in members or b not in members:
                 continue
             width += len(dis) - start
             if width > PAIR_BOUND:
                 raise BoundExceeded(f"the exchange has more than {PAIR_BOUND} profitable "
                                     f"(offer, demand) stream pairs")
-            saving.append((oi, b, haul, dis[start:]))
-        lg = _lcm([streams[oi].unit_discharge_cost for oi, _, _, _ in saving]
-                  + [getattr(streams[di], cost) for _, _, _, found in saving for di in found
-                     for cost in STREAM_COSTS[DEMAND]]
-                  + [haul for _, _, haul, _ in saving]
-                  + [scenario.transaction[streams[oi].firm, b] for oi, b, _, _ in saving])
-        by_route = {}  # pair -> [(offer, demand, gain)], ascending
-        for oi, b, haul, found in saving:
-            o = streams[oi]
-            base = _over(o.unit_discharge_cost, lg) - _over(haul, lg)
-            by_route.setdefault((o.firm, b), []).extend(
-                (oi, di, base + _over(streams[di].unit_purchase_cost, lg)
-                 - _over(streams[di].unit_treatment_cost, lg)) for di in sorted(found))
+            by_route.setdefault((a, b), []).extend(
+                (oi, di, worth, cost) for di, worth in sorted(zip(dis[start:], worths[start:])))
+        lg = _lcm([amount for found in by_route.values() for _, _, worth, cost in found
+                   for amount in (worth, cost)]
+                  + [scenario.transaction[pair] for pair in by_route])
         # only caps and LP rows read quantities: those of profitable pairs' streams
-        paired = {i for found in by_route.values() for oi, di, _ in found for i in (oi, di)}
+        paired = {i for found in by_route.values() for oi, di, _, _ in found for i in (oi, di)}
         self.lq = lq = _lcm(streams[i].quantity for i in paired)
         self.scale = lg * lq
         self.quantity = quantity = {i: _over(streams[i].quantity, lq) for i in paired}
         self.routes = []
         for pair, found in sorted(by_route.items()):
-            variables = [(oi, di, gain, min(quantity[oi], quantity[di])) for oi, di, gain in found]
+            variables = [(oi, di, _over(worth, lg) - _over(cost, lg),
+                          min(quantity[oi], quantity[di])) for oi, di, worth, cost in found]
             fee = _over(scenario.transaction[pair], lg) * lq
             best_case = sum(gain * cap for _, _, gain, cap in variables)
             if fee >= best_case:

@@ -194,6 +194,6 @@ def test_criterion_10_cli_determinism(capsys):
         for _ in range(2):
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        ok = ok and outputs[0] == outputs[1] == (GOLDEN / golden).read_text()
+        ok = ok and outputs[0] == outputs[1] == (GOLDEN / golden).read_text(encoding="utf-8")
     with capsys.disabled():
         _report(10, "analyze/enforce outputs byte-identical to golden files", ok)

@@ -23,6 +23,7 @@ from symbio.solutions import in_core
 from helpers import balanced_weights_hold, fractions_made, perm_shapley
 
 DATA = Path(__file__).parent / "data"
+DATA_FILES = sorted(path.name for path in DATA.glob("*.json"))
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -60,7 +61,7 @@ def test_load_rejects_overlapping_promotions(tmp_path):
         "policy": {"promoted": [["A", "B"], ["B", "C"]]},
     }
     path = tmp_path / "clash.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SymbioError, match=r"promoted groups overlap: \{A,B\} and \{B,C\}"):
         load_scenario(str(path))
 
@@ -68,7 +69,7 @@ def test_load_rejects_overlapping_promotions(tmp_path):
 def test_load_incomplete_tables(tmp_path):
     doc = {"agents": ["A", "B"], "tables": {"T": {}, "O": {}}}
     path = tmp_path / "missing.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(SymbioError, match=r"T table lacks coalition \{A,B\}"):
         load_scenario(str(path))
 
@@ -76,14 +77,14 @@ def test_load_incomplete_tables(tmp_path):
 def test_load_parses_decimals_exactly(tmp_path):
     doc = {"agents": ["A", "B"], "tables": {"T": {"A,B": 0.1}, "O": {"A,B": "1/30"}}}
     path = tmp_path / "dec.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     scenario = load_scenario(str(path))
     assert scenario.game.value({0, 1}) == Fraction(1, 10) - Fraction(1, 30)
 
 
 def test_exit_code_validation_failure(capsys, tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "error" in err
@@ -95,7 +96,7 @@ def test_exit_code_bound_exceeded(capsys, tmp_path):
         "exchange": {"streams": [], "transport": [], "transaction": []},
     }
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 3
     assert "bound" in err
@@ -104,7 +105,7 @@ def test_exit_code_bound_exceeded(capsys, tmp_path):
 def test_enforce_without_policy_fails(capsys, tmp_path):
     doc = {"agents": ["A", "B"], "tables": {"T": {"A,B": 1}, "O": {"A,B": 0}}}
     path = tmp_path / "nopolicy.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "enforce", str(path))
     assert code == 2
     assert "no policy" in err
@@ -160,7 +161,7 @@ def test_golden_outputs(capsys, name, argv):
     assert code == 0
     code, second, _ = run(capsys, *argv)
     assert first == second  # byte-identical across runs
-    assert first == (GOLDEN / name).read_text()
+    assert first == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def _game_from_report(report, key="values"):
@@ -208,12 +209,36 @@ def test_epsilon_flag(capsys, tmp_path):
         "policy": {"prohibited": [["A", "B"]]},
     }
     path = tmp_path / "ban.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, _ = run(capsys, "enforce", str(path), "--epsilon", "1/2", "--format", "json")
     assert code == 0
     report = json.loads(out)
     assert report["incentive_rules"][0]["value"] == "-21/2"
     assert report["group_verdicts"][0]["coordinated_value"] == "-1/2"
+
+
+@pytest.mark.parametrize("epsilon,rule,subsidy,blocked", [
+    ("1/2", "  pos={A,B} neg={C} value=1/2\n", "9/2", "-1/2"),
+    ("1", None, "4", "-1"),
+])
+def test_enforce_prohibits_a_group_already_below_the_margin(capsys, tmp_path, epsilon, rule,
+                                                            subsidy, blocked):
+    """Every pair is worth -1 and the grand coalition -4. A prohibited {A,B}
+    worth less than -epsilon gets a positive rule that lifts it to -epsilon,
+    and one already at -epsilon gets no rule; either way the promoted
+    group's subsidy is its own rule's value, whatever the sign of the
+    prohibition's."""
+    doc = {
+        "agents": ["A", "B", "C"],
+        "tables": {"T": {"A,B": 0, "A,C": 0, "B,C": 0, "A,B,C": 0},
+                   "O": {"A,B": 1, "A,C": 1, "B,C": 1, "A,B,C": 4}},
+        "policy": {"promoted": [["A", "B", "C"]], "prohibited": [["A", "B"]]},
+    }
+    code, out, _ = run(capsys, "enforce", _write(tmp_path, doc), "--epsilon", epsilon)
+    assert code == 0
+    assert (rule in out) if rule else ("pos={A,B}" not in out)
+    assert f"  promoted {{A,B,C}}: implementable (subsidy {subsidy})\n" in out
+    assert f"  prohibited {{A,B}}: blocked (coordinated value {blocked})\n" in out
 
 
 #: Merging {A,B} with {C} loses value.
@@ -228,7 +253,7 @@ NONSUPERADDITIVE = {
 
 def test_analyze_reports_superadditivity_violation(capsys, tmp_path):
     path = tmp_path / "nonsuper.json"
-    path.write_text(json.dumps(NONSUPERADDITIVE))
+    path.write_text(json.dumps(NONSUPERADDITIVE), encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 0  # a warning, not an error
     assert "superadditive: no" in out
@@ -250,7 +275,7 @@ def test_analyze_scans_superadditivity_once(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "check_superadditive", counting)
     path = tmp_path / "nonsuper.json"
-    path.write_text(json.dumps(NONSUPERADDITIVE))
+    path.write_text(json.dumps(NONSUPERADDITIVE), encoding="utf-8")
     for argv in (
         ["analyze", str(DATA / "g3.json")],
         ["analyze", str(path)],
@@ -320,11 +345,11 @@ EXCHANGE_DOC = ('{"agents": ["F0", "F1"], "exchange": {"streams": [{"firm": "F0"
 )
 def test_oversized_numbers_exit_2_quickly(tmp_path, doc, value, extra, message):
     path = tmp_path / "huge.json"
-    path.write_text(doc % value)
+    path.write_text(doc % value, encoding="utf-8")
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", TIMED_MAIN, "enforce", str(path), *extra],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, encoding="utf-8", timeout=10, env=env,
     )
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
@@ -349,11 +374,11 @@ BOUND_MESSAGE = "error: bound exceeded: dense coalition table supports at most 1
 def test_tables_past_the_bound_exit_quickly(tmp_path, n_agents, t_table, code, message):
     doc = {"agents": [f"F{i}" for i in range(n_agents)], "tables": {"T": t_table, "O": {}}}
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", TIMED_MAIN, "analyze", str(path)],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, encoding="utf-8", timeout=10, env=env,
     )
     assert done.returncode == code
     assert done.stderr == message
@@ -368,11 +393,11 @@ def test_wide_roster_exits_3_before_its_policy_is_read(tmp_path):
     doc = {"agents": names, "tables": {"T": {}, "O": {}},
            "policy": {"promoted": [names[k:k + 2] for k in range(0, 20_000, 2)]}}
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", SIZED_MAIN, "enforce", str(path)],
-        capture_output=True, text=True, timeout=20, env=env,
+        capture_output=True, encoding="utf-8", timeout=20, env=env,
     )
     assert done.returncode == 3
     assert done.stderr == BOUND_MESSAGE
@@ -396,7 +421,7 @@ def dense5_file(tmp_path):
         "transaction": [{"from": a, "to": b, "cost": 2} for a, b in pairs],
     }}
     path = tmp_path / "dense5.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -406,7 +431,7 @@ def test_too_many_routes_exit_3_quickly(tmp_path):
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", low_budget, "analyze", str(dense5_file(tmp_path))],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, encoding="utf-8", timeout=10, env=env,
     )
     assert done.returncode == 3
     assert done.stderr.startswith("error: bound exceeded: ")
@@ -420,7 +445,7 @@ def test_dense_five_firms_finish(tmp_path):
     done = subprocess.run(
         [sys.executable, "-m", "symbio.cli", "analyze", str(dense5_file(tmp_path)),
          "--format", "json"],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, encoding="utf-8", timeout=10, env=env,
     )
     assert done.returncode == 0, done.stderr
     values = {frozenset(key.split(",")): Fraction(v)
@@ -446,7 +471,7 @@ def table_file(tmp_path, names, value_of, policy=None):
     if policy:
         doc["policy"] = policy
     path = tmp_path / "tables.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -465,7 +490,7 @@ def test_many_long_denominators_exit_3_quickly(tmp_path):
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", SIZED_MAIN, "analyze", str(path)],
-        capture_output=True, text=True, timeout=20, env=env,
+        capture_output=True, encoding="utf-8", timeout=20, env=env,
     )
     assert done.returncode == 3
     assert done.stderr.startswith("error: bound exceeded: the common denominator of 512 values")
@@ -509,7 +534,7 @@ def test_a_number_too_long_to_print_exits_3(tmp_path, command):
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", TIMED_MAIN, command, str(path)],
-        capture_output=True, text=True, timeout=20, env=env,
+        capture_output=True, encoding="utf-8", timeout=20, env=env,
     )
     assert done.returncode == 3, done.stderr
     assert done.stderr == ("error: bound exceeded: a reported number has more than 4300 digits, "
@@ -518,7 +543,8 @@ def test_a_number_too_long_to_print_exits_3(tmp_path, command):
     assert float(done.stdout) < 1
     done = subprocess.run(
         [sys.executable, "-m", "symbio.cli", command, str(path), "--format", "json"],
-        capture_output=True, text=True, timeout=20, env={**env, "PYTHONINTMAXSTRDIGITS": "0"},
+        capture_output=True, encoding="utf-8", timeout=20,
+        env={**env, "PYTHONINTMAXSTRDIGITS": "0"},
     )
     assert done.returncode == 0 and not done.stderr
     shares = json.loads(done.stdout)["shapley"].values()
@@ -547,7 +573,7 @@ def exchange_file(tmp_path, offers, demands, haul=1):
         "transaction": [{"from": "F0", "to": "F1", "cost": 1}],
     }}
     path = tmp_path / "exchange.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -582,7 +608,7 @@ def check_timed_exchange(path, row):
     env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", TIMED_MAIN, "analyze", str(path)],
-        capture_output=True, text=True, timeout=20, env=env,
+        capture_output=True, encoding="utf-8", timeout=20, env=env,
     )
     *report, seconds = done.stdout.splitlines()
     if row is None:
@@ -603,7 +629,7 @@ def test_long_denominators_that_cancel_in_t_minus_o(capsys, tmp_path):
     names = [f"F{i}" for i in range(9)]
     worth = {mask: mask.bit_count() - 2 * (mask & 1) for mask in range(1 << 9)}
     reduced = table_file(tmp_path, names, worth.get)
-    doc = json.loads(reduced.read_text())
+    doc = json.loads(reduced.read_text(encoding="utf-8"))
     for key in doc["tables"]["T"]:
         mask = sum(1 << names.index(name) for name in key.split(","))
         q = 10**488 + mask
@@ -614,7 +640,7 @@ def test_long_denominators_that_cancel_in_t_minus_o(capsys, tmp_path):
             doc["tables"]["T"][key] = f"{worth[mask] * q - 7}/{q}"
             doc["tables"]["O"][key] = f"-7/{q}"
     cancelling = tmp_path / "cancelling.json"
-    cancelling.write_text(json.dumps(doc))
+    cancelling.write_text(json.dumps(doc), encoding="utf-8")
     reports = [run(capsys, "analyze", str(path)) for path in (reduced, cancelling)]
     assert reports[0][0] == 0 and reports[0] == reports[1]
     assert load_scenario(str(cancelling)).game.denominator == 1
@@ -640,7 +666,8 @@ def benchmark_halves_file(tmp_path, n):
     policy = {"promoted": [names[:half], names[half:]],
               "prohibited": [[names[0], names[2]], [names[1], names[half + 1]]]}
     path = tmp_path / "halves.json"
-    path.write_text(json.dumps({"agents": names, "tables": {"T": t, "O": o}, "policy": policy}))
+    path.write_text(json.dumps({"agents": names, "tables": {"T": t, "O": o}, "policy": policy}),
+                    encoding="utf-8")
     return path
 
 
@@ -670,7 +697,7 @@ def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
     # the value rows, printed from the ints, read as each T(S) - O(S) in lowest terms
     with fractions_made() as made:
         code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
-    tables = json.loads(path.read_text())["tables"]
+    tables = json.loads(path.read_text(encoding="utf-8"))["tables"]
     assert code == 0 and json.loads(out)["values"] == {
         key: str(t - Fraction(tables["O"][key])) for key, t in tables["T"].items()}
     assert json.loads(out)["implementable"] and 0 < len(made) <= n
@@ -757,7 +784,7 @@ def test_sixteen_agents_shapley_and_enforce(tmp_path):
     for command, extra in ("shapley", []), ("enforce", ["--epsilon", "1/2"]):
         done = subprocess.run(
             [sys.executable, "-m", "symbio.cli", command, str(path), "--format", "json", *extra],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, encoding="utf-8", timeout=60, env=env,
         )
         assert done.returncode == 0 and not done.stderr
         reports[command] = json.loads(done.stdout)
@@ -776,7 +803,8 @@ def test_sixteen_agents_shapley_and_enforce(tmp_path):
 )
 def test_bad_numbers_name_their_field(capsys, tmp_path, value, field):
     path = tmp_path / "bad.json"
-    path.write_text('{"agents": ["A", "B"], "tables": {"T": {"A,B": %s}, "O": {"A,B": 0}}}' % value)
+    path.write_text('{"agents": ["A", "B"], "tables": {"T": {"A,B": %s}, "O": {"A,B": 0}}}' % value,
+                    encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert out == ""
@@ -785,7 +813,7 @@ def test_bad_numbers_name_their_field(capsys, tmp_path, value, field):
 
 def test_deeply_nested_file_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
-    path.write_text("[" * 100000 + "]" * 100000)
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert err.startswith("error: ") and "recursion" in err
@@ -810,7 +838,7 @@ def test_zero_denominator_is_named(capsys, tmp_path):
         assert err == f"error: --epsilon: '{zero}' has a zero denominator\n"
         path = tmp_path / "zero.json"
         path.write_text('{"agents": ["A", "B"], "tables": {"T": {"A,B": "%s"},'
-                        ' "O": {"A,B": 0}}}' % zero)
+                        ' "O": {"A,B": 0}}}' % zero, encoding="utf-8")
         code, out, err = run(capsys, "analyze", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: tables.T['A,B']: '{zero}' has a zero denominator\n"
@@ -846,12 +874,12 @@ def test_report_dict_pipeline_known_values():
 
 def _write(tmp_path, doc) -> str:
     path = tmp_path / "scenario.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
 def _data(name) -> dict:
-    return json.loads((DATA / name).read_text())
+    return json.loads((DATA / name).read_text(encoding="utf-8"))
 
 
 def test_repeated_json_key_exits_2(capsys, tmp_path):
@@ -911,7 +939,8 @@ def test_shuffled_table_keys_load_like_make_isn_game(tmp_path_factory, seed, n):
             table[tuple(group)] = repr(value) if isinstance(value, float) else value
             doc[",".join(names[i] for i in group)] = value
     path = tmp_path_factory.getbasetemp() / "shuffled.json"
-    path.write_text(json.dumps({"agents": names, "tables": {"T": docs[0], "O": docs[1]}}))
+    path.write_text(json.dumps({"agents": names, "tables": {"T": docs[0], "O": docs[1]}}),
+                    encoding="utf-8")
     loaded, made = load_scenario(str(path)).game.table, make_isn_game(n, *tables).table
     assert loaded == made
     assert all(type(v) is Fraction for v in loaded + made)
@@ -956,7 +985,8 @@ def test_roster_spelt_keys_load_in_bulk_like_make_isn_game(tmp_path_factory, see
             table[tuple(members)] = value
             doc[",".join(names[i] for i in members)] = value
     path = tmp_path_factory.getbasetemp() / "roster_spelt.json"
-    path.write_text(json.dumps({"agents": names, "tables": {"T": docs[0], "O": docs[1]}}))
+    path.write_text(json.dumps({"agents": names, "tables": {"T": docs[0], "O": docs[1]}}),
+                    encoding="utf-8")
     calls = {}
     with counted(cli, "_mask", calls), counted(games, "_parse", calls):
         loaded = load_scenario(str(path)).game
@@ -980,7 +1010,7 @@ def test_benchmark_shaped_file_loads_in_bulk(tmp_path):
             counted(games, "_parse", calls):
         scenario = load_scenario(str(path))
     assert calls == {}
-    tables = json.loads(path.read_text())["tables"]
+    tables = json.loads(path.read_text(encoding="utf-8"))["tables"]
     ids = {name: i for i, name in enumerate(scenario.agents)}
     t, o = ({tuple(ids[a] for a in key.split(",")): v for key, v in tables[x].items()}
             for x in ("T", "O"))
@@ -995,7 +1025,7 @@ def test_each_table_entry_is_read_once(tmp_path, spelling):
     once their names are sorted, so neither a key goes through _mask nor a
     value through _number."""
     path = benchmark_halves_file(tmp_path, 8)
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     tables = doc["tables"]
     if spelling == "padded-last-value":
         last = list(tables["O"])[-1]
@@ -1003,7 +1033,7 @@ def test_each_table_entry_is_read_once(tmp_path, spelling):
     else:
         for x in "T", "O":
             tables[x] = {",".join(reversed(key.split(","))): v for key, v in tables[x].items()}
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     calls = {}
     with counted(cli, "_mask", calls, table_key), counted(cli, "_number", calls, table_key), \
             counted(games, "_parse", calls):
@@ -1173,7 +1203,7 @@ def test_scenario_files_are_read_as_utf8(capsys, tmp_path, fmt):
            "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     done = subprocess.run(
         [sys.executable, "-m", "symbio.cli", "analyze", str(path), "--format", fmt],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, encoding="utf-8", timeout=10, env=env,
     )
     if fmt == "text":
         assert (done.returncode, done.stdout) == (2, "")
@@ -1277,8 +1307,9 @@ HOSTILE_KEYS = [
 
 @st.composite
 def hostile_files(draw):
-    """g3.json or w.json after one to three drops, retypes, duplicates or renames."""
-    doc = _parse((DATA / draw(st.sampled_from(["g3.json", "w.json"]))).read_text())
+    """A file of tests/data after one to three drops, retypes, duplicates or
+    renames."""
+    doc = _parse((DATA / draw(st.sampled_from(DATA_FILES))).read_text(encoding="utf-8"))
     for _ in range(draw(st.integers(1, 3))):
         node = draw(st.sampled_from(list(_containers(doc))))
         if not node:
@@ -1302,7 +1333,7 @@ def hostile_files(draw):
 def test_hostile_files_exit_cleanly(tmp_path_factory, text, command):
     """Every mutated file ends in exit 0, 2 or 3, never in an exception."""
     path = tmp_path_factory.getbasetemp() / "hostile.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, str(path)])
     assert code in (0, 2, 3)

@@ -211,10 +211,14 @@ def test_compatible_pairs_match_the_full_scan():
     """A search takes the full scan's profitable pairs: each route it keeps
     holds the oracle's (offer, demand) pairs in ascending order, the LP
     column order, with gain, cap, fee and net saving on the search's integer
-    scale, lg the lcm of the profitable pairs' cost denominators alone, and
-    a candidate route is dropped exactly when it saves nothing alone. Validation names the missing cost of the first pair the full
-    scan meets."""
+    scale, and a candidate route is dropped exactly when it saves nothing
+    alone. lg is the lcm of the profitable pairs' worth (purchase less
+    treatment), cost (haul less discharge) and fee denominators alone, a
+    divisor of the lcm of their five cost fields' and, where those cancel,
+    strictly smaller. Validation names the missing cost of the first pair
+    the full scan meets."""
     rng = random.Random(71)
+    smaller = 0  # draws where worths and costs cancel a field's denominator
     for trial in range(200):
         n = rng.randint(1, 5)
         fractional = range(2, 8) if trial % 2 else None
@@ -228,10 +232,16 @@ def test_compatible_pairs_match_the_full_scan():
         by_route, candidates = candidate_routes(scenario, members)
         saving = [(streams[oi], streams[di]) for found in by_route.values()
                   for oi, di, _ in found]
-        assert lg == lcm(*(cost.denominator for o, d in saving for cost in (
+        assert lg == lcm(*(amount.denominator for o, d in saving for amount in (
+            d.unit_purchase_cost - d.unit_treatment_cost,
+            scenario.transport[o.firm, d.firm, o.resource] - o.unit_discharge_cost,
+            scenario.transaction[o.firm, d.firm])))
+        fields = lcm(*(cost.denominator for o, d in saving for cost in (
             o.unit_discharge_cost, d.unit_purchase_cost, d.unit_treatment_cost,
             scenario.transport[o.firm, d.firm, o.resource],
             scenario.transaction[o.firm, d.firm])))
+        assert fields % lg == 0
+        smaller += lg < fields
         assert lq == lcm(*(streams[i].quantity.denominator for found in by_route.values()
                            for oi, di, _ in found for i in (oi, di)))
         expected = []
@@ -262,6 +272,7 @@ def test_compatible_pairs_match_the_full_scan():
             assert str(e) == expected
         else:
             assert expected is None
+    assert smaller
 
 
 def test_bound_exceeded(lp_calls):
@@ -514,6 +525,22 @@ def test_links_that_never_save_leave_the_scale_alone(monkeypatch):
     assert bits and max(bits) <= 64
 
 
+def test_costs_that_cancel_leave_the_scale_whole():
+    """lg covers a pair's worth (purchase less treatment) and its link's
+    cost (haul less discharge), not the five cost fields: thirds that
+    cancel in both, worth 7/3 - 1/3 = 2 and cost 2/3 - 2/3 = 0, leave the
+    scale at 1 (the lcm of the fields' denominators is 3). The game is the
+    enumerating oracle's: 2 per unit on 8 units, less the fee of 1."""
+    scenario = ExchangeScenario(
+        2, (waste_offer(0, "r", 10, Fraction(2, 3)),
+            input_demand(1, "r", 8, Fraction(7, 3), Fraction(1, 3))),
+        {(0, 1, "r"): Fraction(2, 3)}, {(0, 1): 1})
+    assert _RouteSearch(scenario, range(2)).scale == 1
+    game = scenario_to_game(scenario)
+    assert game.value({0, 1}) == 15
+    assert game == route_subset_game(scenario)
+
+
 def test_game_build_makes_no_fraction_per_pair_or_row(lp_calls):
     """scenario_to_game works on ints: solve_lp returns (num, den) int
     pairs and the search floors each net saving, so no Fraction is made at
@@ -580,7 +607,7 @@ def test_the_roster_links_are_built_once(monkeypatch):
             plan = optimal_exchange_plan(scenario, members)
             assert optimal_exchange_plan(scenario, members) == plan
             assert optimal_exchange_plan(copy(), members) == plan
-        ranked += any(len(dis) > 1 for _, _, _, dis, _ in scenario.links)
+        ranked += any(len(dis) > 1 for _, _, _, _, dis, _ in scenario.links)
     assert ranked >= 5
 
 
@@ -615,7 +642,7 @@ def test_no_search_writes_its_scenario():
 
 def x4_scenario():
     """tests/data/x4.json, read with the library's constructors alone."""
-    doc = json.loads((Path(__file__).parent / "data" / "x4.json").read_text())
+    doc = json.loads((Path(__file__).parent / "data" / "x4.json").read_text(encoding="utf-8"))
     ids = {name: i for i, name in enumerate(doc["agents"])}
     section = doc["exchange"]
     streams = tuple(ResourceStream(
