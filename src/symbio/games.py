@@ -33,20 +33,25 @@ their parent's.
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
 promotion subsidy elsewhere) read those ints as they are; no table is
 rescaled to meet an allocation, which solutions keeps as ints over a
-denominator of its own. check_superadditive tries an O(n^2 2^n) convexity
-certificate (is_supermodular) before its 3^n / 2 pair walk. Reports print
-every rational through fraction_text.
+denominator of its own. check_superadditive tries a convexity certificate
+(is_supermodular) before its 3^n / 2 pair walk: the table packed into one
+int, each pair of agents tested over all 2^n fields at once by a few
+big-int operations, or, for a table whose range needs more than
+PACKED_RANGE_BITS bits, by a list kernel. Reports print every rational
+through fraction_text.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import struct
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
 from operator import floordiv, lt, mul, sub
 from typing import Iterable, Iterator, Mapping
@@ -66,6 +71,13 @@ MAX_EXPONENT = 1000
 #: its common denominator. Values with many different long denominators make
 #: that denominator, and every scaled entry, grow with each one folded in.
 SCALED_BITS = 1 << 28
+
+#: Widest range max v - min v, in bits, that is_supermodular packs: with its
+#: three spare bits a field then fits one 64-bit word.
+PACKED_RANGE_BITS = 61
+
+#: struct's little-endian codes for unsigned ints of 1, 2, 4 and 8 bytes.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 #: The grammar of text numbers: Python 3.11's fractions._RATIONAL_FORMAT,
 #: owned here so that a file reads alike on every interpreter (3.10 rejects
@@ -495,20 +507,84 @@ def _halves(xs: list, bit: int) -> "tuple[list, list]":
     return lo, hi
 
 
-def is_supermodular(val: list, n: int) -> bool:
-    """Whether v(S+i+j) + v(S) >= v(S+i) + v(S+j) for every S and i < j
-    outside S, on a mask-indexed table of n agents: the game is convex.
+def _fields(pattern: bytes, bit: int, n: int) -> int:
+    """The packed int of 2^n fields of len(pattern) bytes each, field S
+    holding `pattern` where S has `bit` clear and zeros where it is set;
+    built by bytes repetition, little-endian like is_supermodular's table."""
+    return int.from_bytes(
+        (pattern * (1 << bit) + bytes(len(pattern) << bit)) * (1 << (n - bit - 1)), "little")
 
-    Agent i's marginals v(S+i) - v(S) are built once; for each j > i those
-    with j in S are compared with those without, n(n-1)/2 * 2^(n-2)
-    comparisons in all, none in a Python loop of its own.
-    """
+
+def _pack(values, width: int, n: int) -> int:
+    """2^n ints in [0, 2^(8 width)) as one little-endian int of `width`-byte
+    fields. struct packs them in one call, as items of 1, 2, 4 or 8 bytes
+    (several times faster than an int.to_bytes per value), and each field
+    keeps its item's low `width` bytes."""
+    word = 1 << (width - 1).bit_length()
+    data = struct.pack(f"<{1 << n}{_STRUCT_CODES[word]}", *values)
+    if word != width:
+        data, items = bytearray(width << n), data
+        for k in range(width):
+            data[k::width] = items[k::word]
+    return int.from_bytes(data, "little")
+
+
+def _supermodular_lists(val, n: int) -> bool:
+    """is_supermodular on lists: agent i's marginals v(S+i) - v(S) are built
+    once; for each j > i those with j in S are compared with those without,
+    n(n-1)/2 * 2^(n-2) comparisons in all, none in a Python loop of its own."""
     for i in range(n):
         lo, hi = _halves(val, i)
         marginal = list(map(sub, hi, lo))  # over masks without i, i's bit taken out
         for j in range(i, n - 1):  # agent j + 1, at bit j of the marginal's index
             without, with_ = _halves(marginal, j)
             if any(map(lt, with_, without)):
+                return False
+    return True
+
+
+def is_supermodular(val, n: int) -> bool:
+    """Whether v(S+i+j) + v(S) >= v(S+i) + v(S+j) for every S and i < j
+    outside S, on a mask-indexed table of n agents: the game is convex.
+
+    The table is packed into one int P, little-endian: field S, `width`
+    bytes or `bits` bits, holds v(S) - min v, and `width` leaves three spare
+    bits over the range R = max v - min v. Agent i's marginals are one
+    shift, add and subtract, M = (P >> (bits << i)) + OFFSET - P, OFFSET
+    holding 2^(bits-2) in every field; M's fields of masks holding i are
+    then cleared. As R < 2^(bits-3), each other field of M is m_i(S) +
+    2^(bits-2), strictly between 2^(bits-3) and 3 * 2^(bits-3), so no field
+    borrows from its neighbour and every field's flag, its top bit, is
+    clear. For each j > i, ((M >> (bits << j)) | FLAGS) - M then holds
+    2^(bits-1) + m_i(S+j) - m_i(S) in field S, again without a borrow: its
+    flag is clear exactly where m_i(S+j) < m_i(S), and the flags of the
+    fields without j must all be set (where S holds i, both fields are 0).
+    That is n(n-1)/2 word-parallel steps of a few big-int operations each
+    over all 2^n fields (SIMD within a register, Warren's Hacker's Delight).
+
+    A range of more than PACKED_RANGE_BITS bits would take fields wider than
+    a 64-bit word, and the packed steps grow with the width, so such a
+    table takes the list kernel (_supermodular_lists); the verdict is the
+    same.
+    """
+    lo = min(val)
+    spread = (max(val) - lo).bit_length()
+    if spread > PACKED_RANGE_BITS:
+        return _supermodular_lists(val, n)
+    width = (spread + 10) // 8  # spread + 3 bits, in bytes
+    bits = 8 * width
+    if lo:
+        val = map(sub, val, repeat(lo))
+    packed = _pack(val, width, n)
+    flag = bytes(width - 1) + b"\x80"
+    flags = int.from_bytes(flag * (1 << n), "little")
+    without = [_fields(flag, j, n) for j in range(1, n)]  # flags of the fields without j
+    for i in range(n - 1):
+        marginal = (((packed >> (bits << i)) + (flags >> 1) - packed)  # flags >> 1 is OFFSET
+                    & _fields(b"\xff" * width, i, n))
+        for j in range(i + 1, n):
+            check = without[j - 1]
+            if (((marginal >> (bits << j)) | flags) - marginal) & check != check:
                 return False
     return True
 
@@ -522,7 +598,7 @@ def check_superadditive(game) -> "tuple[frozenset, frozenset] | None":
     mask-indexed `scaled` table of ints, which it scans as they are.
 
     A convex game with v(empty) <= 0 is superadditive (Shapley 1971), so
-    is_supermodular's O(n^2 2^n) check comes first; only a game it does not
+    is_supermodular's certificate comes first; only a game it does not
     certify takes the walk over the about 3^n / 2 disjoint pairs.
     """
     n = game.n_agents

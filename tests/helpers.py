@@ -404,18 +404,19 @@ def convex_game(rng, n):
     return ISNGame.from_table(n, values)
 
 
-def one_violation_game(rng, n):
+def one_violation_game(rng, n, others=None):
     """(game, (S, i, j)): a pairwise game v(S) = sum of w_kl over pairs in S,
     distinct positive integer weights, with one coalition T that holds the
-    lightest pair {i, j} lowered by w_ij + 1. Local supermodularity then
-    fails at (T - i - j, i, j) alone: every other second difference with T
-    on top has slack w_kl >= w_ij + 1, one with T at the bottom has at least
-    w_kl - w_ij - 1 >= 0, and one with T in the middle only gains."""
+    lightest pair {i, j} and `others` more agents (a random count when None)
+    lowered by w_ij + 1. Local supermodularity then fails at (T - i - j, i,
+    j) alone: every other second difference with T on top has slack w_kl >=
+    w_ij + 1, one with T at the bottom has at least w_kl - w_ij - 1 >= 0,
+    and one with T in the middle only gains."""
     pairs = list(combinations(range(n), 2))
     w = dict(zip(pairs, rng.sample(range(1, 10 * len(pairs) + 1), len(pairs))))
     i, j = min(pairs, key=w.get)
-    others = [k for k in range(n) if k not in (i, j)]
-    t = mask_of([i, j, *rng.sample(others, rng.randint(0, len(others)))])
+    rest = [k for k in range(n) if k not in (i, j)]
+    t = mask_of([i, j, *rng.sample(rest, rng.randint(0, len(rest)) if others is None else others)])
     values = {}
     for mask in range(1 << n):
         if mask.bit_count() >= 2:

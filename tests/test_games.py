@@ -412,24 +412,105 @@ def test_superadditivity_pair_matches_fraction_scan():
     assert sum(len(a) >= 2 for a, _ in violations) >= 5
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=7))
+def _ranged(table, spread, c):
+    """k * v(S) + c for every mask S, k = spread // (max v - min v), with the
+    largest entry then raised so that max - min is exactly `spread`."""
+    k = spread // (max(table) - min(table))
+    out = [k * v + c for v in table]
+    top = out.index(max(out))
+    out[top] += spread - (out[top] - min(out))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=9))
 @settings(max_examples=80, deadline=None)
 def test_supermodularity_matches_the_pairwise_oracle(seed, n):
     """is_supermodular agrees with the brute-force (S, i, j) check on convex,
-    random and mixed-denominator games, and on games that fail at exactly
-    one (S, i, j)."""
+    random and mixed-denominator games, on games that fail at exactly one
+    (S, i, j), at S = empty and at S+i+j = N among them (the packed table's
+    first and last fields, where its shifts bring in zero fields), and on
+    their tables moved by a constant (negative entries, v(empty) != 0) and
+    stretched so that max - min is just below, at and just above
+    2^PACKED_RANGE_BITS, where the packed kernel gives way to the list
+    kernel, past 2^200, the widest range that some field width holds (three
+    bits short of whole bytes), or of a random bit length. The oracle reads
+    each game's Fraction table up to 7 agents; at 8 and 9, where scanning a
+    mixed-denominator table of Fractions takes seconds, it reads the scaled
+    ints, the same values times their common denominator."""
     import random
 
     rng = random.Random(seed)
     games_ = [convex_game(rng, n), random_game(rng, n), mixed_game(rng, n)]
     if n >= 2:
-        game, where = one_violation_game(rng, n)
-        assert supermodularity_violations(game.table, n) == [where]
-        games_.append(game)
+        for others in None, 0, n - 2:
+            game, where = one_violation_game(rng, n, others)
+            assert supermodularity_violations(game.table if n <= 7 else game.scaled, n) == [where]
+            games_.append(game)
+    limit = 1 << games.PACKED_RANGE_BITS
     for game in games_:
-        expected = not supermodularity_violations(game.table, n)
+        expected = not supermodularity_violations(game.table if n <= 7 else game.scaled, n)
         assert is_supermodular(game.scaled, n) is expected
+        if max(game.scaled) == min(game.scaled):
+            continue
+        c = rng.choice([-1, 1]) * rng.randrange(1 << rng.choice([1, 8, 100]))
+        bits = rng.randint(1, games.PACKED_RANGE_BITS)
+        for spread in (limit - 1, limit, limit + 1, (1 << 200) + rng.randrange(limit),
+                       (1 << 8 * rng.randint(1, 8) - 3) - 1, rng.randrange(1 << bits - 1, 1 << bits)):
+            if spread >= max(game.scaled) - min(game.scaled):
+                table = _ranged(game.scaled, spread, c)
+                assert is_supermodular(table, n) is (not supermodularity_violations(table, n))
     assert is_supermodular(games_[0].scaled, n)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_supermodularity_ignores_shift_and_scale(seed, n):
+    """Adding one constant c to every entry, the empty set's included, or
+    multiplying every entry by an int k > 0 leaves is_supermodular's verdict
+    as it is. One k keeps max - min below 2^PACKED_RANGE_BITS, in the
+    packed kernel, and one takes it past, into the list kernel, so the
+    verdicts compared cross the kernels' boundary both ways; c lies far past
+    the range or within it. check_superadditive returns the pair the
+    Fraction scan finds on every one of those tables, certified (v(empty)
+    <= 0) or walked."""
+    import random
+    from types import SimpleNamespace
+
+    rng = random.Random(seed)
+    base = [convex_game(rng, n), random_game(rng, n)]
+    if n >= 2:
+        base.append(one_violation_game(rng, n)[0])
+    limit = 1 << games.PACKED_RANGE_BITS
+    for game in base:
+        table = game.scaled
+        spread = max(table) - min(table) or 1
+        assert spread < limit
+        verdict = is_supermodular(table, n)
+        narrow = rng.randint(1, (limit - 1) // spread)
+        wide = rng.randint(limit // spread + 1, 1 << 130)
+        for k in narrow, wide:
+            for c in rng.randint(-(1 << 100), 1 << 100), rng.randint(-spread, spread):
+                moved = [k * v + c for v in table]
+                assert is_supermodular(moved, n) is verdict
+                moved = SimpleNamespace(n_agents=n, scaled=moved, table=moved)
+                assert check_superadditive(moved) == fraction_check_superadditive(moved)
+
+
+def test_packed_certificate_memory_at_the_agent_bound():
+    """At 16 agents, on a convex table whose range takes 8-byte fields, the
+    packed kernel's peak allocation stays within n + 6 packed ints."""
+    import tracemalloc
+
+    n = 16
+    table = [mask.bit_count() ** 2 << 50 for mask in range(1 << n)]  # range 2^58
+    packed_int = sys.getsizeof((1 << (64 << n)) - 1)
+    tracemalloc.start()
+    try:
+        assert is_supermodular(table, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n + 6) * packed_int
 
 
 def test_superadditivity_pair_matches_fraction_scan_on_convex_tables():
