@@ -15,13 +15,18 @@ share no stream, and one LP otherwise; unprofitable routes are dropped,
 and the sum of the others' net savings bounds any route set, exactly so
 when no two share a stream. In the branch and bound's relaxation a free
 route with one stream pair is one column, its activation, with no cap
-row (_RouteSearch.best_shipments). scenario_to_game searches each
-coalition in ascending mask order, with the best worth of its coalitions
-one firm smaller as the incumbent, and reads only LP optima; only
-optimal_exchange_plan turns shipments into plans. A call solves at most
-2**ENUMERATION_BOUND LPs, and takes at most PAIR_BOUND profitable (offer,
-demand) stream pairs, each an LP column; it raises BoundExceeded past
-either, the pair bound before any LP.
+row (_RouteSearch.best_shipments). Only each search's root relaxation is
+solved cold; every other node re-enters its parent's optimal dictionary,
+one column changed (lp's with_cost for a route made active, with_zero for
+one dropped), at about one pivot where a cold solve takes over ten on a
+dense file. Routes settled alone and a plan's final shipments are solved
+cold. scenario_to_game searches each coalition in ascending mask order,
+with the best worth of its coalitions one firm smaller as the incumbent,
+and reads only LP optima; only optimal_exchange_plan turns shipments into
+plans. A call solves at most 2**ENUMERATION_BOUND LPs, a re-entry counting
+as one, and takes at most PAIR_BOUND profitable (offer, demand) stream
+pairs, each an LP column; it raises BoundExceeded past either, the pair
+bound before any LP.
 
 A search works on one integer scale: quantities are ints over lq, the lcm
 of the denominators of the streams in profitable pairs, and per-unit gains
@@ -56,6 +61,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
@@ -262,8 +268,8 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
     net, routes = search.best(search.routes, 0)
     if routes is None:
         return EMPTY_PLAN, baseline
-    x, _, _ = search.best_shipments(routes)
-    plan = _plan(scenario, [v for r in routes for v in r.variables], x, search.lq)
+    lp, _, _ = search.best_shipments(routes)
+    plan = _plan(scenario, [v for r in routes for v in r.variables], lp.x, search.lq)
     return plan, baseline - Fraction(net, search.scale)
 
 
@@ -306,10 +312,11 @@ class _RouteSearch:
     keeps it feasible, so net savings are subadditive over route sets, and
     a route with net_r <= 0 never helps. The same argument makes the sum of
     net_r an upper bound on any subset's saving, exact when the routes
-    share no stream. All LP solves of one search count against one budget
-    of 2**ENUMERATION_BOUND; the next solve raises BoundExceeded. So does a
-    coalition with more than PAIR_BOUND profitable stream pairs, before any
-    LP: a route may be solved alone as one LP with a column per pair.
+    share no stream. All LPs of one search, cold solves and re-entries,
+    count against one budget of 2**ENUMERATION_BOUND (_spend); the next
+    raises BoundExceeded. So does a coalition with more than PAIR_BOUND
+    profitable stream pairs, before any LP: a route may be solved alone as
+    one LP with a column per pair.
     """
 
     def __init__(self, scenario, members):
@@ -352,14 +359,22 @@ class _RouteSearch:
             if net > 0:
                 self.routes.append(route._replace(net=net))
 
+    def _spend(self):
+        """Count one LP, cold or re-entered, against the budget."""
+        if not self.lps_left:
+            raise BoundExceeded(f"the exchange optimizer solved its budget of "
+                                f"{2**ENUMERATION_BOUND} LPs (2^{ENUMERATION_BOUND}) "
+                                f"without finishing")
+        self.lps_left -= 1
+
     def best_shipments(self, fixed, free=()):
         """Maximize net saving with routes fixed active and the activation
         y of routes free relaxed to 0 <= y <= 1 (x_k <= cap_k * y for each
         of their variables, cap_k the smaller of its two quantities).
-        Returns (x, net, y): x the fixed routes' shipments over lq and y
-        one per free route, solve_lp's (num, den) pairs, and net over
-        scale, floored; with no free routes net is the exact best saving
-        of the fixed set, and whole.
+        Returns (lp, net, column): lp solve_lp's result, whose x begins with
+        the fixed routes' shipments over lq, net over scale, floored, and
+        column each free route's y column of lp; with no free routes net is
+        the exact best saving of the fixed set, and whole.
 
         A free route with one pair is one column, its y: x = cap * y at
         every optimum, as a fee >= 0 never pays for a larger y, so the
@@ -369,14 +384,9 @@ class _RouteSearch:
         has cap * y <= cap in the stream row of its smaller quantity, and
         the stream rows hold x_k <= cap_k, so at a vertex a positive
         many-pair y_r is x_k / cap_k for some tight cap row of r."""
-        if not self.lps_left:
-            raise BoundExceeded(f"the exchange optimizer solved its budget of "
-                                f"{2**ENUMERATION_BOUND} LPs (2^{ENUMERATION_BOUND}) "
-                                f"without finishing")
-        self.lps_left -= 1
+        self._spend()
         ends = [(oi, di, 1) for r in fixed for oi, di, _, _ in r.variables]
         c = [gain for r in fixed for _, _, gain, _ in r.variables]
-        shipped = len(c)  # the fixed routes' x columns
         y, caps = [], []  # each free route's y column; (x column, route, cap) per cap row
         for j, route in enumerate(free):
             if len(route.variables) == 1:
@@ -408,10 +418,9 @@ class _RouteSearch:
             row[k], row[y[j]] = 1, -cap
             a_ub.append(row)
             b_ub.append(0)
-        result = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-        num, den = result.objective
-        net = num // den - sum(r.fee for r in fixed)
-        return result.x[:shipped], net, [result.x[k] for k in y]
+        lp = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+        num, den = lp.objective
+        return lp, num // den - sum(r.fee for r in fixed), dict(zip(free, y))
 
     def best(self, routes, incumbent):
         """(net, route tuple) for the best subset of routes (sorted) if
@@ -427,6 +436,18 @@ class _RouteSearch:
         best, each incumbent and each route's net are whole, so net <= best
         exactly when floor(net) <= best, and min(net, S) floors to
         min(floor(net), S) for a whole S.
+
+        Only the root is solved cold. The stack keeps each node's parent
+        LP result, and a popped node re-enters its parent's optimal
+        dictionary, in the root's columns: a route made active has its fee
+        added back to its y column's cost (with_cost), which makes a
+        one-pair route's column worth gain * cap and frees a many-pair
+        route's y at cost 0, so its cap rows bind nothing; a dropped route
+        has its y held at 0 (with_zero), a many-pair route's cap rows then
+        holding its shipments at 0. Each is the LP best_shipments builds
+        for the node, up to columns fixed at 0, so it has the same optimal
+        value; its y may be another optimal vertex's. A child pruned when
+        popped costs no LP, and each re-entry counts as one.
         """
         routes = tuple(routes)
         bound = sum(r.net for r in routes)
@@ -436,22 +457,32 @@ class _RouteSearch:
                 len(r.streams) for r in routes):
             return bound, routes
         best, chosen = incumbent, None
-        stack = [((), routes, bound)]
+        stack = [((), routes, bound, None)]
         while stack:
-            fixed, free, bound = stack.pop()
+            fixed, free, bound, entry = stack.pop()
             if bound <= best:
                 continue
-            _, net, y = self.best_shipments(fixed, free)
+            if entry is None:
+                lp, net, column = self.best_shipments(fixed, free)
+            else:
+                self._spend()
+                lp = entry()
+                num, den = lp.objective
+                net = num // den - sum(r.fee for r in fixed)
             if net <= best:
                 continue
+            y = [lp.x[column[r]] for r in free]
             split = next((j for j, (p, q) in enumerate(y) if p % q), None)
             if split is None:
                 best = net
                 chosen = tuple(sorted(fixed + tuple(r for r, (p, _) in zip(free, y) if p)))
                 continue
+            route, parent = free[split], lp.dictionary
             rest = free[:split] + free[split + 1:]
-            stack.append((fixed, rest, min(net, sum(r.net for r in fixed + rest))))
-            stack.append((tuple(sorted(fixed + (free[split],))), rest, net))
+            stack.append((fixed, rest, min(net, sum(r.net for r in fixed + rest)),
+                          partial(parent.with_zero, column[route])))
+            stack.append((tuple(sorted(fixed + (route,))), rest, net,
+                          partial(parent.with_cost, column[route], route.fee)))
         return best, chosen
 
 

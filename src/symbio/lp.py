@@ -55,6 +55,26 @@ row's (rhs, scale) pair, read off with no gcd, and no Fraction is made.
 The final cost row also prices row r by slack r's reduced cost u_r (0 when
 basic, 1 when its surplus is, scale - d_s when read off it): the optimal
 dual, u >= 0, u_r <= 1 on surplus rows, A^T u >= c and b.u the optimum.
+
+solve_lp is the cold entry. An LP without surplus columns also hands back
+its optimal dictionary (LPResult.dictionary), which a caller keeps and
+re-enters for an LP one column away, as the exchange's branch and bound
+does for each child of a node. Each entry works on a copy, which shares
+the parent's rows (a pivot replaces a row and never edits one), so one
+parent serves both its children; logical column numbers never change.
+with_cost(col, delta) raises one column's cost: a nonbasic column's
+reduced cost falls by delta, a basic column's row, times delta, is added
+to the cost row; the basis stays feasible and primal Bland pivots run from
+it. with_zero(col) holds a structural column at 0. A basic col leaves its
+row by a dual-simplex step, its slot is dropped from every row, and then
+dual-simplex steps with Bland's rule (Lemke 1954) clear each negative rhs,
+the row of the least basic column first; primal pivots finish, and find
+nothing to do on an optimal parent. A dual step enters the slot of least
+ratio d_j / a over the row's cells a of the right sign, ties to the least
+logical column, which keeps every reduced cost >= 0. Where that cell is
+negative, the stored row is negated first, scale included: the same row,
+its cell now positive, so _pivot runs as it is and every row's scale
+stays > 0.
 """
 
 from __future__ import annotations
@@ -73,21 +93,96 @@ class LPResult:
     objective: "tuple[int, int] | None" = None  # the cost row's (rhs, scale)
     # each row's price (the module docstring); a certificate, so not in ==
     dual: "tuple[tuple[int, int], ...] | None" = field(default=None, compare=False)
+    # the optimal dictionary of an LP without surplus columns, to re-enter
+    # (_Tableau.with_cost, _Tableau.with_zero); not in ==
+    dictionary: "_Tableau | None" = field(default=None, compare=False, repr=False)
 
 
 class _Tableau(list):
-    """The stored rows; cols[j] is the logical column stored in slot j.
+    """The dictionary: its stored rows; cols[j] is the logical column stored
+    in slot j, basis[i] the one basic in row i, obj the cost row.
 
     The surplus columns are n..n+k-1 for n = len(cols), and slack n + k + r
-    mirrors surplus n + r.
+    mirrors surplus n + r. Without surplus columns an optimal dictionary
+    may be re-entered (with_cost, with_zero; the module docstring).
     """
 
-    __slots__ = ("cols", "k")
+    __slots__ = ("cols", "k", "n", "basis", "obj")
 
     def __init__(self, rows, n, k):
         super().__init__(rows)
         self.cols = list(range(n))
         self.k = k
+        self.n = n
+
+    def solve(self) -> LPResult:
+        """Run Bland-rule pivots from this feasible basis, in place, and
+        read off the optimum."""
+        if not _pivot_until_optimal(self, self.basis, self.obj):
+            return LPResult("unbounded")
+        n, k, obj = self.n, self.k, self.obj
+        x = [(0, 1)] * n
+        dual = [(0, 1)] * len(self)  # a basic slack's price
+        for row, b in zip(self, self.basis):
+            if b < n:
+                x[b] = (row[-2], row[-1])
+            elif b < n + k:
+                dual[b - n] = (1, 1)  # its slack is minus the surplus's unit column
+        for d, col in zip(obj, self.cols):
+            if col >= n + k:
+                dual[col - n - k] = (d, obj[-1])
+            elif col >= n:
+                dual[col - n] = (obj[-1] - d, obj[-1])  # the slack read off its surplus
+        return LPResult("optimal", tuple(x), (obj[-2], obj[-1]), tuple(dual),
+                        None if k else self)
+
+    def _copy(self):
+        copy = _Tableau(self, 0, 0)
+        copy.cols, copy.n = list(self.cols), self.n
+        copy.basis, copy.obj = list(self.basis), list(self.obj)
+        return copy
+
+    def with_cost(self, col, delta) -> LPResult:
+        """The LP with structural column col's cost raised by the int delta,
+        solved by primal Bland pivots from this optimal basis, which stays
+        feasible. A held column stays at 0."""
+        lp = self._copy()
+        obj = lp.obj
+        if col in lp.basis:
+            # its row reads x_col = beta - a.x_N: each reduced cost d_j
+            # gains delta * a_j, and the objective delta * beta
+            row = lp[lp.basis.index(col)]
+            s, scale = row[-1], obj[-1]
+            new = [s * d + delta * scale * a for d, a in zip(obj, row)]
+            new[-1] = s * scale
+            lp.obj = _primitive(new)
+        elif col in lp.cols:
+            obj[lp.cols.index(col)] -= delta * obj[-1]
+        return lp.solve()
+
+    def with_zero(self, col) -> LPResult:
+        """The LP with structural column col held at 0, still feasible at
+        x = 0. A basic col leaves its row by a dual-simplex step, and its
+        slot is dropped from every row; dual-simplex pivots with Bland's rule
+        (Lemke 1954) then clear every negative rhs, the row of the least
+        basic column first, and primal pivots finish."""
+        lp = self._copy()
+        basis, cols = lp.basis, lp.cols
+        if col in basis:
+            i = basis.index(col)
+            # a positive cell a keeps the entering x_j = beta / a >= 0; with
+            # none, beta is 0 (x = 0 is feasible) and a negative cell enters
+            _dual_pivot(lp, i, flip=not any(v > 0 for v in lp[i][:-2]))
+        if col in cols:
+            j = cols.index(col)
+            del cols[j], lp.obj[j]
+            lp[:] = [row[:j] + row[j + 1:] for row in lp]
+        while True:
+            negative = [i for i, row in enumerate(lp) if row[-2] < 0]
+            if not negative:
+                break
+            _dual_pivot(lp, min(negative, key=basis.__getitem__), flip=True)
+        return lp.solve()
 
 
 def solve_lp(c, a_ub=(), b_ub=(), surplus=0) -> LPResult:
@@ -106,24 +201,10 @@ def solve_lp(c, a_ub=(), b_ub=(), surplus=0) -> LPResult:
                         for coeffs, rhs in zip(a_ub, b_ub, strict=True)], n, surplus)
     if not 0 <= surplus <= len(tableau):
         raise ValueError("surplus counts rows of a_ub")
-    basis = list(range(n + surplus, n + surplus + len(tableau)))  # every slack
+    tableau.basis = list(range(n + surplus, n + surplus + len(tableau)))  # every slack
     # minimize -c.x + sum(s); the cost row's rhs cell holds minus that
-    obj = [-v for v in c] + [0, 1]
-    if not _pivot_until_optimal(tableau, basis, obj):
-        return LPResult("unbounded")
-    x = [(0, 1)] * n
-    dual = [(0, 1)] * len(tableau)  # a basic slack's price
-    for row, b in zip(tableau, basis):
-        if b < n:
-            x[b] = (row[-2], row[-1])
-        elif b < n + surplus:
-            dual[b - n] = (1, 1)  # its slack is minus the surplus's unit column
-    for d, col in zip(obj, tableau.cols):
-        if col >= n + surplus:
-            dual[col - n - surplus] = (d, obj[-1])
-        elif col >= n:
-            dual[col - n] = (obj[-1] - d, obj[-1])  # the slack read off its surplus
-    return LPResult("optimal", tuple(x), (obj[-2], obj[-1]), tuple(dual))
+    tableau.obj = [-v for v in c] + [0, 1]
+    return tableau.solve()
 
 
 def _ints(values) -> list:
@@ -228,3 +309,23 @@ def _pivot(tableau, basis, obj, row, entering):
     d = -sign * oc * s  # the leaving column's cost
     new[j] = d if mirror > 0 else new[-1] - d
     obj[:] = new if new[-1] == 1 else _primitive(new)
+
+
+def _dual_pivot(tableau, row, flip):
+    """A dual-simplex step: row's basic column leaves, and the slot j with
+    the least obj[j] / a over the row's positive cells a enters (ties to the
+    least logical column), which keeps every other reduced cost >= 0, and
+    the leaving column's too when its true cell is negative. flip first
+    negates the stored row, scale included: the same row, its negative
+    cells now positive. _pivot then gives the pivot row its positive cell as
+    scale, and every other row a positive multiple of its own."""
+    prow = tableau[row]
+    if flip:
+        prow = tableau[row] = [-v for v in prow]
+    obj, cols = tableau.obj, tableau.cols
+    best = None
+    for j, a in enumerate(prow[:-2]):
+        if a > 0 and (best is None or obj[j] * prow[best] < obj[best] * a or (
+                obj[j] * prow[best] == obj[best] * a and cols[j] < cols[best])):
+            best = j
+    _pivot(tableau, tableau.basis, obj, row, (cols[best], best, 1))

@@ -3,6 +3,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -357,3 +358,69 @@ def test_unit_pivots_keep_every_int(monkeypatch):
     branches += [(kind, step) for kind in ("row", "cost")
                  for step in ("gcd skipped", "gcd taken", "reduced")]
     assert min(seen[key] for key in ["random", "core", "exchange", *branches]) >= 100, seen
+
+
+# ------------------------------------------------------- re-entry
+
+
+def test_reentry_matches_a_cold_fraction_solve(monkeypatch):
+    """An optimal dictionary of an LP without surplus columns, re-entered by
+    with_cost (one column's cost raised by an int of either sign) or by
+    with_zero (one column held at 0), has the status and objective of a cold
+    fraction_solve_lp of the changed LP, and an x feasible for it, worth the
+    objective, held columns at 0. Each LP of the random-LP oracle test,
+    without its surplus, is re-entered in a chain of up to three steps, each
+    from the last optimum, so that re-entries also start from dictionaries
+    with dropped slots and changed costs. Between them each entry runs on a
+    basic column and on a nonbasic one, and from degenerate optima (a basic
+    row at rhs 0), at least 50 times each. Every dual-simplex step leaves
+    each row's scale > 0 and each reduced cost >= 0 but the held column's,
+    whose slot is dropped, so with_zero's primal pivots find nothing left
+    to do. Such steps run at least 30 times on the held column's row and
+    on rows of negative rhs."""
+    rng = random.Random(20180419)
+    seen = Counter()
+    dual_pivot = lp._dual_pivot
+
+    def spy(tableau, row, flip):
+        first, leaving = tableau[row][-2] >= 0, tableau.basis[row]
+        seen["dual step", "first" if first else "rhs < 0"] += 1
+        dual_pivot(tableau, row, flip)
+        # the held column's own cost may turn negative: its slot goes next
+        assert all(d >= 0 for d, col in zip(tableau.obj, tableau.cols)
+                   if not (first and col == leaving))
+        assert min(r[-1] for r in tableau) > 0
+
+    monkeypatch.setattr(lp, "_dual_pivot", spy)
+    for _ in range(1500):
+        (c, a_ub, b_ub), _ = _random_lp(rng)
+        c, a_ub, b_ub = _int_lp(c, a_ub, b_ub)
+        result, held = solve_lp(c, a_ub, b_ub), set()
+        for _ in range(3):
+            if result.status != "optimal":
+                break
+            dictionary = result.dictionary
+            col = rng.randrange(len(c))
+            step = "cost" if rng.random() < 0.5 else "zero"
+            seen[step, "basic" if col in dictionary.basis else "nonbasic"] += 1
+            seen[step, "degenerate"] += any(row[-2] == 0 for row in dictionary)
+            if step == "cost":
+                delta = rng.choice([-3, -2, -1, 1, 2, 5])
+                result = dictionary.with_cost(col, delta)
+                c = c[:col] + [c[col] + delta] + c[col + 1:]
+            else:
+                result = dictionary.with_zero(col)
+                held.add(col)
+            kept = [j for j in range(len(c)) if j not in held]
+            expected = fraction_solve_lp([c[j] for j in kept], [[row[j] for j in kept]
+                                                                for row in a_ub], b_ub, maximize=True)
+            assert result.status == expected.status, (c, a_ub, b_ub, held)
+            if result.status == "optimal":
+                r = lp_fractions(result)
+                assert r.objective == lp_fractions(expected).objective, (c, a_ub, b_ub, held)
+                assert all(v >= 0 for v in r.x) and not any(r.x[j] for j in held)
+                assert all(sum(map(mul, row, r.x)) <= b for row, b in zip(a_ub, b_ub))
+                assert sum(map(mul, c, r.x)) == r.objective
+    assert min(seen[step, kind] for step in ("cost", "zero")
+               for kind in ("basic", "nonbasic", "degenerate")) >= 50, seen
+    assert min(seen["dual step", row] for row in ("first", "rhs < 0")) >= 30, seen
