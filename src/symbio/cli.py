@@ -47,7 +47,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coordination import CoordinatedGame, Policy, enforce_policy
+from .coordination import CoordinatedGame, Policy, _enforce
 from .errors import BoundExceeded, SymbioError
 from .exchange import (
     DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
@@ -57,7 +57,7 @@ from .games import (
     fraction_text, game_from_masks, mask_of, members_of, money_terms, plain_terms, subgame,
 )
 from .mcnets import from_isn_game
-from .solutions import _in_core, _shapley_terms, core_nonempty, is_implementable
+from .solutions import _in_core, _shapley_terms, core_nonempty
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     if policy is None:
         raise SymbioError("no policy section in scenario file")
     game, names, keys = scenario.game, scenario.agents, scenario.keys
-    net = enforce_policy(game, policy, epsilon)
+    net, shapley_of = _enforce(game, policy, epsilon)
     coordinated = CoordinatedGame(game, net)
     value_of = {rule.positive: rule.value for rule in net.rules}  # a group has one rule at most
 
@@ -355,7 +355,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
             "group": keys[mask_of(grp)],
             "label": "promoted",
             "subsidy": fraction_text(value_of.get(grp, 0)),
-            "implementable": is_implementable(subgame(coordinated, grp)),
+            "implementable": _in_core(subgame(coordinated, grp), *shapley_of[grp]),
         })
     for grp in policy.prohibited:
         cv = coordinated.value(grp)
@@ -378,7 +378,9 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         "incentive_rules": [_rule_entry(names, r) for r in net.rules],
         "coordinated_values": _value_rows(keys, coordinated),
         "group_verdicts": verdicts,
-        "coordinated_shapley": _allocation(names, *_shapley_terms(coordinated)),
+        # a promoted whole roster's Shapley value is summed already
+        "coordinated_shapley": _allocation(names, *(
+            shapley_of.get(frozenset(range(len(names)))) or _shapley_terms(coordinated))),
     }
 
 

@@ -14,7 +14,10 @@ ISNGame: the base game's ints, rewritten over the lcm of its denominator
 and the rules' only when a rule brings a new one, with each rule's value
 added as an int. Promotion subsidies are priced on the subgame's ints and
 its Shapley value's (solutions._shapley_terms); no table is rescaled and
-no table of Fractions is made on the way.
+no table of Fractions is made on the way. Each promoted group's Shapley
+value is summed once: the subsidy moves the group's worth alone, so its
+coordinated Shapley value is the taxed one plus subsidy / k a member
+(additivity), which _enforce hands the CLI with the net.
 """
 
 from __future__ import annotations
@@ -116,6 +119,31 @@ class CoordinatedGame:
         return compose(from_isn_game(self.base), self.incentives)
 
 
+def _promotion(game, target: frozenset):
+    """(rule, amount, (phi, den)): synthesize_promotion's answer and the
+    target's Shapley value once its subsidy is paid, phi_i / den per member.
+
+    The subsidized subgame differs from the unsubsidized one only at the
+    group itself, so by additivity its Shapley value is the first one plus
+    amount / k for each of the k members: with amount gap k / (size den),
+    each share is (phi_i size + gap) / (size den), and no second sum runs.
+    """
+    sub = subgame(game, target)
+    phi, den = _shapley_terms(sub)
+    shares, vals, f = _sums(phi), sub.scaled, den // sub.denominator  # f = k!
+    k = sub.n_agents
+    gap, size = 0, 1  # the largest (v(S) - shapley(S)) / |S| so far is gap / (size den)
+    for mask in range(1, (1 << k) - 1):
+        g = vals[mask] * f - shares[mask]
+        if g * size > gap * mask.bit_count():
+            gap, size = g, mask.bit_count()
+    if not gap:
+        return None, Fraction(0), (phi, den)
+    needed = Fraction(gap * k, size * den)
+    rest = frozenset(range(game.n_agents)) - target
+    return MCNetRule(target, rest, needed), needed, ([v * size + gap for v in phi], size * den)
+
+
 def synthesize_promotion(game, target: Iterable[int]):
     """Minimal subsidy making the target group fair-and-stable.
 
@@ -130,20 +158,8 @@ def synthesize_promotion(game, target: Iterable[int]):
     target = coalition(target)
     if len(target) < 2:
         raise SymbioError("promotion targets need at least two members")
-    sub = subgame(game, target)
-    phi, den = _shapley_terms(sub)
-    shares, vals, f = _sums(phi), sub.scaled, den // sub.denominator  # f = k!
-    k = sub.n_agents
-    gap, size = 0, 1  # the largest (v(S) - shapley(S)) / |S| so far is gap / (size den)
-    for mask in range(1, (1 << k) - 1):
-        g = vals[mask] * f - shares[mask]
-        if g * size > gap * mask.bit_count():
-            gap, size = g, mask.bit_count()
-    if not gap:
-        return None, Fraction(0)
-    needed = Fraction(gap * k, size * den)
-    rest = frozenset(range(game.n_agents)) - target
-    return MCNetRule(target, rest, needed), needed
+    rule, needed, _ = _promotion(game, target)
+    return rule, needed
 
 
 def synthesize_prohibition(game, target: Iterable[int], epsilon) -> "MCNetRule | None":
@@ -167,14 +183,12 @@ def synthesize_prohibition(game, target: Iterable[int], epsilon) -> "MCNetRule |
     return MCNetRule(target, rest, tax)
 
 
-def enforce_policy(game: ISNGame, policy: Policy, epsilon=Fraction(1)) -> MCNet:
-    """Incentive net realizing a policy over the whole roster.
-
-    Prohibition taxes are synthesized first; promotion subsidies are then
-    computed against the tax-coordinated game, so a prohibited group nested
-    inside a promoted one is priced in. Exact-group rules guarantee that
-    permitted groups keep their market worth.
-    """
+def _enforce(game: ISNGame, policy: Policy, epsilon) -> "tuple[MCNet, dict]":
+    """(enforce_policy's net, {promoted group: its Shapley terms (phi, den)
+    in the coordinated game}), phi over the group's own dense ids
+    (_promotion). Promoted groups are disjoint and every rule touches its
+    own group alone, so a group's coordinated subgame is its taxed one plus
+    its own subsidy."""
     for group in policy.promoted + policy.prohibited:
         check_roster(group, game.n_agents)
 
@@ -185,9 +199,20 @@ def enforce_policy(game: ISNGame, policy: Policy, epsilon=Fraction(1)) -> MCNet:
             taxes.append(rule)
     taxed = CoordinatedGame(game, MCNet(game.n_agents, tuple(taxes)))
 
-    subsidies = []
+    subsidies, shapley_of = [], {}
     for group in policy.promoted:
-        rule, _ = synthesize_promotion(taxed, group)
+        rule, _, shapley_of[group] = _promotion(taxed, group)
         if rule is not None:
             subsidies.append(rule)
-    return MCNet(game.n_agents, tuple(subsidies) + tuple(taxes))
+    return MCNet(game.n_agents, tuple(subsidies) + tuple(taxes)), shapley_of
+
+
+def enforce_policy(game: ISNGame, policy: Policy, epsilon=Fraction(1)) -> MCNet:
+    """Incentive net realizing a policy over the whole roster.
+
+    Prohibition taxes are synthesized first; promotion subsidies are then
+    computed against the tax-coordinated game, so a prohibited group nested
+    inside a promoted one is priced in. Exact-group rules guarantee that
+    permitted groups keep their market worth.
+    """
+    return _enforce(game, policy, epsilon)[0]

@@ -14,7 +14,10 @@ Text amounts follow one grammar on every interpreter, Python 3.11's
 (money_terms); as_money makes the one Fraction. plain_terms reads a column
 of values in bulk: ints, and every value whose text is a plain int or
 "a/b" (_PLAIN, a strict subset of that grammar), and lists the positions of
-the others for the caller to read one by one.
+the others for the caller to read one by one. Each value's text is joined
+into one JSON list once; a column whose joined text passes one check as a
+whole (_plain_column) is read by one json call, and only another column
+is matched value by value.
 
 Value and cost tables are read as three columns: masks, numerators and
 denominators. _scatter writes a table's columns into mask-indexed lists
@@ -22,12 +25,14 @@ and owns the rules that every key has two or more agents and that none is
 given twice, and game_from_masks the rule that T and O list every such
 coalition; T(S) - O(S) is then taken column-wise for every mask at once.
 _scaled, the one builder of a table from values, takes a numerator and a
-denominator column, reduces each value by one gcd and writes it over the
-lcm, making no Fraction; a table whose 2^n entries times the bit length of
-that lcm pass SCALED_BITS (2^28) bits raises BoundExceeded while it is
-built. game_from_masks and ISNGame.from_values hand it columns (from
-coalition keys, _columns, or the CLI's masks), ISNGame.from_table its
-Fractions' terms. Subgames and coordinated games derive their ints from
+denominator column and writes each value over the lcm of the reduced
+denominators, making no Fraction: while the unreduced denominators' lcm
+fits WORD_BITS bits it scales by that and divides the table by one gcd,
+and past that it reduces each value by its gcd first. A table whose 2^n
+entries times the bit length of the lcm pass SCALED_BITS (2^28) bits
+raises BoundExceeded while it is built. game_from_masks and
+ISNGame.from_values hand it columns (from coalition keys, _columns, or the
+CLI's masks), ISNGame.from_table its Fractions' terms. Subgames and coordinated games derive their ints from
 their parent's.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
@@ -71,6 +76,10 @@ MAX_EXPONENT = 1000
 #: its common denominator. Values with many different long denominators make
 #: that denominator, and every scaled entry, grow with each one folded in.
 SCALED_BITS = 1 << 28
+
+#: Widest lcm of unreduced denominators, in bits, that _scaled scales by
+#: before it reduces: far below any table's share of SCALED_BITS.
+WORD_BITS = 64
 
 #: Widest range max v - min v, in bits, that is_supermodular packs: with its
 #: three spare bits a field then fits one 64-bit word.
@@ -146,6 +155,39 @@ INT_LIMIT = 10**MAX_DIGITS
 _PLAIN = re.compile(
     rf"-?(?:0|[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})(?:/[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})?")
 
+#: A plain part's bound, |numerator| < PLAIN_LIMIT and denominator < PLAIN_LIMIT.
+PLAIN_LIMIT = 10 ** (MAX_DIGITS // 2)
+
+
+def _joined(pieces: "list[str]") -> str:
+    """The JSON list of a column's "a/b" pieces: "3/4", "5/1" -> "[3,4,5,1]",
+    numerators at even places, denominators at odd ones."""
+    return "[" + ",".join(pieces).replace("/", ",") + "]"
+
+
+def _plain_column(terms: str, count: int) -> "tuple[list[int], list[int]] | None":
+    """(numerators, denominators) of the _joined list of `count` pieces if
+    each piece is in _PLAIN's language, else None, checked on the whole text.
+
+    Only ASCII digits, "-" and commas inside the brackets, so json returns
+    ints or fails; 2 count - 1 commas, so no piece held a comma or a second
+    "/"; json reads it, so each part is a JSON int (no leading zero or empty
+    part, "-" only first); and each numerator within +-PLAIN_LIMIT, each
+    denominator in [1, PLAIN_LIMIT).
+    """
+    if (terms.count(",") != 2 * count - 1 or not terms.isascii()
+            or terms.encode().translate(None, b"0123456789-,") != b"[]"):
+        return None
+    try:
+        flat = json.loads(terms)
+    except ValueError:  # a leading zero, an empty part, a misplaced "-", > 4300 digits
+        return None
+    nums, dens = flat[0::2], flat[1::2]
+    if (0 < min(dens) and max(dens) < PLAIN_LIMIT
+            and -PLAIN_LIMIT < min(nums) and max(nums) < PLAIN_LIMIT):
+        return nums, dens
+    return None
+
 
 def plain_terms(values: list) -> "tuple[list[int], list[int], list[int]]":
     """(numerators, denominators, odd) of a column of JSON values, read in
@@ -153,26 +195,26 @@ def plain_terms(values: list) -> "tuple[list[int], list[int], list[int]]":
     read, whose terms are given as 0/1; every other value's terms equal
     money_terms'.
 
-    A column of ints is held to INT_LIMIT by its min and max. Otherwise a
-    value is read from its str() when that text matches _PLAIN: an int, a
-    string, or a Fraction (from a JSON decimal, whose str is its lowest
-    terms); a bool, None, list or dict never matches. No matched text holds
-    a comma, so the column written as one JSON list of numerators and
-    denominators splits back into two per value, and json reads all their
-    ints in one call. The caller reads or rejects each odd value by itself.
+    A column of ints is held to INT_LIMIT by its min and max. Otherwise each
+    value's str() (an int, a string, or a Fraction from a JSON decimal,
+    whose str is its lowest terms) is written "a/b", an int "a/1", and the
+    column is read by one json call if _plain_column accepts it. Only a
+    column it rejects is matched by _PLAIN value by value, and read again
+    with each failing value as "0/1"; the caller reads or rejects each odd
+    value by itself.
     """
     if (set(map(type, values)) <= {int}
             and -INT_LIMIT < min(values, default=0) and max(values, default=0) < INT_LIMIT):
         return values, [1] * len(values), []
     parts = list(map(str, values))
-    odd = []
-    if not all(map(_PLAIN.fullmatch, parts)):
-        odd = [k for k, part in enumerate(parts) if not _PLAIN.fullmatch(part)]
-        for k in odd:
-            parts[k] = "0"
-    # "3/4", "5" -> "3,4,5,1": numerators at even places, denominators at odd
-    terms = ",".join([p if "/" in p else p + "/1" for p in parts]).replace("/", ",")
-    flat = json.loads(f"[{terms}]")
+    pieces = [p if "/" in p else p + "/1" for p in parts]
+    terms = _plain_column(_joined(pieces), len(parts))
+    if terms is not None:
+        return (*terms, [])
+    odd = [k for k, part in enumerate(parts) if not _PLAIN.fullmatch(part)]
+    for k in odd:
+        pieces[k] = "0/1"
+    flat = json.loads(_joined(pieces))
     return flat[0::2], flat[1::2], odd
 
 
@@ -242,17 +284,35 @@ def _check_bits(count: int, d: int) -> None:
 
 def _scaled(nums, dens) -> "tuple[list[int], int]":
     """(ints, d) with ints[k] / d == nums[k] / dens[k] (dens > 0, in any
-    terms), d the lcm of the reduced denominators. Each value is reduced by
-    its gcd first, so that a long denominator T(S) and O(S) share costs
-    nothing. The distinct denominators fold into d pairwise, level by
-    level, so each level's lcms take operands of at most the inputs' bits
-    in all, where a running lcm takes the grown d at every step; every
-    partial lcm divides d, so each, and d, is held to SCALED_BITS
-    (_check_bits) before any entry is scaled. No prime divides d and every
-    int (at its highest power in d it divides a reduced denominator), so
-    the ints are in lowest terms, and ISNGame._in_lowest_terms takes them
-    as they are.
+    terms), d the lcm of the reduced denominators: the ints are in lowest
+    terms, and ISNGame._in_lowest_terms takes them as they are.
+
+    While the lcm of the distinct denominators as given fits WORD_BITS bits,
+    the values are scaled by it and divided through by one gcd of it and
+    every int (lowest terms over a common denominator are unique). The
+    first partial lcm past WORD_BITS drops to the reduce-first fold: each
+    value is reduced by its gcd, so that a long denominator T(S) and O(S)
+    share costs nothing, and the distinct reduced denominators fold into d
+    pairwise, level by level, so each level's lcms take operands of at most
+    the inputs' bits in all. Every partial lcm divides d, so each, and d, is
+    held to SCALED_BITS (_check_bits) before any entry is scaled. No prime
+    divides d and every int (at its highest power in d it divides a reduced
+    denominator), so these ints are in lowest terms too.
     """
+    d = 1
+    for den in set(dens):
+        d = lcm(d, den)
+        if d >> WORD_BITS:
+            break
+    else:  # a short lcm: scale, then one gcd
+        if d != 1:
+            nums = list(map(mul, nums, map(d.__floordiv__, dens)))
+            g = gcd(d, *nums)
+            if g != 1:
+                nums = list(map(floordiv, nums, repeat(g)))
+                d //= g
+        _check_bits(len(nums), d)
+        return nums, d
     g = list(map(gcd, nums, dens))
     nums = list(map(floordiv, nums, g))
     dens = list(map(floordiv, dens, g))

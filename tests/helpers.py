@@ -10,13 +10,14 @@ import inspect
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
-from symbio import lp, solutions
+from symbio import games, lp, solutions
 from symbio.errors import BoundExceeded
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import (
-    ENUMERATION_BOUND, ISNGame, _check_agent_count, mask_of, members_of, subgame,
+    _PLAIN, ENUMERATION_BOUND, INT_LIMIT, ISNGame, _check_agent_count, mask_of, members_of,
+    subgame,
 )
 from symbio.lp import LPResult
 from symbio.mcnets import MCNet, MCNetRule
@@ -424,6 +425,45 @@ def one_violation_game(rng, n, others=None):
                 w[k, l] for k, l in pairs if mask >> k & 1 and mask >> l & 1
             ) - (w[i, j] + 1 if mask == t else 0)
     return ISNGame.from_values(n, values), (t & ~(1 << i | 1 << j), i, j)
+
+
+def plain_terms_by_value(values):
+    """games.plain_terms' answer with _PLAIN matched value by value: a column
+    of ints within INT_LIMIT is read whole, any other column value by value,
+    a value whose str() matches _PLAIN split at its "/" and read by int(),
+    any other left odd, its terms 0/1."""
+    if all(type(v) is int and -INT_LIMIT < v < INT_LIMIT for v in values):
+        return list(values), [1] * len(values), []
+    nums, dens, odd = [], [], []
+    for k, value in enumerate(values):
+        text = str(value)
+        if _PLAIN.fullmatch(text):
+            num, _, den = text.partition("/")
+            nums.append(int(num))
+            dens.append(int(den or "1"))
+        else:
+            nums.append(0)
+            dens.append(1)
+            odd.append(k)
+    return nums, dens, odd
+
+
+def reduce_first_scaled(nums, dens):
+    """games._scaled's (ints, d) by the reduce-first fold alone: each value
+    reduced by its gcd, the distinct reduced denominators folded pairwise,
+    each partial lcm and d held to games.SCALED_BITS (_check_bits)."""
+    g = list(map(gcd, nums, dens))
+    nums = [num // k for num, k in zip(nums, g)]
+    dens = [den // k for den, k in zip(dens, g)]
+    level = list(set(dens))
+    while len(level) > 1:
+        folded = [lcm(a, b) for a, b in zip(level[::2], level[1::2])]
+        for partial in folded:
+            games._check_bits(len(nums), partial)
+        level = folded + level[2 * len(folded):]
+    d = level[0] if level else 1
+    games._check_bits(len(nums), d)
+    return [num * (d // den) for num, den in zip(nums, dens)], d
 
 
 def fraction_promotion_amount(game, target):

@@ -1,20 +1,23 @@
+import json
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from symbio import cli, coordination, solutions
 from symbio.coordination import (
     CoordinatedGame,
     Policy,
+    _enforce,
     enforce_policy,
     synthesize_prohibition,
     synthesize_promotion,
 )
 from symbio.errors import SymbioError
-from symbio.games import ISNGame, coalitions, members_of, subgame
+from symbio.games import ISNGame, coalitions, fraction_text, members_of, subgame
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley, from_isn_game
-from symbio.solutions import is_implementable
+from symbio.solutions import _shapley_terms, is_implementable, shapley
 
 from helpers import fraction_promotion_amount, mixed_game, random_game, random_net
 
@@ -105,6 +108,108 @@ def test_promotion_amount_matches_fraction_gap_loop():
             assert (rule is None) == (amount == 0)
             amounts.append(amount)
     assert sum(a > 0 for a in amounts) >= 10 and amounts.count(0) >= 5
+
+
+def _random_policy(rng, n):
+    """Disjoint promoted groups (now and then the whole roster) and
+    prohibited groups, some nested inside a promoted one."""
+    agents = list(range(n))
+    rng.shuffle(agents)
+    promoted, k = [], 0
+    if rng.random() < 0.2:
+        promoted = [set(agents)]
+    else:
+        while k < n - 1 and rng.random() < 0.8:
+            size = rng.randint(2, n - k)
+            promoted.append(set(agents[k:k + size]))
+            k += size
+    prohibited = []
+    for _ in range(rng.randint(0, 3)):
+        inside = [g for g in promoted if len(g) > 2]
+        pool = sorted(rng.choice(inside)) if inside and rng.random() < 0.5 else range(n)
+        group = set(rng.sample(pool, rng.randint(2, min(3, len(pool)))))
+        if group not in promoted and group not in prohibited:
+            prohibited.append(group)
+    return Policy(promoted=promoted, prohibited=prohibited)
+
+
+def test_enforce_shifts_each_promoted_shapley_value_by_its_subsidy():
+    """_enforce's Shapley terms for each promoted group, phi shifted by the
+    group's subsidy over k, are those of the group's coordinated subgame, as
+    Fractions: on random games (mixed and 1000-digit denominators) and
+    policies with nested prohibitions, groups needing no subsidy, subsidies
+    over new denominators, and whole-roster promotions. The net is
+    enforce_policy's."""
+    rng = random.Random(34)
+    seen = {"zero gap": 0, "subsidy": 0, "new denominator": 0, "whole roster": 0, "nested": 0}
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        game = (mixed_game if rng.random() < 0.5 else random_game)(rng, n)
+        policy = _random_policy(rng, n)
+        epsilon = rng.choice([Fraction(1), Fraction(1, 3), Fraction(2, 7)])
+        net, shapley_of = _enforce(game, policy, epsilon)
+        assert net == enforce_policy(game, policy, epsilon)
+        assert list(shapley_of) == list(policy.promoted)
+        coordinated = CoordinatedGame(game, net)
+        subsidy = {rule.positive: rule.value for rule in net.rules
+                   if rule.positive in policy.promoted}
+        taxed = CoordinatedGame(game, MCNet(n, [r for r in net.rules if r.positive not in subsidy]))
+        for group in policy.promoted:
+            phi, den = shapley_of[group]
+            expected, expected_den = _shapley_terms(subgame(coordinated, group))
+            assert [Fraction(v, den) for v in phi] == [Fraction(v, expected_den) for v in expected]
+            if group in subsidy:
+                seen["subsidy"] += 1
+                taxed_den = subgame(taxed, group).denominator
+                seen["new denominator"] += taxed_den % subsidy[group].denominator != 0
+            else:
+                seen["zero gap"] += 1
+            seen["whole roster"] += len(group) == n
+            seen["nested"] += any(g < group for g in policy.prohibited)
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("promoted, prohibited, sums", [
+    ([], [["A", "B"]], 1),
+    ([["A", "B", "C"]], [["A", "B"]], 2),
+    ([["A", "B"], ["C", "D", "E"]], [["A", "C"], ["D", "E"]], 3),
+    ([["A", "B"], ["C", "D"], ["E", "F"]], [], 4),
+    ([["A", "B", "C", "D", "E", "F"]], [["B", "C"]], 1),
+    ([["A", "B", "C", "D", "E", "F"]], [], 1),
+])
+def test_enforce_sums_each_shapley_value_once(monkeypatch, capsys, tmp_path, promoted,
+                                               prohibited, sums):
+    """symbio enforce sums P + 1 Shapley values for P promoted groups, one per
+    group's subsidy and one for the coordinated game, and P when a promoted
+    group is the whole roster, whose coordinated value is the group's."""
+    rng = random.Random(len(promoted) + 7 * len(prohibited))
+    names = list("ABCDEF")
+    game = ISNGame.from_table(len(names), [v / 6 for v in random_game(rng, len(names)).table])
+    t, o = {}, {}
+    for mask in range(1, 1 << len(names)):
+        if mask.bit_count() >= 2:
+            key = ",".join(name for i, name in enumerate(names) if mask >> i & 1)
+            t[key] = 1000
+            o[key] = str(1000 - game.table[mask])
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps({"agents": names, "tables": {"T": t, "O": o},
+                                "policy": {"promoted": promoted, "prohibited": prohibited}}),
+                    encoding="utf-8")
+    calls = []  # a spy on every name _shapley_terms is called by
+    real = solutions._shapley_terms
+    for module in cli, coordination:
+        monkeypatch.setattr(module, "_shapley_terms", lambda g: calls.append(g) or real(g))
+    assert cli.main(["enforce", str(path), "--format", "json"]) == 0
+    assert len(calls) == sums
+    report = json.loads(capsys.readouterr().out)
+    monkeypatch.undo()
+    policy = Policy(promoted=[[names.index(a) for a in g] for g in promoted],
+                    prohibited=[[names.index(a) for a in g] for g in prohibited])
+    coordinated = CoordinatedGame(game, enforce_policy(game, policy))
+    assert report["coordinated_shapley"] == {
+        name: fraction_text(share) for name, share in zip(names, shapley(coordinated))}
+    assert [v["implementable"] for v in report["group_verdicts"][:len(promoted)]] == [
+        is_implementable(subgame(coordinated, g)) for g in policy.promoted]
 
 
 def test_promotion_target_too_small(g3):

@@ -1,3 +1,5 @@
+import random
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +14,7 @@ from symbio.coordination import CoordinatedGame, synthesize_promotion
 from symbio.errors import BoundExceeded, SymbioError
 from symbio.games import (
     INT_LIMIT,
+    PLAIN_LIMIT,
     ISNGame,
     as_money,
     check_superadditive,
@@ -35,6 +38,8 @@ from helpers import (
     fraction_check_superadditive,
     mixed_game,
     one_violation_game,
+    plain_terms_by_value,
+    reduce_first_scaled,
     random_game,
     random_net,
     supermodularity_violations,
@@ -112,6 +117,16 @@ def test_cancelling_denominators_are_reduced_before_the_lcm(monkeypatch):
     game = make_isn_game(n, t, o)
     assert handed == [] and game.denominator == 1
     assert game.scaled == tuple(m if m.bit_count() >= 2 else 0 for m in range(1 << n))
+    # with a budget of 100,000 bits a value, which the unreduced lcm passes
+    # and the lcm of the 30 denominators alone (about 99,700 bits) meets,
+    # cancelling denominators still cost nothing; the same T with O = 0
+    # takes the whole budget, and one distinct denominator more passes it
+    monkeypatch.setattr(games, "SCALED_BITS", 100_000 << n)
+    assert make_isn_game(n, t, o) == game
+    assert make_isn_game(n, t, dict.fromkeys(o, 0)).denominator.bit_length() <= 100_000
+    t[members_of((1 << n) - 1)] = Fraction(1, 10**999 + 30)
+    with pytest.raises(BoundExceeded, match="common denominator of 1024 values"):
+        make_isn_game(n, t, dict.fromkeys(o, 0))
 
 
 def test_value_rejects_unknown_agent(g3):
@@ -313,8 +328,10 @@ number_texts = st.tuples(st.sampled_from([" ", ",", "],[", "/", ""]),
 
 def _bulk_reads_as_number(values):
     """plain_terms reads each value of the column as cli._number does or
-    lists its position as odd (terms 0/1); no value is added or dropped."""
+    lists its position as odd (terms 0/1); no value is added or dropped; and
+    it answers as matching _PLAIN value by value does."""
     nums, dens, odd = plain_terms(list(values))
+    assert (nums, dens, odd) == plain_terms_by_value(values)
     assert len(nums) == len(dens) == len(values)
     assert odd == sorted(set(odd)) and set(odd) <= set(range(len(values)))
     for k, value in enumerate(values):
@@ -343,7 +360,7 @@ def test_bulk_number_check_reads_as_parse_or_declines(values):
 
 @pytest.mark.parametrize("text", [
     "1,2", "1 2", "1],[2", "1/2/3", "3/-4", "007", "1/05", "-", "", "9" * 500 + "/" + "9" * 500,
-    "-" + "9" * 501,
+    "-" + "9" * 501, "1/" + "9" * 501, "[1", '"1', "1-2", "1/0", "-0/-0", "1\t", "٣/4",
 ])
 def test_bulk_number_check_edges(text):
     _bulk_reads_as_number([5, text, "-3/4"])
@@ -357,6 +374,40 @@ def test_bulk_number_check_reads_plain_columns():
     assert plain_terms([10**1000, 1]) == ([0, 1], [1, 1], [0])
     assert plain_terms([True, 1, None, [2], {"a": 3}, Fraction(-5, 2), Fraction(4), " 6"]) == (
         [0, 1, 0, 0, 0, -5, 4, 0], [1, 1, 1, 1, 1, 2, 1, 1], [0, 2, 3, 4, 7])
+
+
+#: Atoms fuzzed value texts are joined from: plain parts, and every
+#: character or word a bulk reading of the joined column could misread.
+_ATOMS = ["0", "-0", "7", "-12", "35", "/", "/3", "/-3", "/0", "/-0", "00", "012", "-",
+          ",", " ", "\t", "\n", "\r", "[", "]", "{", "}", '"', "NaN", "Infinity", "-Infinity",
+          "true", "false", "null", "1.5", "1e3", "٣",
+          "9" * 500, "9" * 501, "1" + "0" * 499, "1" + "0" * 500]
+_plain_values = (st.integers(-10**6, 10**6)
+                 | st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**4)).map(
+                     lambda t: f"{t[0]}/{t[1]}"))
+_odd_values = (st.lists(st.sampled_from(_ATOMS), max_size=4).map("".join)
+               | st.booleans() | st.none() | st.lists(st.integers(), max_size=2)
+               | st.sampled_from([PLAIN_LIMIT - 1, PLAIN_LIMIT, -PLAIN_LIMIT, INT_LIMIT])
+               # a raw JSON decimal, as json hands it over: a Fraction of its text
+               | st.tuples(st.integers(-99, 99), st.integers(0, 99)).map(
+                   lambda t: as_money(f"{t[0]}.{t[1]}")))
+_columns = (st.lists(_plain_values, max_size=8)
+            | st.lists(_plain_values | _odd_values, max_size=8)
+            | st.tuples(st.lists(_plain_values, max_size=4), _odd_values,
+                        st.lists(_plain_values, max_size=4)).map(
+                            lambda t: [*t[0], t[1], *t[2]]))
+
+
+@given(_columns)
+@settings(max_examples=1500, deadline=None)
+def test_bulk_column_check_is_the_per_value_check(values):
+    """plain_terms' one check of a joined column accepts exactly the columns
+    whose every value _PLAIN matches, and answers as the value-by-value
+    reading does (nums, dens and odd): commas, a second "/", JSON
+    whitespace, brackets, quotes, JSON constants, floats, leading zeros,
+    negative and zero denominators and parts past 500 digits all leave
+    their value odd."""
+    assert plain_terms(list(values)) == plain_terms_by_value(values)
 
 
 def test_superadditive_holds_on_g3(g3):
@@ -577,6 +628,50 @@ def test_scaled_folds_the_lcm_pairwise(monkeypatch):
     ints, d = games._scaled([1] * len(dens), dens)
     assert d == lcm(*dens) and ints == [d // den for den in dens]
     assert sum(operand_bits) <= 8 * sum(den.bit_length() for den in dens)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaled_matches_the_reduce_first_fold(seed, monkeypatch):
+    """_scaled's ints and denominator are the reduce-first fold's on random
+    columns, short lcms and long ones, and so is each SCALED_BITS error: a
+    budget of exactly the reduced lcm's bits is met, one bit less raises
+    the same message."""
+    rng = random.Random(seed)
+    dens_pool = [1, 2, 3, 4, 6, 9, 12, 35, 2**31 - 1, 2**61 - 1, 3 * 2**62, 10**40 + 7]
+    for _ in range(300):
+        count = rng.randint(1, 30)
+        dens = [rng.choice(dens_pool) * rng.choice([1, 1, 2, 5]) for _ in range(count)]
+        nums = [rng.randint(-10**6, 10**6) * rng.choice([1, den, 2, 3]) for den in dens]
+        expected = reduce_first_scaled(nums, dens)
+        assert games._scaled(list(nums), list(dens)) == expected
+        bits = expected[1].bit_length()
+        for budget in count * bits, count * bits - 1:
+            monkeypatch.setattr(games, "SCALED_BITS", budget)
+            try:
+                within = reduce_first_scaled(nums, dens)
+            except BoundExceeded as e:
+                with pytest.raises(BoundExceeded, match=f"^{re.escape(str(e))}$"):
+                    games._scaled(list(nums), list(dens))
+            else:
+                assert games._scaled(list(nums), list(dens)) == within
+        monkeypatch.undo()
+
+
+def test_scaled_takes_one_gcd_through_64_bits(monkeypatch):
+    """An unreduced lcm of 64 bits is scaled by and then divided through by
+    one gcd; one of 65 bits takes the reduce-first fold, one gcd per value.
+    Both answer as the fold does: 7/2^(b-3), 5 and 1 over 2^(b-3)."""
+    gcd_arities = []
+    real_gcd = games.gcd
+    monkeypatch.setattr(games, "gcd", lambda *a: gcd_arities.append(len(a)) or real_gcd(*a))
+    for bits, arities in (64, [4]), (65, [2, 2, 2]):
+        nums, dens = [14, 15, 6], [2 ** (bits - 2), 3, 6]  # lcm 3 * 2^(b-2), b bits
+        assert lcm(*dens).bit_length() == bits
+        gcd_arities.clear()
+        ints, d = games._scaled(nums, dens)
+        assert gcd_arities == arities
+        assert (ints, d) == reduce_first_scaled(nums, dens) == ([7, 5 << bits - 3, 1 << bits - 3],
+                                                                1 << bits - 3)
 
 
 def test_every_builder_scales_to_lowest_terms(monkeypatch):
