@@ -25,15 +25,17 @@ and owns the rules that every key has two or more agents and that none is
 given twice, and game_from_masks the rule that T and O list every such
 coalition; T(S) - O(S) is then taken column-wise for every mask at once.
 _scaled, the one builder of a table from values, takes a numerator and a
-denominator column and writes each value over the lcm of the reduced
-denominators, making no Fraction: while the unreduced denominators' lcm
-fits WORD_BITS bits it scales by that and divides the table by one gcd,
-and past that it reduces each value by its gcd first. A table whose 2^n
-entries times the bit length of the lcm pass SCALED_BITS (2^28) bits
-raises BoundExceeded while it is built. game_from_masks and
+denominator column and writes each value over one common denominator,
+making no Fraction: while the unreduced denominators' lcm fits WORD_BITS
+bits it scales by that, and past that it reduces each value by its gcd
+first and scales by the lcm of the reduced denominators. A table whose
+2^n entries times the bit length of that denominator pass SCALED_BITS
+(2^28) bits raises BoundExceeded while it is built. game_from_masks and
 ISNGame.from_values hand it columns (from coalition keys, _columns, or the
-CLI's masks), ISNGame.from_table its Fractions' terms. Subgames and coordinated games derive their ints from
-their parent's.
+CLI's masks), ISNGame.from_table its Fractions' terms. Subgames and
+coordinated games derive their ints from their parent's. Every table
+reaches lowest terms in one place, its game's constructor (_lowest), by
+one gcd of its denominator and all its ints.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
 promotion subsidy elsewhere) read those ints as they are; no table is
@@ -284,34 +286,27 @@ def _check_bits(count: int, d: int) -> None:
 
 def _scaled(nums, dens) -> "tuple[list[int], int]":
     """(ints, d) with ints[k] / d == nums[k] / dens[k] (dens > 0, in any
-    terms), d the lcm of the reduced denominators: the ints are in lowest
-    terms, and ISNGame._in_lowest_terms takes them as they are.
+    terms), d a common denominator held to SCALED_BITS (_check_bits); not
+    in lowest terms, which the game's constructor reaches (_lowest).
 
     While the lcm of the distinct denominators as given fits WORD_BITS bits,
-    the values are scaled by it and divided through by one gcd of it and
-    every int (lowest terms over a common denominator are unique). The
-    first partial lcm past WORD_BITS drops to the reduce-first fold: each
-    value is reduced by its gcd, so that a long denominator T(S) and O(S)
-    share costs nothing, and the distinct reduced denominators fold into d
-    pairwise, level by level, so each level's lcms take operands of at most
-    the inputs' bits in all. Every partial lcm divides d, so each, and d, is
-    held to SCALED_BITS (_check_bits) before any entry is scaled. No prime
-    divides d and every int (at its highest power in d it divides a reduced
-    denominator), so these ints are in lowest terms too.
+    the values are scaled by it. The first partial lcm past WORD_BITS drops
+    to the reduce-first fold: each value is reduced by its gcd, so that a
+    long denominator T(S) and O(S) share costs nothing, and the distinct
+    reduced denominators fold into d pairwise, level by level, so each
+    level's lcms take operands of at most the inputs' bits in all. Every
+    partial lcm divides d, so each, and d, is held to SCALED_BITS before
+    any entry is scaled.
     """
     d = 1
     for den in set(dens):
         d = lcm(d, den)
         if d >> WORD_BITS:
             break
-    else:  # a short lcm: scale, then one gcd
+    else:  # a short lcm: scale by it
+        _check_bits(len(nums), d)
         if d != 1:
             nums = list(map(mul, nums, map(d.__floordiv__, dens)))
-            g = gcd(d, *nums)
-            if g != 1:
-                nums = list(map(floordiv, nums, repeat(g)))
-                d //= g
-        _check_bits(len(nums), d)
         return nums, d
     g = list(map(gcd, nums, dens))
     nums = list(map(floordiv, nums, g))
@@ -342,7 +337,7 @@ def _lowest(scaled, d) -> "tuple[tuple, int]":
         raise SymbioError("scaled values must be ints over a positive int denominator "
                           "(ISNGame.from_table takes Fractions)")
     if g != 1:
-        scaled = tuple(v // g for v in scaled)
+        scaled = tuple(map(floordiv, scaled, repeat(g)))
         d //= g
     return scaled, d
 
@@ -383,14 +378,13 @@ def _check_agent_count(n_agents: int) -> None:
 class ISNGame:
     """Normalized TU game: v(S)=0 for |S|<=1, stored values for |S|>=2.
 
-    v(S) is scaled[mask] / denominator, ints stored in lowest terms (divided
-    through by their gcd), so the denominator is the lcm of the values'
-    reduced denominators and equal games compare and hash equal. Instances
-    are immutable and hashable; reads are safe from any number of threads.
-    ISNGame.from_table builds one from Fractions. ISNGame(n, scaled, d)
-    divides any ints through by their gcd (_lowest); the builders that
-    scale by _scaled, whose output is in lowest terms already, take no gcd
-    (_in_lowest_terms).
+    v(S) is scaled[mask] / denominator, ints stored in lowest terms, so the
+    denominator is the lcm of the values' reduced denominators and equal
+    games compare and hash equal. Instances are immutable and hashable;
+    reads are safe from any number of threads. ISNGame.from_table builds one
+    from Fractions. Whatever builds a game, its ints and denominator are
+    divided through by their gcd here (_lowest), the one reduction every
+    table takes.
     """
 
     n_agents: int
@@ -398,29 +392,15 @@ class ISNGame:
     denominator: int = 1
 
     def __post_init__(self):
-        self._check_normalized()
-        scaled, d = _lowest(self.scaled, self.denominator)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "denominator", d)
-
-    def _check_normalized(self):
         _check_agent_count(self.n_agents)
         scaled = self.scaled
         if len(scaled) != 1 << self.n_agents:
             raise SymbioError("value table must have one entry per subset")
         if any(scaled[1 << i] for i in range(self.n_agents)) or scaled[0]:
             raise SymbioError("normalized games are worth 0 on the empty set and singletons")
-
-    @classmethod
-    def _in_lowest_terms(cls, n_agents: int, scaled, d: int) -> "ISNGame":
-        """The game of the ints over d that _scaled wrote: checked like any
-        game, but not divided through by a gcd, which on long denominators
-        is a multi-precision gcd of the whole lcm and always 1 here."""
-        game = object.__new__(cls)
-        for name, value in ("n_agents", n_agents), ("scaled", tuple(scaled)), ("denominator", d):
-            object.__setattr__(game, name, value)
-        game._check_normalized()
-        return game
+        scaled, d = _lowest(scaled, self.denominator)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "denominator", d)
 
     @classmethod
     def from_values(cls, n_agents: int, values: Mapping) -> "ISNGame":
@@ -432,14 +412,14 @@ class ISNGame:
         """
         _check_agent_count(n_agents)
         nums, dens = _scatter(n_agents, _columns(n_agents, values, "value"), "value")
-        return cls._in_lowest_terms(n_agents, *_scaled([0 if v is None else v for v in nums], dens))
+        return cls(n_agents, *_scaled([0 if v is None else v for v in nums], dens))
 
     @classmethod
     def from_table(cls, n_agents: int, table) -> "ISNGame":
         """Build a game from its mask-indexed table of Fractions (or ints),
         2^n entries, empty set and singletons 0, scaled by _scaled."""
-        return cls._in_lowest_terms(n_agents, *_scaled([v.numerator for v in table],
-                                                        [v.denominator for v in table]))
+        return cls(n_agents, *_scaled([v.numerator for v in table],
+                                      [v.denominator for v in table]))
 
     @cached_property
     def table(self) -> tuple:
@@ -530,7 +510,7 @@ def game_from_masks(n_agents: int, t_columns, o_columns) -> ISNGame:
                 if table[mask] is None:
                     raise SymbioError(f"{name} table lacks coalition {{}}", members_of(mask))
     nums = list(map(sub, map(mul, tn, od), map(mul, on, td)))
-    return ISNGame._in_lowest_terms(n_agents, *_scaled(nums, list(map(mul, td, od))))
+    return ISNGame(n_agents, *_scaled(nums, list(map(mul, td, od))))
 
 
 def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:

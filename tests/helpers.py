@@ -449,9 +449,10 @@ def plain_terms_by_value(values):
 
 
 def reduce_first_scaled(nums, dens):
-    """games._scaled's (ints, d) by the reduce-first fold alone: each value
-    reduced by its gcd, the distinct reduced denominators folded pairwise,
-    each partial lcm and d held to games.SCALED_BITS (_check_bits)."""
+    """A table's (ints, d) in lowest terms, games._lowest(*games._scaled(...)),
+    by the reduce-first fold alone: each value reduced by its gcd, the
+    distinct reduced denominators folded pairwise, each partial lcm and d
+    held to games.SCALED_BITS (_check_bits)."""
     g = list(map(gcd, nums, dens))
     nums = [num // k for num, k in zip(nums, g)]
     dens = [den // k for den, k in zip(dens, g)]
@@ -463,7 +464,7 @@ def reduce_first_scaled(nums, dens):
         level = folded + level[2 * len(folded):]
     d = level[0] if level else 1
     games._check_bits(len(nums), d)
-    return [num * (d // den) for num, den in zip(nums, dens)], d
+    return tuple(num * (d // den) for num, den in zip(nums, dens)), d
 
 
 def fraction_promotion_amount(game, target):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from symbio import cli, games
 from symbio.coordination import CoordinatedGame, synthesize_promotion
 from symbio.errors import BoundExceeded, SymbioError
+from symbio.exchange import scenario_to_game
 from symbio.games import (
     INT_LIMIT,
     PLAIN_LIMIT,
@@ -42,6 +43,7 @@ from helpers import (
     reduce_first_scaled,
     random_game,
     random_net,
+    random_scenario,
     supermodularity_violations,
 )
 
@@ -100,8 +102,7 @@ def test_cancelling_denominators_are_reduced_before_the_lcm(monkeypatch):
     own, which cancels in T(S) - O(S). Unreduced, the lcm of the 30 products
     (about 200,000 bits) would still fit a 10-agent table's budget (2^18
     bits a value), and every entry would be scaled over it; reduced value by
-    value first, the table reaches ISNGame over denominator 1, which takes
-    no gcd of a table built by _scaled."""
+    value first, the table reaches ISNGame over denominator 1."""
     n = 10
     t, o = {}, {}
     for k, mask in enumerate(m for m in range(1 << n) if m.bit_count() >= 2):
@@ -111,11 +112,8 @@ def test_cancelling_denominators_are_reduced_before_the_lcm(monkeypatch):
             t[s], o[s] = Fraction(mask * q + 1, q), Fraction(1, q)
         else:
             t[s], o[s] = mask, 0
-    handed = []
-    lowest = games._lowest
-    monkeypatch.setattr(games, "_lowest", lambda scaled, d: handed.append(d) or lowest(scaled, d))
     game = make_isn_game(n, t, o)
-    assert handed == [] and game.denominator == 1
+    assert game.denominator == 1
     assert game.scaled == tuple(m if m.bit_count() >= 2 else 0 for m in range(1 << n))
     # with a budget of 100,000 bits a value, which the unreduced lcm passes
     # and the lcm of the 30 denominators alone (about 99,700 bits) meets,
@@ -596,14 +594,16 @@ def test_superadditivity_pair_matches_fraction_scan_on_convex_tables():
 
 
 def test_scaled_table_bound(monkeypatch):
-    """games._scaled writes a table's terms as ints over the lcm of the
-    reduced denominators, reducing each value first, and raises
-    BoundExceeded once that lcm passes the table's share of SCALED_BITS."""
+    """games._scaled writes a table's terms as ints over a common
+    denominator, which _lowest takes to the lcm of the reduced denominators,
+    and raises BoundExceeded once the denominator it scales by passes the
+    table's share of SCALED_BITS."""
     terms = [1, -1, 2], [3, 5, 7]  # lcm 105, 7 bits
     assert games._scaled(*terms) == ([35, -21, 30], 105)
-    assert games._scaled([4, 5], [1, 1]) == ([4, 5], 1)
-    assert games._scaled([2, 3], [4, 9]) == ([3, 2], 6)  # 1/2 and 1/3, not over 36
-    assert games._scaled([0, 6, -10], [7, 3, 5]) == ([0, 2, -2], 1)
+    assert games._lowest(*games._scaled([4, 5], [1, 1])) == ((4, 5), 1)
+    assert games._scaled([2, 3], [4, 9]) == ([18, 12], 36)  # a short lcm, as given
+    assert games._lowest(*games._scaled([2, 3], [4, 9])) == ((3, 2), 6)  # 1/2 and 1/3
+    assert games._lowest(*games._scaled([0, 6, -10], [7, 3, 5])) == ((0, 2, -2), 1)
     monkeypatch.setattr(games, "SCALED_BITS", 3 * 7)
     assert games._scaled(*terms)[1] == 105
     monkeypatch.setattr(games, "SCALED_BITS", 3 * 7 - 1)
@@ -632,10 +632,11 @@ def test_scaled_folds_the_lcm_pairwise(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_scaled_matches_the_reduce_first_fold(seed, monkeypatch):
-    """_scaled's ints and denominator are the reduce-first fold's on random
-    columns, short lcms and long ones, and so is each SCALED_BITS error: a
-    budget of exactly the reduced lcm's bits is met, one bit less raises
-    the same message."""
+    """_scaled's ints and denominator, taken to lowest terms by _lowest, are
+    the reduce-first fold's on random columns, short lcms and long ones, and
+    so is each SCALED_BITS error: one bit less than the reduced lcm's raises
+    the same message, and a budget of exactly the bits _scaled scales by
+    (the lcm as given while it fits WORD_BITS, else the reduced one) is met."""
     rng = random.Random(seed)
     dens_pool = [1, 2, 3, 4, 6, 9, 12, 35, 2**31 - 1, 2**61 - 1, 3 * 2**62, 10**40 + 7]
     for _ in range(300):
@@ -643,9 +644,11 @@ def test_scaled_matches_the_reduce_first_fold(seed, monkeypatch):
         dens = [rng.choice(dens_pool) * rng.choice([1, 1, 2, 5]) for _ in range(count)]
         nums = [rng.randint(-10**6, 10**6) * rng.choice([1, den, 2, 3]) for den in dens]
         expected = reduce_first_scaled(nums, dens)
-        assert games._scaled(list(nums), list(dens)) == expected
+        assert games._lowest(*games._scaled(list(nums), list(dens))) == expected
         bits = expected[1].bit_length()
-        for budget in count * bits, count * bits - 1:
+        given = lcm(*dens).bit_length()
+        scaled_bits = given if given <= games.WORD_BITS else bits
+        for budget in count * scaled_bits, count * bits - 1:
             monkeypatch.setattr(games, "SCALED_BITS", budget)
             try:
                 within = reduce_first_scaled(nums, dens)
@@ -653,41 +656,45 @@ def test_scaled_matches_the_reduce_first_fold(seed, monkeypatch):
                 with pytest.raises(BoundExceeded, match=f"^{re.escape(str(e))}$"):
                     games._scaled(list(nums), list(dens))
             else:
-                assert games._scaled(list(nums), list(dens)) == within
+                assert games._lowest(*games._scaled(list(nums), list(dens))) == within
         monkeypatch.undo()
 
 
 def test_scaled_takes_one_gcd_through_64_bits(monkeypatch):
-    """An unreduced lcm of 64 bits is scaled by and then divided through by
-    one gcd; one of 65 bits takes the reduce-first fold, one gcd per value.
-    Both answer as the fold does: 7/2^(b-3), 5 and 1 over 2^(b-3)."""
+    """A game built from values whose unreduced lcm has 64 bits takes one
+    gcd, _lowest's of the whole table; one of 65 bits takes the reduce-first
+    fold, one gcd per value, and then _lowest's. Both answer as the fold
+    does: 7/2^(b-3), 5 and 1 over 2^(b-3) at masks 3, 5 and 6."""
     gcd_arities = []
     real_gcd = games.gcd
     monkeypatch.setattr(games, "gcd", lambda *a: gcd_arities.append(len(a)) or real_gcd(*a))
-    for bits, arities in (64, [4]), (65, [2, 2, 2]):
+    for bits, arities in (64, [9]), (65, [2] * 8 + [9]):
         nums, dens = [14, 15, 6], [2 ** (bits - 2), 3, 6]  # lcm 3 * 2^(b-2), b bits
         assert lcm(*dens).bit_length() == bits
+        values = {(0, 1): f"{nums[0]}/{dens[0]}", (0, 2): "15/3", (1, 2): "6/6"}
         gcd_arities.clear()
-        ints, d = games._scaled(nums, dens)
+        game = ISNGame.from_values(3, values)
         assert gcd_arities == arities
-        assert (ints, d) == reduce_first_scaled(nums, dens) == ([7, 5 << bits - 3, 1 << bits - 3],
-                                                                1 << bits - 3)
+        table = [0, 0, 0, 7, 0, 5 << bits - 3, 1 << bits - 3, 0]
+        assert (game.scaled, game.denominator) == (tuple(table), 1 << bits - 3)
+        assert reduce_first_scaled(nums, dens) == ((7, 5 << bits - 3, 1 << bits - 3),
+                                                   1 << bits - 3)
 
 
-def test_every_builder_scales_to_lowest_terms(monkeypatch):
+def lowest(scaled, d) -> bool:
+    return gcd(d, *scaled) == 1
+
+
+def test_every_builder_scales_to_lowest_terms():
     """ISNGame.from_table, ISNGame.from_values, make_isn_game with O = 0
     and game_from_masks build equal ints over an equal denominator, and
-    every table they build is in lowest terms (gcd 1) although none of them
-    calls _lowest: _scaled's output needs no second reduction."""
-    import random
-
+    every table they build is in lowest terms (gcd 1); so is every table
+    of the public constructor, subgame, CoordinatedGame and scenario_to_game,
+    each reduced in its constructor. One table reached two ways compares
+    and hashes equal."""
     rng = random.Random(67)
     sources = [make(rng, n) for n in range(1, 7) for make in (random_game, mixed_game)
                for _ in range(4)]
-    found = []
-    lowest = games._lowest
-    monkeypatch.setattr(games, "_lowest",
-                        lambda scaled, d: found.append(gcd(d, *scaled)) or lowest(scaled, d))
     for source in sources:
         n, table = source.n_agents, source.table
         values = {members_of(m): table[m] for m in range(1 << n) if m.bit_count() >= 2}
@@ -700,12 +707,38 @@ def test_every_builder_scales_to_lowest_terms(monkeypatch):
                  game_from_masks(n, t_columns, o_columns)]
         for game in built:
             assert game.scaled == source.scaled and game.denominator == source.denominator
-            assert type(game.scaled) is tuple and gcd(game.denominator, *game.scaled) == 1
-    assert found == []
-    # the public constructor still reduces: the same ints over twice the denominator
-    game = ISNGame(n, tuple(2 * v for v in source.scaled), 2 * source.denominator)
-    assert found == [2 * gcd(source.denominator, *source.scaled)]
-    assert game == source
+            assert type(game.scaled) is tuple and lowest(game.scaled, game.denominator)
+            assert game == source and hash(game) == hash(source)
+        # the public constructor: the same ints times 6 over 6 times the denominator
+        game = ISNGame(n, [6 * v for v in source.scaled], 6 * source.denominator)
+        assert type(game.scaled) is tuple and lowest(game.scaled, game.denominator)
+        assert game == source and hash(game) == hash(source)
+        # a subgame, whose restricted values may share a smaller denominator
+        members = [i for i in range(n) if rng.random() < 0.7] or [0]
+        sub = subgame(game, members)
+        parents = [mask_of(members[k] for k in range(len(members)) if m >> k & 1)
+                   for m in range(1 << len(members))]
+        again = ISNGame.from_table(len(members), [table[m] for m in parents])
+        assert lowest(sub.scaled, sub.denominator)
+        assert sub == again and hash(sub) == hash(again)
+    # a coordinated game whose rules bring a new denominator: over fifths,
+    # two rules in sixths and one in thirds are written over 30 and reduced
+    # to 15, the table of one rule of their sum
+    base = ISNGame.from_values(3, {(0, 1): Fraction(1, 5), (0, 2): 2, (1, 2): Fraction(3, 5),
+                                   (0, 1, 2): 1})
+    sixths = [MCNetRule({0, 1}, set(), Fraction(1, 6)), MCNetRule({0, 1}, set(), Fraction(1, 6)),
+              MCNetRule({2}, {0}, Fraction(-1, 3))]
+    summed = [MCNetRule({0, 1}, set(), Fraction(1, 3)), MCNetRule({2}, {0}, Fraction(-1, 3))]
+    for rules in sixths, summed:
+        game = CoordinatedGame(base, MCNet(3, rules))
+        assert game.scaled == (0, 0, 0, 8, -5, 30, 4, 20) and game.denominator == 15
+    # an exchange game on fractional amounts
+    for trial in range(6):
+        scenario = random_scenario(rng, rng.randint(2, 4), denominators=range(2, 8))
+        game = scenario_to_game(scenario)
+        assert lowest(game.scaled, game.denominator)
+        again = ISNGame.from_table(game.n_agents, game.table)
+        assert game == again and hash(game) == hash(again)
 
 
 def test_rescaling_a_built_table_keeps_the_bit_budget(monkeypatch):
