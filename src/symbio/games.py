@@ -34,8 +34,8 @@ first and scales by the lcm of the reduced denominators. A table whose
 ISNGame.from_values hand it columns (from coalition keys, _columns, or the
 CLI's masks), ISNGame.from_table its Fractions' terms. Subgames and
 coordinated games derive their ints from their parent's. Every table
-reaches lowest terms in one place, its game's constructor (_lowest), by
-one gcd of its denominator and all its ints.
+reaches lowest terms in one place, its game's constructor (_lowest): one
+gcd of its denominator and all its ints, seeded with the ints' sum.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
 promotion subsidy elsewhere) read those ints as they are; no table is
@@ -290,34 +290,29 @@ def _scaled(nums, dens) -> "tuple[list[int], int]":
     in lowest terms, which the game's constructor reaches (_lowest).
 
     While the lcm of the distinct denominators as given fits WORD_BITS bits,
-    the values are scaled by it. The first partial lcm past WORD_BITS drops
+    the values are scaled by it. The first partial lcm past WORD_BITS turns
     to the reduce-first fold: each value is reduced by its gcd, so that a
     long denominator T(S) and O(S) share costs nothing, and the distinct
     reduced denominators fold into d pairwise, level by level, so each
-    level's lcms take operands of at most the inputs' bits in all. Every
-    partial lcm divides d, so each, and d, is held to SCALED_BITS before
-    any entry is scaled.
+    level's lcms take operands of at most the inputs' bits in all, each
+    folded lcm held to SCALED_BITS. Either way d is held to SCALED_BITS
+    before any entry is scaled by it.
     """
     d = 1
     for den in set(dens):
         d = lcm(d, den)
-        if d >> WORD_BITS:
+        if d >> WORD_BITS:  # a long lcm: the reduce-first fold
+            g = list(map(gcd, nums, dens))
+            nums = list(map(floordiv, nums, g))
+            dens = list(map(floordiv, dens, g))
+            level = list(set(dens))
+            while len(level) > 1:
+                folded = list(map(lcm, level[::2], level[1::2]))
+                for partial in folded:
+                    _check_bits(len(nums), partial)
+                level = folded + level[2 * len(folded):]
+            d = level[0]
             break
-    else:  # a short lcm: scale by it
-        _check_bits(len(nums), d)
-        if d != 1:
-            nums = list(map(mul, nums, map(d.__floordiv__, dens)))
-        return nums, d
-    g = list(map(gcd, nums, dens))
-    nums = list(map(floordiv, nums, g))
-    dens = list(map(floordiv, dens, g))
-    level = list(set(dens))
-    while len(level) > 1:
-        folded = list(map(lcm, level[::2], level[1::2]))
-        for partial in folded:
-            _check_bits(len(nums), partial)
-        level = folded + level[2 * len(folded):]
-    d = level[0] if level else 1
     _check_bits(len(nums), d)
     if d != 1:
         nums = list(map(mul, nums, map(d.__floordiv__, dens)))
@@ -327,10 +322,13 @@ def _scaled(nums, dens) -> "tuple[list[int], int]":
 def _lowest(scaled, d) -> "tuple[tuple, int]":
     """(scaled, d) divided through by their gcd, so that d is the lcm of the
     reduced denominators of the values scaled[k] / d; SymbioError unless
-    every entry is an int and d a positive int."""
+    every entry is an int and d a positive int. The chain starts from
+    gcd(d, sum(scaled)), exact since a divisor of d and of every entry
+    divides their sum, and then costs next to nothing: math.gcd does no
+    more arithmetic once its running value is 1."""
     scaled = tuple(scaled)
     try:
-        g = gcd(d, *scaled) if type(d) is int and d > 0 else 0
+        g = gcd(gcd(d, sum(scaled)), *scaled) if type(d) is int and d > 0 else 0
     except TypeError:  # an entry that is not an int
         g = 0
     if not g:

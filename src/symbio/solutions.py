@@ -63,7 +63,7 @@ def _shapley_terms(game) -> "tuple[list[int], int]":
     # w[n] = 0: no coalition without i has n members (w[-1], read for the
     # empty set, which holds no agent, is that 0 too)
     w = [factorial(k) * factorial(n - k - 1) for k in range(n)] + [0]
-    sizes = [mask.bit_count() for mask in range(1 << n)]
+    sizes = _sums([1] * n)  # |S| for every mask S
     outside = sum(w[k] * v for k, v in zip(sizes, vals))
     weighted = [(w[k - 1] + w[k]) * v for k, v in zip(sizes, vals)]
     phi = [0] * n

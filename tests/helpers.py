@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd, lcm
+from types import SimpleNamespace
 
 from symbio import games, lp, solutions
 from symbio.errors import BoundExceeded
@@ -931,3 +932,52 @@ def fractions_made(tag=lambda: True):
     finally:
         Fraction.__new__ = original_new  # the staticmethod itself, as it was
     assert Fraction.__dict__["__new__"] is original_new
+
+
+@contextlib.contextmanager
+def metered():
+    """The work done in the block, counted, not timed.
+
+    `bits` sums a cost in bit operations over every gcd and lcm that a
+    symbio module calls by the name it imported from math, a call on more
+    than two ints counted as its chain of pairwise calls (which is what it
+    computes). A gcd of a and b costs min(|a|, |b|) (max(|a|, |b|) - |g| + 1)
+    for bit lengths |.| and the gcd g, Euclid's bound: a gcd of d with one
+    of its own divisors is cheap, one of two coprime d-bit ints costs d^2.
+    An lcm costs |a| |b|, the product it forms. `pivots` counts the calls
+    of lp._pivot, and `fractions` is fractions_made's list.
+    """
+    work = SimpleNamespace(bits=0, pivots=0, fractions=[])
+    costs = {"gcd": lambda a, b, g: min(a, b) * (max(a, b) - g + 1),
+             "lcm": lambda a, b, _: a * b}
+    patched = []
+
+    def metered_call(pairwise, cost):
+        def spy(*args):
+            if len(args) < 2:
+                return pairwise(*args)
+            result = args[0]
+            for x in args[1:]:
+                a, result = result, pairwise(result, x)
+                work.bits += cost(a.bit_length(), x.bit_length(), result.bit_length())
+            return result
+        return spy
+
+    def counting_pivot(*args):
+        work.pivots += 1
+        return pivot(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "symbio"]:
+        for name, real in ("gcd", gcd), ("lcm", lcm):
+            if vars(module).get(name) is real:
+                patched.append((module, name, real))
+                setattr(module, name, metered_call(real, costs[name]))
+    pivot = lp._pivot
+    patched.append((lp, "_pivot", pivot))
+    lp._pivot = counting_pivot
+    try:
+        with fractions_made() as work.fractions:
+            yield work
+    finally:
+        for module, name, original in patched:
+            setattr(module, name, original)

@@ -20,7 +20,7 @@ from symbio.games import ISNGame, check_superadditive, make_isn_game, members_of
 from symbio.mcnets import from_isn_game, net_shapley
 from symbio.solutions import in_core
 
-from helpers import balanced_weights_hold, fractions_made, perm_shapley
+from helpers import balanced_weights_hold, fractions_made, metered, perm_shapley
 
 DATA = Path(__file__).parent / "data"
 DATA_FILES = sorted(path.name for path in DATA.glob("*.json"))
@@ -625,7 +625,9 @@ def test_long_denominators_that_cancel_in_t_minus_o(capsys, tmp_path):
     cancels in T(S) - O(S). Unreduced, the 502 denominators (lcm about
     800,000 bits) would take the 9-agent table past games.SCALED_BITS (2^19
     bits each for 512 values); reduced per coalition, every value is an int
-    and the file reads like the one written in lowest terms."""
+    and the file reads like the one written in lowest terms, at gcd and lcm
+    work (helpers.metered) of a few times the 1,622 bits of a denominator
+    per value."""
     names = [f"F{i}" for i in range(9)]
     worth = {mask: mask.bit_count() - 2 * (mask & 1) for mask in range(1 << 9)}
     reduced = table_file(tmp_path, names, worth.get)
@@ -641,9 +643,16 @@ def test_long_denominators_that_cancel_in_t_minus_o(capsys, tmp_path):
             doc["tables"]["O"][key] = f"-7/{q}"
     cancelling = tmp_path / "cancelling.json"
     cancelling.write_text(json.dumps(doc), encoding="utf-8")
-    reports = [run(capsys, "analyze", str(path)) for path in (reduced, cancelling)]
+    reports, works = [], []
+    for path in reduced, cancelling:
+        with metered() as work:
+            reports.append(run(capsys, "analyze", str(path)))
+        works.append(work)
     assert reports[0][0] == 0 and reports[0] == reports[1]
     assert load_scenario(str(cancelling)).game.denominator == 1
+    assert works[1].bits <= 8 * (1 << 9) * (10**488).bit_length()
+    assert works[1].pivots == works[0].pivots
+    assert len(works[1].fractions) == len(works[0].fractions)
 
 
 def benchmark_halves_file(tmp_path, n):
@@ -720,14 +729,50 @@ def test_shapley_too_long_to_print_makes_no_fraction(capsys, tmp_path):
     """8 agents whose 247 values each have their own 480-digit denominator:
     the first share is too long to print, and symbio shapley exits 3 having
     made no Fraction: no share is reduced before the printer stops at the
-    first."""
-    path = table_file(tmp_path, [f"F{i}" for i in range(8)], lambda mask: f"1/{10**479 + mask}")
-    with fractions_made() as made:
+    first. Its gcd and lcm work (helpers.metered) stays within 4 d^2 for the
+    table's d of about 391,600 bits: the lcm fold, the one reduction of the
+    table, which costs about one gcd of d with the table's sum, and the
+    printer's gcd. A reduction chained over the entries from d takes about
+    43 d^2."""
+    path = long_denominator_file(tmp_path)
+    d = load_scenario(str(path)).game.denominator
+    with metered() as work:
         code, out, err = run(capsys, "shapley", str(path))
-    assert code == 3 and not out and made == []
-    assert err.endswith("error: bound exceeded: a reported number has more than "
-                        f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
-                        "for writing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)\n")
+    assert code == 3 and not out and work.fractions == []
+    assert err.endswith(too_long_to_print())
+    assert work.bits <= 4 * d.bit_length() ** 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter writes ints of any length")
+def test_enforce_too_long_to_print_reduces_each_table_once(capsys, tmp_path):
+    """symbio enforce on the file of the test above, F0-F3 promoted and F4,F5
+    prohibited, reduces five tables (the game's, the taxed game's and the
+    coordinated game's, and the promoted group's subgame of the last two)
+    at about one gcd of d each, and stays within 12 d^2 of gcd and lcm
+    work, against about 127 d^2 when each reduction chains over the entries
+    from d. It runs no LP and makes a few Fractions, none per coalition."""
+    policy = {"promoted": [["F0", "F1", "F2", "F3"]], "prohibited": [["F4", "F5"]]}
+    path = long_denominator_file(tmp_path, policy)
+    d = load_scenario(str(path)).game.denominator
+    with metered() as work:
+        code, out, err = run(capsys, "enforce", str(path))
+    assert code == 3 and not out and err.endswith(too_long_to_print())
+    assert work.bits <= 12 * d.bit_length() ** 2
+    assert work.pivots == 0 and len(work.fractions) <= 8
+
+
+def long_denominator_file(tmp_path, policy=None):
+    """8 agents, each of the 247 values 1/(10^479 + mask), O all 0 (128 KB)."""
+    return table_file(tmp_path, [f"F{i}" for i in range(8)], lambda mask: f"1/{10**479 + mask}",
+                      policy)
+
+
+def too_long_to_print() -> str:
+    """The error that ends a run whose report holds a number too long to print."""
+    return ("error: bound exceeded: a reported number has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+            "for writing an int (PYTHONINTMAXSTRDIGITS=0 lifts it)\n")
 
 
 def _sixteen_agent_game():

@@ -661,14 +661,15 @@ def test_scaled_matches_the_reduce_first_fold(seed, monkeypatch):
 
 
 def test_scaled_takes_one_gcd_through_64_bits(monkeypatch):
-    """A game built from values whose unreduced lcm has 64 bits takes one
-    gcd, _lowest's of the whole table; one of 65 bits takes the reduce-first
-    fold, one gcd per value, and then _lowest's. Both answer as the fold
-    does: 7/2^(b-3), 5 and 1 over 2^(b-3) at masks 3, 5 and 6."""
+    """A game built from values whose unreduced lcm has 64 bits takes only
+    _lowest's gcds: one of d with the table's sum, then the chain over the
+    whole table from it; one of 65 bits takes the reduce-first fold, one gcd
+    per value, and then _lowest's. Both answer as the fold does: 7/2^(b-3),
+    5 and 1 over 2^(b-3) at masks 3, 5 and 6."""
     gcd_arities = []
     real_gcd = games.gcd
     monkeypatch.setattr(games, "gcd", lambda *a: gcd_arities.append(len(a)) or real_gcd(*a))
-    for bits, arities in (64, [9]), (65, [2] * 8 + [9]):
+    for bits, arities in (64, [2, 9]), (65, [2] * 8 + [2, 9]):
         nums, dens = [14, 15, 6], [2 ** (bits - 2), 3, 6]  # lcm 3 * 2^(b-2), b bits
         assert lcm(*dens).bit_length() == bits
         values = {(0, 1): f"{nums[0]}/{dens[0]}", (0, 2): "15/3", (1, 2): "6/6"}
@@ -683,6 +684,36 @@ def test_scaled_takes_one_gcd_through_64_bits(monkeypatch):
 
 def lowest(scaled, d) -> bool:
     return gcd(d, *scaled) == 1
+
+
+def test_lowest_matches_the_unseeded_reduction():
+    """_lowest seeds its gcd with the table's sum, gcd(gcd(d, sum), *scaled),
+    and divides out just what gcd(d, *scaled) does (a divisor of d and of
+    every entry divides their sum): on random tables of either sign over
+    d = 1 and longer d, times a common factor, among them tables whose sum
+    is 0 and tables whose sum shares a 100-bit factor with d that not every
+    entry has. The public constructor's errors keep their message."""
+    rng = random.Random(71)
+    big = 2**100 + 277
+    for trial in range(600):
+        d = rng.choice([1, 2, 12, 3**50, rng.getrandbits(300) | 1])
+        factor = rng.choice([1, 2, 6, 2**61 - 1, 10**40 + 7, rng.getrandbits(200) | 1])
+        scaled = [rng.randint(-10**6, 10**6) * rng.choice([1, 1, 2, d])
+                  for _ in range(rng.randint(0, 16))]
+        if trial % 3 == 1:  # the sum cancels
+            scaled.append(-sum(scaled))
+        elif trial % 3 == 2:  # the sum, not every entry, is a multiple of big, and so is d
+            d *= big
+            scaled.append(big * rng.randint(-9, 9) - sum(scaled))
+        scaled, d = [factor * v for v in scaled], factor * d
+        g = gcd(d, *scaled)
+        assert games._lowest(scaled, d) == (tuple(v // g for v in scaled), d // g)
+    message = ("scaled values must be ints over a positive int denominator "
+               "(ISNGame.from_table takes Fractions)")
+    for scaled, d in (((0, 0, 0, Fraction(4, 2)), 1), ((0, 0, 0, "1"), 1), ((0, 0, 0, 1.0), 1),
+                      ((0, 0, 0, 1), 0), ((0, 0, 0, 1), -2), ((0, 0, 0, 1), "2")):
+        with pytest.raises(SymbioError, match=f"^{re.escape(message)}$"):
+            ISNGame(2, scaled, d)
 
 
 def test_every_builder_scales_to_lowest_terms():
