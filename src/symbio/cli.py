@@ -284,6 +284,7 @@ def cmd_analyze(scenario: Scenario, violation) -> dict:
     game = scenario.game
     names = scenario.agents
     phi = _shapley_terms(game)
+    shares = _allocation(names, *phi)  # first: a share too long to print ends the run here
     core = core_nonempty(game)
     return {
         "command": "analyze",
@@ -294,7 +295,7 @@ def cmd_analyze(scenario: Scenario, violation) -> dict:
         "superadditive_counterexample": None
         if violation is None
         else [scenario.keys[mask_of(s)] for s in violation],
-        "shapley": _allocation(names, *phi),
+        "shapley": shares,
         "core": {
             "nonempty": core.nonempty,
             "witness": None if core.witness is None else _allocation(names, core.witness),
@@ -345,17 +346,21 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     if policy is None:
         raise SymbioError("no policy section in scenario file")
     game, names, keys = scenario.game, scenario.agents, scenario.keys
-    net, shapley_of = _enforce(game, policy, epsilon)
+    net, promoted = _enforce(game, policy, epsilon)
     coordinated = CoordinatedGame(game, net)
-    value_of = {rule.positive: rule.value for rule in net.rules}  # a group has one rule at most
+    # written first, so a share too long to print ends the run before any
+    # other number; a promoted whole roster's shares are summed already
+    whole = promoted.get(frozenset(range(len(names))))
+    shares = _allocation(names, *(whole[1] if whole else _shapley_terms(coordinated)))
 
     verdicts = []
     for grp in policy.promoted:
+        subsidy, terms = promoted[grp]
         verdicts.append({
             "group": keys[mask_of(grp)],
             "label": "promoted",
-            "subsidy": fraction_text(value_of.get(grp, 0)),
-            "implementable": _in_core(subgame(coordinated, grp), *shapley_of[grp]),
+            "subsidy": fraction_text(subsidy),
+            "implementable": _in_core(subgame(coordinated, grp), *terms),
         })
     for grp in policy.prohibited:
         cv = coordinated.value(grp)
@@ -378,9 +383,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
         "incentive_rules": [_rule_entry(names, r) for r in net.rules],
         "coordinated_values": _value_rows(keys, coordinated),
         "group_verdicts": verdicts,
-        # a promoted whole roster's Shapley value is summed already
-        "coordinated_shapley": _allocation(names, *(
-            shapley_of.get(frozenset(range(len(names)))) or _shapley_terms(coordinated))),
+        "coordinated_shapley": shares,
     }
 
 

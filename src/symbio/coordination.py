@@ -137,11 +137,9 @@ def _promotion(game, target: frozenset):
         g = vals[mask] * f - shares[mask]
         if g * size > gap * mask.bit_count():
             gap, size = g, mask.bit_count()
-    if not gap:
-        return None, Fraction(0), (phi, den)
     needed = Fraction(gap * k, size * den)
-    rest = frozenset(range(game.n_agents)) - target
-    return MCNetRule(target, rest, needed), needed, ([v * size + gap for v in phi], size * den)
+    rule = MCNetRule(target, frozenset(range(game.n_agents)) - target, needed) if gap else None
+    return rule, needed, ([v * size + gap for v in phi], size * den)
 
 
 def synthesize_promotion(game, target: Iterable[int]):
@@ -184,8 +182,9 @@ def synthesize_prohibition(game, target: Iterable[int], epsilon) -> "MCNetRule |
 
 
 def _enforce(game: ISNGame, policy: Policy, epsilon) -> "tuple[MCNet, dict]":
-    """(enforce_policy's net, {promoted group: its Shapley terms (phi, den)
-    in the coordinated game}), phi over the group's own dense ids
+    """(enforce_policy's net, {promoted group: (its subsidy, its Shapley
+    terms (phi, den) in the coordinated game)}), the subsidy 0 when the
+    group needs no rule and phi over the group's own dense ids
     (_promotion). Promoted groups are disjoint and every rule touches its
     own group alone, so a group's coordinated subgame is its taxed one plus
     its own subsidy."""
@@ -199,12 +198,13 @@ def _enforce(game: ISNGame, policy: Policy, epsilon) -> "tuple[MCNet, dict]":
             taxes.append(rule)
     taxed = CoordinatedGame(game, MCNet(game.n_agents, tuple(taxes)))
 
-    subsidies, shapley_of = [], {}
+    subsidies, promoted = [], {}
     for group in policy.promoted:
-        rule, _, shapley_of[group] = _promotion(taxed, group)
+        rule, subsidy, terms = _promotion(taxed, group)
+        promoted[group] = subsidy, terms
         if rule is not None:
             subsidies.append(rule)
-    return MCNet(game.n_agents, tuple(subsidies) + tuple(taxes)), shapley_of
+    return MCNet(game.n_agents, tuple(subsidies) + tuple(taxes)), promoted
 
 
 def enforce_policy(game: ISNGame, policy: Policy, epsilon=Fraction(1)) -> MCNet:

@@ -58,15 +58,15 @@ dual, u >= 0, u_r <= 1 on surplus rows, A^T u >= c and b.u the optimum.
 
 solve_lp is the cold entry. An LP without surplus columns also hands back
 its optimal dictionary (LPResult.dictionary), which a caller keeps and
-re-enters for an LP one column away, as the exchange's branch and bound
-does for each child of a node. Each entry works on a copy, which shares
-the parent's rows (a pivot replaces a row and never edits one), so one
-parent serves both its children; logical column numbers never change.
-with_cost(col, delta) raises one column's cost: a nonbasic column's
-reduced cost falls by delta, a basic column's row, times delta, is added
-to the cost row; the basis stays feasible and primal Bland pivots run from
-it. with_zero(col) holds a structural column at 0. A basic col leaves its
-row by a dual-simplex step, its slot is dropped from every row, and then
+re-enters for an LP one basic column away, as the exchange's branch and
+bound does for each child of a node: it branches on a fractional value,
+and a nonbasic column is 0. Each entry works on a copy, which shares the
+parent's rows (a pivot replaces a row and never edits one), so one parent
+serves both its children; logical column numbers never change.
+with_cost(col, delta) raises the column's cost: its row, times delta, is
+added to the cost row; the basis stays feasible and primal Bland pivots
+run from it. with_zero(col) holds the column at 0. col leaves its row by
+a dual-simplex step, its slot is dropped from every row, and then
 dual-simplex steps with Bland's rule (Lemke 1954) clear each negative rhs,
 the row of the least basic column first; primal pivots finish, and find
 nothing to do on an optimal parent. A dual step enters the slot of least
@@ -104,7 +104,8 @@ class _Tableau(list):
 
     The surplus columns are n..n+k-1 for n = len(cols), and slack n + k + r
     mirrors surplus n + r. Without surplus columns an optimal dictionary
-    may be re-entered (with_cost, with_zero; the module docstring).
+    may be re-entered on one basic structural column (with_cost,
+    with_zero; the module docstring).
     """
 
     __slots__ = ("cols", "k", "n", "basis", "obj")
@@ -143,40 +144,34 @@ class _Tableau(list):
         return copy
 
     def with_cost(self, col, delta) -> LPResult:
-        """The LP with structural column col's cost raised by the int delta,
-        solved by primal Bland pivots from this optimal basis, which stays
-        feasible. A held column stays at 0."""
+        """The LP with basic structural column col's cost raised by the int
+        delta, solved by primal Bland pivots from this optimal basis, which
+        stays feasible."""
         lp = self._copy()
-        obj = lp.obj
-        if col in lp.basis:
-            # its row reads x_col = beta - a.x_N: each reduced cost d_j
-            # gains delta * a_j, and the objective delta * beta
-            row = lp[lp.basis.index(col)]
-            s, scale = row[-1], obj[-1]
-            new = [s * d + delta * scale * a for d, a in zip(obj, row)]
-            new[-1] = s * scale
-            lp.obj = _primitive(new)
-        elif col in lp.cols:
-            obj[lp.cols.index(col)] -= delta * obj[-1]
+        # col's row reads x_col = beta - a.x_N: each reduced cost d_j gains
+        # delta * a_j, and the objective delta * beta
+        obj, row = lp.obj, lp[lp.basis.index(col)]
+        s, scale = row[-1], obj[-1]
+        new = [s * d + delta * scale * a for d, a in zip(obj, row)]
+        new[-1] = s * scale
+        lp.obj = _primitive(new)
         return lp.solve()
 
     def with_zero(self, col) -> LPResult:
-        """The LP with structural column col held at 0, still feasible at
-        x = 0. A basic col leaves its row by a dual-simplex step, and its
-        slot is dropped from every row; dual-simplex pivots with Bland's rule
-        (Lemke 1954) then clear every negative rhs, the row of the least
-        basic column first, and primal pivots finish."""
+        """The LP with basic structural column col held at 0, still feasible
+        at x = 0. col leaves its row by a dual-simplex step, and its slot is
+        dropped from every row; dual-simplex pivots with Bland's rule (Lemke
+        1954) then clear every negative rhs, the row of the least basic
+        column first, and primal pivots finish."""
         lp = self._copy()
         basis, cols = lp.basis, lp.cols
-        if col in basis:
-            i = basis.index(col)
-            # a positive cell a keeps the entering x_j = beta / a >= 0; with
-            # none, beta is 0 (x = 0 is feasible) and a negative cell enters
-            _dual_pivot(lp, i, flip=not any(v > 0 for v in lp[i][:-2]))
-        if col in cols:
-            j = cols.index(col)
-            del cols[j], lp.obj[j]
-            lp[:] = [row[:j] + row[j + 1:] for row in lp]
+        i = basis.index(col)
+        # a positive cell a keeps the entering x_j = beta / a >= 0; with
+        # none, beta is 0 (x = 0 is feasible) and a negative cell enters
+        _dual_pivot(lp, i, flip=not any(v > 0 for v in lp[i][:-2]))
+        j = cols.index(col)
+        del cols[j], lp.obj[j]
+        lp[:] = [row[:j] + row[j + 1:] for row in lp]
         while True:
             negative = [i for i, row in enumerate(lp) if row[-2] < 0]
             if not negative:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbio
-from symbio import cli, games, solutions
+from symbio import cli, exchange, games, solutions
 from symbio.cli import cmd_analyze, load_scenario, main
 from symbio.errors import SymbioError
 from symbio.games import ISNGame, check_superadditive, make_isn_game, members_of
@@ -595,11 +595,23 @@ def test_exchange_pair_bound_and_linear_scan(tmp_path, offers, demands, row):
     (10, "  F0,F1 = 0"),  # no pair saves: 3 + 4 - 1 - 10 a unit
     (1, None),  # every pair saves, and the bound is met at the first offer's demands
 ])
-def test_exchange_pair_scan_skips_pairs_that_do_not_save(tmp_path, haul, row):
+def test_exchange_pair_scan_skips_pairs_that_do_not_save(capsys, monkeypatch, tmp_path, haul,
+                                                         row):
     """1,000 offers and 1,000 demands of one resource: 10^6 compatible pairs,
     of which only those that save are walked, so either way the answer takes
-    well under a second."""
-    check_timed_exchange(exchange_file(tmp_path, ["r"] * 1000, ["r"] * 1000, haul), row)
+    well under a second. Counted in process, the scan bisects each of the
+    1,000 links' demands once and solves no LP: with no pair saving there
+    is no route, and past the pair bound the run stops before any LP."""
+    path = exchange_file(tmp_path, ["r"] * 1000, ["r"] * 1000, haul)
+    check_timed_exchange(path, row)
+    calls = {"bisect_right": 0, "solve_lp": 0}
+    for name in calls:
+        def spy(*args, real=getattr(exchange, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(exchange, name, spy)
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code == (0 if row else 3) and calls == {"bisect_right": 1000, "solve_lp": 0}
 
 
 def check_timed_exchange(path, row):
@@ -741,6 +753,24 @@ def test_shapley_too_long_to_print_makes_no_fraction(capsys, tmp_path):
     assert code == 3 and not out and work.fractions == []
     assert err.endswith(too_long_to_print())
     assert work.bits <= 4 * d.bit_length() ** 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter writes ints of any length")
+def test_analyze_too_long_to_print_stops_at_the_shares(capsys, tmp_path):
+    """symbio analyze on the file of the test above writes the Shapley
+    shares before the core verdict and the value rows, so it exits 3 at the
+    first share, having run no core LP, printed no value row and made no
+    Fraction: within 3 d^2 of gcd and lcm work (the lcm fold, the table's
+    one reduction and the printer's gcd), against about 3.5 d^2 when every
+    value row is printed first."""
+    path = long_denominator_file(tmp_path)
+    d = load_scenario(str(path)).game.denominator
+    with metered() as work:
+        code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and not out and err.endswith(too_long_to_print())
+    assert work.bits <= 3 * d.bit_length() ** 2
+    assert work.pivots == 0 and work.fractions == []
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

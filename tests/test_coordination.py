@@ -136,10 +136,11 @@ def _random_policy(rng, n):
 def test_enforce_shifts_each_promoted_shapley_value_by_its_subsidy():
     """_enforce's Shapley terms for each promoted group, phi shifted by the
     group's subsidy over k, are those of the group's coordinated subgame, as
-    Fractions: on random games (mixed and 1000-digit denominators) and
-    policies with nested prohibitions, groups needing no subsidy, subsidies
-    over new denominators, and whole-roster promotions. The net is
-    enforce_policy's."""
+    Fractions, and the subsidy it hands over with them is the group's rule's
+    value, or 0 with no rule: on random games (mixed and 1000-digit
+    denominators) and policies with nested prohibitions, groups needing no
+    subsidy, subsidies over new denominators, and whole-roster promotions.
+    The net is enforce_policy's."""
     rng = random.Random(34)
     seen = {"zero gap": 0, "subsidy": 0, "new denominator": 0, "whole roster": 0, "nested": 0}
     for _ in range(120):
@@ -147,15 +148,16 @@ def test_enforce_shifts_each_promoted_shapley_value_by_its_subsidy():
         game = (mixed_game if rng.random() < 0.5 else random_game)(rng, n)
         policy = _random_policy(rng, n)
         epsilon = rng.choice([Fraction(1), Fraction(1, 3), Fraction(2, 7)])
-        net, shapley_of = _enforce(game, policy, epsilon)
+        net, promoted = _enforce(game, policy, epsilon)
         assert net == enforce_policy(game, policy, epsilon)
-        assert list(shapley_of) == list(policy.promoted)
+        assert list(promoted) == list(policy.promoted)
         coordinated = CoordinatedGame(game, net)
         subsidy = {rule.positive: rule.value for rule in net.rules
                    if rule.positive in policy.promoted}
         taxed = CoordinatedGame(game, MCNet(n, [r for r in net.rules if r.positive not in subsidy]))
         for group in policy.promoted:
-            phi, den = shapley_of[group]
+            amount, (phi, den) = promoted[group]
+            assert amount == subsidy.get(group, 0)
             expected, expected_den = _shapley_terms(subgame(coordinated, group))
             assert [Fraction(v, den) for v in phi] == [Fraction(v, expected_den) for v in expected]
             if group in subsidy:

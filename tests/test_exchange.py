@@ -503,7 +503,8 @@ class WarmNodes(list):
 @pytest.fixture
 def warm_nodes(monkeypatch):
     """Records each branch-and-bound node that re-enters its parent's
-    dictionary, as a WarmNode."""
+    dictionary, as a WarmNode, and asserts that the column it re-enters on
+    is basic in that dictionary, as with_cost and with_zero require."""
     nodes = WarmNodes()
     kept = {}  # id of a kept dictionary -> (search, column, fixed, dropped)
     roots = []  # the roots' results, kept alive with their ids
@@ -524,6 +525,7 @@ def warm_nodes(monkeypatch):
         def spy(self, col, *args):
             search, column, fixed, dropped = kept[id(self)]
             route, = (r for r, k in column.items() if k == col)
+            assert col in self.basis
             before = nodes.pivots
             result = enter(self, col, *args)
             if enter.__name__ == "with_cost":
