@@ -233,13 +233,14 @@ def _parse_exchange(raw, ids) -> ExchangeScenario:
         if kind not in (OFFER, DEMAND):
             raise SymbioError(f"{where}.kind: must be 'offer' or 'demand'")
         _expect(entry, dict, where, ("firm", "kind", "resource", "quantity") + STREAM_COSTS[kind])
-        streams.append(ResourceStream(
-            _agent(entry.get("firm"), f"{where}.firm", ids),
-            _expect(entry.get("resource"), str, f"{where}.resource"),
-            kind,
-            Fraction(*_number(entry.get("quantity"), f"{where}.quantity")),
-            **{f: Fraction(*_number(entry.get(f), f"{where}.{f}")) for f in STREAM_COSTS[kind]},
-        ))
+        firm = _agent(entry.get("firm"), f"{where}.firm", ids)
+        resource = _expect(entry.get("resource"), str, f"{where}.resource")
+        amounts = {f: Fraction(*_number(entry.get(f), f"{where}.{f}"))
+                   for f in ("quantity",) + STREAM_COSTS[kind]}
+        try:  # the stream's own rules (amounts >= 0), named by entry
+            streams.append(ResourceStream(firm, resource, kind, **amounts))
+        except SymbioError as e:
+            raise SymbioError(f"{where}: {e}") from None
     costs = {}
     for name, extra in ("transport", ("resource",)), ("transaction", ()):
         table = costs[name] = {}

@@ -28,9 +28,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import SymbioError
-from .games import (
-    ISNGame, _check_bits, _lowest, _sums, as_money, check_roster, coalition, mask_of, subgame
-)
+from .games import ISNGame, _check_bits, _lowest, _sums, as_money, coalition, mask_of, subgame
 from .mcnets import MCNet, MCNetRule, compose, from_isn_game
 from .solutions import _shapley_terms
 
@@ -187,10 +185,8 @@ def _enforce(game: ISNGame, policy: Policy, epsilon) -> "tuple[MCNet, dict]":
     group needs no rule and phi over the group's own dense ids
     (_promotion). Promoted groups are disjoint and every rule touches its
     own group alone, so a group's coordinated subgame is its taxed one plus
-    its own subsidy."""
-    for group in policy.promoted + policy.prohibited:
-        check_roster(group, game.n_agents)
-
+    its own subsidy. Each group's roster is checked on its first use: a
+    prohibited group's by game.value, a promoted group's by subgame."""
     taxes = []
     for group in policy.prohibited:
         rule = synthesize_prohibition(game, group, epsilon)

@@ -192,9 +192,16 @@ class ExchangeScenario:
         for s in self.streams:
             if not 0 <= s.firm < self.n_agents:
                 raise SymbioError(f"stream firm {s.firm} outside roster of {self.n_agents}")
-        for cost in list(self.transport.values()) + list(self.transaction.values()):
-            if cost < 0:
-                raise SymbioError("transport and transaction costs must be >= 0")
+        # a negative cost names its route, as a missing one does
+        for name, width in ("transport", 3), ("transaction", 2):
+            for key, cost in getattr(self, name).items():
+                if cost < 0:
+                    if type(key) is not tuple or len(key) != width:
+                        raise SymbioError("transport and transaction costs must be >= 0")
+                    shown = f" for resource {key[2]!r}" if width == 3 else ""
+                    shown = shown.replace("{", "{{").replace("}", "}}")
+                    raise SymbioError(f"{name} cost from {{}} to {{}}{shown} must be >= 0",
+                                      {key[0]}, {key[1]})
         # links come offer by offer, each one's demand firms in the order of
         # their first demand, so the fault named is that of the first
         # compatible pair
@@ -426,14 +433,15 @@ class _RouteSearch:
         """(net, route tuple) for the best subset of routes (sorted) if
         it saves more than incumbent, else (incumbent, None).
 
-        Past the bound shortcuts, Land-Doig branch and bound on the
-        best_shipments relaxation: a node whose bound is <= the best so far
-        is pruned, an integral y is a plan of exactly that net, a whole
+        Past the shortcut for routes that share no stream, Land-Doig branch
+        and bound on the best_shipments relaxation: a node whose bound is <=
+        the best so far is pruned when popped, the root (the nets' sum) too,
+        with no LP, an integral y is a plan of exactly that net, a whole
         one, and otherwise the first fractional route in sorted order is
-        branched on, depth first, active before dropped. Ties keep the
-        first set met: every route when they share no stream, else the
-        first integral node. Flooring a relaxation's net moves no decision:
-        best, each incumbent and each route's net are whole, so net <= best
+        branched on, depth first, active before dropped. Ties keep the first
+        set met: every route when they share no stream, else the first
+        integral node. Flooring a relaxation's net moves no decision: best,
+        each incumbent and each route's net are whole, so net <= best
         exactly when floor(net) <= best, and min(net, S) floors to
         min(floor(net), S) for a whole S.
 
@@ -451,9 +459,7 @@ class _RouteSearch:
         """
         routes = tuple(routes)
         bound = sum(r.net for r in routes)
-        if bound <= incumbent:
-            return incumbent, None
-        if len(frozenset().union(*(r.streams for r in routes))) == sum(
+        if bound > incumbent and len(frozenset().union(*(r.streams for r in routes))) == sum(
                 len(r.streams) for r in routes):
             return bound, routes
         best, chosen = incumbent, None

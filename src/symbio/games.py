@@ -172,10 +172,11 @@ def _plain_column(terms: str, count: int) -> "tuple[list[int], list[int]] | None
     each piece is in _PLAIN's language, else None, checked on the whole text.
 
     Only ASCII digits, "-" and commas inside the brackets, so json returns
-    ints or fails; 2 count - 1 commas, so no piece held a comma or a second
-    "/"; json reads it, so each part is a JSON int (no leading zero or empty
-    part, "-" only first); and each numerator within +-PLAIN_LIMIT, each
-    denominator in [1, PLAIN_LIMIT).
+    ints or fails: isascii() first, since encode() raises on a lone
+    surrogate (the JSON string "\\ud800"), then the bytes; 2 count - 1
+    commas, so no piece held a comma or a second "/"; json reads it, so each
+    part is a JSON int (no leading zero or empty part, "-" only first);
+    each numerator within +-PLAIN_LIMIT, each denominator in [1, PLAIN_LIMIT).
     """
     if (terms.count(",") != 2 * count - 1 or not terms.isascii()
             or terms.encode().translate(None, b"0123456789-,") != b"[]"):
@@ -671,14 +672,14 @@ def subgame(game, members: Iterable[int]) -> ISNGame:
     The restriction must itself be normalized (zero singleton values);
     coordinated games whose incentive rules target groups always are. The
     parent's worth of the empty set is not carried over. The parent's ints
-    are copied over its denominator, which ISNGame then reduces.
+    are copied over its denominator, which ISNGame then reduces; its
+    constructor rejects a restriction with a nonzero singleton, since entry
+    1 << k is the parent's at 1 << (k-th member).
     """
     members = coalition(members)
     check_roster(members, game.n_agents)
     if not members:
         raise SymbioError("subgame needs at least one member")
     scaled = game.scaled
-    if any(scaled[1 << i] for i in members):
-        raise SymbioError("subgame would have a nonzero singleton value")
     original = _sums([1 << i for i in sorted(members)])  # parent mask of each subgame mask
     return ISNGame(len(members), (0, *map(scaled.__getitem__, original[1:])), game.denominator)

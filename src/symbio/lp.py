@@ -60,9 +60,10 @@ solve_lp is the cold entry. An LP without surplus columns also hands back
 its optimal dictionary (LPResult.dictionary), which a caller keeps and
 re-enters for an LP one basic column away, as the exchange's branch and
 bound does for each child of a node: it branches on a fractional value,
-and a nonbasic column is 0. Each entry works on a copy, which shares the
-parent's rows (a pivot replaces a row and never edits one), so one parent
-serves both its children; logical column numbers never change.
+and a nonbasic column is 0. Each entry works on a copy, built by one
+_Tableau call as solve_lp's slack basis is, which shares the parent's rows
+(a pivot replaces a row and never edits one), so one parent serves both
+its children; logical column numbers never change.
 with_cost(col, delta) raises the column's cost: its row, times delta, is
 added to the cost row; the basis stays feasible and primal Bland pivots
 run from it. with_zero(col) holds the column at 0. col leaves its row by
@@ -100,21 +101,19 @@ class LPResult:
 
 class _Tableau(list):
     """The dictionary: its stored rows; cols[j] is the logical column stored
-    in slot j, basis[i] the one basic in row i, obj the cost row.
-
-    The surplus columns are n..n+k-1 for n = len(cols), and slack n + k + r
-    mirrors surplus n + r. Without surplus columns an optimal dictionary
-    may be re-entered on one basic structural column (with_cost,
-    with_zero; the module docstring).
+    in slot j, basis[i] the one basic in row i, obj the cost row; n
+    structural columns, surplus columns n..n+k-1, and slack n + k + r
+    mirroring surplus n + r. Only the constructor sets a field; pivots
+    change cols, basis, obj and the rows in place. Without surplus columns
+    an optimal dictionary may be re-entered on one basic structural column
+    (with_cost, with_zero; the module docstring).
     """
 
-    __slots__ = ("cols", "k", "n", "basis", "obj")
+    __slots__ = ("cols", "basis", "obj", "n", "k")
 
-    def __init__(self, rows, n, k):
+    def __init__(self, rows, cols, basis, obj, n, k):
         super().__init__(rows)
-        self.cols = list(range(n))
-        self.k = k
-        self.n = n
+        self.cols, self.basis, self.obj, self.n, self.k = cols, basis, obj, n, k
 
     def solve(self) -> LPResult:
         """Run Bland-rule pivots from this feasible basis, in place, and
@@ -137,25 +136,21 @@ class _Tableau(list):
         return LPResult("optimal", tuple(x), (obj[-2], obj[-1]), tuple(dual),
                         None if k else self)
 
-    def _copy(self):
-        copy = _Tableau(self, 0, 0)
-        copy.cols, copy.n = list(self.cols), self.n
-        copy.basis, copy.obj = list(self.basis), list(self.obj)
-        return copy
+    def _copy(self, obj):
+        """This dictionary with cost row obj, sharing its rows."""
+        return _Tableau(self, list(self.cols), list(self.basis), obj, self.n, self.k)
 
     def with_cost(self, col, delta) -> LPResult:
         """The LP with basic structural column col's cost raised by the int
         delta, solved by primal Bland pivots from this optimal basis, which
         stays feasible."""
-        lp = self._copy()
         # col's row reads x_col = beta - a.x_N: each reduced cost d_j gains
         # delta * a_j, and the objective delta * beta
-        obj, row = lp.obj, lp[lp.basis.index(col)]
+        obj, row = self.obj, self[self.basis.index(col)]
         s, scale = row[-1], obj[-1]
         new = [s * d + delta * scale * a for d, a in zip(obj, row)]
         new[-1] = s * scale
-        lp.obj = _primitive(new)
-        return lp.solve()
+        return self._copy(_primitive(new)).solve()
 
     def with_zero(self, col) -> LPResult:
         """The LP with basic structural column col held at 0, still feasible
@@ -163,7 +158,7 @@ class _Tableau(list):
         dropped from every row; dual-simplex pivots with Bland's rule (Lemke
         1954) then clear every negative rhs, the row of the least basic
         column first, and primal pivots finish."""
-        lp = self._copy()
+        lp = self._copy(list(self.obj))
         basis, cols = lp.basis, lp.cols
         i = basis.index(col)
         # a positive cell a keeps the entering x_j = beta / a >= 0; with
@@ -192,14 +187,12 @@ def solve_lp(c, a_ub=(), b_ub=(), surplus=0) -> LPResult:
     """
     c = _ints(c)
     n = len(c)
-    tableau = _Tableau([_dictionary_row(coeffs, rhs, n)
-                        for coeffs, rhs in zip(a_ub, b_ub, strict=True)], n, surplus)
-    if not 0 <= surplus <= len(tableau):
+    rows = [_dictionary_row(coeffs, rhs, n) for coeffs, rhs in zip(a_ub, b_ub, strict=True)]
+    if not 0 <= surplus <= len(rows):
         raise ValueError("surplus counts rows of a_ub")
-    tableau.basis = list(range(n + surplus, n + surplus + len(tableau)))  # every slack
-    # minimize -c.x + sum(s); the cost row's rhs cell holds minus that
-    tableau.obj = [-v for v in c] + [0, 1]
-    return tableau.solve()
+    # every slack basic; minimize -c.x + sum(s), the cost row's rhs cell holding minus that
+    slacks = list(range(n + surplus, n + surplus + len(rows)))
+    return _Tableau(rows, list(range(n)), slacks, [-v for v in c] + [0, 1], n, surplus).solve()
 
 
 def _ints(values) -> list:

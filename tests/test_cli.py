@@ -1146,8 +1146,10 @@ def _canonical_doc():
     ("json", "1" + "0" * 1000, "tables.{table}['A,B']: number has more than 1000 digits"),
     ("drop", None, "{table} table lacks coalition {{A,B}}"),
     ("text", "1,2", "tables.{table}['A,B']: '1,2' is not a number"),
+    # a lone surrogate that str.encode cannot take: the bulk check refuses non-ASCII first
+    ("text", "\ud800", "tables.{table}['A,B']: '\\ud800' is not a number"),
 ], ids=["reordered-key", "plus-sign", "padded", "underscore", "json-decimal", "bool",
-        "zero-denominator", "1001-digit-int", "missing-key", "comma"])
+        "zero-denominator", "1001-digit-int", "missing-key", "comma", "lone-surrogate"])
 def test_one_entry_off_the_bulk_path_reads_as_before(capsys, tmp_path, table, kind, raw,
                                                       message):
     """One key or value outside the bulk reader's forms sends its table key
@@ -1322,6 +1324,21 @@ def test_missing_route_cost_names_firms_exits_2(capsys, tmp_path, section, resou
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("section,field,message", [
+    ("streams", "unit_treatment_cost",
+     "exchange.streams[1]: stream unit_treatment_cost must be >= 0"),
+    ("transport", "cost", "transport cost from {F0} to {F1} for resource 'slag' must be >= 0"),
+    ("transaction", "cost", "transaction cost from {F0} to {F1} must be >= 0"),
+], ids=["stream", "transport", "transaction"])
+def test_negative_exchange_amount_names_its_entry_exits_2(capsys, tmp_path, section, field,
+                                                          message):
+    doc = _data("w.json")
+    doc["exchange"][section][-1][field] = -1
+    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("promoted,message", [
     (5, "policy.promoted: must be a list"),
     ([["A", ["B"]]], "policy.promoted[0]: unknown agent ['B']"),
@@ -1370,7 +1387,7 @@ def _parse(text):
 HOSTILE_VALUES = [
     "null", "true", "0", "-3", "7", "0.5", "1e400", '"1/2"', '"1/0"', '"x"', '"A"', '"A,B"',
     '"B,A"', '"F1"', '"offer"', '"demand"', "[]", "{}", '["A", "B"]', '[["A", "B"]]',
-    '[["A", ["B"]]]', '{"A,B": 1}',
+    '[["A", ["B"]]]', '{"A,B": 1}', '"\\ud800"',
 ]
 #: Keys a mutation renames a field to: every key the format knows, and typos.
 HOSTILE_KEYS = [

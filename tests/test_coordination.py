@@ -372,6 +372,11 @@ def test_enforce_policy_prohibition_only(g3):
 def test_enforce_policy_checks_the_roster(g3):
     with pytest.raises(SymbioError, match="agent 3 not on a roster of 3"):
         enforce_policy(g3, Policy(prohibited=[{2, 3}]))
+    with pytest.raises(SymbioError, match="agent 3 not on a roster of 3"):
+        enforce_policy(g3, Policy(promoted=[{2, 3}]))
+    # prohibited groups are priced first, so theirs is the fault named
+    with pytest.raises(SymbioError, match="agent 4 not on a roster of 3"):
+        enforce_policy(g3, Policy(promoted=[{0, 3}], prohibited=[{1, 4}]))
 
 
 def test_enforce_policy_rejects_overlapping_promotions(g3):

@@ -201,9 +201,9 @@ def test_missing_transport_entry_rejected():
     (lambda: ExchangeScenario(2, (waste_offer(2, "r", 1, 1),), {}, {}),
      "stream firm 2 outside roster of 2"),
     (lambda: ExchangeScenario(2, (), {(0, 1, "r"): -1}, {}),
-     "transport and transaction costs must be >= 0"),
+     "transport cost from [0] to [1] for resource 'r' must be >= 0"),
     (lambda: ExchangeScenario(2, (), {}, {(0, 1): Fraction(-1, 2)}),
-     "transport and transaction costs must be >= 0"),
+     "transaction cost from [0] to [1] must be >= 0"),
 ], ids=["bad-kind", "no-firm", "firm-off-roster", "negative-transport", "negative-transaction"])
 def test_scenario_validation_messages(build, message):
     with pytest.raises(SymbioError) as e:
@@ -377,6 +377,21 @@ def test_pop_time_prune_skips_the_lp(lp_calls):
     game = scenario_to_game(scenario)
     assert n == 4 and len(lp_calls) == 9
     assert game == route_subset_game(scenario)
+
+
+def test_root_no_better_than_incumbent_costs_no_lp(lp_calls):
+    """A search whose routes' net sum, the root's bound, does not beat the
+    incumbent returns the incumbent: the node loop prunes the root when it
+    pops it, before its LP. dense_scenario(4)'s routes share streams, so the
+    disjoint shortcut does not answer first."""
+    search = _RouteSearch(dense_scenario(4), range(4))
+    lp_calls.clear()
+    routes = search.routes
+    streams = [r.streams for r in routes]
+    assert len(frozenset().union(*streams)) < sum(map(len, streams))
+    incumbent = sum(r.net for r in routes)
+    assert search.best(routes, incumbent) == (incumbent, None)
+    assert lp_calls == []
 
 
 def test_lp_budget_raises_bound_exceeded(lp_calls, monkeypatch):

@@ -839,7 +839,10 @@ def test_subgame_of_grand_coalition_is_same_game(g3):
 @pytest.mark.parametrize("call, message", [
     (lambda g3: coalition([-1]), "agent ids must be non-negative integers, got -1"),
     (lambda g3: subgame(g3, []), "subgame needs at least one member"),
-], ids=["negative-agent", "empty-subgame"])
+    # a rule worth 3 on every coalition without agent 0, singletons {1} and {2} included
+    (lambda g3: subgame(CoordinatedGame(g3, MCNet(3, (MCNetRule(set(), {0}, 3),))), {1, 2}),
+     "normalized games are worth 0 on the empty set and singletons"),
+], ids=["negative-agent", "empty-subgame", "nonzero-singleton-subgame"])
 def test_coalition_and_subgame_validation_messages(g3, call, message):
     with pytest.raises(SymbioError) as e:
         call(g3)

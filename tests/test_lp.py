@@ -313,9 +313,9 @@ def test_unit_pivots_keep_every_int(monkeypatch):
     pivot = lp._pivot
 
     def spy(tableau, basis, obj, row, entering):
-        copy = lp._Tableau([list(r) for r in tableau], 0, tableau.k)
-        copy.cols = list(tableau.cols)
-        expected = copy, list(basis), list(obj)
+        copy = lp._Tableau([list(r) for r in tableau], list(tableau.cols), list(basis),
+                           list(obj), tableau.n, tableau.k)
+        expected = copy, copy.basis, copy.obj
         reference_pivot(*expected, row, entering)
         _, j, sign = entering
         pc = sign * tableau[row][j]
