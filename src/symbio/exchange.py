@@ -105,6 +105,7 @@ class ResourceStream:
     unit_treatment_cost: "Fraction | None" = None
 
     def __post_init__(self):
+        coalition((self.firm,))
         if self.kind not in (OFFER, DEMAND):
             raise SymbioError(f"stream kind must be offer or demand, got {self.kind!r}")
         carried = STREAM_COSTS[self.kind]
@@ -190,7 +191,7 @@ class ExchangeScenario:
         if self.n_agents < 1:
             raise SymbioError("a scenario needs at least one firm")
         for s in self.streams:
-            if not 0 <= s.firm < self.n_agents:
+            if s.firm >= self.n_agents:  # ResourceStream checked it is an agent id
                 raise SymbioError(f"stream firm {s.firm} outside roster of {self.n_agents}")
         # a negative cost names its route, as a missing one does
         for name, width in ("transport", 3), ("transaction", 2):

@@ -57,25 +57,24 @@ basic, 1 when its surplus is, scale - d_s when read off it): the optimal
 dual, u >= 0, u_r <= 1 on surplus rows, A^T u >= c and b.u the optimum.
 
 solve_lp is the cold entry. An LP without surplus columns also hands back
-its optimal dictionary (LPResult.dictionary), which a caller keeps and
-re-enters for an LP one basic column away, as the exchange's branch and
-bound does for each child of a node: it branches on a fractional value,
-and a nonbasic column is 0. Each entry works on a copy, built by one
-_Tableau call as solve_lp's slack basis is, which shares the parent's rows
-(a pivot replaces a row and never edits one), so one parent serves both
-its children; logical column numbers never change.
-with_cost(col, delta) raises the column's cost: its row, times delta, is
-added to the cost row; the basis stays feasible and primal Bland pivots
-run from it. with_zero(col) holds the column at 0. col leaves its row by
-a dual-simplex step, its slot is dropped from every row, and then
-dual-simplex steps with Bland's rule (Lemke 1954) clear each negative rhs,
-the row of the least basic column first; primal pivots finish, and find
-nothing to do on an optimal parent. A dual step enters the slot of least
-ratio d_j / a over the row's cells a of the right sign, ties to the least
-logical column, which keeps every reduced cost >= 0. Where that cell is
-negative, the stored row is negated first, scale included: the same row,
-its cell now positive, so _pivot runs as it is and every row's scale
-stays > 0.
+its optimal dictionary (LPResult.dictionary), which a caller re-enters for
+an LP one basic column away, as the exchange's branch and bound does for
+each child of a node (it branches on a fractional value; a nonbasic column
+is 0). Each entry works on a copy, built by one _Tableau call, which
+shares the parent's rows (a pivot replaces a row and never edits one), so
+one parent serves both its children; column numbers never change.
+
+Every entry builds or copies, edits, then calls _Tableau.solve, the one
+place a dictionary reaches its optimum: dual-simplex steps with Bland's
+rule (Lemke 1954) clear each negative rhs, the row of the least basic
+column first, then primal Bland pivots run. So solve needs every rhs >= 0,
+or every reduced cost >= 0. with_cost(col, delta) adds col's row, times
+delta, to the cost row; every rhs stays >= 0. with_zero(col) holds col at
+0: col leaves its row by a dual step, which keeps every other reduced cost
+>= 0, and its slot is dropped. A dual step enters the slot of least ratio
+d_j / a over the row's cells a of the right sign, ties to the least
+logical column; where that cell is negative, the row is negated first,
+scale included, so _pivot runs as it is and every scale stays > 0.
 """
 
 from __future__ import annotations
@@ -103,10 +102,11 @@ class _Tableau(list):
     """The dictionary: its stored rows; cols[j] is the logical column stored
     in slot j, basis[i] the one basic in row i, obj the cost row; n
     structural columns, surplus columns n..n+k-1, and slack n + k + r
-    mirroring surplus n + r. Only the constructor sets a field; pivots
-    change cols, basis, obj and the rows in place. Without surplus columns
-    an optimal dictionary may be re-entered on one basic structural column
-    (with_cost, with_zero; the module docstring).
+    mirroring surplus n + r. Only the constructor sets a field; pivots,
+    which take the dictionary alone, change cols, basis, obj and the rows
+    in place, and solve() is the one loop that runs them to an optimum.
+    Without surplus columns an optimal dictionary may be re-entered on one
+    basic structural column (with_cost, with_zero; the module docstring).
     """
 
     __slots__ = ("cols", "basis", "obj", "n", "k")
@@ -116,9 +116,13 @@ class _Tableau(list):
         self.cols, self.basis, self.obj, self.n, self.k = cols, basis, obj, n, k
 
     def solve(self) -> LPResult:
-        """Run Bland-rule pivots from this feasible basis, in place, and
-        read off the optimum."""
-        if not _pivot_until_optimal(self, self.basis, self.obj):
+        """Bring this dictionary to its optimum in place and read it off:
+        Bland dual steps clear each negative rhs, then primal Bland pivots
+        run (the module docstring). Needs every rhs >= 0, as solve_lp's and
+        with_cost's have, or every reduced cost >= 0 and a feasible LP."""
+        while negative := [i for i, row in enumerate(self) if row[-2] < 0]:
+            _dual_pivot(self, min(negative, key=self.basis.__getitem__))
+        if not _pivot_until_optimal(self):
             return LPResult("unbounded")
         n, k, obj = self.n, self.k, self.obj
         x = [(0, 1)] * n
@@ -154,24 +158,14 @@ class _Tableau(list):
 
     def with_zero(self, col) -> LPResult:
         """The LP with basic structural column col held at 0, still feasible
-        at x = 0. col leaves its row by a dual-simplex step, and its slot is
-        dropped from every row; dual-simplex pivots with Bland's rule (Lemke
-        1954) then clear every negative rhs, the row of the least basic
-        column first, and primal pivots finish."""
+        at x = 0: col leaves its row by a dual-simplex step, its slot is
+        dropped from every row, and solve() clears the rhs that step left
+        negative."""
         lp = self._copy(list(self.obj))
-        basis, cols = lp.basis, lp.cols
-        i = basis.index(col)
-        # a positive cell a keeps the entering x_j = beta / a >= 0; with
-        # none, beta is 0 (x = 0 is feasible) and a negative cell enters
-        _dual_pivot(lp, i, flip=not any(v > 0 for v in lp[i][:-2]))
-        j = cols.index(col)
-        del cols[j], lp.obj[j]
+        _dual_pivot(lp, lp.basis.index(col))
+        j = lp.cols.index(col)
+        del lp.cols[j], lp.obj[j]
         lp[:] = [row[:j] + row[j + 1:] for row in lp]
-        while True:
-            negative = [i for i, row in enumerate(lp) if row[-2] < 0]
-            if not negative:
-                break
-            _dual_pivot(lp, min(negative, key=basis.__getitem__), flip=True)
         return lp.solve()
 
 
@@ -219,28 +213,27 @@ def _primitive(row):
     return row if g == 1 else [v // g for v in row]
 
 
-def _entering(tableau, obj):
+def _entering(tableau):
     """Bland's rule: (col, j, sign) for the smallest logical column col with
     a negative reduced cost, stored as sign times slot j, or None. A mirrored
     slack is read off its surplus's slot (sign -1) and costs obj[-1] - d_s."""
     best = None
-    k = tableau.k
-    lo = len(tableau.cols)
-    hi = lo + k
+    obj, n, k = tableau.obj, tableau.n, tableau.k
     for j, col in enumerate(tableau.cols):
         d = obj[j]
         if d < 0:
             if best is None or col < best[0]:
                 best = col, j, 1
-        elif k and d > obj[-1] and lo <= col < hi and (best is None or col + k < best[0]):
+        elif k and d > obj[-1] and n <= col < n + k and (best is None or col + k < best[0]):
             best = col + k, j, -1
     return best
 
 
-def _pivot_until_optimal(tableau, basis, obj) -> bool:
+def _pivot_until_optimal(tableau) -> bool:
     """Run Bland-rule pivots in place; False means unbounded."""
+    basis = tableau.basis
     while True:
-        entering = _entering(tableau, obj)
+        entering = _entering(tableau)
         if entering is None:
             return True
         _, j, sign = entering
@@ -258,18 +251,18 @@ def _pivot_until_optimal(tableau, basis, obj) -> bool:
                 row, rhs_best, a_best = i, trow[-2], a
         if row is None:
             return False
-        _pivot(tableau, basis, obj, row, entering)
+        _pivot(tableau, row, entering)
 
 
-def _pivot(tableau, basis, obj, row, entering):
-    """Make _entering's (col, j, sign) basic in row; obj is updated in place."""
+def _pivot(tableau, row, entering):
+    """Make _entering's (col, j, sign) basic in row, all in place."""
     col, j, sign = entering
+    basis, obj, n, k = tableau.basis, tableau.obj, tableau.n, tableau.k
     prow = tableau[row]
     leaving, basis[row] = basis[row], col
     pc = sign * prow[j]
     # the leaving column's cell in the pivot row is its scale s; a mirrored
     # slack is stored as its surplus, minus that
-    n, k = len(tableau.cols), tableau.k
     mirror = -1 if n + k <= leaving < n + 2 * k else 1
     tableau.cols[j] = leaving - k if mirror < 0 else leaving
     s = prow[-1]
@@ -299,16 +292,18 @@ def _pivot(tableau, basis, obj, row, entering):
     obj[:] = new if new[-1] == 1 else _primitive(new)
 
 
-def _dual_pivot(tableau, row, flip):
+def _dual_pivot(tableau, row):
     """A dual-simplex step: row's basic column leaves, and the slot j with
     the least obj[j] / a over the row's positive cells a enters (ties to the
     least logical column), which keeps every other reduced cost >= 0, and
-    the leaving column's too when its true cell is negative. flip first
-    negates the stored row, scale included: the same row, its negative
-    cells now positive. _pivot then gives the pivot row its positive cell as
-    scale, and every other row a positive multiple of its own."""
+    the leaving column's too when its true cell is negative. A row of
+    negative rhs, or with no positive cell, is negated first, scale
+    included (on with_zero's row of rhs beta >= 0 a positive cell keeps
+    the entering beta / a >= 0; with none beta is 0, as x = 0 is
+    feasible). _pivot then gives the pivot row its positive cell as scale,
+    and every other row a positive multiple of its own."""
     prow = tableau[row]
-    if flip:
+    if prow[-2] < 0 or not any(v > 0 for v in prow[:-2]):
         prow = tableau[row] = [-v for v in prow]
     obj, cols = tableau.obj, tableau.cols
     best = None
@@ -316,4 +311,4 @@ def _dual_pivot(tableau, row, flip):
         if a > 0 and (best is None or obj[j] * prow[best] < obj[best] * a or (
                 obj[j] * prow[best] == obj[best] * a and cols[j] < cols[best])):
             best = j
-    _pivot(tableau, tableau.basis, obj, row, (cols[best], best, 1))
+    _pivot(tableau, row, (cols[best], best, 1))

@@ -777,13 +777,15 @@ def traced_pivots(module, call):
     pivots = []
     pivot = module._pivot
 
-    def spy(tableau, basis, obj, row, entering):
-        if module is lp:  # entering is lp._entering's (col, j, sign)
+    def spy(tableau, *args):
+        if module is lp:  # (row, entering), entering lp._entering's (col, j, sign)
+            (row, entering), basis = args, tableau.basis
             col, element = entering[0], lp_entry(tableau, row, entering)
-        else:
-            col, element = entering, tableau[row][entering]
+        else:  # (basis, obj, row, col)
+            basis, _, row, col = args
+            element = tableau[row][col]
         pivots.append((row, col, basis[row], element, len(tableau[row])))
-        pivot(tableau, basis, obj, row, entering)
+        pivot(tableau, *args)
 
     module._pivot = spy
     try:

@@ -204,7 +204,11 @@ def test_missing_transport_entry_rejected():
      "transport cost from [0] to [1] for resource 'r' must be >= 0"),
     (lambda: ExchangeScenario(2, (), {}, {(0, 1): Fraction(-1, 2)}),
      "transaction cost from [0] to [1] must be >= 0"),
-], ids=["bad-kind", "no-firm", "firm-off-roster", "negative-transport", "negative-transaction"])
+    *((lambda firm=firm: waste_offer(firm, "r", 1, 1),
+       f"agent ids must be non-negative integers, got {firm!r}")
+      for firm in (1.0, "1", True, None, -1)),
+], ids=["bad-kind", "no-firm", "firm-off-roster", "negative-transport", "negative-transaction",
+        "float-firm", "str-firm", "bool-firm", "none-firm", "negative-firm"])
 def test_scenario_validation_messages(build, message):
     with pytest.raises(SymbioError) as e:
         build()

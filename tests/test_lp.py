@@ -312,7 +312,8 @@ def test_unit_pivots_keep_every_int(monkeypatch):
     source = None
     pivot = lp._pivot
 
-    def spy(tableau, basis, obj, row, entering):
+    def spy(tableau, row, entering):
+        basis, obj = tableau.basis, tableau.obj
         copy = lp._Tableau([list(r) for r in tableau], list(tableau.cols), list(basis),
                            list(obj), tableau.n, tableau.k)
         expected = copy, copy.basis, copy.obj
@@ -323,7 +324,7 @@ def test_unit_pivots_keep_every_int(monkeypatch):
         updates = [(i, target[j], target[-1]) for i, target in enumerate(tableau)
                    if i != row and target[j]]
         updates.append((None, oc, obj[-1]))  # the cost row
-        pivot(tableau, basis, obj, row, entering)
+        pivot(tableau, row, entering)
         assert (tableau, tableau.cols, basis, obj) == (copy, copy.cols, *expected[1:])
         seen[source] += 1
         for i, t, scale in updates:
@@ -378,15 +379,17 @@ def test_reentry_matches_a_cold_fraction_solve(monkeypatch):
     step leaves each row's scale > 0 and each reduced cost >= 0 but the
     held column's, whose slot is dropped, so with_zero's primal pivots find
     nothing left to do. Such steps run at least 30 times on the held
-    column's row and on rows of negative rhs."""
+    column's row and on rows of negative rhs; cold solves and with_cost
+    take none, and each with_zero entry at least its first."""
     rng = random.Random(20180419)
     seen = Counter()
     dual_pivot = lp._dual_pivot
 
-    def spy(tableau, row, flip):
+    def spy(tableau, row):
         first, leaving = tableau[row][-2] >= 0, tableau.basis[row]
         seen["dual step", "first" if first else "rhs < 0"] += 1
-        dual_pivot(tableau, row, flip)
+        seen[entry, "dual steps"] += 1
+        dual_pivot(tableau, row)
         # the held column's own cost may turn negative: its slot goes next
         assert all(d >= 0 for d, col in zip(tableau.obj, tableau.cols)
                    if not (first and col == leaving))
@@ -396,6 +399,7 @@ def test_reentry_matches_a_cold_fraction_solve(monkeypatch):
     for _ in range(1500):
         (c, a_ub, b_ub), _ = _random_lp(rng)
         c, a_ub, b_ub = _int_lp(c, a_ub, b_ub)
+        entry = "cold"
         result, held = solve_lp(c, a_ub, b_ub), set()
         for _ in range(3):
             if result.status != "optimal":
@@ -405,8 +409,9 @@ def test_reentry_matches_a_cold_fraction_solve(monkeypatch):
             if not basic:
                 break
             col = rng.choice(basic)
-            step = "cost" if rng.random() < 0.5 else "zero"
+            step = entry = "cost" if rng.random() < 0.5 else "zero"
             seen[step, "entries"] += 1
+            steps = seen[step, "dual steps"]
             seen[step, "degenerate"] += any(row[-2] == 0 for row in dictionary)
             if step == "cost":
                 delta = rng.choice([-3, -2, -1, 1, 2, 5])
@@ -415,6 +420,7 @@ def test_reentry_matches_a_cold_fraction_solve(monkeypatch):
             else:
                 result = dictionary.with_zero(col)
                 held.add(col)
+                assert seen[step, "dual steps"] > steps
             kept = [j for j in range(len(c)) if j not in held]
             expected = fraction_solve_lp([c[j] for j in kept], [[row[j] for j in kept]
                                                                 for row in a_ub], b_ub, maximize=True)
@@ -428,3 +434,46 @@ def test_reentry_matches_a_cold_fraction_solve(monkeypatch):
     assert min(seen[step, kind] for step in ("cost", "zero")
                for kind in ("entries", "degenerate")) >= 50, seen
     assert min(seen["dual step", row] for row in ("first", "rhs < 0")) >= 30, seen
+    assert seen["cold", "dual steps"] == seen["cost", "dual steps"] == 0, seen
+
+
+def test_solve_clears_negative_rhs_by_dual_steps(monkeypatch):
+    """solve() from a dictionary with every reduced cost >= 0 and some rhs
+    < 0 takes dual-simplex steps to a feasible basis, then primal pivots
+    to the optimum. The LPs are random covering LPs, min c.x subject to
+    A x >= b, x >= 0, with c >= 0 and A >= 0 holding a positive cell in
+    every row, so each is feasible and bounded: each is built straight
+    from its slack basis, rows -A x <= -b (rhs -b) and cost row c (the
+    maximization of -c.x). Status and objective are those of a cold
+    fraction_solve_lp, which takes negative right-hand sides, and x is
+    feasible and worth the objective. At least 50 LPs take a dual step."""
+    rng = random.Random(41)
+    dual_pivot, stepped = lp._dual_pivot, []
+
+    def spy(tableau, row):
+        stepped.append(row)
+        dual_pivot(tableau, row)
+
+    monkeypatch.setattr(lp, "_dual_pivot", spy)
+    seen = Counter()
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        c = [rng.choice([0, rng.randint(1, 9)]) for _ in range(n)]
+        a = [[rng.choice([0, 0, rng.randint(1, 6)]) for _ in range(n)] for _ in range(m)]
+        for row in a:
+            row[rng.randrange(n)] = rng.randint(1, 6)
+        b = [rng.choice([0, rng.randint(1, 12)]) for _ in range(m)]
+        rows = [[-v for v in row] + [-rhs, 1] for row, rhs in zip(a, b)]
+        slacks = list(range(n, n + m))
+        stepped.clear()
+        result = lp._Tableau(rows, list(range(n)), slacks, c + [0, 1], n, 0).solve()
+        expected = fraction_solve_lp([-v for v in c], [[-v for v in row] for row in a],
+                                     [-v for v in b], maximize=True)
+        assert result.status == expected.status == "optimal", (c, a, b)
+        r = lp_fractions(result)
+        assert r.objective == lp_fractions(expected).objective, (c, a, b)
+        assert all(v >= 0 for v in r.x)
+        assert all(sum(map(mul, row, r.x)) >= rhs for row, rhs in zip(a, b)), (c, a, b)
+        assert -sum(map(mul, c, r.x)) == r.objective
+        seen["dual steps" if stepped else "none"] += 1
+    assert seen["dual steps"] >= 50, seen
