@@ -33,6 +33,14 @@ from .mcnets import MCNet, MCNetRule, compose, from_isn_game
 from .solutions import _shapley_terms
 
 
+def _group(members: Iterable[int]) -> frozenset:
+    """The members as a coalition of two or more agents: the group-size rule."""
+    group = coalition(members)
+    if len(group) < 2:
+        raise SymbioError("group {} has fewer than two agents", group)
+    return group
+
+
 @dataclass(frozen=True)
 class Policy:
     """Groups the authority promotes or prohibits; any other group is permitted.
@@ -53,8 +61,7 @@ class Policy:
         for name in "promoted", "prohibited":
             groups = tuple(sorted(map(coalition, getattr(self, name)), key=mask_of))
             for group in groups:
-                if len(group) < 2:
-                    raise SymbioError("group {} has fewer than two agents", group)
+                _group(group)
                 if group in seen:
                     raise SymbioError("group {} labeled twice", group)
                 seen.add(group)
@@ -151,10 +158,7 @@ def synthesize_promotion(game, target: Iterable[int]):
     scan compares v(S) k! with the Shapley shares' sum, both ints over k! d
     (solutions._shapley_terms).
     """
-    target = coalition(target)
-    if len(target) < 2:
-        raise SymbioError("promotion targets need at least two members")
-    rule, needed, _ = _promotion(game, target)
+    rule, needed, _ = _promotion(game, _group(target))
     return rule, needed
 
 
@@ -166,10 +170,8 @@ def synthesize_prohibition(game, target: Iterable[int], epsilon) -> "MCNetRule |
     the target already sits exactly at -epsilon (a zero-valued rule is not
     representable, and none is needed).
     """
-    target = coalition(target)
+    target = _group(target)
     epsilon = as_money(epsilon)
-    if len(target) < 2:
-        raise SymbioError("prohibition targets need at least two members")
     if epsilon <= 0:
         raise SymbioError("prohibition margin must be > 0")
     tax = -(game.value(target) + epsilon)

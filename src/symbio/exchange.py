@@ -168,6 +168,8 @@ class ExchangeScenario:
     transaction maps (from_firm, to_firm) to a fixed cost charged once per
     activated ordered pair. Both must cover every pair of distinct firms
     with a matching offer/demand resource. Treat instances as immutable.
+    The roster's size and the streams' firms are checked by their owner,
+    games.check_roster, which names the smallest firm off the roster.
     """
 
     n_agents: int
@@ -188,11 +190,7 @@ class ExchangeScenario:
         object.__setattr__(
             self, "transaction", {k: as_money(v) for k, v in self.transaction.items()}
         )
-        if self.n_agents < 1:
-            raise SymbioError("a scenario needs at least one firm")
-        for s in self.streams:
-            if s.firm >= self.n_agents:  # ResourceStream checked it is an agent id
-                raise SymbioError(f"stream firm {s.firm} outside roster of {self.n_agents}")
+        check_roster([s.firm for s in self.streams], self.n_agents)
         # a negative cost names its route, as a missing one does
         for name, width in ("transport", 3), ("transaction", 2):
             for key, cost in getattr(self, name).items():
@@ -248,8 +246,7 @@ class ExchangeScenario:
 
 def t_value(scenario: ExchangeScenario, s: Iterable[int]) -> Fraction:
     """Baseline cost of a coalition: discharge every offer, buy every demand."""
-    members = coalition(s)
-    check_roster(members, scenario.n_agents)
+    members = check_roster(s, scenario.n_agents)
     total = Fraction(0)
     for stream in scenario.streams:
         if stream.firm not in members:

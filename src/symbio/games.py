@@ -365,8 +365,8 @@ def fraction_text(num, den: int = 1) -> str:
 
 
 def _check_agent_count(n_agents: int) -> None:
-    if n_agents < 1:
-        raise SymbioError("a game needs at least one agent")
+    """The roster size by its owner, check_roster, then ENUMERATION_BOUND."""
+    check_roster((), n_agents)
     if n_agents > ENUMERATION_BOUND:
         raise BoundExceeded(
             f"dense coalition table supports at most {ENUMERATION_BOUND} agents"
@@ -410,7 +410,7 @@ class ISNGame:
         is a coalition listed twice, such as (0, 1) next to (1, 0).
         """
         _check_agent_count(n_agents)
-        nums, dens = _scatter(n_agents, _columns(n_agents, values, "value"), "value")
+        nums, dens = _scatter(n_agents, _columns(n_agents, values), "value")
         return cls(n_agents, *_scaled([0 if v is None else v for v in nums], dens))
 
     @classmethod
@@ -429,27 +429,30 @@ class ISNGame:
 
     def value(self, s: Iterable[int]) -> Fraction:
         """v(S), read from the scaled table."""
-        s = coalition(s)
-        check_roster(s, self.n_agents)
+        s = check_roster(s, self.n_agents)
         return Fraction(self.scaled[mask_of(s)], self.denominator)
 
 
-def check_roster(s: frozenset, n_agents: int) -> None:
-    for i in s:
-        if i >= n_agents:
-            raise SymbioError(f"agent {i} not on a roster of {n_agents}")
+def check_roster(members: Iterable[int], n_agents: int) -> frozenset:
+    """The members as a coalition on a roster of n_agents: the one owner of
+    the roster rules, n_agents an int >= 1 (not a bool) and every id below
+    it (the smallest one off it named); coalition owns the id rule."""
+    if not isinstance(n_agents, int) or isinstance(n_agents, bool) or n_agents < 1:
+        raise SymbioError(f"a roster needs an int count of at least one agent, got {n_agents!r}")
+    s = coalition(members)
+    if s and max(s) >= n_agents:
+        raise SymbioError(f"agent {min(i for i in s if i >= n_agents)} not on a roster "
+                          f"of {n_agents}")
+    return s
 
 
-def _columns(n_agents: int, values: Mapping, name: str) -> "tuple[list, list, list]":
+def _columns(n_agents: int, values: Mapping) -> "tuple[list, list, list]":
     """(masks, numerators, denominators) of a {coalition: value} mapping,
-    in its order: each coalition's members checked to be ids on the roster,
-    each value read by money_terms."""
+    in its order: each coalition checked by check_roster, each value read
+    by money_terms."""
     masks, nums, dens = [], [], []
     for raw, val in values.items():
-        s = coalition(raw)
-        for i in s:
-            if i >= n_agents:
-                raise SymbioError(f"{name} table mentions agent {i}, roster has {n_agents}")
+        s = check_roster(raw, n_agents)
         num, den = money_terms(val)
         masks.append(mask_of(s))
         nums.append(num)
@@ -519,9 +522,7 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
     members. Construction succeeds even if the result is not superadditive;
     run check_superadditive separately to validate that claim.
     """
-    return game_from_masks(
-        n_agents, _columns(n_agents, t_table, "T"), _columns(n_agents, o_table, "O")
-    )
+    return game_from_masks(n_agents, _columns(n_agents, t_table), _columns(n_agents, o_table))
 
 
 def _halves(xs: list, bit: int) -> "tuple[list, list]":
@@ -672,14 +673,11 @@ def subgame(game, members: Iterable[int]) -> ISNGame:
     The restriction must itself be normalized (zero singleton values);
     coordinated games whose incentive rules target groups always are. The
     parent's worth of the empty set is not carried over. The parent's ints
-    are copied over its denominator, which ISNGame then reduces; its
-    constructor rejects a restriction with a nonzero singleton, since entry
-    1 << k is the parent's at 1 << (k-th member).
-    """
-    members = coalition(members)
-    check_roster(members, game.n_agents)
-    if not members:
-        raise SymbioError("subgame needs at least one member")
+    are copied over its denominator, which ISNGame then reduces. The owners
+    reject every fault: check_roster an id off the parent's roster, and
+    ISNGame an empty restriction (roster size 0) and a nonzero singleton
+    (entry 1 << k is the parent's at 1 << (k-th member))."""
+    members = check_roster(members, game.n_agents)
     scaled = game.scaled
     original = _sums([1 << i for i in sorted(members)])  # parent mask of each subgame mask
     return ISNGame(len(members), (0, *map(scaled.__getitem__, original[1:])), game.denominator)

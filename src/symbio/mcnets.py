@@ -47,18 +47,17 @@ class MCNet:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        if self.n_agents < 1:
-            raise SymbioError("a net needs at least one agent")
-        for rule in self.rules:
-            check_roster(rule.positive | rule.negative, self.n_agents)
+        rules = self.rules
+        check_roster(frozenset().union(*(r.positive for r in rules), *(r.negative for r in rules)),
+                     self.n_agents)
+        for rule in rules:
             if len(rule.negative) == self.n_agents:
                 raise SymbioError("negative pattern may not be the whole roster")
 
 
 def evaluate(net: MCNet, s: Iterable[int]) -> Fraction:
     """Sum of the values of the rules that apply to s."""
-    s = coalition(s)
-    check_roster(s, net.n_agents)
+    s = check_roster(s, net.n_agents)
     return sum(
         (rule.value for rule in net.rules if rule.positive <= s and not (rule.negative & s)),
         Fraction(0),

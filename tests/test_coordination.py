@@ -215,7 +215,7 @@ def test_enforce_sums_each_shapley_value_once(monkeypatch, capsys, tmp_path, pro
 
 
 def test_promotion_target_too_small(g3):
-    with pytest.raises(SymbioError, match="promotion targets need at least two members"):
+    with pytest.raises(SymbioError, match=r"group \[0\] has fewer than two agents"):
         synthesize_promotion(g3, {0})
 
 
@@ -229,7 +229,7 @@ def test_prohibition_rule(g3):
 
 
 def test_prohibition_validation(g3):
-    with pytest.raises(SymbioError, match="prohibition targets need at least two members"):
+    with pytest.raises(SymbioError, match=r"group \[0\] has fewer than two agents"):
         synthesize_prohibition(g3, {0}, 1)
     with pytest.raises(SymbioError, match="prohibition margin must be > 0"):
         synthesize_prohibition(g3, {0, 1}, 0)

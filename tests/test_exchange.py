@@ -197,9 +197,10 @@ def test_missing_transport_entry_rejected():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: ResourceStream(0, "r", "gift", 1), "stream kind must be offer or demand, got 'gift'"),
-    (lambda: ExchangeScenario(0, (), {}, {}), "a scenario needs at least one firm"),
+    (lambda: ExchangeScenario(0, (), {}, {}),
+     "a roster needs an int count of at least one agent, got 0"),
     (lambda: ExchangeScenario(2, (waste_offer(2, "r", 1, 1),), {}, {}),
-     "stream firm 2 outside roster of 2"),
+     "agent 2 not on a roster of 2"),
     (lambda: ExchangeScenario(2, (), {(0, 1, "r"): -1}, {}),
      "transport cost from [0] to [1] for resource 'r' must be >= 0"),
     (lambda: ExchangeScenario(2, (), {}, {(0, 1): Fraction(-1, 2)}),
@@ -207,8 +208,19 @@ def test_missing_transport_entry_rejected():
     *((lambda firm=firm: waste_offer(firm, "r", 1, 1),
        f"agent ids must be non-negative integers, got {firm!r}")
       for firm in (1.0, "1", True, None, -1)),
+    # several firms off the roster: the smallest is named, not the first stream's
+    (lambda: ExchangeScenario(2, (waste_offer(3, "r", 1, 1), waste_offer(2, "r", 1, 1)), {}, {}),
+     "agent 2 not on a roster of 2"),
+    *((lambda n=n: ExchangeScenario(n, (), {}, {}),
+       f"a roster needs an int count of at least one agent, got {n!r}")
+      for n in (True, 2.0, 2.5, "2", None)),
+    *((lambda n=n: scenario_to_game(ExchangeScenario(n, (), {}, {})),
+       f"a roster needs an int count of at least one agent, got {n!r}")
+      for n in (0, True, 2.0, 2.5, "2", None)),
 ], ids=["bad-kind", "no-firm", "firm-off-roster", "negative-transport", "negative-transaction",
-        "float-firm", "str-firm", "bool-firm", "none-firm", "negative-firm"])
+        "float-firm", "str-firm", "bool-firm", "none-firm", "negative-firm", "firms-off-roster",
+        *(f"size-{n!r}" for n in (True, 2.0, 2.5, "2", None)),
+        *(f"scenario_to_game-size-{n!r}" for n in (0, True, 2.0, 2.5, "2", None))])
 def test_scenario_validation_messages(build, message):
     with pytest.raises(SymbioError) as e:
         build()

@@ -75,7 +75,7 @@ def test_missing_coalition_rejected():
 
 
 def test_out_of_roster_table_entry_rejected():
-    with pytest.raises(SymbioError, match=r"T table mentions agent 3, roster has 2"):
+    with pytest.raises(SymbioError, match=r"agent 3 not on a roster of 2"):
         make_isn_game(2, {(0, 3): 1}, {(0, 3): 0})
 
 
@@ -838,11 +838,21 @@ def test_subgame_of_grand_coalition_is_same_game(g3):
 
 @pytest.mark.parametrize("call, message", [
     (lambda g3: coalition([-1]), "agent ids must be non-negative integers, got -1"),
-    (lambda g3: subgame(g3, []), "subgame needs at least one member"),
+    (lambda g3: subgame(g3, []), "a roster needs an int count of at least one agent, got 0"),
     # a rule worth 3 on every coalition without agent 0, singletons {1} and {2} included
     (lambda g3: subgame(CoordinatedGame(g3, MCNet(3, (MCNetRule(set(), {0}, 3),))), {1, 2}),
      "normalized games are worth 0 on the empty set and singletons"),
-], ids=["negative-agent", "empty-subgame", "nonzero-singleton-subgame"])
+    # every builder takes the roster size from check_roster, a bool or a float included
+    *((lambda g3, build=build, n=n: build(n),
+       f"a roster needs an int count of at least one agent, got {n!r}")
+      for build in (lambda n: ISNGame(n, (0, 0, 0, 0)), lambda n: ISNGame.from_values(n, {}),
+                    lambda n: ISNGame.from_table(n, [0, 0, 0, 0]),
+                    lambda n: make_isn_game(n, {}, {}))
+      for n in (0, True, 2.0, 2.5, "2", None)),
+], ids=["negative-agent", "empty-subgame", "nonzero-singleton-subgame",
+        *(f"{build}-size-{n!r}" for build in ("ISNGame", "from_values", "from_table",
+                                               "make_isn_game")
+          for n in (0, True, 2.0, 2.5, "2", None))])
 def test_coalition_and_subgame_validation_messages(g3, call, message):
     with pytest.raises(SymbioError) as e:
         call(g3)

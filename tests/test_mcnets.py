@@ -42,9 +42,11 @@ def test_rule_validation():
     for rule, agent in (MCNetRule({5}, set(), 1), 5), (MCNetRule({0}, {2}, 1), 2):
         with pytest.raises(SymbioError, match=f"agent {agent} not on a roster of 2"):
             MCNet(2, (rule,))
-    with pytest.raises(SymbioError) as e:
-        MCNet(0, ())
-    assert str(e.value) == "a net needs at least one agent"
+    for n in (0, True, 2.0, 2.5, "2", None):
+        for build in (lambda: MCNet(n, ()), lambda: rule_shapley(RULE, n)):
+            with pytest.raises(SymbioError) as e:
+                build()
+            assert str(e.value) == f"a roster needs an int count of at least one agent, got {n!r}"
 
 
 def test_evaluate_sums_applicable_rules(g3):
