@@ -270,10 +270,9 @@ def members_of(mask: int) -> frozenset:
 
 
 def coalitions(n_agents: int, min_size: int = 0) -> Iterator[frozenset]:
-    """All coalitions of an n-agent roster in ascending bitmask order."""
-    for mask in range(1 << n_agents):
-        if mask.bit_count() >= min_size:
-            yield members_of(mask)
+    """All coalitions of a roster check_roster takes, in ascending bitmask order."""
+    check_roster((), n_agents)
+    return (members_of(mask) for mask in range(1 << n_agents) if mask.bit_count() >= min_size)
 
 
 def _check_bits(count: int, d: int) -> None:

@@ -2,16 +2,17 @@
 
 A rule (positive, negative) -> value applies to a coalition S when every
 positive agent is in S and no negative agent is. A net's worth for S is the
-sum of the values of its rules that apply. Games and incentive regulations
-share this representation, which is what makes coordinating them a
-concatenation.
+sum of the values of its rules that apply, and its Shapley value the sum of
+one closed form per rule (Ieong & Shoham, EC 2005). Games and incentive
+regulations share this representation, which is what makes coordinating
+them a concatenation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 from .errors import SymbioError
@@ -84,31 +85,30 @@ def from_isn_game(game: ISNGame) -> MCNet:
 
 
 def rule_shapley(rule: MCNetRule, n_agents: int) -> "tuple[Fraction, ...]":
-    """Shapley allocation of a single rule's indicator game.
-
-    With p positive and q negative agents, each positive agent gets
-    value * (p-1)! q! / (p+q)! and each negative agent gets
-    -value * p! (q-1)! / (p+q)!; everyone else gets zero. Matches the
-    permutation average exactly (property-tested against it).
-    """
-    check_roster(rule.positive | rule.negative, n_agents)
-    p, q = len(rule.positive), len(rule.negative)
-    total = factorial(p + q)
-    out = [Fraction(0)] * n_agents
-    for i in rule.positive:
-        out[i] = rule.value * Fraction(factorial(p - 1) * factorial(q), total)
-    for i in rule.negative:
-        out[i] = -rule.value * Fraction(factorial(p) * factorial(q - 1), total)
-    return tuple(out)
+    """Shapley allocation of a single rule's indicator game: the one-rule net."""
+    return net_shapley(MCNet(n_agents, (rule,)))
 
 
 def net_shapley(net: MCNet) -> "tuple[Fraction, ...]":
-    """Shapley allocation of a whole net: rule-wise sums, by linearity."""
-    out = [Fraction(0)] * net.n_agents
-    for rule in net.rules:
-        for i, share in enumerate(rule_shapley(rule, net.n_agents)):
-            out[i] += share
-    return tuple(out)
+    """Shapley allocation of a net: one closed form per rule, by linearity.
+
+    A rule with p positive and q negative agents gives each positive agent
+    value * (p-1)! q! / (p+q)!, each negative one -value * p! (q-1)! / (p+q)!
+    and the rest zero. The sums are ints over d = lcm(value denominators) * m!,
+    m the largest p + q (every (p+q)! divides m!); MCNet checked the roster.
+    """
+    rules = net.rules
+    m = max((len(r.positive) + len(r.negative) for r in rules), default=0)
+    d = lcm(*(r.value.denominator for r in rules)) * factorial(m)
+    out = [0] * net.n_agents
+    for rule in rules:
+        p, q = len(rule.positive), len(rule.negative)
+        v = rule.value.numerator * (d // rule.value.denominator) // factorial(p + q)
+        for i in rule.positive:
+            out[i] += v * factorial(p - 1) * factorial(q)
+        for i in rule.negative:
+            out[i] -= v * factorial(p) * factorial(q - 1)
+    return tuple(Fraction(x, d) for x in out)
 
 
 def compose(a: MCNet, b: MCNet) -> MCNet:

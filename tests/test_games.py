@@ -847,11 +847,11 @@ def test_subgame_of_grand_coalition_is_same_game(g3):
        f"a roster needs an int count of at least one agent, got {n!r}")
       for build in (lambda n: ISNGame(n, (0, 0, 0, 0)), lambda n: ISNGame.from_values(n, {}),
                     lambda n: ISNGame.from_table(n, [0, 0, 0, 0]),
-                    lambda n: make_isn_game(n, {}, {}))
+                    lambda n: make_isn_game(n, {}, {}), coalitions)
       for n in (0, True, 2.0, 2.5, "2", None)),
 ], ids=["negative-agent", "empty-subgame", "nonzero-singleton-subgame",
         *(f"{build}-size-{n!r}" for build in ("ISNGame", "from_values", "from_table",
-                                               "make_isn_game")
+                                               "make_isn_game", "coalitions")
           for n in (0, True, 2.0, 2.5, "2", None))])
 def test_coalition_and_subgame_validation_messages(g3, call, message):
     with pytest.raises(SymbioError) as e:

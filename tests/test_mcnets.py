@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symbio.mcnets
 from symbio.errors import SymbioError
 from symbio.games import ISNGame, coalitions, make_isn_game
 from symbio.mcnets import (
@@ -18,7 +19,13 @@ from symbio.mcnets import (
 )
 from symbio.solutions import shapley
 
-from helpers import perm_shapley, random_game, rule_indicator_value, subset_shapley
+from helpers import (
+    fractions_made,
+    perm_shapley,
+    random_game,
+    rule_indicator_value,
+    subset_shapley,
+)
 
 RULE = MCNetRule({0, 1}, {2}, 6)
 
@@ -39,6 +46,9 @@ def test_rule_validation():
         MCNetRule({0}, set(), 0)
     with pytest.raises(ValueError):
         MCNet(2, (MCNetRule(set(), {0, 1}, 1),))  # negative == whole roster
+    # the one-rule net: MCNet decides which rules a roster takes
+    with pytest.raises(SymbioError, match="negative pattern may not be the whole roster"):
+        rule_shapley(MCNetRule(set(), {0, 1}, 1), 2)
     for rule, agent in (MCNetRule({5}, set(), 1), 5), (MCNetRule({0}, {2}, 1), 2):
         with pytest.raises(SymbioError, match=f"agent {agent} not on a roster of 2"):
             MCNet(2, (rule,))
@@ -166,6 +176,23 @@ def test_net_shapley_on_g3(g3):
     assert net_shapley(MCNet(3, ())) == (0, 0, 0)
     single = MCNet(3, (MCNetRule({0, 1}, set(), 10),))
     assert net_shapley(single) == (5, 5, 0)
+
+
+def test_net_shapley_reads_each_rule_once(monkeypatch):
+    # one closed form per rule, summed as ints: one Fraction per agent at
+    # the end, and no roster check, since MCNet checked every rule
+    n = 10
+    game = random_game(random.Random(17), n)
+    net = from_isn_game(game)
+    checks = []
+    real = symbio.mcnets.check_roster
+    monkeypatch.setattr(symbio.mcnets, "check_roster",
+                        lambda *args: checks.append(args) or real(*args))
+    with fractions_made() as made:
+        phi = net_shapley(net)
+    assert len(made) <= n
+    assert checks == []
+    assert phi == shapley(game)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=6))

@@ -5,6 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,8 @@ def test_subset_formula_shapley_on_coordinated_games():
         n = rng.randint(2, 6)
         game = random_game(rng, n)
         net = random_net(rng, n)
+        # its largest rule is often smaller than the roster: the m! scale
+        assert net_shapley(net) == perm_shapley(n, partial(evaluate, net))
         # a negative-only pattern: worth on the empty set and on singletons
         outsider = rng.randrange(n)
         net = MCNet(n, net.rules + (MCNetRule(set(), {outsider}, rng.randint(1, 9)),))
