@@ -16,20 +16,20 @@ from math import factorial, lcm
 from typing import Iterable
 
 from .errors import SymbioError
-from .games import ISNGame, as_money, check_roster, coalition, members_of
+from .games import ISNGame, as_money, check_roster
 
 
 @dataclass(frozen=True)
 class MCNetRule:
-    """positive/negative agent patterns mapped to a nonzero value."""
+    """positive/negative agent patterns mapped to a nonzero value; MCNet checks their ids."""
 
     positive: frozenset
     negative: frozenset
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "positive", coalition(self.positive))
-        object.__setattr__(self, "negative", coalition(self.negative))
+        object.__setattr__(self, "positive", frozenset(self.positive))
+        object.__setattr__(self, "negative", frozenset(self.negative))
         object.__setattr__(self, "value", as_money(self.value))
         if self.positive & self.negative:
             raise SymbioError("positive and negative patterns must be disjoint")
@@ -71,17 +71,16 @@ def from_isn_game(game: ISNGame) -> MCNet:
     For every S with two or more members and nonzero worth, emit
     (S, roster minus S) -> v(S), in ascending subset order. Exactly one of
     these rules applies to any coalition, so evaluation reproduces the game.
+    Each mask's members are built once, by doubling, and shared by rules.
     """
     n = game.n_agents
-    full_mask = (1 << n) - 1
+    full = (1 << n) - 1
     scaled, d = game.scaled, game.denominator
-    rules = []
-    for mask in range(1 << n):
-        if mask.bit_count() < 2 or not scaled[mask]:
-            continue
-        v = Fraction(scaled[mask], d)
-        rules.append(MCNetRule(members_of(mask), members_of(full_mask & ~mask), v))
-    return MCNet(n, tuple(rules))
+    sets = [frozenset()]
+    for i in range(n):
+        sets += [s | {i} for s in sets]
+    return MCNet(n, tuple(MCNetRule(sets[mask], sets[full ^ mask], Fraction(scaled[mask], d))
+                          for mask in range(1 << n) if mask.bit_count() >= 2 and scaled[mask]))
 
 
 def rule_shapley(rule: MCNetRule, n_agents: int) -> "tuple[Fraction, ...]":

@@ -533,6 +533,17 @@ def random_net(rng, n):
     return MCNet(n, tuple(rules))
 
 
+def canonical_rules(game):
+    """The canonical net's rules from the definition: for each S of two or
+    more members with v(S) != 0, in ascending mask order, (S, roster minus
+    S) -> v(S), each pattern made by its own members_of call."""
+    n = game.n_agents
+    full = (1 << n) - 1
+    worth = {mask: game.value(members_of(mask)) for mask in range(1 << n) if mask.bit_count() >= 2}
+    return tuple(MCNetRule(members_of(mask), members_of(full & ~mask), v)
+                 for mask, v in worth.items() if v)
+
+
 def random_scenario(rng, n, resources=("r", "s"), max_qty=10, denominators=None):
     """Exchange scenario; every firm gets 1-2 streams. Amounts are ints, or
     with denominators each drawn int is a numerator over one of them, drawn

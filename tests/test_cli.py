@@ -1267,6 +1267,46 @@ def test_agent_named_empty_keeps_its_keys_apart(capsys, tmp_path):
     assert "coalition values:\n  ,B = 1\n" in out
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=6))
+@settings(max_examples=25, deadline=None)
+def test_mcnet_report_names_each_rule(tmp_path_factory, seed, n):
+    """symbio mcnet --format json gives one rule per S of two or more
+    members with v(S) != 0, in ascending mask order: S's names in roster
+    order, then the others' (none for the grand coalition), and str(v(S));
+    one agent is named "", and worths are negative, fractional or zero."""
+    import random
+
+    rng = random.Random(seed)
+    names = [f"F{i}" for i in range(n)]
+    names[rng.randrange(n)] = ""
+    full = (1 << n) - 1
+    worth = {mask: rng.choice([Fraction(0), Fraction(rng.randint(-9, 9)),
+                               Fraction(rng.randint(-20, 20), rng.randint(1, 6))])
+             for mask in range(1 << n) if mask.bit_count() >= 2}
+    worth[full] = worth[full] or Fraction(rng.choice([-1, 1]), rng.randint(1, 6))
+    t_table, o_table = {}, {}
+    for mask, v in worth.items():
+        key = ",".join(names[i] for i in range(n) if mask >> i & 1)
+        o = Fraction(rng.randint(0, 30), rng.randint(1, 4))
+        t_table[key], o_table[key] = str(v + o), str(o)
+    path = tmp_path_factory.getbasetemp() / "mcnet.json"
+    path.write_text(json.dumps({"agents": names, "tables": {"T": t_table, "O": o_table}}),
+                    encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["mcnet", str(path), "--format", "json"]) == 0
+    report = json.loads(out.getvalue())
+    assert report == {
+        "command": "mcnet",
+        "agents": names,
+        "rules": [{"positive": [names[i] for i in range(n) if mask >> i & 1],
+                   "negative": [names[i] for i in range(n) if not mask >> i & 1],
+                   "value": str(v)}
+                  for mask, v in sorted(worth.items()) if v],
+    }
+    assert report["rules"][-1] == {"positive": names, "negative": [], "value": str(worth[full])}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_scenario_files_are_read_as_utf8(capsys, tmp_path, fmt):
     """JSON text is UTF-8 (RFC 8259 section 8.1): a file naming an agent

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symbio.games
 import symbio.mcnets
+from symbio.cli import load_scenario
 from symbio.errors import SymbioError
 from symbio.games import ISNGame, coalitions, make_isn_game
 from symbio.mcnets import (
@@ -20,6 +23,7 @@ from symbio.mcnets import (
 from symbio.solutions import shapley
 
 from helpers import (
+    canonical_rules,
     fractions_made,
     perm_shapley,
     random_game,
@@ -27,6 +31,7 @@ from helpers import (
     subset_shapley,
 )
 
+DATA = Path(__file__).parent / "data"
 RULE = MCNetRule({0, 1}, {2}, 6)
 
 
@@ -57,6 +62,12 @@ def test_rule_validation():
             with pytest.raises(SymbioError) as e:
                 build()
             assert str(e.value) == f"a roster needs an int count of at least one agent, got {n!r}"
+    # a rule builds with any ids; the first net that takes it checks them
+    for agent in (-1, "a", True, 1.0):
+        rule = MCNetRule({agent}, set(), 1)
+        with pytest.raises(SymbioError) as e:
+            MCNet(3, (rule,))
+        assert str(e.value) == f"agent ids must be non-negative integers, got {agent!r}"
 
 
 def test_evaluate_sums_applicable_rules(g3):
@@ -87,6 +98,43 @@ def test_transformation_trivial_cases():
     assert from_isn_game(make_isn_game(1, {}, {})).rules == ()
     all_zero = ISNGame.from_values(3, {})
     assert from_isn_game(all_zero).rules == ()
+
+
+def test_canonical_net_builds_each_pattern_once(monkeypatch):
+    # each mask's members are made once and shared, and MCNet's roster check
+    # is the one id check: no members_of per pattern, no coalition per rule
+    n = 10
+    game = random_game(random.Random(29), n, lo=1)
+    calls = {"coalition": 0, "members_of": 0}
+
+    def spy(name, real):
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+        return counting
+
+    reals = {name: getattr(symbio.games, name) for name in calls}
+    for module in symbio.games, symbio.mcnets:
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, reals[name]))
+    net = from_isn_game(game)
+    assert len(net.rules) == (1 << n) - n - 1
+    assert calls["coalition"] <= 1
+    assert calls["members_of"] == 0
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=8))
+@settings(max_examples=40, deadline=None)
+def test_canonical_net_matches_one_members_of_pair_per_rule(seed, n):
+    game = random_game(random.Random(seed), n)
+    assert from_isn_game(game).rules == canonical_rules(game)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda path: path.name)
+def test_canonical_net_matches_one_members_of_pair_per_rule_on_data(path):
+    game = load_scenario(str(path)).game
+    assert from_isn_game(game).rules == canonical_rules(game)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
