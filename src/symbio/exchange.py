@@ -89,11 +89,11 @@ STREAM_COSTS = {
 class ResourceStream:
     """One firm's offered waste or demanded input for a single resource.
 
-    Offers carry the per-unit discharge cost avoided when the waste is
-    shipped instead of dumped. Demands carry the per-unit purchase cost of
-    the virgin input they would otherwise buy plus the per-unit treatment
-    cost of making received waste usable. Amounts are coerced by as_money,
-    so a binary float raises TypeError.
+    Offers carry the per-unit discharge cost avoided when the waste is shipped
+    instead of dumped. Demands carry the per-unit purchase cost of the virgin
+    input they would otherwise buy plus the per-unit treatment cost of making
+    received waste usable. Amounts are coerced by as_money, so a binary float
+    raises TypeError; any firm builds, and the scenario taking the stream checks it.
     """
 
     firm: int
@@ -105,7 +105,6 @@ class ResourceStream:
     unit_treatment_cost: "Fraction | None" = None
 
     def __post_init__(self):
-        coalition((self.firm,))
         if self.kind not in (OFFER, DEMAND):
             raise SymbioError(f"stream kind must be offer or demand, got {self.kind!r}")
         carried = STREAM_COSTS[self.kind]
@@ -168,8 +167,8 @@ class ExchangeScenario:
     transaction maps (from_firm, to_firm) to a fixed cost charged once per
     activated ordered pair. Both must cover every pair of distinct firms
     with a matching offer/demand resource. Treat instances as immutable.
-    The roster's size and the streams' firms are checked by their owner,
-    games.check_roster, which names the smallest firm off the roster.
+    The roster's size and every stream's firm go to one games.check_roster,
+    which names the first bad id given or the smallest firm off the roster.
     """
 
     n_agents: int

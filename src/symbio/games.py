@@ -250,12 +250,13 @@ def as_money(x) -> Fraction:
 
 
 def coalition(members: Iterable[int]) -> frozenset:
-    """Canonicalize an iterable of agent ids into a frozenset."""
-    s = frozenset(members)
-    for i in s:
+    """Every id given checked in order (a set in its own), then the frozenset:
+    the first bad id is named, and 1.0 or True beside 1 is refused, not merged."""
+    ids = tuple(members)
+    for i in ids:
         if not isinstance(i, int) or isinstance(i, bool) or i < 0:
             raise SymbioError(f"agent ids must be non-negative integers, got {i!r}")
-    return s
+    return frozenset(ids)
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -435,7 +436,7 @@ class ISNGame:
 def check_roster(members: Iterable[int], n_agents: int) -> frozenset:
     """The members as a coalition on a roster of n_agents: the one owner of
     the roster rules, n_agents an int >= 1 (not a bool) and every id below
-    it (the smallest one off it named); coalition owns the id rule."""
+    it (the smallest one off it named); coalition checks each id given."""
     if not isinstance(n_agents, int) or isinstance(n_agents, bool) or n_agents < 1:
         raise SymbioError(f"a roster needs an int count of at least one agent, got {n_agents!r}")
     s = coalition(members)

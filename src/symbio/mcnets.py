@@ -41,7 +41,7 @@ class MCNetRule:
 
 @dataclass(frozen=True)
 class MCNet:
-    """Ordered rule list over a fixed roster; rule indices are positions."""
+    """Ordered rules on a roster, indexed by position; check_roster reads each pattern id."""
 
     n_agents: int
     rules: "tuple[MCNetRule, ...]"
@@ -49,8 +49,7 @@ class MCNet:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         rules = self.rules
-        check_roster(frozenset().union(*(r.positive for r in rules), *(r.negative for r in rules)),
-                     self.n_agents)
+        check_roster((i for r in rules for p in (r.positive, r.negative) for i in p), self.n_agents)
         for rule in rules:
             if len(rule.negative) == self.n_agents:
                 raise SymbioError("negative pattern may not be the whole roster")

@@ -166,11 +166,17 @@ def test_divisible_quantities_ship_fractionally():
     assert t_value(scenario, {0, 1}) - cost == 7
 
 
+BAD_FIRMS = (1.0, "1", True, None, -1)
+
+
 def test_stream_validation():
     with pytest.raises(SymbioError, match="stream quantity must be >= 0"):
         waste_offer(0, "r", -1, 5)
     with pytest.raises(SymbioError, match="offers carry exactly unit_discharge_cost"):
         ResourceStream(0, "r", "offer", Fraction(1), unit_purchase_cost=Fraction(1))
+    # a stream builds with any firm; the scenario that takes it checks the firm
+    for firm in BAD_FIRMS:
+        assert waste_offer(firm, "r", 1, 1).firm is firm
 
 
 def test_stream_amounts_are_exact():
@@ -205,9 +211,9 @@ def test_missing_transport_entry_rejected():
      "transport cost from [0] to [1] for resource 'r' must be >= 0"),
     (lambda: ExchangeScenario(2, (), {}, {(0, 1): Fraction(-1, 2)}),
      "transaction cost from [0] to [1] must be >= 0"),
-    *((lambda firm=firm: waste_offer(firm, "r", 1, 1),
+    *((lambda firm=firm: ExchangeScenario(2, (waste_offer(firm, "r", 1, 1),), {}, {}),
        f"agent ids must be non-negative integers, got {firm!r}")
-      for firm in (1.0, "1", True, None, -1)),
+      for firm in BAD_FIRMS),
     # several firms off the roster: the smallest is named, not the first stream's
     (lambda: ExchangeScenario(2, (waste_offer(3, "r", 1, 1), waste_offer(2, "r", 1, 1)), {}, {}),
      "agent 2 not on a roster of 2"),

@@ -1,23 +1,26 @@
 import random
 import re
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbio import cli, games
-from symbio.coordination import CoordinatedGame, synthesize_promotion
+from symbio.coordination import CoordinatedGame, Policy, synthesize_promotion
 from symbio.errors import BoundExceeded, SymbioError
-from symbio.exchange import scenario_to_game
+from symbio.exchange import ExchangeScenario, scenario_to_game, t_value, waste_offer
 from symbio.games import (
     INT_LIMIT,
     PLAIN_LIMIT,
     ISNGame,
     as_money,
+    check_roster,
     check_superadditive,
     coalition,
     coalitions,
@@ -31,7 +34,7 @@ from symbio.games import (
     plain_terms,
     subgame,
 )
-from symbio.mcnets import MCNet, MCNetRule
+from symbio.mcnets import MCNet, MCNetRule, evaluate
 from symbio.solutions import in_core
 
 from helpers import (
@@ -857,3 +860,44 @@ def test_coalition_and_subgame_validation_messages(g3, call, message):
     with pytest.raises(SymbioError) as e:
         call(g3)
     assert str(e.value) == message
+
+
+ID_ENTRIES = {
+    "coalition": lambda g3, bad: coalition([1, bad]),
+    "check_roster": lambda g3, bad: check_roster([1, bad], 3),
+    "Policy": lambda g3, bad: Policy(promoted=[[0, 1, bad]]),
+    "value": lambda g3, bad: g3.value([1, bad]),
+    "subgame": lambda g3, bad: subgame(g3, [1, bad]),
+    "evaluate": lambda g3, bad: evaluate(MCNet(3, ()), [1, bad]),
+    "t_value": lambda g3, bad: t_value(ExchangeScenario(3, (), {}, {}), [1, bad]),
+    "from_values": lambda g3, bad: ISNGame.from_values(3, {(1, bad): 5}),
+    "make_isn_game": lambda g3, bad: make_isn_game(3, {(1, bad): 5}, {}),
+    # each rule builds; the net reads every id of every pattern, not their union
+    "MCNet-positive": lambda g3, bad: MCNet(3, (MCNetRule({0, 1}, set(), 1),
+                                                MCNetRule({bad, 2}, set(), 1))),
+    "MCNet-negative": lambda g3, bad: MCNet(3, (MCNetRule({0, 1}, set(), 1),
+                                                MCNetRule({2}, {bad}, 1))),
+    "ExchangeScenario": lambda g3, bad: ExchangeScenario(
+        3, (waste_offer(1, "r", 1, 1), waste_offer(bad, "r", 1, 1)), {}, {}),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1)], ids=repr)
+@pytest.mark.parametrize("entry", ID_ENTRIES)
+def test_an_id_equal_to_a_valid_one_is_refused(g3, entry, bad):
+    """1.0, True and Fraction(1) equal 1 and hash like it: read as a set, the
+    bad id would merge into the good one before any check."""
+    with pytest.raises(SymbioError) as e:
+        ID_ENTRIES[entry](g3, bad)
+    assert str(e.value) == f"agent ids must be non-negative integers, got {bad!r}"
+
+
+def test_the_first_bad_id_given_is_named_under_any_hash_seed():
+    code = ("from symbio.games import coalition\n"
+            "try:\n    coalition(['f', 'e', 'd', 'c', 'b', 'a'])\n"
+            "except Exception as e:\n    print(e)")
+    path = str(Path(games.__file__).parents[1])
+    for seed in "0", "1":
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
+                              timeout=30, env={"PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        assert done.stdout.rstrip("\n").endswith("got 'f'"), (seed, done.stdout, done.stderr)
