@@ -7,89 +7,41 @@ subsidy/tax rules that make policy-promoted collaborations fair and stable
 while blocking prohibited ones. All arithmetic is exact rational.
 """
 
-from .coordination import (
-    CoordinatedGame,
-    Policy,
-    enforce_policy,
-    synthesize_prohibition,
-    synthesize_promotion,
-)
-from .errors import BoundExceeded, SymbioError
-from .exchange import (
-    ExchangePlan,
-    ExchangeScenario,
-    ResourceStream,
-    Shipment,
-    input_demand,
-    optimal_exchange_plan,
-    scenario_to_game,
-    t_value,
-    waste_offer,
-)
-from .games import (
-    ENUMERATION_BOUND,
-    ISNGame,
-    as_money,
-    check_superadditive,
-    coalition,
-    coalitions,
-    make_isn_game,
-    subgame,
-)
-from .mcnets import (
-    MCNet,
-    MCNetRule,
-    compose,
-    evaluate,
-    from_isn_game,
-    net_shapley,
-    rule_shapley,
-)
-from .solutions import (
-    CoreResult,
-    core_nonempty,
-    in_core,
-    is_implementable,
-    shapley,
-)
+#: Each public name's module, imported on the name's first use (PEP 562), so
+#: that `import symbio.cli` loads only the modules a command runs.
+_OWNERS = {
+    name: module
+    for module, names in {
+        "coordination": ("CoordinatedGame", "Policy", "enforce_policy", "synthesize_prohibition",
+                         "synthesize_promotion"),
+        "errors": ("BoundExceeded", "SymbioError"),
+        "exchange": ("ExchangePlan", "ExchangeScenario", "ResourceStream", "Shipment",
+                     "input_demand", "optimal_exchange_plan", "scenario_to_game", "t_value",
+                     "waste_offer"),
+        "games": ("ENUMERATION_BOUND", "ISNGame", "as_money", "check_superadditive", "coalition",
+                  "coalitions", "make_isn_game", "subgame"),
+        "mcnets": ("MCNet", "MCNetRule", "compose", "evaluate", "from_isn_game", "net_shapley",
+                   "rule_shapley"),
+        "solutions": ("CoreResult", "core_nonempty", "in_core", "is_implementable", "shapley"),
+    }.items()
+    for name in names
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundExceeded",
-    "CoordinatedGame",
-    "CoreResult",
-    "ENUMERATION_BOUND",
-    "ExchangePlan",
-    "ExchangeScenario",
-    "ISNGame",
-    "MCNet",
-    "MCNetRule",
-    "Policy",
-    "ResourceStream",
-    "Shipment",
-    "SymbioError",
-    "as_money",
-    "check_superadditive",
-    "coalition",
-    "coalitions",
-    "compose",
-    "core_nonempty",
-    "enforce_policy",
-    "evaluate",
-    "from_isn_game",
-    "in_core",
-    "input_demand",
-    "is_implementable",
-    "make_isn_game",
-    "net_shapley",
-    "optimal_exchange_plan",
-    "rule_shapley",
-    "scenario_to_game",
-    "shapley",
-    "subgame",
-    "synthesize_prohibition",
-    "synthesize_promotion",
-    "t_value",
-    "waste_offer",
-]
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name):
+    """The public name from its module, kept here after its first use."""
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNERS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

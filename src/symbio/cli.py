@@ -44,29 +44,26 @@ import functools
 import json
 import sys
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coordination import CoordinatedGame, Policy, _enforce
 from .errors import BoundExceeded, SymbioError
-from .exchange import (
-    DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream, scenario_to_game
-)
 from .games import (
     INT_LIMIT, MAX_DIGITS, ISNGame, _check_agent_count, as_money, check_superadditive,
     fraction_text, game_from_masks, mask_of, members_of, money_terms, plain_terms, subgame,
 )
-from .mcnets import from_isn_game
+from .records import Record
 from .solutions import _in_core, _shapley_terms, core_nonempty
 
 
-@dataclass(frozen=True)
-class Scenario:
-    agents: "tuple[str, ...]"
-    game: ISNGame
-    policy: "Policy | None"
-    source: str  # "tables" | "exchange"
-    keys: "list[str]" = field(repr=False, compare=False)  # keys[mask], see _keys
+class Scenario(Record):
+    """source is "tables" or "exchange"; keys[mask] is the coalition's key
+    as reports spell it (_keys), neither compared nor shown."""
+
+    _shown = _compared = ("agents", "game", "policy", "source")
+
+    def __init__(self, agents: "tuple[str, ...]", game: ISNGame, policy: "Policy | None",
+                 source: str, keys: "list[str]"):
+        self.__dict__.update(agents=agents, game=game, policy=policy, source=source, keys=keys)
 
 
 def _number(raw, where: str) -> "tuple[int, int]":
@@ -205,6 +202,8 @@ def load_scenario(path: str) -> Scenario:
     try:
         policy = None
         if "policy" in doc:
+            from .coordination import Policy
+
             section = _expect(doc["policy"], dict, "policy", ("promoted", "prohibited"))
             policy = Policy(**{
                 label: [members_of(_mask(g, f"policy.{label}[{k}]", bits))
@@ -215,6 +214,8 @@ def load_scenario(path: str) -> Scenario:
             tables = _expect(doc["tables"], dict, "tables", ("T", "O"))
             game = game_from_masks(len(names), *_table_columns(tables, names, bits, keys))
         else:
+            from .exchange import scenario_to_game
+
             ids = {name: i for i, name in enumerate(names)}
             game = scenario_to_game(_parse_exchange(doc["exchange"], ids))
     except BoundExceeded:
@@ -225,6 +226,8 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _parse_exchange(raw, ids) -> ExchangeScenario:
+    from .exchange import DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream
+
     section = _expect(raw, dict, "exchange", ("streams", "transport", "transaction"))
     streams = []
     for k, entry in enumerate(_expect(section.get("streams", []), list, "exchange.streams")):
@@ -334,6 +337,8 @@ def _rule_entry(names, rule) -> dict:
 
 
 def cmd_mcnet(scenario: Scenario) -> dict:
+    from .mcnets import from_isn_game
+
     net = from_isn_game(scenario.game)
     return {
         "command": "mcnet",
@@ -346,6 +351,8 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
     policy = scenario.policy
     if policy is None:
         raise SymbioError("no policy section in scenario file")
+    from .coordination import CoordinatedGame, _enforce
+
     game, names, keys = scenario.game, scenario.agents, scenario.keys
     net, promoted = _enforce(game, policy, epsilon)
     coordinated = CoordinatedGame(game, net)

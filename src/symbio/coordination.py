@@ -22,14 +22,14 @@ coordinated Shapley value is the taxed one plus subsidy / k a member
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .errors import SymbioError
 from .games import ISNGame, _check_bits, _lowest, _sums, as_money, coalition, mask_of, subgame
 from .mcnets import MCNet, MCNetRule, compose, from_isn_game
+from .records import Record
 from .solutions import _shapley_terms
 
 
@@ -41,8 +41,7 @@ def _group(members: Iterable[int]) -> frozenset:
     return group
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(Record):
     """Groups the authority promotes or prohibits; any other group is permitted.
 
     Each field becomes a tuple of coalitions in ascending bitmask order.
@@ -53,52 +52,50 @@ class Policy:
     be implementable at once.
     """
 
-    promoted: "tuple[frozenset, ...]" = ()
-    prohibited: "tuple[frozenset, ...]" = ()
+    _shown = _compared = ("promoted", "prohibited")
 
-    def __post_init__(self):
-        seen = set()
-        for name in "promoted", "prohibited":
-            groups = tuple(sorted(map(coalition, getattr(self, name)), key=mask_of))
+    def __init__(self, promoted: "tuple[frozenset, ...]" = (),
+                 prohibited: "tuple[frozenset, ...]" = ()):
+        seen, fields = set(), {}
+        for name, groups in ("promoted", promoted), ("prohibited", prohibited):
+            groups = fields[name] = tuple(sorted(map(coalition, groups), key=mask_of))
             for group in groups:
                 _group(group)
                 if group in seen:
                     raise SymbioError("group {} labeled twice", group)
                 seen.add(group)
-            object.__setattr__(self, name, groups)
-        for i, a in enumerate(self.promoted):
-            for b in self.promoted[i + 1 :]:
+        promoted = fields["promoted"]
+        for i, a in enumerate(promoted):
+            for b in promoted[i + 1 :]:
                 if a & b:
                     raise SymbioError("promoted groups overlap: {} and {}", a, b)
+        self.__dict__.update(fields)
 
 
-@dataclass(frozen=True)
-class CoordinatedGame:
+class CoordinatedGame(Record):
     """Market game plus incentives: worth is v(S) + incentive(S).
 
     The worths are tabulated once, into mask-indexed `scaled` ints over
     `denominator` in lowest terms, like ISNGame's; rules may make the empty
     set and singletons nonzero. The table is first written over the lcm of
-    the base denominator and the rules', held to games.SCALED_BITS.
+    the base denominator and the rules', held to games.SCALED_BITS. Only
+    base and incentives are compared and shown.
     """
 
-    base: ISNGame
-    incentives: MCNet
-    scaled: tuple = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
+    _shown = _compared = ("base", "incentives")
 
-    def __post_init__(self):
-        n = self.base.n_agents
-        if n != self.incentives.n_agents:
-            raise SymbioError(f"game has {n} agents, incentives {self.incentives.n_agents}")
-        table, d = self.base.scaled, self.base.denominator
-        new = lcm(d, *(rule.value.denominator for rule in self.incentives.rules))
+    def __init__(self, base: ISNGame, incentives: MCNet):
+        n = base.n_agents
+        if n != incentives.n_agents:
+            raise SymbioError(f"game has {n} agents, incentives {incentives.n_agents}")
+        table, d = base.scaled, base.denominator
+        new = lcm(d, *(rule.value.denominator for rule in incentives.rules))
         if new == d:
             table = list(table)
         else:
             _check_bits(len(table), new)
             table = [v * (new // d) for v in table]
-        for rule in self.incentives.rules:
+        for rule in incentives.rules:
             value = rule.value.numerator * (new // rule.value.denominator)
             # the rule applies to positive | t for every t outside both patterns
             positive = mask_of(rule.positive)
@@ -110,8 +107,7 @@ class CoordinatedGame:
                     break
                 t = (t - 1) & free
         table, new = _lowest(table, new)
-        object.__setattr__(self, "scaled", table)
-        object.__setattr__(self, "denominator", new)
+        self.__dict__.update(base=base, incentives=incentives, scaled=table, denominator=new)
 
     @property
     def n_agents(self) -> int:

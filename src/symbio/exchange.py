@@ -59,17 +59,18 @@ exact.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceeded, SymbioError
 from .games import (
     ENUMERATION_BOUND, ISNGame, _check_agent_count, as_money, check_roster, coalition, mask_of,
 )
 from .lp import solve_lp
+from .records import Record
 
 OFFER = "offer"
 DEMAND = "demand"
@@ -85,8 +86,7 @@ STREAM_COSTS = {
 }
 
 
-@dataclass(frozen=True)
-class ResourceStream:
+class ResourceStream(Record):
     """One firm's offered waste or demanded input for a single resource.
 
     Offers carry the per-unit discharge cost avoided when the waste is shipped
@@ -96,26 +96,27 @@ class ResourceStream:
     raises TypeError; any firm builds, and the scenario taking the stream checks it.
     """
 
-    firm: int
-    resource: str
-    kind: str
-    quantity: Fraction
-    unit_discharge_cost: "Fraction | None" = None
-    unit_purchase_cost: "Fraction | None" = None
-    unit_treatment_cost: "Fraction | None" = None
+    _shown = _compared = ("firm", "resource", "kind", "quantity", "unit_discharge_cost",
+                          "unit_purchase_cost", "unit_treatment_cost")
 
-    def __post_init__(self):
-        if self.kind not in (OFFER, DEMAND):
-            raise SymbioError(f"stream kind must be offer or demand, got {self.kind!r}")
-        carried = STREAM_COSTS[self.kind]
+    def __init__(self, firm: int, resource: str, kind: str, quantity: Fraction,
+                 unit_discharge_cost: "Fraction | None" = None,
+                 unit_purchase_cost: "Fraction | None" = None,
+                 unit_treatment_cost: "Fraction | None" = None):
+        if kind not in (OFFER, DEMAND):
+            raise SymbioError(f"stream kind must be offer or demand, got {kind!r}")
+        amounts = {"quantity": quantity, "unit_discharge_cost": unit_discharge_cost,
+                   "unit_purchase_cost": unit_purchase_cost,
+                   "unit_treatment_cost": unit_treatment_cost}
+        carried = STREAM_COSTS[kind]
         for name in STREAM_COSTS[OFFER] + STREAM_COSTS[DEMAND]:
-            if (getattr(self, name) is None) == (name in carried):
-                raise SymbioError(f"{self.kind}s carry exactly {' and '.join(carried)}")
+            if (amounts[name] is None) == (name in carried):
+                raise SymbioError(f"{kind}s carry exactly {' and '.join(carried)}")
         for name in ("quantity",) + carried:
-            amount = as_money(getattr(self, name))
-            object.__setattr__(self, name, amount)
+            amount = amounts[name] = as_money(amounts[name])
             if amount < 0:
                 raise SymbioError(f"stream {name} must be >= 0")
+        self.__dict__.update(firm=firm, resource=resource, kind=kind, **amounts)
 
 
 def waste_offer(firm: int, resource: str, quantity, unit_discharge_cost) -> ResourceStream:
@@ -135,22 +136,24 @@ def input_demand(
     )
 
 
-@dataclass(frozen=True)
-class Shipment:
-    from_firm: int
-    to_firm: int
-    resource: str
-    quantity: Fraction
+class Shipment(Record):
+    _shown = _compared = ("from_firm", "to_firm", "resource", "quantity")
+
+    def __init__(self, from_firm: int, to_firm: int, resource: str, quantity: Fraction):
+        self.__dict__.update(from_firm=from_firm, to_firm=to_firm, resource=resource,
+                             quantity=quantity)
 
     def key(self):
         return (self.from_firm, self.to_firm, self.resource, self.quantity)
 
 
-@dataclass(frozen=True)
-class ExchangePlan:
+class ExchangePlan(Record):
     """Shipments of one coalition's realized exchange, sorted by route."""
 
-    shipments: "tuple[Shipment, ...]"
+    _shown = _compared = ("shipments",)
+
+    def __init__(self, shipments: "tuple[Shipment, ...]"):
+        self.__dict__.update(shipments=shipments)
 
     def key(self):
         return tuple(s.key() for s in self.shipments)
@@ -159,8 +162,7 @@ class ExchangePlan:
 EMPTY_PLAN = ExchangePlan(())
 
 
-@dataclass(frozen=True)
-class ExchangeScenario:
+class ExchangeScenario(Record):
     """Streams plus per-unit transport and fixed per-pair transaction costs.
 
     transport maps (from_firm, to_firm, resource) to a per-unit cost and
@@ -169,27 +171,23 @@ class ExchangeScenario:
     with a matching offer/demand resource. Treat instances as immutable.
     The roster's size and every stream's firm go to one games.check_roster,
     which names the first bad id given or the smallest firm off the roster.
+
+    `links`, neither compared nor shown, holds the roster's links that save,
+    found once: (offer, demand firm, cost, worths, ranked demands, start),
+    cost = haul - discharge and the demands from start on worth more; each
+    _RouteSearch keeps those inside its coalition, and its lg covers their
+    saving pairs' worths and costs.
     """
 
-    n_agents: int
-    streams: "tuple[ResourceStream, ...]"
-    transport: Mapping
-    transaction: Mapping
-    # the roster's links that save, found once: (offer, demand firm, cost,
-    # worths, ranked demands, start), cost = haul - discharge and the
-    # demands from start on worth more; each _RouteSearch keeps those inside
-    # its coalition, and its lg covers their saving pairs' worths and costs
-    links: tuple = field(init=False, repr=False, compare=False)
+    _shown = _compared = ("n_agents", "streams", "transport", "transaction")
 
-    def __post_init__(self):
-        object.__setattr__(self, "streams", tuple(self.streams))
-        object.__setattr__(
-            self, "transport", {k: as_money(v) for k, v in self.transport.items()}
-        )
-        object.__setattr__(
-            self, "transaction", {k: as_money(v) for k, v in self.transaction.items()}
-        )
-        check_roster([s.firm for s in self.streams], self.n_agents)
+    def __init__(self, n_agents: int, streams: "tuple[ResourceStream, ...]",
+                 transport: Mapping, transaction: Mapping):
+        self.__dict__.update(
+            n_agents=n_agents, streams=tuple(streams),
+            transport={k: as_money(v) for k, v in transport.items()},
+            transaction={k: as_money(v) for k, v in transaction.items()})
+        check_roster([s.firm for s in self.streams], n_agents)
         # a negative cost names its route, as a missing one does
         for name, width in ("transport", 3), ("transaction", 2):
             for key, cost in getattr(self, name).items():
@@ -218,7 +216,7 @@ class ExchangeScenario:
             start = bisect_right(worths, cost)
             if start < len(dis):
                 links.append((oi, to, cost, worths, dis, start))
-        object.__setattr__(self, "links", tuple(links))
+        self.__dict__["links"] = tuple(links)
 
     def _links(self) -> list:
         """(offer index, demand firm, worths, demand indices) for each
@@ -277,16 +275,12 @@ def optimal_exchange_plan(scenario: ExchangeScenario, s: Iterable[int]):
     return plan, baseline - Fraction(net, search.scale)
 
 
-class _Route(NamedTuple):
-    """A profitable ordered firm pair. Routes sort by pair, which is unique.
-    Amounts are ints on the search's scale."""
-
-    pair: "tuple[int, int]"
-    mask: int  # the two firms
-    variables: tuple  # (offer, demand, gain, cap) stream pairs, ascending
-    streams: frozenset  # stream indices the variables touch
-    fee: int  # fixed transaction cost
-    net: int = 0  # best net saving of the route alone
+#: A profitable ordered firm pair: the pair, its two firms as a mask, its
+#: (offer, demand, gain, cap) stream pairs, ascending, the stream indices
+#: they touch, the fixed transaction cost and the best net saving of the
+#: route alone. Routes sort by pair, which is unique. Amounts are ints on
+#: the search's scale.
+_Route = namedtuple("_Route", "pair mask variables streams fee net", defaults=(0,))
 
 
 def _lcm(amounts) -> int:

@@ -54,16 +54,16 @@ import json
 import re
 import struct
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import floordiv, lt, mul, sub
-from typing import Iterable, Iterator, Mapping
 
 from .errors import BoundExceeded, SymbioError
+from .records import Record
 
 #: Dense coalition tables become unreasonable past 2^16 entries.
 ENUMERATION_BOUND = 16
@@ -373,8 +373,7 @@ def _check_agent_count(n_agents: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ISNGame:
+class ISNGame(Record):
     """Normalized TU game: v(S)=0 for |S|<=1, stored values for |S|>=2.
 
     v(S) is scaled[mask] / denominator, ints stored in lowest terms, so the
@@ -386,20 +385,16 @@ class ISNGame:
     table takes.
     """
 
-    n_agents: int
-    scaled: tuple
-    denominator: int = 1
+    _shown = _compared = ("n_agents", "scaled", "denominator")
 
-    def __post_init__(self):
-        _check_agent_count(self.n_agents)
-        scaled = self.scaled
-        if len(scaled) != 1 << self.n_agents:
+    def __init__(self, n_agents: int, scaled: tuple, denominator: int = 1):
+        _check_agent_count(n_agents)
+        if len(scaled) != 1 << n_agents:
             raise SymbioError("value table must have one entry per subset")
-        if any(scaled[1 << i] for i in range(self.n_agents)) or scaled[0]:
+        if any(scaled[1 << i] for i in range(n_agents)) or scaled[0]:
             raise SymbioError("normalized games are worth 0 on the empty set and singletons")
-        scaled, d = _lowest(scaled, self.denominator)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "denominator", d)
+        scaled, denominator = _lowest(scaled, denominator)
+        self.__dict__.update(n_agents=n_agents, scaled=scaled, denominator=denominator)
 
     @classmethod
     def from_values(cls, n_agents: int, values: Mapping) -> "ISNGame":

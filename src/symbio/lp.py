@@ -74,28 +74,43 @@ delta, to the cost row; every rhs stays >= 0. with_zero(col) holds col at
 >= 0, and its slot is dropped. A dual step enters the slot of least ratio
 d_j / a over the row's cells a of the right sign, ties to the least
 logical column; where that cell is negative, the row is negated first,
-scale included, so _pivot runs as it is and every scale stays > 0.
+scale included, so _pivot runs as it is and every scale stays > 0. A
+negative rhs with no cell of the right sign cannot be cleared: the LP is
+infeasible, and solve reports that as its status.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from operator import add, sub
 
+from .records import Record
 
-@dataclass(frozen=True)
-class LPResult:
-    """At an optimum each value is a (num, den) int pair, den > 0, not reduced."""
 
-    status: str  # "optimal" | "unbounded"
-    x: "tuple[tuple[int, int], ...] | None" = None  # basic: its row's (rhs, scale); else (0, 1)
-    objective: "tuple[int, int] | None" = None  # the cost row's (rhs, scale)
-    # each row's price (the module docstring); a certificate, so not in ==
-    dual: "tuple[tuple[int, int], ...] | None" = field(default=None, compare=False)
-    # the optimal dictionary of an LP without surplus columns, to re-enter
-    # (_Tableau.with_cost, _Tableau.with_zero); not in ==
-    dictionary: "_Tableau | None" = field(default=None, compare=False, repr=False)
+class LPResult(Record):
+    """status is "optimal", "unbounded" (a column enters and no row bounds
+    it) or "infeasible" (a row of negative rhs has no cell a dual step can
+    enter, so no x meets it); only an optimum has values, each a (num, den)
+    int pair, den > 0, not reduced:
+
+    - x: a basic column's row's (rhs, scale), else (0, 1);
+    - objective: the cost row's (rhs, scale);
+    - dual: each row's price (the module docstring), a certificate, so not
+      in ==;
+    - dictionary: the optimal dictionary of an LP without surplus columns,
+      to re-enter (_Tableau.with_cost, _Tableau.with_zero); not in == or
+      the repr.
+    """
+
+    _shown = ("status", "x", "objective", "dual")
+    _compared = ("status", "x", "objective")
+
+    def __init__(self, status: str, x: "tuple[tuple[int, int], ...] | None" = None,
+                 objective: "tuple[int, int] | None" = None,
+                 dual: "tuple[tuple[int, int], ...] | None" = None,
+                 dictionary: "_Tableau | None" = None):
+        self.__dict__.update(status=status, x=x, objective=objective, dual=dual,
+                             dictionary=dictionary)
 
 
 class _Tableau(list):
@@ -119,9 +134,16 @@ class _Tableau(list):
         """Bring this dictionary to its optimum in place and read it off:
         Bland dual steps clear each negative rhs, then primal Bland pivots
         run (the module docstring). Needs every rhs >= 0, as solve_lp's and
-        with_cost's have, or every reduced cost >= 0 and a feasible LP."""
+        with_cost's have, or every reduced cost >= 0; a negative rhs that no
+        dual step can clear ends it as "infeasible"."""
         while negative := [i for i, row in enumerate(self) if row[-2] < 0]:
-            _dual_pivot(self, min(negative, key=self.basis.__getitem__))
+            i = min(negative, key=self.basis.__getitem__)
+            # no negative cell: the row's basic column is below 0 at every
+            # point (dual steps run without surplus columns, so every
+            # nonbasic column is stored)
+            if not any(v < 0 for v in self[i][:-2]):
+                return LPResult("infeasible")
+            _dual_pivot(self, i)
         if not _pivot_until_optimal(self):
             return LPResult("unbounded")
         n, k, obj = self.n, self.k, self.obj

@@ -10,49 +10,43 @@ them a concatenation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable
 
 from .errors import SymbioError
 from .games import ISNGame, as_money, check_roster
+from .records import Record
 
 
-@dataclass(frozen=True)
-class MCNetRule:
+class MCNetRule(Record):
     """positive/negative agent patterns mapped to a nonzero value; MCNet checks their ids."""
 
-    positive: frozenset
-    negative: frozenset
-    value: Fraction
+    _shown = _compared = ("positive", "negative", "value")
 
-    def __post_init__(self):
-        object.__setattr__(self, "positive", frozenset(self.positive))
-        object.__setattr__(self, "negative", frozenset(self.negative))
-        object.__setattr__(self, "value", as_money(self.value))
-        if self.positive & self.negative:
+    def __init__(self, positive: frozenset, negative: frozenset, value: Fraction):
+        positive, negative, value = frozenset(positive), frozenset(negative), as_money(value)
+        if positive & negative:
             raise SymbioError("positive and negative patterns must be disjoint")
-        if not self.positive and not self.negative:
+        if not positive and not negative:
             raise SymbioError("a rule must mention at least one agent")
-        if self.value == 0:
+        if value == 0:
             raise SymbioError("rule values must be nonzero")
+        self.__dict__.update(positive=positive, negative=negative, value=value)
 
 
-@dataclass(frozen=True)
-class MCNet:
+class MCNet(Record):
     """Ordered rules on a roster, indexed by position; check_roster reads each pattern id."""
 
-    n_agents: int
-    rules: "tuple[MCNetRule, ...]"
+    _shown = _compared = ("n_agents", "rules")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        rules = self.rules
-        check_roster((i for r in rules for p in (r.positive, r.negative) for i in p), self.n_agents)
+    def __init__(self, n_agents: int, rules: "tuple[MCNetRule, ...]"):
+        rules = tuple(rules)
+        check_roster((i for r in rules for p in (r.positive, r.negative) for i in p), n_agents)
         for rule in rules:
-            if len(rule.negative) == self.n_agents:
+            if len(rule.negative) == n_agents:
                 raise SymbioError("negative pattern may not be the whole roster")
+        self.__dict__.update(n_agents=n_agents, rules=rules)
 
 
 def evaluate(net: MCNet, s: Iterable[int]) -> Fraction:

@@ -22,7 +22,6 @@ each x(S) / dx with v(S) / d. Only public answers are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
 from operator import add, ge
@@ -30,10 +29,10 @@ from operator import add, ge
 from .errors import SymbioError
 from .games import _check_bits, _scaled, _sums, members_of, money_terms
 from .lp import solve_lp
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(Record):
     """Core feasibility verdict: witness iff nonempty, weights iff empty, the
     (coalition, lambda_S) pairs in mask order of a balanced collection worth
     more than v(N) (lambda_S > 0, each agent's sum 1): from a negative
@@ -41,9 +40,12 @@ class CoreResult:
     not part of the verdict, they take no part in ==.
     """
 
-    nonempty: bool
-    witness: "tuple[Fraction, ...] | None" = None
-    weights: "tuple[tuple[frozenset, Fraction], ...] | None" = field(default=None, compare=False)
+    _shown = ("nonempty", "witness", "weights")
+    _compared = ("nonempty", "witness")
+
+    def __init__(self, nonempty: bool, witness: "tuple[Fraction, ...] | None" = None,
+                 weights: "tuple[tuple[frozenset, Fraction], ...] | None" = None):
+        self.__dict__.update(nonempty=nonempty, witness=witness, weights=weights)
 
 
 def _shapley_terms(game) -> "tuple[list[int], int]":

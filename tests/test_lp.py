@@ -34,6 +34,16 @@ def test_infeasible():
     assert r == LPResult("optimal", (0,), 0)
 
 
+def test_dictionary_no_dual_step_can_clear_is_infeasible():
+    # x >= 1 and x <= 0 as a dictionary on slacks s0, s1: s0 = -1 + x and
+    # s1 = 0 - x. The dual step on s0's row makes x basic, x = 1 + s0, and
+    # leaves s1 = -1 - s0, whose cells no column can enter to raise
+    tableau = lp._Tableau([[-1, -1, 1], [1, 0, 1]], [0], [1, 2], [0, 0, 1], 1, 0)
+    assert tableau.solve() == LPResult("infeasible")
+    assert repr(LPResult("infeasible")) == (
+        "LPResult(status='infeasible', x=None, objective=None, dual=None)")
+
+
 def test_negative_rhs_feasible():
     # x >= 1 is not written -x <= -1 but as the surplus row x - s <= 1,
     # which the optimum of x - s meets
