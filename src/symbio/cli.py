@@ -26,8 +26,11 @@ order: a key split and checked name by name (_mask), a value read by
 _number, so the first fault named is the first in the file, and a key's
 before its value's. games.game_from_masks writes every v(S) as an int over
 the table's lcm denominator. Every key's names and number are read, T then
-O, before the table rules run. `--epsilon` is checked to be > 0 before the
-file is read.
+O, before the table rules run. An exchange section is read entry by entry
+in file order, each entry's fields by inline type and membership tests
+(_parse_exchange): a valid entry builds no message, and the first test
+that fails names its entry and field. `--epsilon` is checked to be > 0
+before the file is read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms by one printer,
@@ -66,16 +69,21 @@ class Scenario(Record):
         self.__dict__.update(agents=agents, game=game, policy=policy, source=source, keys=keys)
 
 
-def _number(raw, where: str) -> "tuple[int, int]":
+def _terms(raw) -> "tuple[int, int]":
     """(numerator, denominator) of a JSON number or number string, read by
     games.money_terms (a JSON decimal is a Fraction already, from
-    parse_float) and a JSON int held to MAX_DIGITS digits; any fault raises
-    a SymbioError naming the field."""
+    parse_float), a JSON int held to MAX_DIGITS digits; a fault raises
+    TypeError or ValueError (a SymbioError is one)."""
+    if type(raw) is int and not -INT_LIMIT < raw < INT_LIMIT:
+        raise SymbioError(f"number has more than {MAX_DIGITS} digits")
+    return money_terms(raw)
+
+
+def _number(raw, where: str) -> "tuple[int, int]":
+    """_terms(raw), any fault raising a SymbioError naming the field."""
     try:
-        if type(raw) is int and not -INT_LIMIT < raw < INT_LIMIT:
-            raise SymbioError(f"number has more than {MAX_DIGITS} digits")
-        return money_terms(raw)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+        return _terms(raw)
+    except (TypeError, ValueError) as e:
         raise SymbioError(f"{where}: {e}") from None
 
 
@@ -98,12 +106,6 @@ def _expect(raw, kind: type, where: str, keys=None):
     if keys is not None and not raw.keys() <= set(keys):
         raise SymbioError(f"{where}: unknown key {min(raw.keys() - set(keys))!r}")
     return raw
-
-
-def _agent(raw, where: str, ids) -> int:
-    if isinstance(raw, str) and raw in ids:
-        return ids[raw]
-    raise SymbioError(f"{where}: unknown agent {raw!r}")
 
 
 def _mask(raw, where: str, bits) -> int:
@@ -225,36 +227,82 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(names, game, policy, "tables" if "tables" in doc else "exchange", keys)
 
 
+#: The keys an exchange entry of each kind may hold.
+_ENTRY_KEYS = {
+    "offer": frozenset(("firm", "kind", "resource", "quantity", "unit_discharge_cost")),
+    "demand": frozenset(("firm", "kind", "resource", "quantity", "unit_purchase_cost",
+                         "unit_treatment_cost")),
+    "transport": frozenset(("from", "to", "resource", "cost")),
+    "transaction": frozenset(("from", "to", "cost")),
+}
+
+
 def _parse_exchange(raw, ids) -> ExchangeScenario:
-    from .exchange import DEMAND, OFFER, STREAM_COSTS, ExchangeScenario, ResourceStream
+    """The exchange section as an ExchangeScenario, entries in file order.
+
+    Each entry's fields are tested in one pass, inline: an object, a kind,
+    no key outside _ENTRY_KEYS of its kind, firms on the roster, a string
+    resource, amounts read by _terms, a stream's none negative (by
+    ResourceStream), and a route not given before. A valid entry builds no
+    message; the first test an entry fails raises a SymbioError naming the
+    entry and field, so the fault named is the first in file order.
+    """
+    from .exchange import STREAM_COSTS, ExchangeScenario, ResourceStream
 
     section = _expect(raw, dict, "exchange", ("streams", "transport", "transaction"))
     streams = []
     for k, entry in enumerate(_expect(section.get("streams", []), list, "exchange.streams")):
-        where = f"exchange.streams[{k}]"
-        kind = _expect(entry, dict, where).get("kind")
-        if kind not in (OFFER, DEMAND):
-            raise SymbioError(f"{where}.kind: must be 'offer' or 'demand'")
-        _expect(entry, dict, where, ("firm", "kind", "resource", "quantity") + STREAM_COSTS[kind])
-        firm = _agent(entry.get("firm"), f"{where}.firm", ids)
-        resource = _expect(entry.get("resource"), str, f"{where}.resource")
-        amounts = {f: Fraction(*_number(entry.get(f), f"{where}.{f}"))
-                   for f in ("quantity",) + STREAM_COSTS[kind]}
+        if not isinstance(entry, dict):
+            raise SymbioError(f"exchange.streams[{k}]: must be an object")
+        kind = entry.get("kind")
+        if kind not in ("offer", "demand"):
+            raise SymbioError(f"exchange.streams[{k}].kind: must be 'offer' or 'demand'")
+        if not entry.keys() <= _ENTRY_KEYS[kind]:
+            unknown = min(entry.keys() - _ENTRY_KEYS[kind])
+            raise SymbioError(f"exchange.streams[{k}]: unknown key {unknown!r}")
+        firm = entry.get("firm")
+        if not isinstance(firm, str) or firm not in ids:
+            raise SymbioError(f"exchange.streams[{k}].firm: unknown agent {firm!r}")
+        resource = entry.get("resource")
+        if not isinstance(resource, str):
+            raise SymbioError(f"exchange.streams[{k}].resource: must be a string")
+        amounts = {}
+        for f in ("quantity",) + STREAM_COSTS[kind]:
+            try:
+                amounts[f] = Fraction(*_terms(entry.get(f)))
+            except (TypeError, ValueError) as e:
+                raise SymbioError(f"exchange.streams[{k}].{f}: {e}") from None
         try:  # the stream's own rules (amounts >= 0), named by entry
-            streams.append(ResourceStream(firm, resource, kind, **amounts))
+            streams.append(ResourceStream(ids[firm], resource, kind, **amounts))
         except SymbioError as e:
-            raise SymbioError(f"{where}: {e}") from None
+            raise SymbioError(f"exchange.streams[{k}]: {e}") from None
     costs = {}
-    for name, extra in ("transport", ("resource",)), ("transaction", ()):
+    for name in "transport", "transaction":
         table = costs[name] = {}
         for k, entry in enumerate(_expect(section.get(name, []), list, f"exchange.{name}")):
-            where = f"exchange.{name}[{k}]"
-            _expect(entry, dict, where, ("from", "to", "cost") + extra)
-            key = tuple(_agent(entry.get(f), f"{where}.{f}", ids) for f in ("from", "to"))
-            key += tuple(_expect(entry.get(f), str, f"{where}.{f}") for f in extra)
+            if not isinstance(entry, dict):
+                raise SymbioError(f"exchange.{name}[{k}]: must be an object")
+            if not entry.keys() <= _ENTRY_KEYS[name]:
+                unknown = min(entry.keys() - _ENTRY_KEYS[name])
+                raise SymbioError(f"exchange.{name}[{k}]: unknown key {unknown!r}")
+            key = ()
+            for f in "from", "to":
+                firm = entry.get(f)
+                if not isinstance(firm, str) or firm not in ids:
+                    raise SymbioError(f"exchange.{name}[{k}].{f}: unknown agent {firm!r}")
+                key += (ids[firm],)
+            if name == "transport":
+                resource = entry.get("resource")
+                if not isinstance(resource, str):
+                    raise SymbioError(f"exchange.{name}[{k}].resource: must be a string")
+                key += (resource,)
             if key in table:
-                raise SymbioError(f"{where}: repeats the route of an earlier {name} entry")
-            table[key] = Fraction(*_number(entry.get("cost"), f"{where}.cost"))
+                raise SymbioError(f"exchange.{name}[{k}]: repeats the route of an earlier "
+                                  f"{name} entry")
+            try:
+                table[key] = Fraction(*_terms(entry.get("cost")))
+            except (TypeError, ValueError) as e:
+                raise SymbioError(f"exchange.{name}[{k}].cost: {e}") from None
     return ExchangeScenario(len(ids), tuple(streams), costs["transport"], costs["transaction"])
 
 

@@ -20,13 +20,15 @@ solved cold; every other node re-enters its parent's optimal dictionary,
 one column changed (lp's with_cost for a route made active, with_zero for
 one dropped), at about one pivot where a cold solve takes over ten on a
 dense file. Routes settled alone and a plan's final shipments are solved
-cold. scenario_to_game searches each coalition in ascending mask order,
-with the best worth of its coalitions one firm smaller as the incumbent,
-and reads only LP optima; only optimal_exchange_plan turns shipments into
-plans. A call solves at most 2**ENUMERATION_BOUND LPs, a re-entry counting
-as one, and takes at most PAIR_BOUND profitable (offer, demand) stream
-pairs, each an LP column; it raises BoundExceeded past either, the pair
-bound before any LP.
+cold. When no two of the roster's routes share a stream (_disjoint),
+scenario_to_game writes every coalition's worth, the sum of its routes'
+nets, in one pass with no search; otherwise it searches each coalition in
+ascending mask order, with the best worth of its coalitions one firm
+smaller as the incumbent, and reads only LP optima. Only
+optimal_exchange_plan turns shipments into plans. A call solves at most
+2**ENUMERATION_BOUND LPs, a re-entry counting as one, and takes at most
+PAIR_BOUND profitable (offer, demand) stream pairs, each an LP column; it
+raises BoundExceeded past either, the pair bound before any LP.
 
 A search works on one integer scale: quantities are ints over lq, the lcm
 of the denominators of the streams in profitable pairs, and per-unit gains
@@ -64,10 +66,12 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import add
 
 from .errors import BoundExceeded, SymbioError
 from .games import (
-    ENUMERATION_BOUND, ISNGame, _check_agent_count, as_money, check_roster, coalition, mask_of,
+    ENUMERATION_BOUND, ISNGame, _check_agent_count, _sums, as_money, check_roster, coalition,
+    mask_of,
 )
 from .lp import solve_lp
 from .records import Record
@@ -114,7 +118,7 @@ class ResourceStream(Record):
                 raise SymbioError(f"{kind}s carry exactly {' and '.join(carried)}")
         for name in ("quantity",) + carried:
             amount = amounts[name] = as_money(amounts[name])
-            if amount < 0:
+            if amount.numerator < 0:
                 raise SymbioError(f"stream {name} must be >= 0")
         self.__dict__.update(firm=firm, resource=resource, kind=kind, **amounts)
 
@@ -191,7 +195,7 @@ class ExchangeScenario(Record):
         # a negative cost names its route, as a missing one does
         for name, width in ("transport", 3), ("transaction", 2):
             for key, cost in getattr(self, name).items():
-                if cost < 0:
+                if cost.numerator < 0:
                     if type(key) is not tuple or len(key) != width:
                         raise SymbioError("transport and transaction costs must be >= 0")
                     shown = f" for resource {key[2]!r}" if width == 3 else ""
@@ -450,8 +454,7 @@ class _RouteSearch:
         """
         routes = tuple(routes)
         bound = sum(r.net for r in routes)
-        if bound > incumbent and len(frozenset().union(*(r.streams for r in routes))) == sum(
-                len(r.streams) for r in routes):
+        if bound > incumbent and _disjoint(routes):
             return bound, routes
         best, chosen = incumbent, None
         stack = [((), routes, bound, None)]
@@ -483,6 +486,12 @@ class _RouteSearch:
         return best, chosen
 
 
+def _disjoint(routes) -> bool:
+    """Whether no two of the routes share a stream."""
+    return len(frozenset().union(*(r.streams for r in routes))) == sum(
+        len(r.streams) for r in routes)
+
+
 def _plan(scenario, variables, x, lq):
     """Shipments x ((num, den) pairs over lq) of the (offer, demand, gain,
     cap) variables, summed per route and resource and sorted."""
@@ -499,16 +508,30 @@ def scenario_to_game(scenario: ExchangeScenario) -> ISNGame:
     """Game with every coalition worth its baseline-minus-optimal saving.
 
     The roster's routes are found and settled alone once (after the firm
-    bound is checked); then each coalition, masks ascending, searches the
-    routes inside it with max_i v(S - i) as its incumbent, which merging
-    plans makes a lower bound. Values are nonnegative and the game is
-    superadditive: disjoint coalitions can always merge their plans. The
-    table is the search's ints over its scale, which ISNGame reduces.
+    bound is checked). If no two of them share a stream, every route set
+    ships each route's best alone, so v(S) is the sum of the nets of the
+    routes inside S, all positive: the table is written in one pass, each
+    firm i adding to every mask of the firms below it the nets of its
+    routes with them (games._sums), with no search and no LP. Otherwise
+    each coalition, masks ascending, searches the routes inside it with
+    max_i v(S - i) as its incumbent, which merging plans makes a lower
+    bound. Values are nonnegative and the game is superadditive: disjoint
+    coalitions can always merge their plans. The table is ints over the
+    search's scale, which ISNGame reduces.
     """
     n = scenario.n_agents
     _check_agent_count(n)
-    table = [0] * (1 << n)
     search = _RouteSearch(scenario, range(n))
+    if _disjoint(search.routes):
+        nets = [[0] * i for i in range(n)]  # nets[i][j], j < i: of the routes joining i and j
+        for route in search.routes:
+            j, i = sorted(route.pair)
+            nets[i][j] += route.net
+        table = [0]
+        for row in nets:
+            table += list(map(add, table, _sums(row)))
+        return ISNGame(n, table, search.scale)
+    table = [0] * (1 << n)
     for mask in range(1, 1 << n):
         inside = [r for r in search.routes if r.mask & mask == r.mask]
         incumbent = max(table[mask ^ 1 << i] for i in range(n) if mask >> i & 1)

@@ -115,21 +115,21 @@ def _parse(text: str) -> "tuple[int, int]":
     """(numerator, denominator > 0) of text in the number grammar, unreduced.
 
     Past MAX_DIGITS characters the digits are counted before the text is
-    matched, and the exponent is held to MAX_EXPONENT before it is applied;
-    either fault raises SymbioError. Text outside the grammar raises
-    ValueError, a zero denominator ZeroDivisionError.
+    matched, and the exponent is held to MAX_EXPONENT before it is applied.
+    Every fault raises SymbioError: those two, text outside the grammar and
+    a zero denominator.
     """
     if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
         raise SymbioError(f"number has more than {MAX_DIGITS} digits")
     m = _RATIONAL_FORMAT.match(text)
     if m is None:
-        raise ValueError(f"{text!r} is not a number")
+        raise SymbioError(f"{text!r} is not a number")
     sign, num, den, decimal, exp = m.group("sign", "num", "denom", "decimal", "exp")
     num = int(num or "0")
     if den:
         den = int(den)
         if not den:
-            raise ZeroDivisionError(f"{text!r} has a zero denominator")
+            raise SymbioError(f"{text!r} has a zero denominator")
     else:
         den = 1
         if decimal:
@@ -240,9 +240,10 @@ def as_money(x) -> Fraction:
 
     Binary floats are rejected (TypeError): converting them would silently
     import rounding error into computations that must stay exact. Text is
-    read by one grammar (_RATIONAL_FORMAT) on every interpreter; text with
-    more than MAX_DIGITS digits or an exponent beyond +-MAX_EXPONENT is
-    rejected (SymbioError) before it is expanded.
+    read by one grammar (_RATIONAL_FORMAT) on every interpreter; text
+    outside it or with a zero denominator is rejected (SymbioError), and so
+    is text with more than MAX_DIGITS digits or an exponent beyond
+    +-MAX_EXPONENT, before it is expanded.
     """
     if isinstance(x, Fraction):
         return x

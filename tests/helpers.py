@@ -6,11 +6,13 @@ through the library code paths under test, so agreement is meaningful.
 """
 
 import contextlib
+import importlib.util
 import inspect
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd, lcm
+from pathlib import Path
 from types import SimpleNamespace
 
 from symbio import games, lp, solutions
@@ -239,6 +241,16 @@ def compatible_pairs(scenario):
     return [(oi, di) for oi, o in enumerate(streams) if o.kind == "offer"
             for di, d in enumerate(streams)
             if d.kind == "demand" and d.resource == o.resource and d.firm != o.firm]
+
+
+def bench_scenarios():
+    """bench/scenarios.py, the benchmark's generator, loaded by path once."""
+    if "bench_scenarios" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+        spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["bench_scenarios"]
 
 
 def route_subset_game(scenario):

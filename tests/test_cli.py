@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import io
 import json
 import operator
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +22,9 @@ from symbio.games import ISNGame, check_superadditive, make_isn_game, members_of
 from symbio.mcnets import from_isn_game, net_shapley
 from symbio.solutions import in_core
 
-from helpers import balanced_weights_hold, fractions_made, metered, perm_shapley
+from helpers import (
+    balanced_weights_hold, bench_scenarios, fractions_made, metered, perm_shapley,
+)
 
 DATA = Path(__file__).parent / "data"
 DATA_FILES = sorted(path.name for path in DATA.glob("*.json"))
@@ -1204,17 +1208,159 @@ def test_table_fault_precedence(capsys, tmp_path, t_faults, o_faults, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("section,entry", [
-    ("transport", {"from": "F0", "to": "F1", "resource": "slag", "cost": 0}),
-    ("transaction", {"from": "F0", "to": "F1", "cost": 2}),
-])
-def test_repeated_route_exits_2(capsys, tmp_path, section, entry):
-    doc = _data("w.json")
-    doc["exchange"][section].append(entry)
+#: A valid exchange of three firms, slag F0 -> F1 and heat F2 -> F0; each
+#: entry kind's second entry is the one ENTRY_FAULTS breaks.
+EXCHANGE = {"agents": ["F0", "F1", "F2"], "exchange": {
+    "streams": [
+        {"firm": "F0", "kind": "offer", "resource": "slag", "quantity": 10,
+         "unit_discharge_cost": 5},
+        {"firm": "F1", "kind": "demand", "resource": "slag", "quantity": 8,
+         "unit_purchase_cost": 7, "unit_treatment_cost": 2},
+        {"firm": "F2", "kind": "offer", "resource": "heat", "quantity": 4,
+         "unit_discharge_cost": 3},
+        {"firm": "F0", "kind": "demand", "resource": "heat", "quantity": 6,
+         "unit_purchase_cost": 9, "unit_treatment_cost": 1},
+    ],
+    "transport": [{"from": "F0", "to": "F1", "resource": "slag", "cost": 1},
+                  {"from": "F2", "to": "F0", "resource": "heat", "cost": 2}],
+    "transaction": [{"from": "F0", "to": "F1", "cost": 10},
+                    {"from": "F2", "to": "F0", "cost": 3}],
+}}
+
+#: The entry each kind of fault is put in: (section, index).
+BROKEN = {"offer": ("streams", 2), "demand": ("streams", 3), "transport": ("transport", 1),
+          "transaction": ("transaction", 1)}
+
+DROP = object()  # a field taken out of its entry
+REPEAT = object()  # the entry given again, after itself
+
+#: (faults, message): each fault (entry kind, field, new value) puts the
+#: value in the field of BROKEN's entry, the whole entry for field None.
+#: The messages are the reader's before its entries were read in one pass.
+ENTRY_FAULTS = [
+    ([("offer", None, 5)], "exchange.streams[2]: must be an object"),
+    ([("offer", "kind", "waste")], "exchange.streams[2].kind: must be 'offer' or 'demand'"),
+    ([("offer", "kind", ["offer"])], "exchange.streams[2].kind: must be 'offer' or 'demand'"),
+    ([("offer", "note", 1)], "exchange.streams[2]: unknown key 'note'"),
+    ([("offer", "unit_purchase_cost", 1)],
+     "exchange.streams[2]: unknown key 'unit_purchase_cost'"),
+    ([("offer", "firm", "F9")], "exchange.streams[2].firm: unknown agent 'F9'"),
+    ([("offer", "firm", ["F2"])], "exchange.streams[2].firm: unknown agent ['F2']"),
+    ([("offer", "firm", DROP)], "exchange.streams[2].firm: unknown agent None"),
+    ([("offer", "resource", 5)], "exchange.streams[2].resource: must be a string"),
+    ([("offer", "quantity", "x")], "exchange.streams[2].quantity: 'x' is not a number"),
+    ([("offer", "quantity", True)], "exchange.streams[2].quantity: bool is not a money amount"),
+    ([("offer", "unit_discharge_cost", 10**1000)],
+     "exchange.streams[2].unit_discharge_cost: number has more than 1000 digits"),
+    ([("offer", "unit_discharge_cost", "1/0")],
+     "exchange.streams[2].unit_discharge_cost: '1/0' has a zero denominator"),
+    ([("offer", "quantity", DROP)], "exchange.streams[2].quantity: cannot represent None "
+                                    "exactly; use int, Fraction or string"),
+    ([("offer", "quantity", -1)], "exchange.streams[2]: stream quantity must be >= 0"),
+    ([("offer", "unit_discharge_cost", "-1/2")],
+     "exchange.streams[2]: stream unit_discharge_cost must be >= 0"),
+    ([("demand", None, "x")], "exchange.streams[3]: must be an object"),
+    ([("demand", "kind", DROP)], "exchange.streams[3].kind: must be 'offer' or 'demand'"),
+    ([("demand", "unit_discharge_cost", 1)],
+     "exchange.streams[3]: unknown key 'unit_discharge_cost'"),
+    ([("demand", "firm", 0)], "exchange.streams[3].firm: unknown agent 0"),
+    ([("demand", "resource", None)], "exchange.streams[3].resource: must be a string"),
+    ([("demand", "unit_purchase_cost", "abc")],
+     "exchange.streams[3].unit_purchase_cost: 'abc' is not a number"),
+    ([("demand", "unit_treatment_cost", False)],
+     "exchange.streams[3].unit_treatment_cost: bool is not a money amount"),
+    ([("demand", "quantity", 10**1000)],
+     "exchange.streams[3].quantity: number has more than 1000 digits"),
+    ([("demand", "unit_treatment_cost", -3)],
+     "exchange.streams[3]: stream unit_treatment_cost must be >= 0"),
+    ([("transport", None, [])], "exchange.transport[1]: must be an object"),
+    ([("transport", "note", 1)], "exchange.transport[1]: unknown key 'note'"),
+    ([("transport", "from", "F9")], "exchange.transport[1].from: unknown agent 'F9'"),
+    ([("transport", "to", 1)], "exchange.transport[1].to: unknown agent 1"),
+    ([("transport", "resource", ["heat"])], "exchange.transport[1].resource: must be a string"),
+    ([("transport", "cost", "x")], "exchange.transport[1].cost: 'x' is not a number"),
+    ([("transport", "cost", True)], "exchange.transport[1].cost: bool is not a money amount"),
+    ([("transport", "cost", 10**1000)],
+     "exchange.transport[1].cost: number has more than 1000 digits"),
+    ([("transport", "cost", -1)],
+     "transport cost from {F2} to {F0} for resource 'heat' must be >= 0"),
+    ([("transport", REPEAT, None)],
+     "exchange.transport[2]: repeats the route of an earlier transport entry"),
+    ([("transaction", None, None)], "exchange.transaction[1]: must be an object"),
+    ([("transaction", "resource", "heat")], "exchange.transaction[1]: unknown key 'resource'"),
+    ([("transaction", "from", {"F2": 1})],
+     "exchange.transaction[1].from: unknown agent {'F2': 1}"),
+    ([("transaction", "to", "F9")], "exchange.transaction[1].to: unknown agent 'F9'"),
+    ([("transaction", "cost", "1/0")],
+     "exchange.transaction[1].cost: '1/0' has a zero denominator"),
+    ([("transaction", "cost", False)],
+     "exchange.transaction[1].cost: bool is not a money amount"),
+    ([("transaction", "cost", 10**1000)],
+     "exchange.transaction[1].cost: number has more than 1000 digits"),
+    ([("transaction", "cost", -1)], "transaction cost from {F2} to {F0} must be >= 0"),
+    ([("transaction", REPEAT, None)],
+     "exchange.transaction[2]: repeats the route of an earlier transaction entry"),
+    # two faults: the one met first in file order is named
+    ([("demand", "firm", "F9"), ("offer", "quantity", -1)],
+     "exchange.streams[2]: stream quantity must be >= 0"),
+    ([("transaction", "cost", "x"), ("transport", "from", 7)],
+     "exchange.transport[1].from: unknown agent 7"),
+]
+
+
+def _fault_id(case) -> str:
+    faults, _ = case
+    return "+".join(f"{kind}-{'repeat' if field is REPEAT else field or 'entry'}"
+                    for kind, field, _ in faults)
+
+
+@pytest.mark.parametrize("faults,message", ENTRY_FAULTS,
+                         ids=[f"{k}-{_fault_id(case)}" for k, case in enumerate(ENTRY_FAULTS)])
+def test_exchange_entry_faults_exit_2(capsys, tmp_path, faults, message):
+    """Every entry-level fault of each exchange entry kind exits 2 with its
+    field-level message, byte for byte; of two faults, the first in file
+    order is named."""
+    doc = copy.deepcopy(EXCHANGE)
+    for kind, field, value in faults:
+        section, index = BROKEN[kind]
+        entries = doc["exchange"][section]
+        if field is REPEAT:
+            entries.append(dict(entries[index]))
+        elif field is None:
+            entries[index] = value
+        elif value is DROP:
+            del entries[index][field]
+        else:
+            entries[index][field] = value
     code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
     assert (code, out) == (2, "")
-    assert err == (f"error: exchange.{section}[1]: repeats the route of an earlier "
-                   f"{section} entry\n")
+    assert err == f"error: {message}\n"
+
+
+def test_valid_exchange_entries_take_no_field_checks(tmp_path, monkeypatch):
+    """A valid exchange file makes no call of _expect or _number per
+    entry: tests/data's exchange files and two 6-firm benchmark draws, of 4
+    to 72 entries, each check the same sections and nothing else."""
+    paths = [DATA / name for name in DATA_FILES if "exchange" in _data(name)]
+    for k, kind in enumerate(("sparse", "dense")):
+        case = bench_scenarios().exchange_case(random.Random(k), 6, kind, kind)
+        paths.append(tmp_path / f"{kind}.json")
+        paths[-1].write_text(case.text(), encoding="utf-8")
+    checked = []  # the field named by each call, in call order
+    for name in "_expect", "_number":
+        def spy(raw, *args, real=getattr(cli, name)):
+            checked.append(next(arg for arg in args if type(arg) is str))
+            return real(raw, *args)
+        monkeypatch.setattr(cli, name, spy)
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        policy = [f"policy.{label}" for label in doc.get("policy", ())]
+        policy = ["policy", *policy] if policy else []
+        checked.clear()
+        assert load_scenario(str(path)).source == "exchange"
+        assert checked == ["scenario file", *policy, "exchange", "exchange.streams",
+                           "exchange.transport", "exchange.transaction"], path.name
+    assert [path.name for path in paths] == ["w.json", "x4.json", "sparse.json", "dense.json"]
 
 
 @pytest.mark.parametrize("name,path,old,new", [
@@ -1234,15 +1380,6 @@ def test_unknown_keys_exit_2(capsys, tmp_path, name, path, old, new):
     assert (code, out) == (2, "")
     where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)[1:]
     assert err == f"error: {where or 'scenario file'}: unknown key {new!r}\n"
-
-
-@pytest.mark.parametrize("index", [0, 1])
-def test_non_string_resource_exits_2(capsys, tmp_path, index):
-    doc = _data("w.json")
-    doc["exchange"]["streams"][index]["resource"] = 5
-    code, out, err = run(capsys, "analyze", _write(tmp_path, doc))
-    assert (code, out) == (2, "")
-    assert err == f"error: exchange.streams[{index}].resource: must be a string\n"
 
 
 def test_comma_in_agent_name_exits_2(capsys, tmp_path):

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import pytest
 
 import symbio.exchange
-from symbio import lp
+from symbio import cli, lp
 from symbio.lp import LPResult
 from symbio.errors import BoundExceeded, SymbioError
 from symbio.exchange import (
@@ -23,11 +23,11 @@ from symbio.exchange import (
     t_value,
     waste_offer,
 )
-from symbio.games import check_superadditive, coalitions
+from symbio.games import as_money, check_superadditive, coalitions
 
 from helpers import (
-    candidate_routes, compatible_pairs, dense_scenario, fractions_made, grid_plan_cost,
-    random_scenario, relaxation_net, route_saving, route_subset_game,
+    bench_scenarios, candidate_routes, compatible_pairs, dense_scenario, fractions_made,
+    grid_plan_cost, random_scenario, relaxation_net, route_saving, route_subset_game,
 )
 
 
@@ -385,6 +385,44 @@ def test_dense_lp_counts(lp_calls, n, lps):
     # relaxations' optimal vertices the branch and bound reads
     scenario_to_game(dense_scenario(n))
     assert len(lp_calls) == lps - n * (n - 1)
+
+
+def read_exchange(doc):
+    """The ExchangeScenario of a scenario document, as the CLI reads it."""
+    doc = json.loads(json.dumps(doc), parse_float=as_money)
+    return cli._parse_exchange(doc["exchange"], {name: i for i, name in enumerate(doc["agents"])})
+
+
+def test_rosters_sharing_no_stream_take_one_pass(lp_calls, monkeypatch):
+    """A roster whose routes share no stream is tabulated in one pass, with
+    no search and no LP, into the route subset oracle's table: the
+    benchmark's sparse shapes at 3-8 firms and w.json. Once a second route
+    reaches F1's demand, which route F0 -> F1 takes too, the same file goes
+    back through the search, one per coalition, into the oracle's table."""
+    searched = []
+    best = _RouteSearch.best
+    monkeypatch.setattr(_RouteSearch, "best", lambda self, routes, incumbent: (
+        searched.append(routes) or best(self, routes, incumbent)))
+    docs = [bench_scenarios().exchange_case(random.Random(n), n, "sparse", "sparse").doc
+            for n in range(3, 9)]
+    w = Path(__file__).parent / "data" / "w.json"
+    docs.append(json.loads(w.read_text(encoding="utf-8")))
+    for doc in docs:
+        scenario = read_exchange(doc)
+        assert scenario_to_game(scenario) == route_subset_game(scenario)
+        assert (searched, lp_calls) == ([], [])
+        names = doc["agents"]
+        if len(names) < 3:
+            continue
+        # F2 offers the resource F1 demands; only its fee kept the route out
+        fee, = (e for e in doc["exchange"]["transaction"]
+                if (e["from"], e["to"]) == (names[2], names[1]))
+        fee["cost"] = 1
+        shared = read_exchange(doc)
+        assert scenario_to_game(shared) == route_subset_game(shared)
+        assert len(searched) == 2 ** len(names) - 1 and lp_calls
+        searched.clear()
+        lp_calls.clear()
 
 
 def test_pop_time_prune_skips_the_lp(lp_calls):

@@ -1,12 +1,9 @@
-import importlib.util
 import inspect
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +19,7 @@ from symbio.solutions import core_nonempty, in_core, is_implementable, shapley
 
 from helpers import (
     balanced_weights_hold,
+    bench_scenarios,
     core_constraints_hold,
     convex_game,
     core_nonempty_by_enumeration,
@@ -414,21 +412,12 @@ def test_balanced_weights_fail_when_one_weight_changes():
     assert [len(core_nonempty(game).weights) for game in cases] == [3, 2, 3]
 
 
-def _bench_scenarios():
-    """bench/scenarios.py, the benchmark's generator, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_empty_cores_carry_balanced_weights():
     """Both seed-1 tables-analyze passes of the benchmark: each of the six
     empty cores a pass holds is found by a split, with no LP, and its
     weights hold against the generator's own values; every other core is
     nonempty, by one LP."""
-    scenarios = _bench_scenarios()
+    scenarios = bench_scenarios()
     for pass_index in 0, 1:
         empty = lps = 0
         for case in scenarios.make_batch("tables-analyze", 1, pass_index):

@@ -32,10 +32,6 @@ ALLOWED_RAISES = {
         "deleting a field of an immutable record, as a frozen dataclass raised",
     ("cli", "load_scenario", None):
         "re-raises the BoundExceeded it caught, which its SymbioError clause would rename",
-    ("games", "_parse", "ValueError"):
-        "text outside the number grammar, as Fraction raises; cli._number names the field",
-    ("games", "_parse", "ZeroDivisionError"):
-        "a zero denominator, as Fraction raises; cli._number names the field",
     ("games", "money_terms", "TypeError"):
         "a bool, a binary float or another type as money (errors.py); cli._number names the field",
     ("lp", "solve_lp", "ValueError"):
