@@ -376,22 +376,22 @@ def cmd_core(scenario: Scenario) -> dict:
     }
 
 
-def _rule_entry(names, rule) -> dict:
-    return {
-        "positive": [names[i] for i in sorted(rule.positive)],
-        "negative": [names[i] for i in sorted(rule.negative)],
-        "value": fraction_text(rule.value),
-    }
+def _rule_entries(keys, net) -> list:
+    """A net's terms as reports write them: a pattern's names are its key's,
+    split at the commas no name holds, and the empty pattern has none."""
+    d = net.denominator
+    return [{"positive": keys[p].split(",") if p else [],
+             "negative": keys[q].split(",") if q else [],
+             "value": fraction_text(v, d)} for p, q, v in net.terms]
 
 
 def cmd_mcnet(scenario: Scenario) -> dict:
     from .mcnets import from_isn_game
 
-    net = from_isn_game(scenario.game)
     return {
         "command": "mcnet",
         "agents": list(scenario.agents),
-        "rules": [_rule_entry(scenario.agents, r) for r in net.rules],
+        "rules": _rule_entries(scenario.keys, from_isn_game(scenario.game)),
     }
 
 
@@ -436,7 +436,7 @@ def cmd_enforce(scenario: Scenario, epsilon: Fraction) -> dict:
             "promoted": [keys[mask_of(g)] for g in policy.promoted],
             "prohibited": [keys[mask_of(g)] for g in policy.prohibited],
         },
-        "incentive_rules": [_rule_entry(names, r) for r in net.rules],
+        "incentive_rules": _rule_entries(keys, net),
         "coordinated_values": _value_rows(keys, coordinated),
         "group_verdicts": verdicts,
         "coordinated_shapley": shares,

@@ -78,7 +78,7 @@ class CoordinatedGame(Record):
     The worths are tabulated once, into mask-indexed `scaled` ints over
     `denominator` in lowest terms, like ISNGame's; rules may make the empty
     set and singletons nonzero. The table is first written over the lcm of
-    the base denominator and the rules', held to games.SCALED_BITS. Only
+    the base denominator and the net's, held to games.SCALED_BITS. Only
     base and incentives are compared and shown.
     """
 
@@ -89,17 +89,16 @@ class CoordinatedGame(Record):
         if n != incentives.n_agents:
             raise SymbioError(f"game has {n} agents, incentives {incentives.n_agents}")
         table, d = base.scaled, base.denominator
-        new = lcm(d, *(rule.value.denominator for rule in incentives.rules))
+        new = lcm(d, incentives.denominator)
         if new == d:
             table = list(table)
         else:
             _check_bits(len(table), new)
             table = [v * (new // d) for v in table]
-        for rule in incentives.rules:
-            value = rule.value.numerator * (new // rule.value.denominator)
+        for positive, negative, value in incentives.terms:
+            value *= new // incentives.denominator
             # the rule applies to positive | t for every t outside both patterns
-            positive = mask_of(rule.positive)
-            free = ((1 << n) - 1) & ~(positive | mask_of(rule.negative))
+            free = ((1 << n) - 1) & ~(positive | negative)
             t = free
             while True:
                 table[positive | t] += value

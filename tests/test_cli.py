@@ -19,7 +19,7 @@ from symbio import cli, exchange, games, solutions
 from symbio.cli import cmd_analyze, load_scenario, main
 from symbio.errors import SymbioError
 from symbio.games import ISNGame, check_superadditive, make_isn_game, members_of
-from symbio.mcnets import from_isn_game, net_shapley
+from symbio.mcnets import MCNet, MCNetRule, from_isn_game, net_shapley
 from symbio.solutions import in_core
 
 from helpers import (
@@ -157,6 +157,9 @@ def test_commands_run_clean(capsys, command):
             (f"x4_{command}.json", [command, "x4.json", "--format", "json"])
             for command in ("analyze", "enforce")
         ),
+        # the rule entries, the grand coalition's empty negative list included
+        *((f"{data}_mcnet.json", ["mcnet", f"{data}.json", "--format", "json"])
+          for data in ("g3", "w", "x4")),
     ],
 )
 def test_golden_outputs(capsys, name, argv):
@@ -726,6 +729,45 @@ def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
     assert code == 0 and json.loads(out)["values"] == {
         key: str(t - Fraction(tables["O"][key])) for key, t in tables["T"].items()}
     assert json.loads(out)["implementable"] and 0 < len(made) <= n
+
+
+def test_rule_reports_read_the_terms(capsys, monkeypatch, tmp_path):
+    """symbio mcnet and symbio enforce on a 10-agent tables file write their
+    rules straight from the nets' terms: no MCNetRule for the canonical net,
+    no read of a net's `rules` view and no Fraction per rule (none at all
+    for mcnet). from_isn_game calls neither coalition nor members_of: masks
+    below 1 << n are ids on the roster."""
+    n = 10
+    path = benchmark_halves_file(tmp_path, n)
+    calls = dict.fromkeys(("coalition", "members_of", "MCNetRule", "rules"), 0)
+
+    def spy(name, real):
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+        return counting
+
+    for module in games, symbio.mcnets:
+        for name in ("coalition", "members_of"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(games, name)))
+    monkeypatch.setattr(MCNetRule, "__init__", spy("MCNetRule", MCNetRule.__init__))
+    monkeypatch.setattr(MCNet, "rules", property(spy("rules", MCNet.__dict__["rules"].func)))
+    game = load_scenario(str(path)).game
+    calls.update(coalition=0, members_of=0)
+    assert len(from_isn_game(game).terms) == (1 << n) - n - 1
+    assert calls == dict.fromkeys(calls, 0)
+    for fmt in "text", "json":
+        with fractions_made() as made:
+            code, out, err = run(capsys, "mcnet", str(path), "--format", fmt)
+        assert code == 0 and not err and made == []
+    assert calls["MCNetRule"] == calls["rules"] == 0
+    with fractions_made() as made:
+        code, out, err = run(capsys, "enforce", str(path), "--format", "json")
+    assert code == 0 and not err and 0 < len(made) <= 11
+    # one rule object per incentive rule synthesized, and no view read
+    assert calls["MCNetRule"] == len(json.loads(out)["incentive_rules"]) > 0
+    assert calls["rules"] == 0
 
 
 def test_shapley_makes_no_fraction(capsys, tmp_path):

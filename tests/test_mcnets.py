@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import symbio.games
 import symbio.mcnets
 from symbio.cli import load_scenario
 from symbio.errors import SymbioError
@@ -54,19 +53,23 @@ def test_rule_validation():
     # the one-rule net: MCNet decides which rules a roster takes
     with pytest.raises(SymbioError, match="negative pattern may not be the whole roster"):
         rule_shapley(MCNetRule(set(), {0, 1}, 1), 2)
-    for rule, agent in (MCNetRule({5}, set(), 1), 5), (MCNetRule({0}, {2}, 1), 2):
-        with pytest.raises(SymbioError, match=f"agent {agent} not on a roster of 2"):
-            MCNet(2, (rule,))
+    # an id off the roster is refused before any mask is made: 1 << 10**12
+    # would take 125 GB
+    for positive, negative, agent in ({5}, set(), 5), ({0}, {2}, 2), ({10**12}, set(), 10**12):
+        with pytest.raises(SymbioError) as e:
+            MCNet(2, (MCNetRule(positive, negative, 1),))
+        assert str(e.value) == f"agent {agent} not on a roster of 2"
     for n in (0, True, 2.0, 2.5, "2", None):
         for build in (lambda: MCNet(n, ()), lambda: rule_shapley(RULE, n)):
             with pytest.raises(SymbioError) as e:
                 build()
             assert str(e.value) == f"a roster needs an int count of at least one agent, got {n!r}"
-    # a rule builds with any ids; the first net that takes it checks them
-    for agent in (-1, "a", True, 1.0):
-        rule = MCNetRule({agent}, set(), 1)
+    # a bad id is refused by the rule or by the first net that takes it,
+    # and one equal to a good id beside it is refused, not merged into it
+    for positive, agent in (({-1}, -1), ({"a"}, "a"), ({True}, True), ({1.0}, 1.0),
+                            ([1, True], True)):
         with pytest.raises(SymbioError) as e:
-            MCNet(3, (rule,))
+            MCNet(3, (MCNetRule(positive, [], 2),))
         assert str(e.value) == f"agent ids must be non-negative integers, got {agent!r}"
 
 
@@ -100,35 +103,17 @@ def test_transformation_trivial_cases():
     assert from_isn_game(all_zero).rules == ()
 
 
-def test_canonical_net_builds_each_pattern_once(monkeypatch):
-    # each mask's members are made once and shared, and MCNet's roster check
-    # is the one id check: no members_of per pattern, no coalition per rule
-    n = 10
-    game = random_game(random.Random(29), n, lo=1)
-    calls = {"coalition": 0, "members_of": 0}
-
-    def spy(name, real):
-        def counting(*args):
-            calls[name] += 1
-            return real(*args)
-        return counting
-
-    reals = {name: getattr(symbio.games, name) for name in calls}
-    for module in symbio.games, symbio.mcnets:
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy(name, reals[name]))
-    net = from_isn_game(game)
-    assert len(net.rules) == (1 << n) - n - 1
-    assert calls["coalition"] <= 1
-    assert calls["members_of"] == 0
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=8))
 @settings(max_examples=40, deadline=None)
 def test_canonical_net_matches_one_members_of_pair_per_rule(seed, n):
     game = random_game(random.Random(seed), n)
-    assert from_isn_game(game).rules == canonical_rules(game)
+    net = from_isn_game(game)
+    assert net.rules == canonical_rules(game)
+    # the terms written straight from the table are the ones MCNet makes of the rules
+    rebuilt = MCNet(n, net.rules)
+    assert rebuilt == net and hash(rebuilt) == hash(net)
+    empty = from_isn_game(ISNGame.from_values(3, {}))
+    assert empty == MCNet(3, ()) and hash(empty) == hash(MCNet(3, ()))
 
 
 @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda path: path.name)
@@ -261,6 +246,12 @@ def test_compose(g3):
     assert evaluate(merged, {0, 1, 2}) == Fraction(25, 2)
     r1, r2 = MCNetRule({0}, set(), 1), MCNetRule({1}, set(), 2)
     assert compose(MCNet(2, (r1,)), MCNet(2, (r2,))).rules == (r1, r2)
+    # over the lcm of two denominators: each value kept, the net as MCNet makes it
+    a = MCNet(3, (MCNetRule({0, 1}, {2}, Fraction(1, 2)), MCNetRule({2}, set(), 5)))
+    b = MCNet(3, (MCNetRule({1}, {0}, Fraction(-7, 3)),))
+    both = compose(a, b)
+    assert both.rules == a.rules + b.rules
+    assert both == MCNet(3, a.rules + b.rules) and both.denominator == 6
     with pytest.raises(SymbioError, match="rosters differ: 3 vs 2"):
         compose(net, MCNet(2, ()))
 
