@@ -7,7 +7,9 @@ taxes: a minimal subsidy on each promoted group's grand coalition (making
 the group's Shapley allocation enter its core) and a tax on each
 prohibited group pushing its coordinated worth strictly below what its
 members get alone. Incentive rules use the exact-group pattern
-(S, roster minus S), so they touch no other coalition.
+(S, roster minus S), so they touch no other coalition. _enforce is their
+one implementation, writing each as the term (mask, full ^ mask, numerator)
+over the values' lcm; the single-group synthesizers are one-group policies.
 
 A coordinated game holds its worths as ints over one denominator, like
 ISNGame: the base game's ints, rewritten over the lcm of its denominator
@@ -28,24 +30,16 @@ from math import lcm
 
 from .errors import SymbioError
 from .games import ISNGame, _check_bits, _lowest, _sums, as_money, coalition, mask_of, subgame
-from .mcnets import MCNet, MCNetRule, compose, from_isn_game
+from .mcnets import MCNet, compose, from_isn_game
 from .records import Record
 from .solutions import _shapley_terms
-
-
-def _group(members: Iterable[int]) -> frozenset:
-    """The members as a coalition of two or more agents: the group-size rule."""
-    group = coalition(members)
-    if len(group) < 2:
-        raise SymbioError("group {} has fewer than two agents", group)
-    return group
 
 
 class Policy(Record):
     """Groups the authority promotes or prohibits; any other group is permitted.
 
-    Each field becomes a tuple of coalitions in ascending bitmask order.
-    Construction enforces every policy rule and raises SymbioError,
+    Each field becomes a tuple of coalitions in ascending bitmask order, read
+    off the ids. Construction enforces every policy rule and raises SymbioError,
     naming the offending groups, when a group has fewer than two agents,
     when a group is listed twice (within a list or across both), or when
     two promoted groups overlap: only pairwise disjoint promotions can all
@@ -58,9 +52,12 @@ class Policy(Record):
                  prohibited: "tuple[frozenset, ...]" = ()):
         seen, fields = set(), {}
         for name, groups in ("promoted", promoted), ("prohibited", prohibited):
-            groups = fields[name] = tuple(sorted(map(coalition, groups), key=mask_of))
+            # ids compared largest first give bitmask order
+            groups = fields[name] = tuple(sorted(map(coalition, groups),
+                                                 key=lambda g: sorted(g, reverse=True)))
             for group in groups:
-                _group(group)
+                if len(group) < 2:
+                    raise SymbioError("group {} has fewer than two agents", group)
                 if group in seen:
                     raise SymbioError("group {} labeled twice", group)
                 seen.add(group)
@@ -119,9 +116,9 @@ class CoordinatedGame(Record):
         return compose(from_isn_game(self.base), self.incentives)
 
 
-def _promotion(game, target: frozenset):
-    """(rule, amount, (phi, den)): synthesize_promotion's answer and the
-    target's Shapley value once its subsidy is paid, phi_i / den per member.
+def _promotion(game, target: frozenset) -> "tuple[Fraction, tuple[list, int]]":
+    """(amount, (phi, den)): the target's minimal subsidy (synthesize_promotion)
+    and its Shapley value once the subsidy is paid, phi_i / den per member.
 
     The subsidized subgame differs from the unsubsidized one only at the
     group itself, so by additivity its Shapley value is the first one plus
@@ -137,9 +134,15 @@ def _promotion(game, target: frozenset):
         g = vals[mask] * f - shares[mask]
         if g * size > gap * mask.bit_count():
             gap, size = g, mask.bit_count()
-    needed = Fraction(gap * k, size * den)
-    rule = MCNetRule(target, frozenset(range(game.n_agents)) - target, needed) if gap else None
-    return rule, needed, ([v * size + gap for v in phi], size * den)
+    return Fraction(gap * k, size * den), ([v * size + gap for v in phi], size * den)
+
+
+def _exact_groups(n: int, priced: list) -> MCNet:
+    """The net of (group mask, nonzero value) pairs, each the exact-group
+    term (mask, full ^ mask, numerator) over the values' lcm."""
+    full, d = (1 << n) - 1, lcm(*(v.denominator for _, v in priced))
+    terms = tuple((m, full ^ m, v.numerator * (d // v.denominator)) for m, v in priced)
+    return MCNet._of(n_agents=n, terms=terms, denominator=d)
 
 
 def synthesize_promotion(game, target: Iterable[int]):
@@ -151,10 +154,11 @@ def synthesize_promotion(game, target: Iterable[int]):
     max over proper nonempty S of (v(S) - shapley(S)) * |target| / |S|,
     clamped at zero. When zero, no rule is emitted (rule is None). The
     scan compares v(S) k! with the Shapley shares' sum, both ints over k! d
-    (solutions._shapley_terms).
+    (solutions._shapley_terms). A one-group policy through _enforce.
     """
-    rule, needed, _ = _promotion(game, _group(target))
-    return rule, needed
+    net, promoted = _enforce(game, Policy(promoted=[target]), None)
+    [(amount, _)] = promoted.values()
+    return next(iter(net.rules), None), amount
 
 
 def synthesize_prohibition(game, target: Iterable[int], epsilon) -> "MCNetRule | None":
@@ -163,41 +167,33 @@ def synthesize_prohibition(game, target: Iterable[int], epsilon) -> "MCNetRule |
     The coordinated worth becomes -epsilon < 0, so members do strictly
     better splitting up. Returns None only in the degenerate case where
     the target already sits exactly at -epsilon (a zero-valued rule is not
-    representable, and none is needed).
+    representable, and none is needed). A one-group policy through _enforce.
     """
-    target = _group(target)
-    epsilon = as_money(epsilon)
-    if epsilon <= 0:
-        raise SymbioError("prohibition margin must be > 0")
-    tax = -(game.value(target) + epsilon)
-    if tax == 0:
-        return None
-    rest = frozenset(range(game.n_agents)) - target
-    return MCNetRule(target, rest, tax)
+    net, _ = _enforce(game, Policy(prohibited=[target]), epsilon)
+    return next(iter(net.rules), None)
 
 
 def _enforce(game: ISNGame, policy: Policy, epsilon) -> "tuple[MCNet, dict]":
     """(enforce_policy's net, {promoted group: (its subsidy, its Shapley
-    terms (phi, den) in the coordinated game)}), the subsidy 0 when the
-    group needs no rule and phi over the group's own dense ids
-    (_promotion). Promoted groups are disjoint and every rule touches its
-    own group alone, so a group's coordinated subgame is its taxed one plus
-    its own subsidy. Each group's roster is checked on its first use: a
-    prohibited group's by game.value, a promoted group's by subgame."""
-    taxes = []
+    terms (phi, den) in the coordinated game)}) by _promotion, the subsidy 0
+    when the group needs no rule. The margin is checked when some group is
+    prohibited, and each tax is -(v(S) + epsilon). Promoted groups are
+    disjoint and every rule touches its own group alone, so a group's
+    coordinated subgame is its taxed one plus its own subsidy. Each group's
+    roster is checked, by game.value or subgame, before its mask is taken."""
+    taxes, subsidies, promoted = [], [], {}
+    if policy.prohibited and (epsilon := as_money(epsilon)) <= 0:
+        raise SymbioError("prohibition margin must be > 0")
     for group in policy.prohibited:
-        rule = synthesize_prohibition(game, group, epsilon)
-        if rule is not None:
-            taxes.append(rule)
-    taxed = CoordinatedGame(game, MCNet(game.n_agents, tuple(taxes)))
-
-    subsidies, promoted = [], {}
+        tax = -(game.value(group) + epsilon)
+        if tax:
+            taxes.append((mask_of(group), tax))
+    taxed = CoordinatedGame(game, _exact_groups(game.n_agents, taxes)) if taxes else game
     for group in policy.promoted:
-        rule, subsidy, terms = _promotion(taxed, group)
-        promoted[group] = subsidy, terms
-        if rule is not None:
-            subsidies.append(rule)
-    return MCNet(game.n_agents, tuple(subsidies) + tuple(taxes)), promoted
+        subsidy, _ = promoted[group] = _promotion(taxed, group)
+        if subsidy:
+            subsidies.append((mask_of(group), subsidy))
+    return _exact_groups(game.n_agents, subsidies + taxes), promoted
 
 
 def enforce_policy(game: ISNGame, policy: Policy, epsilon=Fraction(1)) -> MCNet:

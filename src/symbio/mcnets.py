@@ -39,14 +39,18 @@ class MCNetRule(Record):
 
 
 class MCNet(Record):
-    """Ordered rules on a roster, by position; check_roster reads every id before any mask."""
+    """Ordered MCNetRules on a roster, by position; check_roster reads their ids' union once."""
 
     _shown = ("n_agents", "rules")
     _compared = ("n_agents", "terms", "denominator")
 
     def __init__(self, n_agents: int, rules: "tuple[MCNetRule, ...]"):
         rules = tuple(rules)
-        check_roster((i for r in rules for p in (r.positive, r.negative) for i in p), n_agents)
+        for r in rules:
+            if not isinstance(r, MCNetRule):
+                raise SymbioError(f"net rules must be MCNetRule objects, got {r!r}")
+        check_roster(frozenset().union(*(r.positive for r in rules), *(r.negative for r in rules)),
+                     n_agents)
         d, terms = lcm(*(r.value.denominator for r in rules)), []
         for r in rules:
             if len(r.negative) == n_agents:

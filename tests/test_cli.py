@@ -160,6 +160,11 @@ def test_commands_run_clean(capsys, command):
         # the rule entries, the grand coalition's empty negative list included
         *((f"{data}_mcnet.json", ["mcnet", f"{data}.json", "--format", "json"])
           for data in ("g3", "w", "x4")),
+        *(
+            (f"{data}_{command}.json", [command, f"{data}.json", "--format", "json"])
+            for data in ("g3", "w", "x4")
+            for command in ("shapley", "core")
+        ),
     ],
 )
 def test_golden_outputs(capsys, name, argv):
@@ -733,13 +738,14 @@ def test_enforce_makes_no_fraction_per_coalition(capsys, monkeypatch, tmp_path):
 
 def test_rule_reports_read_the_terms(capsys, monkeypatch, tmp_path):
     """symbio mcnet and symbio enforce on a 10-agent tables file write their
-    rules straight from the nets' terms: no MCNetRule for the canonical net,
-    no read of a net's `rules` view and no Fraction per rule (none at all
-    for mcnet). from_isn_game calls neither coalition nor members_of: masks
-    below 1 << n are ids on the roster."""
+    rules straight from the nets' terms: no MCNetRule, no MCNet.__init__ (the
+    incentive net is written as exact-group terms), no read of a net's
+    `rules` view and no Fraction per rule (none at all for mcnet).
+    from_isn_game calls neither coalition nor members_of: masks below 1 << n
+    are ids on the roster."""
     n = 10
     path = benchmark_halves_file(tmp_path, n)
-    calls = dict.fromkeys(("coalition", "members_of", "MCNetRule", "rules"), 0)
+    calls = dict.fromkeys(("coalition", "members_of", "MCNetRule", "MCNet", "rules"), 0)
 
     def spy(name, real):
         def counting(*args):
@@ -752,6 +758,7 @@ def test_rule_reports_read_the_terms(capsys, monkeypatch, tmp_path):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(games, name)))
     monkeypatch.setattr(MCNetRule, "__init__", spy("MCNetRule", MCNetRule.__init__))
+    monkeypatch.setattr(MCNet, "__init__", spy("MCNet", MCNet.__init__))
     monkeypatch.setattr(MCNet, "rules", property(spy("rules", MCNet.__dict__["rules"].func)))
     game = load_scenario(str(path)).game
     calls.update(coalition=0, members_of=0)
@@ -761,13 +768,13 @@ def test_rule_reports_read_the_terms(capsys, monkeypatch, tmp_path):
         with fractions_made() as made:
             code, out, err = run(capsys, "mcnet", str(path), "--format", fmt)
         assert code == 0 and not err and made == []
-    assert calls["MCNetRule"] == calls["rules"] == 0
+    assert calls["MCNetRule"] == calls["MCNet"] == calls["rules"] == 0
     with fractions_made() as made:
         code, out, err = run(capsys, "enforce", str(path), "--format", "json")
     assert code == 0 and not err and 0 < len(made) <= 11
-    # one rule object per incentive rule synthesized, and no view read
-    assert calls["MCNetRule"] == len(json.loads(out)["incentive_rules"]) > 0
-    assert calls["rules"] == 0
+    # incentive rules are reported, and none was built as an object or a net
+    assert len(json.loads(out)["incentive_rules"]) > 0
+    assert calls["MCNetRule"] == calls["MCNet"] == calls["rules"] == 0
 
 
 def test_shapley_makes_no_fraction(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -15,7 +16,7 @@ from symbio.coordination import (
     synthesize_promotion,
 )
 from symbio.errors import SymbioError
-from symbio.games import ISNGame, coalitions, fraction_text, members_of, subgame
+from symbio.games import ISNGame, as_money, coalitions, fraction_text, mask_of, members_of, subgame
 from symbio.mcnets import MCNet, MCNetRule, evaluate, net_shapley, from_isn_game
 from symbio.solutions import _shapley_terms, is_implementable, shapley
 
@@ -56,6 +57,144 @@ def test_policy_groups_are_stored_in_bitmask_order():
     assert policy.prohibited == (frozenset({0, 2}), frozenset({1, 3}))
     assert policy == Policy(promoted=[{0, 1}, {2, 3}], prohibited=[{0, 2}, {1, 3}])
     assert hash(policy) == hash(Policy(promoted=[{0, 1}, {3, 2}], prohibited=[{1, 3}, {2, 0}]))
+
+
+def test_policy_orders_groups_by_their_ids_alone(monkeypatch):
+    """Policy's group order, read off each group's ids largest first, is
+    ascending bitmask order on random groups (one the prefix of another
+    included), and no mask is built on the way."""
+    rng = random.Random(53)
+    monkeypatch.setattr(coordination, "mask_of", None)  # a call would raise
+    prefixes = 0
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        groups = {frozenset(rng.sample(range(n), rng.randint(2, n)))
+                  for _ in range(rng.randint(1, 6))}
+        policy = Policy(prohibited=[rng.sample(sorted(g), len(g)) for g in groups])
+        assert list(policy.prohibited) == sorted(groups, key=mask_of)
+        prefixes += any(a < b and max(b - a) < min(a) for a in groups for b in groups)
+    assert prefixes >= 20
+
+
+def test_a_huge_id_builds_no_mask(g3):
+    """An id of 10**8 makes no 1 << 10**8 mask (12.5 MB): Policy orders its
+    groups by their ids, and synthesize_promotion refuses the id by the
+    roster check, each under 1 MB of traced memory."""
+    def policy():
+        assert Policy(promoted=[{0, 10**8}]).promoted == (frozenset({0, 10**8}),)
+
+    def promotion():
+        with pytest.raises(SymbioError) as e:
+            synthesize_promotion(g3, {0, 10**8})
+        assert str(e.value) == "agent 100000000 not on a roster of 3"
+
+    for build in policy, promotion:
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (build.__name__, peak)
+
+
+def _oracle_prohibition(game, target, epsilon):
+    """The tax rule as first written: MCNetRule(target, roster - target, tax)."""
+    tax = -(game.value(target) + as_money(epsilon))
+    rest = frozenset(range(game.n_agents)) - frozenset(target)
+    return MCNetRule(target, rest, tax) if tax else None
+
+
+def _oracle_promotion(game, target):
+    """(rule, amount) as first written, by the Fraction gap loop."""
+    amount = fraction_promotion_amount(game, target)
+    rest = frozenset(range(game.n_agents)) - frozenset(target)
+    return MCNetRule(target, rest, amount) if amount else None, amount
+
+
+def _oracle_net(game, policy, epsilon):
+    """MCNet(n, subsidies + taxes), the subsidies priced on the taxed game."""
+    n = game.n_agents
+    taxes = [r for g in policy.prohibited if (r := _oracle_prohibition(game, g, epsilon))]
+    taxed = CoordinatedGame(game, MCNet(n, taxes))
+    subsidies = [r for g in policy.promoted if (r := _oracle_promotion(taxed, g)[0])]
+    return MCNet(n, subsidies + taxes)
+
+
+def _random_base(rng, n):
+    """An ISNGame, or a CoordinatedGame whose rules each name two or more
+    positive agents, so every subgame stays normalized."""
+    game = (mixed_game if rng.random() < 0.5 else random_game)(rng, n)
+    if rng.random() < 0.5:
+        return game
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        positive = set(rng.sample(range(n), rng.randint(2, n)))
+        rest = [i for i in range(n) if i not in positive]
+        negative = rng.sample(rest, rng.randint(0, len(rest)))
+        rules.append(MCNetRule(positive, negative, Fraction(rng.randint(1, 9), rng.choice([1, 5]))))
+    return CoordinatedGame(game, MCNet(n, rules))
+
+
+def _same(got, expected):
+    assert got == expected and hash(got) == hash(expected) and repr(got) == repr(expected)
+
+
+def test_incentive_builders_match_the_rules_as_first_written():
+    """synthesize_promotion, synthesize_prohibition and enforce_policy equal
+    the rule objects and nets built one MCNetRule at a time, in ==, hash and
+    repr, None included, on random ISNGame and CoordinatedGame bases,
+    targets given in any order and margins as ints, Fractions and text. A
+    margin equal to minus a group's worth makes a zero tax, so no rule."""
+    rng = random.Random(61)
+    seen = dict.fromkeys(("no subsidy", "subsidy", "no tax", "tax", "coordinated base"), 0)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        game = _random_base(rng, n)
+        seen["coordinated base"] += isinstance(game, CoordinatedGame)
+        target = rng.sample(range(n), rng.randint(2, n))
+        epsilon = rng.choice([1, Fraction(1, 3), "2/7", "0.5"])
+        if game.value(target) < 0 and rng.random() < 0.7:
+            epsilon = -game.value(target)
+        rule = synthesize_prohibition(game, target, epsilon)
+        _same(rule, _oracle_prohibition(game, target, epsilon))
+        seen["tax" if rule else "no tax"] += 1
+        got = synthesize_promotion(game, target)
+        _same(got, _oracle_promotion(game, target))
+        seen["subsidy" if got[0] else "no subsidy"] += 1
+        policy = _random_policy(rng, n)
+        _same(enforce_policy(game, policy, epsilon), _oracle_net(game, policy, epsilon))
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: synthesize_promotion(g, {0}), SymbioError, "group [0] has fewer than two agents"),
+    (lambda g: synthesize_prohibition(g, [2], 1), SymbioError, "group [2] has fewer than two agents"),
+    (lambda g: synthesize_prohibition(g, {0}, 0), SymbioError, "group [0] has fewer than two agents"),
+    (lambda g: synthesize_promotion(g, {0, 3}), SymbioError, "agent 3 not on a roster of 3"),
+    (lambda g: synthesize_prohibition(g, [4, 1], 1), SymbioError, "agent 4 not on a roster of 3"),
+    (lambda g: synthesize_prohibition(g, {0, 1}, 0), SymbioError, "prohibition margin must be > 0"),
+    (lambda g: synthesize_prohibition(g, {0, 1}, -1), SymbioError, "prohibition margin must be > 0"),
+    (lambda g: synthesize_prohibition(g, {0, 3}, -1), SymbioError, "prohibition margin must be > 0"),
+    (lambda g: synthesize_prohibition(g, {0, 1}, 0.5), TypeError,
+     "cannot represent 0.5 exactly; use int, Fraction or string"),
+    (lambda g: enforce_policy(g, Policy(prohibited=[{0, 1}]), 0), SymbioError,
+     "prohibition margin must be > 0"),
+    (lambda g: enforce_policy(g, Policy(prohibited=[{1, 2}]), 1.0), TypeError,
+     "cannot represent 1.0 exactly; use int, Fraction or string"),
+    (lambda g: enforce_policy(g, Policy(promoted=[{0, 1}, {1, 2}])), SymbioError,
+     "promoted groups overlap: [0, 1] and [1, 2]"),
+], ids=lambda x: "" if callable(x) or isinstance(x, type) else x)
+def test_incentive_builders_keep_their_faults(g3, call, error, message):
+    with pytest.raises(error) as e:
+        call(g3)
+    assert type(e.value) is error and str(e.value) == message
+
+
+def test_a_margin_is_read_only_for_a_prohibited_group(g3):
+    """With no prohibited group the margin is never read, so a float passes."""
+    assert enforce_policy(g3, Policy(promoted=[{0, 1, 2}]), 0.5) == enforce_policy(
+        g3, Policy(promoted=[{0, 1, 2}]))
 
 
 def test_incentive_value_is_mcnet_evaluation(g3):

@@ -874,7 +874,7 @@ ID_ENTRIES = {
     "t_value": lambda g3, bad: t_value(ExchangeScenario(3, (), {}, {}), [1, bad]),
     "from_values": lambda g3, bad: ISNGame.from_values(3, {(1, bad): 5}),
     "make_isn_game": lambda g3, bad: make_isn_game(3, {(1, bad): 5}, {}),
-    # each rule builds; the net reads every id of every pattern, not their union
+    # the second rule refuses the id itself, before any net reads the patterns' union
     "MCNet-positive": lambda g3, bad: MCNet(3, (MCNetRule({0, 1}, set(), 1),
                                                 MCNetRule({bad, 2}, set(), 1))),
     "MCNet-negative": lambda g3, bad: MCNet(3, (MCNetRule({0, 1}, set(), 1),

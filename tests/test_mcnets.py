@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbio.mcnets
+from symbio import games
 from symbio.cli import load_scenario
 from symbio.errors import SymbioError
 from symbio.games import ISNGame, coalitions, make_isn_game
@@ -71,6 +73,36 @@ def test_rule_validation():
         with pytest.raises(SymbioError) as e:
             MCNet(3, (MCNetRule(positive, [], 2),))
         assert str(e.value) == f"agent ids must be non-negative integers, got {agent!r}"
+
+
+def test_a_net_reads_the_union_of_its_rules_ids_once(monkeypatch):
+    """Each MCNetRule read its own ids through coalition, so MCNet reads
+    them again only for the roster, once over the union of the patterns
+    (one call, one read per distinct id); an object that is not an
+    MCNetRule is refused before any id is read."""
+    rules = from_isn_game(random_game(random.Random(5), 5)).rules + (MCNetRule({0}, {1, 2}, 3),)
+    real, calls = games.coalition, []
+
+    def counting(ids):
+        ids = tuple(ids)
+        calls.append(len(ids))
+        return real(ids)
+
+    monkeypatch.setattr(games, "coalition", counting)
+    for n, listed, distinct in (5, rules, 5), (3, (RULE,), 3), (4, (), 0):
+        calls.clear()
+        MCNet(n, listed)
+        assert calls == [distinct]
+    with pytest.raises(SymbioError) as e:
+        MCNet(3, (MCNetRule({0, 5}, (), 1),))
+    assert str(e.value) == "agent 5 not on a roster of 3"
+    fake = SimpleNamespace(positive=frozenset({1.0}), negative=frozenset(), value=Fraction(2))
+    for bad in (fake, (frozenset({0, 1}), frozenset(), 1), "rule", None):
+        calls.clear()
+        with pytest.raises(SymbioError) as e:
+            MCNet(3, (RULE, bad))
+        assert str(e.value) == f"net rules must be MCNetRule objects, got {bad!r}"
+        assert calls == []
 
 
 def test_evaluate_sums_applicable_rules(g3):
