@@ -26,11 +26,11 @@ order: a key split and checked name by name (_mask), a value read by
 _number, so the first fault named is the first in the file, and a key's
 before its value's. games.game_from_masks writes every v(S) as an int over
 the table's lcm denominator. Every key's names and number are read, T then
-O, before the table rules run. An exchange section is read entry by entry
-in file order, each entry's fields by inline type and membership tests
-(_parse_exchange): a valid entry builds no message, and the first test
-that fails names its entry and field. `--epsilon` is checked to be > 0
-before the file is read.
+O, before the table rules run. An exchange section is read in one loop,
+entry by entry in file order, each entry's fields by inline type and
+membership tests that one format table drives (_parse_exchange): a valid
+entry builds no message, and the first test that fails names its entry and
+field. `--epsilon` is checked to be > 0 before the file is read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms by one printer,
@@ -227,83 +227,80 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(names, game, policy, "tables" if "tables" in doc else "exchange", keys)
 
 
-#: The keys an exchange entry of each kind may hold.
-_ENTRY_KEYS = {
-    "offer": frozenset(("firm", "kind", "resource", "quantity", "unit_discharge_cost")),
-    "demand": frozenset(("firm", "kind", "resource", "quantity", "unit_purchase_cost",
-                         "unit_treatment_cost")),
-    "transport": frozenset(("from", "to", "resource", "cost")),
-    "transaction": frozenset(("from", "to", "cost")),
-}
+@functools.cache
+def _entry_formats() -> dict:
+    """kind -> (keys, firm fields, whether a resource is named, amount
+    fields in read order) of an exchange entry, the stream rows built from
+    exchange.STREAM_COSTS."""
+    from .exchange import STREAM_COSTS
+
+    formats = {kind: (frozenset(("firm", "kind", "resource", "quantity", *costs)), ("firm",), True,
+                      ("quantity", *costs)) for kind, costs in STREAM_COSTS.items()}
+    formats["transport"] = (frozenset(("from", "to", "resource", "cost")), ("from", "to"), True,
+                            ("cost",))
+    formats["transaction"] = frozenset(("from", "to", "cost")), ("from", "to"), False, ("cost",)
+    return formats
 
 
 def _parse_exchange(raw, ids) -> ExchangeScenario:
     """The exchange section as an ExchangeScenario, entries in file order.
 
-    Each entry's fields are tested in one pass, inline: an object, a kind,
-    no key outside _ENTRY_KEYS of its kind, firms on the roster, a string
-    resource, amounts read by _terms, a stream's none negative (by
-    ResourceStream), and a route not given before. A valid entry builds no
-    message; the first test an entry fails raises a SymbioError naming the
-    entry and field, so the fault named is the first in file order.
+    One loop reads the streams, transport and transaction lists, each entry
+    by its kind's row of _entry_formats (a stream's `kind`, offer or demand,
+    or a route's section), testing inline, in order: an object, the kind, no
+    key outside the row's, firms on the roster, a string resource, a route
+    not given before, amounts read by _terms and a stream's signs (by
+    ResourceStream). A valid entry builds no message; the first failed test
+    names its entry and field, so the fault named is the first in file order.
     """
-    from .exchange import STREAM_COSTS, ExchangeScenario, ResourceStream
+    from .exchange import DEMAND, OFFER, ExchangeScenario, ResourceStream
 
+    formats = _entry_formats()
     section = _expect(raw, dict, "exchange", ("streams", "transport", "transaction"))
-    streams = []
-    for k, entry in enumerate(_expect(section.get("streams", []), list, "exchange.streams")):
-        if not isinstance(entry, dict):
-            raise SymbioError(f"exchange.streams[{k}]: must be an object")
-        kind = entry.get("kind")
-        if kind not in ("offer", "demand"):
-            raise SymbioError(f"exchange.streams[{k}].kind: must be 'offer' or 'demand'")
-        if not entry.keys() <= _ENTRY_KEYS[kind]:
-            unknown = min(entry.keys() - _ENTRY_KEYS[kind])
-            raise SymbioError(f"exchange.streams[{k}]: unknown key {unknown!r}")
-        firm = entry.get("firm")
-        if not isinstance(firm, str) or firm not in ids:
-            raise SymbioError(f"exchange.streams[{k}].firm: unknown agent {firm!r}")
-        resource = entry.get("resource")
-        if not isinstance(resource, str):
-            raise SymbioError(f"exchange.streams[{k}].resource: must be a string")
-        amounts = {}
-        for f in ("quantity",) + STREAM_COSTS[kind]:
-            try:
-                amounts[f] = Fraction(*_terms(entry.get(f)))
-            except (TypeError, ValueError) as e:
-                raise SymbioError(f"exchange.streams[{k}].{f}: {e}") from None
-        try:  # the stream's own rules (amounts >= 0), named by entry
-            streams.append(ResourceStream(ids[firm], resource, kind, **amounts))
-        except SymbioError as e:
-            raise SymbioError(f"exchange.streams[{k}]: {e}") from None
-    costs = {}
-    for name in "transport", "transaction":
-        table = costs[name] = {}
+    streams, routes = [], {"transport": {}, "transaction": {}}
+    for name in "streams", "transport", "transaction":
+        table = routes.get(name)  # a route section's costs by route; None for streams
         for k, entry in enumerate(_expect(section.get(name, []), list, f"exchange.{name}")):
             if not isinstance(entry, dict):
                 raise SymbioError(f"exchange.{name}[{k}]: must be an object")
-            if not entry.keys() <= _ENTRY_KEYS[name]:
-                unknown = min(entry.keys() - _ENTRY_KEYS[name])
+            kind = name
+            if table is None:
+                kind, amounts = entry.get("kind"), {}
+                if kind not in (OFFER, DEMAND):
+                    raise SymbioError(f"exchange.streams[{k}].kind: must be 'offer' or 'demand'")
+            keys, firms, named, fields = formats[kind]
+            if not entry.keys() <= keys:
+                unknown = min(entry.keys() - keys)
                 raise SymbioError(f"exchange.{name}[{k}]: unknown key {unknown!r}")
-            key = ()
-            for f in "from", "to":
+            key = ()  # (firm, resource) of a stream, the route of a route
+            for f in firms:
                 firm = entry.get(f)
                 if not isinstance(firm, str) or firm not in ids:
                     raise SymbioError(f"exchange.{name}[{k}].{f}: unknown agent {firm!r}")
                 key += (ids[firm],)
-            if name == "transport":
+            if named:
                 resource = entry.get("resource")
                 if not isinstance(resource, str):
                     raise SymbioError(f"exchange.{name}[{k}].resource: must be a string")
                 key += (resource,)
-            if key in table:
+            if table is not None and key in table:
                 raise SymbioError(f"exchange.{name}[{k}]: repeats the route of an earlier "
                                   f"{name} entry")
-            try:
-                table[key] = Fraction(*_terms(entry.get("cost")))
-            except (TypeError, ValueError) as e:
-                raise SymbioError(f"exchange.{name}[{k}].cost: {e}") from None
-    return ExchangeScenario(len(ids), tuple(streams), costs["transport"], costs["transaction"])
+            for f in fields:
+                try:
+                    amount = Fraction(*_terms(entry.get(f)))
+                except (TypeError, ValueError) as e:
+                    raise SymbioError(f"exchange.{name}[{k}].{f}: {e}") from None
+                if table is None:
+                    amounts[f] = amount
+            if table is not None:
+                table[key] = amount  # a route's one amount, its cost
+                continue
+            try:  # the stream's own rules (amounts >= 0), named by entry
+                streams.append(ResourceStream(*key, kind, **amounts))
+            except SymbioError as e:
+                raise SymbioError(f"exchange.streams[{k}]: {e}") from None
+    return ExchangeScenario(len(ids), tuple(streams), routes["transport"], routes["transaction"])
 
 
 # ---------------------------------------------------------------- reports

@@ -173,8 +173,10 @@ class ExchangeScenario(Record):
     transaction maps (from_firm, to_firm) to a fixed cost charged once per
     activated ordered pair. Both must cover every pair of distinct firms
     with a matching offer/demand resource. Treat instances as immutable.
-    The roster's size and every stream's firm go to one games.check_roster,
-    which names the first bad id given or the smallest firm off the roster.
+    Streams must be ResourceStreams and route keys tuples of that shape.
+    The roster's size, every stream's firm and then each route key's two
+    firms go to one games.check_roster, which names the first bad id given
+    or the smallest firm off the roster.
 
     `links`, neither compared nor shown, holds the roster's links that save,
     found once: (offer, demand firm, cost, worths, ranked demands, start),
@@ -191,14 +193,23 @@ class ExchangeScenario(Record):
             n_agents=n_agents, streams=tuple(streams),
             transport={k: as_money(v) for k, v in transport.items()},
             transaction={k: as_money(v) for k, v in transaction.items()})
-        check_roster([s.firm for s in self.streams], n_agents)
+        ids = []  # every firm the scenario keeps: the streams', then each route's two
+        for s in self.streams:
+            if not isinstance(s, ResourceStream):
+                raise SymbioError(f"scenario streams must be ResourceStream objects, got {s!r}")
+            ids.append(s.firm)
+        for name, width, shape in (("transport", 3, "(from, to, resource)"),
+                                   ("transaction", 2, "(from, to)")):
+            for key in getattr(self, name):
+                if type(key) is not tuple or len(key) != width:
+                    raise SymbioError(f"{name} keys must be {shape} tuples, got {key!r}")
+                ids += key[:2]
+        check_roster(ids, n_agents)
         # a negative cost names its route, as a missing one does
-        for name, width in ("transport", 3), ("transaction", 2):
+        for name in "transport", "transaction":
             for key, cost in getattr(self, name).items():
                 if cost.numerator < 0:
-                    if type(key) is not tuple or len(key) != width:
-                        raise SymbioError("transport and transaction costs must be >= 0")
-                    shown = f" for resource {key[2]!r}" if width == 3 else ""
+                    shown = f" for resource {key[2]!r}" if name == "transport" else ""
                     shown = shown.replace("{", "{{").replace("}", "}}")
                     raise SymbioError(f"{name} cost from {{}} to {{}}{shown} must be >= 0",
                                       {key[0]}, {key[1]})

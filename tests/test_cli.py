@@ -573,15 +573,17 @@ def test_a_number_too_long_to_print_exits_3(tmp_path, command):
 def exchange_file(tmp_path, offers, demands, haul=1):
     """Two firms: F0 offers one stream of each resource in offers and F1
     demands one of each in demands, 5 units saving 3 + 4 - 1 - haul a unit,
-    with a fee of 1 each way."""
+    with a fee of 1 each way. An offer given as a (resource, cost) pair has
+    that discharge cost in place of 3."""
+    offers = [r if type(r) is tuple else (r, 3) for r in offers]
     streams = [{"firm": "F0", "kind": "offer", "resource": r, "quantity": 5,
-                "unit_discharge_cost": 3} for r in offers]
+                "unit_discharge_cost": cost} for r, cost in offers]
     streams += [{"firm": "F1", "kind": "demand", "resource": r, "quantity": 5,
                  "unit_purchase_cost": 4, "unit_treatment_cost": 1} for r in demands]
     doc = {"agents": ["F0", "F1"], "exchange": {
         "streams": streams,
         "transport": [{"from": "F0", "to": "F1", "resource": r, "cost": haul}
-                      for r in sorted(set(offers) & set(demands))],
+                      for r in sorted({r for r, _ in offers} & set(demands))],
         "transaction": [{"from": "F0", "to": "F1", "cost": 1}],
     }}
     path = tmp_path / "exchange.json"
@@ -595,11 +597,14 @@ def exchange_file(tmp_path, offers, demands, haul=1):
     (["r"] * 16 + ["s"], ["r"] * 16 + ["s"], None),  # 257
     (["r"] * 80, ["r"] * 80, None),  # 6,400: a 6,400-column LP, so no answer for minutes
     ([f"r{i}" for i in range(4000)], [f"s{i}" for i in range(4000)], "  F0,F1 = 0"),  # no pair
+    # 1,000 pairs, each offer's discharge cost over its own 495-digit denominator (1.08 MB):
+    # the lcm of their link costs has 1.63 million bits, so the bound comes before any scale
+    ([("r", f"{3 * 10**494 + k}/{10**494 + k}") for k in range(1000)], ["r"], None),
 ])
 def test_exchange_pair_bound_and_linear_scan(tmp_path, offers, demands, row):
     """An exchange takes at most 256 profitable (offer, demand) stream pairs
-    and raises BoundExceeded past them before any LP; finding the pairs does
-    not compare every offer with every stream."""
+    and raises BoundExceeded past them before any LP or any scale is taken;
+    finding the pairs does not compare every offer with every stream."""
     check_timed_exchange(exchange_file(tmp_path, offers, demands), row)
 
 

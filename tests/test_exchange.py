@@ -217,6 +217,16 @@ def test_missing_transport_entry_rejected():
     # several firms off the roster: the smallest is named, not the first stream's
     (lambda: ExchangeScenario(2, (waste_offer(3, "r", 1, 1), waste_offer(2, "r", 1, 1)), {}, {}),
      "agent 2 not on a roster of 2"),
+    # route keys are checked where they are given: shape first, then their firms on the roster
+    (lambda: ExchangeScenario(2, (), {(0, 7, "r"): 1}, {}), "agent 7 not on a roster of 2"),
+    (lambda: ExchangeScenario(2, (), {}, {(-1, 0): 3}),
+     "agent ids must be non-negative integers, got -1"),
+    (lambda: ExchangeScenario(2, (), {"junk": 1}, {}),
+     "transport keys must be (from, to, resource) tuples, got 'junk'"),
+    (lambda: ExchangeScenario(2, (), {}, {(0, 1, "r"): 3}),
+     "transaction keys must be (from, to) tuples, got (0, 1, 'r')"),
+    (lambda: ExchangeScenario(2, [("x",)], {}, {}),
+     "scenario streams must be ResourceStream objects, got ('x',)"),
     *((lambda n=n: ExchangeScenario(n, (), {}, {}),
        f"a roster needs an int count of at least one agent, got {n!r}")
       for n in (True, 2.0, 2.5, "2", None)),
@@ -225,6 +235,8 @@ def test_missing_transport_entry_rejected():
       for n in (0, True, 2.0, 2.5, "2", None)),
 ], ids=["bad-kind", "no-firm", "firm-off-roster", "negative-transport", "negative-transaction",
         "float-firm", "str-firm", "bool-firm", "none-firm", "negative-firm", "firms-off-roster",
+        "route-firm-off-roster", "negative-route-firm", "malformed-route-key",
+        "route-key-of-other-width", "stream-not-a-stream",
         *(f"size-{n!r}" for n in (True, 2.0, 2.5, "2", None)),
         *(f"scenario_to_game-size-{n!r}" for n in (0, True, 2.0, 2.5, "2", None))])
 def test_scenario_validation_messages(build, message):

@@ -881,6 +881,8 @@ ID_ENTRIES = {
                                                 MCNetRule({2}, {bad}, 1))),
     "ExchangeScenario": lambda g3, bad: ExchangeScenario(
         3, (waste_offer(1, "r", 1, 1), waste_offer(bad, "r", 1, 1)), {}, {}),
+    "ExchangeScenario-transport": lambda g3, bad: ExchangeScenario(3, (), {(1, bad, "r"): 1}, {}),
+    "ExchangeScenario-transaction": lambda g3, bad: ExchangeScenario(3, (), {}, {(1, bad): 10}),
 }
 
 
