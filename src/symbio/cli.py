@@ -16,17 +16,22 @@ A roster of more than ENUMERATION_BOUND agents raises BoundExceeded as
 soon as `agents` is read, before any other section. Table keys and policy
 groups become bitmasks straight from the agent names. The roster's
 coalition keys as reports spell them (roster order, "A,B,D") are built
-once per file and kept on the Scenario. Each of T and O is read as three
-columns (masks, numerators, denominators), with no Fraction, tuple or dict
-per coalition, and every table takes one path: one map over a dict of
-those keys gives the masks of the keys spelt that way, and one json call
-(games.plain_terms) the terms of every int and plain "a/b" value. Only
-the entries those two leave are read one by one, in one walk in file
-order: a key split and checked name by name (_mask), a value read by
-_number, so the first fault named is the first in the file, and a key's
-before its value's. games.game_from_masks writes every v(S) as an int over
-the table's lcm denominator. Every key's names and number are read, T then
-O, before the table rules run. An exchange section is read in one loop,
+once per file and kept on the Scenario. Each of T and O becomes two
+mask-indexed columns (numerators, denominators), with no Fraction, tuple
+or dict per coalition. A table that lists each coalition of two or more
+agents once, spelt that way, with every value an int or plain "a/b" text,
+is read straight in mask order: one map of table.get over those keys, and
+one json call (games.plain_terms) for the values. Any other table is read
+as three columns in file order (masks, numerators, denominators): one map
+over a dict of those keys gives the masks of the keys spelt that way, and
+plain_terms the terms of every plain value. Only the entries those two
+leave are read one by one, in one walk in file order: a key split and
+checked name by name (_mask), a value read by _number, so the first fault
+named is the first in the file, and a key's before its value's; then
+games._scatter writes the columns in mask order. Every key's names and
+number are read, T then O, before the table rules run.
+games.game_from_masks writes every v(S) as an int over the table's lcm
+denominator. An exchange section is read in one loop,
 entry by entry in file order, each entry's fields by inline type and
 membership tests that one format table drives (_parse_exchange): a valid
 entry builds no message, and the first test that fails names its entry and
@@ -48,10 +53,12 @@ import json
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 
 from .errors import BoundExceeded, SymbioError
 from .games import (
-    INT_LIMIT, MAX_DIGITS, ISNGame, _check_agent_count, as_money, check_superadditive,
+    INT_LIMIT, MAX_DIGITS, ISNGame, _check_agent_count, _scatter, as_money, check_superadditive,
     fraction_text, game_from_masks, mask_of, members_of, money_terms, plain_terms, subgame,
 )
 from .records import Record
@@ -126,29 +133,46 @@ def _mask(raw, where: str, bits) -> int:
     return mask
 
 
-def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list, list]]":
-    """T's and then O's columns (masks, numerators, denominators), each in
-    file order.
+def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list]]":
+    """T's and then O's mask-indexed columns (numerators, denominators), as
+    games.game_from_masks takes them.
 
-    Every table takes one path. Its keys spelt as reports spell them
-    (roster order, "A,B,D") get their masks from one map over a dict of the
-    roster's keys of two or more agents (keys, from _keys), which lives
-    only while the tables are read, and its values their terms from
-    games.plain_terms. A key the dict lacks is tried once more with its
-    names sorted by roster position ("B,A" as "A,B"); an unknown or repeated
-    name leaves it lacking. Only if a key or a value is left over is the
-    table walked, once, in file order: at each entry a key still lacking is
-    read by _mask, which names its fault, then a value plain_terms left by
-    _number. So the first fault is named in file order, T's before O's, and
-    a key's before its value's.
+    A table that lists every coalition of two or more agents once, each
+    spelt as reports spell it (keys, from _keys: roster order, "A,B,D"), is
+    read straight in mask order by one map of table.get over keys: its
+    length, the map's count of None and its empty-set and singleton slots
+    show that it lists exactly those keys, and games.plain_terms must read
+    every value. Any other table is read in file order as three columns
+    (masks, numerators, denominators). Its keys spelt that way get their
+    masks from one map over a dict of the roster's keys of two or more
+    agents, and its values their terms from plain_terms. A key the dict
+    lacks is tried once more with its names sorted by roster position ("B,A"
+    as "A,B"); an unknown or repeated name leaves it lacking. Only if a key
+    or a value is left over is the table walked, once, in file order: at
+    each entry a key still lacking is read by _mask, which names its fault,
+    then a value plain_terms left by _number. Once both tables are read,
+    games._scatter writes each such table in mask order, holding it to its
+    rules. So the first fault is named in file order, T's before O's and a
+    key's before its value's, then T's table rules, then O's.
     """
-    lookup = dict(zip(keys, range(len(keys))))
-    for key in "", *names:  # left: the keys of two or more agents, each with a comma
-        lookup.pop(key, None)
-    rank = defaultdict(int, bits).__getitem__  # an unknown name sorts first
-    both = []
+    small = [0, *bits.values()]  # the empty set and singletons
+    listed = len(keys) - len(small)
+    lookup = None  # the roster's keys of two or more agents, built for a walked table
+    read = []
     for x in "T", "O":
         table = _expect(tables.get(x), dict, f"tables.{x}")
+        if len(table) == listed:
+            column = list(map(table.get, keys))
+            if column.count(None) == len(small) and all(column[m] is None for m in small):
+                for m in small:
+                    column[m] = 0
+                nums, dens, odd = plain_terms(column)
+                if not odd:
+                    read.append((None, nums, dens))
+                    continue
+        if lookup is None:
+            lookup = {keys[m]: m for m in range(len(keys)) if m.bit_count() >= 2}
+            rank = defaultdict(int, bits).__getitem__  # an unknown name sorts first
         masks = list(map(lookup.get, table))
         if None in masks:
             masks = [mask or lookup.get(",".join(sorted(key.split(","), key=rank)))
@@ -161,8 +185,9 @@ def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list, l
                     masks[k] = _mask(key, f"tables.{x}[{key!r}]", bits)
                 if k in odd:
                     nums[k], dens[k] = _number(value, f"tables.{x}[{key!r}]")
-        both.append((masks, nums, dens))
-    return both
+        read.append((masks, nums, dens))
+    return [(nums, dens) if masks is None else _scatter(len(names), (masks, nums, dens), x)
+            for x, (masks, nums, dens) in zip("TO", read)]
 
 
 def load_scenario(path: str) -> Scenario:
@@ -317,7 +342,7 @@ def _keys(names) -> "list[str]":
     key of {"", B} is ",B", not B's."""
     keys = [""]
     for name in names:
-        keys += [name] + [f"{k},{name}" for k in keys[1:]]
+        keys += [name, *map(add, keys[1:], repeat("," + name))]
     return keys
 
 

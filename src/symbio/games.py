@@ -19,11 +19,14 @@ into one JSON list once; a column whose joined text passes one check as a
 whole (_plain_column) is read by one json call, and only another column
 is matched value by value.
 
-Value and cost tables are read as three columns: masks, numerators and
-denominators. _scatter writes a table's columns into mask-indexed lists
-and owns the rules that every key has two or more agents and that none is
-given twice, and game_from_masks the rule that T and O list every such
-coalition; T(S) - O(S) is then taken column-wise for every mask at once.
+Value and cost tables end as two mask-indexed columns, numerators and
+denominators. A table read as three columns in its own order (masks,
+numerators, denominators) is written into them by _scatter, which owns
+the rules that every key has two or more agents and that none is given
+twice; the CLI reads a table that lists each such coalition once, spelt as
+reports spell it, straight in mask order. game_from_masks owns the rule
+that T and O list every such coalition, and takes T(S) - O(S) column-wise
+for every mask at once.
 _scaled, the one builder of a table from values, takes a numerator and a
 denominator column and writes each value over one common denominator,
 making no Fraction: while the unreduced denominators' lcm fits WORD_BITS
@@ -31,11 +34,11 @@ bits it scales by that, and past that it reduces each value by its gcd
 first and scales by the lcm of the reduced denominators. A table whose
 2^n entries times the bit length of that denominator pass SCALED_BITS
 (2^28) bits raises BoundExceeded while it is built. game_from_masks and
-ISNGame.from_values hand it columns (from coalition keys, _columns, or the
-CLI's masks), ISNGame.from_table its Fractions' terms. Subgames and
-coordinated games derive their ints from their parent's. Every table
-reaches lowest terms in one place, its game's constructor (_lowest): one
-gcd of its denominator and all its ints, seeded with the ints' sum.
+ISNGame.from_values hand it columns, ISNGame.from_table its Fractions'
+terms. Subgames and coordinated games derive their ints from their
+parent's; the subgame of a whole roster is the parent's own tuple. Every
+table reaches lowest terms in one place, its game's constructor (_lowest):
+one gcd of its denominator and all its ints, seeded with the ints' sum.
 
 The 2^n and 3^n scans (check_superadditive here, shapley, in_core and the
 promotion subsidy elsewhere) read those ints as they are; no table is
@@ -254,8 +257,8 @@ def coalition(members: Iterable[int]) -> frozenset:
     """Every id given checked in order (a set in its own), then the frozenset:
     the first bad id is named, and 1.0 or True beside 1 is refused, not merged."""
     ids = tuple(members)
-    for i in ids:
-        if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+    for i in ids:  # a plain int takes one type test; only another type the two isinstance
+        if type(i) is not int and (not isinstance(i, int) or isinstance(i, bool)) or i < 0:
             raise SymbioError(f"agent ids must be non-negative integers, got {i!r}")
     return frozenset(ids)
 
@@ -457,9 +460,9 @@ def _columns(n_agents: int, values: Mapping) -> "tuple[list, list, list]":
 
 
 def _scatter(n_agents: int, columns, name: str) -> "tuple[list, list]":
-    """(nums, dens) indexed by mask from one table's (masks, nums, dens)
-    columns: the empty set and singletons 0, and a coalition the table does
-    not list num None, den 1.
+    """(nums, dens) indexed by mask, as game_from_masks takes them, from one
+    table's (masks, nums, dens) columns in its own order: the empty set and
+    singletons 0, and a coalition the table does not list num None, den 1.
 
     Every key must have two or more agents and none may be listed twice.
     Both rules are read off the scattered table (its count of listed
@@ -489,19 +492,18 @@ def _scatter(n_agents: int, columns, name: str) -> "tuple[list, list]":
     return dense_nums, dense_dens
 
 
-def game_from_masks(n_agents: int, t_columns, o_columns) -> ISNGame:
-    """The game v(S) = T(S) - O(S) from each table's three columns (masks,
-    numerators, denominators), the terms of each amount (money_terms).
+def game_from_masks(n_agents: int, t_terms, o_terms) -> ISNGame:
+    """The game v(S) = T(S) - O(S) from each table's mask-indexed columns
+    (numerators, denominators), 2^n entries each, the empty set and
+    singletons 0 and a coalition the table does not list num None: a
+    _scatter result, or a column read straight in mask order.
 
-    T and O must each list every coalition of two or more agents, once
-    (_scatter, T's rules before O's); a lacking coalition is named last.
-    Masks must lie on the roster (below 1 << n_agents): make_isn_game checks
-    its coalition keys before turning them into masks. Each v(S) is
+    T and O must each list every coalition of two or more agents; a lacking
+    one is named, T's before O's at the smallest mask. Each v(S) is
     (tn od - on td) / (td od), computed column-wise from the four ints and
     scaled by _scaled.
     """
-    _check_agent_count(n_agents)
-    (tn, td), (on, od) = _scatter(n_agents, t_columns, "T"), _scatter(n_agents, o_columns, "O")
+    (tn, td), (on, od) = t_terms, o_terms
     if None in tn or None in on:
         for mask in range(1 << n_agents):
             for name, table in ("T", tn), ("O", on):
@@ -518,7 +520,10 @@ def make_isn_game(n_agents: int, t_table: Mapping, o_table: Mapping) -> ISNGame:
     members. Construction succeeds even if the result is not superadditive;
     run check_superadditive separately to validate that claim.
     """
-    return game_from_masks(n_agents, _columns(n_agents, t_table), _columns(n_agents, o_table))
+    t_columns, o_columns = _columns(n_agents, t_table), _columns(n_agents, o_table)
+    _check_agent_count(n_agents)
+    return game_from_masks(n_agents, _scatter(n_agents, t_columns, "T"),
+                           _scatter(n_agents, o_columns, "O"))
 
 
 def _halves(xs: list, bit: int) -> "tuple[list, list]":
@@ -669,11 +674,15 @@ def subgame(game, members: Iterable[int]) -> ISNGame:
     The restriction must itself be normalized (zero singleton values);
     coordinated games whose incentive rules target groups always are. The
     parent's worth of the empty set is not carried over. The parent's ints
-    are copied over its denominator, which ISNGame then reduces. The owners
+    are copied over its denominator, which ISNGame then reduces, except for
+    the whole roster of a parent worth 0 on the empty set: that restriction
+    is the parent's own tuple, which ISNGame takes uncopied. The owners
     reject every fault: check_roster an id off the parent's roster, and
     ISNGame an empty restriction (roster size 0) and a nonzero singleton
     (entry 1 << k is the parent's at 1 << (k-th member))."""
     members = check_roster(members, game.n_agents)
     scaled = game.scaled
+    if len(members) == game.n_agents and not scaled[0]:
+        return ISNGame(game.n_agents, scaled, game.denominator)
     original = _sums([1 << i for i in sorted(members)])  # parent mask of each subgame mask
     return ISNGame(len(members), (0, *map(scaled.__getitem__, original[1:])), game.denominator)

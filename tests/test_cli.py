@@ -1181,6 +1181,38 @@ def test_each_table_entry_is_read_once(tmp_path, spelling):
     assert scenario.game == make_isn_game(8, t, o)
 
 
+def test_both_table_read_paths_give_one_game_and_report(capsys, tmp_path):
+    """A seeded table listed in its canonical form or in reverse order is
+    read straight in mask order, with no _scatter; with one T key re-spelt
+    or one T value a decimal string, T alone is read in file order and
+    written in mask order by _scatter. All four forms give one ISNGame and
+    the same analyze and enforce stdout."""
+    case = bench_scenarios().enforce_case(random.Random(53), 6, "halves", "paths")
+    base = json.loads(json.dumps(case.doc, default=str))
+    grand = ",".join(base["agents"])
+    forms = {"canonical": base, "reversed": copy.deepcopy(base),
+             "respelt-key": copy.deepcopy(base), "decimal-value": copy.deepcopy(base)}
+    for x in "T", "O":
+        forms["reversed"]["tables"][x] = dict(reversed(base["tables"][x].items()))
+    t = forms["respelt-key"]["tables"]["T"]
+    t[",".join(reversed(grand.split(",")))] = t.pop(grand)
+    t = forms["decimal-value"]["tables"]["T"]
+    t[grand] = f"{t[grand]}.0"
+    games_read, reports = [], []
+    for form, doc in forms.items():
+        path = _write(tmp_path, doc)
+        calls = {}
+        with counted(cli, "_scatter", calls):
+            games_read.append(load_scenario(path).game)
+        assert calls.get("_scatter", 0) == (form in ("respelt-key", "decimal-value")), form
+        reports.append([run(capsys, *command, path, "--format", fmt)
+                        for command in (["analyze"], ["enforce", *case.argv])
+                        for fmt in ("text", "json")])
+        assert all(code == 0 for code, _, _ in reports[-1]), form
+    assert all(game == games_read[0] for game in games_read)
+    assert all(report == reports[0] for report in reports)
+
+
 def _canonical_doc():
     names = ["A", "B", "C", "D"]
     t, o = {}, {}
@@ -1194,7 +1226,9 @@ def _canonical_doc():
 
 @pytest.mark.parametrize("table", ["T", "O"])
 @pytest.mark.parametrize("kind,raw,message", [
-    ("key", "B,A", None),
+    ("key", ("B,A",), None),
+    # the other table canonical, read in mask order; this one walked in file order
+    ("key", ("B,A", "A,Z"), "tables.{table}['A,Z']: unknown agent 'Z'"),
     ("text", "+3", None),
     ("text", " 3/4 ", None),
     ("text", "1_0", None),
@@ -1206,8 +1240,9 @@ def _canonical_doc():
     ("text", "1,2", "tables.{table}['A,B']: '1,2' is not a number"),
     # a lone surrogate that str.encode cannot take: the bulk check refuses non-ASCII first
     ("text", "\ud800", "tables.{table}['A,B']: '\\ud800' is not a number"),
-], ids=["reordered-key", "plus-sign", "padded", "underscore", "json-decimal", "bool",
-        "zero-denominator", "1001-digit-int", "missing-key", "comma", "lone-surrogate"])
+], ids=["reordered-key", "respelt-then-unknown-key", "plus-sign", "padded", "underscore",
+        "json-decimal", "bool", "zero-denominator", "1001-digit-int", "missing-key", "comma",
+        "lone-surrogate"])
 def test_one_entry_off_the_bulk_path_reads_as_before(capsys, tmp_path, table, kind, raw,
                                                       message):
     """One key or value outside the bulk reader's forms sends its table key
@@ -1215,8 +1250,8 @@ def test_one_entry_off_the_bulk_path_reads_as_before(capsys, tmp_path, table, ki
     doc = _canonical_doc()
     entries = doc["tables"][table]
     value = entries.pop("A,B")
-    if kind == "key":
-        entries[raw] = value
+    if kind == "key":  # the keys given in its place
+        entries.update(dict.fromkeys(raw, value))
     elif kind == "text":
         entries["A,B"] = raw
     elif kind == "json":

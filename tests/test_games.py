@@ -19,6 +19,7 @@ from symbio.games import (
     INT_LIMIT,
     PLAIN_LIMIT,
     ISNGame,
+    _scatter,
     as_money,
     check_roster,
     check_superadditive,
@@ -167,8 +168,9 @@ def test_game_table_is_normalized():
 
 
 def test_every_builder_gives_the_same_game():
-    """game_from_masks (T - O from ints), ISNGame.from_values (a coalition
-    mapping) and ISNGame.from_table (Fractions) build equal games from one
+    """game_from_masks (T - O from ints, each table's columns written in
+    mask order by _scatter), ISNGame.from_values (a coalition mapping) and
+    ISNGame.from_table (Fractions) build equal games from one
     mixed-denominator table: equal and equally hashed, with the same ints
     over the lcm of the values' reduced denominators, and a table view of
     Fractions."""
@@ -185,7 +187,8 @@ def test_every_builder_gives_the_same_game():
             o = {m: money_terms(Fraction(*t[m]) - table[m]) for m in t}
             t_columns, o_columns = ((list(x), *map(list, zip(*x.values()))) if x else ([], [], [])
                                     for x in (t, o))
-            built = [game_from_masks(n, t_columns, o_columns), ISNGame.from_values(n, values),
+            built = [game_from_masks(n, _scatter(n, t_columns, "T"), _scatter(n, o_columns, "O")),
+                     ISNGame.from_values(n, values),
                      ISNGame.from_table(n, table)]
             for game in built:
                 assert game == built[0] and hash(game) == hash(built[0])
@@ -740,7 +743,7 @@ def test_every_builder_scales_to_lowest_terms():
         o_columns = (masks, [0] * len(masks), [1] * len(masks))
         built = [ISNGame.from_table(n, table), ISNGame.from_values(n, values),
                  make_isn_game(n, values, dict.fromkeys(values, 0)),
-                 game_from_masks(n, t_columns, o_columns)]
+                 game_from_masks(n, _scatter(n, t_columns, "T"), _scatter(n, o_columns, "O"))]
         for game in built:
             assert game.scaled == source.scaled and game.denominator == source.denominator
             assert type(game.scaled) is tuple and lowest(game.scaled, game.denominator)
@@ -838,7 +841,20 @@ def test_subgame_reindexes_densely(g3):
 
 
 def test_subgame_of_grand_coalition_is_same_game(g3):
+    """The whole roster's subgame equals the copy of the parent's table with
+    entry 0 set to 0, for an ISNGame, a CoordinatedGame whose exact-group
+    rule leaves it normalized, and one worth 3 on the empty set and {1, 2}
+    whose singletons stay 0."""
     assert subgame(g3, {0, 1, 2}) == g3
+    promoted = CoordinatedGame(g3, MCNet(3, (MCNetRule({0, 1, 2}, set(), Fraction(1, 2)),)))
+    empty = CoordinatedGame(g3, MCNet(3, (MCNetRule(set(), {0}, 3), MCNetRule({1}, {0, 2}, -3),
+                                          MCNetRule({2}, {0, 1}, -3))))
+    for game in g3, promoted, empty:
+        copied = ISNGame(3, (0, *game.scaled[1:]), game.denominator)
+        assert subgame(game, [2, 0, 1]) == copied
+    assert empty.scaled[0] and subgame(empty, {0, 1, 2}) == ISNGame.from_values(
+        3, {(0, 1): 10, (0, 2): 4, (1, 2): 9, (0, 1, 2): 12})
+    assert subgame(promoted, {0, 1, 2}).value({0, 1, 2}) == Fraction(25, 2)
 
 
 @pytest.mark.parametrize("call, message", [
