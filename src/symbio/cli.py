@@ -21,21 +21,18 @@ mask-indexed columns (numerators, denominators), with no Fraction, tuple
 or dict per coalition. A table that lists each coalition of two or more
 agents once, spelt that way, with every value an int or plain "a/b" text,
 is read straight in mask order: one map of table.get over those keys, and
-one json call (games.plain_terms) for the values. Any other table is read
-as three columns in file order (masks, numerators, denominators): one map
-over a dict of those keys gives the masks of the keys spelt that way, and
-plain_terms the terms of every plain value. Only the entries those two
-leave are read one by one, in one walk in file order: a key split and
-checked name by name (_mask), a value read by _number, so the first fault
-named is the first in the file, and a key's before its value's; then
-games._scatter writes the columns in mask order. Every key's names and
-number are read, T then O, before the table rules run.
-games.game_from_masks writes every v(S) as an int over the table's lcm
-denominator. An exchange section is read in one loop,
-entry by entry in file order, each entry's fields by inline type and
-membership tests that one format table drives (_parse_exchange): a valid
-entry builds no message, and the first test that fails names its entry and
-field. `--epsilon` is checked to be > 0 before the file is read.
+one json call (games.plain_terms) for the values. Any other table is
+walked once in file order: each key split and checked name by name
+(_mask), each value read by _number, so the first fault named is the
+first in the file, and a key's before its value's; then games._scatter
+writes the columns in mask order. Every key's names and number are read,
+T then O, before the table rules run. games.game_from_masks writes every
+v(S) as an int over the table's lcm denominator. An exchange section is
+read in one loop, entry by entry in file order, each entry's fields by
+inline type and membership tests that one format table drives
+(_parse_exchange): a valid entry builds no message, and the first test
+that fails names its entry and field. `--epsilon` is checked to be > 0
+before the file is read.
 
 Reports are deterministic byte-for-byte: fixed field order, coalitions in
 ascending roster order, rationals printed in lowest terms by one printer,
@@ -51,7 +48,7 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from operator import add
@@ -142,22 +139,14 @@ def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list]]"
     read straight in mask order by one map of table.get over keys: its
     length, the map's count of None and its empty-set and singleton slots
     show that it lists exactly those keys, and games.plain_terms must read
-    every value. Any other table is read in file order as three columns
-    (masks, numerators, denominators). Its keys spelt that way get their
-    masks from one map over a dict of the roster's keys of two or more
-    agents, and its values their terms from plain_terms. A key the dict
-    lacks is tried once more with its names sorted by roster position ("B,A"
-    as "A,B"); an unknown or repeated name leaves it lacking. Only if a key
-    or a value is left over is the table walked, once, in file order: at
-    each entry a key still lacking is read by _mask, which names its fault,
-    then a value plain_terms left by _number. Once both tables are read,
-    games._scatter writes each such table in mask order, holding it to its
-    rules. So the first fault is named in file order, T's before O's and a
-    key's before its value's, then T's table rules, then O's.
+    every value. Any other table is walked once in file order, each key
+    read by _mask and then its value by _number, so the first fault is
+    named in file order, T's before O's and a key's before its value's.
+    Once both tables are read, games._scatter writes each walked table in
+    mask order, holding it to its rules, T's before O's.
     """
     small = [0, *bits.values()]  # the empty set and singletons
     listed = len(keys) - len(small)
-    lookup = None  # the roster's keys of two or more agents, built for a walked table
     read = []
     for x in "T", "O":
         table = _expect(tables.get(x), dict, f"tables.{x}")
@@ -166,25 +155,17 @@ def _table_columns(tables: dict, names, bits, keys) -> "list[tuple[list, list]]"
             if column.count(None) == len(small) and all(column[m] is None for m in small):
                 for m in small:
                     column[m] = 0
-                nums, dens, odd = plain_terms(column)
-                if not odd:
-                    read.append((None, nums, dens))
+                terms = plain_terms(column)
+                if terms is not None:
+                    read.append((None, *terms))
                     continue
-        if lookup is None:
-            lookup = {keys[m]: m for m in range(len(keys)) if m.bit_count() >= 2}
-            rank = defaultdict(int, bits).__getitem__  # an unknown name sorts first
-        masks = list(map(lookup.get, table))
-        if None in masks:
-            masks = [mask or lookup.get(",".join(sorted(key.split(","), key=rank)))
-                     for mask, key in zip(masks, table)]
-        nums, dens, odd = plain_terms(list(table.values()))
-        if odd or None in masks:
-            odd = set(odd)
-            for k, (key, value) in enumerate(table.items()):
-                if masks[k] is None:
-                    masks[k] = _mask(key, f"tables.{x}[{key!r}]", bits)
-                if k in odd:
-                    nums[k], dens[k] = _number(value, f"tables.{x}[{key!r}]")
+        masks, nums, dens = [], [], []
+        for key, value in table.items():
+            where = f"tables.{x}[{key!r}]"
+            masks.append(_mask(key, where, bits))
+            num, den = _number(value, where)
+            nums.append(num)
+            dens.append(den)
         read.append((masks, nums, dens))
     return [(nums, dens) if masks is None else _scatter(len(names), (masks, nums, dens), x)
             for x, (masks, nums, dens) in zip("TO", read)]

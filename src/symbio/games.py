@@ -12,12 +12,10 @@ money amounts are exact rationals; nothing in this package ever rounds.
 Text amounts follow one grammar on every interpreter, Python 3.11's
 (_RATIONAL_FORMAT), read straight into a numerator and a denominator
 (money_terms); as_money makes the one Fraction. plain_terms reads a column
-of values in bulk: ints, and every value whose text is a plain int or
-"a/b" (_PLAIN, a strict subset of that grammar), and lists the positions of
-the others for the caller to read one by one. Each value's text is joined
-into one JSON list once; a column whose joined text passes one check as a
-whole (_plain_column) is read by one json call, and only another column
-is matched value by value.
+of values in bulk, or declines it for the caller to read value by value:
+a column of ints, or one whose every value's text is a plain int or "a/b"
+(a strict subset of that grammar), joined into one JSON list and checked
+as a whole (_plain_column), then read by one json call.
 
 Value and cost tables end as two mask-indexed columns, numerators and
 denominators. A table read as three columns in its own order (masks,
@@ -153,14 +151,8 @@ def _parse(text: str) -> "tuple[int, int]":
 #: Ints read in bulk (plain_terms), like text, have at most MAX_DIGITS digits.
 INT_LIMIT = 10**MAX_DIGITS
 
-#: Plain numbers, plain_terms' strict subset of _RATIONAL_FORMAT: an int or
-#: "a/b" in ASCII digits with an optional "-" and no leading zero (so a
-#: denominator is never 0, and each part is also a JSON int), at most
-#: MAX_DIGITS // 2 digits a part, so never more than MAX_DIGITS in all.
-_PLAIN = re.compile(
-    rf"-?(?:0|[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})(?:/[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})?")
-
-#: A plain part's bound, |numerator| < PLAIN_LIMIT and denominator < PLAIN_LIMIT.
+#: A plain part's bound, |numerator| < PLAIN_LIMIT and denominator < PLAIN_LIMIT:
+#: at most MAX_DIGITS // 2 digits a part, so never more than MAX_DIGITS in all.
 PLAIN_LIMIT = 10 ** (MAX_DIGITS // 2)
 
 
@@ -172,7 +164,8 @@ def _joined(pieces: "list[str]") -> str:
 
 def _plain_column(terms: str, count: int) -> "tuple[list[int], list[int]] | None":
     """(numerators, denominators) of the _joined list of `count` pieces if
-    each piece is in _PLAIN's language, else None, checked on the whole text.
+    each piece is plain, else None, checked on the whole text: an int or
+    "a/b" in ASCII digits with an optional "-" and no leading zero.
 
     Only ASCII digits, "-" and commas inside the brackets, so json returns
     ints or fails: isascii() first, since encode() raises on a lone
@@ -195,33 +188,21 @@ def _plain_column(terms: str, count: int) -> "tuple[list[int], list[int]] | None
     return None
 
 
-def plain_terms(values: list) -> "tuple[list[int], list[int], list[int]]":
-    """(numerators, denominators, odd) of a column of JSON values, read in
-    bulk: odd lists, in ascending order, the positions of the values not
-    read, whose terms are given as 0/1; every other value's terms equal
-    money_terms'.
+def plain_terms(values: list) -> "tuple[list[int], list[int]] | None":
+    """(numerators, denominators) of a column of JSON values, each value's
+    terms equal to money_terms', or None if the column is not read in bulk.
 
     A column of ints is held to INT_LIMIT by its min and max. Otherwise each
     value's str() (an int, a string, or a Fraction from a JSON decimal,
     whose str is its lowest terms) is written "a/b", an int "a/1", and the
-    column is read by one json call if _plain_column accepts it. Only a
-    column it rejects is matched by _PLAIN value by value, and read again
-    with each failing value as "0/1"; the caller reads or rejects each odd
-    value by itself.
+    column is read by one json call if _plain_column accepts it; the caller
+    reads or rejects the values of a column it declines one by one.
     """
     if (set(map(type, values)) <= {int}
             and -INT_LIMIT < min(values, default=0) and max(values, default=0) < INT_LIMIT):
-        return values, [1] * len(values), []
-    parts = list(map(str, values))
-    pieces = [p if "/" in p else p + "/1" for p in parts]
-    terms = _plain_column(_joined(pieces), len(parts))
-    if terms is not None:
-        return (*terms, [])
-    odd = [k for k, part in enumerate(parts) if not _PLAIN.fullmatch(part)]
-    for k in odd:
-        pieces[k] = "0/1"
-    flat = json.loads(_joined(pieces))
-    return flat[0::2], flat[1::2], odd
+        return values, [1] * len(values)
+    pieces = [p if "/" in p else p + "/1" for p in map(str, values)]
+    return _plain_column(_joined(pieces), len(pieces))
 
 
 def money_terms(x) -> "tuple[int, int]":
@@ -498,18 +479,22 @@ def game_from_masks(n_agents: int, t_terms, o_terms) -> ISNGame:
     singletons 0 and a coalition the table does not list num None: a
     _scatter result, or a column read straight in mask order.
 
-    T and O must each list every coalition of two or more agents; a lacking
-    one is named, T's before O's at the smallest mask. Each v(S) is
-    (tn od - on td) / (td od), computed column-wise from the four ints and
-    scaled by _scaled.
+    Each v(S) is (tn od - on td) / (td od), computed column-wise from the
+    four ints and scaled by _scaled. T and O must each list every coalition
+    of two or more agents: only once that computation meets a None are the
+    masks walked, to name the lacking coalition, T's before O's at the
+    smallest mask, so complete columns are never scanned for one.
     """
     (tn, td), (on, od) = t_terms, o_terms
-    if None in tn or None in on:
+    try:
+        nums = list(map(sub, map(mul, tn, od), map(mul, on, td)))
+    except TypeError:
         for mask in range(1 << n_agents):
             for name, table in ("T", tn), ("O", on):
                 if table[mask] is None:
-                    raise SymbioError(f"{name} table lacks coalition {{}}", members_of(mask))
-    nums = list(map(sub, map(mul, tn, od), map(mul, on, td)))
+                    raise SymbioError(f"{name} table lacks coalition {{}}",
+                                      members_of(mask)) from None
+        raise
     return ISNGame(n_agents, *_scaled(nums, list(map(mul, td, od))))
 
 

@@ -8,6 +8,7 @@ through the library code paths under test, so agreement is meaningful.
 import contextlib
 import importlib.util
 import inspect
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -19,7 +20,7 @@ from symbio import games, lp, solutions
 from symbio.errors import BoundExceeded
 from symbio.exchange import ExchangeScenario, input_demand, t_value, waste_offer
 from symbio.games import (
-    _PLAIN, ENUMERATION_BOUND, INT_LIMIT, ISNGame, _check_agent_count, mask_of, members_of,
+    ENUMERATION_BOUND, INT_LIMIT, MAX_DIGITS, ISNGame, _check_agent_count, mask_of, members_of,
     subgame,
 )
 from symbio.lp import LPResult
@@ -440,11 +441,20 @@ def one_violation_game(rng, n, others=None):
     return ISNGame.from_values(n, values), (t & ~(1 << i | 1 << j), i, j)
 
 
+#: Plain numbers, the strict subset of the number grammar games.plain_terms
+#: reads in bulk: an int or "a/b" in ASCII digits with an optional "-" and
+#: no leading zero (so a denominator is never 0, and each part is also a
+#: JSON int), at most MAX_DIGITS // 2 digits a part.
+_PLAIN = re.compile(
+    rf"-?(?:0|[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})(?:/[1-9][0-9]{{0,{MAX_DIGITS // 2 - 1}}})?")
+
+
 def plain_terms_by_value(values):
-    """games.plain_terms' answer with _PLAIN matched value by value: a column
-    of ints within INT_LIMIT is read whole, any other column value by value,
-    a value whose str() matches _PLAIN split at its "/" and read by int(),
-    any other left odd, its terms 0/1."""
+    """(nums, dens, odd) of a column read value by value, the oracle of
+    games.plain_terms: a column of ints within INT_LIMIT is read whole, any
+    other column value by value, a value whose str() matches _PLAIN split
+    at its "/" and read by int(), any other listed in odd, its terms 0/1.
+    plain_terms reads the column in bulk exactly when odd is empty."""
     if all(type(v) is int and -INT_LIMIT < v < INT_LIMIT for v in values):
         return list(values), [1] * len(values), []
     nums, dens, odd = [], [], []

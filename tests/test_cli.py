@@ -1152,29 +1152,30 @@ def test_benchmark_shaped_file_loads_in_bulk(tmp_path):
 
 @pytest.mark.parametrize("spelling", ["padded-last-value", "reversed-keys"])
 def test_each_table_entry_is_read_once(tmp_path, spelling):
-    """A table with entries outside the bulk forms reads only those one by
-    one: one padded O value is one games._parse call and no table key goes
-    through _mask; keys spelt in reverse are found in the roster's keys
-    once their names are sorted, so neither a key goes through _mask nor a
-    value through _number."""
+    """A table off the mask-order path is walked once: one _mask and one
+    _number call for each of its entries, and one games._parse call for each
+    of its text values; a canonical table beside it takes none. One padded
+    O value sends O alone down the walk; keys spelt in reverse send both."""
     path = benchmark_halves_file(tmp_path, 8)
     doc = json.loads(path.read_text(encoding="utf-8"))
     tables = doc["tables"]
     if spelling == "padded-last-value":
         last = list(tables["O"])[-1]
         tables["O"][last] = f" {tables['O'][last]} "
+        walked = ["O"]
     else:
         for x in "T", "O":
             tables[x] = {",".join(reversed(key.split(","))): v for key, v in tables[x].items()}
+        walked = ["T", "O"]
     path.write_text(json.dumps(doc), encoding="utf-8")
     calls = {}
     with counted(cli, "_mask", calls, table_key), counted(cli, "_number", calls, table_key), \
             counted(games, "_parse", calls):
         scenario = load_scenario(str(path))
-    if spelling == "padded-last-value":
-        assert calls == {"_number": 1, "_parse": 1}
-    else:
-        assert calls == {}
+    entries = sum(len(tables[x]) for x in walked)
+    texts = sum(isinstance(v, str) for x in walked for v in tables[x].values())
+    assert entries == 247 * len(walked) and texts == 247
+    assert calls == {"_mask": entries, "_number": entries, "_parse": texts}
     ids = {name: i for i, name in enumerate(scenario.agents)}
     t, o = ({tuple(sorted(ids[a] for a in key.split(","))): v for key, v in tables[x].items()}
             for x in ("T", "O"))

@@ -78,6 +78,23 @@ def test_missing_coalition_rejected():
         make_isn_game(3, {(0, 1): 1}, {(0, 1): 0})
 
 
+def test_game_from_masks_names_the_smallest_lacking_coalition():
+    """A None in either column is named at its smallest mask, T's before O's
+    there; a column entry of another type keeps its TypeError."""
+    ones = [1] * 8
+
+    def column(*lacking):
+        return [None if mask in lacking else 0 for mask in range(8)], ones
+
+    for t, o, message in [((5,), (3, 7), r"O table lacks coalition \[0, 1\]"),
+                          ((3, 6), (3,), r"T table lacks coalition \[0, 1\]"),
+                          ((7,), (), r"T table lacks coalition \[0, 1, 2\]")]:
+        with pytest.raises(SymbioError, match=message):
+            game_from_masks(3, column(*t), column(*o))
+    with pytest.raises(TypeError):
+        game_from_masks(3, column(), ([0] * 7 + ["9"], ones))
+
+
 def test_out_of_roster_table_entry_rejected():
     with pytest.raises(SymbioError, match=r"agent 3 not on a roster of 2"):
         make_isn_game(2, {(0, 3): 1}, {(0, 3): 0})
@@ -333,18 +350,15 @@ number_texts = st.tuples(st.sampled_from([" ", ",", "],[", "/", ""]),
 
 
 def _bulk_reads_as_number(values):
-    """plain_terms reads each value of the column as cli._number does or
-    lists its position as odd (terms 0/1); no value is added or dropped; and
-    it answers as matching _PLAIN value by value does."""
-    nums, dens, odd = plain_terms(list(values))
-    assert (nums, dens, odd) == plain_terms_by_value(values)
-    assert len(nums) == len(dens) == len(values)
-    assert odd == sorted(set(odd)) and set(odd) <= set(range(len(values)))
-    for k, value in enumerate(values):
-        if k in odd:
-            assert (nums[k], dens[k]) == (0, 1)
-        else:
-            assert (nums[k], dens[k]) == cli._number(value, "x")
+    """plain_terms declines the column exactly when matching _PLAIN value by
+    value leaves a value odd, and otherwise answers as that matching does,
+    reading each value as cli._number does: no value added or dropped."""
+    terms = plain_terms(list(values))
+    nums, dens, odd = plain_terms_by_value(values)
+    assert terms == (None if odd else (nums, dens))
+    if terms is not None:
+        assert len(nums) == len(dens) == len(values)
+        assert list(zip(nums, dens)) == [cli._number(value, "x") for value in values]
 
 
 #: JSON values of every kind the reader can meet, numbers of every kind,
@@ -359,8 +373,8 @@ json_values = (st.text() | number_texts | st.booleans() | st.none() | st.integer
 @settings(max_examples=500, deadline=None)
 def test_bulk_number_check_reads_as_parse_or_declines(values):
     """plain_terms reads each value of a column of any JSON values as the
-    CLI's own number reader does, or leaves it for the caller: no value is
-    read otherwise, and none is added or dropped."""
+    CLI's own number reader does, or declines the column for the caller: no
+    value is read otherwise, and none is added or dropped."""
     _bulk_reads_as_number(values)
 
 
@@ -373,13 +387,14 @@ def test_bulk_number_check_edges(text):
 
 
 def test_bulk_number_check_reads_plain_columns():
-    assert plain_terms([]) == ([], [], [])
-    assert plain_terms([3, -7, 0]) == ([3, -7, 0], [1, 1, 1], [])
+    assert plain_terms([]) == ([], [])
+    assert plain_terms([3, -7, 0]) == ([3, -7, 0], [1, 1, 1])
     assert plain_terms(["-0/5", 7, "12/9", "0", "-" + "9" * 500 + "/" + "9" * 500]) == (
-        [0, 7, 12, 0, -int("9" * 500)], [5, 1, 9, 1, int("9" * 500)], [])
-    assert plain_terms([10**1000, 1]) == ([0, 1], [1, 1], [0])
-    assert plain_terms([True, 1, None, [2], {"a": 3}, Fraction(-5, 2), Fraction(4), " 6"]) == (
-        [0, 1, 0, 0, 0, -5, 4, 0], [1, 1, 1, 1, 1, 2, 1, 1], [0, 2, 3, 4, 7])
+        [0, 7, 12, 0, -int("9" * 500)], [5, 1, 9, 1, int("9" * 500)])
+    assert plain_terms([Fraction(-5, 2), Fraction(4), 1]) == ([-5, 4, 1], [2, 1, 1])
+    assert plain_terms([10**1000, 1]) is None
+    for odd in True, None, [2], {"a": 3}, " 6":
+        assert plain_terms([1, odd, "3/4"]) is None, odd
 
 
 #: Atoms fuzzed value texts are joined from: plain parts, and every
@@ -409,11 +424,11 @@ _columns = (st.lists(_plain_values, max_size=8)
 def test_bulk_column_check_is_the_per_value_check(values):
     """plain_terms' one check of a joined column accepts exactly the columns
     whose every value _PLAIN matches, and answers as the value-by-value
-    reading does (nums, dens and odd): commas, a second "/", JSON
-    whitespace, brackets, quotes, JSON constants, floats, leading zeros,
-    negative and zero denominators and parts past 500 digits all leave
-    their value odd."""
-    assert plain_terms(list(values)) == plain_terms_by_value(values)
+    reading does: commas, a second "/", JSON whitespace, brackets, quotes,
+    JSON constants, floats, leading zeros, negative and zero denominators
+    and parts past 500 digits each make the column declined."""
+    nums, dens, odd = plain_terms_by_value(values)
+    assert plain_terms(list(values)) == (None if odd else (nums, dens))
 
 
 def test_superadditive_holds_on_g3(g3):

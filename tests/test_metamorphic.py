@@ -17,13 +17,20 @@ symmetries still pin the answer exactly:
     coalition's saving by k, so values, shares and the core witness scale
     by exactly k: Bland's rule makes the same pivots on a positive multiple
     of the LP's data. With `--epsilon` times k as well, every number of an
-    `enforce` report scales by exactly k.
+    `enforce` report scales by exactly k;
+(c) a null agent. A firm with no streams, or a table agent d whose every
+    coalition costs, in T and in O alike, what it costs without d plus d's
+    own cost, so that v(S + d) = v(S), gets a Shapley share of 0, and every
+    other value, share and verdict stays as it was;
+(d) additivity on tables. The T and O tables of v and w summed by name
+    set are the tables of v + w, whose `shapley` shares are the sums of
+    v's and w's by name.
 
 Every run goes through `cli.main` in JSON, so the reader, the search, the
 reports and their roster-order keys are all inside the relation. A
-permuted table's keys are spelt out of roster order, so the table reader's
-file-order walk runs; a scaled one keeps its keys, and is read straight in
-mask order.
+permuted table's keys, and a null agent's keys unless it is first on the
+roster, are spelt out of roster order, so the table reader's file-order
+walk runs; a scaled one keeps its keys, and is read straight in mask order.
 """
 
 import json
@@ -67,16 +74,18 @@ def _case(name):
     }}
 
 
-def _report(tmp_path, capsys, doc, *argv) -> dict:
+def _report(tmp_path, capsys, doc, *argv, superadditive=True) -> dict:
     """The JSON report of `symbio argv` on doc, amounts written as exact
-    strings; stderr holds nothing but the warning of a game that an analyze
-    report finds not superadditive."""
+    strings; stderr holds nothing but the warning of a game that is not
+    superadditive, as an analyze report finds or else as `superadditive`
+    says."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc, default=str), encoding="utf-8")
     code = main([argv[0], str(path), *argv[1:], "--format", "json"])
     out = capsys.readouterr()
     report = json.loads(out.out)
-    warning = "warning: game is not superadditive" if report.get("superadditive") is False else ""
+    warning = "" if report.get("superadditive", superadditive) else \
+        "warning: game is not superadditive"
     assert code == 0 and out.err.startswith(warning) and bool(out.err) == bool(warning)
     return report
 
@@ -255,3 +264,98 @@ def test_table_reports_keep_roster_symmetry_and_money_scale(tmp_path, capsys, na
         epsilon = Fraction(options[1] if options else 1) * K
         assert _read_enforce(_report(tmp_path, capsys, scaled_doc, "enforce", "--epsilon",
                                      str(epsilon))) == _times(enforced, K)
+
+
+#: The null agent's name, on no roster the tests draw.
+NULL = "Z"
+
+
+def _with_null_exchange_firm(doc, place):
+    """doc with NULL, a firm with no streams and no routes, at roster place."""
+    doc = json.loads(json.dumps(doc, default=str))
+    doc["agents"].insert(place, NULL)
+    return doc
+
+
+def _with_null_table_agent(doc, place, own):
+    """doc with NULL at roster place, costing `own` alone: T(S + NULL) =
+    T(S) + own and O(S + NULL) = O(S) + own for every S of two or more
+    agents, and T = O = own for a pair of NULL and one other, so v(S + NULL)
+    = v(S). Its keys name NULL first, out of roster order unless place is 0."""
+    doc = json.loads(json.dumps(doc))
+    doc.pop("policy", None)
+    for x in "T", "O":
+        table = doc["tables"][x]
+        extra = {f"{NULL},{key}": str(Fraction(v) + own) for key, v in table.items()}
+        table.update(extra)
+        table.update({f"{NULL},{name}": str(own) for name in doc["agents"]})
+    doc["agents"].insert(place, NULL)
+    return doc
+
+
+def _null_agent_keeps(base, facts, agents):
+    """Relation (c): facts, of the roster `agents` holding NULL, are base's
+    with each value also at its set plus NULL, 0 at each pair of NULL and
+    one other, NULL's share 0, the same verdicts, and a witness in the core."""
+    values = dict(base["values"])
+    values.update({s | {NULL}: v for s, v in base["values"].items()})
+    values.update({frozenset((name, NULL)): 0 for name in base["shapley"]})
+    assert facts["values"] == values
+    assert facts["shapley"] == {**base["shapley"], NULL: 0}
+    assert facts["verdicts"] == base["verdicts"]
+    assert not facts["witness"] or _in_core(facts, agents)
+
+
+@pytest.mark.parametrize("name", ["w.json", "sparse-5", "dense-4"])
+def test_exchange_null_firm_changes_nothing(tmp_path, capsys, name):
+    doc = _case(name)
+    base = _read(_report(tmp_path, capsys, doc, "analyze"))
+    for place in 0, random.Random(name).randrange(1, len(doc["agents"]) + 1):
+        extended = _with_null_exchange_firm(doc, place)
+        facts = _read(_report(tmp_path, capsys, extended, "analyze"))
+        _null_agent_keeps(base, facts, extended["agents"])
+
+
+@pytest.mark.parametrize("name", ["g3.json", "g3_split.json", "convex-5", "dip-5", "empty-6",
+                                  "halves-6"])
+def test_table_null_agent_changes_nothing(tmp_path, capsys, name):
+    """Relation (c) with NULL first on the roster, where its keys are in
+    roster order and the table is read in mask order, and at a drawn later
+    place, where they are not and it is walked in file order."""
+    doc, _ = _table_case(name)
+    base = _read(_report(tmp_path, capsys, doc, "analyze"))
+    rng = random.Random(name)
+    own = Fraction(rng.randrange(1, 100), rng.randrange(1, 5))
+    for place in 0, rng.randrange(1, len(doc["agents"]) + 1):
+        extended = _with_null_table_agent(doc, place, own)
+        facts = _read(_report(tmp_path, capsys, extended, "analyze"))
+        _null_agent_keeps(base, facts, extended["agents"])
+
+
+def _shares(tmp_path, capsys, doc) -> "tuple[dict, Fraction]":
+    """The `shapley` report's shares by name and total, checked against the
+    analyze report's shares of the same file."""
+    analyzed = _read(_report(tmp_path, capsys, doc, "analyze"))
+    report = _report(tmp_path, capsys, doc, "shapley", superadditive=analyzed["verdicts"][0])
+    shares = {name: Fraction(v) for name, v in report["shapley"].items()}
+    assert shares == analyzed["shapley"]
+    return shares, Fraction(report["total"])
+
+
+@pytest.mark.parametrize("first,second", [("g3.json", "g3_split.json"), ("convex-5", "dip-5"),
+                                          ("empty-6", "halves-6")])
+def test_table_shapley_is_additive(tmp_path, capsys, first, second):
+    """Relation (d): w is permuted (relation (a)'s _permuted_tables), and
+    v + w keeps v's roster and w's keys, so v is read in mask order and w
+    and v + w are walked in file order."""
+    v, _ = _table_case(first)
+    w = _permuted_tables(_table_case(second)[0], random.Random(second))
+    assert sorted(v["agents"]) == sorted(w["agents"])
+    v_tables = {x: {_names(key): value for key, value in v["tables"][x].items()} for x in "TO"}
+    both = {"agents": v["agents"], "tables": {
+        x: {key: str(Fraction(value) + Fraction(v_tables[x][_names(key)]))
+            for key, value in w["tables"][x].items()} for x in "TO"}}
+    (v_shares, v_total), (w_shares, w_total), (shares, total) = (
+        _shares(tmp_path, capsys, doc) for doc in (v, w, both))
+    assert shares == {name: v_shares[name] + w_shares[name] for name in v["agents"]}
+    assert total == v_total + w_total

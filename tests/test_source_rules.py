@@ -32,6 +32,8 @@ ALLOWED_RAISES = {
         "deleting a field of an immutable record, as a frozen dataclass raised",
     ("cli", "load_scenario", None):
         "re-raises the BoundExceeded it caught, which its SymbioError clause would rename",
+    ("games", "game_from_masks", None):
+        "re-raises the TypeError of a column entry that is neither an int nor None, as before",
     ("games", "money_terms", "TypeError"):
         "a bool, a binary float or another type as money (errors.py); cli._number names the field",
     ("lp", "solve_lp", "ValueError"):
